@@ -24,6 +24,8 @@ from .seeding import spawn_seed
 from .traces import (
     TraceError,
     TraceSet,
+    _fmt,
+    _write_rows,
     gen_charging_population,
     gen_rtp,
     gen_traffic,
@@ -347,15 +349,6 @@ def _refuse_overwrite(paths: list[str], force: bool) -> None:
         )
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _read_csv(path: str, header: list[str]) -> list[list[str]]:
     import csv
 
@@ -367,10 +360,6 @@ def _read_csv(path: str, header: list[str]) -> list[list[str]]:
         if got != header:
             raise DataError(f"{path}: bad header {got!r}, expected {header!r}")
         return [row for row in reader if row]
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -512,7 +501,7 @@ def cmd_eval_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
                     _fmt(result.reward),
                 )
             )
-    _write_csv(eval_path, PRICING_EVAL_HEADER, rows)
+    _write_rows(eval_path, PRICING_EVAL_HEADER, rows)
 
     shares = pricing.strata_by_period(model, items, SLOTS_PER_DAY)
     period_rows = [
@@ -520,7 +509,7 @@ def cmd_eval_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
         for label, by_stratum in shares.items()
         for stratum, share in by_stratum.items()
     ]
-    _write_csv(period_path, PERIOD_HEADER, period_rows)
+    _write_rows(period_path, PERIOD_HEADER, period_rows)
     _update_manifest(run_dir, "eval-price", [eval_path, period_path])
     print(f"wrote {len(rows)} evaluation rows to {eval_path}")
 
@@ -599,7 +588,7 @@ def cmd_train_drl(cfg: RunConfig, run_dir: str, force: bool) -> None:
             ck_path = os.path.join(ck_dir, f"drl_hub{hub_id}_{method}.json")
             bundle.save(ck_path)
             curve_path = os.path.join(results_dir, f"curve_hub{hub_id}_{method}.csv")
-            _write_csv(
+            _write_rows(
                 curve_path,
                 CURVE_HEADER,
                 ((e, _fmt(total), _fmt(daily)) for e, total, daily in curve),
@@ -638,7 +627,7 @@ def cmd_eval_drl(cfg: RunConfig, run_dir: str, force: bool) -> None:
             env = _build_env(cfg, traces, srtp, occupancy, hub_id, method)
             avg = scheduler.evaluate(env, bundle, cfg.ppo.episodes_test, seed=eval_seed)
             rows.append((hub_id, method, _fmt(avg)))
-    _write_csv(eval_path, DRL_EVAL_HEADER, rows)
+    _write_rows(eval_path, DRL_EVAL_HEADER, rows)
     _update_manifest(run_dir, "eval-drl", [eval_path])
     print(f"wrote {len(rows)} evaluation rows to {eval_path}")
 
@@ -672,7 +661,7 @@ def cmd_report(run_dir: str, force: bool) -> None:
                 ("reward", reward),
             ):
                 rows.append((method, discount, metric, value))
-        _write_csv(pricing_out, ["method", "discount", "metric", "value"], rows)
+        _write_rows(pricing_out, ["method", "discount", "metric", "value"], rows)
         written.append(pricing_out)
 
     if have_drl:
@@ -690,7 +679,7 @@ def cmd_report(run_dir: str, force: bool) -> None:
             ):
                 rows.append((hub_id, method, "total_reward", episode, total))
                 rows.append((hub_id, method, "mean_daily_reward", episode, daily))
-        _write_csv(
+        _write_rows(
             drl_out, ["hub_id", "method", "metric", "episode", "value"], rows
         )
         written.append(drl_out)

@@ -8,10 +8,10 @@ values. Power in kW, energy in kWh, prices in currency per kWh.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
 import yaml
 
 # Battery actions. The scheduler uses its own {0,1,2} encoding and maps here.
@@ -209,14 +209,6 @@ def reserve_floor(cfg: HubConfig) -> float:
     return cfg.p_bs_max_kw * cfg.t_recovery_slots * cfg.slot_hours
 
 
-def grid_power(p_bs: float, p_cs: float, p_bp: float, p_wt: float, p_pv: float) -> float:
-    """Grid purchase after netting renewables; clamped at zero (no export)."""
-    for name, v in (("p_bs", p_bs), ("p_cs", p_cs), ("p_wt", p_wt), ("p_pv", p_pv)):
-        if v < 0:
-            raise ValueError(f"{name} must be nonnegative, got {v}")
-    return max(0.0, p_bs + p_cs + p_bp - p_wt - p_pv)
-
-
 def step(cfg: HubConfig, state: BatteryState, inputs: SlotInputs, action: int) -> SlotOutcome:
     """Advance the hub one slot: powers, grid purchase, money, next soc.
 
@@ -248,6 +240,52 @@ def step(cfg: HubConfig, state: BatteryState, inputs: SlotInputs, action: int) -
         revenue=revenue,
         profit=revenue - cost_grid - cost_bp,
     )
+
+
+def profit_table(cfg: HubConfig, load_rate, occupancy, p_wt_kw, p_pv_kw, rtp, srtp) -> np.ndarray:
+    """Per-slot profit of every battery action, shape (T, len(ACTIONS)).
+
+    Column k holds the profit of ACTIONS[k]. Profit does not depend on the
+    soc, so one table serves every state; feasibility is left to the caller.
+    The series are validated once here, as SlotInputs validates one slot, and
+    each entry is computed with the float operations of step(), in the same
+    order, so it equals step(...).profit bit for bit.
+    """
+    series = {
+        "load_rate": load_rate,
+        "occupancy": occupancy,
+        "p_wt_kw": p_wt_kw,
+        "p_pv_kw": p_pv_kw,
+        "rtp": rtp,
+        "srtp": srtp,
+    }
+    series = {name: np.asarray(arr, dtype=np.float64) for name, arr in series.items()}
+    n = len(series["load_rate"])
+    for name, arr in series.items():
+        if arr.shape != (n,):
+            raise ValueError(f"{name} has shape {arr.shape} but load_rate has {n} slots")
+    load = series["load_rate"]
+    if not ((load >= 0.0) & (load <= 1.0)).all():
+        raise ValueError("load_rate must be in [0, 1] in every slot")
+    occ = series["occupancy"]
+    if not np.isin(occ, (0.0, 1.0)).all():
+        raise ValueError("occupancy must be 0 or 1 in every slot")
+    for name in ("p_wt_kw", "p_pv_kw", "rtp", "srtp"):
+        if (series[name] < 0).any():
+            raise ValueError(f"{name} must be nonnegative in every slot")
+
+    dt = cfg.slot_hours
+    p_bs = cfg.p_bs_min_kw + load * (cfg.p_bs_max_kw - cfg.p_bs_min_kw)
+    p_cs = occ * cfg.r_cs_kw
+    revenue = p_cs * dt * series["srtp"]
+    table = np.empty((n, len(ACTIONS)))
+    for col, action in enumerate(ACTIONS):
+        p_bp, _ = battery_power(cfg.battery, action, dt)
+        net = p_bs + p_cs + p_bp - series["p_wt_kw"] - series["p_pv_kw"]
+        # max(0.0, net) keeps 0.0 unless net > 0.0
+        cost_grid = np.where(net > 0.0, net, 0.0) * dt * series["rtp"]
+        table[:, col] = revenue - cost_grid - abs(action) * cfg.c_bp
+    return table
 
 
 @dataclass(frozen=True)

@@ -645,34 +645,6 @@ def top_k_policy(universe, scores, k: int, c: float) -> list[DiscountDecision]:
     ]
 
 
-def or_estimator(
-    observations: Sequence[ObservedItem], universe, k: int, c: float, cfg: PricingConfig
-) -> tuple[np.ndarray, list[DiscountDecision]]:
-    """Outcome-regression uplift scores and the induced top-k discount policy."""
-    mu1, mu0 = fit_outcome_models(observations, cfg)
-    scores = or_uplift(mu1, mu0, universe)
-    return scores, top_k_policy(universe, scores, k, c)
-
-
-def ips_estimator(
-    observations: Sequence[ObservedItem], universe, k: int, c: float, cfg: PricingConfig
-) -> tuple[np.ndarray, list[DiscountDecision]]:
-    """Inverse-propensity uplift scores and the induced top-k discount policy."""
-    prop = fit_propensity_model(observations, cfg)
-    scores = ips_uplift(observations, prop, universe)
-    return scores, top_k_policy(universe, scores, k, c)
-
-
-def dr_estimator(
-    observations: Sequence[ObservedItem], universe, k: int, c: float, cfg: PricingConfig
-) -> tuple[np.ndarray, list[DiscountDecision]]:
-    """Doubly robust uplift scores and the induced top-k discount policy."""
-    mu1, mu0 = fit_outcome_models(observations, cfg)
-    prop = fit_propensity_model(observations, cfg)
-    scores = dr_uplift(observations, mu1, mu0, prop, universe)
-    return scores, top_k_policy(universe, scores, k, c)
-
-
 def strata_by_period(
     model: PricingModel, universe, slots_per_day: int = 24
 ) -> dict[str, dict[Stratum, float]]:

@@ -10,7 +10,7 @@ masked out of the policy head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -108,18 +108,13 @@ class HubEnv:
         self.srtp = np.asarray(srtp, dtype=np.float64)
         self.occupancy = np.asarray(occupancy)
         self.load_rate = np.asarray(trace_set.load_rate, dtype=np.float64)
-        n = len(self.rtp)
-        for name, arr in (("srtp", self.srtp), ("occupancy", self.occupancy)):
-            if len(arr) != n:
-                raise ValueError(
-                    f"{name} has {len(arr)} slots but the traces have {n}"
-                )
-        if n and self.srtp.min() < 0:
-            raise ValueError("srtp must be nonnegative")
-        if len(self.occupancy) and not set(np.unique(self.occupancy)) <= {0, 1}:
-            raise ValueError("occupancy must be 0/1 per slot")
         self.p_wt = wt_power(trace_set.wind_mps, hub_cfg.wt_capacity_kw)
         self.p_pv = pv_power(trace_set.irradiance_wm2, hub_cfg.pv_capacity_kw)
+        # every slot's profit under each hub action; validates the series once
+        self.profit = hub.profit_table(
+            hub_cfg, self.load_rate, self.occupancy, self.p_wt, self.p_pv, self.rtp, self.srtp
+        )
+        n = len(self.rtp)
         self.slots_per_day = int(round(24.0 / hub_cfg.slot_hours))
         self.episode_days = env_cfg.episode_days
         self.episode_slots = env_cfg.episode_days * self.slots_per_day
@@ -197,30 +192,15 @@ class HubEnv:
         if action not in _HUB_ACTION:
             raise ValueError(f"action must be in {{0, 1, 2}}, got {action}")
         hub_action = _HUB_ACTION[action]
-        allowed = hub.feasible_actions(
-            self._battery, self.hub_cfg.battery, self.hub_cfg.slot_hours
-        )
-        if hub_action not in allowed:
+        spec, dt = self.hub_cfg.battery, self.hub_cfg.slot_hours
+        if hub_action not in hub.feasible_actions(self._battery, spec, dt):
             hub_action = hub.IDLE
-        outcome = hub.step(
-            self.hub_cfg, self._battery, self.slot_inputs(self._t), hub_action
-        )
-        self._battery = hub.BatteryState(outcome.soc_after_kwh)
+        reward = float(self.profit[self._t, hub.ACTIONS.index(hub_action)])
+        self._battery = hub.soc_step(self._battery, spec, hub_action, dt)
         self._t += 1
         self._steps += 1
         done = self._steps >= self.episode_slots
-        return self._observe(), outcome.profit, done
-
-
-@dataclass(frozen=True)
-class Transition:
-    state: np.ndarray  # standardized feature vector
-    action: int
-    reward: float
-    next_state: np.ndarray
-    done: bool
-    old_log_prob: float
-    value_estimate: float
+        return self._observe(), reward, done
 
 
 @dataclass(frozen=True)
@@ -399,17 +379,15 @@ def total_loss(
     rows = np.arange(n)
     p_a = probs[rows, actions]
     new_log_probs = np.log(np.maximum(p_a, 1e-300))
-    ratio = np.exp(new_log_probs - old_log_probs)
     eps = cfg.clip_epsilon
-    j_clip = float(
-        np.mean(np.minimum(ratio * advantages, np.clip(ratio, 1 - eps, 1 + eps) * advantages))
-    )
+    j_clip = float(np.mean(ppo_clip_term(new_log_probs, old_log_probs, advantages, eps)))
     verr = values - targets
     value_mse = float(np.mean(verr * verr))
     objective = j_clip - cfg.value_coef * value_mse
 
     grad_probs = np.zeros_like(probs)
     # the clip term has zero slope where the clipped branch is active
+    ratio = np.exp(new_log_probs - old_log_probs)
     unclipped = ((advantages >= 0) & (ratio <= 1 + eps)) | (
         (advantages < 0) & (ratio >= 1 - eps)
     )
@@ -480,22 +458,33 @@ def policy_update(
 
 
 def rollout(env: HubEnv, bundle: PolicyBundle, rng: np.random.Generator, reset_seed: int):
-    """Sample one episode; returns (transitions, total_reward)."""
+    """Sample one episode.
+
+    Returns (states, actions, log_probs, rewards, values, total_reward), the
+    arrays holding one row per slot and states as standardized vectors.
+    """
     state = env.reset(seed=reset_seed)
-    vec = state_vector(state, env.stats)
-    transitions: list[Transition] = []
+    states, actions, log_probs, rewards, values = [], [], [], [], []
     total = 0.0
     done = False
     while not done:
+        vec = state_vector(state, env.stats)
         action, log_prob, value = bundle.act(vec, rng)
-        next_state, reward, done = env.step(action)
-        next_vec = state_vector(next_state, env.stats)
-        transitions.append(
-            Transition(vec, action, reward, next_vec, done, log_prob, value)
-        )
+        state, reward, done = env.step(action)
+        states.append(vec)
+        actions.append(action)
+        log_probs.append(log_prob)
+        rewards.append(reward)
+        values.append(value)
         total += reward
-        vec = next_vec
-    return transitions, total
+    return (
+        np.stack(states),
+        np.array(actions, dtype=np.int64),
+        np.array(log_probs),
+        np.array(rewards),
+        np.array(values),
+        total,
+    )
 
 
 def train(
@@ -517,14 +506,9 @@ def train(
     failures = 0
     for episode in range(cfg.episodes_train):
         action_rng = spawn_rng(seed, "actions", episode)
-        transitions, total = rollout(
+        states, actions, old_log_probs, rewards, values, total = rollout(
             env, bundle, action_rng, reset_seed=spawn_seed(seed, "reset", episode)
         )
-        states = np.stack([tr.state for tr in transitions])
-        actions = np.array([tr.action for tr in transitions], dtype=np.int64)
-        old_log_probs = np.array([tr.old_log_prob for tr in transitions])
-        rewards = np.array([tr.reward for tr in transitions])
-        values = np.array([tr.value_estimate for tr in transitions])
         advantages, targets = compute_advantages(rewards, values, cfg.gamma, cfg.lam)
         ok = policy_update(
             bundle,
@@ -586,10 +570,12 @@ def dp_oracle(
 ) -> tuple[float, list[int]]:
     """Clairvoyant-optimal battery plan by backward induction on a soc lattice.
 
-    Per-slot profit depends only on the action, so the lattice solution is
-    exact whenever every soc transition lands on a lattice node; the
-    resolution must evenly divide the charge step, the discharge step, the
-    soc span, and the initial offset. Ties prefer idle, then charge.
+    Per-slot profit depends only on the action (one hub.profit_table serves
+    every node), so the lattice solution is exact whenever every soc
+    transition lands on a lattice node; the resolution must evenly divide the
+    charge step, the discharge step, the soc span, and the initial offset.
+    Each slot updates the whole lattice in one array pass. Ties prefer idle,
+    then charge.
     """
     if resolution <= 0:
         raise hub.ConfigError(f"resolution must be positive, got {resolution}")
@@ -620,47 +606,45 @@ def dp_oracle(
     up, down = steps["charge step"], steps["discharge step"]
     horizon = len(inputs)
 
-    # per-slot profit for each hub action, independent of the soc level
-    profit = np.full((horizon, 3), -np.inf)
-    # action column order is the tie-break preference: idle, charge, discharge
+    # candidate order is the tie-break preference: idle, charge, discharge
     order = (hub.IDLE, hub.CHARGE, hub.DISCHARGE)
-    ref_state = {
-        hub.IDLE: hub.BatteryState(spec.soc_min_kwh),
-        hub.CHARGE: hub.BatteryState(spec.soc_min_kwh),
-        hub.DISCHARGE: hub.BatteryState(spec.soc_max_kwh),
-    }
-    for t, slot in enumerate(inputs):
-        for col, action in enumerate(order):
-            try:
-                profit[t, col] = hub.step(cfg, ref_state[action], slot, action).profit
-            except hub.FeasibilityError:
-                pass  # globally infeasible action (span too small)
+    table = hub.profit_table(
+        cfg,
+        load_rate=[s.load_rate for s in inputs],
+        occupancy=[s.cs_active for s in inputs],
+        p_wt_kw=[s.p_wt_kw for s in inputs],
+        p_pv_kw=[s.p_pv_kw for s in inputs],
+        rtp=[s.rtp for s in inputs],
+        srtp=[s.srtp for s in inputs],
+    )
+    profit = table[:, [hub.ACTIONS.index(action) for action in order]]
+    # an action infeasible even from its most favourable soc is never taken
+    possible = hub.feasible_actions(
+        hub.BatteryState(spec.soc_min_kwh), spec, cfg.slot_hours
+    ) | hub.feasible_actions(hub.BatteryState(spec.soc_max_kwh), spec, cfg.slot_hours)
+    allowed = np.isfinite(profit) & [action in possible for action in order]
+    profit = np.where(allowed, profit, -np.inf)
 
-    move = {0: 0, 1: up, 2: -down}
+    moves = (0, up, -down)
+    nodes = np.arange(m + 1)
     value = np.zeros(m + 1)
     choice = np.zeros((horizon, m + 1), dtype=np.int8)
     for t in range(horizon - 1, -1, -1):
-        new_value = np.full(m + 1, -np.inf)
-        for i in range(m + 1):
-            best = -np.inf
-            best_col = 0
-            for col in range(3):
-                j = i + move[col]
-                if not 0 <= j <= m or not np.isfinite(profit[t, col]):
-                    continue
-                cand = profit[t, col] + value[j]
-                if cand > best:
-                    best = cand
-                    best_col = col
-            new_value[i] = best
-            choice[t, i] = best_col
-        value = new_value
+        cand = np.full((3, m + 1), -np.inf)
+        for col, move in enumerate(moves):
+            # nodes lo..hi move to lo+move..hi+move, all on the lattice
+            lo, hi = max(0, -move), min(m, m - move)
+            if lo <= hi:
+                cand[col, lo : hi + 1] = profit[t, col] + value[lo + move : hi + move + 1]
+        # argmax keeps the first maximum, so ties follow the candidate order
+        choice[t] = cand.argmax(axis=0)
+        value = cand[choice[t], nodes]
 
-    env_action = {0: ACT_IDLE, 1: ACT_CHARGE, 2: ACT_DISCHARGE}
+    env_action = (ACT_IDLE, ACT_CHARGE, ACT_DISCHARGE)
     actions = []
     i = i0
     for t in range(horizon):
         col = int(choice[t, i])
         actions.append(env_action[col])
-        i += move[col]
+        i += moves[col]
     return float(value[i0]), actions

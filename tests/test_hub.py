@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hubopt import hub
 from hubopt.hub import (
@@ -170,18 +172,42 @@ class TestReserveFloor:
 
 
 class TestGridPower:
+    """Grid purchase netting, read from step() and checked against profit_table."""
+
+    RTP = 0.25
+
+    def grid(self, cs_active, p_wt, p_pv, action):
+        # 2.5 kW base station, 7 kW charger, 2 kW charge draw, 2.7 kW discharge delivery
+        battery = BatterySpec(r_charge_kw=2.0, r_discharge_kw=3.0, eta_discharge=0.9)
+        cfg = make_cfg(p_bs_min_kw=2.5, p_bs_max_kw=2.5, r_cs_kw=7.0, battery=battery)
+        inputs = SlotInputs(
+            load_rate=0.5,
+            cs_active=cs_active,
+            p_wt_kw=p_wt,
+            p_pv_kw=p_pv,
+            rtp=self.RTP,
+            srtp=0.0,
+        )
+        out = hub.step(cfg, BatteryState(20.0), inputs, action)
+        table = hub.profit_table(cfg, [0.5], [cs_active], [p_wt], [p_pv], [self.RTP], [0.0])
+        assert table[0, ACTIONS.index(action)] == out.profit
+        assert out.cost_grid == out.p_grid_kw * cfg.slot_hours * self.RTP
+        return out.p_grid_kw
+
     def test_renewables_cover_load(self):
-        assert hub.grid_power(2.5, 0.0, 0.0, 3.0, 1.0) == 0.0
+        assert self.grid(0, 3.0, 1.0, IDLE) == 0.0
 
     def test_deficit_purchase(self):
-        assert hub.grid_power(2.5, 7.0, 2.0, 1.0, 0.5) == pytest.approx(10.0)
+        assert self.grid(1, 1.0, 0.5, CHARGE) == pytest.approx(10.0)
 
     def test_discharge_offsets_purchase(self):
-        assert hub.grid_power(2.5, 7.0, -2.7, 0.0, 0.0) == pytest.approx(6.8)
+        assert self.grid(1, 0.0, 0.0, DISCHARGE) == pytest.approx(6.8)
 
     def test_negative_input_rejected(self):
-        with pytest.raises(ValueError):
-            hub.grid_power(-1.0, 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="p_wt_kw"):
+            hub.profit_table(HubConfig(), [0.5], [0], [-1.0], [0.0], [0.1], [0.0])
+        with pytest.raises(ValueError, match="p_wt_kw"):
+            SlotInputs(load_rate=0.5, cs_active=0, p_wt_kw=-1.0, p_pv_kw=0.0, rtp=0.1, srtp=0.0)
 
 
 class TestStep:
@@ -223,6 +249,109 @@ class TestStep:
         )
         with pytest.raises(FeasibilityError):
             hub.step(cfg, BatteryState(cfg.battery.soc_max_kwh), inputs, CHARGE)
+
+
+def _float(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def hub_configs(draw):
+    soc_min = draw(_float(0.0, 40.0))
+    span = draw(_float(0.5, 40.0))
+    spec = BatterySpec(
+        capacity_kwh=soc_min + span + draw(_float(0.0, 10.0)),
+        soc_min_kwh=soc_min,
+        soc_max_kwh=soc_min + span,
+        r_charge_kw=draw(_float(0.1, 12.0)),
+        r_discharge_kw=draw(_float(0.1, 12.0)),
+        eta_charge=draw(_float(0.05, 1.0)),
+        eta_discharge=draw(_float(0.05, 1.0)),
+    )
+    p_bs_min = draw(_float(0.0, 5.0))
+    return HubConfig(
+        p_bs_min_kw=p_bs_min,
+        p_bs_max_kw=p_bs_min + draw(_float(0.0, 5.0)),
+        r_cs_kw=draw(_float(0.0, 22.0)),
+        battery=spec,
+        slot_hours=draw(_float(0.1, 2.0)),
+        t_recovery_slots=0,
+        c_bp=draw(_float(0.0, 0.1)),
+    )
+
+
+slot_inputs = st.builds(
+    SlotInputs,
+    load_rate=_float(0.0, 1.0),
+    cs_active=st.integers(0, 1),
+    p_wt_kw=_float(0.0, 30.0),
+    p_pv_kw=_float(0.0, 30.0),
+    rtp=_float(0.0, 2.0),
+    srtp=_float(0.0, 2.0),
+)
+
+
+def table_of(cfg, slots):
+    return hub.profit_table(
+        cfg,
+        [s.load_rate for s in slots],
+        [s.cs_active for s in slots],
+        [s.p_wt_kw for s in slots],
+        [s.p_pv_kw for s in slots],
+        [s.rtp for s in slots],
+        [s.srtp for s in slots],
+    )
+
+
+class TestProfitTable:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cfg=hub_configs(),
+        slots=st.lists(slot_inputs, min_size=1, max_size=8),
+        soc_frac=st.lists(_float(0.0, 1.0), min_size=8, max_size=8),
+    )
+    def test_entries_equal_step_profit_bit_for_bit(self, cfg, slots, soc_frac):
+        spec = cfg.battery
+        table = table_of(cfg, slots)
+        assert table.shape == (len(slots), len(ACTIONS))
+        for t, slot in enumerate(slots):
+            span = spec.soc_max_kwh - spec.soc_min_kwh
+            state = BatteryState(min(spec.soc_min_kwh + soc_frac[t] * span, spec.soc_max_kwh))
+            for action in hub.feasible_actions(state, spec, cfg.slot_hours):
+                profit = hub.step(cfg, state, slot, action).profit
+                assert float(table[t, ACTIONS.index(action)]).hex() == profit.hex()
+
+    def test_empty_series(self):
+        assert table_of(HubConfig(), []).shape == (0, len(ACTIONS))
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("load_rate", 1.5, "load_rate"),
+            ("load_rate", float("nan"), "load_rate"),
+            ("occupancy", 2, "occupancy"),
+            ("occupancy", 0.5, "occupancy"),
+            ("p_pv_kw", -0.1, "p_pv_kw"),
+            ("rtp", -0.1, "rtp"),
+            ("srtp", -0.1, "srtp"),
+        ],
+    )
+    def test_rejects_invalid_slot(self, field, value, match):
+        series = {
+            "load_rate": [0.5, 0.5],
+            "occupancy": [0, 1],
+            "p_wt_kw": [0.0, 1.0],
+            "p_pv_kw": [0.0, 1.0],
+            "rtp": [0.1, 0.2],
+            "srtp": [0.2, 0.3],
+        }
+        series[field][1] = value
+        with pytest.raises(ValueError, match=match):
+            hub.profit_table(HubConfig(), **series)
+
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError, match="srtp"):
+            hub.profit_table(HubConfig(), [0.5] * 3, [0] * 3, [0.0] * 3, [0.0] * 3, [0.1] * 3, [0.2])
 
 
 def random_hub_setup(rng):

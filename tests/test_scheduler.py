@@ -187,6 +187,26 @@ class TestHubEnv:
         with pytest.raises(ValueError, match="occupancy"):
             HubEnv(hub.HubConfig(), EnvConfig(episode_days=1, window=2), ts, ts.rtp, occ)
 
+    def test_step_rewards_equal_scalar_hub_step(self):
+        # the table lookup must reproduce hub.step on every slot, idle fallback included
+        env = make_env(n_days=4, episode_days=2, initial_soc_kwh=44.0, wt_capacity_kw=3.0)
+        env.reset(seed=4)
+        spec = env.hub_cfg.battery
+        to_hub = {ACT_CHARGE: hub.CHARGE, ACT_DISCHARGE: hub.DISCHARGE, ACT_IDLE: hub.IDLE}
+        rng = np.random.default_rng(4)
+        state = hub.BatteryState(44.0)
+        for k in range(env.episode_slots):
+            action = int(rng.integers(0, 3))
+            hub_action = to_hub[action]
+            if hub_action not in hub.feasible_actions(state, spec, env.hub_cfg.slot_hours):
+                hub_action = hub.IDLE
+            slot = env.slot_inputs(env.episode_start + k)
+            expected = hub.step(env.hub_cfg, state, slot, hub_action)
+            obs, reward, _ = env.step(action)
+            assert reward.hex() == expected.profit.hex()
+            assert obs.soc == expected.soc_after_kwh / spec.capacity_kwh
+            state = hub.BatteryState(expected.soc_after_kwh)
+
     def test_episode_inputs_align_with_steps(self):
         env = make_env(episode_days=1, occupancy=np.ones(6 * 24, dtype=int))
         env.reset(seed=5)
@@ -651,6 +671,81 @@ class TestDpOracle:
             if best is None or total > best:
                 best = total
         return best
+
+    @staticmethod
+    def node_by_node(cfg, inputs, initial_soc_kwh, resolution):
+        """Backward induction one lattice node at a time; ties go to idle, then charge."""
+        spec = cfg.battery
+        m = round((spec.soc_max_kwh - spec.soc_min_kwh) / resolution)
+        up = round(spec.eta_charge * spec.r_charge_kw * cfg.slot_hours / resolution)
+        down = round(spec.r_discharge_kw * cfg.slot_hours / resolution)
+        options = (
+            (ACT_IDLE, hub.IDLE, 0),
+            (ACT_CHARGE, hub.CHARGE, up),
+            (ACT_DISCHARGE, hub.DISCHARGE, -down),
+        )
+        value = [0.0] * (m + 1)
+        plans = []
+        for slot in reversed(inputs):
+            best = [(-np.inf, options[0])] * (m + 1)
+            for i in range(m + 1):
+                state = hub.BatteryState(spec.soc_min_kwh + i * resolution)
+                for option in options:
+                    _, action, move = option
+                    if 0 <= i + move <= m:
+                        cand = hub.step(cfg, state, slot, action).profit + value[i + move]
+                        if cand > best[i][0]:
+                            best[i] = (cand, option)
+            value = [v for v, _ in best]
+            plans.append([option for _, option in best])
+        i0 = i = round((initial_soc_kwh - spec.soc_min_kwh) / resolution)
+        actions = []
+        for plan in reversed(plans):
+            act, _, move = plan[i]
+            actions.append(act)
+            i += move
+        return value[i0], actions
+
+    def test_matches_node_by_node_induction(self):
+        # long horizons and dyadic prices: many exact ties across a wide lattice
+        spec = hub.BatterySpec(
+            capacity_kwh=16.0,
+            soc_min_kwh=2.0,
+            soc_max_kwh=14.0,
+            r_charge_kw=4.0,
+            r_discharge_kw=3.0,
+            eta_charge=0.5,
+            eta_discharge=1.0,
+        )
+        cfg = hub.HubConfig(
+            p_bs_min_kw=4.0, p_bs_max_kw=4.0, battery=spec, c_bp=0.0, t_recovery_slots=0
+        )
+        rng = np.random.default_rng(5)
+        for trial in range(3):
+            inputs = flat_inputs(30, rtp=list(rng.integers(1, 5, size=30) / 8.0))
+            initial = 2.0 + float(rng.integers(0, 13))
+            got = dp_oracle(cfg, inputs, initial, resolution=1.0)
+            assert got == self.node_by_node(cfg, inputs, initial, 1.0), f"trial {trial}"
+
+    def test_action_infeasible_from_every_soc_is_never_taken(self):
+        # 0.1 + 0.2 > 0.3 in floats: soc_step refuses the one charge the
+        # lattice (span 0.2 = one charge step) would allow
+        spec = hub.BatterySpec(
+            capacity_kwh=1.0,
+            soc_min_kwh=0.1,
+            soc_max_kwh=0.3,
+            r_charge_kw=0.2,
+            r_discharge_kw=0.1,
+            eta_charge=1.0,
+            eta_discharge=1.0,
+        )
+        cfg = hub.HubConfig(
+            p_bs_min_kw=4.0, p_bs_max_kw=4.0, battery=spec, c_bp=0.0, t_recovery_slots=0
+        )
+        inputs = flat_inputs(3, rtp=[0.125, 1.0, 1.0])
+        profit, actions = dp_oracle(cfg, inputs, initial_soc_kwh=0.1, resolution=0.1)
+        assert ACT_CHARGE not in actions
+        assert profit == self.brute_force(cfg, inputs, 0.1)
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(12)
