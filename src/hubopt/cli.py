@@ -460,19 +460,30 @@ def _load_population(run_dir: str):
     return items, observations
 
 
+def _method_choices(model, mu1, mu0, prop, items, observations):
+    """The universe and each method's discounted-item mask over it.
+
+    Nothing here depends on the discount rate, so a stage computes it once.
+    Baselines discount their top k by uplift, where k is the number of items
+    the learned policy discounts.
+    """
+    universe = pricing.universe_arrays(items)
+    ours = pricing.incentive_mask(model, universe)
+    k = int(ours.sum())
+    scores = pricing.uplift_scores(observations, mu1, mu0, prop, universe)
+    chosen = {"cfmtl": ours}
+    for name in ("or", "ips", "dr"):
+        chosen[name] = pricing.top_k_mask(universe, scores[name], k)
+    return universe, chosen
+
+
 def _method_decisions(model, mu1, mu0, prop, items, observations, c: float):
     """Discount decisions per method; baselines share the learned policy's k."""
-    ours = pricing.discount_policy(model, items, c)
-    k = sum(d.give_discount for d in ours)
-    scores = {
-        "or": pricing.or_uplift(mu1, mu0, items),
-        "ips": pricing.ips_uplift(observations, prop, items),
-        "dr": pricing.dr_uplift(observations, mu1, mu0, prop, items),
+    universe, chosen = _method_choices(model, mu1, mu0, prop, items, observations)
+    return {
+        method: pricing.decisions_from_mask(universe, give, c)
+        for method, give in chosen.items()
     }
-    decisions = {"cfmtl": ours}
-    for name in ("or", "ips", "dr"):
-        decisions[name] = pricing.top_k_policy(items, scores[name], k, c)
-    return decisions
 
 
 def cmd_eval_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
@@ -484,13 +495,14 @@ def cmd_eval_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
 
     model, mu1, mu0, prop = _load_pricing_models(run_dir)
     items, observations = _load_population(run_dir)
+    universe, chosen = _method_choices(model, mu1, mu0, prop, items, observations)
+    truth = pricing.strata_columns(items)
 
     os.makedirs(results_dir, exist_ok=True)
     rows = []
     for c in DISCOUNT_GRID:
-        decisions = _method_decisions(model, mu1, mu0, prop, items, observations, c)
         for method in METHODS:
-            result = pricing.evaluate_policy(decisions[method], items, c)
+            result = pricing.score_policy(truth, chosen[method], c)
             rows.append(
                 (
                     method,
@@ -503,7 +515,7 @@ def cmd_eval_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
             )
     _write_rows(eval_path, PRICING_EVAL_HEADER, rows)
 
-    shares = pricing.strata_by_period(model, items, SLOTS_PER_DAY)
+    shares = pricing.strata_by_period(model, universe, SLOTS_PER_DAY)
     period_rows = [
         (label, stratum.value, _fmt(share))
         for label, by_stratum in shares.items()

@@ -124,8 +124,8 @@ class SlotInputs:
             ("rtp", self.rtp),
             ("srtp", self.srtp),
         ):
-            if v < 0:
-                raise ValueError(f"{name} must be nonnegative, got {v}")
+            if not 0 <= v < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {v}")
 
 
 @dataclass(frozen=True)
@@ -271,8 +271,9 @@ def profit_table(cfg: HubConfig, load_rate, occupancy, p_wt_kw, p_pv_kw, rtp, sr
     if not np.isin(occ, (0.0, 1.0)).all():
         raise ValueError("occupancy must be 0 or 1 in every slot")
     for name in ("p_wt_kw", "p_pv_kw", "rtp", "srtp"):
-        if (series[name] < 0).any():
-            raise ValueError(f"{name} must be nonnegative in every slot")
+        arr = series[name]
+        if not ((arr >= 0.0) & (arr < np.inf)).all():
+            raise ValueError(f"{name} must be finite and nonnegative in every slot")
 
     dt = cfg.slot_hours
     p_bs = cfg.p_bs_min_kw + load * (cfg.p_bs_max_kw - cfg.p_bs_min_kw)

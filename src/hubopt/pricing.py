@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -126,13 +126,39 @@ def _item_key(item) -> tuple[int, int]:
     return (int(station), int(sod))
 
 
-def _universe_arrays(universe):
+class Universe(NamedTuple):
+    """Item keys in universe order, with their station and slot arrays."""
+
+    keys: list[tuple[int, int]]
+    stations: np.ndarray
+    slots: np.ndarray
+
+
+def universe_arrays(universe) -> Universe:
+    """Check a universe for duplicate items once and lay it out as arrays.
+
+    Every function here that takes a universe also takes the returned value,
+    which passes through without being checked again.
+    """
+    if isinstance(universe, Universe):
+        return universe
     keys = [_item_key(it) for it in universe]
     if len(set(keys)) != len(keys):
         raise ValueError("universe contains duplicate (station, slot) items")
     stations = np.array([k[0] for k in keys])
     slots = np.array([k[1] for k in keys])
-    return keys, stations, slots
+    return Universe(keys, stations, slots)
+
+
+def decisions_from_mask(universe, give: np.ndarray, c: float) -> list[DiscountDecision]:
+    """One decision per item: rate c where give is set, else no discount."""
+    if not 0.0 < c < 1.0:
+        raise ValueError(f"discount rate must be in (0, 1), got {c}")
+    keys, _, _ = universe_arrays(universe)
+    return [
+        DiscountDecision(station, sod, g, c if g else 0.0)
+        for (station, sod), g in zip(keys, give.tolist())
+    ]
 
 
 class PricingModel:
@@ -401,19 +427,16 @@ def predicted_strata(probs: np.ndarray) -> np.ndarray:
     return _PRIORITY[np.argmax(reordered, axis=1)]
 
 
+def incentive_mask(model: PricingModel, universe) -> np.ndarray:
+    """Per item, whether its predicted stratum is incentive-charge."""
+    _, stations, slots = universe_arrays(universe)
+    return predicted_strata(stratum_probs(model, stations, slots)) == COL_INCENTIVE
+
+
 def discount_policy(model: PricingModel, universe, c: float) -> list[DiscountDecision]:
     """Discount exactly the items whose predicted stratum is incentive-charge."""
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"discount rate must be in (0, 1), got {c}")
-    keys, stations, slots = _universe_arrays(universe)
-    winners = predicted_strata(stratum_probs(model, stations, slots))
-    decisions = []
-    for (station, sod), win in zip(keys, winners):
-        give = bool(win == COL_INCENTIVE)
-        decisions.append(
-            DiscountDecision(station, sod, give, c if give else 0.0)
-        )
-    return decisions
+    universe = universe_arrays(universe)
+    return decisions_from_mask(universe, incentive_mask(model, universe), c)
 
 
 @dataclass(frozen=True)
@@ -462,27 +485,42 @@ def evaluate_policy(
             f"decisions cover {len(keys)} items but the ground truth covers "
             f"{len(strata)}; the universes must match exactly"
         )
-    counts = {Stratum.NO_CHARGE: 0, Stratum.INCENTIVE_CHARGE: 0, Stratum.ALWAYS_CHARGE: 0}
-    reward = 0.0
-    for d in decisions:
-        stratum = strata[(d.station_id, d.slot_of_day)]
-        if d.give_discount:
-            counts[stratum] += 1
-        if literal:
-            if stratum is Stratum.ALWAYS_CHARGE:
-                reward += 1.0
-            elif stratum is Stratum.INCENTIVE_CHARGE and d.give_discount:
-                reward += -c
-        else:
-            if stratum is Stratum.ALWAYS_CHARGE:
-                reward += 1.0 - (c if d.give_discount else 0.0)
-            elif stratum is Stratum.INCENTIVE_CHARGE and d.give_discount:
-                reward += 1.0 - c
+    truth = np.array([_COL_OF_STRATUM[strata[key]] for key in keys], dtype=np.int64)
+    give = np.array([d.give_discount for d in decisions], dtype=bool)
+    return score_policy(truth, give, c, literal)
+
+
+def strata_columns(items: Sequence[PopulationItem]) -> np.ndarray:
+    """Each item's true stratum as its stratum-head column."""
+    return np.array([_COL_OF_STRATUM[it.stratum] for it in items], dtype=np.int64)
+
+
+def score_policy(
+    truth: np.ndarray, give: np.ndarray, c: float, literal: bool = False
+) -> PolicyEvaluation:
+    """evaluate_policy's counts and reward on aligned arrays, without checks.
+
+    truth holds each item's true stratum column, give whether it was
+    discounted. The reward is summed from 0.0 left to right, in item order,
+    as a loop over the items would add it: np.sum's pairwise order could move
+    the last bits of the reported float.
+    """
+    always = truth == COL_ALWAYS
+    incentive_given = (truth == COL_INCENTIVE) & give
+    if literal:
+        per_item = np.where(always, 1.0, np.where(incentive_given, -c, 0.0))
+    else:
+        per_item = np.where(
+            always,
+            1.0 - np.where(give, c, 0.0),
+            np.where(incentive_given, 1.0 - c, 0.0),
+        )
+    counts = np.bincount(truth[give], minlength=3)
     return PolicyEvaluation(
-        none_count=counts[Stratum.NO_CHARGE],
-        incentive_count=counts[Stratum.INCENTIVE_CHARGE],
-        always_count=counts[Stratum.ALWAYS_CHARGE],
-        reward=reward,
+        none_count=int(counts[COL_NO]),
+        incentive_count=int(counts[COL_INCENTIVE]),
+        always_count=int(counts[COL_ALWAYS]),
+        reward=float(np.cumsum(np.concatenate(([0.0], per_item)))[-1]),
     )
 
 
@@ -565,9 +603,25 @@ def _group_rows(observations: Sequence[ObservedItem], keys) -> np.ndarray:
     return rows
 
 
+def _item_means(n_items: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Mean of values per item row; items with no values score 0."""
+    sums = np.zeros(n_items)
+    counts = np.zeros(n_items)
+    np.add.at(sums, rows, values)
+    np.add.at(counts, rows, 1.0)
+    out = np.zeros(n_items)
+    seen = counts > 0
+    out[seen] = sums[seen] / counts[seen]
+    return out
+
+
+def _ips_terms(treated, charged, g) -> np.ndarray:
+    return treated * charged / g - (1.0 - treated) * charged / (1.0 - g)
+
+
 def or_uplift(mu1: nn.EmbedMlp, mu0: nn.EmbedMlp, universe) -> np.ndarray:
     """Outcome-regression uplift: treated minus control predicted charge rate."""
-    _, stations, slots = _universe_arrays(universe)
+    _, stations, slots = universe_arrays(universe)
     return mu1.predict(stations, slots) - mu0.predict(stations, slots)
 
 
@@ -578,19 +632,11 @@ def ips_uplift(
 
     Items with no logged records score 0.
     """
-    keys, _, _ = _universe_arrays(universe)
+    keys, _, _ = universe_arrays(universe)
     rows = _group_rows(observations, keys)
     obs_st, obs_sl, treated, charged = _obs_arrays(observations)
     g = _clipped_propensity(propensity_model, obs_st, obs_sl)
-    contrib = treated * charged / g - (1.0 - treated) * charged / (1.0 - g)
-    sums = np.zeros(len(keys))
-    counts = np.zeros(len(keys))
-    np.add.at(sums, rows, contrib)
-    np.add.at(counts, rows, 1.0)
-    out = np.zeros(len(keys))
-    seen = counts > 0
-    out[seen] = sums[seen] / counts[seen]
-    return out
+    return _item_means(len(keys), rows, _ips_terms(treated, charged, g))
 
 
 def dr_uplift(
@@ -604,29 +650,43 @@ def dr_uplift(
 
     Items with no logged records fall back to the regression term alone.
     """
-    keys, _, _ = _universe_arrays(universe)
-    base = or_uplift(mu1, mu0, universe)
+    return uplift_scores(observations, mu1, mu0, propensity_model, universe)["dr"]
+
+
+def uplift_scores(
+    observations: Sequence[ObservedItem],
+    mu1: nn.EmbedMlp,
+    mu0: nn.EmbedMlp,
+    propensity_model: nn.EmbedMlp,
+    universe,
+) -> dict[str, np.ndarray]:
+    """The "or", "ips" and "dr" uplift of every item, from one pass.
+
+    Each model predicts once on the universe and once on the logged records,
+    and the propensities are clipped once; the scores equal or_uplift,
+    ips_uplift and dr_uplift.
+    """
+    keys, stations, slots = universe_arrays(universe)
     rows = _group_rows(observations, keys)
     obs_st, obs_sl, treated, charged = _obs_arrays(observations)
     g = _clipped_propensity(propensity_model, obs_st, obs_sl)
     m1 = mu1.predict(obs_st, obs_sl)
     m0 = mu0.predict(obs_st, obs_sl)
     resid = treated * (charged - m1) / g - (1.0 - treated) * (charged - m0) / (1.0 - g)
-    sums = np.zeros(len(keys))
-    counts = np.zeros(len(keys))
-    np.add.at(sums, rows, resid)
-    np.add.at(counts, rows, 1.0)
-    correction = np.zeros(len(keys))
-    seen = counts > 0
-    correction[seen] = sums[seen] / counts[seen]
-    return base + correction
+    base = mu1.predict(stations, slots) - mu0.predict(stations, slots)
+    return {
+        "or": base,
+        "ips": _item_means(len(keys), rows, _ips_terms(treated, charged, g)),
+        "dr": base + _item_means(len(keys), rows, resid),
+    }
 
 
-def top_k_policy(universe, scores, k: int, c: float) -> list[DiscountDecision]:
-    """Discount the k highest-scoring items; ties broken by (station, slot)."""
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"discount rate must be in (0, 1), got {c}")
-    keys, _, _ = _universe_arrays(universe)
+def top_k_mask(universe, scores, k: int) -> np.ndarray:
+    """Per item, whether it is among the k highest scores.
+
+    Ties are broken by (station, slot), and -0.0 ties with 0.0.
+    """
+    keys, stations, slots = universe_arrays(universe)
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (len(keys),):
         raise ValueError(
@@ -635,14 +695,19 @@ def top_k_policy(universe, scores, k: int, c: float) -> list[DiscountDecision]:
         )
     if not 0 <= k <= len(keys):
         raise ValueError(f"k must be in [0, {len(keys)}], got {k}")
-    order = sorted(range(len(keys)), key=lambda i: (-scores[i], keys[i]))
-    chosen = set(order[:k])
-    return [
-        DiscountDecision(
-            station, sod, i in chosen, c if i in chosen else 0.0
-        )
-        for i, (station, sod) in enumerate(keys)
-    ]
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite to rank items")
+    # lexsort's last key is the primary one
+    order = np.lexsort((slots, stations, -scores))
+    give = np.zeros(len(keys), dtype=bool)
+    give[order[:k]] = True
+    return give
+
+
+def top_k_policy(universe, scores, k: int, c: float) -> list[DiscountDecision]:
+    """Discount the k highest-scoring items; ties broken by (station, slot)."""
+    universe = universe_arrays(universe)
+    return decisions_from_mask(universe, top_k_mask(universe, scores, k), c)
 
 
 def strata_by_period(
@@ -653,7 +718,7 @@ def strata_by_period(
     Returns {"00-06": {stratum: share, ...}, ...} with shares summing to 1
     per period.
     """
-    keys, stations, slots = _universe_arrays(universe)
+    keys, stations, slots = universe_arrays(universe)
     if slots_per_day % 4 != 0:
         raise ValueError(f"slots_per_day must be divisible by 4, got {slots_per_day}")
     if np.any(slots >= slots_per_day):

@@ -105,15 +105,14 @@ class TraceSet:
         self.irradiance_wm2 = np.asarray(self.irradiance_wm2, dtype=np.float64)
         self.load_rate = np.asarray(self.load_rate, dtype=np.float64)
         n = len(self.rtp)
-        for name, arr in (
-            ("wind_mps", self.wind_mps),
-            ("irradiance_wm2", self.irradiance_wm2),
-            ("load_rate", self.load_rate),
-        ):
+        for name in ("rtp", "wind_mps", "irradiance_wm2", "load_rate"):
+            arr = getattr(self, name)
             if len(arr) != n:
                 raise TraceError(
                     f"series length mismatch: rtp has {n} slots, {name} has {len(arr)}"
                 )
+            if not np.isfinite(arr).all():
+                raise TraceError(f"{name} must be finite in every slot")
         if n and self.rtp.min() < 0:
             raise TraceError("rtp must be nonnegative")
         if n and (self.wind_mps.min() < 0 or self.irradiance_wm2.min() < 0):
@@ -450,9 +449,12 @@ def _read_rows(path: str, header: list[str]) -> list[tuple[int, list[str]]]:
 
 def _parse_float(path: str, ln: int, field: str, text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise TraceError(f"{path} line {ln}: {field} is not a number: {text!r}")
+    if not math.isfinite(value):
+        raise TraceError(f"{path} line {ln}: {field} is not finite: {text!r}")
+    return value
 
 
 def _parse_int(path: str, ln: int, field: str, text: str) -> int:

@@ -24,6 +24,8 @@ from hubopt.traces import (
     stratum_response,
 )
 
+pytestmark = pytest.mark.slow
+
 DISCOUNT_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 BASELINES = ("or", "ips", "dr")
 

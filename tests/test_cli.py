@@ -1,10 +1,11 @@
+import collections
 import json
 import os
 
 import pytest
 import yaml
 
-from hubopt import cli
+from hubopt import cli, nn, pricing
 from hubopt.cli import (
     CURVE_HEADER,
     DRL_EVAL_HEADER,
@@ -209,6 +210,57 @@ class TestPricingStage:
         changed = tiny_config(run_dir, seed=123)
         config_path = write_config(tmp_path / "changed.yaml", changed)
         assert cli.main(["eval-price", "--config", config_path]) == 2
+
+
+@pytest.fixture(scope="module")
+def priced(tmp_path_factory):
+    """A run through train-price, for tests that rerun eval-price with --force."""
+    base = tmp_path_factory.mktemp("priced_run")
+    config_path = write_config(base / "run.yaml", tiny_config(base / "run", seed=11))
+    for sub in ("gen-data", "train-price"):
+        assert cli.main([sub, "--config", config_path]) == 0
+    return config_path, str(base / "run")
+
+
+class TestEvalPriceWork:
+    def test_model_forwards_do_not_grow_with_the_discount_grid(self, priced, monkeypatch):
+        config_path, _ = priced
+        calls = collections.Counter()
+        for cls in (pricing.PricingModel, nn.EmbedMlp):
+
+            def counted(self, *args, _forward=cls.forward, _name=cls.__name__, **kw):
+                calls[_name] += 1
+                return _forward(self, *args, **kw)
+
+            monkeypatch.setattr(cls, "forward", counted)
+        per_grid = []
+        for grid in (cli.DISCOUNT_GRID[:1], cli.DISCOUNT_GRID):
+            monkeypatch.setattr(cli, "DISCOUNT_GRID", grid)
+            calls.clear()
+            assert cli.main(["eval-price", "--config", config_path, "--force"]) == 0
+            per_grid.append(dict(calls))
+        assert per_grid[0]["PricingModel"] > 0 and per_grid[0]["EmbedMlp"] > 0
+        assert per_grid[0] == per_grid[1]
+
+    def test_method_decisions_match_the_single_estimators(self, priced):
+        _, run_dir = priced
+        model, mu1, mu0, prop = cli._load_pricing_models(run_dir)
+        items, observations = cli._load_population(run_dir)
+        c = 0.3
+        ours = pricing.discount_policy(model, items, c)
+        k = sum(d.give_discount for d in ours)
+        want = {
+            "cfmtl": ours,
+            "or": pricing.top_k_policy(items, pricing.or_uplift(mu1, mu0, items), k, c),
+            "ips": pricing.top_k_policy(
+                items, pricing.ips_uplift(observations, prop, items), k, c
+            ),
+            "dr": pricing.top_k_policy(
+                items, pricing.dr_uplift(observations, mu1, mu0, prop, items), k, c
+            ),
+        }
+        got = cli._method_decisions(model, mu1, mu0, prop, items, observations, c)
+        assert got == want
 
 
 class TestDrlStage:

@@ -209,6 +209,14 @@ class TestGridPower:
         with pytest.raises(ValueError, match="p_wt_kw"):
             SlotInputs(load_rate=0.5, cs_active=0, p_wt_kw=-1.0, p_pv_kw=0.0, rtp=0.1, srtp=0.0)
 
+    @pytest.mark.parametrize("field", ["p_wt_kw", "p_pv_kw", "rtp", "srtp"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_slot_inputs_reject_non_finite(self, field, bad):
+        values = dict(load_rate=0.5, cs_active=0, p_wt_kw=1.0, p_pv_kw=0.0, rtp=0.1, srtp=0.2)
+        values[field] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SlotInputs(**values)
+
 
 class TestStep:
     def test_idle_slot_costs_base_load(self):
@@ -334,6 +342,10 @@ class TestProfitTable:
             ("p_pv_kw", -0.1, "p_pv_kw"),
             ("rtp", -0.1, "rtp"),
             ("srtp", -0.1, "srtp"),
+            ("p_wt_kw", math.nan, "p_wt_kw must be finite"),
+            ("p_pv_kw", math.inf, "p_pv_kw must be finite"),
+            ("rtp", math.nan, "rtp must be finite"),
+            ("srtp", math.inf, "srtp must be finite"),
         ],
     )
     def test_rejects_invalid_slot(self, field, value, match):

@@ -12,6 +12,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+pytestmark = pytest.mark.slow
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 

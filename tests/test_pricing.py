@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdcheck import central_diff_grads, max_rel_err
 from hubopt import nn, pricing
@@ -29,6 +31,7 @@ from hubopt.pricing import (
     stratum_probs,
     top_k_policy,
     train_cfmtl,
+    uplift_scores,
 )
 from hubopt.traces import PopulationItem, Stratum, gen_charging_population
 
@@ -346,6 +349,64 @@ class TestEvaluatePolicy:
         )
         assert ev.reward == pytest.approx(1.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        items=st.lists(
+            st.tuples(
+                st.tuples(st.integers(0, 6), st.integers(0, 23)),
+                st.sampled_from(list(Stratum)),
+                st.booleans(),
+            ),
+            unique_by=lambda item: item[0],
+            max_size=40,
+        ),
+        c=st.one_of(
+            st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]),
+            st.floats(0.0, 1.0, exclude_max=True),
+        ),
+        literal=st.booleans(),
+    )
+    def test_matches_per_item_loop_bit_for_bit(self, items, c, literal):
+        strata = {key: stratum for key, stratum, _ in items}
+        decisions = [
+            DiscountDecision(s, t, give, c if give else 0.0)
+            for (s, t), _, give in items
+        ]
+        want = reference_evaluation(decisions, strata, c, literal)
+        got = evaluate_policy(decisions, strata, c, literal=literal)
+        assert got.reward.hex() == want.reward.hex()
+        assert (got.none_count, got.incentive_count, got.always_count) == (
+            want.none_count,
+            want.incentive_count,
+            want.always_count,
+        )
+
+
+def reference_evaluation(decisions, strata, c, literal):
+    """evaluate_policy as a loop over the decisions, kept as the reference."""
+    counts = {Stratum.NO_CHARGE: 0, Stratum.INCENTIVE_CHARGE: 0, Stratum.ALWAYS_CHARGE: 0}
+    reward = 0.0
+    for d in decisions:
+        stratum = strata[(d.station_id, d.slot_of_day)]
+        if d.give_discount:
+            counts[stratum] += 1
+        if literal:
+            if stratum is Stratum.ALWAYS_CHARGE:
+                reward += 1.0
+            elif stratum is Stratum.INCENTIVE_CHARGE and d.give_discount:
+                reward += -c
+        else:
+            if stratum is Stratum.ALWAYS_CHARGE:
+                reward += 1.0 - (c if d.give_discount else 0.0)
+            elif stratum is Stratum.INCENTIVE_CHARGE and d.give_discount:
+                reward += 1.0 - c
+    return pricing.PolicyEvaluation(
+        none_count=counts[Stratum.NO_CHARGE],
+        incentive_count=counts[Stratum.INCENTIVE_CHARGE],
+        always_count=counts[Stratum.ALWAYS_CHARGE],
+        reward=reward,
+    )
+
 
 class TestUpliftEstimators:
     @pytest.fixture(scope="class")
@@ -422,6 +483,28 @@ class TestUpliftEstimators:
             uplift = ips_uplift(obs, Saturated(), pop)
         assert np.all(np.isfinite(uplift))
 
+    def test_uplift_scores_equal_single_estimators(self, planted):
+        pop, obs = planted
+        cfg = PricingConfig(epochs=1, seed=2, n_stations=30)
+        mu1, mu0 = fit_outcome_models(obs, cfg)
+        prop = fit_propensity_model(obs, cfg)
+        scores = uplift_scores(obs, mu1, mu0, prop, pop)
+        assert np.array_equal(scores["or"], or_uplift(mu1, mu0, pop))
+        assert np.array_equal(scores["ips"], ips_uplift(obs, prop, pop))
+        assert np.array_equal(scores["dr"], dr_uplift(obs, mu1, mu0, prop, pop))
+
+    def test_uplift_scores_clip_and_warn_once(self, planted):
+        pop, obs = planted
+
+        class Saturated:
+            def predict(self, stations, slots):
+                return np.full(len(np.asarray(stations)), 0.001)
+
+        with pytest.warns(RuntimeWarning, match="clipped") as caught:
+            scores = uplift_scores(obs, Saturated(), Saturated(), Saturated(), pop)
+        assert len(caught) == 1
+        assert all(np.all(np.isfinite(v)) for v in scores.values())
+
     def test_observation_outside_universe(self, planted):
         pop, _ = planted
         stray = [ObservedItem(station_id=998, slot_of_day=0, treated=1, charged=1)]
@@ -457,6 +540,32 @@ class TestTopK:
             top_k_policy(universe, [1.0, 2.0], 3, 0.1)
         with pytest.raises(ValueError, match="scores"):
             top_k_policy(universe, [1.0], 1, 0.1)
+
+    def test_non_finite_scores_rejected(self):
+        universe = [(0, 0), (0, 1), (0, 2)]
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                top_k_policy(universe, [1.0, bad, 0.0], 1, 0.1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        keys=st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 23)), unique=True, max_size=30
+        ),
+        data=st.data(),
+    )
+    def test_matches_sorted_reference(self, keys, data):
+        # a small score set, both zeros included, so that ties are common
+        values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300])
+        scores = data.draw(st.lists(values, min_size=len(keys), max_size=len(keys)))
+        order = sorted(range(len(keys)), key=lambda i: (-scores[i], keys[i]))
+        for k in range(len(keys) + 1):
+            decisions = top_k_policy(keys, scores, k, 0.2)
+            given_keys = [
+                (d.station_id, d.slot_of_day) for d in decisions if d.give_discount
+            ]
+            assert set(given_keys) == {keys[i] for i in order[:k]}
+            assert [(d.station_id, d.slot_of_day) for d in decisions] == keys
 
 
 class TestStrataByPeriod:

@@ -146,8 +146,9 @@ class TestHubEnv:
     def test_reset_seed_reproducible(self):
         env = make_env()
         a = env.reset(seed=9)
+        start = env.episode_start
         b = env.reset(seed=9)
-        assert env.episode_start == env.episode_start
+        assert env.episode_start == start
         assert a.soc == b.soc
         np.testing.assert_array_equal(a.rtp_window, b.rtp_window)
 

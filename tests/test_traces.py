@@ -316,6 +316,16 @@ class TestCsvRoundTrip:
         with pytest.raises(TraceError, match="line 3"):
             load_csv(str(path), "traffic")
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value_names_file_line_and_field(self, tmp_path, text):
+        path = tmp_path / "weather.csv"
+        path.write_text(f"slot,wind_mps,irradiance_wm2\n0,1.0,0.0\n1,2.0,{text}\n")
+        with pytest.raises(TraceError, match="not finite") as err:
+            load_csv(str(path), "weather")
+        assert str(path) in str(err.value)
+        assert "line 3" in str(err.value)
+        assert "irradiance_wm2" in str(err.value)
+
     def test_load_rate_range(self, tmp_path):
         path = tmp_path / "traffic.csv"
         path.write_text("slot,load_rate\n0,0.5\n1,1.5\n")
@@ -356,3 +366,11 @@ class TestCsvRoundTrip:
                 load_rate=np.zeros(5),
                 charging=[],
             )
+
+    @pytest.mark.parametrize("series", ["rtp", "wind_mps", "irradiance_wm2", "load_rate"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_traceset_rejects_non_finite(self, series, bad):
+        arrays = {name: np.full(4, 0.1) for name in ("rtp", "wind_mps", "irradiance_wm2", "load_rate")}
+        arrays[series][1] = bad
+        with pytest.raises(TraceError, match=f"{series} must be finite"):
+            TraceSet(start_slot=0, charging=[], **arrays)
