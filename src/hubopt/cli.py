@@ -461,25 +461,29 @@ def _load_population(run_dir: str):
 
 
 def _method_choices(model, mu1, mu0, prop, items, observations):
-    """The universe and each method's discounted-item mask over it.
+    """The universe, each item's predicted stratum, and each method's mask.
 
     Nothing here depends on the discount rate, so a stage computes it once.
-    Baselines discount their top k by uplift, where k is the number of items
+    The learned policy discounts the items predicted incentive-charge;
+    baselines discount their top k by uplift, where k is the number of items
     the learned policy discounts.
     """
     universe = pricing.universe_arrays(items)
-    ours = pricing.incentive_mask(model, universe)
+    winners = pricing.predicted_strata(
+        pricing.stratum_probs(model, universe.stations, universe.slots)
+    )
+    ours = winners == pricing.COL_INCENTIVE
     k = int(ours.sum())
     scores = pricing.uplift_scores(observations, mu1, mu0, prop, universe)
     chosen = {"cfmtl": ours}
     for name in ("or", "ips", "dr"):
         chosen[name] = pricing.top_k_mask(universe, scores[name], k)
-    return universe, chosen
+    return universe, winners, chosen
 
 
 def _method_decisions(model, mu1, mu0, prop, items, observations, c: float):
     """Discount decisions per method; baselines share the learned policy's k."""
-    universe, chosen = _method_choices(model, mu1, mu0, prop, items, observations)
+    universe, _, chosen = _method_choices(model, mu1, mu0, prop, items, observations)
     return {
         method: pricing.decisions_from_mask(universe, give, c)
         for method, give in chosen.items()
@@ -495,7 +499,9 @@ def cmd_eval_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
 
     model, mu1, mu0, prop = _load_pricing_models(run_dir)
     items, observations = _load_population(run_dir)
-    universe, chosen = _method_choices(model, mu1, mu0, prop, items, observations)
+    universe, winners, chosen = _method_choices(
+        model, mu1, mu0, prop, items, observations
+    )
     truth = pricing.strata_columns(items)
 
     os.makedirs(results_dir, exist_ok=True)
@@ -515,7 +521,7 @@ def cmd_eval_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
             )
     _write_rows(eval_path, PRICING_EVAL_HEADER, rows)
 
-    shares = pricing.strata_by_period(model, universe, SLOTS_PER_DAY)
+    shares = pricing.period_shares(winners, universe.slots, SLOTS_PER_DAY)
     period_rows = [
         (label, stratum.value, _fmt(share))
         for label, by_stratum in shares.items()

@@ -10,7 +10,8 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from typing import Callable, Sequence
+import os
+from typing import Sequence
 
 import numpy as np
 
@@ -90,10 +91,6 @@ class DenseNet:
     def input_dim(self) -> int:
         return self.sizes[0]
 
-    @property
-    def output_dim(self) -> int:
-        return self.sizes[-1]
-
     def forward(self, x: np.ndarray):
         """Returns (output, cache); cache feeds backward()."""
         x = np.asarray(x, dtype=np.float64)
@@ -121,30 +118,15 @@ class DenseNet:
         return grads, grad_a
 
     def params(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [a for pair in zip(self.weights, self.biases) for a in pair]
 
-    def state_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
-        out = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"{prefix}w{i}"] = w
-            out[f"{prefix}b{i}"] = b
-        return out
+    def param_names(self) -> list[str]:
+        """Checkpoint names of params(), before the owning model's prefix."""
+        return [f"{k}{i}" for i in range(len(self.weights)) for k in "wb"]
 
-    def load_state(self, arrays: dict[str, np.ndarray], prefix: str = "") -> None:
-        for name, target in self.state_arrays(prefix).items():
-            if name not in arrays:
-                raise CheckpointError(f"checkpoint missing array {name!r}")
-            src = arrays[name]
-            if src.shape != target.shape:
-                raise CheckpointError(
-                    f"array {name!r}: model expects shape {target.shape}, "
-                    f"checkpoint has {src.shape}"
-                )
-            target[...] = src
+    def bind(self, arrays: list[np.ndarray]) -> None:
+        """Use arrays, aligned with params(), as this layer's parameters."""
+        self.weights, self.biases = list(arrays[0::2]), list(arrays[1::2])
 
 
 class EmbeddingTable:
@@ -171,6 +153,16 @@ class EmbeddingTable:
         g = np.zeros_like(self.table)
         np.add.at(g, np.asarray(idx), grad_rows)
         return g
+
+    def params(self) -> list[np.ndarray]:
+        return [self.table]
+
+    def param_names(self) -> list[str]:
+        """The table goes by its owning model's name for it alone."""
+        return [""]
+
+    def bind(self, arrays: list[np.ndarray]) -> None:
+        (self.table,) = arrays
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray):
@@ -199,8 +191,40 @@ def nll_loss(probs: np.ndarray, labels: np.ndarray):
     return value, grad
 
 
+def _tiled_buffer(params: Sequence[np.ndarray]) -> np.ndarray:
+    """A flat view of the one float64 buffer that params tile, in order.
+
+    A single contiguous array is its own buffer; several arrays must be
+    consecutive views of one array, as a Module's params() are.
+    """
+    if not params:
+        raise ValueError("Adam needs at least one parameter array")
+    owner = params[0] if len(params) == 1 else params[0].base
+    tiled = owner is not None and owner.dtype == np.float64 and owner.flags.c_contiguous
+    at = params[0].ctypes.data
+    for p in params:
+        tiled = (
+            tiled
+            and (p is owner or p.base is owner)
+            and p.dtype == np.float64
+            and p.flags.c_contiguous
+            and p.ctypes.data == at
+        )
+        at += p.nbytes
+    if not tiled:
+        raise ValueError("Adam needs parameters that tile one contiguous float64 buffer in order")
+    start = (params[0].ctypes.data - owner.ctypes.data) // owner.itemsize
+    return owner.reshape(-1)[start : start + sum(p.size for p in params)]
+
+
 class Adam:
-    """Adam with decoupled weight decay (decay applied to parameters directly)."""
+    """Adam with decoupled weight decay (decay applied to parameters directly).
+
+    The parameters must tile one contiguous buffer (see _tiled_buffer). Each
+    step updates the whole buffer in one elementwise pass, with the same
+    operations in the same order as an array-by-array update, so the bits are
+    the same.
+    """
 
     def __init__(
         self,
@@ -221,37 +245,50 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.params = list(params)
+        self.flat = _tiled_buffer(self.params)
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        # scratch for the gradient and the update, reused by every step
+        self._grad = np.empty_like(self.flat)
+        self._work = np.empty_like(self.flat)
 
     def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]) -> None:
         """Update params in place. Rejects the whole update on non-finite grads."""
-        if len(params) != len(self.m) or len(grads) != len(self.m):
+        n = len(self.params)
+        if len(params) != n or len(grads) != n:
             raise ValueError(
-                f"expected {len(self.m)} parameter/gradient arrays, "
+                f"expected {n} parameter/gradient arrays, "
                 f"got {len(params)}/{len(grads)}"
             )
-        for i, g in enumerate(grads):
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteGradientError(
-                    f"non-finite gradient for parameter {i} with shape {np.shape(g)}"
-                )
+        if any(p is not q for p, q in zip(params, self.params)):
+            raise ValueError("step needs the parameter arrays the optimizer was built on")
+        g = np.concatenate([np.ravel(x) for x in grads], out=self._grad)
+        if not np.isfinite(g).all():
+            i = next(i for i, x in enumerate(grads) if not np.isfinite(x).all())
+            raise NonFiniteGradientError(
+                f"non-finite gradient for parameter {i} with shape {np.shape(grads[i])}"
+            )
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p
-            p -= self.lr * update
-            if not np.all(np.isfinite(p)):
-                raise NonFiniteGradientError(
-                    "parameters became non-finite after an Adam update"
-                )
+        m, v, work = self.m, self.v, self._work
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, g, out=work)
+        v *= self.beta2
+        v += np.multiply(1.0 - self.beta2, np.multiply(g, g, out=g), out=g)
+        # update = (m / bc1) / (sqrt(v / bc2) + eps) [+ weight_decay * p]
+        work = np.sqrt(np.divide(v, bc2, out=work), out=work)
+        work += self.eps
+        update = np.divide(np.divide(m, bc1, out=g), work, out=work)
+        if self.weight_decay:
+            update += np.multiply(self.weight_decay, self.flat, out=g)
+        update *= self.lr
+        self.flat -= update
+        if not np.isfinite(self.flat).all():
+            raise NonFiniteGradientError(
+                "parameters became non-finite after an Adam update"
+            )
 
 
 # -- checkpoint container ------------------------------------------------------
@@ -288,8 +325,16 @@ def save_weights(path: str, arrays: dict[str, np.ndarray], meta: dict | None = N
         "arrays": entries,
         "checksum": _payload_digest(arrays, meta),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    # write aside and rename, so a failed or killed write leaves any
+    # earlier checkpoint at path whole
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_weights(path: str):
@@ -326,10 +371,70 @@ def load_weights(path: str):
     return arrays, meta
 
 
-# -- NCF-style scorer ----------------------------------------------------------
+# -- models ---------------------------------------------------------------------
 
 
-class EmbedMlp:
+class Module:
+    """A model whose parameters are views into one contiguous float64 buffer.
+
+    A subclass builds its layers, then passes them to Module.__init__ in
+    params() order, each with its checkpoint name prefix; it names its
+    constructor arguments that a checkpoint records in META, and defines
+    forward and backward. The buffer is `flat`: an optimizer or a rollback
+    can treat the whole model as one array.
+    """
+
+    KIND = ""
+    META: tuple[str, ...] = ()
+
+    def __init__(self, layers):
+        self.flat = np.concatenate([p.ravel() for _, layer in layers for p in layer.params()])
+        self._names: list[str] = []
+        self._params: list[np.ndarray] = []
+        offset = 0
+        for prefix, layer in layers:
+            views = []
+            for p in layer.params():
+                views.append(self.flat[offset : offset + p.size].reshape(p.shape))
+                offset += p.size
+            layer.bind(views)
+            self._names += [prefix + name for name in layer.param_names()]
+            self._params += views
+
+    def params(self) -> list[np.ndarray]:
+        return list(self._params)
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        return dict(zip(self._names, self._params))
+
+    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        """Copy checkpoint arrays into the parameters; nothing changes on error."""
+        for name, target in zip(self._names, self._params):
+            if name not in arrays:
+                raise CheckpointError(f"checkpoint missing array {name!r}")
+            if arrays[name].shape != target.shape:
+                raise CheckpointError(
+                    f"array {name!r}: model expects shape {target.shape}, "
+                    f"checkpoint has {arrays[name].shape}"
+                )
+        for name, target in zip(self._names, self._params):
+            target[...] = arrays[name]
+
+    def save(self, path: str) -> None:
+        meta = {"kind": self.KIND, **{key: getattr(self, key) for key in self.META}}
+        save_weights(path, self.state_arrays(), meta)
+
+    @classmethod
+    def from_checkpoint(cls, path: str):
+        arrays, meta = load_weights(path)
+        if meta.get("kind") != cls.KIND:
+            raise CheckpointError(f"{path} holds a {meta.get('kind')!r}, expected {cls.KIND!r}")
+        model = cls(**{key: meta[key] for key in cls.META})
+        model.load_state(arrays)
+        return model
+
+
+class EmbedMlp(Module):
     """Station/slot embedding scorer: concatenated embeddings -> ReLU MLP -> sigmoid.
 
     The shape shared by the rating scorer, the outcome regressions, and the
@@ -337,6 +442,7 @@ class EmbedMlp:
     """
 
     KIND = "embed_mlp"
+    META = ("n_stations", "n_slots", "embed_dim", "hidden")
 
     def __init__(
         self,
@@ -356,6 +462,9 @@ class EmbedMlp:
         sizes = [2 * self.embed_dim, *self.hidden, 1]
         acts = ["relu"] * len(self.hidden) + ["sigmoid"]
         self.net = DenseNet(sizes, acts, rng)
+        super().__init__(
+            [("emb_station", self.emb_station), ("emb_slot", self.emb_slot), ("net.", self.net)]
+        )
 
     def forward(self, stations: np.ndarray, slots: np.ndarray):
         stations = np.asarray(stations)
@@ -374,54 +483,9 @@ class EmbedMlp:
         g_slot = self.emb_slot.grad(slots, grad_x[:, d:])
         return [g_station, g_slot] + net_grads
 
-    def params(self) -> list[np.ndarray]:
-        return [self.emb_station.table, self.emb_slot.table] + self.net.params()
-
     def predict(self, stations: np.ndarray, slots: np.ndarray) -> np.ndarray:
         out, _ = self.forward(stations, slots)
         return out
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {"emb_station": self.emb_station.table, "emb_slot": self.emb_slot.table}
-        out.update(self.net.state_arrays("net."))
-        return out
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        for name in ("emb_station", "emb_slot"):
-            if name not in arrays:
-                raise CheckpointError(f"checkpoint missing array {name!r}")
-            target = getattr(self, name).table
-            if arrays[name].shape != target.shape:
-                raise CheckpointError(
-                    f"array {name!r}: model expects shape {target.shape}, "
-                    f"checkpoint has {arrays[name].shape}"
-                )
-            target[...] = arrays[name]
-        self.net.load_state(arrays, "net.")
-
-    def save(self, path: str) -> None:
-        meta = {
-            "kind": self.KIND,
-            "n_stations": self.n_stations,
-            "n_slots": self.n_slots,
-            "embed_dim": self.embed_dim,
-            "hidden": list(self.hidden),
-        }
-        save_weights(path, self.state_arrays(), meta)
-
-    @classmethod
-    def from_checkpoint(cls, path: str) -> "EmbedMlp":
-        arrays, meta = load_weights(path)
-        if meta.get("kind") != cls.KIND:
-            raise CheckpointError(f"{path} holds a {meta.get('kind')!r}, expected {cls.KIND!r}")
-        model = cls(
-            n_stations=meta["n_stations"],
-            n_slots=meta["n_slots"],
-            embed_dim=meta["embed_dim"],
-            hidden=meta["hidden"],
-        )
-        model.load_state(arrays)
-        return model
 
 
 def fit_embed_mlp(

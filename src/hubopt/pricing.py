@@ -161,10 +161,11 @@ def decisions_from_mask(universe, give: np.ndarray, c: float) -> list[DiscountDe
     ]
 
 
-class PricingModel:
+class PricingModel(nn.Module):
     """Shared embedding trunk with a 3-way stratum head and a propensity head."""
 
     KIND = "pricing_cfmtl"
+    META = ("n_stations", "n_slots", "embed_dim", "hidden")
 
     def __init__(
         self,
@@ -188,6 +189,15 @@ class PricingModel:
         )
         self.head_strata = nn.DenseNet([self.hidden[-1], 3], ["softmax"], rng)
         self.head_propensity = nn.DenseNet([self.hidden[-1], 1], ["sigmoid"], rng)
+        super().__init__(
+            [
+                ("emb_station", self.emb_station),
+                ("emb_slot", self.emb_slot),
+                ("trunk.", self.trunk),
+                ("strata.", self.head_strata),
+                ("prop.", self.head_propensity),
+            ]
+        )
 
     def forward(self, stations: np.ndarray, slots: np.ndarray):
         """Returns (strata probs (n, 3), propensity (n,), cache)."""
@@ -213,62 +223,6 @@ class PricingModel:
         g_emb_station = self.emb_station.grad(stations, grad_x[:, :d])
         g_emb_slot = self.emb_slot.grad(slots, grad_x[:, d:])
         return [g_emb_station, g_emb_slot] + g_trunk + g_strata + g_prop
-
-    def params(self) -> list[np.ndarray]:
-        return (
-            [self.emb_station.table, self.emb_slot.table]
-            + self.trunk.params()
-            + self.head_strata.params()
-            + self.head_propensity.params()
-        )
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {"emb_station": self.emb_station.table, "emb_slot": self.emb_slot.table}
-        out.update(self.trunk.state_arrays("trunk."))
-        out.update(self.head_strata.state_arrays("strata."))
-        out.update(self.head_propensity.state_arrays("prop."))
-        return out
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        for name in ("emb_station", "emb_slot"):
-            if name not in arrays:
-                raise nn.CheckpointError(f"checkpoint missing array {name!r}")
-            target = getattr(self, name).table
-            if arrays[name].shape != target.shape:
-                raise nn.CheckpointError(
-                    f"array {name!r}: model expects shape {target.shape}, "
-                    f"checkpoint has {arrays[name].shape}"
-                )
-            target[...] = arrays[name]
-        self.trunk.load_state(arrays, "trunk.")
-        self.head_strata.load_state(arrays, "strata.")
-        self.head_propensity.load_state(arrays, "prop.")
-
-    def save(self, path: str) -> None:
-        meta = {
-            "kind": self.KIND,
-            "n_stations": self.n_stations,
-            "n_slots": self.n_slots,
-            "embed_dim": self.embed_dim,
-            "hidden": list(self.hidden),
-        }
-        nn.save_weights(path, self.state_arrays(), meta)
-
-    @classmethod
-    def from_checkpoint(cls, path: str) -> "PricingModel":
-        arrays, meta = nn.load_weights(path)
-        if meta.get("kind") != cls.KIND:
-            raise nn.CheckpointError(
-                f"{path} holds a {meta.get('kind')!r}, expected {cls.KIND!r}"
-            )
-        model = cls(
-            n_stations=meta["n_stations"],
-            n_slots=meta["n_slots"],
-            embed_dim=meta["embed_dim"],
-            hidden=meta["hidden"],
-        )
-        model.load_state(arrays)
-        return model
 
 
 def stratum_probs(model: PricingModel, stations, slots) -> np.ndarray:
@@ -427,16 +381,11 @@ def predicted_strata(probs: np.ndarray) -> np.ndarray:
     return _PRIORITY[np.argmax(reordered, axis=1)]
 
 
-def incentive_mask(model: PricingModel, universe) -> np.ndarray:
-    """Per item, whether its predicted stratum is incentive-charge."""
-    _, stations, slots = universe_arrays(universe)
-    return predicted_strata(stratum_probs(model, stations, slots)) == COL_INCENTIVE
-
-
 def discount_policy(model: PricingModel, universe, c: float) -> list[DiscountDecision]:
     """Discount exactly the items whose predicted stratum is incentive-charge."""
     universe = universe_arrays(universe)
-    return decisions_from_mask(universe, incentive_mask(model, universe), c)
+    winners = predicted_strata(stratum_probs(model, universe.stations, universe.slots))
+    return decisions_from_mask(universe, winners == COL_INCENTIVE, c)
 
 
 @dataclass(frozen=True)
@@ -718,13 +667,25 @@ def strata_by_period(
     Returns {"00-06": {stratum: share, ...}, ...} with shares summing to 1
     per period.
     """
-    keys, stations, slots = universe_arrays(universe)
+    _, stations, slots = universe_arrays(universe)
+    _quarter_of_day(slots, slots_per_day)  # reject bad slots before the model sees them
+    winners = predicted_strata(stratum_probs(model, stations, slots))
+    return period_shares(winners, slots, slots_per_day)
+
+
+def _quarter_of_day(slots: np.ndarray, slots_per_day: int) -> np.ndarray:
     if slots_per_day % 4 != 0:
         raise ValueError(f"slots_per_day must be divisible by 4, got {slots_per_day}")
     if np.any(slots >= slots_per_day):
         raise ValueError("universe has slot-of-day values beyond slots_per_day")
-    winners = predicted_strata(stratum_probs(model, stations, slots))
-    quarter = slots * 4 // slots_per_day
+    return slots * 4 // slots_per_day
+
+
+def period_shares(
+    winners: np.ndarray, slots: np.ndarray, slots_per_day: int
+) -> dict[str, dict[Stratum, float]]:
+    """strata_by_period's table from each item's predicted stratum column."""
+    quarter = _quarter_of_day(slots, slots_per_day)
     out: dict[str, dict[Stratum, float]] = {}
     for q, (start, end) in enumerate(PERIODS):
         mask = quarter == q

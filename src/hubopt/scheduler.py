@@ -237,10 +237,11 @@ class TrainingAbort(RuntimeError):
     """Raised when parameter updates keep failing and training cannot proceed."""
 
 
-class PolicyBundle:
+class PolicyBundle(nn.Module):
     """Shared trunk with a 3-action softmax actor and a scalar critic."""
 
     KIND = "drl_ppo"
+    META = ("state_dim", "hidden")
 
     def __init__(self, state_dim: int, hidden: Sequence[int] = (64, 64), seed: int = 0):
         if not hidden:
@@ -253,7 +254,7 @@ class PolicyBundle:
         )
         self.actor = nn.DenseNet([self.hidden[-1], N_ACTIONS], ["softmax"], rng)
         self.critic = nn.DenseNet([self.hidden[-1], 1], ["identity"], rng)
-        self.optimizer: nn.Adam | None = None
+        super().__init__([("trunk.", self.trunk), ("actor.", self.actor), ("critic.", self.critic)])
 
     def forward(self, states: np.ndarray):
         """Returns (action probs (n, 3), values (n,), cache)."""
@@ -272,9 +273,6 @@ class PolicyBundle:
         g_trunk, _ = self.trunk.backward(trunk_cache, grad_h_a + grad_h_c)
         return g_trunk + g_actor + g_critic
 
-    def params(self) -> list[np.ndarray]:
-        return self.trunk.params() + self.actor.params() + self.critic.params()
-
     def act(self, state_vec: np.ndarray, rng: np.random.Generator):
         """Sample an action; returns (action, log_prob, value_estimate)."""
         probs, values, _ = self.forward(state_vec)
@@ -285,33 +283,6 @@ class PolicyBundle:
     def greedy(self, state_vec: np.ndarray) -> int:
         probs, _, _ = self.forward(state_vec)
         return int(np.argmax(probs[0]))
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = self.trunk.state_arrays("trunk.")
-        out.update(self.actor.state_arrays("actor."))
-        out.update(self.critic.state_arrays("critic."))
-        return out
-
-    def save(self, path: str) -> None:
-        meta = {
-            "kind": self.KIND,
-            "state_dim": self.state_dim,
-            "hidden": list(self.hidden),
-        }
-        nn.save_weights(path, self.state_arrays(), meta)
-
-    @classmethod
-    def from_checkpoint(cls, path: str) -> "PolicyBundle":
-        arrays, meta = nn.load_weights(path)
-        if meta.get("kind") != cls.KIND:
-            raise nn.CheckpointError(
-                f"{path} holds a {meta.get('kind')!r}, expected {cls.KIND!r}"
-            )
-        bundle = cls(state_dim=meta["state_dim"], hidden=meta["hidden"])
-        bundle.trunk.load_state(arrays, "trunk.")
-        bundle.actor.load_state(arrays, "actor.")
-        bundle.critic.load_state(arrays, "critic.")
-        return bundle
 
 
 def compute_advantages(
@@ -420,17 +391,11 @@ def policy_update(
     if any loss or gradient goes non-finite.
     """
     params = bundle.params()
-    snapshot = [p.copy() for p in params]
-    opt_snapshot = (optimizer.t, [m.copy() for m in optimizer.m], [v.copy() for v in optimizer.v])
+    saved = (bundle.flat.copy(), optimizer.m.copy(), optimizer.v.copy(), optimizer.t)
 
     def restore():
-        for p, s in zip(params, snapshot):
-            p[...] = s
-        optimizer.t = opt_snapshot[0]
-        for m, s in zip(optimizer.m, opt_snapshot[1]):
-            m[...] = s
-        for v, s in zip(optimizer.v, opt_snapshot[2]):
-            v[...] = s
+        bundle.flat[...], optimizer.m[...], optimizer.v[...] = saved[:3]
+        optimizer.t = saved[3]
 
     n = len(actions)
     try:
@@ -501,7 +466,6 @@ def train(
     consecutive failed updates raise TrainingAbort.
     """
     optimizer = nn.Adam(bundle.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    bundle.optimizer = optimizer
     curve: list[tuple[int, float, float]] = []
     failures = 0
     for episode in range(cfg.episodes_train):

@@ -239,7 +239,7 @@ class TestEvalPriceWork:
             calls.clear()
             assert cli.main(["eval-price", "--config", config_path, "--force"]) == 0
             per_grid.append(dict(calls))
-        assert per_grid[0]["PricingModel"] > 0 and per_grid[0]["EmbedMlp"] > 0
+        assert per_grid[0]["PricingModel"] == 1 and per_grid[0]["EmbedMlp"] > 0
         assert per_grid[0] == per_grid[1]
 
     def test_method_decisions_match_the_single_estimators(self, priced):

@@ -1,11 +1,15 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdcheck import assert_grads_close, central_diff_grads
 
-from hubopt import nn
+from hubopt import nn, pricing, scheduler
 from hubopt.nn import (
     Adam,
     CheckpointError,
@@ -209,6 +213,155 @@ class TestAdam:
         assert abs(p[0]) < 0.1
 
 
+def reference_adam(params, grads_per_step, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Array-by-array Adam, as the optimizer was written before the flat buffer."""
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grads_per_step, start=1):
+        bc1 = 1.0 - beta1**t
+        bc2 = 1.0 - beta2**t
+        for p, g, mi, vi in zip(params, grads, m, v):
+            mi *= beta1
+            mi += (1.0 - beta1) * g
+            vi *= beta2
+            vi += (1.0 - beta2) * (g * g)
+            update = (mi / bc1) / (np.sqrt(vi / bc2) + eps)
+            if weight_decay:
+                update = update + weight_decay * p
+            p -= lr * update
+    return m, v
+
+
+def tiled(shapes, values):
+    """Views of one flat buffer holding values, one per shape, in order."""
+    flat = np.array(values, dtype=np.float64)
+    views, at = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(flat[at : at + size].reshape(shape))
+        at += size
+    return flat, views
+
+
+shape_lists = st.lists(
+    st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple), min_size=1, max_size=5
+)
+finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+class TestFusedAdam:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shapes=shape_lists,
+        data=st.data(),
+        steps=st.integers(1, 5),
+        weight_decay=st.sampled_from([0.0, 1e-4, 0.3]),
+    )
+    def test_equals_array_by_array_reference(self, shapes, data, steps, weight_decay):
+        total = sum(int(np.prod(s)) for s in shapes)
+        values = data.draw(st.lists(finite, min_size=total, max_size=total))
+        flat, params = tiled(shapes, values)
+        ref_params = [p.copy() for p in params]
+        grads_per_step = [
+            [
+                np.array(data.draw(st.lists(finite, min_size=p.size, max_size=p.size))).reshape(
+                    p.shape
+                )
+                for p in params
+            ]
+            for _ in range(steps)
+        ]
+        adam = Adam(params, lr=0.01, weight_decay=weight_decay)
+        for grads in grads_per_step:
+            adam.step(params, grads)
+        ref_m, ref_v = reference_adam(ref_params, grads_per_step, 0.01, weight_decay)
+        assert flat.tobytes() == np.concatenate([p.ravel() for p in ref_params]).tobytes()
+        assert adam.m.tobytes() == np.concatenate([m.ravel() for m in ref_m]).tobytes()
+        assert adam.v.tobytes() == np.concatenate([v.ravel() for v in ref_v]).tobytes()
+        assert adam.t == steps
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shapes=shape_lists,
+        data=st.data(),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
+    def test_non_finite_gradient_changes_nothing(self, shapes, data, bad):
+        total = sum(int(np.prod(s)) for s in shapes)
+        flat, params = tiled(shapes, np.linspace(-1.0, 1.0, total))
+        adam = Adam(params, lr=0.01, weight_decay=0.1)
+        adam.step(params, [np.full(p.shape, 0.5) for p in params])
+        state = (flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.t)
+        grads = [np.ones(p.shape) for p in params]
+        i = data.draw(st.integers(0, len(params) - 1))
+        grads[i].flat[data.draw(st.integers(0, grads[i].size - 1))] = bad
+        with pytest.raises(NonFiniteGradientError, match=f"parameter {i} with shape"):
+            adam.step(params, grads)
+        assert (flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.t) == state
+
+    def test_params_must_tile_one_buffer(self):
+        flat, (a, b) = tiled([(2,), (3,)], np.arange(5.0))
+        with pytest.raises(ValueError, match="tile"):
+            Adam([b, a])
+        with pytest.raises(ValueError, match="tile"):
+            Adam([np.zeros(2), np.zeros(3)])
+        with pytest.raises(ValueError, match="tile"):
+            Adam([flat[:2], flat[3:]])
+        with pytest.raises(ValueError, match="tile"):
+            Adam([np.zeros((3, 2)).T])
+
+    def test_step_needs_the_constructed_params(self):
+        _, params = tiled([(2,), (3,)], np.arange(5.0))
+        adam = Adam(params)
+        with pytest.raises(ValueError):
+            adam.step([params[0], params[1].copy()], [np.ones(2), np.ones(3)])
+        with pytest.raises(ValueError):
+            adam.step(params[:1], [np.ones(2)])
+
+
+def small_models():
+    return [
+        EmbedMlp(n_stations=5, n_slots=6, embed_dim=3, hidden=(4, 2), seed=1),
+        pricing.PricingModel(n_stations=5, n_slots=6, embed_dim=3, hidden=(4,), seed=2),
+        scheduler.PolicyBundle(state_dim=6, hidden=(5, 4), seed=3),
+    ]
+
+
+def model_output(model):
+    if isinstance(model, scheduler.PolicyBundle):
+        probs, values, _ = model.forward(np.linspace(-1.0, 1.0, 12).reshape(2, 6))
+        return np.concatenate([probs.ravel(), values])
+    out = model.forward(np.array([0, 4, 2]), np.array([5, 1, 0]))
+    return np.concatenate([np.ravel(x) for x in out[:-1]])
+
+
+class TestFlatModules:
+    @pytest.mark.parametrize("index", range(3))
+    def test_params_are_views_of_one_buffer(self, tmp_path, index):
+        model = small_models()[index]
+        path = str(tmp_path / "m.json")
+        model.save(path)
+        for m in (model, type(model).from_checkpoint(path)):
+            params = m.params()
+            assert all(np.shares_memory(p, m.flat) for p in params)
+            assert sum(p.size for p in params) == m.flat.size
+            assert m.flat.tobytes() == b"".join(p.tobytes() for p in params)
+            # the optimizer finds the same buffer the model owns
+            assert np.shares_memory(Adam(params).flat, m.flat)
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_forward_sees_an_adam_step(self, tmp_path, index):
+        model = small_models()[index]
+        before = model_output(model)
+        params = model.params()
+        Adam(params, lr=0.05).step(params, [np.ones(p.shape) for p in params])
+        after = model_output(model)
+        assert not np.array_equal(before, after)
+        path = str(tmp_path / "m.json")
+        model.save(path)
+        np.testing.assert_array_equal(model_output(type(model).from_checkpoint(path)), after)
+
+
 class TestDeterminism:
     def test_same_seed_same_init(self):
         a = EmbedMlp(n_stations=6, n_slots=24, seed=9)
@@ -291,10 +444,13 @@ class TestCheckpoints:
         model = EmbedMlp(n_stations=3, n_slots=4, embed_dim=2, hidden=(3,), seed=0)
         path = str(tmp_path / "m.weights.json")
         model.save(path)
-        other = EmbedMlp(n_stations=3, n_slots=4, embed_dim=2, hidden=(5,), seed=0)
+        # another seed, so a partial load of the embeddings would show
+        other = EmbedMlp(n_stations=3, n_slots=4, embed_dim=2, hidden=(5,), seed=1)
         arrays, _ = load_weights(path)
+        before = other.flat.copy()
         with pytest.raises(CheckpointError, match="net.w0"):
             other.load_state(arrays)
+        np.testing.assert_array_equal(other.flat, before)
 
     def test_wrong_kind(self, tmp_path):
         path = str(tmp_path / "m.weights.json")
@@ -305,3 +461,18 @@ class TestCheckpoints:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_weights(str(tmp_path / "absent.json"))
+
+    def test_failed_write_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "m.weights.json")
+        save_weights(path, {"a": np.arange(3.0)}, {"kind": "blob"})
+        earlier = open(path, "rb").read()
+
+        def dump_half(doc, fh):
+            fh.write(json.dumps(doc)[:40])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(nn.json, "dump", dump_half)
+        with pytest.raises(OSError, match="disk full"):
+            save_weights(path, {"a": np.arange(5.0)}, {"kind": "blob"})
+        assert open(path, "rb").read() == earlier
+        assert os.listdir(tmp_path) == ["m.weights.json"]

@@ -442,7 +442,8 @@ class TestPolicyUpdate:
         )
         before = [p.copy() for p in bundle.params()]
         t_before = optimizer.t
-        m_before = [m.copy() for m in optimizer.m]
+        m_before = optimizer.m.copy()
+        v_before = optimizer.v.copy()
         advantages = advantages.copy()
         advantages[3] = np.nan
         ok = policy_update(
@@ -453,8 +454,8 @@ class TestPolicyUpdate:
         for b, p in zip(before, bundle.params()):
             np.testing.assert_array_equal(b, p)
         assert optimizer.t == t_before
-        for mb, m in zip(m_before, optimizer.m):
-            np.testing.assert_array_equal(mb, m)
+        np.testing.assert_array_equal(optimizer.m, m_before)
+        np.testing.assert_array_equal(optimizer.v, v_before)
 
 
 class TestPpoConfig:
