@@ -22,9 +22,11 @@ import yaml
 from . import hub, nn, pricing, scheduler
 from .seeding import spawn_seed
 from .traces import (
+    ChargingLog,
     TraceError,
     TraceSet,
     _fmt,
+    _read_rows,
     _write_rows,
     gen_charging_population,
     gen_rtp,
@@ -316,7 +318,7 @@ def _update_manifest(run_dir: str, stage: str, paths: list[str]) -> None:
     manifest["stages"][stage] = {
         os.path.relpath(p, run_dir): _sha256(p) for p in sorted(paths)
     }
-    with open(manifest_path, "w", encoding="utf-8") as fh:
+    with nn._replacing(manifest_path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -334,7 +336,7 @@ def _write_snapshot(cfg: RunConfig, run_dir: str, force: bool) -> None:
                 "rerun with --force to replace the snapshot"
             )
         return
-    with open(path, "w", encoding="utf-8") as fh:
+    with nn._replacing(path) as fh:
         fh.write(text)
 
 
@@ -347,19 +349,6 @@ def _refuse_overwrite(paths: list[str], force: bool) -> None:
             f"refusing to overwrite {existing[0]} (and "
             f"{len(existing) - 1} more); pass --force to regenerate"
         )
-
-
-def _read_csv(path: str, header: list[str]) -> list[list[str]]:
-    import csv
-
-    if not os.path.exists(path):
-        raise DataError(f"missing {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        got = next(reader, None)
-        if got != header:
-            raise DataError(f"{path}: bad header {got!r}, expected {header!r}")
-        return [row for row in reader if row]
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -379,7 +368,7 @@ def cmd_gen_data(cfg: RunConfig, run_dir: str, force: bool) -> None:
     rtp = gen_rtp(spawn_seed(cfg.seed, "traces", "rtp"), n_slots, base=cfg.traces.rtp_base)
     wind, irr = gen_weather(spawn_seed(cfg.seed, "traces", "weather"), n_slots)
     load = gen_traffic(spawn_seed(cfg.seed, "traces", "traffic"), n_slots)
-    items, records = gen_charging_population(
+    items, log = gen_charging_population(
         spawn_seed(cfg.seed, "traces", "population"),
         cfg.traces.n_stations,
         n_slots,
@@ -390,7 +379,7 @@ def cmd_gen_data(cfg: RunConfig, run_dir: str, force: bool) -> None:
         logged_discount=cfg.traces.logged_discount,
         slots_per_day=SLOTS_PER_DAY,
     )
-    traces = TraceSet(0, rtp, wind, irr, load, records)
+    traces = TraceSet(0, rtp, wind, irr, load, log)
     paths = save_traces(traces, data_dir)
     strata_path = os.path.join(data_dir, "strata.csv")
     save_strata(strata_path, items)
@@ -422,8 +411,8 @@ def cmd_train_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
     _refuse_overwrite(list(paths.values()), force)
     os.makedirs(os.path.join(run_dir, "checkpoints"), exist_ok=True)
 
-    records = load_csv(charging, "charging")
-    observations = pricing.observations_from_records(records, SLOTS_PER_DAY)
+    log = load_csv(charging, "charging")
+    observations = pricing.observations_from_records(log, SLOTS_PER_DAY)
     pcfg = dataclasses.replace(
         cfg.pricing,
         n_stations=cfg.traces.n_stations,
@@ -451,13 +440,15 @@ def _load_pricing_models(run_dir: str):
     return model, mu1, mu0, prop
 
 
-def _load_population(run_dir: str):
+def _load_population(run_dir: str, log: ChargingLog | None = None):
+    """The item universe and the logged observations.
+
+    log is the run's charging log when the caller has already read it.
+    """
     items = load_strata(_require(os.path.join(run_dir, "data", "strata.csv")))
-    records = load_csv(
-        _require(os.path.join(run_dir, "data", "charging.csv")), "charging"
-    )
-    observations = pricing.observations_from_records(records, SLOTS_PER_DAY)
-    return items, observations
+    if log is None:
+        log = load_csv(_require(os.path.join(run_dir, "data", "charging.csv")), "charging")
+    return items, pricing.observations_from_records(log, SLOTS_PER_DAY)
 
 
 def _method_choices(model, mu1, mu0, prop, items, observations):
@@ -533,24 +524,27 @@ def cmd_eval_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
 
 
 def _hub_series(cfg: RunConfig, decisions, stratum_of, hub_id: int, n_slots: int):
-    """Per-slot selling price and charging occupancy induced by one policy."""
+    """Per-slot selling price and charging occupancy induced by one policy.
+
+    Both repeat daily, so one day's table is built and tiled over n_slots.
+    """
     decided = {
         (d.station_id, d.slot_of_day): d.give_discount
         for d in decisions
         if d.station_id == hub_id
     }
-    srtp = np.full(n_slots, cfg.base_sell_price)
-    occupancy = np.zeros(n_slots, dtype=int)
-    for t in range(n_slots):
-        sod = t % SLOTS_PER_DAY
+    srtp = np.full(SLOTS_PER_DAY, cfg.base_sell_price)
+    occupancy = np.zeros(SLOTS_PER_DAY, dtype=int)
+    for sod in range(SLOTS_PER_DAY):
         key = (hub_id, sod)
         if key not in stratum_of:
             continue  # item truncated out of the universe: no EV demand
         give = decided.get(key, False)
         if give:
-            srtp[t] = cfg.base_sell_price * (1.0 - cfg.discount)
-        occupancy[t] = stratum_response(stratum_of[key], give)
-    return srtp, occupancy
+            srtp[sod] = cfg.base_sell_price * (1.0 - cfg.discount)
+        occupancy[sod] = stratum_response(stratum_of[key], give)
+    day = np.arange(n_slots) % SLOTS_PER_DAY
+    return srtp[day], occupancy[day]
 
 
 def _build_env(cfg: RunConfig, traces, srtp, occupancy, hub_id: int, method: str):
@@ -568,7 +562,7 @@ def cmd_train_drl(cfg: RunConfig, run_dir: str, force: bool) -> None:
     _write_snapshot(cfg, run_dir, force)
     traces = load_traces(os.path.join(run_dir, "data"))
     model, mu1, mu0, prop = _load_pricing_models(run_dir)
-    items, observations = _load_population(run_dir)
+    items, observations = _load_population(run_dir, traces.charging)
     stratum_of = {(it.station_id, it.slot_of_day): it.stratum for it in items}
     decisions = _method_decisions(
         model, mu1, mu0, prop, items, observations, cfg.discount
@@ -623,7 +617,7 @@ def cmd_eval_drl(cfg: RunConfig, run_dir: str, force: bool) -> None:
 
     traces = load_traces(os.path.join(run_dir, "data"))
     model, mu1, mu0, prop = _load_pricing_models(run_dir)
-    items, observations = _load_population(run_dir)
+    items, observations = _load_population(run_dir, traces.charging)
     stratum_of = {(it.station_id, it.slot_of_day): it.stratum for it in items}
     decisions = _method_decisions(
         model, mu1, mu0, prop, items, observations, cfg.discount
@@ -669,9 +663,8 @@ def cmd_report(run_dir: str, force: bool) -> None:
 
     if have_pricing:
         rows = []
-        for method, discount, none_n, inc_n, alw_n, reward in _read_csv(
-            pricing_path, PRICING_EVAL_HEADER
-        ):
+        _, table = _read_rows(_require(pricing_path), PRICING_EVAL_HEADER)
+        for method, discount, none_n, inc_n, alw_n, reward in table:
             for metric, value in (
                 ("none_count", none_n),
                 ("incentive_count", inc_n),
@@ -684,7 +677,8 @@ def cmd_report(run_dir: str, force: bool) -> None:
 
     if have_drl:
         rows = []
-        for hub_id, method, avg in _read_csv(drl_path, DRL_EVAL_HEADER):
+        _, table = _read_rows(_require(drl_path), DRL_EVAL_HEADER)
+        for hub_id, method, avg in table:
             rows.append((hub_id, method, "avg_daily_reward", "", avg))
         for name in sorted(os.listdir(results_dir)):
             if not (name.startswith("curve_hub") and name.endswith(".csv")):
@@ -692,9 +686,8 @@ def cmd_report(run_dir: str, force: bool) -> None:
             stem = name[len("curve_") : -len(".csv")]
             hub_id, _, method = stem.partition("_")
             hub_id = hub_id[len("hub") :]
-            for episode, total, daily in _read_csv(
-                os.path.join(results_dir, name), CURVE_HEADER
-            ):
+            _, curve = _read_rows(_require(os.path.join(results_dir, name)), CURVE_HEADER)
+            for episode, total, daily in curve:
                 rows.append((hub_id, method, "total_reward", episode, total))
                 rows.append((hub_id, method, "mean_daily_reward", episode, daily))
         _write_rows(

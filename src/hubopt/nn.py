@@ -8,6 +8,7 @@ row-vector convention (batch on axis 0).
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
 import json
 import os
@@ -325,12 +326,21 @@ def save_weights(path: str, arrays: dict[str, np.ndarray], meta: dict | None = N
         "arrays": entries,
         "checksum": _payload_digest(arrays, meta),
     }
-    # write aside and rename, so a failed or killed write leaves any
-    # earlier checkpoint at path whole
+    with _replacing(path) as fh:
+        json.dump(doc, fh)
+
+
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Write a text file aside, at `<path>.tmp`, and rename it over path.
+
+    A failed or killed write leaves any earlier file at path whole, and a
+    failed one leaves no temp file behind. Newlines are written as given.
+    """
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import nn
 from .seeding import spawn_rng, spawn_seed
-from .traces import ChargingRecord, PopulationItem, Stratum
+from .traces import ChargingLog, PopulationItem, Stratum
 
 # stratum-head column order
 COL_NO = 0
@@ -50,20 +50,17 @@ def period_label(start: int, end: int) -> str:
     return f"{start:02d}-{end:02d}"
 
 
-@dataclass(frozen=True)
-class ObservedItem:
-    """One logged observation: context, whether discounted, whether it charged."""
+class Observations(NamedTuple):
+    """Logged observations as columns.
 
-    station_id: int
-    slot_of_day: int
-    treated: int
-    charged: int
+    stations and slots (slot of day) are int64; treated (a discount was
+    offered) and charged are 0/1 float64.
+    """
 
-    def __post_init__(self):
-        if self.treated not in (0, 1):
-            raise ValueError(f"treated must be 0/1, got {self.treated}")
-        if self.charged not in (0, 1):
-            raise ValueError(f"charged must be 0/1, got {self.charged}")
+    stations: np.ndarray
+    slots: np.ndarray
+    treated: np.ndarray
+    charged: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -97,26 +94,14 @@ class PricingConfig:
     seed: int = 0
 
 
-def observations_from_records(
-    records: Sequence[ChargingRecord], slots_per_day: int = 24
-) -> list[ObservedItem]:
-    return [
-        ObservedItem(
-            station_id=r.station_id,
-            slot_of_day=r.slot % slots_per_day,
-            treated=r.discount_given,
-            charged=r.charged,
-        )
-        for r in records
-    ]
-
-
-def _obs_arrays(observations: Sequence[ObservedItem]):
-    stations = np.array([o.station_id for o in observations], dtype=np.int64)
-    slots = np.array([o.slot_of_day for o in observations], dtype=np.int64)
-    treated = np.array([o.treated for o in observations], dtype=np.float64)
-    charged = np.array([o.charged for o in observations], dtype=np.float64)
-    return stations, slots, treated, charged
+def observations_from_records(log: ChargingLog, slots_per_day: int = 24) -> Observations:
+    """The pricing view of a charging log; the log has checked its flags."""
+    return Observations(
+        stations=log.station_id,
+        slots=log.slot % slots_per_day,
+        treated=log.discount_given.astype(np.float64),
+        charged=log.charged.astype(np.float64),
+    )
 
 
 def _item_key(item) -> tuple[int, int]:
@@ -313,25 +298,25 @@ def cfmtl_loss_parts(
     return parts, grad_strata, grad_g
 
 
-def cfmtl_loss(model: PricingModel, observations: Sequence[ObservedItem]) -> LossParts:
+def cfmtl_loss(model: PricingModel, observations: Observations) -> LossParts:
     """Loss decomposition of the model on a batch of logged observations."""
-    if not observations:
+    stations, slots, treated, charged = observations
+    if not len(stations):
         raise ValueError("cannot evaluate the loss on an empty batch")
-    stations, slots, treated, charged = _obs_arrays(observations)
     strata, g, _ = model.forward(stations, slots)
     parts, _, _ = cfmtl_loss_parts(strata, g, treated, charged)
     return parts
 
 
 def train_cfmtl(
-    observations: Sequence[ObservedItem],
+    observations: Observations,
     cfg: PricingConfig,
     model: PricingModel | None = None,
 ) -> PricingModel:
     """Train the stratum and propensity heads jointly on logged observations."""
-    if not observations:
+    stations, slots, treated, charged = observations
+    if not len(stations):
         raise ValueError("no observations to train on")
-    stations, slots, treated, charged = _obs_arrays(observations)
     if treated.min() == treated.max():
         raise ValueError(
             "all records share one treatment arm; training needs both "
@@ -355,7 +340,7 @@ def train_cfmtl(
         )
     opt = nn.Adam(model.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = spawn_rng(cfg.seed, "pricing", "batches")
-    n = len(observations)
+    n = len(stations)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
@@ -499,10 +484,10 @@ def _fit_scorer(stations, slots, targets, cfg: PricingConfig, tag: str) -> nn.Em
 
 
 def fit_outcome_models(
-    observations: Sequence[ObservedItem], cfg: PricingConfig
+    observations: Observations, cfg: PricingConfig
 ) -> tuple[nn.EmbedMlp, nn.EmbedMlp]:
     """Fit charge-probability regressions on the treated and control arms."""
-    stations, slots, treated, charged = _obs_arrays(observations)
+    stations, slots, treated, charged = observations
     on = treated == 1
     off = ~on
     if not on.any() or not off.any():
@@ -515,10 +500,10 @@ def fit_outcome_models(
 
 
 def fit_propensity_model(
-    observations: Sequence[ObservedItem], cfg: PricingConfig
+    observations: Observations, cfg: PricingConfig
 ) -> nn.EmbedMlp:
     """Fit a discount-probability classifier on the logged treatments."""
-    stations, slots, treated, _ = _obs_arrays(observations)
+    stations, slots, treated, _ = observations
     return _fit_scorer(stations, slots, treated, cfg, "propensity")
 
 
@@ -538,17 +523,28 @@ def _clipped_propensity(model: nn.EmbedMlp, stations, slots) -> np.ndarray:
     return g
 
 
-def _group_rows(observations: Sequence[ObservedItem], keys) -> np.ndarray:
-    index = {key: i for i, key in enumerate(keys)}
-    rows = np.empty(len(observations), dtype=np.int64)
-    for j, obs in enumerate(observations):
-        key = (obs.station_id, obs.slot_of_day)
-        if key not in index:
-            raise ValueError(
-                f"observation for station {key[0]} slot {key[1]} is not in "
-                "the item universe"
-            )
-        rows[j] = index[key]
+def _group_rows(observations: Observations, universe: Universe) -> np.ndarray:
+    """Each observation's row in the universe."""
+    n_items = len(universe.keys)
+    # a code per (station, slot) pair, from dense ranks so it fits any ids
+    _, station_rank = np.unique(
+        np.concatenate([universe.stations, observations.stations]), return_inverse=True
+    )
+    slot_ids, slot_rank = np.unique(
+        np.concatenate([universe.slots, observations.slots]), return_inverse=True
+    )
+    codes = station_rank * len(slot_ids) + slot_rank
+    # items come first and are unique, so a code first seen below n_items
+    # is that item's row; an observation's own position means no item
+    _, first, code_of = np.unique(codes, return_index=True, return_inverse=True)
+    rows = first[code_of[n_items:]]
+    missing = rows >= n_items
+    if missing.any():
+        j = int(missing.argmax())
+        raise ValueError(
+            f"observation for station {observations.stations[j]} slot "
+            f"{observations.slots[j]} is not in the item universe"
+        )
     return rows
 
 
@@ -575,21 +571,21 @@ def or_uplift(mu1: nn.EmbedMlp, mu0: nn.EmbedMlp, universe) -> np.ndarray:
 
 
 def ips_uplift(
-    observations: Sequence[ObservedItem], propensity_model: nn.EmbedMlp, universe
+    observations: Observations, propensity_model: nn.EmbedMlp, universe
 ) -> np.ndarray:
     """Inverse-propensity uplift per item, averaged over its logged records.
 
     Items with no logged records score 0.
     """
-    keys, _, _ = universe_arrays(universe)
-    rows = _group_rows(observations, keys)
-    obs_st, obs_sl, treated, charged = _obs_arrays(observations)
+    universe = universe_arrays(universe)
+    rows = _group_rows(observations, universe)
+    obs_st, obs_sl, treated, charged = observations
     g = _clipped_propensity(propensity_model, obs_st, obs_sl)
-    return _item_means(len(keys), rows, _ips_terms(treated, charged, g))
+    return _item_means(len(universe.keys), rows, _ips_terms(treated, charged, g))
 
 
 def dr_uplift(
-    observations: Sequence[ObservedItem],
+    observations: Observations,
     mu1: nn.EmbedMlp,
     mu0: nn.EmbedMlp,
     propensity_model: nn.EmbedMlp,
@@ -603,7 +599,7 @@ def dr_uplift(
 
 
 def uplift_scores(
-    observations: Sequence[ObservedItem],
+    observations: Observations,
     mu1: nn.EmbedMlp,
     mu0: nn.EmbedMlp,
     propensity_model: nn.EmbedMlp,
@@ -615,9 +611,10 @@ def uplift_scores(
     and the propensities are clipped once; the scores equal or_uplift,
     ips_uplift and dr_uplift.
     """
-    keys, stations, slots = universe_arrays(universe)
-    rows = _group_rows(observations, keys)
-    obs_st, obs_sl, treated, charged = _obs_arrays(observations)
+    universe = universe_arrays(universe)
+    keys, stations, slots = universe
+    rows = _group_rows(observations, universe)
+    obs_st, obs_sl, treated, charged = observations
     g = _clipped_propensity(propensity_model, obs_st, obs_sl)
     m1 = mu1.predict(obs_st, obs_sl)
     m0 = mu0.predict(obs_st, obs_sl)

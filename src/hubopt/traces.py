@@ -67,25 +67,91 @@ class PopulationItem:
     stratum: Stratum
 
 
-@dataclass(frozen=True)
-class ChargingRecord:
-    """One logged charging opportunity at a station and absolute slot."""
+_LOG_COLUMNS = (
+    ("station_id", np.int64),
+    ("slot", np.int64),
+    ("charged", np.int64),
+    ("discount_given", np.int64),
+    ("discount_rate", np.float64),
+)
 
-    station_id: int
-    slot: int
-    charged: int
-    discount_given: int
-    discount_rate: float
+
+@dataclass(frozen=True, eq=False)
+class ChargingLog:
+    """Logged charging opportunities, one row per station and absolute slot.
+
+    Five equal-length columns: whether the slot's EV charged (0/1), whether
+    a discount was offered (0/1) and at what rate, in [0, 1) and 0 without a
+    discount. The rules are checked once, over whole columns, when the log
+    is built; a failure names the first offending row.
+    """
+
+    station_id: np.ndarray
+    slot: np.ndarray
+    charged: np.ndarray
+    discount_given: np.ndarray
+    discount_rate: np.ndarray
 
     def __post_init__(self):
-        if self.charged not in (0, 1):
-            raise TraceError(f"charged must be 0/1, got {self.charged}")
-        if self.discount_given not in (0, 1):
-            raise TraceError(f"discount_given must be 0/1, got {self.discount_given}")
-        if not 0.0 <= self.discount_rate < 1.0:
-            raise TraceError(f"discount_rate must be in [0, 1), got {self.discount_rate}")
-        if self.discount_given == 0 and self.discount_rate != 0.0:
-            raise TraceError("discount_rate must be 0 when no discount was given")
+        shape = np.shape(self.station_id)
+        for name, dtype in _LOG_COLUMNS:
+            col = np.asarray(getattr(self, name))
+            if col.ndim != 1 or col.shape != shape:
+                raise TraceError(
+                    f"{name} must be a column as long as station_id {shape}, "
+                    f"got shape {col.shape}"
+                )
+            if dtype is np.int64 and col.size and col.dtype.kind not in "iub":
+                raise TraceError(f"{name} must hold integers, got {col.dtype}")
+            object.__setattr__(self, name, col.astype(dtype, copy=False))
+        fault = _log_fault(self.charged, self.discount_given, self.discount_rate)
+        if fault is not None:
+            row, message = fault
+            raise TraceError(f"row {row}: {message}")
+
+    def __len__(self) -> int:
+        return len(self.station_id)
+
+    def __eq__(self, other):
+        if not isinstance(other, ChargingLog):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name, _ in _LOG_COLUMNS
+        )
+
+
+def _log_fault(charged, given, rate) -> tuple[int, str] | None:
+    """The first row that breaks a charging-log rule, with the rule's message.
+
+    Rules are tried in order within a row, so the message is the one a
+    row-by-row check would give.
+    """
+    charged, given, rate = np.asarray(charged), np.asarray(given), np.asarray(rate)
+    rules = (
+        (
+            (charged != 0) & (charged != 1),
+            lambda i: f"charged must be 0/1, got {int(charged[i])}",
+        ),
+        (
+            (given != 0) & (given != 1),
+            lambda i: f"discount_given must be 0/1, got {int(given[i])}",
+        ),
+        (
+            ~((rate >= 0.0) & (rate < 1.0)),
+            lambda i: f"discount_rate must be in [0, 1), got {float(rate[i])}",
+        ),
+        (
+            (given == 0) & (rate != 0.0),
+            lambda i: "discount_rate must be 0 when no discount was given",
+        ),
+    )
+    broken = np.logical_or.reduce([mask for mask, _ in rules])
+    if not broken.any():
+        return None
+    row = int(broken.argmax())
+    message = next(message for mask, message in rules if mask[row])
+    return row, message(row)
 
 
 @dataclass
@@ -97,7 +163,7 @@ class TraceSet:
     wind_mps: np.ndarray
     irradiance_wm2: np.ndarray
     load_rate: np.ndarray
-    charging: list[ChargingRecord]
+    charging: ChargingLog
 
     def __post_init__(self):
         self.rtp = np.asarray(self.rtp, dtype=np.float64)
@@ -245,7 +311,7 @@ def gen_charging_population(
     logged_policy: str = "random",
     logged_discount: float = 0.3,
     slots_per_day: int = 24,
-) -> tuple[list[PopulationItem], list[ChargingRecord]]:
+) -> tuple[list[PopulationItem], ChargingLog]:
     """Plant per-item strata and roll out a logged discount policy over n_slots.
 
     Items are (station, slot-of-day) pairs; n_items truncates the full grid
@@ -289,15 +355,16 @@ def gen_charging_population(
     boosted = boosted / boosted.sum()
 
     items: list[PopulationItem] = []
-    stratum_of: dict[tuple[int, int], Stratum] = {}
+    # each item's index in _STRATUM_ORDER; -1 where truncated out of the universe
+    strata = np.full((n_stations, slots_per_day), -1)
     for station in range(n_stations):
         for sod in range(slots_per_day):
             if len(items) == n_items:
                 break
             p = boosted if sod >= evening_from else priors
-            stratum = _STRATUM_ORDER[int(rng.choice(3, p=p))]
-            items.append(PopulationItem(station, sod, stratum))
-            stratum_of[(station, sod)] = stratum
+            k = int(rng.choice(3, p=p))
+            items.append(PopulationItem(station, sod, _STRATUM_ORDER[k]))
+            strata[station, sod] = k
         if len(items) == n_items:
             break
 
@@ -308,29 +375,26 @@ def gen_charging_population(
         treat_prob = np.where(sods >= evening_from, 0.7, 0.3)
     draws = rng.random((n_slots, n_stations))
 
-    records: list[ChargingRecord] = []
-    for t in range(n_slots):
-        sod = t % slots_per_day
-        p_treat = treat_prob[sod]
-        for station in range(n_stations):
-            stratum = stratum_of.get((station, sod))
-            if stratum is None:
-                continue  # truncated out of the universe
-            treated = int(draws[t, station] < p_treat)
-            records.append(
-                ChargingRecord(
-                    station_id=station,
-                    slot=t,
-                    charged=stratum_response(stratum, treated),
-                    discount_given=treated,
-                    discount_rate=logged_discount if treated else 0.0,
-                )
-            )
-    return items, records
+    # (slot, station) grids; rows of the log run slot-major, station-minor
+    sods = np.arange(n_slots) % slots_per_day
+    stratum = strata[:, sods].T
+    treated = draws < treat_prob[sods][:, None]
+    charged = (stratum == 0) | ((stratum == 1) & treated)  # stratum_response
+    logged = stratum >= 0
+    slot, station = np.nonzero(logged)
+    treated = treated[logged]
+    log = ChargingLog(
+        station_id=station,
+        slot=slot,
+        charged=charged[logged],
+        discount_given=treated,
+        discount_rate=np.where(treated, logged_discount, 0.0),
+    )
+    return items, log
 
 
 def train_ncf_scorer(
-    records: Sequence[ChargingRecord],
+    log: ChargingLog,
     n_stations: int,
     *,
     slots_per_day: int = 24,
@@ -343,11 +407,11 @@ def train_ncf_scorer(
     seed: int = 0,
 ) -> nn.EmbedMlp:
     """Fit the embedding scorer to predict charging from (station, slot-of-day)."""
-    if not records:
+    if not len(log):
         raise ValueError("cannot train a scorer on an empty charging log")
-    stations = np.array([r.station_id for r in records])
-    slots = np.array([r.slot % slots_per_day for r in records])
-    targets = np.array([r.charged for r in records], dtype=np.float64)
+    stations = log.station_id
+    slots = log.slot % slots_per_day
+    targets = log.charged.astype(np.float64)
     model = nn.EmbedMlp(
         n_stations=n_stations,
         n_slots=slots_per_day,
@@ -370,7 +434,7 @@ def train_ncf_scorer(
 
 
 def ncf_label(
-    records: Sequence[ChargingRecord],
+    log: ChargingLog,
     scorer,
     split: float = 0.5,
     slots_per_day: int = 24,
@@ -382,14 +446,14 @@ def ncf_label(
     stratum), the rest IncentiveCharge. Never-charged items are NoCharge.
     Used when ingesting real, unlabeled charging logs.
     """
-    if not records:
+    if not len(log):
         raise TraceError("cannot label an empty charging log")
     if not 0.0 < split < 1.0:
         raise ValueError(f"split must be in (0, 1), got {split}")
     charged_any: dict[tuple[int, int], bool] = {}
-    for r in records:
-        key = (r.station_id, r.slot % slots_per_day)
-        charged_any[key] = charged_any.get(key, False) or bool(r.charged)
+    keys = zip(log.station_id.tolist(), (log.slot % slots_per_day).tolist())
+    for key, charged in zip(keys, log.charged.tolist()):
+        charged_any[key] = charged_any.get(key, False) or bool(charged)
     positives = sorted(k for k, v in charged_any.items() if v)
     if not positives:
         raise TraceError("no charged items in the log; nothing to split")
@@ -418,13 +482,17 @@ def _fmt(x: float) -> str:
 
 
 def _write_rows(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with nn._replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def _read_rows(path: str, header: list[str]) -> list[tuple[int, list[str]]]:
+def _read_rows(path: str, header: list[str]) -> tuple[Sequence[int], list[list[str]]]:
+    """A CSV's data rows and the line number of each, after its header.
+
+    Blank lines are skipped; every other row must have one field per column.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -435,16 +503,20 @@ def _read_rows(path: str, header: list[str]) -> list[tuple[int, list[str]]]:
             raise TraceError(
                 f"{path}: bad header {','.join(got)!r}, expected {','.join(header)!r}"
             )
-        rows = []
-        for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
+        rows = list(reader)
+    lines: Sequence[int] = range(2, len(rows) + 2)
+    if set(map(len, rows)) - {len(header)}:
+        lines = [ln for ln, row in zip(lines, rows) if row]
+        rows = [row for row in rows if row]
+        for ln, row in zip(lines, rows):
             if len(row) != len(header):
                 raise TraceError(
                     f"{path} line {ln}: expected {len(header)} fields, got {len(row)}"
                 )
-            rows.append((ln, row))
-        return rows
+    return lines, rows
+
+
+_INT64 = np.iinfo(np.int64)
 
 
 def _parse_float(path: str, ln: int, field: str, text: str) -> float:
@@ -459,89 +531,138 @@ def _parse_float(path: str, ln: int, field: str, text: str) -> float:
 
 def _parse_int(path: str, ln: int, field: str, text: str) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise TraceError(f"{path} line {ln}: {field} is not an integer: {text!r}")
+    if not _INT64.min <= value <= _INT64.max:
+        raise TraceError(f"{path} line {ln}: {field} is out of the int64 range: {text!r}")
+    return value
 
 
-def _read_series(path: str, header: list[str]) -> tuple[int, list[list[float]]]:
-    """Shared slot-indexed reader: returns (start_slot, per-column float lists)."""
-    rows = _read_rows(path, header)
+_PARSER = {int: _parse_int, float: _parse_float}
+_DTYPE = {int: np.int64, float: np.float64}
+
+
+def _columns(rows: list[list[str]], types) -> list[np.ndarray] | None:
+    """The leading field columns, each converted with int or float at once.
+
+    These are the converters _parse_int and _parse_float apply to one field,
+    so a column holds exactly what a field-by-field parse returns. None when
+    a field does not convert, an int leaves int64, or a float is not finite;
+    the caller then parses field by field to name the first bad one.
+    """
+    try:
+        cols = [
+            np.fromiter(map(t, [row[j] for row in rows]), _DTYPE[t], count=len(rows))
+            for j, t in enumerate(types)
+        ]
+    except (ValueError, OverflowError):
+        return None
+    if all(np.isfinite(col).all() for col, t in zip(cols, types) if t is float):
+        return cols
+    return None
+
+
+def _read_series(path: str, header: list[str]) -> tuple[int, list[np.ndarray]]:
+    """Shared slot-indexed reader: returns (start_slot, per-column float arrays)."""
+    lines, rows = _read_rows(path, header)
     if not rows:
         raise TraceError(f"{path}: no data rows")
-    start = None
-    cols: list[list[float]] = [[] for _ in header[1:]]
-    for i, (ln, row) in enumerate(rows):
+    cols = _columns(rows, [int] + [float] * (len(header) - 1))
+    if cols is not None:
+        start = int(cols[0][0])
+        if np.array_equal(cols[0], start + np.arange(len(rows))):
+            return start, cols[1:]
+    # row by row, as the slots run, to raise the first error in file order
+    for i, (ln, row) in enumerate(zip(lines, rows)):
         slot = _parse_int(path, ln, "slot", row[0])
-        if start is None:
+        if i == 0:
             start = slot
         elif slot != start + i:
             raise TraceError(f"{path} line {ln}: missing slot {start + i}, found {slot}")
-        for j, field in enumerate(header[1:]):
-            cols[j].append(_parse_float(path, ln, field, row[j + 1]))
-    return start, cols
+        for field, text in zip(header[1:], row[1:]):
+            _parse_float(path, ln, field, text)
+    raise AssertionError(f"{path}: bulk parse failed, field parse did not")
+
+
+def _read_charging(path: str) -> ChargingLog:
+    lines, rows = _read_rows(path, CHARGING_HEADER)
+    types = [int, int, int, int, float]
+    cols = _columns(rows, types)
+    parse_error = None
+    if cols is None:
+        # field by field to the first one that fails; a rule broken in an
+        # earlier row still comes first, as in a row-by-row parse
+        parsed = []
+        try:
+            for ln, row in zip(lines, rows):
+                parsed.append(
+                    [
+                        _PARSER[t](path, ln, field, text)
+                        for t, field, text in zip(types, CHARGING_HEADER, row)
+                    ]
+                )
+        except TraceError as exc:
+            parse_error = exc
+        cols = [[values[j] for values in parsed] for j in range(len(types))]
+    fault = _log_fault(*cols[2:])
+    if fault is not None:
+        row, message = fault
+        raise TraceError(f"{path} line {lines[row]}: {message}")
+    if parse_error is not None:
+        raise parse_error
+    return ChargingLog(*cols)
+
+
+def _read_strata(path: str) -> list[PopulationItem]:
+    lines, rows = _read_rows(path, STRATA_HEADER)
+    names = [row[2] for row in rows]
+    cols = _columns(rows, [int, int])
+    if cols is not None and _STRATUM_BY_VALUE.keys() >= set(names):
+        strata = map(_STRATUM_BY_VALUE.__getitem__, names)
+        return list(map(PopulationItem, cols[0].tolist(), cols[1].tolist(), strata))
+    # row by row, to raise the first error in file order
+    for ln, row in zip(lines, rows):
+        if row[2] not in _STRATUM_BY_VALUE:
+            raise TraceError(
+                f"{path} line {ln}: unknown stratum {row[2]!r}, "
+                f"expected one of {sorted(_STRATUM_BY_VALUE)}"
+            )
+        _parse_int(path, ln, "station_id", row[0])
+        _parse_int(path, ln, "slot_of_day", row[1])
+    raise AssertionError(f"{path}: bulk parse failed, field parse did not")
 
 
 def load_csv(path: str, schema: str):
     """Parse one trace CSV by schema name.
 
-    Returns (start_slot, arrays...) for the slot-indexed schemas, a record
-    list for "charging", or an item list for "strata".
+    Returns (start_slot, arrays...) for the slot-indexed schemas, a
+    ChargingLog for "charging", or an item list for "strata". Each column is
+    converted and checked at once; only a file that fails is parsed again
+    field by field, so that the error names the first bad line and field.
     """
     if schema == "rtp":
         start, (price,) = _read_series(path, RTP_HEADER)
-        arr = np.asarray(price)
-        if arr.min() < 0:
-            raise TraceError(f"{path}: negative price at slot {start + int(arr.argmin())}")
-        return start, arr
+        if price.min() < 0:
+            raise TraceError(f"{path}: negative price at slot {start + int(price.argmin())}")
+        return start, price
     if schema == "weather":
         start, (wind, irr) = _read_series(path, WEATHER_HEADER)
-        wind, irr = np.asarray(wind), np.asarray(irr)
         if wind.min() < 0 or irr.min() < 0:
             raise TraceError(f"{path}: weather values must be nonnegative")
         return start, wind, irr
     if schema == "traffic":
         start, (load,) = _read_series(path, TRAFFIC_HEADER)
-        arr = np.asarray(load)
-        if arr.min() < 0 or arr.max() > 1:
-            bad = int(np.argmax((arr < 0) | (arr > 1)))
+        if load.min() < 0 or load.max() > 1:
+            bad = int(np.argmax((load < 0) | (load > 1)))
             raise TraceError(
-                f"{path}: load_rate out of [0, 1] at slot {start + bad}: {arr[bad]}"
+                f"{path}: load_rate out of [0, 1] at slot {start + bad}: {load[bad]}"
             )
-        return start, arr
+        return start, load
     if schema == "charging":
-        records = []
-        for ln, row in _read_rows(path, CHARGING_HEADER):
-            try:
-                records.append(
-                    ChargingRecord(
-                        station_id=_parse_int(path, ln, "station_id", row[0]),
-                        slot=_parse_int(path, ln, "slot", row[1]),
-                        charged=_parse_int(path, ln, "charged", row[2]),
-                        discount_given=_parse_int(path, ln, "discount_given", row[3]),
-                        discount_rate=_parse_float(path, ln, "discount_rate", row[4]),
-                    )
-                )
-            except TraceError as exc:
-                raise TraceError(f"{path} line {ln}: {exc}") from None
-        return records
+        return _read_charging(path)
     if schema == "strata":
-        items = []
-        for ln, row in _read_rows(path, STRATA_HEADER):
-            name = row[2]
-            if name not in _STRATUM_BY_VALUE:
-                raise TraceError(
-                    f"{path} line {ln}: unknown stratum {name!r}, "
-                    f"expected one of {sorted(_STRATUM_BY_VALUE)}"
-                )
-            items.append(
-                PopulationItem(
-                    station_id=_parse_int(path, ln, "station_id", row[0]),
-                    slot_of_day=_parse_int(path, ln, "slot_of_day", row[1]),
-                    stratum=_STRATUM_BY_VALUE[name],
-                )
-            )
-        return items
+        return _read_strata(path)
     raise ValueError(f"unknown schema {schema!r}")
 
 
@@ -549,33 +670,28 @@ def save_traces(traces: TraceSet, dir_path: str) -> list[str]:
     """Write rtp/weather/traffic/charging CSVs into dir_path; returns the paths."""
     import os
 
-    start = traces.start_slot
+    slots = range(traces.start_slot, traces.start_slot + traces.n_slots)
+    log = traces.charging
+    tables = (
+        ("rtp.csv", RTP_HEADER, (traces.rtp,)),
+        ("weather.csv", WEATHER_HEADER, (traces.wind_mps, traces.irradiance_wm2)),
+        ("traffic.csv", TRAFFIC_HEADER, (traces.load_rate,)),
+    )
     paths = []
-    p = os.path.join(dir_path, "rtp.csv")
-    _write_rows(p, RTP_HEADER, ((start + i, _fmt(v)) for i, v in enumerate(traces.rtp)))
-    paths.append(p)
-    p = os.path.join(dir_path, "weather.csv")
-    _write_rows(
-        p,
-        WEATHER_HEADER,
-        (
-            (start + i, _fmt(w), _fmt(s))
-            for i, (w, s) in enumerate(zip(traces.wind_mps, traces.irradiance_wm2))
-        ),
-    )
-    paths.append(p)
-    p = os.path.join(dir_path, "traffic.csv")
-    _write_rows(
-        p, TRAFFIC_HEADER, ((start + i, _fmt(v)) for i, v in enumerate(traces.load_rate))
-    )
-    paths.append(p)
+    for name, header, series in tables:
+        p = os.path.join(dir_path, name)
+        _write_rows(p, header, zip(slots, *(map(_fmt, col.tolist()) for col in series)))
+        paths.append(p)
     p = os.path.join(dir_path, "charging.csv")
     _write_rows(
         p,
         CHARGING_HEADER,
-        (
-            (r.station_id, r.slot, r.charged, r.discount_given, _fmt(r.discount_rate))
-            for r in traces.charging
+        zip(
+            log.station_id.tolist(),
+            log.slot.tolist(),
+            log.charged.tolist(),
+            log.discount_given.tolist(),
+            map(_fmt, log.discount_rate.tolist()),
         ),
     )
     paths.append(p)
@@ -589,7 +705,7 @@ def load_traces(dir_path: str) -> TraceSet:
     start_r, rtp = load_csv(os.path.join(dir_path, "rtp.csv"), "rtp")
     start_w, wind, irr = load_csv(os.path.join(dir_path, "weather.csv"), "weather")
     start_t, load = load_csv(os.path.join(dir_path, "traffic.csv"), "traffic")
-    records = load_csv(os.path.join(dir_path, "charging.csv"), "charging")
+    log = load_csv(os.path.join(dir_path, "charging.csv"), "charging")
     if not (start_r == start_w == start_t):
         raise TraceError(
             f"trace files disagree on start slot: rtp={start_r}, "
@@ -606,7 +722,7 @@ def load_traces(dir_path: str) -> TraceSet:
         wind_mps=wind,
         irradiance_wm2=irr,
         load_rate=load,
-        charging=records,
+        charging=log,
     )
 
 

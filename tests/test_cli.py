@@ -1,11 +1,13 @@
 import collections
 import json
 import os
+import shutil
 
+import numpy as np
 import pytest
 import yaml
 
-from hubopt import cli, nn, pricing
+from hubopt import cli, nn, pricing, traces
 from hubopt.cli import (
     CURVE_HEADER,
     DRL_EVAL_HEADER,
@@ -263,6 +265,74 @@ class TestEvalPriceWork:
         assert got == want
 
 
+class TestDrlDataPath:
+    def test_each_drl_stage_reads_each_trace_csv_once(self, priced, monkeypatch):
+        config_path, _ = priced
+        reads = collections.Counter()
+
+        def counted(path, schema, _load=traces.load_csv):
+            reads[schema] += 1
+            return _load(path, schema)
+
+        monkeypatch.setattr(traces, "load_csv", counted)
+        monkeypatch.setattr(cli, "load_csv", counted)
+        for stage in ("train-drl", "eval-drl"):
+            reads.clear()
+            assert cli.main([stage, "--config", config_path, "--force"]) == 0
+            assert reads == dict.fromkeys(
+                ("rtp", "weather", "traffic", "charging", "strata"), 1
+            ), stage
+
+    def test_hub_series_matches_the_per_slot_loop(self, tmp_path):
+        raw = dict(
+            tiny_config(tmp_path / "run", seed=5),
+            n_hubs=2,
+            traces={"days": 3, "n_stations": 2, "n_items": 24 + 20},
+        )
+        config_path = write_config(tmp_path / "c.yaml", raw)
+        for sub in ("gen-data", "train-price"):
+            assert cli.main([sub, "--config", config_path]) == 0
+        cfg = cli.load_run_config(config_path)
+        run_dir = str(tmp_path / "run")
+        items, observations = cli._load_population(run_dir)
+        stratum_of = {(it.station_id, it.slot_of_day): it.stratum for it in items}
+        assert (1, 23) not in stratum_of  # truncated out of the universe
+        decisions = cli._method_decisions(
+            *cli._load_pricing_models(run_dir), items, observations, cfg.discount
+        )
+        discounted = 0
+        for n_slots in (cfg.traces.n_slots, cfg.traces.n_slots - 5):
+            for hub_id in range(cfg.n_hubs):
+                for method in cli.METHODS:
+                    args = (cfg, decisions[method], stratum_of, hub_id, n_slots)
+                    got = cli._hub_series(*args)
+                    want = hub_series_reference(*args)
+                    for g, w in zip(got, want):
+                        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+                    discounted += int((got[0] != cfg.base_sell_price).sum())
+        assert discounted  # the discounted price was exercised
+
+
+def hub_series_reference(cfg, decisions, stratum_of, hub_id, n_slots):
+    """_hub_series as the per-slot loop computed it."""
+    decided = {
+        (d.station_id, d.slot_of_day): d.give_discount
+        for d in decisions
+        if d.station_id == hub_id
+    }
+    srtp = np.full(n_slots, cfg.base_sell_price)
+    occupancy = np.zeros(n_slots, dtype=int)
+    for t in range(n_slots):
+        key = (hub_id, t % cli.SLOTS_PER_DAY)
+        if key not in stratum_of:
+            continue
+        give = decided.get(key, False)
+        if give:
+            srtp[t] = cfg.base_sell_price * (1.0 - cfg.discount)
+        occupancy[t] = traces.stratum_response(stratum_of[key], give)
+    return srtp, occupancy
+
+
 class TestDrlStage:
     def test_checkpoints_and_curves_per_hub_and_method(self, pipeline):
         _, run_dir = pipeline
@@ -319,6 +389,18 @@ class TestReport:
     def test_empty_run_dir_exits_3(self, tmp_path):
         assert cli.main(["report", "--out", str(tmp_path / "void")]) == 3
 
+    @pytest.mark.parametrize("name", ["drl_eval.csv", "curve_hub0_cfmtl.csv"])
+    def test_short_row_exits_3_naming_file_and_line(self, pipeline, tmp_path, capsys, name):
+        _, run_dir = pipeline
+        copy = tmp_path / "run"
+        shutil.copytree(run_dir, copy)
+        path = copy / "results" / name
+        text = path.read_text()
+        path.write_text(text[: text.index("\n") + 2])  # header, then a row of "0"
+        assert cli.main(["report", "--out", str(copy), "--force"]) == 3
+        err = capsys.readouterr().err
+        assert f"{path} line 2: expected 3 fields, got 1" in err
+
     def test_report_needs_config_or_out(self):
         assert cli.main(["report"]) == 2
 
@@ -340,6 +422,55 @@ class TestManifest:
         _, run_dir = pipeline
         blob = open(os.path.join(run_dir, "manifest.json"), "rb").read()
         assert b"time" not in blob.lower()
+
+
+class TestCrashSafeWrites:
+    """A write that fails partway leaves the earlier file whole and no temp file."""
+
+    @pytest.fixture
+    def failing_writes(self, monkeypatch):
+        def half_open(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            write = fh.write
+
+            def half_write(text):
+                write(text[: len(text) // 2])
+                raise OSError("disk full")
+
+            fh.write = half_write
+            return fh
+
+        def arm():
+            monkeypatch.setattr(nn, "open", half_open, raising=False)
+
+        return arm
+
+    def check(self, directory, path, rewrite, arm):
+        before = path.read_bytes()
+        names = sorted(os.listdir(directory))
+        arm()
+        with pytest.raises(OSError, match="disk full"):
+            rewrite()
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(directory)) == names
+
+    def test_csv_rows(self, tmp_path, failing_writes):
+        path = tmp_path / "t.csv"
+        traces._write_rows(str(path), ["a", "b"], [(1, 2)])
+        rewrite = lambda: traces._write_rows(str(path), ["a", "b"], [(3, 4)] * 100)
+        self.check(tmp_path, path, rewrite, failing_writes)
+
+    def test_manifest(self, tmp_path, failing_writes):
+        data = tmp_path / "x.csv"
+        data.write_text("x\n")
+        cli._update_manifest(str(tmp_path), "gen-data", [str(data)])
+        rewrite = lambda: cli._update_manifest(str(tmp_path), "report", [str(data)])
+        self.check(tmp_path, tmp_path / "manifest.json", rewrite, failing_writes)
+
+    def test_snapshot(self, tmp_path, failing_writes):
+        cli._write_snapshot(RunConfig(seed=1), str(tmp_path), force=False)
+        rewrite = lambda: cli._write_snapshot(RunConfig(seed=2), str(tmp_path), force=True)
+        self.check(tmp_path, tmp_path / "config.yaml", rewrite, failing_writes)
 
 
 class TestSeedOverride:

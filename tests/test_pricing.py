@@ -13,7 +13,7 @@ from hubopt.pricing import (
     COL_INCENTIVE,
     COL_NO,
     DiscountDecision,
-    ObservedItem,
+    Observations,
     PricingConfig,
     PricingModel,
     cfmtl_loss,
@@ -51,7 +51,13 @@ def trained(planted):
 
 
 def obs_batch(rows):
-    return [ObservedItem(s, t, tr, ch) for s, t, tr, ch in rows]
+    """Observations from (station, slot of day, treated, charged) rows."""
+    cols = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    return Observations(cols[0], cols[1], cols[2].astype(float), cols[3].astype(float))
+
+
+def obs_subset(obs, index):
+    return Observations(*(col[index] for col in obs))
 
 
 class TestStratumProbs:
@@ -149,31 +155,24 @@ class TestLoss:
 
     def test_model_batch_wrapper_matches_parts(self, planted, trained):
         _, obs = planted
-        batch = obs[:100]
+        batch = obs_subset(obs, slice(0, 100))
         parts = cfmtl_loss(trained, batch)
-        stations = np.array([o.station_id for o in batch])
-        slots = np.array([o.slot_of_day for o in batch])
-        probs, g, _ = trained.forward(stations, slots)
-        expect, _, _ = cfmtl_loss_parts(
-            probs,
-            g,
-            np.array([o.treated for o in batch], dtype=float),
-            np.array([o.charged for o in batch], dtype=float),
-        )
+        probs, g, _ = trained.forward(batch.stations, batch.slots)
+        expect, _, _ = cfmtl_loss_parts(probs, g, batch.treated, batch.charged)
         assert parts == expect
 
     def test_empty_batch(self, trained):
         with pytest.raises(ValueError, match="empty"):
-            cfmtl_loss(trained, [])
+            cfmtl_loss(trained, obs_batch([]))
 
 
 class TestTraining:
     def test_heldout_loss_decreases(self, planted):
         _, obs = planted
-        order = np.random.default_rng(17).permutation(len(obs))
-        cut = len(obs) // 5
-        held = [obs[i] for i in order[:cut]]
-        train = [obs[i] for i in order[cut:]]
+        order = np.random.default_rng(17).permutation(len(obs.stations))
+        cut = len(obs.stations) // 5
+        held = obs_subset(obs, order[:cut])
+        train = obs_subset(obs, order[cut:])
         cfg = PricingConfig(epochs=4, seed=13, n_stations=30)
         virgin = train_cfmtl(train, dataclasses.replace(cfg, epochs=0))
         before = cfmtl_loss(virgin, held).total
@@ -450,7 +449,7 @@ class TestUpliftEstimators:
         mu1, mu0 = fit_outcome_models(obs, cfg)
         prop = fit_propensity_model(obs, cfg)
         base = or_uplift(mu1, mu0, pop)
-        corrected = dr_uplift([], mu1, mu0, prop, pop)
+        corrected = dr_uplift(obs_batch([]), mu1, mu0, prop, pop)
         assert np.array_equal(corrected, base)
 
     def test_dr_correction_only_touches_observed_items(self, planted):
@@ -458,8 +457,8 @@ class TestUpliftEstimators:
         cfg = PricingConfig(epochs=1, seed=2, n_stations=30)
         mu1, mu0 = fit_outcome_models(obs, cfg)
         prop = fit_propensity_model(obs, cfg)
-        first = (obs[0].station_id, obs[0].slot_of_day)
-        some = [o for o in obs if (o.station_id, o.slot_of_day) == first]
+        first = (obs.stations[0], obs.slots[0])
+        some = obs_subset(obs, (obs.stations == first[0]) & (obs.slots == first[1]))
         base = or_uplift(mu1, mu0, pop)
         corrected = dr_uplift(some, mu1, mu0, prop, pop)
         touched = [
@@ -507,11 +506,38 @@ class TestUpliftEstimators:
 
     def test_observation_outside_universe(self, planted):
         pop, _ = planted
-        stray = [ObservedItem(station_id=998, slot_of_day=0, treated=1, charged=1)]
+        stray = obs_batch([(998, 0, 1, 1)])
         cfg = PricingConfig(epochs=1, seed=2, n_stations=30)
         prop = fit_propensity_model(obs_batch([(0, 0, 1, 1), (0, 1, 0, 0)]), cfg)
         with pytest.raises(ValueError, match="not in"):
             ips_uplift(stray, prop, pop)
+
+
+class TestGroupRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        keys=st.lists(
+            st.tuples(st.integers(-3, 2**40), st.integers(-2, 30)), unique=True, max_size=25
+        ),
+        data=st.data(),
+    )
+    def test_matches_the_dict_lookup(self, keys, data):
+        picks = data.draw(st.lists(st.integers(0, max(len(keys) - 1, 0)), max_size=40))
+        stray = data.draw(st.none() | st.tuples(st.integers(-3, 40), st.integers(-2, 30)))
+        obs_keys = [keys[i] for i in picks] if keys else []
+        if stray is not None:
+            obs_keys.insert(data.draw(st.integers(0, len(obs_keys))), stray)
+        observations = obs_batch([(s, t, 0, 0) for s, t in obs_keys])
+        index = {key: i for i, key in enumerate(keys)}
+        missing = [key for key in obs_keys if key not in index]
+        universe = pricing.universe_arrays(keys)
+        if missing:
+            want = f"station {missing[0][0]} slot {missing[0][1]} is not in"
+            with pytest.raises(ValueError, match=want):
+                pricing._group_rows(observations, universe)
+        else:
+            rows = pricing._group_rows(observations, universe)
+            assert rows.tolist() == [index[key] for key in obs_keys]
 
 
 class TestTopK:

@@ -1,12 +1,15 @@
+import csv
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hubopt import traces
 from hubopt.traces import (
-    ChargingRecord,
+    ChargingLog,
     PopulationItem,
     Stratum,
     TraceError,
@@ -113,6 +116,11 @@ class TestGenerationCurves:
             pv_power(100.0, 5.0, derate=0.0)
 
 
+def log_rows(log):
+    """(station_id, slot, charged, discount_given, discount_rate) per row."""
+    return list(zip(*(getattr(log, name).tolist() for name in traces.CHARGING_HEADER)))
+
+
 class TestPopulation:
     PRIORS = (0.3, 0.2, 0.5)
 
@@ -126,25 +134,25 @@ class TestPopulation:
         items, records = gen_charging_population(1, 352, 48, self.PRIORS, n_items=8426)
         assert len(items) == 8426
         assert items[-1].station_id == 351 and items[-1].slot_of_day == 1
-        keys = {(r.station_id, r.slot % 24) for r in records}
+        keys = {(station, slot % 24) for station, slot, *_ in log_rows(records)}
         assert keys == {(it.station_id, it.slot_of_day) for it in items}
 
     def test_records_respect_strata(self):
         items, records = gen_charging_population(11, 6, 24 * 8, self.PRIORS)
         stratum_of = {(it.station_id, it.slot_of_day): it.stratum for it in items}
-        for r in records:
-            stratum = stratum_of[(r.station_id, r.slot % 24)]
-            assert r.charged == stratum_response(stratum, r.discount_given)
-            if not r.discount_given:
-                assert r.discount_rate == 0.0
+        for station, slot, charged, given, rate in log_rows(records):
+            stratum = stratum_of[(station, slot % 24)]
+            assert charged == stratum_response(stratum, given)
+            if not given:
+                assert rate == 0.0
             else:
-                assert r.discount_rate == 0.3
+                assert rate == 0.3
 
     def test_each_item_observed_once_per_day(self):
         items, records = gen_charging_population(2, 4, 24 * 5, self.PRIORS)
         counts = {}
-        for r in records:
-            counts[(r.station_id, r.slot % 24)] = counts.get((r.station_id, r.slot % 24), 0) + 1
+        for station, slot, *_ in log_rows(records):
+            counts[(station, slot % 24)] = counts.get((station, slot % 24), 0) + 1
         assert set(counts.values()) == {5}
 
     def test_evening_incentive_boost(self):
@@ -157,15 +165,15 @@ class TestPopulation:
 
     def test_random_policy_is_balanced(self):
         _, records = gen_charging_population(4, 20, 24 * 10, self.PRIORS)
-        rate = np.mean([r.discount_given for r in records])
+        rate = np.mean(records.discount_given)
         assert 0.45 < rate < 0.55
 
     def test_confounded_policy_leans_evening(self):
         _, records = gen_charging_population(
             5, 20, 24 * 10, self.PRIORS, logged_policy="confounded"
         )
-        treated = np.array([r.discount_given for r in records])
-        evening = np.array([r.slot % 24 >= 18 for r in records])
+        treated = records.discount_given
+        evening = records.slot % 24 >= 18
         assert treated[evening].mean() > treated[~evening].mean() + 0.2
 
     def test_prior_validation(self):
@@ -200,14 +208,10 @@ class TestResponse:
 
 
 def records_for_items(keys, charged):
-    out = []
-    for (station, sod), y in zip(keys, charged):
-        out.append(
-            ChargingRecord(
-                station_id=station, slot=sod, charged=y, discount_given=0, discount_rate=0.0
-            )
-        )
-    return out
+    stations = np.array([station for station, _ in keys], dtype=np.int64)
+    slots = np.array([sod for _, sod in keys], dtype=np.int64)
+    zeros = np.zeros(len(keys), dtype=np.int64)
+    return ChargingLog(stations, slots, np.array(charged, dtype=np.int64), zeros, zeros * 0.0)
 
 
 class TestNcfLabel:
@@ -244,7 +248,7 @@ class TestNcfLabel:
 
     def test_empty_log(self):
         with pytest.raises(TraceError):
-            ncf_label([], lambda s, h: np.ones(len(h)))
+            ncf_label(records_for_items([], []), lambda s, h: np.ones(len(h)))
 
     def test_scorer_model_ranks_planted_strata(self):
         items, records = gen_charging_population(6, 6, 24 * 12, (0.3, 0.2, 0.5))
@@ -374,3 +378,410 @@ class TestCsvRoundTrip:
         arrays[series][1] = bad
         with pytest.raises(TraceError, match=f"{series} must be finite"):
             TraceSet(start_slot=0, charging=[], **arrays)
+
+
+class TestChargingLog:
+    def log(self, **overrides):
+        cols = {
+            "station_id": [0, 1, 2],
+            "slot": [0, 0, 1],
+            "charged": [1, 0, 1],
+            "discount_given": [0, 1, 1],
+            "discount_rate": [0.0, 0.3, 0.3],
+        }
+        cols.update(overrides)
+        return ChargingLog(**{name: np.array(col) for name, col in cols.items()})
+
+    def test_columns_take_their_dtypes(self):
+        log = self.log(charged=np.array([True, False, True]))
+        assert [getattr(log, n).dtype for n in ("station_id", "slot", "charged")] == [
+            np.int64
+        ] * 3
+        assert log.discount_rate.dtype == np.float64
+        assert len(log) == 3
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"charged": [1, 2, 1]}, "row 1: charged must be 0/1, got 2"),
+            ({"discount_given": [0, 1, -1]}, "row 2: discount_given must be 0/1, got -1"),
+            ({"discount_rate": [0.0, 1.0, 0.3]}, r"row 1: discount_rate must be in \[0, 1\), got 1.0"),
+            ({"discount_rate": [0.0, 0.3, np.nan]}, r"row 2: discount_rate must be in \[0, 1\), got nan"),
+            ({"discount_rate": [0.1, 0.3, 0.3]}, "row 0: discount_rate must be 0 when no discount"),
+        ],
+    )
+    def test_rules_name_the_first_offending_row(self, overrides, message):
+        with pytest.raises(TraceError, match=message):
+            self.log(**overrides)
+
+    def test_rules_apply_in_order_within_a_row(self):
+        # row 1 breaks the flag rule and the rate range; the flag comes first
+        with pytest.raises(TraceError, match="row 1: discount_given"):
+            self.log(discount_given=[0, 3, 1], discount_rate=[0.0, 2.0, 0.3])
+
+    def test_columns_must_align(self):
+        with pytest.raises(TraceError, match="slot must be a column"):
+            self.log(slot=[0, 1])
+        with pytest.raises(TraceError, match="charged must hold integers"):
+            self.log(charged=[1.0, 0.0, 1.0])
+
+    def test_equality_compares_columns(self):
+        assert self.log() == self.log()
+        assert self.log() != self.log(slot=[0, 0, 2])
+
+
+def population_reference(
+    seed, n_stations, n_slots, priors, n_items, logged_policy, logged_discount=0.3
+):
+    """gen_charging_population's log as the per-record loop built it."""
+    rng = np.random.default_rng(seed)
+    evening_from = 18
+    boosted = np.asarray(priors) * np.array([1.0, 2.5, 1.0])
+    boosted = boosted / boosted.sum()
+    order = (Stratum.ALWAYS_CHARGE, Stratum.INCENTIVE_CHARGE, Stratum.NO_CHARGE)
+    stratum_of = {}
+    for station in range(n_stations):
+        for sod in range(24):
+            if len(stratum_of) == n_items:
+                break
+            p = boosted if sod >= evening_from else np.asarray(priors)
+            stratum_of[(station, sod)] = order[int(rng.choice(3, p=p))]
+    if logged_policy == "random":
+        treat_prob = np.full(24, 0.5)
+    else:
+        treat_prob = np.where(np.arange(24) >= evening_from, 0.7, 0.3)
+    draws = rng.random((n_slots, n_stations))
+    rows = []
+    for t in range(n_slots):
+        for station in range(n_stations):
+            stratum = stratum_of.get((station, t % 24))
+            if stratum is None:
+                continue
+            treated = int(draws[t, station] < treat_prob[t % 24])
+            rate = logged_discount if treated else 0.0
+            rows.append((station, t, stratum_response(stratum, treated), treated, rate))
+    return rows
+
+
+class TestPopulationMatchesRecordLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_stations=st.integers(1, 6),
+        n_slots=st.integers(1, 60),
+        priors=st.sampled_from([(0.3, 0.2, 0.5), (0.1, 0.8, 0.1), (0.5, 0.0, 0.5)]),
+        cut=st.integers(0, 30),
+        logged_policy=st.sampled_from(["random", "confounded"]),
+    )
+    def test_rows_equal_the_loop(self, seed, n_stations, n_slots, priors, cut, logged_policy):
+        n_items = max(1, n_stations * 24 - cut)
+        _, log = gen_charging_population(
+            seed, n_stations, n_slots, priors, n_items=n_items, logged_policy=logged_policy
+        )
+        want = population_reference(seed, n_stations, n_slots, priors, n_items, logged_policy)
+        assert log_rows(log) == want
+
+
+# -- bulk CSV parse against the field-by-field parse -----------------------------
+#
+# ref_load_csv is load_csv as it parsed one row and one field at a time; the
+# bulk parse must return the same bits and raise the same errors.
+
+
+def ref_read_rows(path, header):
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            got = next(reader)
+        except StopIteration:
+            raise TraceError(f"{path}: empty file, expected header {','.join(header)}")
+        if got != header:
+            raise TraceError(
+                f"{path}: bad header {','.join(got)!r}, expected {','.join(header)!r}"
+            )
+        rows = []
+        for ln, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise TraceError(
+                    f"{path} line {ln}: expected {len(header)} fields, got {len(row)}"
+                )
+            rows.append((ln, row))
+        return rows
+
+
+def ref_parse_float(path, ln, field, text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise TraceError(f"{path} line {ln}: {field} is not a number: {text!r}")
+    if not math.isfinite(value):
+        raise TraceError(f"{path} line {ln}: {field} is not finite: {text!r}")
+    return value
+
+
+def ref_parse_int(path, ln, field, text):
+    try:
+        return int(text)
+    except ValueError:
+        raise TraceError(f"{path} line {ln}: {field} is not an integer: {text!r}")
+
+
+def ref_read_series(path, header):
+    rows = ref_read_rows(path, header)
+    if not rows:
+        raise TraceError(f"{path}: no data rows")
+    start = None
+    cols = [[] for _ in header[1:]]
+    for i, (ln, row) in enumerate(rows):
+        slot = ref_parse_int(path, ln, "slot", row[0])
+        if start is None:
+            start = slot
+        elif slot != start + i:
+            raise TraceError(f"{path} line {ln}: missing slot {start + i}, found {slot}")
+        for j, field in enumerate(header[1:]):
+            cols[j].append(ref_parse_float(path, ln, field, row[j + 1]))
+    return start, [np.asarray(col) for col in cols]
+
+
+def ref_charging_record(station, slot, charged, given, rate):
+    if charged not in (0, 1):
+        raise TraceError(f"charged must be 0/1, got {charged}")
+    if given not in (0, 1):
+        raise TraceError(f"discount_given must be 0/1, got {given}")
+    if not 0.0 <= rate < 1.0:
+        raise TraceError(f"discount_rate must be in [0, 1), got {rate}")
+    if given == 0 and rate != 0.0:
+        raise TraceError("discount_rate must be 0 when no discount was given")
+    return (station, slot, charged, given, rate)
+
+
+def ref_load_csv(path, schema):
+    """Columns as arrays, in the order load_csv_columns lays them out."""
+    if schema == "rtp":
+        start, (price,) = ref_read_series(path, traces.RTP_HEADER)
+        if price.min() < 0:
+            raise TraceError(f"{path}: negative price at slot {start + int(price.argmin())}")
+        return [np.array([start]), price]
+    if schema == "weather":
+        start, (wind, irr) = ref_read_series(path, traces.WEATHER_HEADER)
+        if wind.min() < 0 or irr.min() < 0:
+            raise TraceError(f"{path}: weather values must be nonnegative")
+        return [np.array([start]), wind, irr]
+    if schema == "traffic":
+        start, (load,) = ref_read_series(path, traces.TRAFFIC_HEADER)
+        if load.min() < 0 or load.max() > 1:
+            bad = int(np.argmax((load < 0) | (load > 1)))
+            raise TraceError(
+                f"{path}: load_rate out of [0, 1] at slot {start + bad}: {load[bad]}"
+            )
+        return [np.array([start]), load]
+    if schema == "charging":
+        records = []
+        for ln, row in ref_read_rows(path, traces.CHARGING_HEADER):
+            # the field errors carry their own prefix; the record rules do not
+            fields = [
+                ref_parse_int(path, ln, "station_id", row[0]),
+                ref_parse_int(path, ln, "slot", row[1]),
+                ref_parse_int(path, ln, "charged", row[2]),
+                ref_parse_int(path, ln, "discount_given", row[3]),
+                ref_parse_float(path, ln, "discount_rate", row[4]),
+            ]
+            try:
+                records.append(ref_charging_record(*fields))
+            except TraceError as exc:
+                raise TraceError(f"{path} line {ln}: {exc}") from None
+        dtypes = [np.int64] * 4 + [np.float64]
+        return [np.array([r[j] for r in records], dtype=d) for j, d in enumerate(dtypes)]
+    items = []
+    for ln, row in ref_read_rows(path, traces.STRATA_HEADER):
+        name = row[2]
+        if name not in traces._STRATUM_BY_VALUE:
+            raise TraceError(
+                f"{path} line {ln}: unknown stratum {name!r}, "
+                f"expected one of {sorted(traces._STRATUM_BY_VALUE)}"
+            )
+        items.append(
+            PopulationItem(
+                ref_parse_int(path, ln, "station_id", row[0]),
+                ref_parse_int(path, ln, "slot_of_day", row[1]),
+                traces._STRATUM_BY_VALUE[name],
+            )
+        )
+    return items
+
+
+def load_csv_columns(path, schema):
+    got = load_csv(path, schema)
+    if schema == "charging":
+        return [getattr(got, name) for name in traces.CHARGING_HEADER]
+    if schema == "strata":
+        return got
+    start, *series = got
+    assert isinstance(start, int)
+    return [np.array([start]), *series]
+
+
+def _underscored(digits):
+    return "_".join(digits) if len(digits) > 1 else digits
+
+
+INT_STYLES = (
+    str,
+    lambda v: f" {v}",
+    lambda v: f"{v} ",
+    lambda v: f"+{v}" if v >= 0 else str(v),
+    lambda v: f"0{v}" if v >= 0 else str(v),
+    lambda v: ("-" if v < 0 else "") + _underscored(str(abs(v))),
+)
+FLOAT_STYLES = (
+    repr,
+    lambda x: f" {x!r}",
+    lambda x: f"{x!r} ",
+    lambda x: f"+{x!r}" if math.copysign(1.0, x) > 0 else repr(x),
+    lambda x: f"{x:.17g}",
+    lambda x: f"{x:.3e}",
+    lambda x: _underscored(str(int(x))) + repr(x - int(x))[1:] if 10 <= x < 1e15 else repr(x),
+)
+
+# bad texts per field kind; some break a rule only in some rows, or none
+BAD_TEXT = {
+    "slot": ["x", "", "1.5", "1e3", "GAP"],
+    "int": ["x", "", "1.5", "0x10"],
+    "flag": ["2", "-1", "x", "0.5"],
+    "float": ["x", "", "nan", "NaN", "inf", "-inf", "1e999", "-1.0"],
+    "unit": ["x", "nan", "1.5", "-0.1"],
+    "rate": ["x", "inf", "1.0", "-0.1", "0.3", "0"],
+    "name": ["sometimes", ""],
+}
+KINDS = {
+    "rtp": ("slot", "float"),
+    "weather": ("slot", "float", "float"),
+    "traffic": ("slot", "unit"),
+    "charging": ("int", "int", "flag", "flag", "rate"),
+    "strata": ("int", "int", "name"),
+}
+HEADERS = {
+    "rtp": traces.RTP_HEADER,
+    "weather": traces.WEATHER_HEADER,
+    "traffic": traces.TRAFFIC_HEADER,
+    "charging": traces.CHARGING_HEADER,
+    "strata": traces.STRATA_HEADER,
+}
+
+
+@st.composite
+def valid_rows(draw, schema):
+    """Field texts of a valid file: ints and floats in varied spellings."""
+    n = draw(st.integers(1, 12))
+    as_int = lambda v: draw(st.sampled_from(INT_STYLES))(v)
+    as_float = lambda x: draw(st.sampled_from(FLOAT_STYLES))(x)
+    start = draw(st.integers(-50, 10**6))
+    unit = st.floats(0.0, 1.0)
+    rows = []
+    for i in range(n):
+        if schema == "charging":
+            given = draw(st.integers(0, 1))
+            rate = draw(st.floats(0.0, 0.99)) if given else draw(st.sampled_from([0.0, -0.0]))
+            ints = [draw(st.integers(0, 400)), draw(st.integers(0, 10**5))]
+            ints += [draw(st.integers(0, 1)), given]
+            rows.append([as_int(v) for v in ints] + [as_float(rate)])
+        elif schema == "strata":
+            ints = [draw(st.integers(0, 400)), draw(st.integers(0, 23))]
+            name = draw(st.sampled_from(sorted(traces._STRATUM_BY_VALUE)))
+            rows.append([as_int(v) for v in ints] + [name])
+        else:
+            values = st.floats(0.0, 1e6) if schema != "traffic" else unit
+            fields = [draw(values) for _ in KINDS[schema][1:]]
+            rows.append([as_int(start + i)] + [as_float(x) for x in fields])
+    return rows
+
+
+def write_lines(path, header, rows, blank_after=()):
+    lines = [",".join(header)]
+    for i, row in enumerate(rows):
+        lines.append(",".join(row))
+        if i in blank_after:
+            lines.append("")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def both_parses(path, schema):
+    """(columns or error text) from load_csv and from the reference parse."""
+    out = []
+    for parse in (load_csv_columns, ref_load_csv):
+        try:
+            out.append(parse(str(path), schema))
+        except TraceError as exc:
+            out.append(f"TraceError: {exc}")
+    return out
+
+
+def assert_same(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    elif want and isinstance(want[0], PopulationItem):
+        assert got == want
+    else:
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+
+
+SCHEMA_NAMES = sorted(HEADERS)
+FIXTURE_OK = [HealthCheck.function_scoped_fixture]
+
+
+class TestBulkParseMatchesFieldParse:
+    @settings(max_examples=200, deadline=None, suppress_health_check=FIXTURE_OK)
+    @given(data=st.data(), schema=st.sampled_from(SCHEMA_NAMES))
+    def test_valid_files_parse_to_the_same_bits(self, tmp_path, data, schema):
+        rows = data.draw(valid_rows(schema))
+        blanks = data.draw(st.sets(st.integers(0, len(rows) - 1), max_size=2))
+        path = tmp_path / f"{schema}.csv"
+        write_lines(path, HEADERS[schema], rows, blanks)
+        got, want = both_parses(path, schema)
+        assert not isinstance(want, str), want
+        assert_same(got, want)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=FIXTURE_OK)
+    @given(data=st.data(), schema=st.sampled_from(SCHEMA_NAMES))
+    def test_one_bad_field_raises_the_same_error(self, tmp_path, data, schema):
+        rows = data.draw(valid_rows(schema))
+        i = data.draw(st.integers(0, len(rows) - 1))
+        fault = data.draw(st.sampled_from(["field", "field", "count"]))
+        if fault == "count":
+            rows[i] = rows[i][:-1] if data.draw(st.booleans()) else rows[i] + ["1"]
+        else:
+            j = data.draw(st.integers(0, len(rows[i]) - 1))
+            text = data.draw(st.sampled_from(BAD_TEXT[KINDS[schema][j]]))
+            if text == "GAP":
+                text = str(int(rows[i][j]) + data.draw(st.sampled_from([-1, 1, 2])))
+            rows[i][j] = text
+        blanks = data.draw(st.sets(st.integers(0, len(rows) - 1), max_size=2))
+        path = tmp_path / f"{schema}.csv"
+        write_lines(path, HEADERS[schema], rows, blanks)
+        got, want = both_parses(path, schema)
+        assert_same(got, want)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=FIXTURE_OK)
+    @given(data=st.data(), schema=st.sampled_from(SCHEMA_NAMES))
+    def test_several_bad_fields_raise_the_first_in_file_order(self, tmp_path, data, schema):
+        rows = data.draw(valid_rows(schema))
+        for _ in range(data.draw(st.integers(2, 4))):
+            i = data.draw(st.integers(0, len(rows) - 1))
+            j = data.draw(st.integers(0, len(rows[i]) - 1))
+            text = data.draw(st.sampled_from(BAD_TEXT[KINDS[schema][j]]))
+            rows[i][j] = "7" if text == "GAP" else text
+        path = tmp_path / f"{schema}.csv"
+        write_lines(path, HEADERS[schema], rows)
+        got, want = both_parses(path, schema)
+        assert_same(got, want)
+
+    def test_int_outside_int64_is_rejected_with_its_line(self, tmp_path):
+        path = tmp_path / "rtp.csv"
+        path.write_text(f"slot,price\n0,0.1\n{2**63},0.1\n")
+        with pytest.raises(TraceError, match="line 3: slot is out of the int64 range"):
+            load_csv(str(path), "rtp")
