@@ -126,16 +126,9 @@ class RunConfig:
 
 
 _TOP_KEYS = {"seed", "out_dir", "n_hubs", "hub", "traces", "pricing", "ppo"}
-_TRACE_KEYS = {
-    "days",
-    "n_stations",
-    "strata_priors",
-    "evening_boost",
-    "n_items",
-    "logged_policy",
-    "logged_discount",
-    "rtp_base",
-}
+_TRACE_KEYS = {f.name for f in dataclasses.fields(TraceGenConfig)}
+# PricingConfig's n_stations, slots_per_day and seed come from elsewhere in
+# the run config; discount and base_sell_price are RunConfig fields
 _PRICING_KEYS = {
     "embed_dim",
     "hidden",
@@ -146,21 +139,8 @@ _PRICING_KEYS = {
     "discount",
     "base_sell_price",
 }
-_ENV_KEYS = {"episode_days", "window", "initial_soc_kwh"}
-_PPO_KEYS = {
-    "clip_epsilon",
-    "value_coef",
-    "entropy_coef",
-    "gamma",
-    "lam",
-    "epochs",
-    "minibatch",
-    "lr",
-    "weight_decay",
-    "episodes_train",
-    "episodes_test",
-    "hidden",
-}
+_ENV_KEYS = {f.name for f in dataclasses.fields(scheduler.EnvConfig)}
+_PPO_KEYS = {f.name for f in dataclasses.fields(scheduler.PpoConfig)}
 
 
 def _section(raw: dict, name: str, allowed: set[str]) -> dict:
@@ -250,6 +230,10 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
+    except FileNotFoundError as exc:
+        raise hub.ConfigError(f"config file not found: {exc.filename}") from exc
+    except OSError as exc:
+        raise hub.ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
     except yaml.YAMLError as exc:
         raise hub.ConfigError(f"cannot parse {path}: {exc}") from exc
     if raw is None:
@@ -744,10 +728,7 @@ def main(argv: list[str] | None = None) -> int:
                     )
                 cmd_report(run_dir, args.force)
                 return EXIT_OK
-            try:
-                cfg = load_run_config(args.config, args.seed)
-            except FileNotFoundError as exc:
-                raise hub.ConfigError(f"config file not found: {exc.filename}") from exc
+            cfg = load_run_config(args.config, args.seed)
             run_dir = resolve_out_dir(cfg, args.out)
             os.makedirs(run_dir, exist_ok=True)
             handler = {

@@ -8,11 +8,9 @@ values. Power in kW, energy in kWh, prices in currency per kWh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
-import yaml
 
 # Battery actions. The scheduler uses its own {0,1,2} encoding and maps here.
 CHARGE = 1
@@ -289,44 +287,10 @@ def profit_table(cfg: HubConfig, load_rate, occupancy, p_wt_kw, p_pv_kw, rtp, sr
     return table
 
 
-@dataclass(frozen=True)
-class EpisodeTotals:
-    operating_cost: float
-    charging_revenue: float
-    profit: float
+# -- configuration ------------------------------------------------------------
 
-
-def episode_totals(outcomes: Sequence[SlotOutcome]) -> EpisodeTotals:
-    """Sum costs and revenue over an episode; profit = revenue - cost."""
-    if not outcomes:
-        raise ValueError("episode_totals needs at least one slot outcome")
-    oc = sum(o.cost_grid + o.cost_bp for o in outcomes)
-    cr = sum(o.revenue for o in outcomes)
-    return EpisodeTotals(operating_cost=oc, charging_revenue=cr, profit=cr - oc)
-
-
-# -- configuration files ------------------------------------------------------
-
-_HUB_KEYS = {
-    "p_bs_min_kw",
-    "p_bs_max_kw",
-    "r_cs_kw",
-    "battery",
-    "wt_capacity_kw",
-    "pv_capacity_kw",
-    "slot_hours",
-    "t_recovery_slots",
-    "c_bp",
-}
-_BATTERY_KEYS = {
-    "capacity_kwh",
-    "soc_min_kwh",
-    "soc_max_kwh",
-    "r_charge_kw",
-    "r_discharge_kw",
-    "eta_charge",
-    "eta_discharge",
-}
+_HUB_KEYS = {f.name for f in fields(HubConfig)}
+_BATTERY_KEYS = {f.name for f in fields(BatterySpec)}
 
 
 def hub_config_from_dict(raw: dict) -> HubConfig:
@@ -340,14 +304,14 @@ def hub_config_from_dict(raw: dict) -> HubConfig:
     unknown = set(raw) - _HUB_KEYS
     if unknown:
         raise ConfigError(f"unknown hub config keys: {sorted(unknown)}")
-    fields = dict(raw)
-    battery_raw = fields.pop("battery", {})
+    hub_raw = dict(raw)
+    battery_raw = hub_raw.pop("battery", {})
     if not isinstance(battery_raw, dict):
         raise ConfigError("battery section must be a mapping")
     unknown = set(battery_raw) - _BATTERY_KEYS
     if unknown:
         raise ConfigError(f"unknown battery config keys: {sorted(unknown)}")
-    for key, val in list(fields.items()) + list(battery_raw.items()):
+    for key, val in list(hub_raw.items()) + list(battery_raw.items()):
         if key == "t_recovery_slots":
             if not isinstance(val, int) or isinstance(val, bool):
                 raise ConfigError(f"{key} must be an integer, got {val!r}")
@@ -359,7 +323,7 @@ def hub_config_from_dict(raw: dict) -> HubConfig:
             battery=battery,
             **{
                 k: (int(v) if k == "t_recovery_slots" else float(v))
-                for k, v in fields.items()
+                for k, v in hub_raw.items()
             },
         )
     except TypeError as exc:  # pragma: no cover - guarded by key checks above
@@ -371,19 +335,3 @@ def hub_config_from_dict(raw: dict) -> HubConfig:
             f"floor {floor} kWh (p_bs_max * t_recovery_slots * slot_hours)"
         )
     return cfg
-
-
-def load_hub_config(path: str) -> HubConfig:
-    """Read a YAML hub config; accepts either a bare mapping or a `hub:` section."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
-    except FileNotFoundError:
-        raise
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    if raw is None:
-        raise ConfigError(f"{path} is empty")
-    if isinstance(raw, dict) and "hub" in raw:
-        raw = raw["hub"]
-    return hub_config_from_dict(raw)

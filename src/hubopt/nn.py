@@ -447,8 +447,8 @@ class Module:
 class EmbedMlp(Module):
     """Station/slot embedding scorer: concatenated embeddings -> ReLU MLP -> sigmoid.
 
-    The shape shared by the rating scorer, the outcome regressions, and the
-    propensity classifier; one scalar output in (0, 1) per (station, slot) pair.
+    The shape shared by the outcome regressions and the propensity
+    classifier; one scalar output in (0, 1) per (station, slot) pair.
     """
 
     KIND = "embed_mlp"

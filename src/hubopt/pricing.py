@@ -104,13 +104,6 @@ def observations_from_records(log: ChargingLog, slots_per_day: int = 24) -> Obse
     )
 
 
-def _item_key(item) -> tuple[int, int]:
-    if isinstance(item, PopulationItem):
-        return (item.station_id, item.slot_of_day)
-    station, sod = item
-    return (int(station), int(sod))
-
-
 class Universe(NamedTuple):
     """Item keys in universe order, with their station and slot arrays."""
 
@@ -120,14 +113,14 @@ class Universe(NamedTuple):
 
 
 def universe_arrays(universe) -> Universe:
-    """Check a universe for duplicate items once and lay it out as arrays.
+    """Check a universe of PopulationItems for duplicates and lay it out as arrays.
 
     Every function here that takes a universe also takes the returned value,
     which passes through without being checked again.
     """
     if isinstance(universe, Universe):
         return universe
-    keys = [_item_key(it) for it in universe]
+    keys = [(it.station_id, it.slot_of_day) for it in universe]
     if len(set(keys)) != len(keys):
         raise ValueError("universe contains duplicate (station, slot) items")
     stations = np.array([k[0] for k in keys])
@@ -214,11 +207,6 @@ def stratum_probs(model: PricingModel, stations, slots) -> np.ndarray:
     """(n, 3) stratum probabilities in column order (no, incentive, always)."""
     probs, _, _ = model.forward(stations, slots)
     return probs
-
-
-def propensity(model: PricingModel, stations, slots) -> np.ndarray:
-    _, g, _ = model.forward(stations, slots)
-    return g
 
 
 def cfmtl_loss_parts(
@@ -387,21 +375,13 @@ class PolicyEvaluation:
         return self.none_count + self.incentive_count + self.always_count
 
 
-def _strata_map(true_strata) -> dict[tuple[int, int], Stratum]:
-    if isinstance(true_strata, dict):
-        return {(int(s), int(t)): v for (s, t), v in true_strata.items()}
-    return {
-        (item.station_id, item.slot_of_day): item.stratum for item in true_strata
-    }
-
-
 def evaluate_policy(
     decisions: Sequence[DiscountDecision],
-    true_strata,
+    true_strata: Sequence[PopulationItem],
     c: float,
     literal: bool = False,
 ) -> PolicyEvaluation:
-    """Score a decision set against the ground-truth strata.
+    """Score a decision set against the ground-truth strata of the items.
 
     Default reward per item: 1 for always-charge (minus c if it was needlessly
     discounted), 1-c for a discounted incentive-charge, 0 otherwise. With
@@ -410,7 +390,7 @@ def evaluate_policy(
     """
     if not 0.0 <= c < 1.0:
         raise ValueError(f"discount rate must be in [0, 1), got {c}")
-    strata = _strata_map(true_strata)
+    strata = {(it.station_id, it.slot_of_day): it.stratum for it in true_strata}
     keys = [(d.station_id, d.slot_of_day) for d in decisions]
     if len(set(keys)) != len(keys):
         raise ValueError("decision set contains duplicate items")

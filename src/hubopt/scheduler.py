@@ -126,6 +126,12 @@ class HubEnv:
                 f"{self.window + self.episode_slots + 1} (window + episode + 1)"
             )
         self.last_start = last_start
+        spec = hub_cfg.battery
+        soc = env_cfg.initial_soc_kwh
+        if soc is not None and not spec.soc_min_kwh <= soc <= spec.soc_max_kwh:
+            raise ValueError(
+                f"initial soc {float(soc)} outside [{spec.soc_min_kwh}, {spec.soc_max_kwh}]"
+            )
         self.stats = NormStats.from_series(
             self.rtp, self.srtp, self.p_wt, self.p_pv, self.load_rate
         )
@@ -159,10 +165,6 @@ class HubEnv:
         spec = self.hub_cfg.battery
         if self.env_cfg.initial_soc_kwh is not None:
             soc = float(self.env_cfg.initial_soc_kwh)
-            if not spec.soc_min_kwh <= soc <= spec.soc_max_kwh:
-                raise ValueError(
-                    f"initial soc {soc} outside [{spec.soc_min_kwh}, {spec.soc_max_kwh}]"
-                )
         else:
             soc = float(rng.uniform(spec.soc_min_kwh, spec.soc_max_kwh))
         self._battery = hub.BatteryState(soc)
@@ -286,11 +288,7 @@ class PolicyBundle(nn.Module):
 
 
 def compute_advantages(
-    rewards: np.ndarray,
-    values: np.ndarray,
-    gamma: float,
-    lam: float,
-    normalize: bool = True,
+    rewards: np.ndarray, values: np.ndarray, gamma: float, lam: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Generalized advantage estimates and critic targets for one episode.
 
@@ -313,8 +311,7 @@ def compute_advantages(
         acc = deltas[t] + gamma * lam * acc
         adv[t] = acc
     targets = adv + values
-    if normalize:
-        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    adv = (adv - adv.mean()) / (adv.std() + 1e-8)
     return adv, targets
 
 
@@ -453,12 +450,7 @@ def rollout(env: HubEnv, bundle: PolicyBundle, rng: np.random.Generator, reset_s
 
 
 def train(
-    env: HubEnv,
-    bundle: PolicyBundle,
-    cfg: PpoConfig,
-    seed: int = 0,
-    checkpoint_dir: str | None = None,
-    checkpoint_interval: int = 0,
+    env: HubEnv, bundle: PolicyBundle, cfg: PpoConfig, seed: int = 0
 ) -> tuple[PolicyBundle, list[tuple[int, float, float]]]:
     """Train over cfg.episodes_train episodes; returns the learning curve.
 
@@ -494,12 +486,6 @@ def train(
                     f"3 consecutive update failures at episode {episode}"
                 )
         curve.append((episode, total, total / env.episode_days))
-        if (
-            checkpoint_dir is not None
-            and checkpoint_interval > 0
-            and (episode + 1) % checkpoint_interval == 0
-        ):
-            bundle.save(f"{checkpoint_dir}/policy_ep{episode + 1:05d}.json")
     return bundle, curve
 
 

@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -197,32 +197,24 @@ class TraceSet:
 # small morning shoulder, cheap small hours
 _RTP_KNOT_HOURS = np.array([0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 20.0, 23.0, 24.0])
 _RTP_KNOT_VALUES = np.array([0.70, 0.45, 0.55, 0.85, 0.75, 0.85, 1.30, 1.60, 1.15, 0.70])
+_RTP_NOISE_SD = 0.008
 
 _TRAFFIC_KNOT_HOURS = np.array([0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 18.0, 21.0, 24.0])
 _TRAFFIC_KNOT_VALUES = np.array([0.78, 0.60, 0.35, 0.50, 0.55, 0.62, 0.80, 0.90, 0.78])
+_TRAFFIC_NOISE_SD = 0.04
 
 
-def gen_rtp(
-    seed: int,
-    n_slots: int,
-    profile: str = "diurnal",
-    base: float = 0.10,
-    noise_sd: float = 0.008,
-) -> np.ndarray:
-    """Real-time grid price series, currency/kWh, nonnegative."""
+def gen_rtp(seed: int, n_slots: int, base: float = 0.10) -> np.ndarray:
+    """Real-time grid price series, currency/kWh, nonnegative, with a diurnal shape."""
     if n_slots <= 0:
         raise ValueError(f"n_slots must be positive, got {n_slots}")
     if base < 0:
         raise ValueError(f"base price must be nonnegative, got {base}")
-    if profile == "flat":
-        return np.full(n_slots, float(base))
-    if profile == "diurnal":
-        rng = np.random.default_rng(seed)
-        hours = np.arange(n_slots, dtype=np.float64) % 24.0
-        shape = np.interp(hours, _RTP_KNOT_HOURS, _RTP_KNOT_VALUES)
-        series = base * shape + rng.normal(0.0, noise_sd, size=n_slots)
-        return np.maximum(series, 0.0)
-    raise ValueError(f"unknown rtp profile {profile!r}")
+    rng = np.random.default_rng(seed)
+    hours = np.arange(n_slots, dtype=np.float64) % 24.0
+    shape = np.interp(hours, _RTP_KNOT_HOURS, _RTP_KNOT_VALUES)
+    series = base * shape + rng.normal(0.0, _RTP_NOISE_SD, size=n_slots)
+    return np.maximum(series, 0.0)
 
 
 def gen_weather(seed: int, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
@@ -247,53 +239,41 @@ def gen_weather(seed: int, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
     return wind, irradiance
 
 
-def gen_traffic(seed: int, n_slots: int, noise_sd: float = 0.04) -> np.ndarray:
+def gen_traffic(seed: int, n_slots: int) -> np.ndarray:
     """Base-station load factor in [0, 1]; peaks in the evening like the price."""
     if n_slots <= 0:
         raise ValueError(f"n_slots must be positive, got {n_slots}")
     rng = np.random.default_rng(seed)
     hours = np.arange(n_slots, dtype=np.float64) % 24.0
     shape = np.interp(hours, _TRAFFIC_KNOT_HOURS, _TRAFFIC_KNOT_VALUES)
-    series = shape + rng.normal(0.0, noise_sd, size=n_slots)
+    series = shape + rng.normal(0.0, _TRAFFIC_NOISE_SD, size=n_slots)
     return np.clip(series, 0.0, 1.0)
 
 
-def wt_power(
-    wind_mps,
-    capacity_kw: float,
-    cut_in: float = WT_CUT_IN,
-    rated: float = WT_RATED,
-    cut_out: float = WT_CUT_OUT,
-):
+def wt_power(wind_mps, capacity_kw: float):
     """Turbine output: cubic ramp between cut-in and rated, flat to cut-out, else 0."""
-    if not 0.0 < cut_in < rated < cut_out:
-        raise ValueError(
-            f"need 0 < cut_in < rated < cut_out, got {cut_in}, {rated}, {cut_out}"
-        )
     if capacity_kw < 0:
         raise ValueError(f"capacity must be nonnegative, got {capacity_kw}")
     v = np.asarray(wind_mps, dtype=np.float64)
     if v.size and v.min() < 0:
         raise ValueError("wind speed must be nonnegative")
-    ramp = capacity_kw * (v**3 - cut_in**3) / (rated**3 - cut_in**3)
+    ramp = capacity_kw * (v**3 - WT_CUT_IN**3) / (WT_RATED**3 - WT_CUT_IN**3)
     out = np.where(
-        (v < cut_in) | (v > cut_out),
+        (v < WT_CUT_IN) | (v > WT_CUT_OUT),
         0.0,
-        np.where(v >= rated, capacity_kw, ramp),
+        np.where(v >= WT_RATED, capacity_kw, ramp),
     )
     return float(out) if np.isscalar(wind_mps) else out
 
 
-def pv_power(irradiance_wm2, capacity_kw: float, derate: float = PV_DERATE):
+def pv_power(irradiance_wm2, capacity_kw: float):
     """PV output: derated linear in irradiance, clipped at nameplate capacity."""
     if capacity_kw < 0:
         raise ValueError(f"capacity must be nonnegative, got {capacity_kw}")
-    if not 0.0 < derate <= 1.0:
-        raise ValueError(f"derate must be in (0, 1], got {derate}")
     irr = np.asarray(irradiance_wm2, dtype=np.float64)
     if irr.size and irr.min() < 0:
         raise ValueError("irradiance must be nonnegative")
-    out = np.minimum(capacity_kw, capacity_kw * derate * irr / 1000.0)
+    out = np.minimum(capacity_kw, capacity_kw * PV_DERATE * irr / 1000.0)
     return float(out) if np.isscalar(irradiance_wm2) else out
 
 
@@ -391,87 +371,6 @@ def gen_charging_population(
         discount_rate=np.where(treated, logged_discount, 0.0),
     )
     return items, log
-
-
-def train_ncf_scorer(
-    log: ChargingLog,
-    n_stations: int,
-    *,
-    slots_per_day: int = 24,
-    embed_dim: int = 16,
-    hidden: Sequence[int] = (64, 32),
-    epochs: int = 5,
-    batch_size: int = 64,
-    lr: float = 0.01,
-    weight_decay: float = 1e-4,
-    seed: int = 0,
-) -> nn.EmbedMlp:
-    """Fit the embedding scorer to predict charging from (station, slot-of-day)."""
-    if not len(log):
-        raise ValueError("cannot train a scorer on an empty charging log")
-    stations = log.station_id
-    slots = log.slot % slots_per_day
-    targets = log.charged.astype(np.float64)
-    model = nn.EmbedMlp(
-        n_stations=n_stations,
-        n_slots=slots_per_day,
-        embed_dim=embed_dim,
-        hidden=hidden,
-        seed=seed,
-    )
-    nn.fit_embed_mlp(
-        model,
-        stations,
-        slots,
-        targets,
-        epochs=epochs,
-        batch_size=batch_size,
-        lr=lr,
-        weight_decay=weight_decay,
-        seed=seed,
-    )
-    return model
-
-
-def ncf_label(
-    log: ChargingLog,
-    scorer,
-    split: float = 0.5,
-    slots_per_day: int = 24,
-) -> dict[tuple[int, int], Stratum]:
-    """Label items from their history: charged items split by predicted rating.
-
-    Items with any charging history get split by the scorer's rating: the top
-    `split` fraction becomes AlwaysCharge (ties in odd counts go to the higher
-    stratum), the rest IncentiveCharge. Never-charged items are NoCharge.
-    Used when ingesting real, unlabeled charging logs.
-    """
-    if not len(log):
-        raise TraceError("cannot label an empty charging log")
-    if not 0.0 < split < 1.0:
-        raise ValueError(f"split must be in (0, 1), got {split}")
-    charged_any: dict[tuple[int, int], bool] = {}
-    keys = zip(log.station_id.tolist(), (log.slot % slots_per_day).tolist())
-    for key, charged in zip(keys, log.charged.tolist()):
-        charged_any[key] = charged_any.get(key, False) or bool(charged)
-    positives = sorted(k for k, v in charged_any.items() if v)
-    if not positives:
-        raise TraceError("no charged items in the log; nothing to split")
-    predict: Callable = scorer if callable(scorer) else scorer.predict
-    stations = np.array([k[0] for k in positives])
-    slots = np.array([k[1] for k in positives])
-    ratings = np.asarray(predict(stations, slots), dtype=np.float64)
-    order = sorted(range(len(positives)), key=lambda i: (-ratings[i], positives[i]))
-    n_always = math.ceil(split * len(positives))
-    labels: dict[tuple[int, int], Stratum] = {}
-    for rank, i in enumerate(order):
-        labels[positives[i]] = (
-            Stratum.ALWAYS_CHARGE if rank < n_always else Stratum.INCENTIVE_CHARGE
-        )
-    for key, charged in charged_any.items():
-        if not charged:
-            labels[key] = Stratum.NO_CHARGE
-    return labels
 
 
 # -- CSV I/O -------------------------------------------------------------------

@@ -452,30 +452,21 @@ def charging_bench():
     )
 
 
-def _method_decisions(bench, c):
-    """Decision sets per method; the learned policy fixes the shared k."""
-    ours = pricing.discount_policy(bench.model, bench.items, c)
-    k = sum(d.give_discount for d in ours)
-    scores = {
-        "or": pricing.or_uplift(bench.mu1, bench.mu0, bench.items),
-        "ips": pricing.ips_uplift(bench.observations, bench.prop, bench.items),
-        "dr": pricing.dr_uplift(
-            bench.observations, bench.mu1, bench.mu0, bench.prop, bench.items
-        ),
-    }
-    decisions = {"cfmtl": ours}
-    for name in BASELINES:
-        decisions[name] = pricing.top_k_policy(bench.items, scores[name], k, c)
-    return decisions
-
-
 def test_learned_pricing_beats_baselines(charging_bench):
     started = time.monotonic() - charging_bench.build_seconds
     checks = [(len(charging_bench.items) == 8426, "universe size drifted from 8426")]
     always_counts = {}
     reward_rows = {}
     for c in DISCOUNT_GRID:
-        decisions = _method_decisions(charging_bench, c)
+        decisions = cli._method_decisions(
+            charging_bench.model,
+            charging_bench.mu1,
+            charging_bench.mu0,
+            charging_bench.prop,
+            charging_bench.items,
+            charging_bench.observations,
+            c,
+        )
         results = {
             m: pricing.evaluate_policy(decisions[m], charging_bench.items, c)
             for m in decisions
@@ -540,7 +531,15 @@ def test_full_stack_ordering_across_hubs(charging_bench):
     started = time.monotonic() - charging_bench.build_seconds
     c = 0.3
     base_price = 0.80
-    decisions = _method_decisions(charging_bench, c)
+    decisions = cli._method_decisions(
+        charging_bench.model,
+        charging_bench.mu1,
+        charging_bench.mu0,
+        charging_bench.prop,
+        charging_bench.items,
+        charging_bench.observations,
+        c,
+    )
     stratum_of = {
         (it.station_id, it.slot_of_day): it.stratum for it in charging_bench.items
     }

@@ -404,6 +404,15 @@ class TestReport:
     def test_report_needs_config_or_out(self):
         assert cli.main(["report"]) == 2
 
+    @pytest.mark.parametrize("stage", ["report", "eval-price"])
+    def test_missing_or_unreadable_config_exits_2(self, tmp_path, capsys, stage):
+        missing = str(tmp_path / "absent.yaml")
+        assert cli.main([stage, "--config", missing]) == 2
+        assert f"config error: config file not found: {missing}" in capsys.readouterr().err
+        # a directory exists but cannot be read as a file
+        assert cli.main([stage, "--config", str(tmp_path)]) == 2
+        assert f"config error: cannot read config {tmp_path}" in capsys.readouterr().err
+
 
 class TestManifest:
     def test_stages_recorded_with_hashes(self, pipeline):

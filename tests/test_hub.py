@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -427,30 +426,6 @@ class TestStepInvariants:
                 )
                 state = BatteryState(out.soc_after_kwh)
 
-    def test_episode_totals_identity(self):
-        rng = np.random.default_rng(12)
-        cfg = random_hub_setup(rng)
-        spec = cfg.battery
-        state = BatteryState(float(rng.uniform(spec.soc_min_kwh, spec.soc_max_kwh)))
-        outcomes = []
-        for _ in range(120):
-            inputs = random_inputs(rng)
-            action = int(rng.choice(sorted(hub.feasible_actions(state, spec, cfg.slot_hours))))
-            out = hub.step(cfg, state, inputs, action)
-            outcomes.append(out)
-            state = BatteryState(out.soc_after_kwh)
-        totals = hub.episode_totals(outcomes)
-        assert totals.profit == pytest.approx(
-            sum(o.profit for o in outcomes), abs=1e-9
-        )
-        assert totals.profit == pytest.approx(
-            totals.charging_revenue - totals.operating_cost, abs=1e-12
-        )
-
-    def test_episode_totals_empty(self):
-        with pytest.raises(ValueError):
-            hub.episode_totals([])
-
 
 class TestConfigValidation:
     def test_eta_out_of_range(self):
@@ -477,55 +452,49 @@ class TestConfigValidation:
 
 
 class TestConfigFile:
-    def write(self, tmp_path, payload):
-        p = tmp_path / "hub.yaml"
-        p.write_text(yaml.safe_dump(payload))
-        return str(p)
+    """The `hub:` section of a run config, as parsed from YAML."""
 
     def base_payload(self):
         return {
-            "hub": {
-                "p_bs_min_kw": 1.0,
-                "p_bs_max_kw": 4.0,
-                "r_cs_kw": 7.0,
-                "slot_hours": 1.0,
-                "t_recovery_slots": 2,
-                "c_bp": 0.01,
-                "battery": {
-                    "capacity_kwh": 50.0,
-                    "soc_min_kwh": 10.0,
-                    "soc_max_kwh": 45.0,
-                    "r_charge_kw": 5.0,
-                    "r_discharge_kw": 5.0,
-                    "eta_charge": 0.95,
-                    "eta_discharge": 0.95,
-                },
-            }
+            "p_bs_min_kw": 1.0,
+            "p_bs_max_kw": 4.0,
+            "r_cs_kw": 7.0,
+            "slot_hours": 1.0,
+            "t_recovery_slots": 2,
+            "c_bp": 0.01,
+            "battery": {
+                "capacity_kwh": 50.0,
+                "soc_min_kwh": 10.0,
+                "soc_max_kwh": 45.0,
+                "r_charge_kw": 5.0,
+                "r_discharge_kw": 5.0,
+                "eta_charge": 0.95,
+                "eta_discharge": 0.95,
+            },
         }
 
-    def test_round_trip(self, tmp_path):
-        cfg = hub.load_hub_config(self.write(tmp_path, self.base_payload()))
+    def test_round_trip(self):
+        cfg = hub.hub_config_from_dict(self.base_payload())
         assert cfg.p_bs_max_kw == 4.0
         assert cfg.battery.eta_charge == 0.95
 
-    def test_defaults_fill_missing(self, tmp_path):
-        payload = {"hub": {"p_bs_max_kw": 3.0}}
-        cfg = hub.load_hub_config(self.write(tmp_path, payload))
+    def test_defaults_fill_missing(self):
+        cfg = hub.hub_config_from_dict({"p_bs_max_kw": 3.0})
         assert cfg.p_bs_max_kw == 3.0
         assert cfg.battery.capacity_kwh == 50.0
 
-    def test_reserve_floor_enforced(self, tmp_path):
+    def test_reserve_floor_enforced(self):
         payload = self.base_payload()
-        payload["hub"]["t_recovery_slots"] = 5  # floor 20 kWh > soc_min 10
+        payload["t_recovery_slots"] = 5  # floor 20 kWh > soc_min 10
         with pytest.raises(ConfigError, match="reserve"):
-            hub.load_hub_config(self.write(tmp_path, payload))
+            hub.hub_config_from_dict(payload)
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self):
         payload = self.base_payload()
-        payload["hub"]["p_bs_mni_kw"] = 1.0
+        payload["p_bs_mni_kw"] = 1.0
         with pytest.raises(ConfigError, match="p_bs_mni_kw"):
-            hub.load_hub_config(self.write(tmp_path, payload))
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            hub.load_hub_config(str(tmp_path / "absent.yaml"))
+            hub.hub_config_from_dict(payload)
+        payload = self.base_payload()
+        payload["battery"]["eta_chrage"] = 0.9
+        with pytest.raises(ConfigError, match=r"unknown battery config keys: \['eta_chrage'\]"):
+            hub.hub_config_from_dict(payload)

@@ -1,10 +1,17 @@
 """The benchmark's smoke run, so the names it traces and calls cannot rot.
 
-perfbench wraps and calls `HubEnv.slot_inputs`, `episode_inputs`,
-`state_vector`, `hub.feasible_actions`, `rollout` (it reads `len(result[0])`)
-and `dp_oracle` by its `cfg`, `inputs` and `resolution` parameters. The smoke
-run exercises every workload at minimal size, traced and untraced, and fails
-if any metric goes missing or any operation fails.
+perfbench traces every function that a per-layer metric in BENCHMARK.json
+names, among them `hub.step`, `HubEnv.slot_inputs`, `state_vector`, the
+pricing uplift and policy functions and `cli._method_decisions`. Its counters
+read call arguments by parameter name (`dp_oracle`'s `cfg`, `inputs` and
+`resolution`, `load_csv`'s `path`, `Adam.step`'s `params`) and results by
+shape (`rollout`'s `len(result[0])`). Its oracle phase calls
+`cli.load_run_config`, `_load_pricing_models`, `_load_population`,
+`_method_decisions`, `_hub_series` and `_build_env`, then replays episodes
+through `HubEnv.reset`/`step`, `state_vector`, `episode_inputs` and
+`dp_oracle`. `test_perfbench_surface.py` checks those names without running
+anything; this smoke run exercises every workload at minimal size, traced
+and untraced, and fails if any metric goes missing or any operation fails.
 """
 
 import json

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdcheck import central_diff_grads, max_rel_err
-from hubopt import nn, pricing
+from hubopt import pricing
 from hubopt.pricing import (
     COL_ALWAYS,
     COL_INCENTIVE,
@@ -82,7 +82,7 @@ class TestStratumProbs:
         pop, _ = planted
         stations = np.array([p.station_id for p in pop])
         slots = np.array([p.slot_of_day for p in pop])
-        g = pricing.propensity(trained, stations, slots)
+        _, g, _ = trained.forward(stations, slots)
         assert g.shape == (len(pop),)
         assert g.min() > 0.0 and g.max() < 1.0
 
@@ -263,6 +263,11 @@ def universe_of(strata_map):
     ]
 
 
+def items_at(keys):
+    """PopulationItems at (station, slot of day) keys, in order; strata unread."""
+    return [PopulationItem(s, t, Stratum.NO_CHARGE) for s, t in keys]
+
+
 def decide(strata_map, discounted, c):
     return [
         DiscountDecision(s, t, (s, t) in discounted, c if (s, t) in discounted else 0.0)
@@ -275,19 +280,19 @@ class TestEvaluatePolicy:
 
     def test_no_discounts_reward_is_always_count(self):
         strata = {(0, 0): self.A, (0, 1): self.A, (0, 2): self.I, (0, 3): self.N}
-        ev = evaluate_policy(decide(strata, set(), 0.2), strata, 0.2)
+        ev = evaluate_policy(decide(strata, set(), 0.2), universe_of(strata), 0.2)
         assert ev.reward == pytest.approx(2.0)
         assert (ev.none_count, ev.incentive_count, ev.always_count) == (0, 0, 0)
 
     def test_discounted_incentive_contributes_one_minus_c(self):
         strata = {(1, 5): self.I}
-        ev = evaluate_policy(decide(strata, {(1, 5)}, 0.1), strata, 0.1)
+        ev = evaluate_policy(decide(strata, {(1, 5)}, 0.1), universe_of(strata), 0.1)
         assert ev.reward == pytest.approx(0.9)
         assert ev.incentive_count == 1
 
     def test_discounted_always_loses_the_discount(self):
         strata = {(1, 5): self.A}
-        ev = evaluate_policy(decide(strata, {(1, 5)}, 0.1), strata, 0.1)
+        ev = evaluate_policy(decide(strata, {(1, 5)}, 0.1), universe_of(strata), 0.1)
         assert ev.reward == pytest.approx(0.9)
         assert ev.always_count == 1
 
@@ -300,7 +305,7 @@ class TestEvaluatePolicy:
             (0, 4): self.N,
         }
         ev = evaluate_policy(
-            decide(strata, {(0, 0), (0, 2), (0, 4)}, 0.5), strata, 0.5
+            decide(strata, {(0, 0), (0, 2), (0, 4)}, 0.5), universe_of(strata), 0.5
         )
         assert (ev.none_count, ev.incentive_count, ev.always_count) == (1, 1, 1)
         assert ev.discounted_total == 3
@@ -317,15 +322,15 @@ class TestEvaluatePolicy:
         discounted = {k for k in strata if rng.random() < 0.4}
         last = math.inf
         for c in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
-            r = evaluate_policy(decide(strata, discounted, c), strata, c).reward
+            r = evaluate_policy(decide(strata, discounted, c), universe_of(strata), c).reward
             assert r <= last + 1e-12
             last = r
 
     def test_literal_variant(self):
         strata = {(0, 0): self.A, (0, 1): self.I}
         decisions = decide(strata, {(0, 0), (0, 1)}, 0.2)
-        economic = evaluate_policy(decisions, strata, 0.2)
-        literal = evaluate_policy(decisions, strata, 0.2, literal=True)
+        economic = evaluate_policy(decisions, universe_of(strata), 0.2)
+        literal = evaluate_policy(decisions, universe_of(strata), 0.2, literal=True)
         assert economic.reward == pytest.approx(1.6)
         assert literal.reward == pytest.approx(1.0 - 0.2)
 
@@ -333,13 +338,13 @@ class TestEvaluatePolicy:
         strata = {(0, 0): self.A, (0, 1): self.I}
         short = decide({(0, 0): self.A}, set(), 0.1)
         with pytest.raises(ValueError, match="universes must match"):
-            evaluate_policy(short, strata, 0.1)
+            evaluate_policy(short, universe_of(strata), 0.1)
 
     def test_duplicate_decisions(self):
         strata = {(0, 0): self.A}
         dup = decide(strata, set(), 0.1) * 2
         with pytest.raises(ValueError, match="duplicate"):
-            evaluate_policy(dup, strata, 0.1)
+            evaluate_policy(dup, universe_of(strata), 0.1)
 
     def test_accepts_population_items(self):
         strata = {(0, 0): self.A, (0, 1): self.N}
@@ -372,7 +377,7 @@ class TestEvaluatePolicy:
             for (s, t), _, give in items
         ]
         want = reference_evaluation(decisions, strata, c, literal)
-        got = evaluate_policy(decisions, strata, c, literal=literal)
+        got = evaluate_policy(decisions, universe_of(strata), c, literal=literal)
         assert got.reward.hex() == want.reward.hex()
         assert (got.none_count, got.incentive_count, got.always_count) == (
             want.none_count,
@@ -433,7 +438,7 @@ class TestUpliftEstimators:
         ]
         cfg = PricingConfig(epochs=6, seed=8, n_stations=12)
         mu1, mu0 = fit_outcome_models(obs_batch(rows), cfg)
-        uplift = or_uplift(mu1, mu0, universe)
+        uplift = or_uplift(mu1, mu0, items_at(universe))
         assert np.abs(uplift).mean() < 0.05
 
     def test_ips_incentive_only_near_one(self, incentive_only):
@@ -530,7 +535,7 @@ class TestGroupRows:
         observations = obs_batch([(s, t, 0, 0) for s, t in obs_keys])
         index = {key: i for i, key in enumerate(keys)}
         missing = [key for key in obs_keys if key not in index]
-        universe = pricing.universe_arrays(keys)
+        universe = pricing.universe_arrays(items_at(keys))
         if missing:
             want = f"station {missing[0][0]} slot {missing[0][1]} is not in"
             with pytest.raises(ValueError, match=want):
@@ -542,33 +547,33 @@ class TestGroupRows:
 
 class TestTopK:
     def test_picks_highest_scores(self):
-        universe = [(0, 0), (0, 1), (0, 2)]
+        universe = items_at([(0, 0), (0, 1), (0, 2)])
         decisions = top_k_policy(universe, [3.0, 1.0, 2.0], 2, 0.2)
         assert [d.give_discount for d in decisions] == [True, False, True]
         assert [d.discount_rate for d in decisions] == [0.2, 0.0, 0.2]
 
     def test_score_ties_break_by_item_key(self):
-        universe = [(1, 0), (0, 5), (0, 3)]
+        universe = items_at([(1, 0), (0, 5), (0, 3)])
         decisions = top_k_policy(universe, [1.0, 1.0, 1.0], 1, 0.1)
         given = {(d.station_id, d.slot_of_day) for d in decisions if d.give_discount}
         assert given == {(0, 3)}
 
     def test_k_zero_and_k_full(self):
-        universe = [(0, 0), (0, 1)]
+        universe = items_at([(0, 0), (0, 1)])
         none = top_k_policy(universe, [1.0, 2.0], 0, 0.1)
         assert not any(d.give_discount for d in none)
         every = top_k_policy(universe, [1.0, 2.0], 2, 0.1)
         assert all(d.give_discount for d in every)
 
     def test_bad_k_and_score_length(self):
-        universe = [(0, 0), (0, 1)]
+        universe = items_at([(0, 0), (0, 1)])
         with pytest.raises(ValueError, match="k must be"):
             top_k_policy(universe, [1.0, 2.0], 3, 0.1)
         with pytest.raises(ValueError, match="scores"):
             top_k_policy(universe, [1.0], 1, 0.1)
 
     def test_non_finite_scores_rejected(self):
-        universe = [(0, 0), (0, 1), (0, 2)]
+        universe = items_at([(0, 0), (0, 1), (0, 2)])
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
                 top_k_policy(universe, [1.0, bad, 0.0], 1, 0.1)
@@ -586,7 +591,7 @@ class TestTopK:
         scores = data.draw(st.lists(values, min_size=len(keys), max_size=len(keys)))
         order = sorted(range(len(keys)), key=lambda i: (-scores[i], keys[i]))
         for k in range(len(keys) + 1):
-            decisions = top_k_policy(keys, scores, k, 0.2)
+            decisions = top_k_policy(items_at(keys), scores, k, 0.2)
             given_keys = [
                 (d.station_id, d.slot_of_day) for d in decisions if d.give_discount
             ]
@@ -631,7 +636,7 @@ class TestStrataByPeriod:
         assert chi2_independence_pvalue(counts) > 0.01
 
     def test_unknown_slots_rejected(self, trained):
-        universe = [(0, 30)]
+        universe = items_at([(0, 30)])
         with pytest.raises(ValueError, match="beyond"):
             strata_by_period(trained, universe)
 

@@ -21,24 +21,17 @@ from hubopt.traces import (
     load_csv,
     load_strata,
     load_traces,
-    ncf_label,
     pv_power,
     save_strata,
     save_traces,
     stratum_response,
-    train_ncf_scorer,
     wt_power,
 )
 
 
 class TestRtp:
-    def test_flat_profile_is_constant(self):
-        series = gen_rtp(1, 48, profile="flat", base=0.10)
-        assert series.shape == (48,)
-        assert np.all(series == 0.10)
-
     def test_diurnal_evening_peak_dominates_small_hours(self):
-        series = gen_rtp(2, 168, profile="diurnal")
+        series = gen_rtp(2, 168)
         hours = np.arange(168) % 24
         evening = series[(hours >= 18) & (hours < 24)]
         small = series[(hours >= 2) & (hours < 6)]
@@ -50,10 +43,6 @@ class TestRtp:
         assert np.array_equal(a, b)
         assert a.min() >= 0.0
         assert not np.array_equal(a, gen_rtp(10, 240))
-
-    def test_unknown_profile(self):
-        with pytest.raises(ValueError, match="profile"):
-            gen_rtp(1, 24, profile="weekly")
 
     def test_bad_length(self):
         with pytest.raises(ValueError):
@@ -100,9 +89,9 @@ class TestGenerationCurves:
 
     def test_wt_bad_curve(self):
         with pytest.raises(ValueError):
-            wt_power(5.0, 10.0, cut_in=12.0, rated=3.0)
-        with pytest.raises(ValueError):
             wt_power(-1.0, 10.0)
+        with pytest.raises(ValueError):
+            wt_power(5.0, -10.0)
 
     def test_pv_linear_then_clipped(self):
         assert pv_power(600.0, 5.0) == pytest.approx(2.7)
@@ -113,7 +102,7 @@ class TestGenerationCurves:
         with pytest.raises(ValueError):
             pv_power(-5.0, 5.0)
         with pytest.raises(ValueError):
-            pv_power(100.0, 5.0, derate=0.0)
+            pv_power(100.0, -5.0)
 
 
 def log_rows(log):
@@ -205,65 +194,6 @@ class TestResponse:
         assert stratum_response(Stratum.NO_CHARGE, 1) == 0
         assert stratum_response(Stratum.INCENTIVE_CHARGE, 0) == 0
         assert stratum_response(Stratum.INCENTIVE_CHARGE, 1) == 1
-
-
-def records_for_items(keys, charged):
-    stations = np.array([station for station, _ in keys], dtype=np.int64)
-    slots = np.array([sod for _, sod in keys], dtype=np.int64)
-    zeros = np.zeros(len(keys), dtype=np.int64)
-    return ChargingLog(stations, slots, np.array(charged, dtype=np.int64), zeros, zeros * 0.0)
-
-
-class TestNcfLabel:
-    def test_even_split(self):
-        keys = [(0, 0), (0, 1), (0, 2), (0, 3)]
-        records = records_for_items(keys, [1, 1, 1, 1])
-        ratings = {0: 0.9, 1: 0.8, 2: 0.3, 3: 0.1}
-        scorer = lambda stations, slots: np.array([ratings[s] for s in slots])
-        labels = ncf_label(records, scorer)
-        assert labels[(0, 0)] is Stratum.ALWAYS_CHARGE
-        assert labels[(0, 1)] is Stratum.ALWAYS_CHARGE
-        assert labels[(0, 2)] is Stratum.INCENTIVE_CHARGE
-        assert labels[(0, 3)] is Stratum.INCENTIVE_CHARGE
-
-    def test_odd_split_favors_always(self):
-        keys = [(0, h) for h in range(5)]
-        records = records_for_items(keys, [1] * 5)
-        scorer = lambda stations, slots: -np.asarray(slots, dtype=float)
-        labels = ncf_label(records, scorer)
-        always = [k for k, v in labels.items() if v is Stratum.ALWAYS_CHARGE]
-        assert sorted(always) == [(0, 0), (0, 1), (0, 2)]
-
-    def test_never_charged_items_are_no_charge(self):
-        keys = [(0, 0), (0, 1), (1, 0)]
-        records = records_for_items(keys, [1, 1, 0])
-        scorer = lambda stations, slots: np.ones(len(slots))
-        labels = ncf_label(records, scorer)
-        assert labels[(1, 0)] is Stratum.NO_CHARGE
-
-    def test_no_positives(self):
-        records = records_for_items([(0, 0)], [0])
-        with pytest.raises(TraceError, match="charged"):
-            ncf_label(records, lambda s, h: np.ones(len(h)))
-
-    def test_empty_log(self):
-        with pytest.raises(TraceError):
-            ncf_label(records_for_items([], []), lambda s, h: np.ones(len(h)))
-
-    def test_scorer_model_ranks_planted_strata(self):
-        items, records = gen_charging_population(6, 6, 24 * 12, (0.3, 0.2, 0.5))
-        model = train_ncf_scorer(records, n_stations=6, epochs=6, seed=6)
-        always = [it for it in items if it.stratum is Stratum.ALWAYS_CHARGE]
-        never = [it for it in items if it.stratum is Stratum.NO_CHARGE]
-        r_always = model.predict(
-            np.array([it.station_id for it in always]),
-            np.array([it.slot_of_day for it in always]),
-        )
-        r_never = model.predict(
-            np.array([it.station_id for it in never]),
-            np.array([it.slot_of_day for it in never]),
-        )
-        assert r_always.mean() > r_never.mean() + 0.3
 
 
 class TestCsvRoundTrip:
