@@ -123,6 +123,11 @@ class RunConfig:
             raise hub.ConfigError(
                 f"n_hubs={self.n_hubs} exceeds traces.n_stations={self.traces.n_stations}"
             )
+        spec, soc = self.hub.battery, self.env.initial_soc_kwh
+        if soc is not None and not spec.soc_min_kwh <= soc <= spec.soc_max_kwh:
+            raise hub.ConfigError(
+                f"initial soc {float(soc)} outside [{spec.soc_min_kwh}, {spec.soc_max_kwh}]"
+            )
 
 
 _TOP_KEYS = {"seed", "out_dir", "n_hubs", "hub", "traces", "pricing", "ppo"}
@@ -542,15 +547,34 @@ def _build_env(cfg: RunConfig, traces, srtp, occupancy, hub_id: int, method: str
     )
 
 
-def cmd_train_drl(cfg: RunConfig, run_dir: str, force: bool) -> None:
-    _write_snapshot(cfg, run_dir, force)
+def _drl_envs(cfg: RunConfig, run_dir: str):
+    """Every (hub, method) run of the DRL stages and its environment, in that order.
+
+    All the environments are held at once and read only the trace series, so
+    the charging log and the pricing inputs are released before they are built.
+    """
     traces = load_traces(os.path.join(run_dir, "data"))
     model, mu1, mu0, prop = _load_pricing_models(run_dir)
     items, observations = _load_population(run_dir, traces.charging)
     stratum_of = {(it.station_id, it.slot_of_day): it.stratum for it in items}
-    decisions = _method_decisions(
-        model, mu1, mu0, prop, items, observations, cfg.discount
-    )
+    decisions = _method_decisions(model, mu1, mu0, prop, items, observations, cfg.discount)
+    runs = [(hub_id, method) for hub_id in range(cfg.n_hubs) for method in METHODS]
+    series = [
+        _hub_series(cfg, decisions[method], stratum_of, hub_id, traces.n_slots)
+        for hub_id, method in runs
+    ]
+    del model, mu1, mu0, prop, items, observations, decisions
+    traces = dataclasses.replace(traces, charging=None)
+    envs = [
+        _build_env(cfg, traces, srtp, occupancy, hub_id, method)
+        for (hub_id, method), (srtp, occupancy) in zip(runs, series)
+    ]
+    return runs, envs
+
+
+def cmd_train_drl(cfg: RunConfig, run_dir: str, force: bool) -> None:
+    _write_snapshot(cfg, run_dir, force)
+    runs, envs = _drl_envs(cfg, run_dir)
 
     ck_dir = os.path.join(run_dir, "checkpoints")
     results_dir = os.path.join(run_dir, "results")
@@ -563,34 +587,33 @@ def cmd_train_drl(cfg: RunConfig, run_dir: str, force: bool) -> None:
     os.makedirs(ck_dir, exist_ok=True)
     os.makedirs(results_dir, exist_ok=True)
 
+    bundles = [
+        scheduler.PolicyBundle(
+            env.state_dim,
+            hidden=cfg.ppo.hidden,
+            seed=spawn_seed(cfg.seed, "drl-init", hub_id, method),
+        )
+        for (hub_id, method), env in zip(runs, envs)
+    ]
+    seeds = [spawn_seed(cfg.seed, "drl-train", hub_id, method) for hub_id, method in runs]
+    try:
+        curves = scheduler.train(envs, bundles, cfg.ppo, seeds)
+    except scheduler.TrainingAbort as exc:
+        hub_id, method = runs[exc.run]
+        raise scheduler.TrainingAbort(f"hub {hub_id} {method}: {exc}", run=exc.run) from exc
+
     written = []
-    for hub_id in range(cfg.n_hubs):
-        for method in METHODS:
-            srtp, occupancy = _hub_series(
-                cfg, decisions[method], stratum_of, hub_id, traces.n_slots
-            )
-            env = _build_env(cfg, traces, srtp, occupancy, hub_id, method)
-            bundle = scheduler.PolicyBundle(
-                env.state_dim,
-                hidden=cfg.ppo.hidden,
-                seed=spawn_seed(cfg.seed, "drl-init", hub_id, method),
-            )
-            bundle, curve = scheduler.train(
-                env,
-                bundle,
-                cfg.ppo,
-                seed=spawn_seed(cfg.seed, "drl-train", hub_id, method),
-            )
-            ck_path = os.path.join(ck_dir, f"drl_hub{hub_id}_{method}.json")
-            bundle.save(ck_path)
-            curve_path = os.path.join(results_dir, f"curve_hub{hub_id}_{method}.csv")
-            _write_rows(
-                curve_path,
-                CURVE_HEADER,
-                ((e, _fmt(total), _fmt(daily)) for e, total, daily in curve),
-            )
-            written += [ck_path, curve_path]
-            print(f"hub {hub_id} {method}: trained {len(curve)} episodes")
+    for (hub_id, method), bundle, curve in zip(runs, bundles, curves):
+        ck_path = os.path.join(ck_dir, f"drl_hub{hub_id}_{method}.json")
+        bundle.save(ck_path)
+        curve_path = os.path.join(results_dir, f"curve_hub{hub_id}_{method}.csv")
+        _write_rows(
+            curve_path,
+            CURVE_HEADER,
+            ((e, _fmt(total), _fmt(daily)) for e, total, daily in curve),
+        )
+        written += [ck_path, curve_path]
+        print(f"hub {hub_id} {method}: trained {len(curve)} episodes")
     _update_manifest(run_dir, "train-drl", written)
 
 
@@ -599,30 +622,19 @@ def cmd_eval_drl(cfg: RunConfig, run_dir: str, force: bool) -> None:
     eval_path = os.path.join(run_dir, "results", "drl_eval.csv")
     _refuse_overwrite([eval_path], force)
 
-    traces = load_traces(os.path.join(run_dir, "data"))
-    model, mu1, mu0, prop = _load_pricing_models(run_dir)
-    items, observations = _load_population(run_dir, traces.charging)
-    stratum_of = {(it.station_id, it.slot_of_day): it.stratum for it in items}
-    decisions = _method_decisions(
-        model, mu1, mu0, prop, items, observations, cfg.discount
-    )
+    runs, envs = _drl_envs(cfg, run_dir)
+    bundles = [
+        scheduler.PolicyBundle.from_checkpoint(
+            _require(os.path.join(run_dir, "checkpoints", f"drl_hub{hub_id}_{method}.json"))
+        )
+        for hub_id, method in runs
+    ]
+    # one eval seed per hub: every method replays the same episodes
+    seeds = [spawn_seed(cfg.seed, "drl-eval", hub_id) for hub_id, _ in runs]
+    means = scheduler.evaluate(envs, bundles, cfg.ppo.episodes_test, seeds)
 
     os.makedirs(os.path.join(run_dir, "results"), exist_ok=True)
-    rows = []
-    for hub_id in range(cfg.n_hubs):
-        # one eval seed per hub: every method replays the same episodes
-        eval_seed = spawn_seed(cfg.seed, "drl-eval", hub_id)
-        for method in METHODS:
-            ck_path = _require(
-                os.path.join(run_dir, "checkpoints", f"drl_hub{hub_id}_{method}.json")
-            )
-            bundle = scheduler.PolicyBundle.from_checkpoint(ck_path)
-            srtp, occupancy = _hub_series(
-                cfg, decisions[method], stratum_of, hub_id, traces.n_slots
-            )
-            env = _build_env(cfg, traces, srtp, occupancy, hub_id, method)
-            avg = scheduler.evaluate(env, bundle, cfg.ppo.episodes_test, seed=eval_seed)
-            rows.append((hub_id, method, _fmt(avg)))
+    rows = [(hub_id, method, _fmt(avg)) for (hub_id, method), avg in zip(runs, means)]
     _write_rows(eval_path, DRL_EVAL_HEADER, rows)
     _update_manifest(run_dir, "eval-drl", [eval_path])
     print(f"wrote {len(rows)} evaluation rows to {eval_path}")

@@ -12,6 +12,7 @@ import contextlib
 import hashlib
 import json
 import os
+import weakref
 from typing import Sequence
 
 import numpy as np
@@ -218,6 +219,19 @@ def _tiled_buffer(params: Sequence[np.ndarray]) -> np.ndarray:
     return owner.reshape(-1)[start : start + sum(p.size for p in params)]
 
 
+# Adam.step's scratch, one pair of rows per parameter count. Steps never
+# overlap, so optimizers of one size share it: K runs that keep K optimizers
+# alive (and step them in turn) hold one pair, not K.
+_SCRATCH: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _step_scratch(size: int) -> np.ndarray:
+    scratch = _SCRATCH.get(size)
+    if scratch is None:
+        scratch = _SCRATCH[size] = np.empty((2, size))
+    return scratch
+
+
 class Adam:
     """Adam with decoupled weight decay (decay applied to parameters directly).
 
@@ -251,8 +265,7 @@ class Adam:
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
         # scratch for the gradient and the update, reused by every step
-        self._grad = np.empty_like(self.flat)
-        self._work = np.empty_like(self.flat)
+        self._grad, self._work = _step_scratch(self.flat.size)
 
     def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]) -> None:
         """Update params in place. Rejects the whole update on non-finite grads."""

@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from numpy.lib.stride_tricks import sliding_window_view
+
 from . import hub, nn
 from .seeding import spawn_rng, spawn_seed
 from .traces import TraceSet, pv_power, wt_power
@@ -157,18 +159,33 @@ class HubEnv:
             soc=self._battery.soc_kwh / self.hub_cfg.battery.capacity_kwh,
         )
 
+    def draw_start(self, rng: np.random.Generator) -> tuple[int, float]:
+        """An episode's start slot and initial soc (kWh), drawn from rng."""
+        start = int(rng.integers(self.window, self.last_start + 1))
+        if self.env_cfg.initial_soc_kwh is not None:
+            return start, float(self.env_cfg.initial_soc_kwh)
+        spec = self.hub_cfg.battery
+        return start, float(rng.uniform(spec.soc_min_kwh, spec.soc_max_kwh))
+
     def reset(self, seed: int | None = None) -> EnvState:
         rng = self._rng if seed is None else np.random.default_rng(seed)
-        self.episode_start = int(rng.integers(self.window, self.last_start + 1))
+        self.episode_start, soc = self.draw_start(rng)
         self._t = self.episode_start
         self._steps = 0
-        spec = self.hub_cfg.battery
-        if self.env_cfg.initial_soc_kwh is not None:
-            soc = float(self.env_cfg.initial_soc_kwh)
-        else:
-            soc = float(rng.uniform(spec.soc_min_kwh, spec.soc_max_kwh))
         self._battery = hub.BatteryState(soc)
         return self._observe()
+
+    def episode_series(self, starts: np.ndarray) -> np.ndarray:
+        """The five standardized series that episodes at starts observe.
+
+        Shape (*starts.shape, 5, window + episode_slots): columns start -
+        window onward, rows in state_vector's order. Standardizing is
+        elementwise, so every entry has the bits state_vector gives it.
+        """
+        cols = np.asarray(starts)[..., None] + np.arange(-self.window, self.episode_slots)
+        series = (self.rtp, self.srtp, self.p_wt, self.p_pv, self.load_rate)
+        rows = np.stack([s[cols] for s in series], axis=-2)
+        return (rows - self.stats.mean[:, None]) / self.stats.std[:, None]
 
     def slot_inputs(self, t: int) -> hub.SlotInputs:
         return hub.SlotInputs(
@@ -236,7 +253,32 @@ class PpoConfig:
 
 
 class TrainingAbort(RuntimeError):
-    """Raised when parameter updates keep failing and training cannot proceed."""
+    """Raised when parameter updates keep failing and training cannot proceed.
+
+    run is the index of the failing run in its population.
+    """
+
+    def __init__(self, message: str, run: int = 0):
+        super().__init__(message)
+        self.run = run
+
+
+def sample_actions(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """One action per row of probs (n, 3), each drawn with its own uniform.
+
+    The rule of Generator.choice(N_ACTIONS, p=p / p.sum()): normalize, take
+    the cumulative sums, divide them by the last, and pick the first entry
+    above the uniform. Each choice call draws one rng.random(), so a
+    pre-drawn block of uniforms gives the same actions and leaves the stream
+    where the calls would. Non-finite probabilities raise ValueError, as
+    choice does.
+    """
+    if not np.isfinite(probs).all():
+        raise ValueError("action probabilities contain NaN or inf")
+    cdf = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+    cdf /= cdf[:, -1:]
+    # the count of cdf entries <= u is searchsorted(cdf, u, side="right")
+    return (cdf <= uniforms[:, None]).sum(axis=1)
 
 
 class PolicyBundle(nn.Module):
@@ -278,9 +320,8 @@ class PolicyBundle(nn.Module):
     def act(self, state_vec: np.ndarray, rng: np.random.Generator):
         """Sample an action; returns (action, log_prob, value_estimate)."""
         probs, values, _ = self.forward(state_vec)
-        p = probs[0]
-        action = int(rng.choice(N_ACTIONS, p=p / p.sum()))
-        return action, float(np.log(max(p[action], 1e-300))), float(values[0])
+        action = int(sample_actions(probs, rng.random(1))[0])
+        return action, float(np.log(max(probs[0, action], 1e-300))), float(values[0])
 
     def greedy(self, state_vec: np.ndarray) -> int:
         probs, _, _ = self.forward(state_vec)
@@ -419,89 +460,273 @@ def policy_update(
     return True
 
 
-def rollout(env: HubEnv, bundle: PolicyBundle, rng: np.random.Generator, reset_seed: int):
-    """Sample one episode.
+class _PolicyStack:
+    """The policies of K runs, each layer's weights stacked over the runs.
 
-    Returns (states, actions, log_probs, rewards, values, total_reward), the
-    arrays holding one row per slot and states as standardized vectors.
+    forward sends row m of run k through run k's weights. np.matmul over a
+    stack runs each (1, d) @ (d, h) product through the BLAS call a batch-1
+    forward makes, so every row has the bits PolicyBundle.forward gives it
+    alone; a 2-D (n, d) @ (d, h) product does not.
     """
-    state = env.reset(seed=reset_seed)
-    states, actions, log_probs, rewards, values = [], [], [], [], []
-    total = 0.0
-    done = False
-    while not done:
-        vec = state_vector(state, env.stats)
-        action, log_prob, value = bundle.act(vec, rng)
-        state, reward, done = env.step(action)
-        states.append(vec)
-        actions.append(action)
-        log_probs.append(log_prob)
-        rewards.append(reward)
-        values.append(value)
-        total += reward
-    return (
-        np.stack(states),
-        np.array(actions, dtype=np.int64),
-        np.array(log_probs),
-        np.array(rewards),
-        np.array(values),
-        total,
+
+    def __init__(self, bundles: Sequence[PolicyBundle]):
+        def stacked(name):
+            nets = [getattr(b, name) for b in bundles]
+            return [
+                (np.stack([n.weights[i] for n in nets]), np.stack([n.biases[i] for n in nets]), tag)
+                for i, tag in enumerate(nets[0].activations)
+            ]
+
+        self.trunk, self.actor, self.critic = map(stacked, ("trunk", "actor", "critic"))
+
+    @staticmethod
+    def _layers(layers, a: np.ndarray) -> np.ndarray:
+        for w, b, tag in layers:
+            z = np.matmul(a[:, :, None, :], w[:, None])[:, :, 0] + b[:, None]
+            # softmax reduces over axis 1, so it takes the rows as a 2-D array
+            a = nn.act_forward(tag, z.reshape(-1, z.shape[-1])).reshape(z.shape)
+        return a
+
+    def forward(self, states: np.ndarray, values: bool = True):
+        """Action probs (K, M, 3) and values (K, M) (or None) for states (K, M, D)."""
+        h = self._layers(self.trunk, states)
+        probs = self._layers(self.actor, h)
+        return probs, (self._layers(self.critic, h)[:, :, 0] if values else None)
+
+
+# profit-table column of each hub action
+_COLUMN = {action: col for col, action in enumerate(hub.ACTIONS)}
+
+
+def _settle(cfg: hub.HubConfig, soc: np.ndarray, actions: np.ndarray):
+    """hub.feasible_actions's idle fallback, then hub.soc_step, over arrays.
+
+    Returns (profit-table columns taken, next soc) for environment actions
+    at soc (kWh). The expressions are the scalar ones, in the same order, so
+    every soc has the bits the scalar path gives it.
+    """
+    spec, dt = cfg.battery, cfg.slot_hours
+    charge = (actions == ACT_CHARGE) & (
+        soc + spec.eta_charge * spec.r_charge_kw * dt <= spec.soc_max_kwh
     )
+    discharge = (actions == ACT_DISCHARGE) & (soc - spec.r_discharge_kw * dt >= spec.soc_min_kwh)
+    col = np.where(
+        charge, _COLUMN[hub.CHARGE], np.where(discharge, _COLUMN[hub.DISCHARGE], _COLUMN[hub.IDLE])
+    )
+    deltas = np.array([hub.battery_power(spec, action, dt)[1] for action in hub.ACTIONS])
+    return col, soc + deltas[col]
+
+
+def _check_population(envs, bundles, seeds) -> None:
+    """Runs step together only if their episodes, batteries and policies match."""
+    if not len(envs) == len(bundles) == len(seeds) >= 1:
+        raise ValueError(
+            f"need one env, bundle and seed per run, got {len(envs)}, {len(bundles)}, {len(seeds)}"
+        )
+
+    def shape(env, bundle):
+        cfg = env.hub_cfg
+        return env.episode_slots, env.window, cfg.battery, cfg.slot_hours, bundle.hidden
+
+    for k, (env, bundle) in enumerate(zip(envs, bundles)):
+        if shape(env, bundle) != shape(envs[0], bundles[0]) or bundle.state_dim != env.state_dim:
+            raise ValueError(
+                f"run {k} differs from run 0 in episode length, window, battery, "
+                "slot length or policy shape"
+            )
+
+
+def _episode_inputs(envs, starts: np.ndarray):
+    """Standardized windows (K, N, 5, T, window + 1) and profit rows (K, N, T, 3)
+    for the N episodes of each of K runs, run k's starting at starts[k]."""
+    env0 = envs[0]
+    series = np.empty(starts.shape + (5, env0.window + env0.episode_slots))
+    profit = np.empty(starts.shape + (env0.episode_slots, len(hub.ACTIONS)))
+    # one gather per environment object, however many runs share it
+    runs_of = {}
+    for k, env in enumerate(envs):
+        runs_of.setdefault(id(env), (env, []))[1].append(k)
+    for env, runs in runs_of.values():
+        series[runs] = env.episode_series(starts[runs])
+        profit[runs] = env.profit[starts[runs][..., None] + np.arange(env0.episode_slots)]
+    return sliding_window_view(series, env0.window + 1, axis=-1), profit
+
+
+class _EpisodeStates:
+    """The state rows of a population's episodes, stored as windows plus soc.
+
+    windows (*runs, 5, T, window + 1) is a sliding_window_view of each
+    episode's standardized series, so rows cost no memory until used: at()
+    writes every episode's row for one slot into a single buffer, and
+    indexing by run builds that run's (T, D) state matrix alone.
+    """
+
+    def __init__(self, windows: np.ndarray, capacity: float):
+        shape, (span, width) = windows.shape[:-3], windows.shape[-2:]
+        self.windows = windows
+        self.capacity = capacity
+        self.soc = np.empty(shape + (span,))  # the soc column, as a capacity fraction
+        self._row = np.empty(shape + (5 * width + 1,))
+        # a view: it splits the contiguous window columns of each row
+        self._row_windows = self._row[..., :-1].reshape(shape + (5, width))
+
+    def at(self, t: int, soc_kwh: np.ndarray) -> np.ndarray:
+        """Every episode's state at slot t, given its soc in kWh."""
+        self._row_windows[...] = self.windows[..., t, :]
+        self.soc[..., t] = self._row[..., -1] = soc_kwh / self.capacity
+        return self._row
+
+    def __len__(self) -> int:
+        return len(self.windows)
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        span, width = self.windows.shape[-2:]
+        rows = np.empty((span, 5 * width + 1))
+        rows[:, :-1].reshape(span, 5, width)[...] = self.windows[k].transpose(1, 0, 2)
+        rows[:, -1] = self.soc[k]
+        return rows
+
+
+def rollout(
+    envs: Sequence[HubEnv],
+    bundles: Sequence[PolicyBundle],
+    rngs: Sequence[np.random.Generator],
+    reset_seeds: Sequence[int],
+):
+    """Sample one episode of every run, all runs stepping together.
+
+    Run k starts as envs[k].reset(reset_seeds[k]) would and samples its
+    actions from rngs[k]. Returns (states, actions, log_probs, rewards,
+    values, totals): states[k] is run k's (T, D) matrix of standardized
+    state vectors, the other arrays hold one row per run and one column per
+    slot, and totals each run's summed reward.
+    """
+    k_runs = len(envs)
+    span = envs[0].episode_slots
+    starts, socs = zip(
+        *(env.draw_start(np.random.default_rng(s)) for env, s in zip(envs, reset_seeds))
+    )
+    windows, profit = _episode_inputs(envs, np.array(starts)[:, None])
+    windows, profit = windows[:, 0], profit[:, 0]
+    uniforms = np.stack([rng.random(span) for rng in rngs])
+    policy = _PolicyStack(bundles)
+    cfg = envs[0].hub_cfg
+    states = _EpisodeStates(windows, cfg.battery.capacity_kwh)
+    soc = np.array(socs)
+    runs = np.arange(k_runs)
+    actions = np.empty((k_runs, span), dtype=np.int64)
+    chosen, rewards, values = (np.empty((k_runs, span)) for _ in range(3))
+    for t in range(span):
+        probs, value = policy.forward(states.at(t, soc)[:, None])
+        probs, values[:, t] = probs[:, 0], value[:, 0]
+        actions[:, t] = sample_actions(probs, uniforms[:, t])
+        chosen[:, t] = probs[runs, actions[:, t]]
+        col, soc = _settle(cfg, soc, actions[:, t])
+        rewards[:, t] = profit[runs, t, col]
+    log_probs = np.log(np.maximum(chosen, 1e-300))
+    return states, actions, log_probs, rewards, values, _running_totals(rewards)
+
+
+def _running_totals(rewards: np.ndarray) -> np.ndarray:
+    """Each row's sum, added left to right from 0.0 as a running total is."""
+    zero = np.zeros((len(rewards), 1))
+    return np.cumsum(np.concatenate([zero, rewards], axis=1), axis=1)[:, -1]
 
 
 def train(
-    env: HubEnv, bundle: PolicyBundle, cfg: PpoConfig, seed: int = 0
-) -> tuple[PolicyBundle, list[tuple[int, float, float]]]:
-    """Train over cfg.episodes_train episodes; returns the learning curve.
+    envs: Sequence[HubEnv],
+    bundles: Sequence[PolicyBundle],
+    cfg: PpoConfig,
+    seeds: Sequence[int],
+) -> list[list[tuple[int, float, float]]]:
+    """Train K runs over cfg.episodes_train episodes each; returns their curves.
 
-    Curve rows are (episode, total_reward, mean_daily_reward). Three
-    consecutive failed updates raise TrainingAbort.
+    Run k trains bundles[k] in place on envs[k] with seed seeds[k], exactly as
+    it would alone: the runs share each episode's rollout loop, and each
+    updates with its own optimizer. Curve rows are (episode, total_reward,
+    mean_daily_reward). Three consecutive failed updates of any run raise
+    TrainingAbort, naming the run.
     """
-    optimizer = nn.Adam(bundle.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    curve: list[tuple[int, float, float]] = []
-    failures = 0
+    _check_population(envs, bundles, seeds)
+    optimizers = [
+        nn.Adam(b.params(), lr=cfg.lr, weight_decay=cfg.weight_decay) for b in bundles
+    ]
+    curves: list[list[tuple[int, float, float]]] = [[] for _ in bundles]
+    failures = [0] * len(bundles)
     for episode in range(cfg.episodes_train):
-        action_rng = spawn_rng(seed, "actions", episode)
-        states, actions, old_log_probs, rewards, values, total = rollout(
-            env, bundle, action_rng, reset_seed=spawn_seed(seed, "reset", episode)
+        states, actions, old_log_probs, rewards, values, totals = rollout(
+            envs,
+            bundles,
+            [spawn_rng(seed, "actions", episode) for seed in seeds],
+            [spawn_seed(seed, "reset", episode) for seed in seeds],
         )
-        advantages, targets = compute_advantages(rewards, values, cfg.gamma, cfg.lam)
-        ok = policy_update(
-            bundle,
-            optimizer,
-            states,
-            actions,
-            old_log_probs,
-            advantages,
-            targets,
-            cfg,
-            rng=spawn_rng(seed, "minibatch", episode),
-        )
-        if ok:
-            failures = 0
-        else:
-            failures += 1
-            if failures >= 3:
+        for k, (bundle, optimizer, seed) in enumerate(zip(bundles, optimizers, seeds)):
+            advantages, targets = compute_advantages(rewards[k], values[k], cfg.gamma, cfg.lam)
+            ok = policy_update(
+                bundle,
+                optimizer,
+                states[k],
+                actions[k],
+                old_log_probs[k],
+                advantages,
+                targets,
+                cfg,
+                rng=spawn_rng(seed, "minibatch", episode),
+            )
+            failures[k] = 0 if ok else failures[k] + 1
+            if failures[k] >= 3:
                 raise TrainingAbort(
-                    f"3 consecutive update failures at episode {episode}"
+                    f"run {k}: 3 consecutive update failures at episode {episode}", run=k
                 )
-        curve.append((episode, total, total / env.episode_days))
-    return bundle, curve
+        for curve, env, total in zip(curves, envs, totals.tolist()):
+            curve.append((episode, total, total / env.episode_days))
+        # free this episode's arrays before the next rollout allocates its own
+        del states, actions, old_log_probs, rewards, values
+    return curves
 
 
-def evaluate(env: HubEnv, bundle: PolicyBundle, episodes: int, seed: int = 0) -> float:
-    """Mean per-day profit of the greedy policy over evaluation episodes."""
+def evaluate(
+    envs: Sequence[HubEnv],
+    bundles: Sequence[PolicyBundle],
+    episodes: int,
+    seeds: Sequence[int],
+) -> list[float]:
+    """Each run's mean per-day profit of its greedy policy over evaluation episodes.
+
+    All runs and all their episodes step together; run k's total is summed
+    episode by episode, slot by slot, as one running total.
+    """
     if episodes <= 0:
         raise ValueError(f"episodes must be positive, got {episodes}")
-    total = 0.0
-    for episode in range(episodes):
-        state = env.reset(seed=spawn_seed(seed, "eval", episode))
-        done = False
-        while not done:
-            action = bundle.greedy(state_vector(state, env.stats))
-            state, reward, done = env.step(action)
-            total += reward
-    return total / (episodes * env.episode_days)
+    _check_population(envs, bundles, seeds)
+    # runs that share an eval seed share its per-episode seeds, and envs that
+    # agree on everything draw_start reads share each draw
+    reset_seeds = {s: [spawn_seed(s, "eval", e) for e in range(episodes)] for s in set(seeds)}
+    drawn = {}
+
+    def draw(env, s):
+        key = (s, env.window, env.last_start, env.env_cfg, env.hub_cfg.battery)
+        if key not in drawn:
+            drawn[key] = env.draw_start(np.random.default_rng(s))
+        return drawn[key]
+
+    draws = [[draw(env, s) for s in reset_seeds[seed]] for env, seed in zip(envs, seeds)]
+    starts = np.array([[start for start, _ in run] for run in draws])
+    soc = np.array([[soc for _, soc in run] for run in draws])
+    windows, profit = _episode_inputs(envs, starts)
+    policy = _PolicyStack(bundles)
+    cfg = envs[0].hub_cfg
+    states = _EpisodeStates(windows, cfg.battery.capacity_kwh)
+    runs, episode = np.ogrid[: len(envs), :episodes]
+    rewards = np.empty(soc.shape + (envs[0].episode_slots,))
+    for t in range(rewards.shape[-1]):
+        probs, _ = policy.forward(states.at(t, soc), values=False)
+        col, soc = _settle(cfg, soc, probs.argmax(axis=-1))
+        rewards[..., t] = profit[runs, episode, t, col]
+    totals = _running_totals(rewards.reshape(len(envs), -1))
+    return [
+        float(total / (episodes * env.episode_days)) for total, env in zip(totals, envs)
+    ]
 
 
 def _exact_multiple(value: float, resolution: float) -> int | None:

@@ -380,6 +380,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _fmt_column(values: np.ndarray) -> list[str]:
+    """_fmt of every entry, formatting each distinct value once.
+
+    Values are told apart by their bits, so 0.0 and -0.0 keep their own text.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    text = np.array([_fmt(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    return text[index].tolist()
+
+
 def _write_rows(path: str, header: list[str], rows) -> None:
     with nn._replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -590,7 +601,7 @@ def save_traces(traces: TraceSet, dir_path: str) -> list[str]:
             log.slot.tolist(),
             log.charged.tolist(),
             log.discount_given.tolist(),
-            map(_fmt, log.discount_rate.tolist()),
+            _fmt_column(log.discount_rate),
         ),
     )
     paths.append(p)

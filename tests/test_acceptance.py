@@ -384,10 +384,12 @@ def test_scheduler_reaches_oracle_bar():
         (idle < bar, f"idling ({idle:.3f}) would already clear the bar ({bar:.3f})"),
     ]
     means = []
-    for seed in (0, 1, 2):
-        cfg = scheduler.PpoConfig(entropy_coef=0.005, episodes_train=500, episodes_test=10)
-        bundle = scheduler.PolicyBundle(env.state_dim, hidden=cfg.hidden, seed=seed)
-        bundle, curve = scheduler.train(env, bundle, cfg, seed=seed)
+    seeds = (0, 1, 2)
+    # the three seeds train as one lockstep population, each exactly as alone
+    cfg = scheduler.PpoConfig(entropy_coef=0.005, episodes_train=500, episodes_test=10)
+    bundles = [scheduler.PolicyBundle(env.state_dim, hidden=cfg.hidden, seed=s) for s in seeds]
+    curves = scheduler.train([env] * len(seeds), bundles, cfg, seeds)
+    for seed, curve in zip(seeds, curves):
         last50 = float(np.mean([total for _, total, _ in curve[-50:]]))
         means.append(last50)
         checks.append(
@@ -544,11 +546,13 @@ def test_full_stack_ordering_across_hubs(charging_bench):
         (it.station_id, it.slot_of_day): it.stratum for it in charging_bench.items
     }
     n = 49
-    checks = []
-    summary = []
+    seeds = (0, 1, 2)
+    methods = ("cfmtl",) + BASELINES
+    # all 2 hubs x 4 methods x 3 seeds train, then evaluate, as one lockstep
+    # population; each run computes exactly what it would alone
+    runs, envs = [], []
     for station in (0, 126):
-        per_seed = {}
-        for method in ("cfmtl",) + BASELINES:
+        for method in methods:
             decided = {
                 d.slot_of_day: d.give_discount
                 for d in decisions[method]
@@ -565,15 +569,22 @@ def test_full_stack_ordering_across_hubs(charging_bench):
                     srtp[t] = base_price * (1.0 - c)
                 occupancy[t] = stratum_response(stratum_of[(station, sod)], give)
             env = _alternating_tariff_env(srtp, occupancy)
-            for seed in (0, 1, 2):
-                cfg = scheduler.PpoConfig(
-                    entropy_coef=0.005, episodes_train=500, episodes_test=3
-                )
-                bundle = scheduler.PolicyBundle(env.state_dim, hidden=cfg.hidden, seed=seed)
-                bundle, _ = scheduler.train(env, bundle, cfg, seed=seed)
-                per_seed.setdefault(seed, {})[method] = scheduler.evaluate(
-                    env, bundle, 3, seed=1000 + seed
-                )
+            for seed in seeds:
+                runs.append((station, method, seed))
+                envs.append(env)
+    cfg = scheduler.PpoConfig(entropy_coef=0.005, episodes_train=500, episodes_test=3)
+    bundles = [
+        scheduler.PolicyBundle(env.state_dim, hidden=cfg.hidden, seed=seed)
+        for env, (_, _, seed) in zip(envs, runs)
+    ]
+    scheduler.train(envs, bundles, cfg, [seed for _, _, seed in runs])
+    scores = scheduler.evaluate(envs, bundles, 3, [1000 + seed for _, _, seed in runs])
+    score = {run: value for run, value in zip(runs, scores)}
+
+    checks = []
+    summary = []
+    for station in (0, 126):
+        per_seed = {seed: {m: score[station, m, seed] for m in methods} for seed in seeds}
         wins = sum(
             1
             for seed in (0, 1, 2)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from hubopt import cli, nn, pricing, traces
+from hubopt import cli, nn, pricing, scheduler, traces
 from hubopt.cli import (
     CURVE_HEADER,
     DRL_EVAL_HEADER,
@@ -99,6 +99,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown hub config keys"):
             run_config_from_dict({"hub": {"warp_drive": 1}})
 
+    def test_initial_soc_outside_the_battery_band(self):
+        with pytest.raises(ConfigError, match=r"initial soc 2.0 outside \[10.0, 45.0\]"):
+            run_config_from_dict({"ppo": {"initial_soc_kwh": 2.0}})
+        with pytest.raises(ConfigError, match=r"initial soc 45.5 outside"):
+            run_config_from_dict({"ppo": {"initial_soc_kwh": 45.5}})
+        # the band follows the configured battery
+        cfg = run_config_from_dict(
+            {"hub": {"battery": {"soc_min_kwh": 8.0}}, "ppo": {"initial_soc_kwh": 8.0}}
+        )
+        assert cfg.env.initial_soc_kwh == 8.0
+
     def test_config_snapshot_excludes_out_dir(self):
         cfg = run_config_from_dict({"out_dir": "someplace"})
         snap = cli.config_snapshot_dict(cfg)
@@ -168,6 +179,14 @@ class TestGenData:
         bad = dict(tiny_config(tmp_path / "never"), traces={"days": 0})
         config_path = write_config(tmp_path / "bad.yaml", bad)
         assert cli.main(["gen-data", "--config", config_path]) == 2
+        assert not (tmp_path / "never").exists()
+
+    def test_initial_soc_outside_the_band_writes_nothing(self, tmp_path, capsys):
+        bad = tiny_config(tmp_path / "never")
+        bad["ppo"]["initial_soc_kwh"] = 2.0
+        config_path = write_config(tmp_path / "bad.yaml", bad)
+        assert cli.main(["gen-data", "--config", config_path]) == 2
+        assert "initial soc 2.0 outside [10.0, 45.0]" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
 
 
@@ -355,6 +374,33 @@ class TestDrlStage:
             ("0", "ips"),
             ("0", "dr"),
         ]
+
+    def test_training_abort_exits_4_and_writes_no_checkpoint(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        run_dir = tmp_path / "abort"
+        config = tiny_config(run_dir)
+        config["ppo"]["episodes_train"] = 4
+        config_path = write_config(tmp_path / "c.yaml", config)
+        for sub in ("gen-data", "train-price"):
+            assert cli.main([sub, "--config", config_path]) == 0
+        real_update = scheduler.policy_update
+        trained = []
+
+        def update(bundle, *args, **kwargs):
+            # the third run of the population (hub 0, ips) never updates
+            if bundle not in trained:
+                trained.append(bundle)
+            if trained.index(bundle) == 2:
+                return False
+            return real_update(bundle, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "policy_update", update)
+        assert cli.main(["train-drl", "--config", config_path]) == cli.EXIT_TRAINING
+        err = capsys.readouterr().err
+        assert "hub 0 ips: run 2: 3 consecutive update failures at episode 2" in err
+        written = os.listdir(run_dir / "checkpoints") + os.listdir(run_dir / "results")
+        assert not [name for name in written if name.startswith(("drl_", "curve_"))]
 
     def test_missing_drl_checkpoint_exits_3(self, tmp_path):
         run_dir = tmp_path / "half"

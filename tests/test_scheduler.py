@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hubopt import hub, nn, scheduler
 from hubopt.scheduler import (
@@ -23,6 +25,7 @@ from hubopt.scheduler import (
     total_loss,
     train,
 )
+from hubopt.seeding import spawn_rng, spawn_seed
 from hubopt.traces import TraceSet, gen_rtp, gen_traffic, gen_weather
 
 from fdcheck import assert_grads_close, central_diff_grads
@@ -487,11 +490,87 @@ def short_cfg(**kw):
     return PpoConfig(**kw)
 
 
+# -- the per-run, per-slot loops that the lockstep ones replaced, kept as the
+# reference they must equal bit for bit
+
+def reference_rollout(env, bundle, rng, reset_seed):
+    state = env.reset(seed=reset_seed)
+    states, actions, log_probs, rewards, values = [], [], [], [], []
+    total = 0.0
+    done = False
+    while not done:
+        vec = state_vector(state, env.stats)
+        probs, vals, _ = bundle.forward(vec)
+        p = probs[0]
+        action = int(rng.choice(scheduler.N_ACTIONS, p=p / p.sum()))
+        state, reward, done = env.step(action)
+        states.append(vec)
+        actions.append(action)
+        log_probs.append(float(np.log(max(p[action], 1e-300))))
+        rewards.append(reward)
+        values.append(float(vals[0]))
+        total += reward
+    return (
+        np.stack(states),
+        np.array(actions, dtype=np.int64),
+        np.array(log_probs),
+        np.array(rewards),
+        np.array(values),
+        total,
+    )
+
+
+def reference_train(env, bundle, cfg, seed):
+    optimizer = nn.Adam(bundle.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    curve = []
+    failures = 0
+    for episode in range(cfg.episodes_train):
+        states, actions, old_log_probs, rewards, values, total = reference_rollout(
+            env,
+            bundle,
+            spawn_rng(seed, "actions", episode),
+            reset_seed=spawn_seed(seed, "reset", episode),
+        )
+        advantages, targets = compute_advantages(rewards, values, cfg.gamma, cfg.lam)
+        ok = policy_update(
+            bundle,
+            optimizer,
+            states,
+            actions,
+            old_log_probs,
+            advantages,
+            targets,
+            cfg,
+            rng=spawn_rng(seed, "minibatch", episode),
+        )
+        failures = 0 if ok else failures + 1
+        if failures >= 3:
+            raise TrainingAbort(f"3 consecutive update failures at episode {episode}")
+        curve.append((episode, total, total / env.episode_days))
+    return curve
+
+
+def reference_evaluate(env, bundle, episodes, seed, policy=None):
+    """Greedy episode-major running total; policy(state) overrides the bundle."""
+    total = 0.0
+    for episode in range(episodes):
+        state = env.reset(seed=spawn_seed(seed, "eval", episode))
+        done = False
+        while not done:
+            if policy is None:
+                action = bundle.greedy(state_vector(state, env.stats))
+            else:
+                action = policy(state)
+            state, reward, done = env.step(action)
+            total += reward
+    return total / (episodes * env.episode_days)
+
+
 class TestTrain:
     def test_curve_shape_and_daily_mean(self):
         env = make_env(episode_days=1, window=4)
         bundle = PolicyBundle(env.state_dim, hidden=(16, 16), seed=0)
-        _, curve = train(env, bundle, short_cfg(), seed=1)
+        (curve,) = train([env], [bundle], short_cfg(), [1])
         assert len(curve) == 4
         for i, (episode, total, daily) in enumerate(curve):
             assert episode == i
@@ -502,8 +581,7 @@ class TestTrain:
         for _ in range(2):
             env = make_env(episode_days=1, window=4)
             bundle = PolicyBundle(env.state_dim, hidden=(16, 16), seed=0)
-            _, curve = train(env, bundle, short_cfg(), seed=5)
-            curves.append(curve)
+            curves.append(train([env], [bundle], short_cfg(), [5]))
         assert curves[0] == curves[1]
 
     def test_abort_after_three_failures(self, monkeypatch):
@@ -511,7 +589,41 @@ class TestTrain:
         bundle = PolicyBundle(env.state_dim, hidden=(16, 16), seed=0)
         monkeypatch.setattr(scheduler, "policy_update", lambda *a, **k: False)
         with pytest.raises(TrainingAbort, match="3 consecutive"):
-            train(env, bundle, short_cfg(episodes_train=10), seed=2)
+            train([env], [bundle], short_cfg(episodes_train=10), [2])
+
+    def test_abort_names_the_failing_run_and_episode(self, monkeypatch):
+        env = make_env(episode_days=1, window=4)
+        bundles = [PolicyBundle(env.state_dim, hidden=(16, 16), seed=s) for s in range(3)]
+        real_update = scheduler.policy_update
+        calls = []
+
+        def update(bundle, *args, **kwargs):
+            calls.append(bundle)
+            if bundle is bundles[1]:
+                return False
+            return real_update(bundle, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "policy_update", update)
+        with pytest.raises(TrainingAbort, match="run 1: 3 consecutive .* at episode 2") as info:
+            train([env] * 3, bundles, short_cfg(episodes_train=10), [0, 1, 2])
+        assert info.value.run == 1
+        # the population stops at the third failure, before run 2's third update
+        assert calls == bundles * 2 + bundles[:2]
+
+    def test_rejects_mismatched_populations(self):
+        env = make_env(episode_days=1, window=4)
+        other = make_env(episode_days=1, window=2)
+        bundle = PolicyBundle(env.state_dim, hidden=(16, 16), seed=0)
+        with pytest.raises(ValueError, match="one env, bundle and seed per run"):
+            train([env, env], [bundle], short_cfg(), [0, 1])
+        with pytest.raises(ValueError, match="run 1 differs"):
+            train([env, other], [bundle, bundle], short_cfg(), [0, 1])
+        small = PolicyBundle(env.state_dim, hidden=(8,), seed=0)
+        with pytest.raises(ValueError, match="run 1 differs"):
+            train([env, env], [bundle, small], short_cfg(), [0, 1])
+        bigger = make_env(episode_days=1, window=4, battery=hub.BatterySpec(capacity_kwh=60.0))
+        with pytest.raises(ValueError, match="run 1 differs"):
+            evaluate([env, bigger], [bundle, bundle], 1, [0, 1])
 
 
 def force_action(bundle, action):
@@ -526,40 +638,157 @@ class TestEvaluate:
     def test_matches_manual_greedy_rollouts(self):
         env = make_env(episode_days=1, window=4)
         bundle = PolicyBundle(env.state_dim, hidden=(16,), seed=1)
-        got = evaluate(env, bundle, episodes=3, seed=9)
-        total = 0.0
-        from hubopt.seeding import spawn_seed
-
-        for episode in range(3):
-            state = env.reset(seed=spawn_seed(9, "eval", episode))
-            done = False
-            while not done:
-                action = bundle.greedy(state_vector(state, env.stats))
-                state, reward, done = env.step(action)
-                total += reward
-        assert got == pytest.approx(total / 3)
+        (got,) = evaluate([env], [bundle], episodes=3, seeds=[9])
+        assert got.hex() == reference_evaluate(env, bundle, 3, 9).hex()
 
     def test_forced_idle_policy_matches_idle_profit(self):
         env = make_env(episode_days=1, window=4, initial_soc_kwh=20.0)
         bundle = PolicyBundle(env.state_dim, hidden=(16,), seed=2)
         force_action(bundle, ACT_IDLE)
-        got = evaluate(env, bundle, episodes=2, seed=4)
-        total = 0.0
-        from hubopt.seeding import spawn_seed
+        (got,) = evaluate([env], [bundle], episodes=2, seeds=[4])
+        expected = reference_evaluate(env, bundle, 2, 4, policy=lambda state: ACT_IDLE)
+        assert got.hex() == expected.hex()
 
-        for episode in range(2):
-            env.reset(seed=spawn_seed(4, "eval", episode))
-            done = False
-            while not done:
-                _, reward, done = env.step(ACT_IDLE)
-                total += reward
-        assert got == pytest.approx(total / 2)
+    def test_population_matches_runs_one_by_one(self):
+        # shared env objects, different eval seeds, free and fixed initial soc
+        a = make_env(episode_days=1, window=4)
+        b = make_env(episode_days=1, window=4, seed=3, initial_soc_kwh=44.0, wt_capacity_kw=3.0)
+        envs = [a, b, a, b, a]
+        bundles = [PolicyBundle(a.state_dim, hidden=(16, 8), seed=s) for s in range(5)]
+        seeds = [9, 9, 10, 11, 12]
+        got = evaluate(envs, bundles, episodes=3, seeds=seeds)
+        expected = [reference_evaluate(*run, 3, seed) for *run, seed in zip(envs, bundles, seeds)]
+        assert [g.hex() for g in got] == [e.hex() for e in expected]
 
     def test_requires_positive_episodes(self):
         env = make_env()
         bundle = PolicyBundle(env.state_dim, hidden=(8,), seed=0)
         with pytest.raises(ValueError):
-            evaluate(env, bundle, episodes=0)
+            evaluate([env], [bundle], episodes=0, seeds=[0])
+
+
+class TestLockstep:
+    def test_stacked_forward_rows_equal_batch_one_forwards(self):
+        bundles = [PolicyBundle(13, hidden=(32, 16), seed=s) for s in range(4)]
+        states = np.random.default_rng(0).normal(size=(4, 7, 13))
+        probs, values = scheduler._PolicyStack(bundles).forward(states)
+        for k, bundle in enumerate(bundles):
+            for m in range(7):
+                p, v, _ = bundle.forward(states[k, m])
+                assert probs[k, m].tobytes() == p[0].tobytes()
+                assert values[k, m].tobytes() == v[0].tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        logits=st.lists(
+            st.floats(-40.0, 40.0, allow_nan=False, allow_infinity=False), min_size=3, max_size=3
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sampling_matches_generator_choice(self, logits, seed):
+        probs = nn.act_forward("softmax", np.array([logits]))
+        p = probs[0]
+        choice_rng, block_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = [int(choice_rng.choice(3, p=p / p.sum())) for _ in range(5)]
+        got = scheduler.sample_actions(np.repeat(probs, 5, axis=0), block_rng.random(5))
+        assert got.tolist() == expected
+        # both streams stand at the same point afterwards
+        assert choice_rng.random() == block_rng.random()
+
+    def test_sampling_rejects_non_finite_probabilities(self):
+        with pytest.raises(ValueError):
+            scheduler.sample_actions(np.array([[np.nan, 0.5, 0.5]]), np.array([0.3]))
+
+    def test_soc_rule_equals_scalar_fallback_and_soc_step(self):
+        cfg = hub.HubConfig()
+        spec, dt = cfg.battery, cfg.slot_hours
+        up = spec.eta_charge * spec.r_charge_kw * dt
+        down = spec.r_discharge_kw * dt
+        # the soc bounds, the last socs that may charge or discharge, their
+        # float neighbours, and values in between
+        edges = [spec.soc_min_kwh, spec.soc_max_kwh, spec.soc_max_kwh - up, spec.soc_min_kwh + down]
+        socs = sorted(
+            {x for e in edges for x in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))}
+            | set(np.linspace(spec.soc_min_kwh, spec.soc_max_kwh, 9).tolist())
+        )
+        socs = [s for s in socs if spec.soc_min_kwh <= s <= spec.soc_max_kwh]
+        grid = np.array([(s, a) for s in socs for a in (ACT_CHARGE, ACT_DISCHARGE, ACT_IDLE)])
+        soc, actions = grid[:, 0], grid[:, 1].astype(np.int64)
+        cols, after = scheduler._settle(cfg, soc, actions)
+        to_hub = {ACT_CHARGE: hub.CHARGE, ACT_DISCHARGE: hub.DISCHARGE, ACT_IDLE: hub.IDLE}
+        for s, a, col, next_soc in zip(soc.tolist(), actions.tolist(), cols, after.tolist()):
+            state = hub.BatteryState(s)
+            taken = to_hub[a]
+            if taken not in hub.feasible_actions(state, spec, dt):
+                taken = hub.IDLE
+            assert hub.ACTIONS[col] == taken, (s, a)
+            assert next_soc.hex() == hub.soc_step(state, spec, taken, dt).soc_kwh.hex(), (s, a)
+        # at each boundary both outcomes occur
+        assert {hub.ACTIONS[c] for c, a in zip(cols, actions) if a == ACT_CHARGE} == {
+            hub.CHARGE,
+            hub.IDLE,
+        }
+        assert {hub.ACTIONS[c] for c, a in zip(cols, actions) if a == ACT_DISCHARGE} == {
+            hub.DISCHARGE,
+            hub.IDLE,
+        }
+
+    def test_rollout_equals_reference_rollouts(self):
+        envs = [make_env(window=3), make_env(window=3, seed=4, initial_soc_kwh=45.0)]
+        envs.append(envs[0])
+        bundles = [PolicyBundle(envs[0].state_dim, hidden=(8,), seed=s) for s in range(3)]
+        got = scheduler.rollout(
+            envs, bundles, [np.random.default_rng(s) for s in range(3)], [7, 8, 7]
+        )
+        assert len(got[0]) == 3
+        for k, (env, bundle) in enumerate(zip(envs, bundles)):
+            ref = reference_rollout(env, bundle, np.random.default_rng(k), [7, 8, 7][k])
+            assert got[0][k].tobytes() == ref[0].tobytes()
+            for name, mine, theirs in zip(
+                ("actions", "log_probs", "rewards", "values"), got[1:5], ref[1:5]
+            ):
+                assert mine[k].tobytes() == theirs.tobytes(), name
+            assert got[5][k].hex() == ref[5].hex()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_runs=st.integers(1, 5),
+        window=st.sampled_from([0, 3]),
+        initial_soc_kwh=st.sampled_from([None, 10.0, 27.5]),
+        shared=st.booleans(),
+        seed=st.integers(0, 1000),
+    )
+    def test_train_population_equals_sequential_runs(
+        self, n_runs, window, initial_soc_kwh, shared, seed
+    ):
+        cfg = PpoConfig(episodes_train=3, epochs=1, minibatch=8, hidden=(8,), entropy_coef=0.01)
+
+        def envs():
+            if shared:
+                env = make_env(n_days=3, window=window, initial_soc_kwh=initial_soc_kwh)
+                return [env] * n_runs
+            return [
+                make_env(n_days=3, window=window, seed=k, initial_soc_kwh=initial_soc_kwh)
+                for k in range(n_runs)
+            ]
+
+        def bundles(population):
+            return [
+                PolicyBundle(env.state_dim, hidden=cfg.hidden, seed=seed + k)
+                for k, env in enumerate(population)
+            ]
+
+        seeds = [seed + 100 * k for k in range(n_runs)]
+        population = envs()
+        trained = bundles(population)
+        curves = train(population, trained, cfg, seeds)
+        alone = envs()
+        for k, (env, bundle) in enumerate(zip(alone, bundles(alone))):
+            expected = reference_train(env, bundle, cfg, seeds[k])
+            assert [(e, t.hex(), d.hex()) for e, t, d in curves[k]] == [
+                (e, t.hex(), d.hex()) for e, t, d in expected
+            ]
+            assert trained[k].flat.tobytes() == bundle.flat.tobytes()
 
 
 def flat_inputs(n, rtp, load=1.0, srtp=0.0, cs=0, wt=0.0, pv=0.0):

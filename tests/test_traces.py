@@ -220,6 +220,29 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.load_rate, ts.load_rate)
         assert back.charging == ts.charging
 
+    def test_charging_csv_keeps_the_per_value_format(self, tmp_path):
+        ts = self.build_traces()
+        log = ts.charging
+        rate = log.discount_rate.copy()
+        rate[:4] = [0.0, -0.0, 0.1 + 0.2, 1e-300]
+        ts.charging = ChargingLog(
+            log.station_id, log.slot, log.charged, log.discount_given, rate
+        )
+        save_traces(ts, str(tmp_path))
+        # the reference: every value through _fmt on its own
+        lines = ["station_id,slot,charged,discount_given,discount_rate"] + [
+            f"{s},{t},{c},{g},{traces._fmt(r)}"
+            for s, t, c, g, r in zip(
+                log.station_id.tolist(),
+                log.slot.tolist(),
+                log.charged.tolist(),
+                log.discount_given.tolist(),
+                rate.tolist(),
+            )
+        ]
+        with open(tmp_path / "charging.csv", "rb") as fh:
+            assert fh.read() == ("\n".join(lines) + "\n").encode("utf-8")
+
     def test_strata_round_trip(self, tmp_path):
         items, _ = gen_charging_population(9, 4, 24, (0.3, 0.2, 0.5))
         path = str(tmp_path / "strata.csv")
