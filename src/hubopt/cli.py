@@ -109,6 +109,10 @@ class RunConfig:
     ppo: scheduler.PpoConfig = dataclasses.field(default_factory=scheduler.PpoConfig)
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2**32:
+            raise hub.ConfigError(f"seed must be in [0, 2**32), got {self.seed}")
+        if not self.out_dir:
+            raise hub.ConfigError(f"out_dir must be a nonempty string, got {self.out_dir!r}")
         if not 0.0 < self.discount < 1.0:
             raise hub.ConfigError(
                 f"pricing.discount must be in (0, 1), got {self.discount}"
@@ -130,104 +134,38 @@ class RunConfig:
             )
 
 
-_TOP_KEYS = {"seed", "out_dir", "n_hubs", "hub", "traces", "pricing", "ppo"}
-_TRACE_KEYS = {f.name for f in dataclasses.fields(TraceGenConfig)}
-# PricingConfig's n_stations, slots_per_day and seed come from elsewhere in
-# the run config; discount and base_sell_price are RunConfig fields
-_PRICING_KEYS = {
-    "embed_dim",
-    "hidden",
-    "lr",
-    "weight_decay",
-    "batch_size",
-    "epochs",
-    "discount",
-    "base_sell_price",
-}
-_ENV_KEYS = {f.name for f in dataclasses.fields(scheduler.EnvConfig)}
-_PPO_KEYS = {f.name for f in dataclasses.fields(scheduler.PpoConfig)}
-
-
-def _section(raw: dict, name: str, allowed: set[str]) -> dict:
-    sub = raw.get(name, {})
-    if sub is None:
-        sub = {}
-    if not isinstance(sub, dict):
-        raise hub.ConfigError(f"config section {name!r} must be a mapping")
-    unknown = set(sub) - allowed
-    if unknown:
-        raise hub.ConfigError(f"unknown {name} config keys: {sorted(unknown)}")
-    return dict(sub)
-
-
 def run_config_from_dict(raw: dict) -> RunConfig:
-    """Build the full run configuration, rejecting unknown keys everywhere.
+    """Build the full run configuration, rejecting unknown keys and mistyped
+    values everywhere.
 
     There is one seed; the per-module seeds are derived from it, so a config
-    cannot partially pin randomness.
+    cannot partially pin randomness. The YAML layout follows RunConfig but for
+    two sections: pricing also carries RunConfig's discount and
+    base_sell_price, and ppo also carries the EnvConfig fields.
     """
-    if not isinstance(raw, dict):
-        raise hub.ConfigError(f"run config must be a mapping, got {type(raw).__name__}")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise hub.ConfigError(f"unknown run config keys: {sorted(unknown)}")
-
-    hub_cfg = hub.hub_config_from_dict(raw.get("hub", {}) or {})
-
-    trace_raw = _section(raw, "traces", _TRACE_KEYS)
-    if "strata_priors" in trace_raw:
-        priors = trace_raw["strata_priors"]
-        if not isinstance(priors, (list, tuple)) or len(priors) != 3:
-            raise hub.ConfigError(
-                f"traces.strata_priors must be a 3-entry list, got {priors!r}"
-            )
-        trace_raw["strata_priors"] = tuple(float(p) for p in priors)
-    try:
-        trace_cfg = TraceGenConfig(**trace_raw)
-    except (TypeError, ValueError) as exc:
-        raise hub.ConfigError(f"bad traces section: {exc}") from exc
-
-    pricing_raw = _section(raw, "pricing", _PRICING_KEYS)
-    discount = float(pricing_raw.pop("discount", 0.3))
-    base_sell = float(pricing_raw.pop("base_sell_price", 0.25))
-    if "hidden" in pricing_raw:
-        pricing_raw["hidden"] = tuple(int(h) for h in pricing_raw["hidden"])
-    try:
-        pricing_cfg = pricing.PricingConfig(slots_per_day=SLOTS_PER_DAY, **pricing_raw)
-    except (TypeError, ValueError) as exc:
-        raise hub.ConfigError(f"bad pricing section: {exc}") from exc
-
-    ppo_raw = _section(raw, "ppo", _ENV_KEYS | _PPO_KEYS)
-    env_raw = {k: ppo_raw.pop(k) for k in list(ppo_raw) if k in _ENV_KEYS}
-    if "hidden" in ppo_raw:
-        ppo_raw["hidden"] = tuple(int(h) for h in ppo_raw["hidden"])
-    try:
-        env_cfg = scheduler.EnvConfig(**env_raw)
-        ppo_cfg = scheduler.PpoConfig(**ppo_raw)
-    except (TypeError, ValueError) as exc:
-        raise hub.ConfigError(f"bad ppo section: {exc}") from exc
-
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise hub.ConfigError(f"seed must be an integer, got {seed!r}")
-    n_hubs = raw.get("n_hubs", 1)
-    if not isinstance(n_hubs, int) or isinstance(n_hubs, bool):
-        raise hub.ConfigError(f"n_hubs must be an integer, got {n_hubs!r}")
-    out_dir = raw.get("out_dir", "run")
-    if not isinstance(out_dir, str) or not out_dir:
-        raise hub.ConfigError(f"out_dir must be a nonempty string, got {out_dir!r}")
-
-    return RunConfig(
-        seed=seed,
-        out_dir=out_dir,
-        n_hubs=n_hubs,
+    top = hub.config_mapping(raw, "run")
+    hub_cfg = hub.hub_config_from_dict(top.pop("hub", None))
+    pricing_raw = hub.config_mapping(top.pop("pricing", None), "pricing")
+    ppo_raw = hub.config_mapping(top.pop("ppo", None), "ppo")
+    sell = {k: pricing_raw.pop(k) for k in ("discount", "base_sell_price") if k in pricing_raw}
+    env_keys = [f.name for f in dataclasses.fields(scheduler.EnvConfig)]
+    env_raw = {k: ppo_raw.pop(k) for k in env_keys if k in ppo_raw}
+    return hub.config_from_dict(
+        RunConfig,
+        top,
+        "run",
+        skip=("discount", "base_sell_price"),
         hub=hub_cfg,
-        traces=trace_cfg,
-        pricing=pricing_cfg,
-        discount=discount,
-        base_sell_price=base_sell,
-        env=env_cfg,
-        ppo=ppo_cfg,
+        pricing=hub.config_from_dict(
+            pricing.PricingConfig,
+            pricing_raw,
+            "pricing",
+            skip=("n_stations", "seed"),
+            slots_per_day=SLOTS_PER_DAY,
+        ),
+        env=hub.config_from_dict(scheduler.EnvConfig, env_raw, "ppo"),
+        ppo=hub.config_from_dict(scheduler.PpoConfig, ppo_raw, "ppo"),
+        **sell,
     )
 
 

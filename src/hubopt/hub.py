@@ -8,7 +8,8 @@ values. Power in kW, energy in kWh, prices in currency per kWh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
@@ -289,45 +290,64 @@ def profit_table(cfg: HubConfig, load_rate, occupancy, p_wt_kw, p_pv_kw, rtp, sr
 
 # -- configuration ------------------------------------------------------------
 
-_HUB_KEYS = {f.name for f in fields(HubConfig)}
-_BATTERY_KEYS = {f.name for f in fields(BatterySpec)}
+_KINDS = {int: "an integer", float: "a number", str: "a string"}
+
+
+def config_mapping(raw, section: str) -> dict:
+    """A copy of one section of a run config; an absent or empty section is {}."""
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{section} config must be a mapping, got {type(raw).__name__}")
+    return dict(raw)
+
+
+def _typed(hint, value, key: str):
+    """What a field of type hint stores for value, or ConfigError naming key."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return None if value is None else _typed(args[0], value, key)
+    if is_dataclass(hint):
+        return value if isinstance(value, hint) else config_from_dict(hint, value, key)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        kinds = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(value) != len(kinds):
+            raise ConfigError(f"{key} must have {len(kinds)} entries, got {value!r}")
+        return tuple(_typed(k, v, f"{key}[{i}]") for i, (k, v) in enumerate(zip(kinds, value)))
+    if hint is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if not isinstance(value, hint) or isinstance(value, bool):
+        raise ConfigError(f"{key} must be {_KINDS[hint]}, got {value!r}")
+    return value
+
+
+def config_from_dict(cls, raw, section: str, skip=(), **given):
+    """Build the config dataclass cls from raw, one section of a run config.
+
+    raw may set any field of cls but those in skip or given; given holds the
+    fields the caller read elsewhere. Every value is checked against its
+    field's type hint: int takes an int but not a bool, float takes an int or
+    a float and stores a float, a tuple takes a list of its length, X | None
+    also takes None, and a nested config dataclass takes a mapping. An error
+    from cls's own checks becomes a ConfigError naming the section.
+    """
+    raw = config_mapping(raw, section)
+    hints = typing.get_type_hints(cls)
+    unknown = [k for k in raw if k not in hints or k in skip or k in given]
+    if unknown:
+        raise ConfigError(f"unknown {section} config keys: {sorted(unknown, key=str)}")
+    values = {key: _typed(hints[key], val, key) for key, val in {**raw, **given}.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{exc} (in the {section} section)") from exc
 
 
 def hub_config_from_dict(raw: dict) -> HubConfig:
-    """Build and validate a HubConfig from a parsed mapping.
-
-    Unknown keys are rejected (typo safety) and the battery reserve floor is
-    enforced: soc_min must cover base-station load for t_recovery_slots.
-    """
-    if not isinstance(raw, dict):
-        raise ConfigError(f"hub config must be a mapping, got {type(raw).__name__}")
-    unknown = set(raw) - _HUB_KEYS
-    if unknown:
-        raise ConfigError(f"unknown hub config keys: {sorted(unknown)}")
-    hub_raw = dict(raw)
-    battery_raw = hub_raw.pop("battery", {})
-    if not isinstance(battery_raw, dict):
-        raise ConfigError("battery section must be a mapping")
-    unknown = set(battery_raw) - _BATTERY_KEYS
-    if unknown:
-        raise ConfigError(f"unknown battery config keys: {sorted(unknown)}")
-    for key, val in list(hub_raw.items()) + list(battery_raw.items()):
-        if key == "t_recovery_slots":
-            if not isinstance(val, int) or isinstance(val, bool):
-                raise ConfigError(f"{key} must be an integer, got {val!r}")
-        elif not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ConfigError(f"{key} must be a number, got {val!r}")
-    try:
-        battery = BatterySpec(**{k: float(v) for k, v in battery_raw.items()})
-        cfg = HubConfig(
-            battery=battery,
-            **{
-                k: (int(v) if k == "t_recovery_slots" else float(v))
-                for k, v in hub_raw.items()
-            },
-        )
-    except TypeError as exc:  # pragma: no cover - guarded by key checks above
-        raise ConfigError(str(exc)) from exc
+    """The hub section of a run config; soc_min must also cover the reserve floor."""
+    cfg = config_from_dict(HubConfig, raw, "hub")
     floor = reserve_floor(cfg)
     if cfg.battery.soc_min_kwh < floor:
         raise ConfigError(

@@ -93,6 +93,20 @@ class PricingConfig:
     epochs: int = 8
     seed: int = 0
 
+    def __post_init__(self):
+        if self.embed_dim < 1:
+            raise ValueError(f"embed_dim must be at least 1, got {self.embed_dim}")
+        if not self.hidden or min(self.hidden) < 1:
+            raise ValueError(f"hidden must list one or more layer sizes >= 1, got {self.hidden}")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
+
 
 def observations_from_records(log: ChargingLog, slots_per_day: int = 24) -> Observations:
     """The pricing view of a charging log; the log has checked its flags."""

@@ -248,8 +248,12 @@ class PpoConfig:
             raise ValueError("epochs and minibatch must be at least 1")
         if self.episodes_train < 0 or self.episodes_test < 0:
             raise ValueError("episode counts must be nonnegative")
-        if not self.hidden:
-            raise ValueError("policy needs at least one hidden layer")
+        if not self.hidden or min(self.hidden) < 1:
+            raise ValueError(f"hidden must list one or more layer sizes >= 1, got {self.hidden}")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
 
 
 class TrainingAbort(RuntimeError):
@@ -529,10 +533,15 @@ def _check_population(envs, bundles, seeds) -> None:
         return env.episode_slots, env.window, cfg.battery, cfg.slot_hours, bundle.hidden
 
     for k, (env, bundle) in enumerate(zip(envs, bundles)):
-        if shape(env, bundle) != shape(envs[0], bundles[0]) or bundle.state_dim != env.state_dim:
+        if shape(env, bundle) != shape(envs[0], bundles[0]):
             raise ValueError(
                 f"run {k} differs from run 0 in episode length, window, battery, "
                 "slot length or policy shape"
+            )
+        if bundle.state_dim != env.state_dim:
+            raise ValueError(
+                f"run {k}: policy takes {bundle.state_dim} state features "
+                f"but its env gives {env.state_dim}"
             )
 
 

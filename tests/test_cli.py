@@ -1,13 +1,15 @@
 import collections
 import json
 import os
+import re
 import shutil
+import typing
 
 import numpy as np
 import pytest
 import yaml
 
-from hubopt import cli, nn, pricing, scheduler, traces
+from hubopt import cli, hub, nn, pricing, scheduler, traces
 from hubopt.cli import (
     CURVE_HEADER,
     DRL_EVAL_HEADER,
@@ -95,6 +97,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="seed"):
             run_config_from_dict({"seed": "abc"})
 
+    @pytest.mark.parametrize("seed", [-5, 2**32])
+    def test_seed_outside_32_bits(self, seed):
+        with pytest.raises(ConfigError, match=re.escape(f"seed must be in [0, 2**32), got {seed}")):
+            run_config_from_dict({"seed": seed})
+        assert run_config_from_dict({"seed": 2**32 - 1}).seed == 2**32 - 1
+
     def test_hub_section_validated(self):
         with pytest.raises(ConfigError, match="unknown hub config keys"):
             run_config_from_dict({"hub": {"warp_drive": 1}})
@@ -115,6 +123,95 @@ class TestConfigParsing:
         snap = cli.config_snapshot_dict(cfg)
         assert "out_dir" not in snap
         assert snap["seed"] == 0
+
+
+def yaml_fields():
+    """(section path, key, type hint) of every key a run config file can set."""
+    hints = typing.get_type_hints
+    run = hints(RunConfig)
+    out = [((), k, run[k]) for k in ("seed", "out_dir", "n_hubs")]
+    out += [(("pricing",), k, run[k]) for k in ("discount", "base_sell_price")]
+    for path, cls, not_settable in (
+        (("hub",), hub.HubConfig, {"battery"}),
+        (("hub", "battery"), hub.BatterySpec, set()),
+        (("traces",), cli.TraceGenConfig, set()),
+        (("pricing",), pricing.PricingConfig, {"n_stations", "slots_per_day", "seed"}),
+        (("ppo",), scheduler.EnvConfig, set()),
+        (("ppo",), scheduler.PpoConfig, set()),
+    ):
+        out += [(path, k, h) for k, h in hints(cls).items() if k not in not_settable]
+    return out
+
+
+def mistyped(hint) -> list:
+    """Values of the wrong type or shape for a field of type hint."""
+    if type(None) in typing.get_args(hint):
+        hint = typing.get_args(hint)[0]
+    if typing.get_origin(hint) is tuple:
+        kinds = typing.get_args(hint)
+        if kinds[-1] is Ellipsis:
+            return [8, ["8"], [2.5], [True]]
+        good = [0.5] * len(kinds)
+        return [0.5, good[:-1], ["0.5"] + good[1:], [True] + good[1:]]
+    return {int: ["7", 2.5, True], float: ["1e-3", True], str: [3]}[hint]
+
+
+MISTYPED = [
+    (path, key, bad) for path, key, hint in yaml_fields() for bad in mistyped(hint)
+]
+
+
+class TestMistypedValues:
+    """Every settable key refuses a value of the wrong type, naming the key."""
+
+    def test_walk_covers_every_section(self):
+        assert {path for path, _, _ in MISTYPED} == {
+            (), ("hub",), ("hub", "battery"), ("traces",), ("pricing",), ("ppo",)
+        }
+        assert ((), "seed", "7") in MISTYPED
+        assert (("traces",), "strata_priors", [0.5, 0.5]) in MISTYPED
+        assert (("ppo",), "initial_soc_kwh", "1e-3") in MISTYPED
+
+    @pytest.mark.parametrize(
+        "path,key,bad",
+        MISTYPED,
+        ids=[".".join(path + (key,)) + f"={bad!r}" for path, key, bad in MISTYPED],
+    )
+    def test_rejected_naming_the_key(self, path, key, bad):
+        raw = {}
+        node = raw
+        for name in path:
+            node = node.setdefault(name, {})
+        node[key] = bad
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}(\[\d+\])? must "):
+            run_config_from_dict(raw)
+
+    def test_ints_become_floats_where_a_number_is_wanted(self):
+        cfg = run_config_from_dict(
+            {"hub": {"c_bp": 0}, "ppo": {"lr": 1, "initial_soc_kwh": 20}}
+        )
+        assert type(cfg.hub.c_bp) is float
+        assert type(cfg.ppo.lr) is float
+        assert type(cfg.env.initial_soc_kwh) is float
+
+    def test_sections_must_be_mappings(self):
+        for raw, section in (
+            ([1], "run"),
+            ({"traces": 3}, "traces"),
+            ({"pricing": [1]}, "pricing"),
+            ({"ppo": "x"}, "ppo"),
+            ({"hub": {"battery": 50.0}}, "battery"),
+        ):
+            with pytest.raises(ConfigError, match=f"^{section} config must be a mapping"):
+                run_config_from_dict(raw)
+
+    def test_constructor_errors_name_the_section(self):
+        with pytest.raises(ConfigError, match=r"batch_size .* \(in the pricing section\)"):
+            run_config_from_dict({"pricing": {"batch_size": 0}})
+        with pytest.raises(ConfigError, match=r"episode_days .* \(in the ppo section\)"):
+            run_config_from_dict({"ppo": {"episode_days": 0}})
+        with pytest.raises(ConfigError, match=r"eta_charge .* \(in the battery section\)"):
+            run_config_from_dict({"hub": {"battery": {"eta_charge": 1.5}}})
 
 
 class TestOutDirResolution:
@@ -188,6 +285,46 @@ class TestGenData:
         assert cli.main(["gen-data", "--config", config_path]) == 2
         assert "initial soc 2.0 outside [10.0, 45.0]" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize(
+        "section,key,bad",
+        [
+            (None, "n_hubs", 1.5),
+            (None, "seed", 2**32),
+            (None, "seed", -5),
+            ("hub", "t_recovery_slots", 2.5),
+            ("traces", "n_items", 3.5),
+            ("pricing", "epochs", 2.5),
+            ("pricing", "batch_size", "64"),
+            ("pricing", "hidden", ["8"]),
+            ("pricing", "batch_size", 0),
+            ("pricing", "epochs", -1),
+            ("ppo", "epochs", 2.5),
+            ("ppo", "episode_days", 1.5),
+            ("ppo", "window", 2.5),
+            ("ppo", "minibatch", True),
+            ("ppo", "lr", -0.1),
+            ("ppo", "weight_decay", -1.0),
+            ("ppo", "hidden", [0]),
+        ],
+    )
+    def test_bad_value_exits_2_before_any_write(self, tmp_path, capsys, section, key, bad):
+        cfg = tiny_config(tmp_path / "never")
+        (cfg if section is None else cfg.setdefault(section, {}))[key] = bad
+        config_path = write_config(tmp_path / "bad.yaml", cfg)
+        assert cli.main(["gen-data", "--config", config_path]) == cli.EXIT_CONFIG
+        assert f"config error: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+    def test_exponent_without_a_point_is_a_yaml_string(self, tmp_path, capsys):
+        # PyYAML reads 1e-3 as the string '1e-3'; 1.0e-3 is the number
+        config_path = tmp_path / "bad.yaml"
+        config_path.write_text(f"out_dir: {tmp_path / 'never'}\nppo:\n  lr: 1e-3\n")
+        assert cli.main(["gen-data", "--config", str(config_path)]) == cli.EXIT_CONFIG
+        assert "config error: lr must be a number, got '1e-3'" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+        config_path.write_text("ppo:\n  lr: 1.0e-3\n")
+        assert cli.load_run_config(str(config_path)).ppo.lr == 0.001
 
 
 class TestPricingStage:
@@ -542,3 +679,9 @@ class TestSeedOverride:
         a = open(tmp_path / "a" / "data" / "charging.csv", "rb").read()
         b = open(tmp_path / "b" / "data" / "charging.csv", "rb").read()
         assert a != b
+
+    def test_seed_flag_outside_32_bits_exits_2(self, tmp_path, capsys):
+        config_path = write_config(tmp_path / "c.yaml", tiny_config(tmp_path / "never"))
+        assert cli.main(["gen-data", "--config", config_path, "--seed", "-1"]) == 2
+        assert "config error: seed must be in [0, 2**32), got -1" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()

@@ -217,6 +217,27 @@ class TestTraining:
         assert np.mean(pred == truth) > 0.7
 
 
+class TestPricingConfig:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("embed_dim", 0),
+            ("hidden", ()),
+            ("hidden", (8, 0)),
+            ("lr", 0.0),
+            ("weight_decay", -1e-4),
+            ("batch_size", 0),
+            ("epochs", -1),
+        ],
+    )
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            PricingConfig(**{field: value})
+
+    def test_zero_epochs_allowed(self):
+        assert PricingConfig(epochs=0).epochs == 0
+
+
 class TestDiscountPolicy:
     def test_argmax_selection(self):
         probs = np.array(

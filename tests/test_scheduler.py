@@ -480,6 +480,12 @@ class TestPpoConfig:
             PpoConfig(epochs=0)
         with pytest.raises(ValueError):
             PpoConfig(hidden=())
+        with pytest.raises(ValueError, match="hidden"):
+            PpoConfig(hidden=(16, 0))
+        with pytest.raises(ValueError, match="lr must be positive"):
+            PpoConfig(lr=0.0)
+        with pytest.raises(ValueError, match="weight_decay must be nonnegative"):
+            PpoConfig(weight_decay=-1e-4)
 
 
 def short_cfg(**kw):
@@ -624,6 +630,12 @@ class TestTrain:
         bigger = make_env(episode_days=1, window=4, battery=hub.BatterySpec(capacity_kwh=60.0))
         with pytest.raises(ValueError, match="run 1 differs"):
             evaluate([env, bigger], [bundle, bundle], 1, [0, 1])
+        wide = PolicyBundle(env.state_dim + 1, hidden=(16, 16), seed=0)
+        sized = f"run 0: policy takes {env.state_dim + 1} state features but its env gives "
+        with pytest.raises(ValueError, match=sized):
+            train([env], [wide], short_cfg(), [0])
+        with pytest.raises(ValueError, match=sized):
+            evaluate([env], [wide], 1, [0])
 
 
 def force_action(bundle, action):
