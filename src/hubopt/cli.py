@@ -28,6 +28,8 @@ from .traces import (
     _fmt,
     _read_rows,
     _write_rows,
+    check_population_args,
+    check_rtp_base,
     gen_charging_population,
     gen_rtp,
     gen_traffic,
@@ -87,6 +89,16 @@ class TraceGenConfig:
             raise hub.ConfigError(
                 f"traces.n_stations must be positive, got {self.n_stations}"
             )
+        check_population_args(
+            self.n_stations,
+            self.strata_priors,
+            self.n_items,
+            self.evening_boost,
+            self.logged_policy,
+            self.logged_discount,
+            SLOTS_PER_DAY,
+        )
+        check_rtp_base(self.rtp_base)
 
     @property
     def n_slots(self) -> int:
@@ -387,23 +399,20 @@ def _method_choices(model, mu1, mu0, prop, items, observations):
     the learned policy discounts.
     """
     universe = pricing.universe_arrays(items)
-    winners = pricing.predicted_strata(
-        pricing.stratum_probs(model, universe.stations, universe.slots)
-    )
-    ours = winners == pricing.COL_INCENTIVE
+    winners, ours = pricing.discount_policy(model, universe)
     k = int(ours.sum())
     scores = pricing.uplift_scores(observations, mu1, mu0, prop, universe)
     chosen = {"cfmtl": ours}
     for name in ("or", "ips", "dr"):
-        chosen[name] = pricing.top_k_mask(universe, scores[name], k)
+        chosen[name] = pricing.top_k_policy(universe, scores[name], k)
     return universe, winners, chosen
 
 
 def _method_decisions(model, mu1, mu0, prop, items, observations, c: float):
-    """Discount decisions per method; baselines share the learned policy's k."""
+    """Per method, {(station, slot of day): c} over the items it discounts."""
     universe, _, chosen = _method_choices(model, mu1, mu0, prop, items, observations)
     return {
-        method: pricing.decisions_from_mask(universe, give, c)
+        method: {key: c for key, g in zip(universe.keys, give.tolist()) if g}
         for method, give in chosen.items()
     }
 
@@ -426,7 +435,7 @@ def cmd_eval_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
     rows = []
     for c in DISCOUNT_GRID:
         for method in METHODS:
-            result = pricing.score_policy(truth, chosen[method], c)
+            result = pricing.evaluate_policy(truth, chosen[method], c)
             rows.append(
                 (
                     method,
@@ -439,7 +448,7 @@ def cmd_eval_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
             )
     _write_rows(eval_path, PRICING_EVAL_HEADER, rows)
 
-    shares = pricing.period_shares(winners, universe.slots, SLOTS_PER_DAY)
+    shares = pricing.strata_by_period(winners, universe.slots, SLOTS_PER_DAY)
     period_rows = [
         (label, stratum.value, _fmt(share))
         for label, by_stratum in shares.items()
@@ -453,23 +462,19 @@ def cmd_eval_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
 def _hub_series(cfg: RunConfig, decisions, stratum_of, hub_id: int, n_slots: int):
     """Per-slot selling price and charging occupancy induced by one policy.
 
-    Both repeat daily, so one day's table is built and tiled over n_slots.
+    decisions maps each discounted (station, slot of day) to its rate. Both
+    series repeat daily, so one day's table is built and tiled over n_slots.
     """
-    decided = {
-        (d.station_id, d.slot_of_day): d.give_discount
-        for d in decisions
-        if d.station_id == hub_id
-    }
     srtp = np.full(SLOTS_PER_DAY, cfg.base_sell_price)
     occupancy = np.zeros(SLOTS_PER_DAY, dtype=int)
     for sod in range(SLOTS_PER_DAY):
         key = (hub_id, sod)
         if key not in stratum_of:
             continue  # item truncated out of the universe: no EV demand
-        give = decided.get(key, False)
-        if give:
-            srtp[sod] = cfg.base_sell_price * (1.0 - cfg.discount)
-        occupancy[sod] = stratum_response(stratum_of[key], give)
+        rate = decisions.get(key)
+        if rate is not None:
+            srtp[sod] = cfg.base_sell_price * (1.0 - rate)
+        occupancy[sod] = stratum_response(stratum_of[key], rate is not None)
     day = np.arange(n_slots) % SLOTS_PER_DAY
     return srtp[day], occupancy[day]
 

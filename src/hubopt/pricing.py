@@ -64,14 +64,6 @@ class Observations(NamedTuple):
 
 
 @dataclass(frozen=True)
-class DiscountDecision:
-    station_id: int
-    slot_of_day: int
-    give_discount: bool
-    discount_rate: float
-
-
-@dataclass(frozen=True)
 class LossParts:
     l_no_treated: float  # p_no * g vs 1[Y=0, T=1]
     l_always_control: float  # p_always * (1-g) vs 1[Y=1, T=0]
@@ -140,17 +132,6 @@ def universe_arrays(universe) -> Universe:
     stations = np.array([k[0] for k in keys])
     slots = np.array([k[1] for k in keys])
     return Universe(keys, stations, slots)
-
-
-def decisions_from_mask(universe, give: np.ndarray, c: float) -> list[DiscountDecision]:
-    """One decision per item: rate c where give is set, else no discount."""
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"discount rate must be in (0, 1), got {c}")
-    keys, _, _ = universe_arrays(universe)
-    return [
-        DiscountDecision(station, sod, g, c if g else 0.0)
-        for (station, sod), g in zip(keys, give.tolist())
-    ]
 
 
 class PricingModel(nn.Module):
@@ -368,11 +349,14 @@ def predicted_strata(probs: np.ndarray) -> np.ndarray:
     return _PRIORITY[np.argmax(reordered, axis=1)]
 
 
-def discount_policy(model: PricingModel, universe, c: float) -> list[DiscountDecision]:
-    """Discount exactly the items whose predicted stratum is incentive-charge."""
-    universe = universe_arrays(universe)
-    winners = predicted_strata(stratum_probs(model, universe.stations, universe.slots))
-    return decisions_from_mask(universe, winners == COL_INCENTIVE, c)
+def discount_policy(model: PricingModel, universe) -> tuple[np.ndarray, np.ndarray]:
+    """Each item's predicted stratum column, and whether the policy discounts it.
+
+    The learned policy discounts exactly the items predicted incentive-charge.
+    """
+    _, stations, slots = universe_arrays(universe)
+    winners = predicted_strata(stratum_probs(model, stations, slots))
+    return winners, winners == COL_INCENTIVE
 
 
 @dataclass(frozen=True)
@@ -389,60 +373,29 @@ class PolicyEvaluation:
         return self.none_count + self.incentive_count + self.always_count
 
 
-def evaluate_policy(
-    decisions: Sequence[DiscountDecision],
-    true_strata: Sequence[PopulationItem],
-    c: float,
-    literal: bool = False,
-) -> PolicyEvaluation:
-    """Score a decision set against the ground-truth strata of the items.
+def evaluate_policy(truth: np.ndarray, give: np.ndarray, c: float) -> PolicyEvaluation:
+    """Score a discount mask against the ground-truth strata of the items.
 
-    Default reward per item: 1 for always-charge (minus c if it was needlessly
-    discounted), 1-c for a discounted incentive-charge, 0 otherwise. With
-    literal=True a discounted incentive item instead scores -c and an always
-    item scores a flat 1.
+    truth holds each item's true stratum column (strata_columns), give whether
+    it was discounted at rate c. Reward per item: 1 for always-charge (minus c
+    if it was needlessly discounted), 1-c for a discounted incentive-charge, 0
+    otherwise. It is summed from 0.0 left to right, in item order, as a loop
+    over the items would add it: np.sum's pairwise order could move the last
+    bits of the reported float.
     """
     if not 0.0 <= c < 1.0:
         raise ValueError(f"discount rate must be in [0, 1), got {c}")
-    strata = {(it.station_id, it.slot_of_day): it.stratum for it in true_strata}
-    keys = [(d.station_id, d.slot_of_day) for d in decisions]
-    if len(set(keys)) != len(keys):
-        raise ValueError("decision set contains duplicate items")
-    if set(keys) != set(strata):
+    if truth.shape != give.shape:
         raise ValueError(
-            f"decisions cover {len(keys)} items but the ground truth covers "
-            f"{len(strata)}; the universes must match exactly"
+            f"got {give.size} decisions for {truth.size} items; the universes must match"
         )
-    truth = np.array([_COL_OF_STRATUM[strata[key]] for key in keys], dtype=np.int64)
-    give = np.array([d.give_discount for d in decisions], dtype=bool)
-    return score_policy(truth, give, c, literal)
-
-
-def strata_columns(items: Sequence[PopulationItem]) -> np.ndarray:
-    """Each item's true stratum as its stratum-head column."""
-    return np.array([_COL_OF_STRATUM[it.stratum] for it in items], dtype=np.int64)
-
-
-def score_policy(
-    truth: np.ndarray, give: np.ndarray, c: float, literal: bool = False
-) -> PolicyEvaluation:
-    """evaluate_policy's counts and reward on aligned arrays, without checks.
-
-    truth holds each item's true stratum column, give whether it was
-    discounted. The reward is summed from 0.0 left to right, in item order,
-    as a loop over the items would add it: np.sum's pairwise order could move
-    the last bits of the reported float.
-    """
     always = truth == COL_ALWAYS
     incentive_given = (truth == COL_INCENTIVE) & give
-    if literal:
-        per_item = np.where(always, 1.0, np.where(incentive_given, -c, 0.0))
-    else:
-        per_item = np.where(
-            always,
-            1.0 - np.where(give, c, 0.0),
-            np.where(incentive_given, 1.0 - c, 0.0),
-        )
+    per_item = np.where(
+        always,
+        1.0 - np.where(give, c, 0.0),
+        np.where(incentive_given, 1.0 - c, 0.0),
+    )
     counts = np.bincount(truth[give], minlength=3)
     return PolicyEvaluation(
         none_count=int(counts[COL_NO]),
@@ -450,6 +403,11 @@ def score_policy(
         always_count=int(counts[COL_ALWAYS]),
         reward=float(np.cumsum(np.concatenate(([0.0], per_item)))[-1]),
     )
+
+
+def strata_columns(items: Sequence[PopulationItem]) -> np.ndarray:
+    """Each item's true stratum as its stratum-head column."""
+    return np.array([_COL_OF_STRATUM[it.stratum] for it in items], dtype=np.int64)
 
 
 def _fit_scorer(stations, slots, targets, cfg: PricingConfig, tag: str) -> nn.EmbedMlp:
@@ -554,42 +512,30 @@ def _item_means(n_items: int, rows: np.ndarray, values: np.ndarray) -> np.ndarra
     return out
 
 
-def _ips_terms(treated, charged, g) -> np.ndarray:
-    return treated * charged / g - (1.0 - treated) * charged / (1.0 - g)
-
-
-def or_uplift(mu1: nn.EmbedMlp, mu0: nn.EmbedMlp, universe) -> np.ndarray:
+def or_uplift(treated_rate: np.ndarray, control_rate: np.ndarray) -> np.ndarray:
     """Outcome-regression uplift: treated minus control predicted charge rate."""
-    _, stations, slots = universe_arrays(universe)
-    return mu1.predict(stations, slots) - mu0.predict(stations, slots)
+    return treated_rate - control_rate
 
 
-def ips_uplift(
-    observations: Observations, propensity_model: nn.EmbedMlp, universe
-) -> np.ndarray:
+def ips_uplift(n_items: int, rows, treated, charged, g) -> np.ndarray:
     """Inverse-propensity uplift per item, averaged over its logged records.
 
-    Items with no logged records score 0.
+    rows maps each record to its item and g holds the records' clipped
+    propensities. Items with no logged records score 0.
     """
-    universe = universe_arrays(universe)
-    rows = _group_rows(observations, universe)
-    obs_st, obs_sl, treated, charged = observations
-    g = _clipped_propensity(propensity_model, obs_st, obs_sl)
-    return _item_means(len(universe.keys), rows, _ips_terms(treated, charged, g))
+    return _item_means(
+        n_items, rows, treated * charged / g - (1.0 - treated) * charged / (1.0 - g)
+    )
 
 
-def dr_uplift(
-    observations: Observations,
-    mu1: nn.EmbedMlp,
-    mu0: nn.EmbedMlp,
-    propensity_model: nn.EmbedMlp,
-    universe,
-) -> np.ndarray:
+def dr_uplift(base, rows, treated, charged, g, m1, m0) -> np.ndarray:
     """Doubly robust uplift: outcome regression plus weighted residuals.
 
-    Items with no logged records fall back to the regression term alone.
+    base is the items' OR uplift; m1 and m0 are the outcome models'
+    predictions on the records. Items with no logged records keep base.
     """
-    return uplift_scores(observations, mu1, mu0, propensity_model, universe)["dr"]
+    resid = treated * (charged - m1) / g - (1.0 - treated) * (charged - m0) / (1.0 - g)
+    return base + _item_means(len(base), rows, resid)
 
 
 def uplift_scores(
@@ -599,30 +545,28 @@ def uplift_scores(
     propensity_model: nn.EmbedMlp,
     universe,
 ) -> dict[str, np.ndarray]:
-    """The "or", "ips" and "dr" uplift of every item, from one pass.
+    """The "or", "ips" and "dr" uplift of every item.
 
     Each model predicts once on the universe and once on the logged records,
-    and the propensities are clipped once; the scores equal or_uplift,
-    ips_uplift and dr_uplift.
+    and the propensities are clipped once; the three estimators share them.
     """
     universe = universe_arrays(universe)
-    keys, stations, slots = universe
+    _, stations, slots = universe
     rows = _group_rows(observations, universe)
     obs_st, obs_sl, treated, charged = observations
     g = _clipped_propensity(propensity_model, obs_st, obs_sl)
+    base = or_uplift(mu1.predict(stations, slots), mu0.predict(stations, slots))
     m1 = mu1.predict(obs_st, obs_sl)
     m0 = mu0.predict(obs_st, obs_sl)
-    resid = treated * (charged - m1) / g - (1.0 - treated) * (charged - m0) / (1.0 - g)
-    base = mu1.predict(stations, slots) - mu0.predict(stations, slots)
     return {
         "or": base,
-        "ips": _item_means(len(keys), rows, _ips_terms(treated, charged, g)),
-        "dr": base + _item_means(len(keys), rows, resid),
+        "ips": ips_uplift(len(base), rows, treated, charged, g),
+        "dr": dr_uplift(base, rows, treated, charged, g, m1, m0),
     }
 
 
-def top_k_mask(universe, scores, k: int) -> np.ndarray:
-    """Per item, whether it is among the k highest scores.
+def top_k_policy(universe, scores, k: int) -> np.ndarray:
+    """Per item, whether it is among the k highest scores, and so discounted.
 
     Ties are broken by (station, slot), and -0.0 ties with 0.0.
     """
@@ -644,39 +588,20 @@ def top_k_mask(universe, scores, k: int) -> np.ndarray:
     return give
 
 
-def top_k_policy(universe, scores, k: int, c: float) -> list[DiscountDecision]:
-    """Discount the k highest-scoring items; ties broken by (station, slot)."""
-    universe = universe_arrays(universe)
-    return decisions_from_mask(universe, top_k_mask(universe, scores, k), c)
-
-
 def strata_by_period(
-    model: PricingModel, universe, slots_per_day: int = 24
+    winners: np.ndarray, slots: np.ndarray, slots_per_day: int
 ) -> dict[str, dict[Stratum, float]]:
     """Predicted-stratum shares within each quarter of the day.
 
-    Returns {"00-06": {stratum: share, ...}, ...} with shares summing to 1
-    per period.
+    winners holds each item's predicted stratum column and slots its slot of
+    day. Returns {"00-06": {stratum: share, ...}, ...} with shares summing to
+    1 per period.
     """
-    _, stations, slots = universe_arrays(universe)
-    _quarter_of_day(slots, slots_per_day)  # reject bad slots before the model sees them
-    winners = predicted_strata(stratum_probs(model, stations, slots))
-    return period_shares(winners, slots, slots_per_day)
-
-
-def _quarter_of_day(slots: np.ndarray, slots_per_day: int) -> np.ndarray:
     if slots_per_day % 4 != 0:
         raise ValueError(f"slots_per_day must be divisible by 4, got {slots_per_day}")
     if np.any(slots >= slots_per_day):
         raise ValueError("universe has slot-of-day values beyond slots_per_day")
-    return slots * 4 // slots_per_day
-
-
-def period_shares(
-    winners: np.ndarray, slots: np.ndarray, slots_per_day: int
-) -> dict[str, dict[Stratum, float]]:
-    """strata_by_period's table from each item's predicted stratum column."""
-    quarter = _quarter_of_day(slots, slots_per_day)
+    quarter = slots * 4 // slots_per_day
     out: dict[str, dict[Stratum, float]] = {}
     for q, (start, end) in enumerate(PERIODS):
         mask = quarter == q

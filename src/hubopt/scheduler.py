@@ -252,8 +252,9 @@ class PpoConfig:
             raise ValueError(f"hidden must list one or more layer sizes >= 1, got {self.hidden}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
+        for name in ("value_coef", "entropy_coef", "weight_decay"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 class TrainingAbort(RuntimeError):

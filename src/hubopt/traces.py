@@ -204,12 +204,17 @@ _TRAFFIC_KNOT_VALUES = np.array([0.78, 0.60, 0.35, 0.50, 0.55, 0.62, 0.80, 0.90,
 _TRAFFIC_NOISE_SD = 0.04
 
 
+def check_rtp_base(rtp_base: float) -> None:
+    """gen_rtp's check on its base price, shared with the run config."""
+    if rtp_base < 0:
+        raise ValueError(f"rtp_base must be nonnegative, got {rtp_base}")
+
+
 def gen_rtp(seed: int, n_slots: int, base: float = 0.10) -> np.ndarray:
     """Real-time grid price series, currency/kWh, nonnegative, with a diurnal shape."""
     if n_slots <= 0:
         raise ValueError(f"n_slots must be positive, got {n_slots}")
-    if base < 0:
-        raise ValueError(f"base price must be nonnegative, got {base}")
+    check_rtp_base(base)
     rng = np.random.default_rng(seed)
     hours = np.arange(n_slots, dtype=np.float64) % 24.0
     shape = np.interp(hours, _RTP_KNOT_HOURS, _RTP_KNOT_VALUES)
@@ -280,6 +285,42 @@ def pv_power(irradiance_wm2, capacity_kw: float):
 # -- charging population -------------------------------------------------------
 
 
+def check_population_args(
+    n_stations: int,
+    strata_priors: Sequence[float],
+    n_items: int | None,
+    evening_boost: float,
+    logged_policy: str,
+    logged_discount: float,
+    slots_per_day: int,
+) -> None:
+    """gen_charging_population's checks on its arguments, shared with the run config.
+
+    n_stations must already be positive.
+    """
+    if slots_per_day <= 0:
+        raise ValueError(f"slots_per_day must be positive, got {slots_per_day}")
+    priors = np.asarray(strata_priors, dtype=np.float64)
+    if priors.shape != (3,):
+        raise ValueError(f"strata_priors must have 3 entries, got {priors.shape}")
+    if priors.min() < 0 or abs(priors.sum() - 1.0) > 1e-9:
+        raise ValueError(f"strata_priors must be nonnegative and sum to 1, got {priors}")
+    if evening_boost <= 0:
+        raise ValueError(f"evening_boost must be positive, got {evening_boost}")
+    if logged_policy not in ("random", "confounded"):
+        raise ValueError(
+            f"logged_policy must be 'random' or 'confounded', got {logged_policy!r}"
+        )
+    if not 0.0 < logged_discount < 1.0:
+        raise ValueError(f"logged_discount must be in (0, 1), got {logged_discount}")
+    grid_size = n_stations * slots_per_day
+    if n_items is not None and not 0 < n_items <= grid_size:
+        raise ValueError(
+            f"n_items must be in (0, {grid_size}] for {n_stations} stations "
+            f"x {slots_per_day} slots, got {n_items}"
+        )
+
+
 def gen_charging_population(
     seed: int,
     n_stations: int,
@@ -305,29 +346,20 @@ def gen_charging_population(
     """
     if n_stations <= 0 or n_slots <= 0:
         raise ValueError("n_stations and n_slots must be positive")
-    if slots_per_day <= 0:
-        raise ValueError(f"slots_per_day must be positive, got {slots_per_day}")
+    check_population_args(
+        n_stations,
+        strata_priors,
+        n_items,
+        evening_boost,
+        logged_policy,
+        logged_discount,
+        slots_per_day,
+    )
     priors = np.asarray(strata_priors, dtype=np.float64)
-    if priors.shape != (3,):
-        raise ValueError(f"strata_priors must have 3 entries, got {priors.shape}")
-    if priors.min() < 0 or abs(priors.sum() - 1.0) > 1e-9:
-        raise ValueError(f"strata_priors must be nonnegative and sum to 1, got {priors}")
     if np.any(priors == 1.0):
         warnings.warn("degenerate strata_priors: a single stratum has all the mass")
-    if evening_boost <= 0:
-        raise ValueError(f"evening_boost must be positive, got {evening_boost}")
-    if logged_policy not in ("random", "confounded"):
-        raise ValueError(f"unknown logged_policy {logged_policy!r}")
-    if not 0.0 < logged_discount < 1.0:
-        raise ValueError(f"logged_discount must be in (0, 1), got {logged_discount}")
-    grid_size = n_stations * slots_per_day
     if n_items is None:
-        n_items = grid_size
-    if not 0 < n_items <= grid_size:
-        raise ValueError(
-            f"n_items must be in (0, {grid_size}] for {n_stations} stations "
-            f"x {slots_per_day} slots, got {n_items}"
-        )
+        n_items = n_stations * slots_per_day
 
     rng = np.random.default_rng(seed)
     evening_from = EVENING_START_HOUR * slots_per_day / 24.0

@@ -459,20 +459,17 @@ def test_learned_pricing_beats_baselines(charging_bench):
     checks = [(len(charging_bench.items) == 8426, "universe size drifted from 8426")]
     always_counts = {}
     reward_rows = {}
+    _, _, chosen = cli._method_choices(
+        charging_bench.model,
+        charging_bench.mu1,
+        charging_bench.mu0,
+        charging_bench.prop,
+        charging_bench.items,
+        charging_bench.observations,
+    )
+    truth = pricing.strata_columns(charging_bench.items)
     for c in DISCOUNT_GRID:
-        decisions = cli._method_decisions(
-            charging_bench.model,
-            charging_bench.mu1,
-            charging_bench.mu0,
-            charging_bench.prop,
-            charging_bench.items,
-            charging_bench.observations,
-            c,
-        )
-        results = {
-            m: pricing.evaluate_policy(decisions[m], charging_bench.items, c)
-            for m in decisions
-        }
+        results = {m: pricing.evaluate_policy(truth, chosen[m], c) for m in chosen}
         reward_rows[c] = {m: r.reward for m, r in results.items()}
         always_counts[c] = {m: r.always_count for m, r in results.items()}
         for b in BASELINES:
@@ -509,7 +506,9 @@ def test_learned_pricing_beats_baselines(charging_bench):
 
 def test_incentive_share_peaks_in_evening(charging_bench):
     started = time.monotonic()
-    shares = pricing.strata_by_period(charging_bench.model, charging_bench.items, 24)
+    universe = pricing.universe_arrays(charging_bench.items)
+    winners, _ = pricing.discount_policy(charging_bench.model, universe)
+    shares = pricing.strata_by_period(winners, universe.slots, 24)
     inc = {label: by[Stratum.INCENTIVE_CHARGE] for label, by in shares.items()}
     evening = inc["18-24"]
     others = {k: v for k, v in inc.items() if k != "18-24"}
@@ -553,18 +552,13 @@ def test_full_stack_ordering_across_hubs(charging_bench):
     runs, envs = [], []
     for station in (0, 126):
         for method in methods:
-            decided = {
-                d.slot_of_day: d.give_discount
-                for d in decisions[method]
-                if d.station_id == station
-            }
             srtp = np.full(n, base_price)
             occupancy = np.zeros(n, dtype=int)
             for t in range(n):
                 sod = t % 24
                 if (station, sod) not in stratum_of:
                     continue
-                give = decided.get(sod, False)
+                give = (station, sod) in decisions[method]
                 if give:
                     srtp[t] = base_price * (1.0 - c)
                 occupancy[t] = stratum_response(stratum_of[(station, sod)], give)

@@ -306,6 +306,16 @@ class TestGenData:
             ("ppo", "lr", -0.1),
             ("ppo", "weight_decay", -1.0),
             ("ppo", "hidden", [0]),
+            # appended, so that the ids pytest numbers by position stay put
+            ("traces", "n_items", 0),
+            ("traces", "n_items", 5 * 24 + 1),
+            ("traces", "logged_policy", "bogus"),
+            ("traces", "strata_priors", [0.5, 0.5, 0.5]),
+            ("traces", "logged_discount", 1.5),
+            ("traces", "evening_boost", -1.0),
+            ("traces", "rtp_base", -1.0),
+            ("ppo", "value_coef", -1.0),
+            ("ppo", "entropy_coef", -0.5),
         ],
     )
     def test_bad_value_exits_2_before_any_write(self, tmp_path, capsys, section, key, bad):
@@ -405,20 +415,20 @@ class TestEvalPriceWork:
         model, mu1, mu0, prop = cli._load_pricing_models(run_dir)
         items, observations = cli._load_population(run_dir)
         c = 0.3
-        ours = pricing.discount_policy(model, items, c)
-        k = sum(d.give_discount for d in ours)
+        _, ours = pricing.discount_policy(model, items)
+        k = int(ours.sum())
+        scores = pricing.uplift_scores(observations, mu1, mu0, prop, items)
+        masks = {"cfmtl": ours}
+        for name in ("or", "ips", "dr"):
+            masks[name] = pricing.top_k_policy(items, scores[name], k)
+        keys = [(it.station_id, it.slot_of_day) for it in items]
         want = {
-            "cfmtl": ours,
-            "or": pricing.top_k_policy(items, pricing.or_uplift(mu1, mu0, items), k, c),
-            "ips": pricing.top_k_policy(
-                items, pricing.ips_uplift(observations, prop, items), k, c
-            ),
-            "dr": pricing.top_k_policy(
-                items, pricing.dr_uplift(observations, mu1, mu0, prop, items), k, c
-            ),
+            method: {key: c for key, give in zip(keys, mask) if give}
+            for method, mask in masks.items()
         }
         got = cli._method_decisions(model, mu1, mu0, prop, items, observations, c)
         assert got == want
+        assert all(len(got[m]) == k for m in cli.METHODS)
 
 
 class TestDrlDataPath:
@@ -471,18 +481,13 @@ class TestDrlDataPath:
 
 def hub_series_reference(cfg, decisions, stratum_of, hub_id, n_slots):
     """_hub_series as the per-slot loop computed it."""
-    decided = {
-        (d.station_id, d.slot_of_day): d.give_discount
-        for d in decisions
-        if d.station_id == hub_id
-    }
     srtp = np.full(n_slots, cfg.base_sell_price)
     occupancy = np.zeros(n_slots, dtype=int)
     for t in range(n_slots):
         key = (hub_id, t % cli.SLOTS_PER_DAY)
         if key not in stratum_of:
             continue
-        give = decided.get(key, False)
+        give = key in decisions
         if give:
             srtp[t] = cfg.base_sell_price * (1.0 - cfg.discount)
         occupancy[t] = traces.stratum_response(stratum_of[key], give)

@@ -12,25 +12,23 @@ from hubopt.pricing import (
     COL_ALWAYS,
     COL_INCENTIVE,
     COL_NO,
-    DiscountDecision,
     Observations,
     PricingConfig,
     PricingModel,
     cfmtl_loss,
     cfmtl_loss_parts,
     discount_policy,
-    dr_uplift,
     evaluate_policy,
     fit_outcome_models,
     fit_propensity_model,
-    ips_uplift,
     observations_from_records,
-    or_uplift,
     predicted_strata,
     strata_by_period,
+    strata_columns,
     stratum_probs,
     top_k_policy,
     train_cfmtl,
+    universe_arrays,
     uplift_scores,
 )
 from hubopt.traces import PopulationItem, Stratum, gen_charging_population
@@ -261,20 +259,12 @@ class TestDiscountPolicy:
 
     def test_decisions_follow_predictions(self, planted, trained):
         pop, _ = planted
-        decisions = discount_policy(trained, pop, 0.3)
+        winners, give = discount_policy(trained, pop)
         stations = np.array([p.station_id for p in pop])
         slots = np.array([p.slot_of_day for p in pop])
         pred = predicted_strata(stratum_probs(trained, stations, slots))
-        for d, p, win in zip(decisions, pop, pred):
-            assert (d.station_id, d.slot_of_day) == (p.station_id, p.slot_of_day)
-            assert d.give_discount == (win == COL_INCENTIVE)
-            assert d.discount_rate == (0.3 if d.give_discount else 0.0)
-
-    def test_rate_bounds(self, planted, trained):
-        pop, _ = planted
-        for bad in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ValueError, match="discount rate"):
-                discount_policy(trained, pop, bad)
+        assert np.array_equal(winners, pred)
+        assert np.array_equal(give, pred == COL_INCENTIVE)
 
 
 def universe_of(strata_map):
@@ -289,11 +279,12 @@ def items_at(keys):
     return [PopulationItem(s, t, Stratum.NO_CHARGE) for s, t in keys]
 
 
-def decide(strata_map, discounted, c):
-    return [
-        DiscountDecision(s, t, (s, t) in discounted, c if (s, t) in discounted else 0.0)
-        for (s, t) in sorted(strata_map)
-    ]
+def score(strata_map, discounted, c):
+    """evaluate_policy on a {(station, slot): stratum} map, in key order."""
+    keys = sorted(strata_map)
+    truth = strata_columns(universe_of(strata_map))
+    give = np.array([key in discounted for key in keys], dtype=bool)
+    return evaluate_policy(truth, give, c)
 
 
 class TestEvaluatePolicy:
@@ -301,19 +292,19 @@ class TestEvaluatePolicy:
 
     def test_no_discounts_reward_is_always_count(self):
         strata = {(0, 0): self.A, (0, 1): self.A, (0, 2): self.I, (0, 3): self.N}
-        ev = evaluate_policy(decide(strata, set(), 0.2), universe_of(strata), 0.2)
+        ev = score(strata, set(), 0.2)
         assert ev.reward == pytest.approx(2.0)
         assert (ev.none_count, ev.incentive_count, ev.always_count) == (0, 0, 0)
 
     def test_discounted_incentive_contributes_one_minus_c(self):
         strata = {(1, 5): self.I}
-        ev = evaluate_policy(decide(strata, {(1, 5)}, 0.1), universe_of(strata), 0.1)
+        ev = score(strata, {(1, 5)}, 0.1)
         assert ev.reward == pytest.approx(0.9)
         assert ev.incentive_count == 1
 
     def test_discounted_always_loses_the_discount(self):
         strata = {(1, 5): self.A}
-        ev = evaluate_policy(decide(strata, {(1, 5)}, 0.1), universe_of(strata), 0.1)
+        ev = score(strata, {(1, 5)}, 0.1)
         assert ev.reward == pytest.approx(0.9)
         assert ev.always_count == 1
 
@@ -325,9 +316,7 @@ class TestEvaluatePolicy:
             (0, 3): self.I,
             (0, 4): self.N,
         }
-        ev = evaluate_policy(
-            decide(strata, {(0, 0), (0, 2), (0, 4)}, 0.5), universe_of(strata), 0.5
-        )
+        ev = score(strata, {(0, 0), (0, 2), (0, 4)}, 0.5)
         assert (ev.none_count, ev.incentive_count, ev.always_count) == (1, 1, 1)
         assert ev.discounted_total == 3
         # 2 always (one discounted at .5) + one discounted incentive
@@ -343,35 +332,24 @@ class TestEvaluatePolicy:
         discounted = {k for k in strata if rng.random() < 0.4}
         last = math.inf
         for c in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
-            r = evaluate_policy(decide(strata, discounted, c), universe_of(strata), c).reward
+            r = score(strata, discounted, c).reward
             assert r <= last + 1e-12
             last = r
 
-    def test_literal_variant(self):
-        strata = {(0, 0): self.A, (0, 1): self.I}
-        decisions = decide(strata, {(0, 0), (0, 1)}, 0.2)
-        economic = evaluate_policy(decisions, universe_of(strata), 0.2)
-        literal = evaluate_policy(decisions, universe_of(strata), 0.2, literal=True)
-        assert economic.reward == pytest.approx(1.6)
-        assert literal.reward == pytest.approx(1.0 - 0.2)
-
     def test_universe_mismatch(self):
-        strata = {(0, 0): self.A, (0, 1): self.I}
-        short = decide({(0, 0): self.A}, set(), 0.1)
+        truth = strata_columns(universe_of({(0, 0): self.A, (0, 1): self.I}))
         with pytest.raises(ValueError, match="universes must match"):
-            evaluate_policy(short, universe_of(strata), 0.1)
+            evaluate_policy(truth, np.zeros(1, dtype=bool), 0.1)
 
-    def test_duplicate_decisions(self):
-        strata = {(0, 0): self.A}
-        dup = decide(strata, set(), 0.1) * 2
-        with pytest.raises(ValueError, match="duplicate"):
-            evaluate_policy(dup, universe_of(strata), 0.1)
+    def test_rate_bounds(self):
+        truth = strata_columns(universe_of({(0, 0): self.A}))
+        for bad in (1.0, -0.2, 1.5):
+            with pytest.raises(ValueError, match="discount rate"):
+                evaluate_policy(truth, np.zeros(1, dtype=bool), bad)
 
     def test_accepts_population_items(self):
         strata = {(0, 0): self.A, (0, 1): self.N}
-        ev = evaluate_policy(
-            decide(strata, set(), 0.3), universe_of(strata), 0.3
-        )
+        ev = evaluate_policy(strata_columns(universe_of(strata)), np.zeros(2, dtype=bool), 0.3)
         assert ev.reward == pytest.approx(1.0)
 
     @settings(max_examples=200, deadline=None)
@@ -389,16 +367,14 @@ class TestEvaluatePolicy:
             st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]),
             st.floats(0.0, 1.0, exclude_max=True),
         ),
-        literal=st.booleans(),
     )
-    def test_matches_per_item_loop_bit_for_bit(self, items, c, literal):
-        strata = {key: stratum for key, stratum, _ in items}
-        decisions = [
-            DiscountDecision(s, t, give, c if give else 0.0)
-            for (s, t), _, give in items
-        ]
-        want = reference_evaluation(decisions, strata, c, literal)
-        got = evaluate_policy(decisions, universe_of(strata), c, literal=literal)
+    def test_matches_per_item_loop_bit_for_bit(self, items, c):
+        truth = strata_columns(
+            [PopulationItem(s, t, stratum) for (s, t), stratum, _ in items]
+        )
+        give = np.array([g for _, _, g in items], dtype=bool)
+        want = reference_evaluation(items, c)
+        got = evaluate_policy(truth, give, c)
         assert got.reward.hex() == want.reward.hex()
         assert (got.none_count, got.incentive_count, got.always_count) == (
             want.none_count,
@@ -407,30 +383,36 @@ class TestEvaluatePolicy:
         )
 
 
-def reference_evaluation(decisions, strata, c, literal):
-    """evaluate_policy as a loop over the decisions, kept as the reference."""
+def reference_evaluation(items, c):
+    """evaluate_policy as a loop over (key, stratum, discounted) items.
+
+    Kept as the reference.
+    """
     counts = {Stratum.NO_CHARGE: 0, Stratum.INCENTIVE_CHARGE: 0, Stratum.ALWAYS_CHARGE: 0}
     reward = 0.0
-    for d in decisions:
-        stratum = strata[(d.station_id, d.slot_of_day)]
-        if d.give_discount:
+    for _, stratum, give in items:
+        if give:
             counts[stratum] += 1
-        if literal:
-            if stratum is Stratum.ALWAYS_CHARGE:
-                reward += 1.0
-            elif stratum is Stratum.INCENTIVE_CHARGE and d.give_discount:
-                reward += -c
-        else:
-            if stratum is Stratum.ALWAYS_CHARGE:
-                reward += 1.0 - (c if d.give_discount else 0.0)
-            elif stratum is Stratum.INCENTIVE_CHARGE and d.give_discount:
-                reward += 1.0 - c
+        if stratum is Stratum.ALWAYS_CHARGE:
+            reward += 1.0 - (c if give else 0.0)
+        elif stratum is Stratum.INCENTIVE_CHARGE and give:
+            reward += 1.0 - c
     return pricing.PolicyEvaluation(
         none_count=counts[Stratum.NO_CHARGE],
         incentive_count=counts[Stratum.INCENTIVE_CHARGE],
         always_count=counts[Stratum.ALWAYS_CHARGE],
         reward=reward,
     )
+
+
+class Constant:
+    """A stand-in scorer that predicts one value everywhere."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def predict(self, stations, slots):
+        return np.full(len(np.asarray(stations)), self.value)
 
 
 class TestUpliftEstimators:
@@ -447,7 +429,7 @@ class TestUpliftEstimators:
         pop, obs = planted
         cfg = PricingConfig(epochs=1, seed=2, n_stations=30)
         mu1, _ = fit_outcome_models(obs, cfg)
-        assert np.all(or_uplift(mu1, mu1, pop) == 0.0)
+        assert np.all(uplift_scores(obs, mu1, mu1, Constant(0.5), pop)["or"] == 0.0)
 
     def test_or_uplift_small_for_constant_outcome(self):
         rng = np.random.default_rng(5)
@@ -458,15 +440,16 @@ class TestUpliftEstimators:
             for _ in range(6)
         ]
         cfg = PricingConfig(epochs=6, seed=8, n_stations=12)
-        mu1, mu0 = fit_outcome_models(obs_batch(rows), cfg)
-        uplift = or_uplift(mu1, mu0, items_at(universe))
+        obs = obs_batch(rows)
+        mu1, mu0 = fit_outcome_models(obs, cfg)
+        uplift = uplift_scores(obs, mu1, mu0, Constant(0.5), items_at(universe))["or"]
         assert np.abs(uplift).mean() < 0.05
 
     def test_ips_incentive_only_near_one(self, incentive_only):
         pop, obs = incentive_only
         cfg = PricingConfig(epochs=6, seed=21, n_stations=20)
         prop = fit_propensity_model(obs, cfg)
-        uplift = ips_uplift(obs, prop, pop)
+        uplift = uplift_scores(obs, Constant(0.5), Constant(0.5), prop, pop)["ips"]
         assert abs(uplift.mean() - 1.0) < 0.1
 
     def test_dr_equals_or_without_records(self, planted):
@@ -474,9 +457,8 @@ class TestUpliftEstimators:
         cfg = PricingConfig(epochs=1, seed=2, n_stations=30)
         mu1, mu0 = fit_outcome_models(obs, cfg)
         prop = fit_propensity_model(obs, cfg)
-        base = or_uplift(mu1, mu0, pop)
-        corrected = dr_uplift(obs_batch([]), mu1, mu0, prop, pop)
-        assert np.array_equal(corrected, base)
+        scores = uplift_scores(obs_batch([]), mu1, mu0, prop, pop)
+        assert np.array_equal(scores["dr"], scores["or"])
 
     def test_dr_correction_only_touches_observed_items(self, planted):
         pop, obs = planted
@@ -485,8 +467,8 @@ class TestUpliftEstimators:
         prop = fit_propensity_model(obs, cfg)
         first = (obs.stations[0], obs.slots[0])
         some = obs_subset(obs, (obs.stations == first[0]) & (obs.slots == first[1]))
-        base = or_uplift(mu1, mu0, pop)
-        corrected = dr_uplift(some, mu1, mu0, prop, pop)
+        scores = uplift_scores(some, mu1, mu0, prop, pop)
+        base, corrected = scores["or"], scores["dr"]
         touched = [
             i
             for i, p in enumerate(pop)
@@ -499,14 +481,9 @@ class TestUpliftEstimators:
 
     def test_propensity_clipping_warns(self, planted):
         pop, obs = planted
-
-        class Saturated:
-            def predict(self, stations, slots):
-                return np.full(len(np.asarray(stations)), 0.001)
-
         with pytest.warns(RuntimeWarning, match="clipped"):
-            uplift = ips_uplift(obs, Saturated(), pop)
-        assert np.all(np.isfinite(uplift))
+            uplift = uplift_scores(obs, Constant(0.5), Constant(0.5), Constant(0.001), pop)
+        assert np.all(np.isfinite(uplift["ips"]))
 
     def test_uplift_scores_equal_single_estimators(self, planted):
         pop, obs = planted
@@ -514,29 +491,54 @@ class TestUpliftEstimators:
         mu1, mu0 = fit_outcome_models(obs, cfg)
         prop = fit_propensity_model(obs, cfg)
         scores = uplift_scores(obs, mu1, mu0, prop, pop)
-        assert np.array_equal(scores["or"], or_uplift(mu1, mu0, pop))
-        assert np.array_equal(scores["ips"], ips_uplift(obs, prop, pop))
-        assert np.array_equal(scores["dr"], dr_uplift(obs, mu1, mu0, prop, pop))
+        want = reference_uplifts(obs, mu1, mu0, prop, pop)
+        for name in ("or", "ips", "dr"):
+            assert scores[name].tobytes() == want[name].tobytes(), name
 
     def test_uplift_scores_clip_and_warn_once(self, planted):
         pop, obs = planted
-
-        class Saturated:
-            def predict(self, stations, slots):
-                return np.full(len(np.asarray(stations)), 0.001)
-
+        saturated = Constant(0.001)
         with pytest.warns(RuntimeWarning, match="clipped") as caught:
-            scores = uplift_scores(obs, Saturated(), Saturated(), Saturated(), pop)
+            scores = uplift_scores(obs, saturated, saturated, saturated, pop)
         assert len(caught) == 1
         assert all(np.all(np.isfinite(v)) for v in scores.values())
 
     def test_observation_outside_universe(self, planted):
         pop, _ = planted
         stray = obs_batch([(998, 0, 1, 1)])
-        cfg = PricingConfig(epochs=1, seed=2, n_stations=30)
-        prop = fit_propensity_model(obs_batch([(0, 0, 1, 1), (0, 1, 0, 0)]), cfg)
         with pytest.raises(ValueError, match="not in"):
-            ips_uplift(stray, prop, pop)
+            uplift_scores(stray, Constant(0.5), Constant(0.5), Constant(0.5), pop)
+
+
+def reference_uplifts(obs, mu1, mu0, prop, items):
+    """The OR, IPS and DR uplifts as per-record loops, kept as the reference.
+
+    Each item's IPS and DR terms are summed in record order and divided by
+    its record count; items without records score 0 (IPS) or the OR uplift.
+    """
+    keys = [(it.station_id, it.slot_of_day) for it in items]
+    stations = np.array([k[0] for k in keys])
+    slots = np.array([k[1] for k in keys])
+    base = mu1.predict(stations, slots) - mu0.predict(stations, slots)
+    lo, hi = pricing.PROPENSITY_CLIP
+    g = np.clip(prop.predict(obs.stations, obs.slots), lo, hi)
+    m1 = mu1.predict(obs.stations, obs.slots)
+    m0 = mu0.predict(obs.stations, obs.slots)
+    row = {key: i for i, key in enumerate(keys)}
+    ips, resid, count = ({} for _ in range(3))
+    for j, key in enumerate(zip(obs.stations.tolist(), obs.slots.tolist())):
+        t, y, gj = obs.treated[j], obs.charged[j], g[j]
+        i = row[key]
+        ips[i] = ips.get(i, 0.0) + (t * y / gj - (1.0 - t) * y / (1.0 - gj))
+        resid[i] = resid.get(i, 0.0) + (
+            t * (y - m1[j]) / gj - (1.0 - t) * (y - m0[j]) / (1.0 - gj)
+        )
+        count[i] = count.get(i, 0) + 1
+    ips_out = np.array([ips[i] / count[i] if i in count else 0.0 for i in range(len(keys))])
+    dr_out = base + np.array(
+        [resid[i] / count[i] if i in count else 0.0 for i in range(len(keys))]
+    )
+    return {"or": base, "ips": ips_out, "dr": dr_out}
 
 
 class TestGroupRows:
@@ -569,35 +571,36 @@ class TestGroupRows:
 class TestTopK:
     def test_picks_highest_scores(self):
         universe = items_at([(0, 0), (0, 1), (0, 2)])
-        decisions = top_k_policy(universe, [3.0, 1.0, 2.0], 2, 0.2)
-        assert [d.give_discount for d in decisions] == [True, False, True]
-        assert [d.discount_rate for d in decisions] == [0.2, 0.0, 0.2]
+        give = top_k_policy(universe, [3.0, 1.0, 2.0], 2)
+        assert give.tolist() == [True, False, True]
 
     def test_score_ties_break_by_item_key(self):
         universe = items_at([(1, 0), (0, 5), (0, 3)])
-        decisions = top_k_policy(universe, [1.0, 1.0, 1.0], 1, 0.1)
-        given = {(d.station_id, d.slot_of_day) for d in decisions if d.give_discount}
-        assert given == {(0, 3)}
+        give = top_k_policy(universe, [1.0, 1.0, 1.0], 1)
+        assert give.tolist() == [False, False, True]  # (0, 3)
 
     def test_k_zero_and_k_full(self):
         universe = items_at([(0, 0), (0, 1)])
-        none = top_k_policy(universe, [1.0, 2.0], 0, 0.1)
-        assert not any(d.give_discount for d in none)
-        every = top_k_policy(universe, [1.0, 2.0], 2, 0.1)
-        assert all(d.give_discount for d in every)
+        assert not top_k_policy(universe, [1.0, 2.0], 0).any()
+        assert top_k_policy(universe, [1.0, 2.0], 2).all()
 
     def test_bad_k_and_score_length(self):
         universe = items_at([(0, 0), (0, 1)])
         with pytest.raises(ValueError, match="k must be"):
-            top_k_policy(universe, [1.0, 2.0], 3, 0.1)
+            top_k_policy(universe, [1.0, 2.0], 3)
         with pytest.raises(ValueError, match="scores"):
-            top_k_policy(universe, [1.0], 1, 0.1)
+            top_k_policy(universe, [1.0], 1)
 
     def test_non_finite_scores_rejected(self):
         universe = items_at([(0, 0), (0, 1), (0, 2)])
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
-                top_k_policy(universe, [1.0, bad, 0.0], 1, 0.1)
+                top_k_policy(universe, [1.0, bad, 0.0], 1)
+
+    def test_duplicate_items_rejected(self):
+        universe = items_at([(0, 1), (0, 2), (0, 1)])
+        with pytest.raises(ValueError, match="duplicate"):
+            top_k_policy(universe, [1.0, 2.0, 3.0], 1)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -612,18 +615,21 @@ class TestTopK:
         scores = data.draw(st.lists(values, min_size=len(keys), max_size=len(keys)))
         order = sorted(range(len(keys)), key=lambda i: (-scores[i], keys[i]))
         for k in range(len(keys) + 1):
-            decisions = top_k_policy(items_at(keys), scores, k, 0.2)
-            given_keys = [
-                (d.station_id, d.slot_of_day) for d in decisions if d.give_discount
-            ]
-            assert set(given_keys) == {keys[i] for i in order[:k]}
-            assert [(d.station_id, d.slot_of_day) for d in decisions] == keys
+            give = top_k_policy(items_at(keys), scores, k)
+            assert give.shape == (len(keys),)
+            assert {keys[i] for i in np.flatnonzero(give)} == {keys[i] for i in order[:k]}
+
+
+def period_table(model, items):
+    """strata_by_period on the model's predicted strata over items."""
+    winners, _ = discount_policy(model, items)
+    return strata_by_period(winners, universe_arrays(items).slots, 24)
 
 
 class TestStrataByPeriod:
     def test_shares_sum_to_one(self, planted, trained):
         pop, _ = planted
-        table = strata_by_period(trained, pop)
+        table = period_table(trained, pop)
         assert sorted(table) == ["00-06", "06-12", "12-18", "18-24"]
         for shares in table.values():
             assert sum(shares.values()) == pytest.approx(1.0)
@@ -631,7 +637,7 @@ class TestStrataByPeriod:
 
     def test_evening_boost_surfaces_in_last_period(self, planted, trained):
         pop, _ = planted
-        table = strata_by_period(trained, pop)
+        table = period_table(trained, pop)
         evening = table["18-24"][Stratum.INCENTIVE_CHARGE]
         for label in ("00-06", "06-12", "12-18"):
             assert evening > table[label][Stratum.INCENTIVE_CHARGE]
@@ -646,7 +652,7 @@ class TestStrataByPeriod:
         )
         obs = observations_from_records(records)
         model = train_cfmtl(obs, PricingConfig(epochs=6, seed=31))
-        table = strata_by_period(model, pop)
+        table = period_table(model, pop)
         counts = np.zeros((4, 3))
         per_period = len(pop) / 4
         for i, label in enumerate(sorted(table)):
@@ -656,10 +662,9 @@ class TestStrataByPeriod:
                 counts[i, j] = table[label][stratum] * per_period
         assert chi2_independence_pvalue(counts) > 0.01
 
-    def test_unknown_slots_rejected(self, trained):
-        universe = items_at([(0, 30)])
+    def test_unknown_slots_rejected(self):
         with pytest.raises(ValueError, match="beyond"):
-            strata_by_period(trained, universe)
+            strata_by_period(np.array([COL_NO]), np.array([30]), 24)
 
 
 def chi2_independence_pvalue(counts: np.ndarray) -> float:

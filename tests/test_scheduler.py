@@ -486,6 +486,10 @@ class TestPpoConfig:
             PpoConfig(lr=0.0)
         with pytest.raises(ValueError, match="weight_decay must be nonnegative"):
             PpoConfig(weight_decay=-1e-4)
+        with pytest.raises(ValueError, match="value_coef must be nonnegative"):
+            PpoConfig(value_coef=-1.0)
+        with pytest.raises(ValueError, match="entropy_coef must be nonnegative"):
+            PpoConfig(entropy_coef=-0.5)
 
 
 def short_cfg(**kw):
