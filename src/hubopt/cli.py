@@ -22,6 +22,7 @@ import yaml
 from . import hub, nn, pricing, scheduler
 from .seeding import spawn_seed
 from .traces import (
+    SLOTS_PER_DAY,
     ChargingLog,
     TraceError,
     TraceSet,
@@ -49,7 +50,6 @@ EXIT_TRAINING = 4
 
 DISCOUNT_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 METHODS = ("cfmtl", "or", "ips", "dr")
-SLOTS_PER_DAY = 24
 
 PRICING_EVAL_HEADER = [
     "method",
@@ -132,6 +132,11 @@ class RunConfig:
         if self.base_sell_price <= 0:
             raise hub.ConfigError(
                 f"pricing.base_sell_price must be positive, got {self.base_sell_price}"
+            )
+        if self.hub.slot_hours != 1.0:
+            # the traces, SLOTS_PER_DAY and the pricing slot of day are all hourly
+            raise hub.ConfigError(
+                f"hub.slot_hours must be 1.0 (the traces are hourly), got {self.hub.slot_hours}"
             )
         if self.n_hubs < 1:
             raise hub.ConfigError(f"n_hubs must be at least 1, got {self.n_hubs}")
@@ -379,15 +384,37 @@ def _load_pricing_models(run_dir: str):
     return model, mu1, mu0, prop
 
 
-def _load_population(run_dir: str, log: ChargingLog | None = None):
+def _load_population(run_dir: str, log: ChargingLog | None = None, n_stations: int | None = None):
     """The item universe and the logged observations.
 
-    log is the run's charging log when the caller has already read it.
+    log is the run's charging log when the caller has already read it. Every
+    item's station must be below n_stations, when given, and every logged
+    (station, slot of day) must be an item.
     """
-    items = load_strata(_require(os.path.join(run_dir, "data", "strata.csv")))
+    strata_path = _require(os.path.join(run_dir, "data", "strata.csv"))
+    charging_path = os.path.join(run_dir, "data", "charging.csv")
+    items = load_strata(strata_path)
     if log is None:
-        log = load_csv(_require(os.path.join(run_dir, "data", "charging.csv")), "charging")
-    return items, pricing.observations_from_records(log, SLOTS_PER_DAY)
+        log = load_csv(_require(charging_path), "charging")
+    observations = pricing.observations_from_records(log, SLOTS_PER_DAY)
+    stations = np.array([it.station_id for it in items], dtype=np.int64)
+    top = int(stations.max(initial=-1))
+    if n_stations is not None and top >= n_stations:
+        raise DataError(
+            f"{strata_path}: station {top} is outside the run's {n_stations} stations "
+            "(traces.n_stations)"
+        )
+    known = np.zeros((top + 1, SLOTS_PER_DAY), dtype=bool)
+    known[stations, [it.slot_of_day for it in items]] = True
+    found = (observations.stations >= 0) & (observations.stations <= top)
+    found[found] = known[observations.stations[found], observations.slots[found]]
+    if not found.all():
+        j = int(found.argmin())
+        raise DataError(
+            f"{charging_path}: record {j} (station {observations.stations[j]}, slot of day "
+            f"{observations.slots[j]}) has no item in {strata_path}"
+        )
+    return items, observations
 
 
 def _method_choices(model, mu1, mu0, prop, items, observations):
@@ -425,7 +452,7 @@ def cmd_eval_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
     _refuse_overwrite([eval_path, period_path], force)
 
     model, mu1, mu0, prop = _load_pricing_models(run_dir)
-    items, observations = _load_population(run_dir)
+    items, observations = _load_population(run_dir, n_stations=cfg.traces.n_stations)
     universe, winners, chosen = _method_choices(
         model, mu1, mu0, prop, items, observations
     )
@@ -480,14 +507,9 @@ def _hub_series(cfg: RunConfig, decisions, stratum_of, hub_id: int, n_slots: int
 
 
 def _build_env(cfg: RunConfig, traces, srtp, occupancy, hub_id: int, method: str):
-    return scheduler.HubEnv(
-        cfg.hub,
-        cfg.env,
-        traces,
-        srtp,
-        occupancy,
-        seed=spawn_seed(cfg.seed, "drl-env", hub_id, method),
-    )
+    """The environment of run (hub_id, method); it draws nothing itself, as
+    every episode is reset from a seed its caller derives for the run."""
+    return scheduler.HubEnv(cfg.hub, cfg.env, traces, srtp, occupancy)
 
 
 def _drl_envs(cfg: RunConfig, run_dir: str):
@@ -498,7 +520,7 @@ def _drl_envs(cfg: RunConfig, run_dir: str):
     """
     traces = load_traces(os.path.join(run_dir, "data"))
     model, mu1, mu0, prop = _load_pricing_models(run_dir)
-    items, observations = _load_population(run_dir, traces.charging)
+    items, observations = _load_population(run_dir, traces.charging, cfg.traces.n_stations)
     stratum_of = {(it.station_id, it.slot_of_day): it.stratum for it in items}
     decisions = _method_decisions(model, mu1, mu0, prop, items, observations, cfg.discount)
     runs = [(hub_id, method) for hub_id in range(cfg.n_hubs) for method in METHODS]

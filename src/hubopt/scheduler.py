@@ -90,9 +90,9 @@ class HubEnv:
     """Episodic wrapper around the hub slot physics.
 
     The exogenous series (prices, weather, traffic, charging occupancy) are
-    fixed at construction; each episode reads a contiguous slice starting at a
-    random offset, so different episodes see different conditions from the
-    same year of traces.
+    fixed at construction; each episode reads a contiguous slice starting at an
+    offset drawn from its reset seed, so different episodes see different
+    conditions from the same year of traces.
     """
 
     def __init__(
@@ -102,7 +102,6 @@ class HubEnv:
         trace_set: TraceSet,
         srtp: np.ndarray,
         occupancy: np.ndarray,
-        seed: int = 0,
     ):
         self.hub_cfg = hub_cfg
         self.env_cfg = env_cfg
@@ -137,9 +136,7 @@ class HubEnv:
         self.stats = NormStats.from_series(
             self.rtp, self.srtp, self.p_wt, self.p_pv, self.load_rate
         )
-        self._rng = spawn_rng(seed, "env")
         self._t = -1
-        self._steps = 0
         self._battery = hub.BatteryState(hub_cfg.battery.soc_min_kwh)
         self.episode_start = -1
 
@@ -167,11 +164,9 @@ class HubEnv:
         spec = self.hub_cfg.battery
         return start, float(rng.uniform(spec.soc_min_kwh, spec.soc_max_kwh))
 
-    def reset(self, seed: int | None = None) -> EnvState:
-        rng = self._rng if seed is None else np.random.default_rng(seed)
-        self.episode_start, soc = self.draw_start(rng)
+    def reset(self, seed: int) -> EnvState:
+        self.episode_start, soc = self.draw_start(np.random.default_rng(seed))
         self._t = self.episode_start
-        self._steps = 0
         self._battery = hub.BatteryState(soc)
         return self._observe()
 
@@ -197,13 +192,12 @@ class HubEnv:
             srtp=float(self.srtp[t]),
         )
 
-    def episode_inputs(self, start: int | None = None) -> list[hub.SlotInputs]:
-        """The exogenous inputs an episode starting at `start` will see."""
-        if start is None:
-            start = self.episode_start
-        if start < 0:
-            raise ValueError("no episode started yet and no start given")
-        return [self.slot_inputs(t) for t in range(start, start + self.episode_slots)]
+    def episode_inputs(self, start: int) -> np.ndarray:
+        """The profit rows (episode_slots, 3) an episode starting at `start`
+        is rewarded from, columns in hub.ACTIONS order."""
+        if not self.window <= start <= self.last_start:
+            raise ValueError(f"episode start {start} outside [{self.window}, {self.last_start}]")
+        return self.profit[start : start + self.episode_slots]
 
     def step(self, action: int) -> tuple[EnvState, float, bool]:
         if self._t < 0:
@@ -217,8 +211,7 @@ class HubEnv:
         reward = float(self.profit[self._t, hub.ACTIONS.index(hub_action)])
         self._battery = hub.soc_step(self._battery, spec, hub_action, dt)
         self._t += 1
-        self._steps += 1
-        done = self._steps >= self.episode_slots
+        done = self._t - self.episode_start >= self.episode_slots
         return self._observe(), reward, done
 
 
@@ -246,8 +239,10 @@ class PpoConfig:
             raise ValueError(f"lam must be in [0, 1], got {self.lam}")
         if self.epochs < 1 or self.minibatch < 1:
             raise ValueError("epochs and minibatch must be at least 1")
-        if self.episodes_train < 0 or self.episodes_test < 0:
-            raise ValueError("episode counts must be nonnegative")
+        if self.episodes_train < 0:
+            raise ValueError(f"episodes_train must be nonnegative, got {self.episodes_train}")
+        if self.episodes_test < 1:
+            raise ValueError(f"episodes_test must be at least 1, got {self.episodes_test}")
         if not self.hidden or min(self.hidden) < 1:
             raise ValueError(f"hidden must list one or more layer sizes >= 1, got {self.hidden}")
         if self.lr <= 0:
@@ -492,11 +487,10 @@ class _PolicyStack:
             a = nn.act_forward(tag, z.reshape(-1, z.shape[-1])).reshape(z.shape)
         return a
 
-    def forward(self, states: np.ndarray, values: bool = True):
-        """Action probs (K, M, 3) and values (K, M) (or None) for states (K, M, D)."""
+    def forward(self, states: np.ndarray):
+        """Action probs (K, M, 3) and values (K, M) for states (K, M, D)."""
         h = self._layers(self.trunk, states)
-        probs = self._layers(self.actor, h)
-        return probs, (self._layers(self.critic, h)[:, :, 0] if values else None)
+        return self._layers(self.actor, h), self._layers(self.critic, h)[:, :, 0]
 
 
 # profit-table column of each hub action
@@ -547,18 +541,14 @@ def _check_population(envs, bundles, seeds) -> None:
 
 
 def _episode_inputs(envs, starts: np.ndarray):
-    """Standardized windows (K, N, 5, T, window + 1) and profit rows (K, N, T, 3)
-    for the N episodes of each of K runs, run k's starting at starts[k]."""
+    """Standardized windows (K, *E, 5, T, window + 1) and profit rows (K, *E, T, 3)
+    of the episodes of K runs, run k's starting at starts[k] (shape E)."""
     env0 = envs[0]
     series = np.empty(starts.shape + (5, env0.window + env0.episode_slots))
     profit = np.empty(starts.shape + (env0.episode_slots, len(hub.ACTIONS)))
-    # one gather per environment object, however many runs share it
-    runs_of = {}
     for k, env in enumerate(envs):
-        runs_of.setdefault(id(env), (env, []))[1].append(k)
-    for env, runs in runs_of.values():
-        series[runs] = env.episode_series(starts[runs])
-        profit[runs] = env.profit[starts[runs][..., None] + np.arange(env0.episode_slots)]
+        series[k] = env.episode_series(starts[k])
+        profit[k] = env.profit[starts[k][..., None] + np.arange(env0.episode_slots)]
     return sliding_window_view(series, env0.window + 1, axis=-1), profit
 
 
@@ -597,6 +587,31 @@ class _EpisodeStates:
         return rows
 
 
+def _lockstep(envs, bundles, draws: np.ndarray, pick):
+    """Step the episodes of K runs together, one slot at a time.
+
+    draws (K, *E, 2) holds each episode's start slot and initial soc (kWh),
+    as HubEnv.draw_start returns them. At each slot t, pick(t, probs, values)
+    gets every episode's action probs (K, *E, 3) and values (K, *E) from one
+    stacked forward and returns the actions (K, *E) to take. Returns the
+    episodes' _EpisodeStates and rewards (K, *E, T).
+    """
+    starts, soc = draws[..., 0].astype(np.int64), draws[..., 1]
+    windows, profit = _episode_inputs(envs, starts)
+    cfg = envs[0].hub_cfg
+    states = _EpisodeStates(windows, cfg.battery.capacity_kwh)
+    policy = _PolicyStack(bundles)
+    episode = np.indices(starts.shape, sparse=True)
+    rewards = np.empty(starts.shape + (envs[0].episode_slots,))
+    for t in range(rewards.shape[-1]):
+        rows = states.at(t, soc)
+        probs, values = policy.forward(rows.reshape(len(envs), -1, rows.shape[-1]))
+        actions = pick(t, probs.reshape(soc.shape + (N_ACTIONS,)), values.reshape(soc.shape))
+        col, soc = _settle(cfg, soc, actions)
+        rewards[..., t] = profit[(*episode, t, col)]
+    return states, rewards
+
+
 def rollout(
     envs: Sequence[HubEnv],
     bundles: Sequence[PolicyBundle],
@@ -611,28 +626,20 @@ def rollout(
     state vectors, the other arrays hold one row per run and one column per
     slot, and totals each run's summed reward.
     """
-    k_runs = len(envs)
     span = envs[0].episode_slots
-    starts, socs = zip(
-        *(env.draw_start(np.random.default_rng(s)) for env, s in zip(envs, reset_seeds))
-    )
-    windows, profit = _episode_inputs(envs, np.array(starts)[:, None])
-    windows, profit = windows[:, 0], profit[:, 0]
+    draws = [env.draw_start(np.random.default_rng(s)) for env, s in zip(envs, reset_seeds)]
     uniforms = np.stack([rng.random(span) for rng in rngs])
-    policy = _PolicyStack(bundles)
-    cfg = envs[0].hub_cfg
-    states = _EpisodeStates(windows, cfg.battery.capacity_kwh)
-    soc = np.array(socs)
-    runs = np.arange(k_runs)
-    actions = np.empty((k_runs, span), dtype=np.int64)
-    chosen, rewards, values = (np.empty((k_runs, span)) for _ in range(3))
-    for t in range(span):
-        probs, value = policy.forward(states.at(t, soc)[:, None])
-        probs, values[:, t] = probs[:, 0], value[:, 0]
+    runs = np.arange(len(envs))
+    actions = np.empty((len(envs), span), dtype=np.int64)
+    chosen, values = np.empty((len(envs), span)), np.empty((len(envs), span))
+
+    def sample(t, probs, value):
+        values[:, t] = value
         actions[:, t] = sample_actions(probs, uniforms[:, t])
         chosen[:, t] = probs[runs, actions[:, t]]
-        col, soc = _settle(cfg, soc, actions[:, t])
-        rewards[:, t] = profit[runs, t, col]
+        return actions[:, t]
+
+    states, rewards = _lockstep(envs, bundles, np.array(draws), sample)
     log_probs = np.log(np.maximum(chosen, 1e-300))
     return states, actions, log_probs, rewards, values, _running_totals(rewards)
 
@@ -709,30 +716,13 @@ def evaluate(
     if episodes <= 0:
         raise ValueError(f"episodes must be positive, got {episodes}")
     _check_population(envs, bundles, seeds)
-    # runs that share an eval seed share its per-episode seeds, and envs that
-    # agree on everything draw_start reads share each draw
-    reset_seeds = {s: [spawn_seed(s, "eval", e) for e in range(episodes)] for s in set(seeds)}
-    drawn = {}
-
-    def draw(env, s):
-        key = (s, env.window, env.last_start, env.env_cfg, env.hub_cfg.battery)
-        if key not in drawn:
-            drawn[key] = env.draw_start(np.random.default_rng(s))
-        return drawn[key]
-
-    draws = [[draw(env, s) for s in reset_seeds[seed]] for env, seed in zip(envs, seeds)]
-    starts = np.array([[start for start, _ in run] for run in draws])
-    soc = np.array([[soc for _, soc in run] for run in draws])
-    windows, profit = _episode_inputs(envs, starts)
-    policy = _PolicyStack(bundles)
-    cfg = envs[0].hub_cfg
-    states = _EpisodeStates(windows, cfg.battery.capacity_kwh)
-    runs, episode = np.ogrid[: len(envs), :episodes]
-    rewards = np.empty(soc.shape + (envs[0].episode_slots,))
-    for t in range(rewards.shape[-1]):
-        probs, _ = policy.forward(states.at(t, soc), values=False)
-        col, soc = _settle(cfg, soc, probs.argmax(axis=-1))
-        rewards[..., t] = profit[runs, episode, t, col]
+    draws = [
+        [env.draw_start(np.random.default_rng(spawn_seed(s, "eval", e))) for e in range(episodes)]
+        for env, s in zip(envs, seeds)
+    ]
+    _, rewards = _lockstep(
+        envs, bundles, np.array(draws), lambda t, probs, values: probs.argmax(axis=-1)
+    )
     totals = _running_totals(rewards.reshape(len(envs), -1))
     return [
         float(total / (episodes * env.episode_days)) for total, env in zip(totals, envs)
@@ -749,19 +739,23 @@ def _exact_multiple(value: float, resolution: float) -> int | None:
 
 def dp_oracle(
     cfg: hub.HubConfig,
-    inputs: Sequence[hub.SlotInputs],
+    inputs: np.ndarray,
     initial_soc_kwh: float,
     resolution: float,
 ) -> tuple[float, list[int]]:
     """Clairvoyant-optimal battery plan by backward induction on a soc lattice.
 
-    Per-slot profit depends only on the action (one hub.profit_table serves
-    every node), so the lattice solution is exact whenever every soc
-    transition lands on a lattice node; the resolution must evenly divide the
-    charge step, the discharge step, the soc span, and the initial offset.
-    Each slot updates the whole lattice in one array pass. Ties prefer idle,
-    then charge.
+    inputs are the episode's profit rows (T, 3), columns in hub.ACTIONS
+    order, as HubEnv.episode_inputs returns them. Per-slot profit depends
+    only on the action, so one row serves every node, and the lattice
+    solution is exact whenever every soc transition lands on a lattice node;
+    the resolution must evenly divide the charge step, the discharge step,
+    the soc span, and the initial offset. Each slot updates the whole lattice
+    in one array pass. Ties prefer idle, then charge.
     """
+    table = np.asarray(inputs, dtype=np.float64)
+    if table.ndim != 2 or table.shape[1] != len(hub.ACTIONS):
+        raise ValueError(f"inputs must be profit rows (T, {len(hub.ACTIONS)}), got {table.shape}")
     if resolution <= 0:
         raise hub.ConfigError(f"resolution must be positive, got {resolution}")
     spec = cfg.battery
@@ -789,20 +783,11 @@ def dp_oracle(
             f"[{spec.soc_min_kwh}, {spec.soc_max_kwh}]"
         )
     up, down = steps["charge step"], steps["discharge step"]
-    horizon = len(inputs)
+    horizon = len(table)
 
     # candidate order is the tie-break preference: idle, charge, discharge
     order = (hub.IDLE, hub.CHARGE, hub.DISCHARGE)
-    table = hub.profit_table(
-        cfg,
-        load_rate=[s.load_rate for s in inputs],
-        occupancy=[s.cs_active for s in inputs],
-        p_wt_kw=[s.p_wt_kw for s in inputs],
-        p_pv_kw=[s.p_pv_kw for s in inputs],
-        rtp=[s.rtp for s in inputs],
-        srtp=[s.srtp for s in inputs],
-    )
-    profit = table[:, [hub.ACTIONS.index(action) for action in order]]
+    profit = table[:, [_COLUMN[action] for action in order]]
     # an action infeasible even from its most favourable soc is never taken
     possible = hub.feasible_actions(
         hub.BatteryState(spec.soc_min_kwh), spec, cfg.slot_hours

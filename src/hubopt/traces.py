@@ -27,6 +27,7 @@ WT_CUT_OUT = 25.0
 PV_DERATE = 0.9
 
 EVENING_START_HOUR = 18  # incentive-prone window is 18:00-24:00
+SLOTS_PER_DAY = 24  # every series and the strata file are hourly
 
 RTP_HEADER = ["slot", "price"]
 WEATHER_HEADER = ["slot", "wind_mps", "irradiance_wm2"]
@@ -556,23 +557,47 @@ def _read_charging(path: str) -> ChargingLog:
     return ChargingLog(*cols)
 
 
+def _strata_fault(path: str, ln: int, row: list[str]) -> None:
+    """Raise the first fault of one strata row: its stratum, then each field."""
+    if row[2] not in _STRATUM_BY_VALUE:
+        raise TraceError(
+            f"{path} line {ln}: unknown stratum {row[2]!r}, "
+            f"expected one of {sorted(_STRATUM_BY_VALUE)}"
+        )
+    if _parse_int(path, ln, "station_id", row[0]) < 0:
+        raise TraceError(f"{path} line {ln}: station_id is negative: {row[0]!r}")
+    if not 0 <= _parse_int(path, ln, "slot_of_day", row[1]) < SLOTS_PER_DAY:
+        raise TraceError(
+            f"{path} line {ln}: slot_of_day is outside [0, {SLOTS_PER_DAY}): {row[1]!r}"
+        )
+
+
 def _read_strata(path: str) -> list[PopulationItem]:
     lines, rows = _read_rows(path, STRATA_HEADER)
     names = [row[2] for row in rows]
     cols = _columns(rows, [int, int])
-    if cols is not None and _STRATUM_BY_VALUE.keys() >= set(names):
-        strata = map(_STRATUM_BY_VALUE.__getitem__, names)
-        return list(map(PopulationItem, cols[0].tolist(), cols[1].tolist(), strata))
-    # row by row, to raise the first error in file order
-    for ln, row in zip(lines, rows):
-        if row[2] not in _STRATUM_BY_VALUE:
-            raise TraceError(
-                f"{path} line {ln}: unknown stratum {row[2]!r}, "
-                f"expected one of {sorted(_STRATUM_BY_VALUE)}"
-            )
-        _parse_int(path, ln, "station_id", row[0])
-        _parse_int(path, ln, "slot_of_day", row[1])
-    raise AssertionError(f"{path}: bulk parse failed, field parse did not")
+    if (
+        cols is None
+        or not _STRATUM_BY_VALUE.keys() >= set(names)
+        or (cols[0] < 0).any()
+        or ((cols[1] < 0) | (cols[1] >= SLOTS_PER_DAY)).any()
+    ):
+        # row by row, to raise the first error in file order
+        for ln, row in zip(lines, rows):
+            _strata_fault(path, ln, row)
+        raise AssertionError(f"{path}: bulk checks failed, row checks did not")
+    keys = list(zip(cols[0].tolist(), cols[1].tolist()))
+    if len(set(keys)) < len(keys):
+        first = {}
+        for ln, key in zip(lines, keys):
+            if key in first:
+                raise TraceError(
+                    f"{path} line {ln}: duplicate item (station {key[0]}, slot_of_day "
+                    f"{key[1]}), first on line {first[key]}"
+                )
+            first[key] = ln
+    strata = map(_STRATUM_BY_VALUE.__getitem__, names)
+    return [PopulationItem(station, sod, stratum) for (station, sod), stratum in zip(keys, strata)]
 
 
 def load_csv(path: str, schema: str):

@@ -284,6 +284,12 @@ def _brute_force_best(cfg, inputs, initial_soc_kwh):
     return best
 
 
+def _profit_rows(cfg, inputs):
+    """The DP's profit rows for a list of SlotInputs, built by hub.profit_table."""
+    fields = ("load_rate", "cs_active", "p_wt_kw", "p_pv_kw", "rtp", "srtp")
+    return hub.profit_table(cfg, *([getattr(s, f) for s in inputs] for f in fields))
+
+
 def test_exact_oracle_matches_enumeration():
     started = time.monotonic()
     rng = np.random.default_rng(77)
@@ -323,7 +329,7 @@ def test_exact_oracle_matches_enumeration():
             for _ in range(8)
         ]
         initial = 1.0 + int(rng.integers(0, span + 1)) * res
-        profit, _ = scheduler.dp_oracle(cfg, inputs, initial, res)
+        profit, _ = scheduler.dp_oracle(cfg, _profit_rows(cfg, inputs), initial, res)
         brute = _brute_force_best(cfg, inputs, initial)
         if profit != brute:
             mismatches.append(f"trial {trial}: dp {profit!r} vs enumeration {brute!r}")
@@ -364,7 +370,7 @@ def _alternating_tariff_env(srtp, occupancy, window=24):
         c_bp=0.01,
     )
     env_cfg = scheduler.EnvConfig(episode_days=1, window=window, initial_soc_kwh=0.0)
-    return scheduler.HubEnv(cfg, env_cfg, traces, srtp, occupancy, seed=0)
+    return scheduler.HubEnv(cfg, env_cfg, traces, srtp, occupancy)
 
 
 def test_scheduler_reaches_oracle_bar():
@@ -373,9 +379,8 @@ def test_scheduler_reaches_oracle_bar():
     hours = np.arange(n) % 24
     occupancy = np.isin(hours, (21, 22, 23)).astype(int)
     env = _alternating_tariff_env(occupancy * 2.0, occupancy)
-    env.reset(seed=0)
-    inputs = env.episode_inputs(24)
-    dp_profit, _ = scheduler.dp_oracle(env.hub_cfg, inputs, 0.0, 4.0)
+    inputs = [env.slot_inputs(t) for t in range(24, 24 + env.episode_slots)]
+    dp_profit, _ = scheduler.dp_oracle(env.hub_cfg, _profit_rows(env.hub_cfg, inputs), 0.0, 4.0)
     idle_state = hub.BatteryState(0.0)
     idle = sum(hub.step(env.hub_cfg, idle_state, s, hub.IDLE).profit for s in inputs)
     bar = 0.9 * dp_profit

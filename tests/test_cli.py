@@ -286,6 +286,14 @@ class TestGenData:
         assert "initial soc 2.0 outside [10.0, 45.0]" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
 
+    def test_slot_hours_other_than_one_writes_nothing(self, tmp_path, capsys):
+        # the traces, SLOTS_PER_DAY and the pricing slot of day are all hourly
+        bad = dict(tiny_config(tmp_path / "never"), hub={"slot_hours": 0.5})
+        config_path = write_config(tmp_path / "bad.yaml", bad)
+        assert cli.main(["gen-data", "--config", config_path]) == cli.EXIT_CONFIG
+        assert "config error: hub.slot_hours must be 1.0" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
     @pytest.mark.parametrize(
         "section,key,bad",
         [
@@ -316,6 +324,7 @@ class TestGenData:
             ("traces", "rtp_base", -1.0),
             ("ppo", "value_coef", -1.0),
             ("ppo", "entropy_coef", -0.5),
+            ("ppo", "episodes_test", 0),
         ],
     )
     def test_bad_value_exits_2_before_any_write(self, tmp_path, capsys, section, key, bad):
@@ -388,6 +397,40 @@ def priced(tmp_path_factory):
     for sub in ("gen-data", "train-price"):
         assert cli.main([sub, "--config", config_path]) == 0
     return config_path, str(base / "run")
+
+
+def _edit_first_item(lines, station=None, slot_of_day=None):
+    fields = lines[1].split(",")
+    if station is not None:
+        fields[0] = str(station)
+    if slot_of_day is not None:
+        fields[1] = str(slot_of_day)
+    return [lines[0], ",".join(fields)] + lines[2:]
+
+
+class TestStrataFaults:
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda lines: _edit_first_item(lines, slot_of_day=30), "line 2: slot_of_day"),
+            (lambda lines: _edit_first_item(lines, station=-1), "line 2: station_id is negative"),
+            # the tiny config has 5 stations
+            (lambda lines: _edit_first_item(lines, station=5), "station 5 is outside"),
+            (lambda lines: lines + [lines[1]], "duplicate item"),
+            (lambda lines: [lines[0]] + lines[2:], "has no item in"),
+        ],
+        ids=["slot-of-day-30", "station-negative", "station-beyond", "duplicate", "deleted"],
+    )
+    def test_eval_price_exits_3_naming_the_file(self, priced, tmp_path, capsys, edit, message):
+        config_path, run_dir = priced
+        copy = tmp_path / "run"
+        shutil.copytree(run_dir, copy)
+        path = copy / "data" / "strata.csv"
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        rc = cli.main(["eval-price", "--config", config_path, "--out", str(copy)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_DATA, err
+        assert err.startswith("data error: ") and f"{path}" in err and message in err
 
 
 class TestEvalPriceWork:

@@ -57,7 +57,7 @@ def make_env(
     env_cfg = EnvConfig(
         episode_days=episode_days, window=window, initial_soc_kwh=initial_soc_kwh
     )
-    return HubEnv(cfg, env_cfg, ts, srtp, occupancy, seed=seed)
+    return HubEnv(cfg, env_cfg, ts, srtp, occupancy)
 
 
 class TestEnvConfig:
@@ -215,12 +215,17 @@ class TestHubEnv:
     def test_episode_inputs_align_with_steps(self):
         env = make_env(episode_days=1, occupancy=np.ones(6 * 24, dtype=int))
         env.reset(seed=5)
-        inputs = env.episode_inputs()
-        assert len(inputs) == 24
         t = env.episode_start
-        assert inputs[0].rtp == env.rtp[t]
-        assert inputs[23].rtp == env.rtp[t + 23]
-        assert inputs[0].srtp == env.srtp[t]
+        rows = env.episode_inputs(t)
+        assert rows.shape == (24, len(hub.ACTIONS))
+        np.testing.assert_array_equal(rows, env.profit[t : t + 24])
+        # the rows the steps are rewarded from: idling collects the idle column
+        idle = hub.ACTIONS.index(hub.IDLE)
+        for k in range(24):
+            _, reward, _ = env.step(ACT_IDLE)
+            assert reward == rows[k, idle]
+        with pytest.raises(ValueError, match="episode start"):
+            env.episode_inputs(env.last_start + 1)
 
 
 class TestComputeAdvantages:
@@ -490,6 +495,8 @@ class TestPpoConfig:
             PpoConfig(value_coef=-1.0)
         with pytest.raises(ValueError, match="entropy_coef must be nonnegative"):
             PpoConfig(entropy_coef=-0.5)
+        with pytest.raises(ValueError, match="episodes_test must be at least 1"):
+            PpoConfig(episodes_test=0)
 
 
 def short_cfg(**kw):
@@ -807,6 +814,12 @@ class TestLockstep:
             assert trained[k].flat.tobytes() == bundle.flat.tobytes()
 
 
+def profit_rows(cfg, inputs):
+    """The DP's profit rows for a list of SlotInputs, built by hub.profit_table."""
+    fields = ("load_rate", "cs_active", "p_wt_kw", "p_pv_kw", "rtp", "srtp")
+    return hub.profit_table(cfg, *([getattr(s, f) for s in inputs] for f in fields))
+
+
 def flat_inputs(n, rtp, load=1.0, srtp=0.0, cs=0, wt=0.0, pv=0.0):
     return [
         hub.SlotInputs(load_rate=load, cs_active=cs, p_wt_kw=wt, p_pv_kw=pv, rtp=r, srtp=srtp)
@@ -835,7 +848,9 @@ class TestDpOracle:
     def test_flat_price_stays_idle(self):
         cfg = arb_cfg(c_bp=0.01)
         inputs = flat_inputs(6, rtp=0.125)
-        profit, actions = dp_oracle(cfg, inputs, initial_soc_kwh=2.0, resolution=2.0)
+        profit, actions = dp_oracle(
+            cfg, profit_rows(cfg, inputs), initial_soc_kwh=2.0, resolution=2.0
+        )
         assert actions == [ACT_IDLE] * 6
         per_slot = hub.step(cfg, hub.BatteryState(2.0), inputs[0], hub.IDLE).profit
         assert profit == 6 * per_slot
@@ -845,14 +860,18 @@ class TestDpOracle:
         # discharging 2 kW at 0.25 saves 0.5, wear is zero
         cfg = arb_cfg(c_bp=0.0)
         inputs = flat_inputs(2, rtp=[0.125, 0.25])
-        profit, actions = dp_oracle(cfg, inputs, initial_soc_kwh=2.0, resolution=2.0)
+        profit, actions = dp_oracle(
+            cfg, profit_rows(cfg, inputs), initial_soc_kwh=2.0, resolution=2.0
+        )
         assert actions == [ACT_IDLE, ACT_IDLE]
         assert profit == -(4 * 0.125) - (4 * 0.25)
 
     def test_profitable_spread_charges_then_discharges(self):
         cfg = arb_cfg(c_bp=0.01)
         inputs = flat_inputs(2, rtp=[0.125, 0.5])
-        profit, actions = dp_oracle(cfg, inputs, initial_soc_kwh=2.0, resolution=2.0)
+        profit, actions = dp_oracle(
+            cfg, profit_rows(cfg, inputs), initial_soc_kwh=2.0, resolution=2.0
+        )
         assert actions == [ACT_CHARGE, ACT_DISCHARGE]
         # slot 0: grid (4+4) kW at 0.125 plus wear; slot 1: grid (4-2) kW at 0.5 plus wear
         assert profit == pytest.approx(-(8 * 0.125 + 0.01) - (2 * 0.5 + 0.01))
@@ -860,30 +879,41 @@ class TestDpOracle:
     def test_unprofitable_spread_stays_idle(self):
         cfg = arb_cfg(c_bp=0.01)
         inputs = flat_inputs(2, rtp=[0.125, 0.25])
-        _, actions = dp_oracle(cfg, inputs, initial_soc_kwh=2.0, resolution=2.0)
+        _, actions = dp_oracle(cfg, profit_rows(cfg, inputs), initial_soc_kwh=2.0, resolution=2.0)
         assert actions == [ACT_IDLE, ACT_IDLE]
 
     def test_rejects_off_lattice_resolution(self):
         cfg = arb_cfg()
         inputs = flat_inputs(2, rtp=0.125)
         with pytest.raises(hub.ConfigError, match="charge step"):
-            dp_oracle(cfg, inputs, initial_soc_kwh=2.0, resolution=1.5)
+            dp_oracle(cfg, profit_rows(cfg, inputs), initial_soc_kwh=2.0, resolution=1.5)
 
     def test_rejects_off_lattice_initial_soc(self):
         cfg = arb_cfg()
         inputs = flat_inputs(2, rtp=0.125)
         with pytest.raises(hub.ConfigError, match="initial soc"):
-            dp_oracle(cfg, inputs, initial_soc_kwh=2.5, resolution=2.0)
+            dp_oracle(cfg, profit_rows(cfg, inputs), initial_soc_kwh=2.5, resolution=2.0)
 
     def test_rejects_nonpositive_resolution(self):
         cfg = arb_cfg()
         with pytest.raises(hub.ConfigError, match="resolution"):
-            dp_oracle(cfg, flat_inputs(1, rtp=0.1), initial_soc_kwh=2.0, resolution=0.0)
+            dp_oracle(
+                cfg, profit_rows(cfg, flat_inputs(1, rtp=0.1)), initial_soc_kwh=2.0, resolution=0.0
+            )
+
+    def test_rejects_rows_that_are_not_profit_rows(self):
+        cfg = arb_cfg()
+        with pytest.raises(ValueError, match="profit rows"):
+            dp_oracle(cfg, np.zeros((2, 2)), initial_soc_kwh=2.0, resolution=2.0)
+        with pytest.raises(ValueError, match="profit rows"):
+            dp_oracle(cfg, np.zeros(4), initial_soc_kwh=2.0, resolution=2.0)
 
     def test_rejects_initial_soc_outside_bounds(self):
         cfg = arb_cfg()
         with pytest.raises(hub.ConfigError):
-            dp_oracle(cfg, flat_inputs(1, rtp=0.1), initial_soc_kwh=8.0, resolution=2.0)
+            dp_oracle(
+                cfg, profit_rows(cfg, flat_inputs(1, rtp=0.1)), initial_soc_kwh=8.0, resolution=2.0
+            )
 
     @staticmethod
     def brute_force(cfg, inputs, initial_soc_kwh):
@@ -959,7 +989,7 @@ class TestDpOracle:
         for trial in range(3):
             inputs = flat_inputs(30, rtp=list(rng.integers(1, 5, size=30) / 8.0))
             initial = 2.0 + float(rng.integers(0, 13))
-            got = dp_oracle(cfg, inputs, initial, resolution=1.0)
+            got = dp_oracle(cfg, profit_rows(cfg, inputs), initial, resolution=1.0)
             assert got == self.node_by_node(cfg, inputs, initial, 1.0), f"trial {trial}"
 
     def test_action_infeasible_from_every_soc_is_never_taken(self):
@@ -978,7 +1008,9 @@ class TestDpOracle:
             p_bs_min_kw=4.0, p_bs_max_kw=4.0, battery=spec, c_bp=0.0, t_recovery_slots=0
         )
         inputs = flat_inputs(3, rtp=[0.125, 1.0, 1.0])
-        profit, actions = dp_oracle(cfg, inputs, initial_soc_kwh=0.1, resolution=0.1)
+        profit, actions = dp_oracle(
+            cfg, profit_rows(cfg, inputs), initial_soc_kwh=0.1, resolution=0.1
+        )
         assert ACT_CHARGE not in actions
         assert profit == self.brute_force(cfg, inputs, 0.1)
 
@@ -1020,7 +1052,7 @@ class TestDpOracle:
             ]
             i0 = int(rng.integers(0, span + 1))
             initial = 1.0 + i0 * res
-            profit, actions = dp_oracle(cfg, inputs, initial, res)
+            profit, actions = dp_oracle(cfg, profit_rows(cfg, inputs), initial, res)
             assert profit == self.brute_force(cfg, inputs, initial), f"trial {trial}"
             # the reported plan must achieve the reported value
             state = hub.BatteryState(initial)

@@ -547,21 +547,31 @@ def ref_load_csv(path, schema):
                 raise TraceError(f"{path} line {ln}: {exc}") from None
         dtypes = [np.int64] * 4 + [np.float64]
         return [np.array([r[j] for r in records], dtype=d) for j, d in enumerate(dtypes)]
-    items = []
-    for ln, row in ref_read_rows(path, traces.STRATA_HEADER):
+    items, first = [], {}
+    rows = ref_read_rows(path, traces.STRATA_HEADER)
+    for ln, row in rows:
         name = row[2]
         if name not in traces._STRATUM_BY_VALUE:
             raise TraceError(
                 f"{path} line {ln}: unknown stratum {name!r}, "
                 f"expected one of {sorted(traces._STRATUM_BY_VALUE)}"
             )
-        items.append(
-            PopulationItem(
-                ref_parse_int(path, ln, "station_id", row[0]),
-                ref_parse_int(path, ln, "slot_of_day", row[1]),
-                traces._STRATUM_BY_VALUE[name],
+        station = ref_parse_int(path, ln, "station_id", row[0])
+        if station < 0:
+            raise TraceError(f"{path} line {ln}: station_id is negative: {row[0]!r}")
+        slot_of_day = ref_parse_int(path, ln, "slot_of_day", row[1])
+        if not 0 <= slot_of_day < 24:
+            raise TraceError(f"{path} line {ln}: slot_of_day is outside [0, 24): {row[1]!r}")
+        items.append(PopulationItem(station, slot_of_day, traces._STRATUM_BY_VALUE[name]))
+    # duplicates are checked once every row is valid
+    for (ln, _), item in zip(rows, items):
+        key = (item.station_id, item.slot_of_day)
+        if key in first:
+            raise TraceError(
+                f"{path} line {ln}: duplicate item (station {key[0]}, slot_of_day "
+                f"{key[1]}), first on line {first[key]}"
             )
-        )
+        first[key] = ln
     return items
 
 
@@ -607,13 +617,15 @@ BAD_TEXT = {
     "unit": ["x", "nan", "1.5", "-0.1"],
     "rate": ["x", "inf", "1.0", "-0.1", "0.3", "0"],
     "name": ["sometimes", ""],
+    "station": ["x", "", "1.5", "0x10", "-1"],
+    "slot_of_day": ["x", "", "1.5", "-1", "24", "30"],
 }
 KINDS = {
     "rtp": ("slot", "float"),
     "weather": ("slot", "float", "float"),
     "traffic": ("slot", "unit"),
     "charging": ("int", "int", "flag", "flag", "rate"),
-    "strata": ("int", "int", "name"),
+    "strata": ("station", "slot_of_day", "name"),
 }
 HEADERS = {
     "rtp": traces.RTP_HEADER,
@@ -632,6 +644,12 @@ def valid_rows(draw, schema):
     as_float = lambda x: draw(st.sampled_from(FLOAT_STYLES))(x)
     start = draw(st.integers(-50, 10**6))
     unit = st.floats(0.0, 1.0)
+    # a strata file names each (station, slot of day) item once
+    items = draw(
+        st.lists(
+            st.tuples(st.integers(0, 400), st.integers(0, 23)), min_size=n, max_size=n, unique=True
+        )
+    )
     rows = []
     for i in range(n):
         if schema == "charging":
@@ -641,7 +659,7 @@ def valid_rows(draw, schema):
             ints += [draw(st.integers(0, 1)), given]
             rows.append([as_int(v) for v in ints] + [as_float(rate)])
         elif schema == "strata":
-            ints = [draw(st.integers(0, 400)), draw(st.integers(0, 23))]
+            ints = list(items[i])
             name = draw(st.sampled_from(sorted(traces._STRATUM_BY_VALUE)))
             rows.append([as_int(v) for v in ints] + [name])
         else:
