@@ -357,9 +357,18 @@ def cmd_train_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
 
     log = load_csv(charging, "charging")
     observations = pricing.observations_from_records(log, SLOTS_PER_DAY)
+    n_stations = cfg.traces.n_stations
+    outside = (observations.stations < 0) | (observations.stations >= n_stations)
+    if outside.any():
+        j = int(outside.argmax())
+        raise DataError(
+            f"{charging}: record {j} (station {observations.stations[j]}, slot of day "
+            f"{observations.slots[j]}) is outside the run's {n_stations} stations "
+            "(traces.n_stations)"
+        )
     pcfg = dataclasses.replace(
         cfg.pricing,
-        n_stations=cfg.traces.n_stations,
+        n_stations=n_stations,
         seed=spawn_seed(cfg.seed, "pricing"),
     )
     model = pricing.train_cfmtl(observations, pcfg)

@@ -243,29 +243,9 @@ def cfmtl_loss_parts(
     r4 = (p_no + p_inc) * (1.0 - g) - i4
     r5 = g - i5
 
-    parts = LossParts(
-        l_no_treated=float(np.mean(r1 * r1)),
-        l_always_control=float(np.mean(r2 * r2)),
-        l_charged_treated=float(np.mean(r3 * r3)),
-        l_uncharged_control=float(np.mean(r4 * r4)),
-        l_propensity=float(np.mean(r5 * r5)),
-        total=0.0,
-    )
-    total = (
-        parts.l_no_treated
-        + parts.l_always_control
-        + parts.l_charged_treated
-        + parts.l_uncharged_control
-        + parts.l_propensity
-    )
-    parts = LossParts(
-        parts.l_no_treated,
-        parts.l_always_control,
-        parts.l_charged_treated,
-        parts.l_uncharged_control,
-        parts.l_propensity,
-        total,
-    )
+    means = [float(np.mean(r * r)) for r in (r1, r2, r3, r4, r5)]
+    total = means[0] + means[1] + means[2] + means[3] + means[4]
+    parts = LossParts(*means, total)
 
     grad_strata = np.empty_like(strata)
     grad_strata[:, COL_NO] = (2.0 / n) * (r1 * g + r4 * (1.0 - g))

@@ -9,6 +9,7 @@ are deterministic per seed.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -68,12 +69,14 @@ class PopulationItem:
     stratum: Stratum
 
 
+_INT64 = np.iinfo(np.int64)
+_DTYPE = {int: np.int64, float: np.float64}
 _LOG_COLUMNS = (
-    ("station_id", np.int64),
-    ("slot", np.int64),
-    ("charged", np.int64),
-    ("discount_given", np.int64),
-    ("discount_rate", np.float64),
+    ("station_id", int),
+    ("slot", int),
+    ("charged", int),
+    ("discount_given", int),
+    ("discount_rate", float),
 )
 
 
@@ -95,20 +98,18 @@ class ChargingLog:
 
     def __post_init__(self):
         shape = np.shape(self.station_id)
-        for name, dtype in _LOG_COLUMNS:
+        for name, convert in _LOG_COLUMNS:
             col = np.asarray(getattr(self, name))
             if col.ndim != 1 or col.shape != shape:
                 raise TraceError(
                     f"{name} must be a column as long as station_id {shape}, "
                     f"got shape {col.shape}"
                 )
-            if dtype is np.int64 and col.size and col.dtype.kind not in "iub":
+            if convert is int and col.size and col.dtype.kind not in "iub":
                 raise TraceError(f"{name} must hold integers, got {col.dtype}")
-            object.__setattr__(self, name, col.astype(dtype, copy=False))
-        fault = _log_fault(self.charged, self.discount_given, self.discount_rate)
-        if fault is not None:
-            row, message = fault
-            raise TraceError(f"row {row}: {message}")
+            object.__setattr__(self, name, col.astype(_DTYPE[convert], copy=False))
+        rules = _log_rules(self.charged, self.discount_given, self.discount_rate)
+        _raise_first_fault(rules, lambda i: f"row {i}")
 
     def __len__(self) -> int:
         return len(self.station_id)
@@ -122,22 +123,25 @@ class ChargingLog:
         )
 
 
-def _log_fault(charged, given, rate) -> tuple[int, str] | None:
-    """The first row that breaks a charging-log rule, with the rule's message.
+def _raise_first_fault(checks, where) -> None:
+    """Raise the first row, in file order, that fails a check, named by where(i).
 
-    Rules are tried in order within a row, so the message is the one a
-    row-by-row check would give.
+    checks are (row mask, message of a row) pairs in the order a row-by-row
+    reader tries them, and the error carries the first one the row fails:
+    the error a row-by-row reader would raise.
     """
-    charged, given, rate = np.asarray(charged), np.asarray(given), np.asarray(rate)
-    rules = (
-        (
-            (charged != 0) & (charged != 1),
-            lambda i: f"charged must be 0/1, got {int(charged[i])}",
-        ),
-        (
-            (given != 0) & (given != 1),
-            lambda i: f"discount_given must be 0/1, got {int(given[i])}",
-        ),
+    broken = functools.reduce(np.logical_or, [mask for mask, _ in checks])
+    if broken.any():
+        row = int(broken.argmax())
+        message = next(message for mask, message in checks if mask[row])
+        raise TraceError(f"{where(row)}: {message(row)}")
+
+
+def _log_rules(charged, given, rate) -> list:
+    """The charging-log rules as checks for _raise_first_fault, in the order tried."""
+    return [
+        ((charged != 0) & (charged != 1), lambda i: f"charged must be 0/1, got {int(charged[i])}"),
+        ((given != 0) & (given != 1), lambda i: f"discount_given must be 0/1, got {int(given[i])}"),
         (
             ~((rate >= 0.0) & (rate < 1.0)),
             lambda i: f"discount_rate must be in [0, 1), got {float(rate[i])}",
@@ -146,13 +150,7 @@ def _log_fault(charged, given, rate) -> tuple[int, str] | None:
             (given == 0) & (rate != 0.0),
             lambda i: "discount_rate must be 0 when no discount was given",
         ),
-    )
-    broken = np.logical_or.reduce([mask for mask, _ in rules])
-    if not broken.any():
-        return None
-    row = int(broken.argmax())
-    message = next(message for mask, message in rules if mask[row])
-    return row, message(row)
+    ]
 
 
 @dataclass
@@ -451,59 +449,39 @@ def _read_rows(path: str, header: list[str]) -> tuple[Sequence[int], list[list[s
     if set(map(len, rows)) - {len(header)}:
         lines = [ln for ln, row in zip(lines, rows) if row]
         rows = [row for row in rows if row]
-        for ln, row in zip(lines, rows):
-            if len(row) != len(header):
-                raise TraceError(
-                    f"{path} line {ln}: expected {len(header)} fields, got {len(row)}"
-                )
+        counts = np.array([len(row) for row in rows], dtype=np.int64)
+        _raise_first_fault(
+            [(counts != len(header), lambda i: f"expected {len(header)} fields, got {counts[i]}")],
+            lambda i: f"{path} line {lines[i]}",
+        )
     return lines, rows
 
 
-_INT64 = np.iinfo(np.int64)
-
-
-def _parse_float(path: str, ln: int, field: str, text: str) -> float:
+def _field_fault(convert, text: str) -> str | None:
+    """Why one field does not convert with int or float, or None if it does."""
     try:
-        value = float(text)
+        value = convert(text)
     except ValueError:
-        raise TraceError(f"{path} line {ln}: {field} is not a number: {text!r}")
-    if not math.isfinite(value):
-        raise TraceError(f"{path} line {ln}: {field} is not finite: {text!r}")
-    return value
+        return "is not an integer" if convert is int else "is not a number"
+    if convert is int:
+        return None if _INT64.min <= value <= _INT64.max else "is out of the int64 range"
+    return None if math.isfinite(value) else "is not finite"
 
 
-def _parse_int(path: str, ln: int, field: str, text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise TraceError(f"{path} line {ln}: {field} is not an integer: {text!r}")
-    if not _INT64.min <= value <= _INT64.max:
-        raise TraceError(f"{path} line {ln}: {field} is out of the int64 range: {text!r}")
-    return value
+def _column(rows: list[list[str]], j: int, name: str, convert):
+    """Field j of every row through int or float, and a (row mask, message) check.
 
-
-_PARSER = {int: _parse_int, float: _parse_float}
-_DTYPE = {int: np.int64, float: np.float64}
-
-
-def _columns(rows: list[list[str]], types) -> list[np.ndarray] | None:
-    """The leading field columns, each converted with int or float at once.
-
-    These are the converters _parse_int and _parse_float apply to one field,
-    so a column holds exactly what a field-by-field parse returns. None when
-    a field does not convert, an int leaves int64, or a float is not finite;
-    the caller then parses field by field to name the first bad one.
+    Only a column that fails the one-pass conversion is walked field by
+    field; there a bad field holds 0.
     """
+    texts = [row[j] for row in rows]
     try:
-        cols = [
-            np.fromiter(map(t, [row[j] for row in rows]), _DTYPE[t], count=len(rows))
-            for j, t in enumerate(types)
-        ]
+        values = np.fromiter(map(convert, texts), _DTYPE[convert], count=len(texts))
+        bad = ~np.isfinite(values) if convert is float else np.zeros(len(texts), bool)
     except (ValueError, OverflowError):
-        return None
-    if all(np.isfinite(col).all() for col, t in zip(cols, types) if t is float):
-        return cols
-    return None
+        bad = np.array([_field_fault(convert, text) is not None for text in texts])
+        values = np.array([0 if b else convert(t) for b, t in zip(bad, texts)], _DTYPE[convert])
+    return values, (bad, lambda i: f"{name} {_field_fault(convert, rows[i][j])}: {rows[i][j]!r}")
 
 
 def _read_series(path: str, header: list[str]) -> tuple[int, list[np.ndarray]]:
@@ -511,82 +489,43 @@ def _read_series(path: str, header: list[str]) -> tuple[int, list[np.ndarray]]:
     lines, rows = _read_rows(path, header)
     if not rows:
         raise TraceError(f"{path}: no data rows")
-    cols = _columns(rows, [int] + [float] * (len(header) - 1))
-    if cols is not None:
-        start = int(cols[0][0])
-        if np.array_equal(cols[0], start + np.arange(len(rows))):
-            return start, cols[1:]
-    # row by row, as the slots run, to raise the first error in file order
-    for i, (ln, row) in enumerate(zip(lines, rows)):
-        slot = _parse_int(path, ln, "slot", row[0])
-        if i == 0:
-            start = slot
-        elif slot != start + i:
-            raise TraceError(f"{path} line {ln}: missing slot {start + i}, found {slot}")
-        for field, text in zip(header[1:], row[1:]):
-            _parse_float(path, ln, field, text)
-    raise AssertionError(f"{path}: bulk parse failed, field parse did not")
+    slots, parsed = _column(rows, 0, "slot", int)
+    start = int(slots[0])
+    # a row whose slot start + i is past int64 has a gap, whatever it holds
+    offsets = np.arange(len(rows))
+    gap = (offsets > min(_INT64.max - start, len(rows))) | (slots != start + offsets)
+    series = [_column(rows, j, name, float) for j, name in enumerate(header[1:], start=1)]
+    checks = [parsed, (gap, lambda i: f"missing slot {start + i}, found {int(slots[i])}")]
+    _raise_first_fault(checks + [check for _, check in series], lambda i: f"{path} line {lines[i]}")
+    return start, [values for values, _ in series]
 
 
 def _read_charging(path: str) -> ChargingLog:
     lines, rows = _read_rows(path, CHARGING_HEADER)
-    types = [int, int, int, int, float]
-    cols = _columns(rows, types)
-    parse_error = None
-    if cols is None:
-        # field by field to the first one that fails; a rule broken in an
-        # earlier row still comes first, as in a row-by-row parse
-        parsed = []
-        try:
-            for ln, row in zip(lines, rows):
-                parsed.append(
-                    [
-                        _PARSER[t](path, ln, field, text)
-                        for t, field, text in zip(types, CHARGING_HEADER, row)
-                    ]
-                )
-        except TraceError as exc:
-            parse_error = exc
-        cols = [[values[j] for values in parsed] for j in range(len(types))]
-    fault = _log_fault(*cols[2:])
-    if fault is not None:
-        row, message = fault
-        raise TraceError(f"{path} line {lines[row]}: {message}")
-    if parse_error is not None:
-        raise parse_error
+    cols, checks = zip(*(_column(rows, j, *column) for j, column in enumerate(_LOG_COLUMNS)))
+    _raise_first_fault([*checks, *_log_rules(*cols[2:])], lambda i: f"{path} line {lines[i]}")
     return ChargingLog(*cols)
-
-
-def _strata_fault(path: str, ln: int, row: list[str]) -> None:
-    """Raise the first fault of one strata row: its stratum, then each field."""
-    if row[2] not in _STRATUM_BY_VALUE:
-        raise TraceError(
-            f"{path} line {ln}: unknown stratum {row[2]!r}, "
-            f"expected one of {sorted(_STRATUM_BY_VALUE)}"
-        )
-    if _parse_int(path, ln, "station_id", row[0]) < 0:
-        raise TraceError(f"{path} line {ln}: station_id is negative: {row[0]!r}")
-    if not 0 <= _parse_int(path, ln, "slot_of_day", row[1]) < SLOTS_PER_DAY:
-        raise TraceError(
-            f"{path} line {ln}: slot_of_day is outside [0, {SLOTS_PER_DAY}): {row[1]!r}"
-        )
 
 
 def _read_strata(path: str) -> list[PopulationItem]:
     lines, rows = _read_rows(path, STRATA_HEADER)
     names = [row[2] for row in rows]
-    cols = _columns(rows, [int, int])
-    if (
-        cols is None
-        or not _STRATUM_BY_VALUE.keys() >= set(names)
-        or (cols[0] < 0).any()
-        or ((cols[1] < 0) | (cols[1] >= SLOTS_PER_DAY)).any()
-    ):
-        # row by row, to raise the first error in file order
-        for ln, row in zip(lines, rows):
-            _strata_fault(path, ln, row)
-        raise AssertionError(f"{path}: bulk checks failed, row checks did not")
-    keys = list(zip(cols[0].tolist(), cols[1].tolist()))
+    unknown = np.array([name not in _STRATUM_BY_VALUE for name in names], bool)
+    expected = sorted(_STRATUM_BY_VALUE)
+    stations, station_parsed = _column(rows, 0, "station_id", int)
+    sods, sod_parsed = _column(rows, 1, "slot_of_day", int)
+    checks = [
+        (unknown, lambda i: f"unknown stratum {names[i]!r}, expected one of {expected}"),
+        station_parsed,
+        (stations < 0, lambda i: f"station_id is negative: {rows[i][0]!r}"),
+        sod_parsed,
+        (
+            (sods < 0) | (sods >= SLOTS_PER_DAY),
+            lambda i: f"slot_of_day is outside [0, {SLOTS_PER_DAY}): {rows[i][1]!r}",
+        ),
+    ]
+    _raise_first_fault(checks, lambda i: f"{path} line {lines[i]}")
+    keys = list(zip(stations.tolist(), sods.tolist()))
     if len(set(keys)) < len(keys):
         first = {}
         for ln, key in zip(lines, keys):
@@ -605,8 +544,9 @@ def load_csv(path: str, schema: str):
 
     Returns (start_slot, arrays...) for the slot-indexed schemas, a
     ChargingLog for "charging", or an item list for "strata". Each column is
-    converted and checked at once; only a file that fails is parsed again
-    field by field, so that the error names the first bad line and field.
+    converted at once and every row check is a mask over the rows; an error
+    names the first bad line in file order, and in it the first failing
+    check in the order a row-by-row reader tries them.
     """
     if schema == "rtp":
         start, (price,) = _read_series(path, RTP_HEADER)

@@ -433,6 +433,23 @@ class TestStrataFaults:
         assert err.startswith("data error: ") and f"{path}" in err and message in err
 
 
+class TestChargingStationFaults:
+    # the tiny config has 5 stations
+    @pytest.mark.parametrize("station", [-1, 5], ids=["station-negative", "station-beyond"])
+    def test_train_price_exits_3_naming_the_file(self, priced, tmp_path, capsys, station):
+        config_path, run_dir = priced
+        copy = tmp_path / "run"
+        shutil.copytree(run_dir, copy)
+        path = copy / "data" / "charging.csv"
+        lines = _edit_first_item(path.read_text().splitlines(), station=station)
+        path.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["train-price", "--config", config_path, "--out", str(copy), "--force"])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_DATA, err
+        assert err.startswith("data error: ") and f"{path}" in err
+        assert f"record 0 (station {station}, slot of day 0) is outside" in err
+
+
 class TestEvalPriceWork:
     def test_model_forwards_do_not_grow_with_the_discount_grid(self, priced, monkeypatch):
         config_path, _ = priced

@@ -476,9 +476,12 @@ def ref_parse_float(path, ln, field, text):
 
 def ref_parse_int(path, ln, field, text):
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise TraceError(f"{path} line {ln}: {field} is not an integer: {text!r}")
+    if not -(2**63) <= value < 2**63:
+        raise TraceError(f"{path} line {ln}: {field} is out of the int64 range: {text!r}")
+    return value
 
 
 def ref_read_series(path, header):
@@ -609,16 +612,17 @@ FLOAT_STYLES = (
 )
 
 # bad texts per field kind; some break a rule only in some rows, or none
+INT64_OUT = ["9223372036854775808", "-9223372036854775809"]
 BAD_TEXT = {
-    "slot": ["x", "", "1.5", "1e3", "GAP"],
-    "int": ["x", "", "1.5", "0x10"],
-    "flag": ["2", "-1", "x", "0.5"],
+    "slot": ["x", "", "1.5", "1e3", "GAP"] + INT64_OUT,
+    "int": ["x", "", "1.5", "0x10"] + INT64_OUT,
+    "flag": ["2", "-1", "x", "0.5"] + INT64_OUT,
     "float": ["x", "", "nan", "NaN", "inf", "-inf", "1e999", "-1.0"],
     "unit": ["x", "nan", "1.5", "-0.1"],
     "rate": ["x", "inf", "1.0", "-0.1", "0.3", "0"],
     "name": ["sometimes", ""],
-    "station": ["x", "", "1.5", "0x10", "-1"],
-    "slot_of_day": ["x", "", "1.5", "-1", "24", "30"],
+    "station": ["x", "", "1.5", "0x10", "-1"] + INT64_OUT,
+    "slot_of_day": ["x", "", "1.5", "-1", "24", "30"] + INT64_OUT,
 }
 KINDS = {
     "rtp": ("slot", "float"),
@@ -756,3 +760,11 @@ class TestBulkParseMatchesFieldParse:
         path.write_text(f"slot,price\n0,0.1\n{2**63},0.1\n")
         with pytest.raises(TraceError, match="line 3: slot is out of the int64 range"):
             load_csv(str(path), "rtp")
+
+    def test_slots_that_wrap_past_int64_are_a_gap(self, tmp_path):
+        path = tmp_path / "rtp.csv"
+        path.write_text(f"slot,price\n{2**63 - 1},0.1\n{-(2**63)},0.1\n")
+        got, want = both_parses(path, "rtp")
+        assert got == want == (
+            f"TraceError: {path} line 3: missing slot {2**63}, found {-(2**63)}"
+        )
