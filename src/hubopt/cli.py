@@ -96,8 +96,14 @@ class TraceGenConfig:
             self.evening_boost,
             self.logged_policy,
             self.logged_discount,
-            SLOTS_PER_DAY,
         )
+        # station 0's slots of day fill first; eval-price tabulates every quarter
+        last = pricing.PERIODS[-1][0]
+        if self.n_items is not None and self.n_items <= last:
+            raise hub.ConfigError(
+                f"n_items must be at least {last + 1}, got {self.n_items}: {last + 1} items "
+                f"reach slot {last}, the first slot of the last quarter of the day"
+            )
         check_rtp_base(self.rtp_base)
 
     @property
@@ -178,7 +184,6 @@ def run_config_from_dict(raw: dict) -> RunConfig:
             pricing_raw,
             "pricing",
             skip=("n_stations", "seed"),
-            slots_per_day=SLOTS_PER_DAY,
         ),
         env=hub.config_from_dict(scheduler.EnvConfig, env_raw, "ppo"),
         ppo=hub.config_from_dict(scheduler.PpoConfig, ppo_raw, "ppo"),
@@ -194,6 +199,8 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
         raise hub.ConfigError(f"config file not found: {exc.filename}") from exc
     except OSError as exc:
         raise hub.ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise hub.ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise hub.ConfigError(f"cannot parse {path}: {exc}") from exc
     if raw is None:
@@ -257,8 +264,13 @@ def _update_manifest(run_dir: str, stage: str, paths: list[str]) -> None:
     manifest_path = os.path.join(run_dir, "manifest.json")
     manifest = {"stages": {}}
     if os.path.exists(manifest_path):
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        try:
+            with open(manifest_path, "r", encoding="utf-8") as fh:
+                manifest = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot read {manifest_path}: {exc}") from exc
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
+            raise DataError(f"{manifest_path} has no stages mapping")
     manifest["stages"][stage] = {
         os.path.relpath(p, run_dir): _sha256(p) for p in sorted(paths)
     }
@@ -272,7 +284,7 @@ def _write_snapshot(cfg: RunConfig, run_dir: str, force: bool) -> None:
     path = os.path.join(run_dir, "config.yaml")
     text = yaml.safe_dump(config_snapshot_dict(cfg), sort_keys=True)
     if os.path.exists(path) and not force:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
             existing = fh.read()
         if existing != text:
             raise hub.ConfigError(
@@ -321,9 +333,8 @@ def cmd_gen_data(cfg: RunConfig, run_dir: str, force: bool) -> None:
         evening_boost=cfg.traces.evening_boost,
         logged_policy=cfg.traces.logged_policy,
         logged_discount=cfg.traces.logged_discount,
-        slots_per_day=SLOTS_PER_DAY,
     )
-    traces = TraceSet(0, rtp, wind, irr, load, log)
+    traces = TraceSet(rtp, wind, irr, load, log)
     paths = save_traces(traces, data_dir)
     strata_path = os.path.join(data_dir, "strata.csv")
     save_strata(strata_path, items)
@@ -356,7 +367,7 @@ def cmd_train_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
     os.makedirs(os.path.join(run_dir, "checkpoints"), exist_ok=True)
 
     log = load_csv(charging, "charging")
-    observations = pricing.observations_from_records(log, SLOTS_PER_DAY)
+    observations = pricing.observations_from_records(log)
     n_stations = cfg.traces.n_stations
     outside = (observations.stations < 0) | (observations.stations >= n_stations)
     if outside.any():
@@ -405,7 +416,7 @@ def _load_population(run_dir: str, log: ChargingLog | None = None, n_stations: i
     items = load_strata(strata_path)
     if log is None:
         log = load_csv(_require(charging_path), "charging")
-    observations = pricing.observations_from_records(log, SLOTS_PER_DAY)
+    observations = pricing.observations_from_records(log)
     stations = np.array([it.station_id for it in items], dtype=np.int64)
     top = int(stations.max(initial=-1))
     if n_stations is not None and top >= n_stations:
@@ -466,6 +477,10 @@ def cmd_eval_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
         model, mu1, mu0, prop, items, observations
     )
     truth = pricing.strata_columns(items)
+    try:
+        shares = pricing.strata_by_period(winners, universe.slots)
+    except ValueError as exc:
+        raise DataError(f"{os.path.join(run_dir, 'data', 'strata.csv')}: {exc}") from exc
 
     os.makedirs(results_dir, exist_ok=True)
     rows = []
@@ -484,7 +499,6 @@ def cmd_eval_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
             )
     _write_rows(eval_path, PRICING_EVAL_HEADER, rows)
 
-    shares = pricing.strata_by_period(winners, universe.slots, SLOTS_PER_DAY)
     period_rows = [
         (label, stratum.value, _fmt(share))
         for label, by_stratum in shares.items()

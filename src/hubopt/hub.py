@@ -13,11 +13,10 @@ from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
-# Battery actions. The scheduler uses its own {0,1,2} encoding and maps here.
-CHARGE = 1
-IDLE = 0
-DISCHARGE = -1
-ACTIONS = (CHARGE, IDLE, DISCHARGE)
+# Battery actions, one encoding throughout: action k is a policy's output k
+# and column k of profit_table.
+CHARGE, DISCHARGE, IDLE = 0, 1, 2
+ACTIONS = (CHARGE, DISCHARGE, IDLE)
 
 
 class ConfigError(ValueError):
@@ -225,7 +224,7 @@ def step(cfg: HubConfig, state: BatteryState, inputs: SlotInputs, action: int) -
 
     dt = cfg.slot_hours
     cost_grid = p_grid * dt * inputs.rtp
-    cost_bp = abs(action) * cfg.c_bp
+    cost_bp = (action != IDLE) * cfg.c_bp
     revenue = p_cs * dt * inputs.srtp
     return SlotOutcome(
         p_bs_kw=p_bs,
@@ -244,7 +243,7 @@ def step(cfg: HubConfig, state: BatteryState, inputs: SlotInputs, action: int) -
 def profit_table(cfg: HubConfig, load_rate, occupancy, p_wt_kw, p_pv_kw, rtp, srtp) -> np.ndarray:
     """Per-slot profit of every battery action, shape (T, len(ACTIONS)).
 
-    Column k holds the profit of ACTIONS[k]. Profit does not depend on the
+    Column k holds the profit of action k. Profit does not depend on the
     soc, so one table serves every state; feasibility is left to the caller.
     The series are validated once here, as SlotInputs validates one slot, and
     each entry is computed with the float operations of step(), in the same
@@ -279,12 +278,12 @@ def profit_table(cfg: HubConfig, load_rate, occupancy, p_wt_kw, p_pv_kw, rtp, sr
     p_cs = occ * cfg.r_cs_kw
     revenue = p_cs * dt * series["srtp"]
     table = np.empty((n, len(ACTIONS)))
-    for col, action in enumerate(ACTIONS):
+    for action in ACTIONS:
         p_bp, _ = battery_power(cfg.battery, action, dt)
         net = p_bs + p_cs + p_bp - series["p_wt_kw"] - series["p_pv_kw"]
         # max(0.0, net) keeps 0.0 unless net > 0.0
         cost_grid = np.where(net > 0.0, net, 0.0) * dt * series["rtp"]
-        table[:, col] = revenue - cost_grid - abs(action) * cfg.c_bp
+        table[:, action] = revenue - cost_grid - (action != IDLE) * cfg.c_bp
     return table
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import nn
 from .seeding import spawn_rng, spawn_seed
-from .traces import ChargingLog, PopulationItem, Stratum
+from .traces import SLOTS_PER_DAY, ChargingLog, PopulationItem, Stratum
 
 # stratum-head column order
 COL_NO = 0
@@ -44,10 +44,6 @@ _COL_OF_STRATUM = {
 }
 
 PERIODS = ((0, 6), (6, 12), (12, 18), (18, 24))
-
-
-def period_label(start: int, end: int) -> str:
-    return f"{start:02d}-{end:02d}"
 
 
 class Observations(NamedTuple):
@@ -76,7 +72,6 @@ class LossParts:
 @dataclass
 class PricingConfig:
     n_stations: int | None = None  # inferred from data when None
-    slots_per_day: int = 24
     embed_dim: int = 16
     hidden: tuple[int, ...] = (64, 32)
     lr: float = 0.01
@@ -100,11 +95,11 @@ class PricingConfig:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
 
 
-def observations_from_records(log: ChargingLog, slots_per_day: int = 24) -> Observations:
+def observations_from_records(log: ChargingLog) -> Observations:
     """The pricing view of a charging log; the log has checked its flags."""
     return Observations(
         stations=log.station_id,
-        slots=log.slot % slots_per_day,
+        slots=log.slot % SLOTS_PER_DAY,
         treated=log.discount_given.astype(np.float64),
         charged=log.charged.astype(np.float64),
     )
@@ -291,7 +286,7 @@ def train_cfmtl(
         )
         model = PricingModel(
             n_stations=n_stations,
-            n_slots=cfg.slots_per_day,
+            n_slots=SLOTS_PER_DAY,
             embed_dim=cfg.embed_dim,
             hidden=cfg.hidden,
             seed=spawn_seed(cfg.seed, "pricing", "init"),
@@ -396,7 +391,7 @@ def _fit_scorer(stations, slots, targets, cfg: PricingConfig, tag: str) -> nn.Em
     )
     model = nn.EmbedMlp(
         n_stations=n_stations,
-        n_slots=cfg.slots_per_day,
+        n_slots=SLOTS_PER_DAY,
         embed_dim=cfg.embed_dim,
         hidden=cfg.hidden,
         seed=spawn_seed(cfg.seed, tag, "init"),
@@ -568,24 +563,20 @@ def top_k_policy(universe, scores, k: int) -> np.ndarray:
     return give
 
 
-def strata_by_period(
-    winners: np.ndarray, slots: np.ndarray, slots_per_day: int
-) -> dict[str, dict[Stratum, float]]:
+def strata_by_period(winners: np.ndarray, slots: np.ndarray) -> dict[str, dict[Stratum, float]]:
     """Predicted-stratum shares within each quarter of the day.
 
     winners holds each item's predicted stratum column and slots its slot of
     day. Returns {"00-06": {stratum: share, ...}, ...} with shares summing to
     1 per period.
     """
-    if slots_per_day % 4 != 0:
-        raise ValueError(f"slots_per_day must be divisible by 4, got {slots_per_day}")
-    if np.any(slots >= slots_per_day):
-        raise ValueError("universe has slot-of-day values beyond slots_per_day")
-    quarter = slots * 4 // slots_per_day
+    if np.any(slots >= SLOTS_PER_DAY):
+        raise ValueError(f"universe has slot-of-day values beyond {SLOTS_PER_DAY}")
+    quarter = slots * 4 // SLOTS_PER_DAY
     out: dict[str, dict[Stratum, float]] = {}
     for q, (start, end) in enumerate(PERIODS):
         mask = quarter == q
-        label = period_label(start, end)
+        label = f"{start:02d}-{end:02d}"
         if not mask.any():
             raise ValueError(f"no items fall in period {label}")
         out[label] = {

@@ -21,19 +21,6 @@ from . import hub, nn
 from .seeding import spawn_rng, spawn_seed
 from .traces import TraceSet, pv_power, wt_power
 
-# environment action encoding; distinct from the hub-core signed constants
-ACT_CHARGE = 0
-ACT_DISCHARGE = 1
-ACT_IDLE = 2
-N_ACTIONS = 3
-
-_HUB_ACTION = {
-    ACT_CHARGE: hub.CHARGE,
-    ACT_DISCHARGE: hub.DISCHARGE,
-    ACT_IDLE: hub.IDLE,
-}
-
-
 @dataclass(frozen=True)
 class EnvConfig:
     episode_days: int = 30
@@ -111,14 +98,13 @@ class HubEnv:
         self.load_rate = np.asarray(trace_set.load_rate, dtype=np.float64)
         self.p_wt = wt_power(trace_set.wind_mps, hub_cfg.wt_capacity_kw)
         self.p_pv = pv_power(trace_set.irradiance_wm2, hub_cfg.pv_capacity_kw)
-        # every slot's profit under each hub action; validates the series once
+        # every slot's profit under each action; validates the series once
         self.profit = hub.profit_table(
             hub_cfg, self.load_rate, self.occupancy, self.p_wt, self.p_pv, self.rtp, self.srtp
         )
         n = len(self.rtp)
-        self.slots_per_day = int(round(24.0 / hub_cfg.slot_hours))
         self.episode_days = env_cfg.episode_days
-        self.episode_slots = env_cfg.episode_days * self.slots_per_day
+        self.episode_slots = env_cfg.episode_days * int(round(24.0 / hub_cfg.slot_hours))
         self.window = env_cfg.window
         last_start = n - self.episode_slots - 1
         if last_start < self.window:
@@ -194,7 +180,7 @@ class HubEnv:
 
     def episode_inputs(self, start: int) -> np.ndarray:
         """The profit rows (episode_slots, 3) an episode starting at `start`
-        is rewarded from, columns in hub.ACTIONS order."""
+        is rewarded from; column k holds action k's profit."""
         if not self.window <= start <= self.last_start:
             raise ValueError(f"episode start {start} outside [{self.window}, {self.last_start}]")
         return self.profit[start : start + self.episode_slots]
@@ -202,14 +188,13 @@ class HubEnv:
     def step(self, action: int) -> tuple[EnvState, float, bool]:
         if self._t < 0:
             raise RuntimeError("call reset() before step()")
-        if action not in _HUB_ACTION:
-            raise ValueError(f"action must be in {{0, 1, 2}}, got {action}")
-        hub_action = _HUB_ACTION[action]
+        if action not in hub.ACTIONS:
+            raise ValueError(f"action must be one of {hub.ACTIONS}, got {action}")
         spec, dt = self.hub_cfg.battery, self.hub_cfg.slot_hours
-        if hub_action not in hub.feasible_actions(self._battery, spec, dt):
-            hub_action = hub.IDLE
-        reward = float(self.profit[self._t, hub.ACTIONS.index(hub_action)])
-        self._battery = hub.soc_step(self._battery, spec, hub_action, dt)
+        if action not in hub.feasible_actions(self._battery, spec, dt):
+            action = hub.IDLE
+        reward = float(self.profit[self._t, action])
+        self._battery = hub.soc_step(self._battery, spec, action, dt)
         self._t += 1
         done = self._t - self.episode_start >= self.episode_slots
         return self._observe(), reward, done
@@ -266,7 +251,7 @@ class TrainingAbort(RuntimeError):
 def sample_actions(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """One action per row of probs (n, 3), each drawn with its own uniform.
 
-    The rule of Generator.choice(N_ACTIONS, p=p / p.sum()): normalize, take
+    The rule of Generator.choice(3, p=p / p.sum()): normalize, take
     the cumulative sums, divide them by the last, and pick the first entry
     above the uniform. Each choice call draws one rng.random(), so a
     pre-drawn block of uniforms gives the same actions and leaves the stream
@@ -296,7 +281,8 @@ class PolicyBundle(nn.Module):
         self.trunk = nn.DenseNet(
             [self.state_dim, *self.hidden], ["relu"] * len(self.hidden), rng
         )
-        self.actor = nn.DenseNet([self.hidden[-1], N_ACTIONS], ["softmax"], rng)
+        # output k is the probability of hub action k
+        self.actor = nn.DenseNet([self.hidden[-1], len(hub.ACTIONS)], ["softmax"], rng)
         self.critic = nn.DenseNet([self.hidden[-1], 1], ["identity"], rng)
         super().__init__([("trunk.", self.trunk), ("actor.", self.actor), ("critic.", self.critic)])
 
@@ -493,27 +479,21 @@ class _PolicyStack:
         return self._layers(self.actor, h), self._layers(self.critic, h)[:, :, 0]
 
 
-# profit-table column of each hub action
-_COLUMN = {action: col for col, action in enumerate(hub.ACTIONS)}
-
-
 def _settle(cfg: hub.HubConfig, soc: np.ndarray, actions: np.ndarray):
     """hub.feasible_actions's idle fallback, then hub.soc_step, over arrays.
 
-    Returns (profit-table columns taken, next soc) for environment actions
-    at soc (kWh). The expressions are the scalar ones, in the same order, so
-    every soc has the bits the scalar path gives it.
+    Returns (actions taken, next soc) for actions chosen at soc (kWh). The
+    expressions are the scalar ones, in the same order, so every soc has the
+    bits the scalar path gives it.
     """
     spec, dt = cfg.battery, cfg.slot_hours
-    charge = (actions == ACT_CHARGE) & (
+    charge = (actions == hub.CHARGE) & (
         soc + spec.eta_charge * spec.r_charge_kw * dt <= spec.soc_max_kwh
     )
-    discharge = (actions == ACT_DISCHARGE) & (soc - spec.r_discharge_kw * dt >= spec.soc_min_kwh)
-    col = np.where(
-        charge, _COLUMN[hub.CHARGE], np.where(discharge, _COLUMN[hub.DISCHARGE], _COLUMN[hub.IDLE])
-    )
+    discharge = (actions == hub.DISCHARGE) & (soc - spec.r_discharge_kw * dt >= spec.soc_min_kwh)
+    taken = np.where(charge, hub.CHARGE, np.where(discharge, hub.DISCHARGE, hub.IDLE))
     deltas = np.array([hub.battery_power(spec, action, dt)[1] for action in hub.ACTIONS])
-    return col, soc + deltas[col]
+    return taken, soc + deltas[taken]
 
 
 def _check_population(envs, bundles, seeds) -> None:
@@ -606,9 +586,9 @@ def _lockstep(envs, bundles, draws: np.ndarray, pick):
     for t in range(rewards.shape[-1]):
         rows = states.at(t, soc)
         probs, values = policy.forward(rows.reshape(len(envs), -1, rows.shape[-1]))
-        actions = pick(t, probs.reshape(soc.shape + (N_ACTIONS,)), values.reshape(soc.shape))
-        col, soc = _settle(cfg, soc, actions)
-        rewards[..., t] = profit[(*episode, t, col)]
+        actions = pick(t, probs.reshape(soc.shape + (-1,)), values.reshape(soc.shape))
+        taken, soc = _settle(cfg, soc, actions)
+        rewards[..., t] = profit[(*episode, t, taken)]
     return states, rewards
 
 
@@ -745,8 +725,8 @@ def dp_oracle(
 ) -> tuple[float, list[int]]:
     """Clairvoyant-optimal battery plan by backward induction on a soc lattice.
 
-    inputs are the episode's profit rows (T, 3), columns in hub.ACTIONS
-    order, as HubEnv.episode_inputs returns them. Per-slot profit depends
+    inputs are the episode's profit rows (T, 3), column k holding action
+    k's profit, as HubEnv.episode_inputs returns them. Per-slot profit depends
     only on the action, so one row serves every node, and the lattice
     solution is exact whenever every soc transition lands on a lattice node;
     the resolution must evenly divide the charge step, the discharge step,
@@ -786,8 +766,8 @@ def dp_oracle(
     horizon = len(table)
 
     # candidate order is the tie-break preference: idle, charge, discharge
-    order = (hub.IDLE, hub.CHARGE, hub.DISCHARGE)
-    profit = table[:, [_COLUMN[action] for action in order]]
+    order = [hub.IDLE, hub.CHARGE, hub.DISCHARGE]
+    profit = table[:, order]
     # an action infeasible even from its most favourable soc is never taken
     possible = hub.feasible_actions(
         hub.BatteryState(spec.soc_min_kwh), spec, cfg.slot_hours
@@ -810,11 +790,10 @@ def dp_oracle(
         choice[t] = cand.argmax(axis=0)
         value = cand[choice[t], nodes]
 
-    env_action = (ACT_IDLE, ACT_CHARGE, ACT_DISCHARGE)
     actions = []
     i = i0
     for t in range(horizon):
         col = int(choice[t, i])
-        actions.append(env_action[col])
+        actions.append(order[col])
         i += moves[col]
     return float(value[i0]), actions

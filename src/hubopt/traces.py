@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ WT_CUT_OUT = 25.0
 PV_DERATE = 0.9
 
 EVENING_START_HOUR = 18  # incentive-prone window is 18:00-24:00
-SLOTS_PER_DAY = 24  # every series and the strata file are hourly
+SLOTS_PER_DAY = 24  # every series and the strata file are hourly; series start at slot 0
 
 RTP_HEADER = ["slot", "price"]
 WEATHER_HEADER = ["slot", "wind_mps", "irradiance_wm2"]
@@ -155,9 +156,8 @@ def _log_rules(charged, given, rate) -> list:
 
 @dataclass
 class TraceSet:
-    """Aligned per-slot series plus the charging log."""
+    """Aligned per-slot series, slot 0 first, plus the charging log."""
 
-    start_slot: int
     rtp: np.ndarray
     wind_mps: np.ndarray
     irradiance_wm2: np.ndarray
@@ -165,13 +165,10 @@ class TraceSet:
     charging: ChargingLog
 
     def __post_init__(self):
-        self.rtp = np.asarray(self.rtp, dtype=np.float64)
-        self.wind_mps = np.asarray(self.wind_mps, dtype=np.float64)
-        self.irradiance_wm2 = np.asarray(self.irradiance_wm2, dtype=np.float64)
-        self.load_rate = np.asarray(self.load_rate, dtype=np.float64)
         n = len(self.rtp)
         for name in ("rtp", "wind_mps", "irradiance_wm2", "load_rate"):
-            arr = getattr(self, name)
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            setattr(self, name, arr)
             if len(arr) != n:
                 raise TraceError(
                     f"series length mismatch: rtp has {n} slots, {name} has {len(arr)}"
@@ -291,14 +288,11 @@ def check_population_args(
     evening_boost: float,
     logged_policy: str,
     logged_discount: float,
-    slots_per_day: int,
 ) -> None:
     """gen_charging_population's checks on its arguments, shared with the run config.
 
     n_stations must already be positive.
     """
-    if slots_per_day <= 0:
-        raise ValueError(f"slots_per_day must be positive, got {slots_per_day}")
     priors = np.asarray(strata_priors, dtype=np.float64)
     if priors.shape != (3,):
         raise ValueError(f"strata_priors must have 3 entries, got {priors.shape}")
@@ -312,11 +306,11 @@ def check_population_args(
         )
     if not 0.0 < logged_discount < 1.0:
         raise ValueError(f"logged_discount must be in (0, 1), got {logged_discount}")
-    grid_size = n_stations * slots_per_day
+    grid_size = n_stations * SLOTS_PER_DAY
     if n_items is not None and not 0 < n_items <= grid_size:
         raise ValueError(
             f"n_items must be in (0, {grid_size}] for {n_stations} stations "
-            f"x {slots_per_day} slots, got {n_items}"
+            f"x {SLOTS_PER_DAY} slots, got {n_items}"
         )
 
 
@@ -330,7 +324,6 @@ def gen_charging_population(
     evening_boost: float = 2.5,
     logged_policy: str = "random",
     logged_discount: float = 0.3,
-    slots_per_day: int = 24,
 ) -> tuple[list[PopulationItem], ChargingLog]:
     """Plant per-item strata and roll out a logged discount policy over n_slots.
 
@@ -352,27 +345,25 @@ def gen_charging_population(
         evening_boost,
         logged_policy,
         logged_discount,
-        slots_per_day,
     )
     priors = np.asarray(strata_priors, dtype=np.float64)
     if np.any(priors == 1.0):
         warnings.warn("degenerate strata_priors: a single stratum has all the mass")
     if n_items is None:
-        n_items = n_stations * slots_per_day
+        n_items = n_stations * SLOTS_PER_DAY
 
     rng = np.random.default_rng(seed)
-    evening_from = EVENING_START_HOUR * slots_per_day / 24.0
     boosted = priors * np.array([1.0, evening_boost, 1.0])
     boosted = boosted / boosted.sum()
 
     items: list[PopulationItem] = []
     # each item's index in _STRATUM_ORDER; -1 where truncated out of the universe
-    strata = np.full((n_stations, slots_per_day), -1)
+    strata = np.full((n_stations, SLOTS_PER_DAY), -1)
     for station in range(n_stations):
-        for sod in range(slots_per_day):
+        for sod in range(SLOTS_PER_DAY):
             if len(items) == n_items:
                 break
-            p = boosted if sod >= evening_from else priors
+            p = boosted if sod >= EVENING_START_HOUR else priors
             k = int(rng.choice(3, p=p))
             items.append(PopulationItem(station, sod, _STRATUM_ORDER[k]))
             strata[station, sod] = k
@@ -380,14 +371,14 @@ def gen_charging_population(
             break
 
     if logged_policy == "random":
-        treat_prob = np.full(slots_per_day, 0.5)
+        treat_prob = np.full(SLOTS_PER_DAY, 0.5)
     else:
-        sods = np.arange(slots_per_day)
-        treat_prob = np.where(sods >= evening_from, 0.7, 0.3)
+        sods = np.arange(SLOTS_PER_DAY)
+        treat_prob = np.where(sods >= EVENING_START_HOUR, 0.7, 0.3)
     draws = rng.random((n_slots, n_stations))
 
     # (slot, station) grids; rows of the log run slot-major, station-minor
-    sods = np.arange(n_slots) % slots_per_day
+    sods = np.arange(n_slots) % SLOTS_PER_DAY
     stratum = strata[:, sods].T
     treated = draws < treat_prob[sods][:, None]
     charged = (stratum == 0) | ((stratum == 1) & treated)  # stratum_response
@@ -432,19 +423,25 @@ def _write_rows(path: str, header: list[str], rows) -> None:
 def _read_rows(path: str, header: list[str]) -> tuple[Sequence[int], list[list[str]]]:
     """A CSV's data rows and the line number of each, after its header.
 
-    Blank lines are skipped; every other row must have one field per column.
+    The file must be UTF-8 text. Blank lines are skipped; every other row
+    must have one field per column.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            got = next(reader)
-        except StopIteration:
-            raise TraceError(f"{path}: empty file, expected header {','.join(header)}")
-        if got != header:
-            raise TraceError(
-                f"{path}: bad header {','.join(got)!r}, expected {','.join(header)!r}"
-            )
-        rows = list(reader)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")  # a whole-file decode names the file offset of a bad byte
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"{path}: byte {exc.start} is not UTF-8 text ({exc.reason})") from None
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    try:
+        got = next(reader)
+    except StopIteration:
+        raise TraceError(f"{path}: empty file, expected header {','.join(header)}")
+    if got != header:
+        raise TraceError(
+            f"{path}: bad header {','.join(got)!r}, expected {','.join(header)!r}"
+        )
+    rows = list(reader)
     lines: Sequence[int] = range(2, len(rows) + 2)
     if set(map(len, rows)) - {len(header)}:
         lines = [ln for ln, row in zip(lines, rows) if row]
@@ -484,20 +481,17 @@ def _column(rows: list[list[str]], j: int, name: str, convert):
     return values, (bad, lambda i: f"{name} {_field_fault(convert, rows[i][j])}: {rows[i][j]!r}")
 
 
-def _read_series(path: str, header: list[str]) -> tuple[int, list[np.ndarray]]:
-    """Shared slot-indexed reader: returns (start_slot, per-column float arrays)."""
+def _read_series(path: str, header: list[str]) -> list[np.ndarray]:
+    """Shared slot-indexed reader: per-column float arrays; row i holds slot i."""
     lines, rows = _read_rows(path, header)
     if not rows:
         raise TraceError(f"{path}: no data rows")
     slots, parsed = _column(rows, 0, "slot", int)
-    start = int(slots[0])
-    # a row whose slot start + i is past int64 has a gap, whatever it holds
-    offsets = np.arange(len(rows))
-    gap = (offsets > min(_INT64.max - start, len(rows))) | (slots != start + offsets)
+    gap = slots != np.arange(len(rows))
     series = [_column(rows, j, name, float) for j, name in enumerate(header[1:], start=1)]
-    checks = [parsed, (gap, lambda i: f"missing slot {start + i}, found {int(slots[i])}")]
+    checks = [parsed, (gap, lambda i: f"missing slot {i}, found {int(slots[i])}")]
     _raise_first_fault(checks + [check for _, check in series], lambda i: f"{path} line {lines[i]}")
-    return start, [values for values, _ in series]
+    return [values for values, _ in series]
 
 
 def _read_charging(path: str) -> ChargingLog:
@@ -542,30 +536,29 @@ def _read_strata(path: str) -> list[PopulationItem]:
 def load_csv(path: str, schema: str):
     """Parse one trace CSV by schema name.
 
-    Returns (start_slot, arrays...) for the slot-indexed schemas, a
-    ChargingLog for "charging", or an item list for "strata". Each column is
+    Returns the price for "rtp", (wind, irradiance) for "weather", the load
+    for "traffic", a ChargingLog for "charging", or an item list for
+    "strata". Row i of a series holds slot i. Each column is
     converted at once and every row check is a mask over the rows; an error
     names the first bad line in file order, and in it the first failing
     check in the order a row-by-row reader tries them.
     """
     if schema == "rtp":
-        start, (price,) = _read_series(path, RTP_HEADER)
+        (price,) = _read_series(path, RTP_HEADER)
         if price.min() < 0:
-            raise TraceError(f"{path}: negative price at slot {start + int(price.argmin())}")
-        return start, price
+            raise TraceError(f"{path}: negative price at slot {int(price.argmin())}")
+        return price
     if schema == "weather":
-        start, (wind, irr) = _read_series(path, WEATHER_HEADER)
+        wind, irr = _read_series(path, WEATHER_HEADER)
         if wind.min() < 0 or irr.min() < 0:
             raise TraceError(f"{path}: weather values must be nonnegative")
-        return start, wind, irr
+        return wind, irr
     if schema == "traffic":
-        start, (load,) = _read_series(path, TRAFFIC_HEADER)
+        (load,) = _read_series(path, TRAFFIC_HEADER)
         if load.min() < 0 or load.max() > 1:
             bad = int(np.argmax((load < 0) | (load > 1)))
-            raise TraceError(
-                f"{path}: load_rate out of [0, 1] at slot {start + bad}: {load[bad]}"
-            )
-        return start, load
+            raise TraceError(f"{path}: load_rate out of [0, 1] at slot {bad}: {load[bad]}")
+        return load
     if schema == "charging":
         return _read_charging(path)
     if schema == "strata":
@@ -577,7 +570,7 @@ def save_traces(traces: TraceSet, dir_path: str) -> list[str]:
     """Write rtp/weather/traffic/charging CSVs into dir_path; returns the paths."""
     import os
 
-    slots = range(traces.start_slot, traces.start_slot + traces.n_slots)
+    slots = range(traces.n_slots)
     log = traces.charging
     tables = (
         ("rtp.csv", RTP_HEADER, (traces.rtp,)),
@@ -606,25 +599,14 @@ def save_traces(traces: TraceSet, dir_path: str) -> list[str]:
 
 
 def load_traces(dir_path: str) -> TraceSet:
-    """Assemble a TraceSet from the four CSVs in dir_path; series must align."""
+    """Assemble a TraceSet from the four CSVs in dir_path; TraceSet checks the series align."""
     import os
 
-    start_r, rtp = load_csv(os.path.join(dir_path, "rtp.csv"), "rtp")
-    start_w, wind, irr = load_csv(os.path.join(dir_path, "weather.csv"), "weather")
-    start_t, load = load_csv(os.path.join(dir_path, "traffic.csv"), "traffic")
+    rtp = load_csv(os.path.join(dir_path, "rtp.csv"), "rtp")
+    wind, irr = load_csv(os.path.join(dir_path, "weather.csv"), "weather")
+    load = load_csv(os.path.join(dir_path, "traffic.csv"), "traffic")
     log = load_csv(os.path.join(dir_path, "charging.csv"), "charging")
-    if not (start_r == start_w == start_t):
-        raise TraceError(
-            f"trace files disagree on start slot: rtp={start_r}, "
-            f"weather={start_w}, traffic={start_t}"
-        )
-    if not (len(rtp) == len(wind) == len(load)):
-        raise TraceError(
-            f"trace files disagree on length: rtp={len(rtp)}, "
-            f"weather={len(wind)}, traffic={len(load)}"
-        )
     return TraceSet(
-        start_slot=start_r,
         rtp=rtp,
         wind_mps=wind,
         irradiance_wm2=irr,

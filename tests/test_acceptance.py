@@ -350,7 +350,7 @@ def _alternating_tariff_env(srtp, occupancy, window=24):
     n = window + 25
     hours = np.arange(n) % 24
     rtp = np.where((hours // 3) % 2 == 0, 0.02, 0.50)
-    traces = TraceSet(0, rtp, np.zeros(n), np.zeros(n), np.ones(n), [])
+    traces = TraceSet(rtp, np.zeros(n), np.zeros(n), np.ones(n), [])
     spec = hub.BatterySpec(
         capacity_kwh=4.0,
         soc_min_kwh=0.0,
@@ -434,7 +434,7 @@ def charging_bench():
         evening_boost=50.0,
         logged_policy="random",
     )
-    observations = pricing.observations_from_records(records, 24)
+    observations = pricing.observations_from_records(records)
     cfg = pricing.PricingConfig(
         n_stations=352,
         embed_dim=16,
@@ -513,7 +513,7 @@ def test_incentive_share_peaks_in_evening(charging_bench):
     started = time.monotonic()
     universe = pricing.universe_arrays(charging_bench.items)
     winners, _ = pricing.discount_policy(charging_bench.model, universe)
-    shares = pricing.strata_by_period(winners, universe.slots, 24)
+    shares = pricing.strata_by_period(winners, universe.slots)
     inc = {label: by[Stratum.INCENTIVE_CHARGE] for label, by in shares.items()}
     evening = inc["18-24"]
     others = {k: v for k, v in inc.items() if k != "18-24"}

@@ -81,6 +81,13 @@ class TestConfigParsing:
         assert cfg.pricing.hidden == (32, 16)
         assert cfg.ppo.hidden == (8,)
 
+    def test_items_must_reach_the_last_quarter_of_the_day(self):
+        # station 0's slots fill first: 18 items stop at slot 17, and eval-price
+        # would find no item in 18-24
+        with pytest.raises(ConfigError, match="at least 19, got 18: 19 items reach slot 18"):
+            run_config_from_dict({"traces": {"n_stations": 2, "n_items": 18}})
+        run_config_from_dict({"traces": {"n_stations": 2, "n_items": 19}})
+
     def test_discount_bounds(self):
         with pytest.raises(ConfigError, match="discount"):
             run_config_from_dict({"pricing": {"discount": 1.0}})
@@ -135,7 +142,7 @@ def yaml_fields():
         (("hub",), hub.HubConfig, {"battery"}),
         (("hub", "battery"), hub.BatterySpec, set()),
         (("traces",), cli.TraceGenConfig, set()),
-        (("pricing",), pricing.PricingConfig, {"n_stations", "slots_per_day", "seed"}),
+        (("pricing",), pricing.PricingConfig, {"n_stations", "seed"}),
         (("ppo",), scheduler.EnvConfig, set()),
         (("ppo",), scheduler.PpoConfig, set()),
     ):
@@ -325,6 +332,7 @@ class TestGenData:
             ("ppo", "value_coef", -1.0),
             ("ppo", "entropy_coef", -0.5),
             ("ppo", "episodes_test", 0),
+            ("traces", "n_items", 18),
         ],
     )
     def test_bad_value_exits_2_before_any_write(self, tmp_path, capsys, section, key, bad):
@@ -489,6 +497,98 @@ class TestEvalPriceWork:
         got = cli._method_decisions(model, mu1, mu0, prop, items, observations, c)
         assert got == want
         assert all(len(got[m]) == k for m in cli.METHODS)
+
+
+def _copy_run(run_dir, tmp_path):
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    return copy
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize(
+        "stage,name",
+        [("train-price", "charging.csv"), ("eval-price", "strata.csv"), ("train-drl", "rtp.csv")],
+    )
+    def test_non_utf8_csv_exits_3_naming_file_and_byte(
+        self, priced, tmp_path, capsys, stage, name
+    ):
+        config_path, run_dir = priced
+        path = _copy_run(run_dir, tmp_path) / "data" / name
+        data = path.read_bytes()
+        at = data.index(b"\n") + 3
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        rc = cli.main([stage, "--config", config_path, "--out", str(path.parents[1]), "--force"])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_DATA, err
+        assert err.startswith(f"data error: {path}: byte {at} is not UTF-8 text"), err
+
+    def test_non_utf8_result_csv_fails_report_with_exit_3(self, pipeline, tmp_path, capsys):
+        _, run_dir = pipeline
+        path = _copy_run(run_dir, tmp_path) / "results" / "drl_eval.csv"
+        path.write_bytes(b"\xff" + path.read_bytes())
+        assert cli.main(["report", "--out", str(path.parents[1]), "--force"]) == cli.EXIT_DATA
+        assert f"data error: {path}: byte 0 is not UTF-8 text" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_2_naming_the_file(self, tmp_path, capsys):
+        config_path = write_config(tmp_path / "run.yaml", tiny_config(tmp_path / "never"))
+        with open(config_path, "ab") as fh:
+            fh.write(b"# \xff\n")
+        assert cli.main(["gen-data", "--config", config_path]) == cli.EXIT_CONFIG
+        assert f"config error: cannot read config {config_path}: " in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+    def test_non_utf8_snapshot_is_a_different_configuration(self, priced, tmp_path, capsys):
+        config_path, run_dir = priced
+        path = _copy_run(run_dir, tmp_path) / "config.yaml"
+        path.write_bytes(path.read_bytes() + b"# \xff\n")
+        rc = cli.main(["train-price", "--config", config_path, "--out", str(path.parent)])
+        assert rc == cli.EXIT_CONFIG
+        assert f"config error: {path} was written with a different configuration" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("text", ["{bad", "[]", '{"stages": 1}'])
+    def test_unreadable_manifest_exits_3_naming_it(self, priced, tmp_path, capsys, text):
+        config_path, run_dir = priced
+        copy = _copy_run(run_dir, tmp_path)
+        (copy / "manifest.json").write_text(text)
+        rc = cli.main(["eval-price", "--config", config_path, "--out", str(copy), "--force"])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_DATA, err
+        assert err.startswith("data error: ") and str(copy / "manifest.json") in err
+
+    def test_series_not_starting_at_slot_0_fails_train_drl(self, priced, tmp_path, capsys):
+        # the DRL stages read row i of a series as hour i % 24
+        config_path, run_dir = priced
+        path = _copy_run(run_dir, tmp_path) / "data" / "rtp.csv"
+        header, *rows = path.read_text().splitlines()
+        shifted = [f"{int(slot) + 5},{price}" for slot, price in (r.split(",") for r in rows)]
+        path.write_text("\n".join([header, *shifted]) + "\n")
+        rc = cli.main(["train-drl", "--config", config_path, "--out", str(path.parents[1])])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_DATA, err
+        assert f"data error: {path} line 2: missing slot 0, found 5" in err
+
+    def test_quarter_without_items_fails_eval_price_before_any_write(
+        self, priced, tmp_path, capsys
+    ):
+        config_path, run_dir = priced
+        copy = _copy_run(run_dir, tmp_path)
+        shutil.rmtree(copy / "results", ignore_errors=True)
+        # drop every item, and every logged record, of slots 18-23; the slot
+        # is the second field of both files
+        for name in ("strata.csv", "charging.csv"):
+            path = copy / "data" / name
+            header, *rows = path.read_text().splitlines()
+            kept = [r for r in rows if int(r.split(",")[1]) % 24 < 18]
+            path.write_text("\n".join([header, *kept]) + "\n")
+        rc = cli.main(["eval-price", "--config", config_path, "--out", str(copy)])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_DATA, err
+        strata = copy / "data" / "strata.csv"
+        assert f"data error: {strata}: no items fall in period 18-24" in err
+        assert not (copy / "results").exists()
 
 
 class TestDrlDataPath:

@@ -89,8 +89,12 @@ class TestBatteryPower:
         assert hub.battery_power(BatterySpec(), IDLE, 1.0) == (0.0, 0.0)
 
     def test_bad_action(self):
-        with pytest.raises(ValueError):
-            hub.battery_power(BatterySpec(), 2, 1.0)
+        for action in (3, -1):
+            with pytest.raises(ValueError):
+                hub.battery_power(BatterySpec(), action, 1.0)
+
+    def test_one_encoding_for_policy_outputs_and_profit_columns(self):
+        assert ACTIONS == (CHARGE, DISCHARGE, IDLE) == (0, 1, 2)
 
     def test_slot_hours_scaling(self):
         spec = BatterySpec(eta_charge=0.8, r_charge_kw=4.0)
@@ -189,7 +193,7 @@ class TestGridPower:
         )
         out = hub.step(cfg, BatteryState(20.0), inputs, action)
         table = hub.profit_table(cfg, [0.5], [cs_active], [p_wt], [p_pv], [self.RTP], [0.0])
-        assert table[0, ACTIONS.index(action)] == out.profit
+        assert table[0, action] == out.profit
         assert out.cost_grid == out.p_grid_kw * cfg.slot_hours * self.RTP
         return out.p_grid_kw
 
@@ -323,10 +327,16 @@ class TestProfitTable:
         assert table.shape == (len(slots), len(ACTIONS))
         for t, slot in enumerate(slots):
             span = spec.soc_max_kwh - spec.soc_min_kwh
-            state = BatteryState(min(spec.soc_min_kwh + soc_frac[t] * span, spec.soc_max_kwh))
-            for action in hub.feasible_actions(state, spec, cfg.slot_hours):
-                profit = hub.step(cfg, state, slot, action).profit
-                assert float(table[t, ACTIONS.index(action)]).hex() == profit.hex()
+            drawn = BatteryState(min(spec.soc_min_kwh + soc_frac[t] * span, spec.soc_max_kwh))
+            # profit does not depend on the soc: step each action from the
+            # drawn soc, or else from the bound it is feasible from, if any
+            for action in ACTIONS:
+                states = (drawn, BatteryState(spec.soc_min_kwh), BatteryState(spec.soc_max_kwh))
+                for state in states:
+                    if action in hub.feasible_actions(state, spec, cfg.slot_hours):
+                        profit = hub.step(cfg, state, slot, action).profit
+                        assert float(table[t, action]).hex() == profit.hex()
+                        break
 
     def test_empty_series(self):
         assert table_of(HubConfig(), []).shape == (0, len(ACTIONS))

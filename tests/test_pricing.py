@@ -623,7 +623,7 @@ class TestTopK:
 def period_table(model, items):
     """strata_by_period on the model's predicted strata over items."""
     winners, _ = discount_policy(model, items)
-    return strata_by_period(winners, universe_arrays(items).slots, 24)
+    return strata_by_period(winners, universe_arrays(items).slots)
 
 
 class TestStrataByPeriod:
@@ -664,7 +664,7 @@ class TestStrataByPeriod:
 
     def test_unknown_slots_rejected(self):
         with pytest.raises(ValueError, match="beyond"):
-            strata_by_period(np.array([COL_NO]), np.array([30]), 24)
+            strata_by_period(np.array([COL_NO]), np.array([30]))
 
 
 def chi2_independence_pvalue(counts: np.ndarray) -> float:

@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hubopt import hub, nn, scheduler
+from hubopt.hub import CHARGE, DISCHARGE, IDLE
 from hubopt.scheduler import (
-    ACT_CHARGE,
-    ACT_DISCHARGE,
-    ACT_IDLE,
     EnvConfig,
     HubEnv,
     NormStats,
@@ -35,7 +33,7 @@ def make_traces(n_slots, seed=0):
     rtp = gen_rtp(seed, n_slots)
     wind, irr = gen_weather(seed + 1, n_slots)
     load = gen_traffic(seed + 2, n_slots)
-    return TraceSet(0, rtp, wind, irr, load, [])
+    return TraceSet(rtp, wind, irr, load, [])
 
 
 def make_env(
@@ -111,7 +109,7 @@ class TestHubEnv:
         env.reset(seed=3)
         t = env.episode_start
         p_bs = hub.base_station_power(env.hub_cfg, float(env.load_rate[t]))
-        _, reward, _ = env.step(ACT_IDLE)
+        _, reward, _ = env.step(IDLE)
         assert reward == pytest.approx(-p_bs * env.hub_cfg.slot_hours * env.rtp[t])
 
     def test_charge_at_full_battery_behaves_as_idle(self):
@@ -121,8 +119,8 @@ class TestHubEnv:
         state_a = env_a.reset(seed=21)
         state_b = env_b.reset(seed=21)
         assert state_a.soc == state_b.soc
-        next_a, reward_a, _ = env_a.step(ACT_CHARGE)
-        next_b, reward_b, _ = env_b.step(ACT_IDLE)
+        next_a, reward_a, _ = env_a.step(CHARGE)
+        next_b, reward_b, _ = env_b.step(IDLE)
         assert reward_a == reward_b
         assert next_a.soc == next_b.soc == state_a.soc
 
@@ -160,19 +158,20 @@ class TestHubEnv:
         env = make_env(episode_days=1)
         env.reset(seed=2)
         for i in range(24):
-            _, _, done = env.step(ACT_IDLE)
+            _, _, done = env.step(IDLE)
             assert done == (i == 23)
 
     def test_step_before_reset(self):
         env = make_env()
         with pytest.raises(RuntimeError, match="reset"):
-            env.step(ACT_IDLE)
+            env.step(IDLE)
 
     def test_invalid_action(self):
         env = make_env()
         env.reset(seed=0)
-        with pytest.raises(ValueError, match="action"):
-            env.step(3)
+        for action in (3, -1):
+            with pytest.raises(ValueError, match="action"):
+                env.step(action)
 
     def test_traces_too_short(self):
         with pytest.raises(ValueError, match="traces"):
@@ -197,16 +196,14 @@ class TestHubEnv:
         env = make_env(n_days=4, episode_days=2, initial_soc_kwh=44.0, wt_capacity_kw=3.0)
         env.reset(seed=4)
         spec = env.hub_cfg.battery
-        to_hub = {ACT_CHARGE: hub.CHARGE, ACT_DISCHARGE: hub.DISCHARGE, ACT_IDLE: hub.IDLE}
         rng = np.random.default_rng(4)
         state = hub.BatteryState(44.0)
         for k in range(env.episode_slots):
-            action = int(rng.integers(0, 3))
-            hub_action = to_hub[action]
-            if hub_action not in hub.feasible_actions(state, spec, env.hub_cfg.slot_hours):
-                hub_action = hub.IDLE
+            action = taken = int(rng.integers(0, 3))
+            if taken not in hub.feasible_actions(state, spec, env.hub_cfg.slot_hours):
+                taken = IDLE
             slot = env.slot_inputs(env.episode_start + k)
-            expected = hub.step(env.hub_cfg, state, slot, hub_action)
+            expected = hub.step(env.hub_cfg, state, slot, taken)
             obs, reward, _ = env.step(action)
             assert reward.hex() == expected.profit.hex()
             assert obs.soc == expected.soc_after_kwh / spec.capacity_kwh
@@ -220,10 +217,9 @@ class TestHubEnv:
         assert rows.shape == (24, len(hub.ACTIONS))
         np.testing.assert_array_equal(rows, env.profit[t : t + 24])
         # the rows the steps are rewarded from: idling collects the idle column
-        idle = hub.ACTIONS.index(hub.IDLE)
         for k in range(24):
-            _, reward, _ = env.step(ACT_IDLE)
-            assert reward == rows[k, idle]
+            _, reward, _ = env.step(IDLE)
+            assert reward == rows[k, IDLE]
         with pytest.raises(ValueError, match="episode start"):
             env.episode_inputs(env.last_start + 1)
 
@@ -519,7 +515,7 @@ def reference_rollout(env, bundle, rng, reset_seed):
         vec = state_vector(state, env.stats)
         probs, vals, _ = bundle.forward(vec)
         p = probs[0]
-        action = int(rng.choice(scheduler.N_ACTIONS, p=p / p.sum()))
+        action = int(rng.choice(len(hub.ACTIONS), p=p / p.sum()))
         state, reward, done = env.step(action)
         states.append(vec)
         actions.append(action)
@@ -667,9 +663,9 @@ class TestEvaluate:
     def test_forced_idle_policy_matches_idle_profit(self):
         env = make_env(episode_days=1, window=4, initial_soc_kwh=20.0)
         bundle = PolicyBundle(env.state_dim, hidden=(16,), seed=2)
-        force_action(bundle, ACT_IDLE)
+        force_action(bundle, IDLE)
         (got,) = evaluate([env], [bundle], episodes=2, seeds=[4])
-        expected = reference_evaluate(env, bundle, 2, 4, policy=lambda state: ACT_IDLE)
+        expected = reference_evaluate(env, bundle, 2, 4, policy=lambda state: IDLE)
         assert got.hex() == expected.hex()
 
     def test_population_matches_runs_one_by_one(self):
@@ -735,26 +731,17 @@ class TestLockstep:
             | set(np.linspace(spec.soc_min_kwh, spec.soc_max_kwh, 9).tolist())
         )
         socs = [s for s in socs if spec.soc_min_kwh <= s <= spec.soc_max_kwh]
-        grid = np.array([(s, a) for s in socs for a in (ACT_CHARGE, ACT_DISCHARGE, ACT_IDLE)])
+        grid = np.array([(s, a) for s in socs for a in hub.ACTIONS])
         soc, actions = grid[:, 0], grid[:, 1].astype(np.int64)
-        cols, after = scheduler._settle(cfg, soc, actions)
-        to_hub = {ACT_CHARGE: hub.CHARGE, ACT_DISCHARGE: hub.DISCHARGE, ACT_IDLE: hub.IDLE}
-        for s, a, col, next_soc in zip(soc.tolist(), actions.tolist(), cols, after.tolist()):
+        got, after = scheduler._settle(cfg, soc, actions)
+        for s, a, action, next_soc in zip(soc.tolist(), actions.tolist(), got, after.tolist()):
             state = hub.BatteryState(s)
-            taken = to_hub[a]
-            if taken not in hub.feasible_actions(state, spec, dt):
-                taken = hub.IDLE
-            assert hub.ACTIONS[col] == taken, (s, a)
+            taken = a if a in hub.feasible_actions(state, spec, dt) else IDLE
+            assert action == taken, (s, a)
             assert next_soc.hex() == hub.soc_step(state, spec, taken, dt).soc_kwh.hex(), (s, a)
         # at each boundary both outcomes occur
-        assert {hub.ACTIONS[c] for c, a in zip(cols, actions) if a == ACT_CHARGE} == {
-            hub.CHARGE,
-            hub.IDLE,
-        }
-        assert {hub.ACTIONS[c] for c, a in zip(cols, actions) if a == ACT_DISCHARGE} == {
-            hub.DISCHARGE,
-            hub.IDLE,
-        }
+        assert {t for t, a in zip(got, actions) if a == CHARGE} == {CHARGE, IDLE}
+        assert {t for t, a in zip(got, actions) if a == DISCHARGE} == {DISCHARGE, IDLE}
 
     def test_rollout_equals_reference_rollouts(self):
         envs = [make_env(window=3), make_env(window=3, seed=4, initial_soc_kwh=45.0)]
@@ -851,8 +838,8 @@ class TestDpOracle:
         profit, actions = dp_oracle(
             cfg, profit_rows(cfg, inputs), initial_soc_kwh=2.0, resolution=2.0
         )
-        assert actions == [ACT_IDLE] * 6
-        per_slot = hub.step(cfg, hub.BatteryState(2.0), inputs[0], hub.IDLE).profit
+        assert actions == [IDLE] * 6
+        per_slot = hub.step(cfg, hub.BatteryState(2.0), inputs[0], IDLE).profit
         assert profit == 6 * per_slot
 
     def test_exact_tie_prefers_idle(self):
@@ -863,7 +850,7 @@ class TestDpOracle:
         profit, actions = dp_oracle(
             cfg, profit_rows(cfg, inputs), initial_soc_kwh=2.0, resolution=2.0
         )
-        assert actions == [ACT_IDLE, ACT_IDLE]
+        assert actions == [IDLE, IDLE]
         assert profit == -(4 * 0.125) - (4 * 0.25)
 
     def test_profitable_spread_charges_then_discharges(self):
@@ -872,7 +859,7 @@ class TestDpOracle:
         profit, actions = dp_oracle(
             cfg, profit_rows(cfg, inputs), initial_soc_kwh=2.0, resolution=2.0
         )
-        assert actions == [ACT_CHARGE, ACT_DISCHARGE]
+        assert actions == [CHARGE, DISCHARGE]
         # slot 0: grid (4+4) kW at 0.125 plus wear; slot 1: grid (4-2) kW at 0.5 plus wear
         assert profit == pytest.approx(-(8 * 0.125 + 0.01) - (2 * 0.5 + 0.01))
 
@@ -880,7 +867,7 @@ class TestDpOracle:
         cfg = arb_cfg(c_bp=0.01)
         inputs = flat_inputs(2, rtp=[0.125, 0.25])
         _, actions = dp_oracle(cfg, profit_rows(cfg, inputs), initial_soc_kwh=2.0, resolution=2.0)
-        assert actions == [ACT_IDLE, ACT_IDLE]
+        assert actions == [IDLE, IDLE]
 
     def test_rejects_off_lattice_resolution(self):
         cfg = arb_cfg()
@@ -918,7 +905,7 @@ class TestDpOracle:
     @staticmethod
     def brute_force(cfg, inputs, initial_soc_kwh):
         """Try all action sequences; profit accumulated back to front like the DP."""
-        hub_actions = (hub.IDLE, hub.CHARGE, hub.DISCHARGE)
+        hub_actions = (IDLE, CHARGE, DISCHARGE)
         best = None
         for seq in itertools.product(hub_actions, repeat=len(inputs)):
             state = hub.BatteryState(initial_soc_kwh)
@@ -944,11 +931,7 @@ class TestDpOracle:
         m = round((spec.soc_max_kwh - spec.soc_min_kwh) / resolution)
         up = round(spec.eta_charge * spec.r_charge_kw * cfg.slot_hours / resolution)
         down = round(spec.r_discharge_kw * cfg.slot_hours / resolution)
-        options = (
-            (ACT_IDLE, hub.IDLE, 0),
-            (ACT_CHARGE, hub.CHARGE, up),
-            (ACT_DISCHARGE, hub.DISCHARGE, -down),
-        )
+        options = ((IDLE, 0), (CHARGE, up), (DISCHARGE, -down))
         value = [0.0] * (m + 1)
         plans = []
         for slot in reversed(inputs):
@@ -956,7 +939,7 @@ class TestDpOracle:
             for i in range(m + 1):
                 state = hub.BatteryState(spec.soc_min_kwh + i * resolution)
                 for option in options:
-                    _, action, move = option
+                    action, move = option
                     if 0 <= i + move <= m:
                         cand = hub.step(cfg, state, slot, action).profit + value[i + move]
                         if cand > best[i][0]:
@@ -966,7 +949,7 @@ class TestDpOracle:
         i0 = i = round((initial_soc_kwh - spec.soc_min_kwh) / resolution)
         actions = []
         for plan in reversed(plans):
-            act, _, move = plan[i]
+            act, move = plan[i]
             actions.append(act)
             i += move
         return value[i0], actions
@@ -1011,7 +994,7 @@ class TestDpOracle:
         profit, actions = dp_oracle(
             cfg, profit_rows(cfg, inputs), initial_soc_kwh=0.1, resolution=0.1
         )
-        assert ACT_CHARGE not in actions
+        assert CHARGE not in actions
         assert profit == self.brute_force(cfg, inputs, 0.1)
 
     def test_matches_brute_force_enumeration(self):
@@ -1057,9 +1040,8 @@ class TestDpOracle:
             # the reported plan must achieve the reported value
             state = hub.BatteryState(initial)
             replay = []
-            hub_action = {ACT_IDLE: hub.IDLE, ACT_CHARGE: hub.CHARGE, ACT_DISCHARGE: hub.DISCHARGE}
             for slot, act in zip(inputs, actions):
-                outcome = hub.step(cfg, state, slot, hub_action[act])
+                outcome = hub.step(cfg, state, slot, act)
                 replay.append(outcome.profit)
                 state = hub.BatteryState(outcome.soc_after_kwh)
             total = 0.0

@@ -201,7 +201,6 @@ class TestCsvRoundTrip:
         wind, irr = gen_weather(8, n)
         _, records = gen_charging_population(8, 3, n, (0.3, 0.2, 0.5))
         return TraceSet(
-            start_slot=0,
             rtp=gen_rtp(8, n),
             wind_mps=wind,
             irradiance_wm2=irr,
@@ -213,7 +212,6 @@ class TestCsvRoundTrip:
         ts = self.build_traces()
         save_traces(ts, str(tmp_path))
         back = load_traces(str(tmp_path))
-        assert back.start_slot == ts.start_slot
         assert np.array_equal(back.rtp, ts.rtp)
         assert np.array_equal(back.wind_mps, ts.wind_mps)
         assert np.array_equal(back.irradiance_wm2, ts.irradiance_wm2)
@@ -254,6 +252,16 @@ class TestCsvRoundTrip:
         path.write_text("slot,price\n0,0.1\n1,0.1\n3,0.1\n")
         with pytest.raises(TraceError, match="missing slot 2"):
             load_csv(str(path), "rtp")
+
+    @pytest.mark.parametrize("schema", ["rtp", "weather", "traffic"])
+    def test_series_must_start_at_slot_0(self, tmp_path, schema):
+        # the DRL stages read row i of a series as hour i % 24
+        header = HEADERS[schema]
+        path = tmp_path / f"{schema}.csv"
+        rows = [[str(slot)] + ["0.5"] * (len(header) - 1) for slot in (5, 6)]
+        write_lines(path, header, rows)
+        with pytest.raises(TraceError, match="line 2: missing slot 0, found 5$"):
+            load_csv(str(path), schema)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "rtp.csv"
@@ -316,7 +324,6 @@ class TestCsvRoundTrip:
     def test_traceset_length_mismatch(self):
         with pytest.raises(TraceError, match="length"):
             TraceSet(
-                start_slot=0,
                 rtp=np.zeros(5),
                 wind_mps=np.zeros(4),
                 irradiance_wm2=np.zeros(5),
@@ -330,7 +337,7 @@ class TestCsvRoundTrip:
         arrays = {name: np.full(4, 0.1) for name in ("rtp", "wind_mps", "irradiance_wm2", "load_rate")}
         arrays[series][1] = bad
         with pytest.raises(TraceError, match=f"{series} must be finite"):
-            TraceSet(start_slot=0, charging=[], **arrays)
+            TraceSet(charging=[], **arrays)
 
 
 class TestChargingLog:
@@ -488,17 +495,14 @@ def ref_read_series(path, header):
     rows = ref_read_rows(path, header)
     if not rows:
         raise TraceError(f"{path}: no data rows")
-    start = None
     cols = [[] for _ in header[1:]]
     for i, (ln, row) in enumerate(rows):
         slot = ref_parse_int(path, ln, "slot", row[0])
-        if start is None:
-            start = slot
-        elif slot != start + i:
-            raise TraceError(f"{path} line {ln}: missing slot {start + i}, found {slot}")
+        if slot != i:
+            raise TraceError(f"{path} line {ln}: missing slot {i}, found {slot}")
         for j, field in enumerate(header[1:]):
             cols[j].append(ref_parse_float(path, ln, field, row[j + 1]))
-    return start, [np.asarray(col) for col in cols]
+    return [np.asarray(col) for col in cols]
 
 
 def ref_charging_record(station, slot, charged, given, rate):
@@ -516,23 +520,21 @@ def ref_charging_record(station, slot, charged, given, rate):
 def ref_load_csv(path, schema):
     """Columns as arrays, in the order load_csv_columns lays them out."""
     if schema == "rtp":
-        start, (price,) = ref_read_series(path, traces.RTP_HEADER)
+        (price,) = ref_read_series(path, traces.RTP_HEADER)
         if price.min() < 0:
-            raise TraceError(f"{path}: negative price at slot {start + int(price.argmin())}")
-        return [np.array([start]), price]
+            raise TraceError(f"{path}: negative price at slot {int(price.argmin())}")
+        return [price]
     if schema == "weather":
-        start, (wind, irr) = ref_read_series(path, traces.WEATHER_HEADER)
+        wind, irr = ref_read_series(path, traces.WEATHER_HEADER)
         if wind.min() < 0 or irr.min() < 0:
             raise TraceError(f"{path}: weather values must be nonnegative")
-        return [np.array([start]), wind, irr]
+        return [wind, irr]
     if schema == "traffic":
-        start, (load,) = ref_read_series(path, traces.TRAFFIC_HEADER)
+        (load,) = ref_read_series(path, traces.TRAFFIC_HEADER)
         if load.min() < 0 or load.max() > 1:
             bad = int(np.argmax((load < 0) | (load > 1)))
-            raise TraceError(
-                f"{path}: load_rate out of [0, 1] at slot {start + bad}: {load[bad]}"
-            )
-        return [np.array([start]), load]
+            raise TraceError(f"{path}: load_rate out of [0, 1] at slot {bad}: {load[bad]}")
+        return [load]
     if schema == "charging":
         records = []
         for ln, row in ref_read_rows(path, traces.CHARGING_HEADER):
@@ -584,9 +586,8 @@ def load_csv_columns(path, schema):
         return [getattr(got, name) for name in traces.CHARGING_HEADER]
     if schema == "strata":
         return got
-    start, *series = got
-    assert isinstance(start, int)
-    return [np.array([start]), *series]
+    # weather is a (wind, irradiance) pair, the other series one array
+    return list(got) if schema == "weather" else [got]
 
 
 def _underscored(digits):
@@ -646,7 +647,6 @@ def valid_rows(draw, schema):
     n = draw(st.integers(1, 12))
     as_int = lambda v: draw(st.sampled_from(INT_STYLES))(v)
     as_float = lambda x: draw(st.sampled_from(FLOAT_STYLES))(x)
-    start = draw(st.integers(-50, 10**6))
     unit = st.floats(0.0, 1.0)
     # a strata file names each (station, slot of day) item once
     items = draw(
@@ -669,7 +669,7 @@ def valid_rows(draw, schema):
         else:
             values = st.floats(0.0, 1e6) if schema != "traffic" else unit
             fields = [draw(values) for _ in KINDS[schema][1:]]
-            rows.append([as_int(start + i)] + [as_float(x) for x in fields])
+            rows.append([as_int(i)] + [as_float(x) for x in fields])
     return rows
 
 
@@ -765,6 +765,4 @@ class TestBulkParseMatchesFieldParse:
         path = tmp_path / "rtp.csv"
         path.write_text(f"slot,price\n{2**63 - 1},0.1\n{-(2**63)},0.1\n")
         got, want = both_parses(path, "rtp")
-        assert got == want == (
-            f"TraceError: {path} line 3: missing slot {2**63}, found {-(2**63)}"
-        )
+        assert got == want == f"TraceError: {path} line 2: missing slot 0, found {2**63 - 1}"
