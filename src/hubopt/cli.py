@@ -30,7 +30,6 @@ from .traces import (
     _read_rows,
     _write_rows,
     check_population_args,
-    check_rtp_base,
     gen_charging_population,
     gen_rtp,
     gen_traffic,
@@ -48,6 +47,7 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_TRAINING = 4
 
+DATA_FILES = ("rtp.csv", "weather.csv", "traffic.csv", "charging.csv", "strata.csv")
 DISCOUNT_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 METHODS = ("cfmtl", "or", "ips", "dr")
 
@@ -104,7 +104,8 @@ class TraceGenConfig:
                 f"n_items must be at least {last + 1}, got {self.n_items}: {last + 1} items "
                 f"reach slot {last}, the first slot of the last quarter of the day"
             )
-        check_rtp_base(self.rtp_base)
+        if self.rtp_base < 0:
+            raise hub.ConfigError(f"rtp_base must be nonnegative, got {self.rtp_base}")
 
     @property
     def n_slots(self) -> int:
@@ -220,13 +221,9 @@ def config_snapshot_dict(cfg: RunConfig) -> dict:
             return {k: plain(v) for k, v in dataclasses.asdict(value).items()}
         if isinstance(value, tuple):
             return [plain(v) for v in value]
-        if isinstance(value, (np.integer,)):
-            return int(value)
-        if isinstance(value, (np.floating,)):
-            return float(value)
         return value
 
-    data = {
+    return {
         "seed": cfg.seed,
         "n_hubs": cfg.n_hubs,
         "hub": plain(cfg.hub),
@@ -237,7 +234,6 @@ def config_snapshot_dict(cfg: RunConfig) -> dict:
         "env": plain(cfg.env),
         "ppo": plain(cfg.ppo),
     }
-    return data
 
 
 def resolve_out_dir(cfg: RunConfig, cli_out: str | None) -> str:
@@ -279,11 +275,16 @@ def _update_manifest(run_dir: str, stage: str, paths: list[str]) -> None:
         fh.write("\n")
 
 
-def _write_snapshot(cfg: RunConfig, run_dir: str, force: bool) -> None:
-    """Pin the config the run was produced with; later stages must match it."""
+def _write_snapshot(cfg: RunConfig, run_dir: str, force: bool, inputs=()) -> None:
+    """Pin the config the run was produced with; later stages must match it.
+
+    inputs are the files the stage reads. Each must exist before the snapshot
+    is written, so a stage that cannot start pins no configuration.
+    """
     path = os.path.join(run_dir, "config.yaml")
     text = yaml.safe_dump(config_snapshot_dict(cfg), sort_keys=True)
-    if os.path.exists(path) and not force:
+    pinned = os.path.exists(path) and not force
+    if pinned:
         with open(path, "r", encoding="utf-8", errors="replace") as fh:
             existing = fh.read()
         if existing != text:
@@ -291,9 +292,11 @@ def _write_snapshot(cfg: RunConfig, run_dir: str, force: bool) -> None:
                 f"{path} was written with a different configuration; "
                 "rerun with --force to replace the snapshot"
             )
-        return
-    with nn._replacing(path) as fh:
-        fh.write(text)
+    for p in inputs:
+        _require(p)
+    if not pinned:
+        with nn._replacing(path) as fh:
+            fh.write(text)
 
 
 def _refuse_overwrite(paths: list[str], force: bool) -> None:
@@ -312,10 +315,7 @@ def _refuse_overwrite(paths: list[str], force: bool) -> None:
 
 def cmd_gen_data(cfg: RunConfig, run_dir: str, force: bool) -> None:
     data_dir = os.path.join(run_dir, "data")
-    targets = [
-        os.path.join(data_dir, name)
-        for name in ("rtp.csv", "weather.csv", "traffic.csv", "charging.csv", "strata.csv")
-    ]
+    targets = [os.path.join(data_dir, name) for name in DATA_FILES]
     _refuse_overwrite(targets, force)
     os.makedirs(data_dir, exist_ok=True)
     _write_snapshot(cfg, run_dir, force)
@@ -360,8 +360,8 @@ def _checkpoint_paths(run_dir: str) -> dict[str, str]:
 
 
 def cmd_train_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
-    _write_snapshot(cfg, run_dir, force)
-    charging = _require(os.path.join(run_dir, "data", "charging.csv"))
+    charging = os.path.join(run_dir, "data", "charging.csv")
+    _write_snapshot(cfg, run_dir, force, [charging])
     paths = _checkpoint_paths(run_dir)
     _refuse_overwrite(list(paths.values()), force)
     os.makedirs(os.path.join(run_dir, "checkpoints"), exist_ok=True)
@@ -376,6 +376,12 @@ def cmd_train_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
             f"{charging}: record {j} (station {observations.stations[j]}, slot of day "
             f"{observations.slots[j]}) is outside the run's {n_stations} stations "
             "(traces.n_stations)"
+        )
+    treated = int(log.discount_given.sum())
+    if treated in (0, len(log)):
+        raise DataError(
+            f"{charging}: {treated} of its {len(log)} records were discounted; "
+            "training needs both discounted and undiscounted records"
         )
     pcfg = dataclasses.replace(
         cfg.pricing,
@@ -465,7 +471,8 @@ def _method_decisions(model, mu1, mu0, prop, items, observations, c: float):
 
 
 def cmd_eval_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
-    _write_snapshot(cfg, run_dir, force)
+    data = [os.path.join(run_dir, "data", name) for name in ("strata.csv", "charging.csv")]
+    _write_snapshot(cfg, run_dir, force, [*_checkpoint_paths(run_dir).values(), *data])
     results_dir = os.path.join(run_dir, "results")
     eval_path = os.path.join(results_dir, "pricing_eval.csv")
     period_path = os.path.join(results_dir, "strata_by_period.csv")
@@ -535,6 +542,21 @@ def _build_env(cfg: RunConfig, traces, srtp, occupancy, hub_id: int, method: str
     return scheduler.HubEnv(cfg.hub, cfg.env, traces, srtp, occupancy)
 
 
+def _drl_runs(cfg: RunConfig) -> list[tuple[int, str]]:
+    """Every (hub, method) run of the DRL stages, in output order."""
+    return [(hub_id, method) for hub_id in range(cfg.n_hubs) for method in METHODS]
+
+
+def _drl_checkpoint(run_dir: str, hub_id: int, method: str) -> str:
+    return os.path.join(run_dir, "checkpoints", f"drl_hub{hub_id}_{method}.json")
+
+
+def _drl_inputs(run_dir: str) -> list[str]:
+    """The files _drl_envs reads."""
+    data = [os.path.join(run_dir, "data", name) for name in DATA_FILES]
+    return data + list(_checkpoint_paths(run_dir).values())
+
+
 def _drl_envs(cfg: RunConfig, run_dir: str):
     """Every (hub, method) run of the DRL stages and its environment, in that order.
 
@@ -546,7 +568,7 @@ def _drl_envs(cfg: RunConfig, run_dir: str):
     items, observations = _load_population(run_dir, traces.charging, cfg.traces.n_stations)
     stratum_of = {(it.station_id, it.slot_of_day): it.stratum for it in items}
     decisions = _method_decisions(model, mu1, mu0, prop, items, observations, cfg.discount)
-    runs = [(hub_id, method) for hub_id in range(cfg.n_hubs) for method in METHODS]
+    runs = _drl_runs(cfg)
     series = [
         _hub_series(cfg, decisions[method], stratum_of, hub_id, traces.n_slots)
         for hub_id, method in runs
@@ -561,18 +583,16 @@ def _drl_envs(cfg: RunConfig, run_dir: str):
 
 
 def cmd_train_drl(cfg: RunConfig, run_dir: str, force: bool) -> None:
-    _write_snapshot(cfg, run_dir, force)
+    _write_snapshot(cfg, run_dir, force, _drl_inputs(run_dir))
     runs, envs = _drl_envs(cfg, run_dir)
 
-    ck_dir = os.path.join(run_dir, "checkpoints")
     results_dir = os.path.join(run_dir, "results")
     targets = []
-    for hub_id in range(cfg.n_hubs):
-        for method in METHODS:
-            targets.append(os.path.join(ck_dir, f"drl_hub{hub_id}_{method}.json"))
-            targets.append(os.path.join(results_dir, f"curve_hub{hub_id}_{method}.csv"))
+    for hub_id, method in runs:
+        targets.append(_drl_checkpoint(run_dir, hub_id, method))
+        targets.append(os.path.join(results_dir, f"curve_hub{hub_id}_{method}.csv"))
     _refuse_overwrite(targets, force)
-    os.makedirs(ck_dir, exist_ok=True)
+    os.makedirs(os.path.join(run_dir, "checkpoints"), exist_ok=True)
     os.makedirs(results_dir, exist_ok=True)
 
     bundles = [
@@ -592,7 +612,7 @@ def cmd_train_drl(cfg: RunConfig, run_dir: str, force: bool) -> None:
 
     written = []
     for (hub_id, method), bundle, curve in zip(runs, bundles, curves):
-        ck_path = os.path.join(ck_dir, f"drl_hub{hub_id}_{method}.json")
+        ck_path = _drl_checkpoint(run_dir, hub_id, method)
         bundle.save(ck_path)
         curve_path = os.path.join(results_dir, f"curve_hub{hub_id}_{method}.csv")
         _write_rows(
@@ -606,17 +626,13 @@ def cmd_train_drl(cfg: RunConfig, run_dir: str, force: bool) -> None:
 
 
 def cmd_eval_drl(cfg: RunConfig, run_dir: str, force: bool) -> None:
-    _write_snapshot(cfg, run_dir, force)
+    checkpoints = [_drl_checkpoint(run_dir, *run) for run in _drl_runs(cfg)]
+    _write_snapshot(cfg, run_dir, force, _drl_inputs(run_dir) + checkpoints)
     eval_path = os.path.join(run_dir, "results", "drl_eval.csv")
     _refuse_overwrite([eval_path], force)
 
     runs, envs = _drl_envs(cfg, run_dir)
-    bundles = [
-        scheduler.PolicyBundle.from_checkpoint(
-            _require(os.path.join(run_dir, "checkpoints", f"drl_hub{hub_id}_{method}.json"))
-        )
-        for hub_id, method in runs
-    ]
+    bundles = [scheduler.PolicyBundle.from_checkpoint(path) for path in checkpoints]
     # one eval seed per hub: every method replays the same episodes
     seeds = [spawn_seed(cfg.seed, "drl-eval", hub_id) for hub_id, _ in runs]
     means = scheduler.evaluate(envs, bundles, cfg.ppo.episodes_test, seeds)

@@ -8,6 +8,8 @@ values. Power in kW, energy in kWh, prices in currency per kWh.
 
 from __future__ import annotations
 
+import math
+import sys
 import typing
 from dataclasses import dataclass, is_dataclass
 
@@ -144,15 +146,11 @@ class SlotOutcome:
 
 def base_station_power(cfg: HubConfig, load_rate: float) -> float:
     """Base-station draw: p_min plus load-proportional share of the span."""
-    if not 0.0 <= load_rate <= 1.0:
-        raise ValueError(f"load_rate must be in [0, 1], got {load_rate}")
     return cfg.p_bs_min_kw + load_rate * (cfg.p_bs_max_kw - cfg.p_bs_min_kw)
 
 
 def charging_station_power(cfg: HubConfig, cs_active: int) -> float:
     """Charging-station draw: rated power while an EV is plugged in, else 0."""
-    if cs_active not in (0, 1):
-        raise ValueError(f"cs_active must be 0 or 1, got {cs_active}")
     return cs_active * cfg.r_cs_kw
 
 
@@ -245,9 +243,10 @@ def profit_table(cfg: HubConfig, load_rate, occupancy, p_wt_kw, p_pv_kw, rtp, sr
 
     Column k holds the profit of action k. Profit does not depend on the
     soc, so one table serves every state; feasibility is left to the caller.
-    The series are validated once here, as SlotInputs validates one slot, and
-    each entry is computed with the float operations of step(), in the same
-    order, so it equals step(...).profit bit for bit.
+    The series' values were checked where they entered (the trace CSVs, the
+    run config), so only their lengths are checked here. Each entry is
+    computed with the float operations of step(), in the same order, so it
+    equals step(...).profit bit for bit.
     """
     series = {
         "load_rate": load_rate,
@@ -262,20 +261,10 @@ def profit_table(cfg: HubConfig, load_rate, occupancy, p_wt_kw, p_pv_kw, rtp, sr
     for name, arr in series.items():
         if arr.shape != (n,):
             raise ValueError(f"{name} has shape {arr.shape} but load_rate has {n} slots")
-    load = series["load_rate"]
-    if not ((load >= 0.0) & (load <= 1.0)).all():
-        raise ValueError("load_rate must be in [0, 1] in every slot")
-    occ = series["occupancy"]
-    if not np.isin(occ, (0.0, 1.0)).all():
-        raise ValueError("occupancy must be 0 or 1 in every slot")
-    for name in ("p_wt_kw", "p_pv_kw", "rtp", "srtp"):
-        arr = series[name]
-        if not ((arr >= 0.0) & (arr < np.inf)).all():
-            raise ValueError(f"{name} must be finite and nonnegative in every slot")
 
     dt = cfg.slot_hours
-    p_bs = cfg.p_bs_min_kw + load * (cfg.p_bs_max_kw - cfg.p_bs_min_kw)
-    p_cs = occ * cfg.r_cs_kw
+    p_bs = cfg.p_bs_min_kw + series["load_rate"] * (cfg.p_bs_max_kw - cfg.p_bs_min_kw)
+    p_cs = series["occupancy"] * cfg.r_cs_kw
     revenue = p_cs * dt * series["srtp"]
     table = np.empty((n, len(ACTIONS)))
     for action in ACTIONS:
@@ -316,9 +305,12 @@ def _typed(hint, value, key: str):
             raise ConfigError(f"{key} must have {len(kinds)} entries, got {value!r}")
         return tuple(_typed(k, v, f"{key}[{i}]") for i, (k, v) in enumerate(zip(kinds, value)))
     if hint is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        # an integer beyond the float range is infinite as a float
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
     if not isinstance(value, hint) or isinstance(value, bool):
         raise ConfigError(f"{key} must be {_KINDS[hint]}, got {value!r}")
+    if hint is float and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
     return value
 
 
@@ -327,10 +319,11 @@ def config_from_dict(cls, raw, section: str, skip=(), **given):
 
     raw may set any field of cls but those in skip or given; given holds the
     fields the caller read elsewhere. Every value is checked against its
-    field's type hint: int takes an int but not a bool, float takes an int or
-    a float and stores a float, a tuple takes a list of its length, X | None
-    also takes None, and a nested config dataclass takes a mapping. An error
-    from cls's own checks becomes a ConfigError naming the section.
+    field's type hint: int takes an int but not a bool, float takes a finite
+    int or float (not NaN or +-inf) and stores a float, a tuple takes a list
+    of its length, X | None also takes None, and a nested config dataclass
+    takes a mapping. An error from cls's own checks becomes a ConfigError
+    naming the section.
     """
     raw = config_mapping(raw, section)
     hints = typing.get_type_hints(cls)

@@ -114,18 +114,17 @@ class Universe(NamedTuple):
 
 
 def universe_arrays(universe) -> Universe:
-    """Check a universe of PopulationItems for duplicates and lay it out as arrays.
+    """Lay a universe of PopulationItems out as arrays.
 
-    Every function here that takes a universe also takes the returned value,
-    which passes through without being checked again.
+    The items are distinct, with stations >= 0 and slots of day in
+    [0, SLOTS_PER_DAY), as load_strata checks. Every function here that
+    takes a universe also takes the returned value, which passes through.
     """
     if isinstance(universe, Universe):
         return universe
     keys = [(it.station_id, it.slot_of_day) for it in universe]
-    if len(set(keys)) != len(keys):
-        raise ValueError("universe contains duplicate (station, slot) items")
-    stations = np.array([k[0] for k in keys])
-    slots = np.array([k[1] for k in keys])
+    stations = np.array([k[0] for k in keys], dtype=np.int64)
+    slots = np.array([k[1] for k in keys], dtype=np.int64)
     return Universe(keys, stations, slots)
 
 
@@ -271,15 +270,12 @@ def train_cfmtl(
     cfg: PricingConfig,
     model: PricingModel | None = None,
 ) -> PricingModel:
-    """Train the stratum and propensity heads jointly on logged observations."""
+    """Train the stratum and propensity heads jointly on logged observations.
+
+    The observations must hold both treatment arms and stations below the
+    model's count; train-price checks both where it reads charging.csv.
+    """
     stations, slots, treated, charged = observations
-    if not len(stations):
-        raise ValueError("no observations to train on")
-    if treated.min() == treated.max():
-        raise ValueError(
-            "all records share one treatment arm; training needs both "
-            "discounted and undiscounted records"
-        )
     if model is None:
         n_stations = (
             cfg.n_stations if cfg.n_stations is not None else int(stations.max()) + 1
@@ -290,11 +286,6 @@ def train_cfmtl(
             embed_dim=cfg.embed_dim,
             hidden=cfg.hidden,
             seed=spawn_seed(cfg.seed, "pricing", "init"),
-        )
-    if int(stations.max()) >= model.n_stations:
-        raise ValueError(
-            f"station id {int(stations.max())} out of range for a model with "
-            f"{model.n_stations} stations"
         )
     opt = nn.Adam(model.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = spawn_rng(cfg.seed, "pricing", "batches")
@@ -417,10 +408,6 @@ def fit_outcome_models(
     stations, slots, treated, charged = observations
     on = treated == 1
     off = ~on
-    if not on.any() or not off.any():
-        raise ValueError(
-            "outcome regressions need records from both treatment arms"
-        )
     mu1 = _fit_scorer(stations[on], slots[on], charged[on], cfg, "outcome_treated")
     mu0 = _fit_scorer(stations[off], slots[off], charged[off], cfg, "outcome_control")
     return mu1, mu0
@@ -451,28 +438,14 @@ def _clipped_propensity(model: nn.EmbedMlp, stations, slots) -> np.ndarray:
 
 
 def _group_rows(observations: Observations, universe: Universe) -> np.ndarray:
-    """Each observation's row in the universe."""
-    n_items = len(universe.keys)
-    # a code per (station, slot) pair, from dense ranks so it fits any ids
-    _, station_rank = np.unique(
-        np.concatenate([universe.stations, observations.stations]), return_inverse=True
-    )
-    slot_ids, slot_rank = np.unique(
-        np.concatenate([universe.slots, observations.slots]), return_inverse=True
-    )
-    codes = station_rank * len(slot_ids) + slot_rank
-    # items come first and are unique, so a code first seen below n_items
-    # is that item's row; an observation's own position means no item
-    _, first, code_of = np.unique(codes, return_index=True, return_inverse=True)
-    rows = first[code_of[n_items:]]
-    missing = rows >= n_items
-    if missing.any():
-        j = int(missing.argmax())
-        raise ValueError(
-            f"observation for station {observations.stations[j]} slot "
-            f"{observations.slots[j]} is not in the item universe"
-        )
-    return rows
+    """Each observation's row in the universe.
+
+    Every observation is an item of the universe, as the stages check where
+    they read charging.csv against strata.csv.
+    """
+    grid = np.empty((universe.stations.max(initial=-1) + 1, SLOTS_PER_DAY), dtype=np.int64)
+    grid[universe.stations, universe.slots] = np.arange(len(universe.keys))
+    return grid[observations.stations, observations.slots]
 
 
 def _item_means(n_items: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -570,8 +543,6 @@ def strata_by_period(winners: np.ndarray, slots: np.ndarray) -> dict[str, dict[S
     day. Returns {"00-06": {stratum: share, ...}, ...} with shares summing to
     1 per period.
     """
-    if np.any(slots >= SLOTS_PER_DAY):
-        raise ValueError(f"universe has slot-of-day values beyond {SLOTS_PER_DAY}")
     quarter = slots * 4 // SLOTS_PER_DAY
     out: dict[str, dict[Stratum, float]] = {}
     for q, (start, end) in enumerate(PERIODS):

@@ -98,7 +98,7 @@ class HubEnv:
         self.load_rate = np.asarray(trace_set.load_rate, dtype=np.float64)
         self.p_wt = wt_power(trace_set.wind_mps, hub_cfg.wt_capacity_kw)
         self.p_pv = pv_power(trace_set.irradiance_wm2, hub_cfg.pv_capacity_kw)
-        # every slot's profit under each action; validates the series once
+        # every slot's profit under each action
         self.profit = hub.profit_table(
             hub_cfg, self.load_rate, self.occupancy, self.p_wt, self.p_pv, self.rtp, self.srtp
         )
@@ -113,12 +113,6 @@ class HubEnv:
                 f"{self.window + self.episode_slots + 1} (window + episode + 1)"
             )
         self.last_start = last_start
-        spec = hub_cfg.battery
-        soc = env_cfg.initial_soc_kwh
-        if soc is not None and not spec.soc_min_kwh <= soc <= spec.soc_max_kwh:
-            raise ValueError(
-                f"initial soc {float(soc)} outside [{spec.soc_min_kwh}, {spec.soc_max_kwh}]"
-            )
         self.stats = NormStats.from_series(
             self.rtp, self.srtp, self.p_wt, self.p_pv, self.load_rate
         )

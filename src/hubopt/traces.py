@@ -156,7 +156,11 @@ def _log_rules(charged, given, rate) -> list:
 
 @dataclass
 class TraceSet:
-    """Aligned per-slot series, slot 0 first, plus the charging log."""
+    """Aligned per-slot series, slot 0 first, plus the charging log.
+
+    The values were checked where they entered: by load_csv for a trace
+    file, by the run config for the generators' arguments.
+    """
 
     rtp: np.ndarray
     wind_mps: np.ndarray
@@ -173,14 +177,6 @@ class TraceSet:
                 raise TraceError(
                     f"series length mismatch: rtp has {n} slots, {name} has {len(arr)}"
                 )
-            if not np.isfinite(arr).all():
-                raise TraceError(f"{name} must be finite in every slot")
-        if n and self.rtp.min() < 0:
-            raise TraceError("rtp must be nonnegative")
-        if n and (self.wind_mps.min() < 0 or self.irradiance_wm2.min() < 0):
-            raise TraceError("weather series must be nonnegative")
-        if n and (self.load_rate.min() < 0 or self.load_rate.max() > 1):
-            raise TraceError("load_rate must be within [0, 1]")
 
     @property
     def n_slots(self) -> int:
@@ -200,17 +196,8 @@ _TRAFFIC_KNOT_VALUES = np.array([0.78, 0.60, 0.35, 0.50, 0.55, 0.62, 0.80, 0.90,
 _TRAFFIC_NOISE_SD = 0.04
 
 
-def check_rtp_base(rtp_base: float) -> None:
-    """gen_rtp's check on its base price, shared with the run config."""
-    if rtp_base < 0:
-        raise ValueError(f"rtp_base must be nonnegative, got {rtp_base}")
-
-
 def gen_rtp(seed: int, n_slots: int, base: float = 0.10) -> np.ndarray:
     """Real-time grid price series, currency/kWh, nonnegative, with a diurnal shape."""
-    if n_slots <= 0:
-        raise ValueError(f"n_slots must be positive, got {n_slots}")
-    check_rtp_base(base)
     rng = np.random.default_rng(seed)
     hours = np.arange(n_slots, dtype=np.float64) % 24.0
     shape = np.interp(hours, _RTP_KNOT_HOURS, _RTP_KNOT_VALUES)
@@ -220,8 +207,6 @@ def gen_rtp(seed: int, n_slots: int, base: float = 0.10) -> np.ndarray:
 
 def gen_weather(seed: int, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
     """Wind speed (m/s, AR(1) around 7) and solar irradiance (W/m^2, diurnal bell)."""
-    if n_slots <= 0:
-        raise ValueError(f"n_slots must be positive, got {n_slots}")
     rng = np.random.default_rng(seed)
     wind = np.empty(n_slots)
     w = 7.0
@@ -242,8 +227,6 @@ def gen_weather(seed: int, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gen_traffic(seed: int, n_slots: int) -> np.ndarray:
     """Base-station load factor in [0, 1]; peaks in the evening like the price."""
-    if n_slots <= 0:
-        raise ValueError(f"n_slots must be positive, got {n_slots}")
     rng = np.random.default_rng(seed)
     hours = np.arange(n_slots, dtype=np.float64) % 24.0
     shape = np.interp(hours, _TRAFFIC_KNOT_HOURS, _TRAFFIC_KNOT_VALUES)
@@ -251,31 +234,21 @@ def gen_traffic(seed: int, n_slots: int) -> np.ndarray:
     return np.clip(series, 0.0, 1.0)
 
 
-def wt_power(wind_mps, capacity_kw: float):
+def wt_power(wind_mps, capacity_kw: float) -> np.ndarray:
     """Turbine output: cubic ramp between cut-in and rated, flat to cut-out, else 0."""
-    if capacity_kw < 0:
-        raise ValueError(f"capacity must be nonnegative, got {capacity_kw}")
     v = np.asarray(wind_mps, dtype=np.float64)
-    if v.size and v.min() < 0:
-        raise ValueError("wind speed must be nonnegative")
     ramp = capacity_kw * (v**3 - WT_CUT_IN**3) / (WT_RATED**3 - WT_CUT_IN**3)
-    out = np.where(
+    return np.where(
         (v < WT_CUT_IN) | (v > WT_CUT_OUT),
         0.0,
         np.where(v >= WT_RATED, capacity_kw, ramp),
     )
-    return float(out) if np.isscalar(wind_mps) else out
 
 
-def pv_power(irradiance_wm2, capacity_kw: float):
+def pv_power(irradiance_wm2, capacity_kw: float) -> np.ndarray:
     """PV output: derated linear in irradiance, clipped at nameplate capacity."""
-    if capacity_kw < 0:
-        raise ValueError(f"capacity must be nonnegative, got {capacity_kw}")
     irr = np.asarray(irradiance_wm2, dtype=np.float64)
-    if irr.size and irr.min() < 0:
-        raise ValueError("irradiance must be nonnegative")
-    out = np.minimum(capacity_kw, capacity_kw * PV_DERATE * irr / 1000.0)
-    return float(out) if np.isscalar(irradiance_wm2) else out
+    return np.minimum(capacity_kw, capacity_kw * PV_DERATE * irr / 1000.0)
 
 
 # -- charging population -------------------------------------------------------
@@ -289,7 +262,7 @@ def check_population_args(
     logged_policy: str,
     logged_discount: float,
 ) -> None:
-    """gen_charging_population's checks on its arguments, shared with the run config.
+    """The run config's checks on gen_charging_population's arguments.
 
     n_stations must already be positive.
     """
@@ -334,18 +307,10 @@ def gen_charging_population(
 
     The logged policy offers a discount with probability 0.5 ("random") or
     with a slot-dependent probability 0.3/0.7 outside/inside the evening
-    window ("confounded", for stressing propensity-based estimators).
+    window ("confounded", for stressing propensity-based estimators). The
+    arguments are those check_population_args accepts; the run config checks
+    them where it is read.
     """
-    if n_stations <= 0 or n_slots <= 0:
-        raise ValueError("n_stations and n_slots must be positive")
-    check_population_args(
-        n_stations,
-        strata_priors,
-        n_items,
-        evening_boost,
-        logged_policy,
-        logged_discount,
-    )
     priors = np.asarray(strata_priors, dtype=np.float64)
     if np.any(priors == 1.0):
         warnings.warn("degenerate strata_priors: a single stratum has all the mass")

@@ -221,6 +221,62 @@ class TestMistypedValues:
             run_config_from_dict({"hub": {"battery": {"eta_charge": 1.5}}})
 
 
+def non_finite_floats() -> list:
+    """(section path, key, value) putting NaN or +-inf into every float of a run config.
+
+    The walk follows the type hints, as the config parser does: a float
+    field, a float | None field and each float entry of a tuple field.
+    """
+    out = []
+    for path, key, hint in yaml_fields():
+        if type(None) in typing.get_args(hint):
+            hint = typing.get_args(hint)[0]
+        kinds = typing.get_args(hint) if typing.get_origin(hint) is tuple else (hint,)
+        if float not in kinds:
+            continue
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            # the entry after a bad float is never read, so 0.5 fills the rest
+            value = bad if kinds == (float,) else [bad] + [0.5] * (len(kinds) - 1)
+            out.append((path, key, value))
+    return out
+
+
+NON_FINITE = non_finite_floats()
+
+
+class TestNonFiniteFloats:
+    """Every float key refuses NaN and +-inf before any stage writes a file."""
+
+    def test_walk_covers_every_float(self):
+        keys = {(path, key) for path, key, _ in NON_FINITE}
+        assert {(("hub",), "c_bp"), (("hub",), "wt_capacity_kw")} <= keys
+        assert (("hub", "battery"), "capacity_kwh") in keys
+        assert {(("ppo",), "initial_soc_kwh"), (("traces",), "strata_priors")} <= keys
+        assert (("pricing",), "discount") in keys
+        assert (("ppo",), "hidden") not in keys
+        assert len(NON_FINITE) == 3 * len(keys)
+
+    @pytest.mark.parametrize(
+        "path,key,bad",
+        NON_FINITE,
+        ids=[".".join(path + (key,)) + f"={bad!r}" for path, key, bad in NON_FINITE],
+    )
+    def test_exits_2_at_gen_data_before_any_write(self, tmp_path, capsys, path, key, bad):
+        cfg = tiny_config(tmp_path / "never")
+        node = cfg
+        for name in path:
+            node = node.setdefault(name, {})
+        node[key] = bad
+        config_path = write_config(tmp_path / "bad.yaml", cfg)
+        assert cli.main(["gen-data", "--config", config_path]) == cli.EXIT_CONFIG
+        assert re.search(rf"config error: {key}(\[0\])? must be finite", capsys.readouterr().err)
+        assert not (tmp_path / "never").exists()
+
+    def test_integer_beyond_the_float_range_is_infinite(self):
+        with pytest.raises(ConfigError, match=r"^c_bp must be finite, got inf"):
+            run_config_from_dict({"hub": {"c_bp": 10**400}})
+
+
 class TestOutDirResolution:
     def test_cli_flag_beats_config(self):
         cfg = RunConfig(out_dir="from_config")
@@ -343,6 +399,19 @@ class TestGenData:
         assert f"config error: {key}" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
 
+    @pytest.mark.parametrize(
+        "section,key,bad", [("pricing", "base_sell_price", 0.0), ("traces", "n_stations", 0)]
+    )
+    def test_nonpositive_price_or_stations_exit_2_before_any_write(
+        self, tmp_path, capsys, section, key, bad
+    ):
+        cfg = tiny_config(tmp_path / "never")
+        cfg.setdefault(section, {})[key] = bad
+        config_path = write_config(tmp_path / "bad.yaml", cfg)
+        assert cli.main(["gen-data", "--config", config_path]) == cli.EXIT_CONFIG
+        assert f"config error: {section}.{key} must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
     def test_exponent_without_a_point_is_a_yaml_string(self, tmp_path, capsys):
         # PyYAML reads 1e-3 as the string '1e-3'; 1.0e-3 is the number
         config_path = tmp_path / "bad.yaml"
@@ -456,6 +525,29 @@ class TestChargingStationFaults:
         assert rc == cli.EXIT_DATA, err
         assert err.startswith("data error: ") and f"{path}" in err
         assert f"record 0 (station {station}, slot of day 0) is outside" in err
+
+
+class TestUnusableChargingLog:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rows: [],
+            # every record undiscounted: discount_given and discount_rate zeroed
+            lambda rows: [",".join(row.split(",")[:3] + ["0", "0.0"]) for row in rows],
+        ],
+        ids=["no-records", "one-arm"],
+    )
+    def test_train_price_exits_3_naming_the_file(self, priced, tmp_path, capsys, edit):
+        config_path, run_dir = priced
+        path = _copy_run(run_dir, tmp_path) / "data" / "charging.csv"
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, *edit(rows)]) + "\n")
+        out = str(path.parents[1])
+        rc = cli.main(["train-price", "--config", config_path, "--out", out, "--force"])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_DATA, err
+        assert err.startswith(f"data error: {path}: 0 of its ")
+        assert "training needs both discounted and undiscounted records" in err
 
 
 class TestEvalPriceWork:
@@ -589,6 +681,39 @@ class TestUnreadableInputs:
         strata = copy / "data" / "strata.csv"
         assert f"data error: {strata}: no items fall in period 18-24" in err
         assert not (copy / "results").exists()
+
+    def test_header_only_strata_and_charging_fail_eval_price(self, priced, tmp_path, capsys):
+        config_path, run_dir = priced
+        copy = _copy_run(run_dir, tmp_path)
+        for name in ("strata.csv", "charging.csv"):
+            path = copy / "data" / name
+            path.write_text(path.read_text().splitlines()[0] + "\n")
+        rc = cli.main(["eval-price", "--config", config_path, "--out", str(copy), "--force"])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_DATA, err
+        strata = copy / "data" / "strata.csv"
+        assert f"data error: {strata}: no items fall in period 00-06" in err
+
+
+class TestMissingInputsPinNothing:
+    @pytest.mark.parametrize(
+        "stage,first",
+        [
+            ("train-price", "data/charging.csv"),
+            ("eval-price", "checkpoints/pricing_cfmtl.json"),
+            ("train-drl", "data/rtp.csv"),
+            ("eval-drl", "data/rtp.csv"),
+        ],
+    )
+    def test_stage_on_a_fresh_run_writes_no_snapshot(self, tmp_path, capsys, stage, first):
+        run_dir = tmp_path / "fresh"
+        config_path = write_config(tmp_path / "c.yaml", tiny_config(run_dir))
+        assert cli.main([stage, "--config", config_path]) == cli.EXIT_DATA
+        assert f"data error: missing {run_dir / first}" in capsys.readouterr().err
+        assert not (run_dir / "config.yaml").exists()
+        # nothing was pinned, so a corrected config starts the run
+        fixed = write_config(tmp_path / "fixed.yaml", tiny_config(run_dir, seed=8))
+        assert cli.main(["gen-data", "--config", fixed]) == cli.EXIT_OK
 
 
 class TestDrlDataPath:

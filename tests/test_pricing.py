@@ -178,11 +178,6 @@ class TestTraining:
         after = cfmtl_loss(model, held).total
         assert after < before
 
-    def test_single_arm_data_rejected(self):
-        rows = [(s, s % 24, 1, 1) for s in range(40)]
-        with pytest.raises(ValueError, match="treatment arm"):
-            train_cfmtl(obs_batch(rows), PricingConfig(epochs=1))
-
     def test_always_only_population_drives_always_head(self):
         with pytest.warns(UserWarning, match="degenerate"):
             pop, records = gen_charging_population(
@@ -200,11 +195,6 @@ class TestTraining:
         again = train_cfmtl(obs, PricingConfig(epochs=6, seed=3))
         for a, b in zip(trained.params(), again.params()):
             assert np.array_equal(a, b)
-
-    def test_station_id_out_of_range(self):
-        rows = [(90, 3, t % 2, 0) for t in range(8)]
-        with pytest.raises(ValueError, match="out of range"):
-            train_cfmtl(obs_batch(rows), PricingConfig(epochs=1, n_stations=10))
 
     def test_separates_planted_strata(self, planted, trained):
         pop, _ = planted
@@ -503,12 +493,6 @@ class TestUpliftEstimators:
         assert len(caught) == 1
         assert all(np.all(np.isfinite(v)) for v in scores.values())
 
-    def test_observation_outside_universe(self, planted):
-        pop, _ = planted
-        stray = obs_batch([(998, 0, 1, 1)])
-        with pytest.raises(ValueError, match="not in"):
-            uplift_scores(stray, Constant(0.5), Constant(0.5), Constant(0.5), pop)
-
 
 def reference_uplifts(obs, mu1, mu0, prop, items):
     """The OR, IPS and DR uplifts as per-record loops, kept as the reference.
@@ -542,30 +526,23 @@ def reference_uplifts(obs, mu1, mu0, prop, items):
 
 
 class TestGroupRows:
+    # the stages admit only what load_strata and _load_population accept:
+    # distinct items, stations >= 0, slots of day in [0, 24), and records
+    # whose (station, slot of day) is an item
     @settings(max_examples=200, deadline=None)
     @given(
         keys=st.lists(
-            st.tuples(st.integers(-3, 2**40), st.integers(-2, 30)), unique=True, max_size=25
+            st.tuples(st.integers(0, 40), st.integers(0, 23)), unique=True, max_size=25
         ),
         data=st.data(),
     )
     def test_matches_the_dict_lookup(self, keys, data):
         picks = data.draw(st.lists(st.integers(0, max(len(keys) - 1, 0)), max_size=40))
-        stray = data.draw(st.none() | st.tuples(st.integers(-3, 40), st.integers(-2, 30)))
         obs_keys = [keys[i] for i in picks] if keys else []
-        if stray is not None:
-            obs_keys.insert(data.draw(st.integers(0, len(obs_keys))), stray)
         observations = obs_batch([(s, t, 0, 0) for s, t in obs_keys])
         index = {key: i for i, key in enumerate(keys)}
-        missing = [key for key in obs_keys if key not in index]
-        universe = pricing.universe_arrays(items_at(keys))
-        if missing:
-            want = f"station {missing[0][0]} slot {missing[0][1]} is not in"
-            with pytest.raises(ValueError, match=want):
-                pricing._group_rows(observations, universe)
-        else:
-            rows = pricing._group_rows(observations, universe)
-            assert rows.tolist() == [index[key] for key in obs_keys]
+        rows = pricing._group_rows(observations, pricing.universe_arrays(items_at(keys)))
+        assert rows.tolist() == [index[key] for key in obs_keys]
 
 
 class TestTopK:
@@ -596,11 +573,6 @@ class TestTopK:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
                 top_k_policy(universe, [1.0, bad, 0.0], 1)
-
-    def test_duplicate_items_rejected(self):
-        universe = items_at([(0, 1), (0, 2), (0, 1)])
-        with pytest.raises(ValueError, match="duplicate"):
-            top_k_policy(universe, [1.0, 2.0, 3.0], 1)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -661,10 +633,6 @@ class TestStrataByPeriod:
             ):
                 counts[i, j] = table[label][stratum] * per_period
         assert chi2_independence_pvalue(counts) > 0.01
-
-    def test_unknown_slots_rejected(self):
-        with pytest.raises(ValueError, match="beyond"):
-            strata_by_period(np.array([COL_NO]), np.array([30]))
 
 
 def chi2_independence_pvalue(counts: np.ndarray) -> float:

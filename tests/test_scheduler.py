@@ -139,12 +139,6 @@ class TestHubEnv:
         state = env.reset(seed=1)
         assert state.soc == pytest.approx(20.0 / env.hub_cfg.battery.capacity_kwh)
 
-    def test_initial_soc_out_of_bounds(self):
-        with pytest.raises(ValueError, match="initial soc"):
-            make_env(initial_soc_kwh=2.0)
-        with pytest.raises(ValueError, match="initial soc"):
-            make_env(initial_soc_kwh=45.5)
-
     def test_reset_seed_reproducible(self):
         env = make_env()
         a = env.reset(seed=9)
@@ -184,12 +178,6 @@ class TestHubEnv:
             HubEnv(cfg, EnvConfig(episode_days=1, window=2), ts, ts.rtp[:50], np.zeros(72, dtype=int))
         with pytest.raises(ValueError, match="occupancy"):
             HubEnv(cfg, EnvConfig(episode_days=1, window=2), ts, ts.rtp, np.zeros(50, dtype=int))
-
-    def test_bad_occupancy_values(self):
-        ts = make_traces(72)
-        occ = np.full(72, 2, dtype=int)
-        with pytest.raises(ValueError, match="occupancy"):
-            HubEnv(hub.HubConfig(), EnvConfig(episode_days=1, window=2), ts, ts.rtp, occ)
 
     def test_step_rewards_equal_scalar_hub_step(self):
         # the table lookup must reproduce hub.step on every slot, idle fallback included

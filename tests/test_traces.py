@@ -14,6 +14,7 @@ from hubopt.traces import (
     Stratum,
     TraceError,
     TraceSet,
+    check_population_args,
     gen_charging_population,
     gen_rtp,
     gen_traffic,
@@ -43,10 +44,6 @@ class TestRtp:
         assert np.array_equal(a, b)
         assert a.min() >= 0.0
         assert not np.array_equal(a, gen_rtp(10, 240))
-
-    def test_bad_length(self):
-        with pytest.raises(ValueError):
-            gen_rtp(1, 0)
 
 
 class TestWeatherTraffic:
@@ -87,22 +84,10 @@ class TestGenerationCurves:
         assert out[0] == 0.0 and out[2] == 0.0
         assert 0.0 < out[1] < 10.0
 
-    def test_wt_bad_curve(self):
-        with pytest.raises(ValueError):
-            wt_power(-1.0, 10.0)
-        with pytest.raises(ValueError):
-            wt_power(5.0, -10.0)
-
     def test_pv_linear_then_clipped(self):
         assert pv_power(600.0, 5.0) == pytest.approx(2.7)
         assert pv_power(1200.0, 5.0) == 5.0
         assert pv_power(0.0, 5.0) == 0.0
-
-    def test_pv_validation(self):
-        with pytest.raises(ValueError):
-            pv_power(-5.0, 5.0)
-        with pytest.raises(ValueError):
-            pv_power(100.0, -5.0)
 
 
 def log_rows(log):
@@ -165,13 +150,11 @@ class TestPopulation:
         evening = records.slot % 24 >= 18
         assert treated[evening].mean() > treated[~evening].mean() + 0.2
 
+    # the run config checks the generator's arguments once, with check_population_args
     def test_prior_validation(self):
-        with pytest.raises(ValueError):
-            gen_charging_population(1, 2, 24, (0.5, 0.5, 0.5))
-        with pytest.raises(ValueError):
-            gen_charging_population(1, 2, 24, (0.5, 0.5))
-        with pytest.raises(ValueError):
-            gen_charging_population(1, 2, 24, (-0.1, 0.6, 0.5))
+        for priors in ((0.5, 0.5, 0.5), (0.5, 0.5), (-0.1, 0.6, 0.5)):
+            with pytest.raises(ValueError, match="strata_priors"):
+                check_population_args(2, priors, None, 2.5, "random", 0.3)
 
     def test_degenerate_priors_warn_not_error(self):
         with warnings.catch_warnings(record=True) as caught:
@@ -181,10 +164,10 @@ class TestPopulation:
         assert all(it.stratum is Stratum.NO_CHARGE for it in items)
 
     def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            gen_charging_population(1, 2, 24, self.PRIORS, logged_policy="greedy")
-        with pytest.raises(ValueError):
-            gen_charging_population(1, 2, 24, self.PRIORS, logged_discount=0.0)
+        with pytest.raises(ValueError, match="logged_policy"):
+            check_population_args(2, self.PRIORS, None, 2.5, "greedy", 0.3)
+        with pytest.raises(ValueError, match="logged_discount"):
+            check_population_args(2, self.PRIORS, None, 2.5, "random", 0.0)
 
 
 class TestResponse:
@@ -275,6 +258,13 @@ class TestCsvRoundTrip:
         with pytest.raises(TraceError, match="negative price at slot 1"):
             load_csv(str(path), "rtp")
 
+    @pytest.mark.parametrize("row", ["1,-0.5,0.0", "1,2.0,-10.0"], ids=["wind", "irradiance"])
+    def test_negative_weather(self, tmp_path, row):
+        path = tmp_path / "weather.csv"
+        path.write_text(f"slot,wind_mps,irradiance_wm2\n0,1.0,0.0\n{row}\n")
+        with pytest.raises(TraceError, match="weather values must be nonnegative"):
+            load_csv(str(path), "weather")
+
     def test_parse_error_names_line(self, tmp_path):
         path = tmp_path / "traffic.csv"
         path.write_text("slot,load_rate\n0,0.5\n1,high\n")
@@ -330,14 +320,6 @@ class TestCsvRoundTrip:
                 load_rate=np.zeros(5),
                 charging=[],
             )
-
-    @pytest.mark.parametrize("series", ["rtp", "wind_mps", "irradiance_wm2", "load_rate"])
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_traceset_rejects_non_finite(self, series, bad):
-        arrays = {name: np.full(4, 0.1) for name in ("rtp", "wind_mps", "irradiance_wm2", "load_rate")}
-        arrays[series][1] = bad
-        with pytest.raises(TraceError, match=f"{series} must be finite"):
-            TraceSet(charging=[], **arrays)
 
 
 class TestChargingLog:
