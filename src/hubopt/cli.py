@@ -399,14 +399,36 @@ def cmd_train_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
     print(f"wrote 4 pricing checkpoints under {os.path.join(run_dir, 'checkpoints')}")
 
 
-def _load_pricing_models(run_dir: str):
+def _load_checkpoint(cls, path: str, stage: str, **expected):
+    """cls.from_checkpoint(path), refused unless every architecture field it
+    records (a META key) has the value the run config gives it in expected."""
+    model = cls.from_checkpoint(path)
+    for key, want in expected.items():
+        if getattr(model, key) != want:
+            raise nn.CheckpointError(
+                f"{path} was trained with {key} {getattr(model, key)}, but the run config "
+                f"gives {want}; rerun {stage} with --force"
+            )
+    return model
+
+
+def _load_pricing_models(run_dir: str, cfg: RunConfig | None = None):
+    """The four pricing models; with cfg, each must have the shape train-price
+    builds from it."""
+    shape = {}
+    if cfg is not None:
+        shape = {
+            "n_stations": cfg.traces.n_stations,
+            "n_slots": SLOTS_PER_DAY,
+            "embed_dim": cfg.pricing.embed_dim,
+            "hidden": cfg.pricing.hidden,
+        }
     paths = _checkpoint_paths(run_dir)
-    for p in paths.values():
-        _require(p)
-    model = pricing.PricingModel.from_checkpoint(paths["cfmtl"])
-    mu1 = nn.EmbedMlp.from_checkpoint(paths["mu1"])
-    mu0 = nn.EmbedMlp.from_checkpoint(paths["mu0"])
-    prop = nn.EmbedMlp.from_checkpoint(paths["prop"])
+    model = _load_checkpoint(pricing.PricingModel, paths["cfmtl"], "train-price", **shape)
+    mu1, mu0, prop = (
+        _load_checkpoint(nn.EmbedMlp, paths[name], "train-price", **shape)
+        for name in ("mu1", "mu0", "prop")
+    )
     return model, mu1, mu0, prop
 
 
@@ -417,11 +439,11 @@ def _load_population(run_dir: str, log: ChargingLog | None = None, n_stations: i
     item's station must be below n_stations, when given, and every logged
     (station, slot of day) must be an item.
     """
-    strata_path = _require(os.path.join(run_dir, "data", "strata.csv"))
+    strata_path = os.path.join(run_dir, "data", "strata.csv")
     charging_path = os.path.join(run_dir, "data", "charging.csv")
     items = load_strata(strata_path)
     if log is None:
-        log = load_csv(_require(charging_path), "charging")
+        log = load_csv(charging_path, "charging")
     observations = pricing.observations_from_records(log)
     stations = np.array([it.station_id for it in items], dtype=np.int64)
     top = int(stations.max(initial=-1))
@@ -478,7 +500,7 @@ def cmd_eval_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
     period_path = os.path.join(results_dir, "strata_by_period.csv")
     _refuse_overwrite([eval_path, period_path], force)
 
-    model, mu1, mu0, prop = _load_pricing_models(run_dir)
+    model, mu1, mu0, prop = _load_pricing_models(run_dir, cfg)
     items, observations = _load_population(run_dir, n_stations=cfg.traces.n_stations)
     universe, winners, chosen = _method_choices(
         model, mu1, mu0, prop, items, observations
@@ -564,7 +586,7 @@ def _drl_envs(cfg: RunConfig, run_dir: str):
     the charging log and the pricing inputs are released before they are built.
     """
     traces = load_traces(os.path.join(run_dir, "data"))
-    model, mu1, mu0, prop = _load_pricing_models(run_dir)
+    model, mu1, mu0, prop = _load_pricing_models(run_dir, cfg)
     items, observations = _load_population(run_dir, traces.charging, cfg.traces.n_stations)
     stratum_of = {(it.station_id, it.slot_of_day): it.stratum for it in items}
     decisions = _method_decisions(model, mu1, mu0, prop, items, observations, cfg.discount)
@@ -584,14 +606,14 @@ def _drl_envs(cfg: RunConfig, run_dir: str):
 
 def cmd_train_drl(cfg: RunConfig, run_dir: str, force: bool) -> None:
     _write_snapshot(cfg, run_dir, force, _drl_inputs(run_dir))
-    runs, envs = _drl_envs(cfg, run_dir)
-
     results_dir = os.path.join(run_dir, "results")
     targets = []
-    for hub_id, method in runs:
+    for hub_id, method in _drl_runs(cfg):
         targets.append(_drl_checkpoint(run_dir, hub_id, method))
         targets.append(os.path.join(results_dir, f"curve_hub{hub_id}_{method}.csv"))
     _refuse_overwrite(targets, force)
+
+    runs, envs = _drl_envs(cfg, run_dir)
     os.makedirs(os.path.join(run_dir, "checkpoints"), exist_ok=True)
     os.makedirs(results_dir, exist_ok=True)
 
@@ -632,7 +654,11 @@ def cmd_eval_drl(cfg: RunConfig, run_dir: str, force: bool) -> None:
     _refuse_overwrite([eval_path], force)
 
     runs, envs = _drl_envs(cfg, run_dir)
-    bundles = [scheduler.PolicyBundle.from_checkpoint(path) for path in checkpoints]
+    shape = {"state_dim": envs[0].state_dim, "hidden": cfg.ppo.hidden}
+    bundles = [
+        _load_checkpoint(scheduler.PolicyBundle, path, "train-drl", **shape)
+        for path in checkpoints
+    ]
     # one eval seed per hub: every method replays the same episodes
     seeds = [spawn_seed(cfg.seed, "drl-eval", hub_id) for hub_id, _ in runs]
     means = scheduler.evaluate(envs, bundles, cfg.ppo.episodes_test, seeds)
@@ -663,7 +689,7 @@ def cmd_report(run_dir: str, force: bool) -> None:
 
     if have_pricing:
         rows = []
-        _, table = _read_rows(_require(pricing_path), PRICING_EVAL_HEADER)
+        _, table = _read_rows(pricing_path, PRICING_EVAL_HEADER)
         for method, discount, none_n, inc_n, alw_n, reward in table:
             for metric, value in (
                 ("none_count", none_n),
@@ -677,7 +703,7 @@ def cmd_report(run_dir: str, force: bool) -> None:
 
     if have_drl:
         rows = []
-        _, table = _read_rows(_require(drl_path), DRL_EVAL_HEADER)
+        _, table = _read_rows(drl_path, DRL_EVAL_HEADER)
         for hub_id, method, avg in table:
             rows.append((hub_id, method, "avg_daily_reward", "", avg))
         for name in sorted(os.listdir(results_dir)):
@@ -686,7 +712,7 @@ def cmd_report(run_dir: str, force: bool) -> None:
             stem = name[len("curve_") : -len(".csv")]
             hub_id, _, method = stem.partition("_")
             hub_id = hub_id[len("hub") :]
-            _, curve = _read_rows(_require(os.path.join(results_dir, name)), CURVE_HEADER)
+            _, curve = _read_rows(os.path.join(results_dir, name), CURVE_HEADER)
             for episode, total, daily in curve:
                 rows.append((hub_id, method, "total_reward", episode, total))
                 rows.append((hub_id, method, "mean_daily_reward", episode, daily))

@@ -243,35 +243,25 @@ def profit_table(cfg: HubConfig, load_rate, occupancy, p_wt_kw, p_pv_kw, rtp, sr
 
     Column k holds the profit of action k. Profit does not depend on the
     soc, so one table serves every state; feasibility is left to the caller.
-    The series' values were checked where they entered (the trace CSVs, the
-    run config), so only their lengths are checked here. Each entry is
-    computed with the float operations of step(), in the same order, so it
-    equals step(...).profit bit for bit.
+    The series are sequences of one length whose values were checked where
+    they entered (the trace CSVs, the run config). Each entry is computed
+    with the float operations of step(), in the same order, so it equals
+    step(...).profit bit for bit.
     """
-    series = {
-        "load_rate": load_rate,
-        "occupancy": occupancy,
-        "p_wt_kw": p_wt_kw,
-        "p_pv_kw": p_pv_kw,
-        "rtp": rtp,
-        "srtp": srtp,
-    }
-    series = {name: np.asarray(arr, dtype=np.float64) for name, arr in series.items()}
-    n = len(series["load_rate"])
-    for name, arr in series.items():
-        if arr.shape != (n,):
-            raise ValueError(f"{name} has shape {arr.shape} but load_rate has {n} slots")
-
+    load_rate, occupancy, p_wt_kw, p_pv_kw, rtp, srtp = (
+        np.asarray(arr, dtype=np.float64)
+        for arr in (load_rate, occupancy, p_wt_kw, p_pv_kw, rtp, srtp)
+    )
     dt = cfg.slot_hours
-    p_bs = cfg.p_bs_min_kw + series["load_rate"] * (cfg.p_bs_max_kw - cfg.p_bs_min_kw)
-    p_cs = series["occupancy"] * cfg.r_cs_kw
-    revenue = p_cs * dt * series["srtp"]
-    table = np.empty((n, len(ACTIONS)))
+    p_bs = cfg.p_bs_min_kw + load_rate * (cfg.p_bs_max_kw - cfg.p_bs_min_kw)
+    p_cs = occupancy * cfg.r_cs_kw
+    revenue = p_cs * dt * srtp
+    table = np.empty((len(load_rate), len(ACTIONS)))
     for action in ACTIONS:
         p_bp, _ = battery_power(cfg.battery, action, dt)
-        net = p_bs + p_cs + p_bp - series["p_wt_kw"] - series["p_pv_kw"]
+        net = p_bs + p_cs + p_bp - p_wt_kw - p_pv_kw
         # max(0.0, net) keeps 0.0 unless net > 0.0
-        cost_grid = np.where(net > 0.0, net, 0.0) * dt * series["rtp"]
+        cost_grid = np.where(net > 0.0, net, 0.0) * dt * rtp
         table[:, action] = revenue - cost_grid - (action != IDLE) * cfg.c_bp
     return table
 

@@ -12,7 +12,6 @@ import contextlib
 import hashlib
 import json
 import os
-import weakref
 from typing import Sequence
 
 import numpy as np
@@ -89,15 +88,8 @@ class DenseNet:
             self.weights.append(w)
             self.biases.append(b)
 
-    @property
-    def input_dim(self) -> int:
-        return self.sizes[0]
-
     def forward(self, x: np.ndarray):
-        """Returns (output, cache); cache feeds backward()."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise ValueError(f"expected input shape (n, {self.input_dim}), got {x.shape}")
+        """Returns (output, cache) for float64 x (n, sizes[0]); cache feeds backward()."""
         cache = []
         a = x
         for w, b, tag in zip(self.weights, self.biases, self.activations):
@@ -143,12 +135,7 @@ class EmbeddingTable:
         self.table = rng.uniform(-bound, bound, size=(self.vocab, self.dim))
 
     def lookup(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.vocab):
-            raise IndexError(
-                f"embedding index out of range [0, {self.vocab}): "
-                f"min={idx.min()}, max={idx.max()}"
-            )
+        """The rows at idx, each in [0, vocab)."""
         return self.table[idx]
 
     def grad(self, idx: np.ndarray, grad_rows: np.ndarray) -> np.ndarray:
@@ -168,11 +155,8 @@ class EmbeddingTable:
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray):
-    """Mean squared error over all elements; returns (value, grad wrt pred)."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
+    """Mean squared error over all elements of two float64 arrays of one
+    shape; returns (value, grad wrt pred)."""
     diff = pred - target
     return float(np.mean(diff * diff)), 2.0 * diff / diff.size
 
@@ -219,19 +203,6 @@ def _tiled_buffer(params: Sequence[np.ndarray]) -> np.ndarray:
     return owner.reshape(-1)[start : start + sum(p.size for p in params)]
 
 
-# Adam.step's scratch, one pair of rows per parameter count. Steps never
-# overlap, so optimizers of one size share it: K runs that keep K optimizers
-# alive (and step them in turn) hold one pair, not K.
-_SCRATCH: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def _step_scratch(size: int) -> np.ndarray:
-    scratch = _SCRATCH.get(size)
-    if scratch is None:
-        scratch = _SCRATCH[size] = np.empty((2, size))
-    return scratch
-
-
 class Adam:
     """Adam with decoupled weight decay (decay applied to parameters directly).
 
@@ -265,7 +236,7 @@ class Adam:
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
         # scratch for the gradient and the update, reused by every step
-        self._grad, self._work = _step_scratch(self.flat.size)
+        self._grad, self._work = np.empty((2, self.flat.size))
 
     def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]) -> None:
         """Update params in place. Rejects the whole update on non-finite grads."""

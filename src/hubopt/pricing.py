@@ -212,15 +212,11 @@ def cfmtl_loss_parts(
       r4 = (p_no + p_inc)*(1-g) - 1[Y=0, T=0]
       r5 = g                    - 1[T=1]
 
-    Returns (LossParts, grad wrt strata probs (n, 3), grad wrt g (n,)).
+    strata is (n, 3) and g, treated and charged (n,), all float64, as the
+    model's forward and the Observations columns give them. Returns
+    (LossParts, grad wrt strata probs (n, 3), grad wrt g (n,)).
     """
-    strata = np.asarray(strata, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    treated = np.asarray(treated, dtype=np.float64)
-    charged = np.asarray(charged, dtype=np.float64)
     n = strata.shape[0]
-    if strata.shape != (n, 3) or g.shape != (n,):
-        raise ValueError(f"bad shapes: strata {strata.shape}, g {g.shape}")
     p_no = strata[:, COL_NO]
     p_inc = strata[:, COL_INCENTIVE]
     p_alw = strata[:, COL_ALWAYS]
@@ -343,18 +339,13 @@ def evaluate_policy(truth: np.ndarray, give: np.ndarray, c: float) -> PolicyEval
     """Score a discount mask against the ground-truth strata of the items.
 
     truth holds each item's true stratum column (strata_columns), give whether
-    it was discounted at rate c. Reward per item: 1 for always-charge (minus c
-    if it was needlessly discounted), 1-c for a discounted incentive-charge, 0
+    it was discounted at rate c in [0, 1); both have one entry per item of one
+    universe. Reward per item: 1 for always-charge (minus c if it was
+    needlessly discounted), 1-c for a discounted incentive-charge, 0
     otherwise. It is summed from 0.0 left to right, in item order, as a loop
     over the items would add it: np.sum's pairwise order could move the last
     bits of the reported float.
     """
-    if not 0.0 <= c < 1.0:
-        raise ValueError(f"discount rate must be in [0, 1), got {c}")
-    if truth.shape != give.shape:
-        raise ValueError(
-            f"got {give.size} decisions for {truth.size} items; the universes must match"
-        )
     always = truth == COL_ALWAYS
     incentive_given = (truth == COL_INCENTIVE) & give
     per_item = np.where(
@@ -516,17 +507,11 @@ def uplift_scores(
 def top_k_policy(universe, scores, k: int) -> np.ndarray:
     """Per item, whether it is among the k highest scores, and so discounted.
 
-    Ties are broken by (station, slot), and -0.0 ties with 0.0.
+    scores holds one score per item and k is at most the item count. Ties
+    are broken by (station, slot), and -0.0 ties with 0.0.
     """
     keys, stations, slots = universe_arrays(universe)
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (len(keys),):
-        raise ValueError(
-            f"got {scores.shape[0] if scores.ndim else 0} scores for "
-            f"{len(keys)} items"
-        )
-    if not 0 <= k <= len(keys):
-        raise ValueError(f"k must be in [0, {len(keys)}], got {k}")
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite to rank items")
     # lexsort's last key is the primary one

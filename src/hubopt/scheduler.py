@@ -174,9 +174,8 @@ class HubEnv:
 
     def episode_inputs(self, start: int) -> np.ndarray:
         """The profit rows (episode_slots, 3) an episode starting at `start`
-        is rewarded from; column k holds action k's profit."""
-        if not self.window <= start <= self.last_start:
-            raise ValueError(f"episode start {start} outside [{self.window}, {self.last_start}]")
+        (in [window, last_start], as draw_start gives it) is rewarded from;
+        column k holds action k's profit."""
         return self.profit[start : start + self.episode_slots]
 
     def step(self, action: int) -> tuple[EnvState, float, bool]:
@@ -315,15 +314,9 @@ def compute_advantages(
 
     The trajectory is treated as complete: the value beyond the final slot is
     zero. Targets are raw advantages plus values; normalization (zero mean,
-    unit variance) applies to the returned advantages only.
+    unit variance) applies to the returned advantages only. rewards and
+    values are float64 vectors of one length.
     """
-    rewards = np.asarray(rewards, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if rewards.shape != values.shape or rewards.ndim != 1:
-        raise ValueError(
-            f"rewards and values must be matching vectors, got "
-            f"{rewards.shape} and {values.shape}"
-        )
     next_values = np.append(values[1:], 0.0)
     deltas = rewards + gamma * next_values - values
     adv = np.empty_like(deltas)
@@ -357,12 +350,8 @@ def total_loss(
 
     J = mean clip term - value_coef * MSE(V, targets) + entropy_coef * entropy.
     The returned gradients are of J itself; descend on their negation.
+    actions are integer and the other arrays float64, one row per sample.
     """
-    states = np.asarray(states, dtype=np.float64)
-    actions = np.asarray(actions, dtype=np.int64)
-    old_log_probs = np.asarray(old_log_probs, dtype=np.float64)
-    advantages = np.asarray(advantages, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
     n = len(actions)
     probs, values, cache = bundle.forward(states)
     rows = np.arange(n)
@@ -491,7 +480,10 @@ def _settle(cfg: hub.HubConfig, soc: np.ndarray, actions: np.ndarray):
 
 
 def _check_population(envs, bundles, seeds) -> None:
-    """Runs step together only if their episodes, batteries and policies match."""
+    """Runs step together only if their episodes, batteries and policies match.
+
+    Each bundle must take its env's state_dim, as its caller built or loaded it.
+    """
     if not len(envs) == len(bundles) == len(seeds) >= 1:
         raise ValueError(
             f"need one env, bundle and seed per run, got {len(envs)}, {len(bundles)}, {len(seeds)}"
@@ -506,11 +498,6 @@ def _check_population(envs, bundles, seeds) -> None:
             raise ValueError(
                 f"run {k} differs from run 0 in episode length, window, battery, "
                 "slot length or policy shape"
-            )
-        if bundle.state_dim != env.state_dim:
-            raise ValueError(
-                f"run {k}: policy takes {bundle.state_dim} state features "
-                f"but its env gives {env.state_dim}"
             )
 
 
@@ -685,10 +672,9 @@ def evaluate(
     """Each run's mean per-day profit of its greedy policy over evaluation episodes.
 
     All runs and all their episodes step together; run k's total is summed
-    episode by episode, slot by slot, as one running total.
+    episode by episode, slot by slot, as one running total. episodes is at
+    least 1, as PpoConfig.episodes_test is.
     """
-    if episodes <= 0:
-        raise ValueError(f"episodes must be positive, got {episodes}")
     _check_population(envs, bundles, seeds)
     draws = [
         [env.draw_start(np.random.default_rng(spawn_seed(s, "eval", e))) for e in range(episodes)]

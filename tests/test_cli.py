@@ -836,6 +836,55 @@ class TestDrlStage:
             assert cli.main([sub, "--config", config_path]) == 0
         assert cli.main(["eval-drl", "--config", config_path]) == 3
 
+    def test_rerun_is_refused_before_reading_inputs(self, pipeline, monkeypatch, capsys):
+        config_path, _ = pipeline
+
+        def read_inputs(*args):
+            raise AssertionError("train-drl read its inputs before refusing the rerun")
+
+        monkeypatch.setattr(cli, "_drl_envs", read_inputs)
+        assert cli.main(["train-drl", "--config", config_path]) == cli.EXIT_CONFIG
+        assert "refusing to overwrite" in capsys.readouterr().err
+
+
+class TestStaleCheckpoints:
+    # the tiny config: 5 stations, pricing embed_dim 8 and hidden [16],
+    # ppo window 4 and hidden [16, 16]
+    @pytest.mark.parametrize(
+        "stage,section,key,value,checkpoint,rerun",
+        [
+            ("eval-price", "traces", "n_stations", 7, "pricing_cfmtl.json", "train-price"),
+            ("train-drl", "traces", "n_stations", 7, "pricing_cfmtl.json", "train-price"),
+            ("eval-price", "pricing", "hidden", [8], "pricing_cfmtl.json", "train-price"),
+            ("eval-price", "pricing", "embed_dim", 4, "pricing_cfmtl.json", "train-price"),
+            ("eval-drl", "ppo", "window", 6, "drl_hub0_cfmtl.json", "train-drl"),
+            ("eval-drl", "ppo", "hidden", [8], "drl_hub0_cfmtl.json", "train-drl"),
+        ],
+        ids=[
+            "stations-eval-price",
+            "stations-train-drl",
+            "pricing-hidden",
+            "pricing-embed-dim",
+            "ppo-window",
+            "ppo-hidden",
+        ],
+    )
+    def test_exits_3_naming_the_checkpoint_and_its_stage(
+        self, pipeline, tmp_path, capsys, stage, section, key, value, checkpoint, rerun
+    ):
+        _, run_dir = pipeline
+        copy = _copy_run(run_dir, tmp_path)
+        config = tiny_config(copy)
+        config[section][key] = value
+        config_path = write_config(tmp_path / "changed.yaml", config)
+        if section == "traces":
+            assert cli.main(["gen-data", "--config", config_path, "--force"]) == 0
+        rc = cli.main([stage, "--config", config_path, "--force"])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_DATA, err
+        assert err.startswith("data error: ") and str(copy / "checkpoints" / checkpoint) in err
+        assert f"rerun {rerun} with --force" in err
+
 
 class TestReport:
     def test_two_tables_with_documented_columns(self, pipeline):

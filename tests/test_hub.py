@@ -333,10 +333,6 @@ class TestProfitTable:
     def test_empty_series(self):
         assert table_of(HubConfig(), []).shape == (0, len(ACTIONS))
 
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError, match="srtp"):
-            hub.profit_table(HubConfig(), [0.5] * 3, [0] * 3, [0.0] * 3, [0.0] * 3, [0.1] * 3, [0.2])
-
 
 def random_hub_setup(rng):
     slot_hours = float(rng.choice([0.5, 1.0]))
