@@ -11,6 +11,7 @@ import base64
 import contextlib
 import hashlib
 import json
+import operator
 import os
 from typing import Sequence
 
@@ -37,7 +38,7 @@ def act_forward(tag: str, z: np.ndarray) -> np.ndarray:
         return np.maximum(z, 0.0)
     if tag == "sigmoid":
         # clamp to keep exp() in range; the output saturates either way
-        return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+        return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -500.0), 500.0)))
     if tag == "softmax":
         shifted = z - z.max(axis=1, keepdims=True)
         e = np.exp(shifted)
@@ -50,7 +51,8 @@ def act_backward(tag: str, out: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     if tag == "identity":
         return grad_out
     if tag == "relu":
-        return grad_out * (out > 0.0)
+        # a float mask: a bool one is cast to float in the multiply, more slowly
+        return grad_out * np.greater(out, 0.0, out=np.empty_like(out))
     if tag == "sigmoid":
         return grad_out * out * (1.0 - out)
     if tag == "softmax":
@@ -87,29 +89,36 @@ class DenseNet:
             w, b = _init_dense(rng, fan_in, fan_out)
             self.weights.append(w)
             self.biases.append(b)
+        # what backward writes into; a Module rebinds these to views of its grad
+        self.grads = [np.zeros_like(p) for p in self.params()]
 
     def forward(self, x: np.ndarray):
         """Returns (output, cache) for float64 x (n, sizes[0]); cache feeds backward()."""
         cache = []
         a = x
         for w, b, tag in zip(self.weights, self.biases, self.activations):
-            z = a @ w + b
-            a_next = act_forward(tag, z)
+            z = a @ w
+            z += b
+            a_next = np.maximum(z, 0.0, out=z) if tag == "relu" else act_forward(tag, z)
             cache.append((a, a_next))
             a = a_next
         return a, cache
 
     def backward(self, cache, grad_out: np.ndarray):
-        """Returns (param gradients aligned with params(), gradient wrt input)."""
-        grads = [None] * (2 * len(self.weights))
+        """Returns (param gradients aligned with params(), gradient wrt input).
+
+        The parameter gradients are written into this layer's gradient
+        arrays (see bind) and returned as those arrays, so the next backward
+        overwrites them.
+        """
         grad_a = grad_out
         for i in reversed(range(len(self.weights))):
             x_in, a_out = cache[i]
             grad_z = act_backward(self.activations[i], a_out, grad_a)
-            grads[2 * i] = x_in.T @ grad_z
-            grads[2 * i + 1] = grad_z.sum(axis=0)
+            np.matmul(x_in.T, grad_z, out=self.grads[2 * i])
+            grad_z.sum(axis=0, out=self.grads[2 * i + 1])
             grad_a = grad_z @ self.weights[i].T
-        return grads, grad_a
+        return list(self.grads), grad_a
 
     def params(self) -> list[np.ndarray]:
         return [a for pair in zip(self.weights, self.biases) for a in pair]
@@ -118,13 +127,15 @@ class DenseNet:
         """Checkpoint names of params(), before the owning model's prefix."""
         return [f"{k}{i}" for i in range(len(self.weights)) for k in "wb"]
 
-    def bind(self, arrays: list[np.ndarray]) -> None:
-        """Use arrays, aligned with params(), as this layer's parameters."""
+    def bind(self, arrays: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        """Use arrays and grads, aligned with params(), as this layer's
+        parameters and the arrays backward writes their gradients into."""
         self.weights, self.biases = list(arrays[0::2]), list(arrays[1::2])
+        self.grads = list(grads)
 
 
 class EmbeddingTable:
-    """Dense lookup table with scatter-add gradients."""
+    """Dense lookup table with scatter-add gradients into table_grad."""
 
     def __init__(self, vocab: int, dim: int, rng: np.random.Generator):
         if vocab <= 0 or dim <= 0:
@@ -133,14 +144,23 @@ class EmbeddingTable:
         self.dim = int(dim)
         bound = 1.0 / np.sqrt(dim)
         self.table = rng.uniform(-bound, bound, size=(self.vocab, self.dim))
+        # what grad writes into; a Module rebinds it to a view of its grad
+        self.table_grad = np.zeros_like(self.table)
 
     def lookup(self, idx: np.ndarray) -> np.ndarray:
         """The rows at idx, each in [0, vocab)."""
         return self.table[idx]
 
     def grad(self, idx: np.ndarray, grad_rows: np.ndarray) -> np.ndarray:
-        g = np.zeros_like(self.table)
-        np.add.at(g, np.asarray(idx), grad_rows)
+        """table_grad, overwritten with the sum of grad_rows[i] over the rows
+        idx[i] of the table; rows no index names get zeros.
+
+        One bincount over the flat (row, column) positions adds every element
+        in batch order, as np.add.at into zeros does, so the bits are the same.
+        """
+        at = (np.asarray(idx)[:, None] * self.dim + np.arange(self.dim)).ravel()
+        g = self.table_grad
+        g[...] = np.bincount(at, weights=grad_rows.ravel(), minlength=g.size).reshape(g.shape)
         return g
 
     def params(self) -> list[np.ndarray]:
@@ -150,15 +170,17 @@ class EmbeddingTable:
         """The table goes by its owning model's name for it alone."""
         return [""]
 
-    def bind(self, arrays: list[np.ndarray]) -> None:
+    def bind(self, arrays: list[np.ndarray], grads: list[np.ndarray]) -> None:
         (self.table,) = arrays
+        (self.table_grad,) = grads
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray):
     """Mean squared error over all elements of two float64 arrays of one
     shape; returns (value, grad wrt pred)."""
     diff = pred - target
-    return float(np.mean(diff * diff)), 2.0 * diff / diff.size
+    # np.mean is this sum and division, behind a slower Python wrapper
+    return float(np.add.reduce(diff * diff, axis=None) / diff.size), 2.0 * diff / diff.size
 
 
 def nll_loss(probs: np.ndarray, labels: np.ndarray):
@@ -177,39 +199,41 @@ def nll_loss(probs: np.ndarray, labels: np.ndarray):
     return value, grad
 
 
-def _tiled_buffer(params: Sequence[np.ndarray]) -> np.ndarray:
-    """A flat view of the one float64 buffer that params tile, in order.
+def _tiled_buffer(arrays: Sequence[np.ndarray], what: str) -> np.ndarray:
+    """A flat view of the one float64 buffer that arrays tile, in order.
 
     A single contiguous array is its own buffer; several arrays must be
-    consecutive views of one array, as a Module's params() are.
+    consecutive views of one array, as a Module's params() and the gradients
+    its backward returns are. what names the arrays in the error.
     """
-    if not params:
-        raise ValueError("Adam needs at least one parameter array")
-    owner = params[0] if len(params) == 1 else params[0].base
+    if not arrays:
+        raise ValueError(f"Adam needs at least one {what} array")
+    owner = arrays[0] if len(arrays) == 1 else arrays[0].base
     tiled = owner is not None and owner.dtype == np.float64 and owner.flags.c_contiguous
-    at = params[0].ctypes.data
-    for p in params:
+    at = arrays[0].ctypes.data
+    for a in arrays:
         tiled = (
             tiled
-            and (p is owner or p.base is owner)
-            and p.dtype == np.float64
-            and p.flags.c_contiguous
-            and p.ctypes.data == at
+            and (a is owner or a.base is owner)
+            and a.dtype == np.float64
+            and a.flags.c_contiguous
+            and a.ctypes.data == at
         )
-        at += p.nbytes
+        at += a.nbytes
     if not tiled:
-        raise ValueError("Adam needs parameters that tile one contiguous float64 buffer in order")
-    start = (params[0].ctypes.data - owner.ctypes.data) // owner.itemsize
-    return owner.reshape(-1)[start : start + sum(p.size for p in params)]
+        raise ValueError(f"Adam needs {what} that tile one contiguous float64 buffer in order")
+    start = (arrays[0].ctypes.data - owner.ctypes.data) // owner.itemsize
+    return owner.reshape(-1)[start : start + sum(a.size for a in arrays)]
 
 
 class Adam:
     """Adam with decoupled weight decay (decay applied to parameters directly).
 
-    The parameters must tile one contiguous buffer (see _tiled_buffer). Each
-    step updates the whole buffer in one elementwise pass, with the same
-    operations in the same order as an array-by-array update, so the bits are
-    the same.
+    The parameters must tile one contiguous buffer, and so must the
+    gradients of each step, in the same layout (see _tiled_buffer), as a
+    Module's params() and backward() give them. Each step updates the whole
+    buffer in one elementwise pass, with the same operations in the same
+    order as an array-by-array update, so the bits are the same.
     """
 
     def __init__(
@@ -232,23 +256,41 @@ class Adam:
         self.eps = eps
         self.t = 0
         self.params = list(params)
-        self.flat = _tiled_buffer(self.params)
+        self.flat = _tiled_buffer(self.params, "parameters")
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
-        # scratch for the gradient and the update, reused by every step
-        self._grad, self._work = np.empty((2, self.flat.size))
+        # scratch for the update, reused by every step
+        self._work = np.empty_like(self.flat)
+        # the last gradient arrays stepped with and the buffer they tile, so
+        # that a model's gradient views are checked once, not on every step
+        self._grads: list[np.ndarray] = []
+        self._grad: np.ndarray | None = None
+
+    def _gradient_buffer(self, grads: Sequence[np.ndarray]) -> np.ndarray:
+        """The buffer that grads tile in the parameters' layout."""
+        if len(grads) != len(self._grads) or not all(map(operator.is_, grads, self._grads)):
+            buffer = _tiled_buffer(grads, "gradients")
+            if any(np.shape(g) != p.shape for g, p in zip(grads, self.params)):
+                raise ValueError("step needs one gradient of its parameter's shape per parameter")
+            self._grads, self._grad = list(grads), buffer
+        return self._grad
 
     def step(self, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]) -> None:
-        """Update params in place. Rejects the whole update on non-finite grads."""
+        """Update params in place. Rejects the whole update on non-finite grads.
+
+        The step uses the buffer that grads tile as scratch, so the gradients
+        are overwritten. A rejected step changes neither the parameters nor
+        the optimizer state.
+        """
         n = len(self.params)
         if len(params) != n or len(grads) != n:
             raise ValueError(
                 f"expected {n} parameter/gradient arrays, "
                 f"got {len(params)}/{len(grads)}"
             )
-        if any(p is not q for p, q in zip(params, self.params)):
+        if not all(map(operator.is_, params, self.params)):
             raise ValueError("step needs the parameter arrays the optimizer was built on")
-        g = np.concatenate([np.ravel(x) for x in grads], out=self._grad)
+        g = self._gradient_buffer(grads)
         if not np.isfinite(g).all():
             i = next(i for i, x in enumerate(grads) if not np.isfinite(x).all())
             raise NonFiniteGradientError(
@@ -265,7 +307,8 @@ class Adam:
         # update = (m / bc1) / (sqrt(v / bc2) + eps) [+ weight_decay * p]
         work = np.sqrt(np.divide(v, bc2, out=work), out=work)
         work += self.eps
-        update = np.divide(np.divide(m, bc1, out=g), work, out=work)
+        # m / 1.0 is m exactly, and bc1 rounds to 1.0 after about 350 steps
+        update = np.divide(np.divide(m, bc1, out=g) if bc1 != 1.0 else m, work, out=work)
         if self.weight_decay:
             update += np.multiply(self.weight_decay, self.flat, out=g)
         update *= self.lr
@@ -375,7 +418,10 @@ class Module:
     params() order, each with its checkpoint name prefix; it names its
     constructor arguments that a checkpoint records in META, and defines
     forward and backward. The buffer is `flat`: an optimizer or a rollback
-    can treat the whole model as one array.
+    can treat the whole model as one array. `grad` is laid out like `flat`,
+    and each layer's backward writes its gradients into views of it, so
+    backward returns views of `grad` that the next backward, and the Adam
+    step that reads them, overwrite.
     """
 
     KIND = ""
@@ -383,20 +429,28 @@ class Module:
 
     def __init__(self, layers):
         self.flat = np.concatenate([p.ravel() for _, layer in layers for p in layer.params()])
+        self.grad = np.zeros_like(self.flat)
         self._names: list[str] = []
         self._params: list[np.ndarray] = []
+        self._grads: list[np.ndarray] = []
         offset = 0
         for prefix, layer in layers:
-            views = []
+            views, grads = [], []
             for p in layer.params():
                 views.append(self.flat[offset : offset + p.size].reshape(p.shape))
+                grads.append(self.grad[offset : offset + p.size].reshape(p.shape))
                 offset += p.size
-            layer.bind(views)
+            layer.bind(views, grads)
             self._names += [prefix + name for name in layer.param_names()]
             self._params += views
+            self._grads += grads
 
     def params(self) -> list[np.ndarray]:
         return list(self._params)
+
+    def grads(self) -> list[np.ndarray]:
+        """The views of `grad` aligned with params(), as backward returns them."""
+        return list(self._grads)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return dict(zip(self._names, self._params))
@@ -423,7 +477,20 @@ class Module:
         arrays, meta = load_weights(path)
         if meta.get("kind") != cls.KIND:
             raise CheckpointError(f"{path} holds a {meta.get('kind')!r}, expected {cls.KIND!r}")
-        model = cls(**{key: meta[key] for key in cls.META})
+        for key in cls.META:
+            if key not in meta:
+                raise CheckpointError(f"{path} records no {key} in its meta")
+            # save writes each META value as an int or a list of ints
+            value = meta[key]
+            if not all(type(v) is int for v in (value if isinstance(value, list) else [value])):
+                raise CheckpointError(
+                    f"{path} records {key} as {value!r}, not an integer or a list of integers"
+                )
+        args = {key: meta[key] for key in cls.META}
+        try:
+            model = cls(**args)
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path} records an unusable architecture {args}: {exc}") from exc
         model.load_state(arrays)
         return model
 

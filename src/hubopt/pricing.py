@@ -220,34 +220,30 @@ def cfmtl_loss_parts(
     p_no = strata[:, COL_NO]
     p_inc = strata[:, COL_INCENTIVE]
     p_alw = strata[:, COL_ALWAYS]
+    not_g = 1.0 - g
+    p_charge = p_inc + p_alw  # charges when discounted
+    p_skip = p_no + p_inc  # skips when not discounted
 
-    i1 = (charged == 0) & (treated == 1)
-    i2 = (charged == 1) & (treated == 0)
-    i3 = (charged == 1) & (treated == 1)
-    i4 = (charged == 0) & (treated == 0)
-    i5 = treated == 1
+    r = np.empty((5, n))
+    r1, r2, r3, r4, r5 = r
+    np.subtract(np.multiply(p_no, g, out=r1), (charged == 0) & (treated == 1), out=r1)
+    np.subtract(np.multiply(p_alw, not_g, out=r2), (charged == 1) & (treated == 0), out=r2)
+    np.subtract(np.multiply(p_charge, g, out=r3), (charged == 1) & (treated == 1), out=r3)
+    np.subtract(np.multiply(p_skip, not_g, out=r4), (charged == 0) & (treated == 0), out=r4)
+    np.subtract(g, treated == 1, out=r5)
 
-    r1 = p_no * g - i1
-    r2 = p_alw * (1.0 - g) - i2
-    r3 = (p_inc + p_alw) * g - i3
-    r4 = (p_no + p_inc) * (1.0 - g) - i4
-    r5 = g - i5
-
-    means = [float(np.mean(r * r)) for r in (r1, r2, r3, r4, r5)]
+    means = [float(m) for m in (r * r).mean(axis=1)]
     total = means[0] + means[1] + means[2] + means[3] + means[4]
     parts = LossParts(*means, total)
 
+    k = 2.0 / n
+    r3_g = r3 * g
+    r4_not_g = r4 * not_g
     grad_strata = np.empty_like(strata)
-    grad_strata[:, COL_NO] = (2.0 / n) * (r1 * g + r4 * (1.0 - g))
-    grad_strata[:, COL_INCENTIVE] = (2.0 / n) * (r3 * g + r4 * (1.0 - g))
-    grad_strata[:, COL_ALWAYS] = (2.0 / n) * (r2 * (1.0 - g) + r3 * g)
-    grad_g = (2.0 / n) * (
-        r1 * p_no
-        - r2 * p_alw
-        + r3 * (p_inc + p_alw)
-        - r4 * (p_no + p_inc)
-        + r5
-    )
+    grad_strata[:, COL_NO] = k * (r1 * g + r4_not_g)
+    grad_strata[:, COL_INCENTIVE] = k * (r3_g + r4_not_g)
+    grad_strata[:, COL_ALWAYS] = k * (r2 * not_g + r3_g)
+    grad_g = k * (r1 * p_no - r2 * p_alw + r3 * p_charge - r4 * p_skip + r5)
     return parts, grad_strata, grad_g
 
 

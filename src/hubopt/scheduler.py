@@ -349,8 +349,10 @@ def total_loss(
     """Objective J (to be ascended) and its parameter gradients.
 
     J = mean clip term - value_coef * MSE(V, targets) + entropy_coef * entropy.
-    The returned gradients are of J itself; descend on their negation.
-    actions are integer and the other arrays float64, one row per sample.
+    The gradients are of J itself; descend on their negation. They are left
+    in bundle.grad, and returned as copies that a later backward does not
+    overwrite. actions are integer and the other arrays float64, one row per
+    sample.
     """
     n = len(actions)
     probs, values, cache = bundle.forward(states)
@@ -378,7 +380,7 @@ def total_loss(
         grad_probs += cfg.entropy_coef * (-(np.log(safe) + 1.0)) / n
     grad_values = -2.0 * cfg.value_coef * verr / n
     grads = bundle.backward(cache, grad_probs, grad_values)
-    return objective, grads
+    return objective, [g.copy() for g in grads]
 
 
 def policy_update(
@@ -397,7 +399,7 @@ def policy_update(
     Returns False and restores the pre-update parameters and optimizer state
     if any loss or gradient goes non-finite.
     """
-    params = bundle.params()
+    params, grads = bundle.params(), bundle.grads()
     saved = (bundle.flat.copy(), optimizer.m.copy(), optimizer.v.copy(), optimizer.t)
 
     def restore():
@@ -410,7 +412,7 @@ def policy_update(
             order = rng.permutation(n)
             for lo in range(0, n, cfg.minibatch):
                 idx = order[lo : lo + cfg.minibatch]
-                objective, grads = total_loss(
+                objective, _ = total_loss(
                     bundle,
                     states[idx],
                     actions[idx],
@@ -422,7 +424,9 @@ def policy_update(
                 if not np.isfinite(objective):
                     restore()
                     return False
-                optimizer.step(params, [-g for g in grads])
+                # total_loss left J's gradients in bundle.grad: descend on -J
+                np.negative(bundle.grad, out=bundle.grad)
+                optimizer.step(params, grads)
     except nn.NonFiniteGradientError:
         restore()
         return False

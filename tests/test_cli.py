@@ -886,6 +886,33 @@ class TestStaleCheckpoints:
         assert f"rerun {rerun} with --force" in err
 
 
+    @pytest.mark.parametrize(
+        "edit,key",
+        [
+            (lambda meta: meta.pop("hidden"), "hidden"),
+            (lambda meta: meta.update(hidden="abc"), "hidden"),
+            (lambda meta: meta.update(n_stations=[5]), "n_stations"),
+        ],
+        ids=["no-hidden", "hidden-string", "stations-list"],
+    )
+    def test_meta_fault_exits_3_naming_the_checkpoint_and_key(
+        self, priced, tmp_path, capsys, edit, key
+    ):
+        config_path, run_dir = priced
+        copy = _copy_run(run_dir, tmp_path)
+        path = str(copy / "checkpoints" / "pricing_cfmtl.json")
+        arrays, meta = nn.load_weights(path)
+        edit(meta)
+        nn.save_weights(path, arrays, meta)  # a valid checksum over the edited meta
+        config = yaml.safe_load(open(config_path))
+        config["out_dir"] = str(copy)
+        config_path = write_config(tmp_path / "c.yaml", config)
+        rc = cli.main(["eval-price", "--config", config_path, "--force"])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_DATA, err
+        assert err.startswith("data error: ") and path in err and key in err
+
+
 class TestReport:
     def test_two_tables_with_documented_columns(self, pipeline):
         _, run_dir = pipeline

@@ -177,6 +177,28 @@ class TestEmbeddingTable:
         assert np.allclose(g[2], [1.0, 1.0])
         assert np.allclose(g[0], 0.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        vocab=st.integers(1, 6),
+        dim=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_grad_equals_add_at_into_zeros(self, vocab, dim, data):
+        table = EmbeddingTable(vocab, dim, np.random.default_rng(0))
+        for _ in range(2):  # the second batch overwrites the first
+            idx = data.draw(st.lists(st.integers(0, vocab - 1), max_size=12))
+            idx = np.array(idx + [vocab - 1], dtype=np.int64)
+            values = st.one_of(st.just(-0.0), st.just(0.0), finite)
+            rows = np.array(
+                data.draw(st.lists(values, min_size=idx.size * dim, max_size=idx.size * dim))
+            ).reshape(idx.size, dim)
+            rows[data.draw(st.integers(0, idx.size - 1))] = -0.0
+            want = np.zeros((vocab, dim))
+            np.add.at(want, idx, rows)
+            got = table.grad(idx, rows)
+            assert got is table.table_grad
+            assert got.tobytes() == want.tobytes()
+
 
 class TestAdam:
     def test_first_step_magnitude_is_lr(self):
@@ -263,22 +285,37 @@ class TestFusedAdam:
         flat, params = tiled(shapes, values)
         ref_params = [p.copy() for p in params]
         grads_per_step = [
-            [
-                np.array(data.draw(st.lists(finite, min_size=p.size, max_size=p.size))).reshape(
-                    p.shape
-                )
-                for p in params
-            ]
+            tiled(shapes, data.draw(st.lists(finite, min_size=total, max_size=total)))[1]
             for _ in range(steps)
         ]
+        # the step uses the gradient buffer as scratch, so the reference gets copies
+        ref_grads = [[g.copy() for g in grads] for grads in grads_per_step]
         adam = Adam(params, lr=0.01, weight_decay=weight_decay)
         for grads in grads_per_step:
             adam.step(params, grads)
-        ref_m, ref_v = reference_adam(ref_params, grads_per_step, 0.01, weight_decay)
+        ref_m, ref_v = reference_adam(ref_params, ref_grads, 0.01, weight_decay)
         assert flat.tobytes() == np.concatenate([p.ravel() for p in ref_params]).tobytes()
         assert adam.m.tobytes() == np.concatenate([m.ravel() for m in ref_m]).tobytes()
         assert adam.v.tobytes() == np.concatenate([v.ravel() for v in ref_v]).tobytes()
         assert adam.t == steps
+
+    def test_equals_the_reference_past_the_first_bias_correction(self):
+        # (1 - beta1**t) rounds to 1.0 after about 350 steps
+        rng = np.random.default_rng(5)
+        shapes = [(3, 2), (2,), (4,)]
+        flat, params = tiled(shapes, rng.normal(size=12))
+        ref_params = [p.copy() for p in params]
+        adam = Adam(params, lr=0.01, weight_decay=1e-4)
+        ref_grads = []
+        for _ in range(400):
+            _, grads = tiled(shapes, rng.normal(size=12))
+            ref_grads.append([g.copy() for g in grads])
+            adam.step(params, grads)
+        ref_m, ref_v = reference_adam(ref_params, ref_grads, 0.01, 1e-4)
+        assert 1.0 - adam.beta1**adam.t == 1.0
+        assert flat.tobytes() == np.concatenate([p.ravel() for p in ref_params]).tobytes()
+        assert adam.m.tobytes() == np.concatenate([m.ravel() for m in ref_m]).tobytes()
+        assert adam.v.tobytes() == np.concatenate([v.ravel() for v in ref_v]).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -290,14 +327,16 @@ class TestFusedAdam:
         total = sum(int(np.prod(s)) for s in shapes)
         flat, params = tiled(shapes, np.linspace(-1.0, 1.0, total))
         adam = Adam(params, lr=0.01, weight_decay=0.1)
-        adam.step(params, [np.full(p.shape, 0.5) for p in params])
+        adam.step(params, tiled(shapes, np.full(total, 0.5))[1])
         state = (flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.t)
-        grads = [np.ones(p.shape) for p in params]
+        grad_flat, grads = tiled(shapes, np.ones(total))
         i = data.draw(st.integers(0, len(params) - 1))
         grads[i].flat[data.draw(st.integers(0, grads[i].size - 1))] = bad
+        rejected = grad_flat.tobytes()
         with pytest.raises(NonFiniteGradientError, match=f"parameter {i} with shape"):
             adam.step(params, grads)
         assert (flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.t) == state
+        assert grad_flat.tobytes() == rejected
 
     def test_params_must_tile_one_buffer(self):
         flat, (a, b) = tiled([(2,), (3,)], np.arange(5.0))
@@ -309,6 +348,42 @@ class TestFusedAdam:
             Adam([flat[:2], flat[3:]])
         with pytest.raises(ValueError, match="tile"):
             Adam([np.zeros((3, 2)).T])
+
+    def test_gradients_must_tile_one_buffer(self):
+        flat, params = tiled([(2,), (2,)], np.arange(4.0))
+        adam = Adam(params)
+        grad_flat, (ga, gb) = tiled([(2,), (2,)], np.ones(4))
+        wide = np.ones(5)
+        for grads in (
+            [np.ones(2), np.ones(2)],  # two buffers
+            [gb, ga],  # one buffer, out of order
+            [wide[:2], wide[3:]],  # a gap
+            [np.ones((2, 2)).T[0], np.ones(2)],  # not contiguous
+        ):
+            with pytest.raises(ValueError, match="tile"):
+                adam.step(params, grads)
+        _, wrong = tiled([(1, 2), (2,)], np.ones(4))
+        with pytest.raises(ValueError, match="shape"):
+            adam.step(params, wrong)
+        assert flat.tobytes() == np.arange(4.0).tobytes()
+        assert (adam.m.any(), adam.v.any(), adam.t) == (False, False, 0)
+        adam.step(params, [ga, gb])
+        assert adam.t == 1
+
+    def test_rejected_model_step_changes_nothing(self):
+        model = pricing.PricingModel(n_stations=5, n_slots=6, embed_dim=3, hidden=(4,), seed=2)
+        stations, slots = np.array([0, 4, 4]), np.array([5, 1, 0])
+        params = model.params()
+        adam = Adam(params, lr=0.05, weight_decay=0.1)
+        strata, g, cache = model.forward(stations, slots)
+        adam.step(params, model.backward(cache, np.ones_like(strata), np.ones_like(g)))
+        state = (model.flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.t)
+        strata, g, cache = model.forward(stations, slots)
+        grads = model.backward(cache, np.ones_like(strata), np.ones_like(g))
+        grads[-1][0] = np.inf
+        with pytest.raises(NonFiniteGradientError, match=f"parameter {len(grads) - 1} "):
+            adam.step(params, grads)
+        assert (model.flat.tobytes(), adam.m.tobytes(), adam.v.tobytes(), adam.t) == state
 
     def test_step_needs_the_constructed_params(self):
         _, params = tiled([(2,), (3,)], np.arange(5.0))
@@ -335,6 +410,112 @@ def model_output(model):
     return np.concatenate([np.ravel(x) for x in out[:-1]])
 
 
+def reference_act_forward(tag, z):
+    if tag == "relu":
+        return np.maximum(z, 0.0)
+    if tag == "sigmoid":
+        return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
+    if tag == "softmax":
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+    return z
+
+
+def reference_act_backward(tag, out, grad_out):
+    if tag == "relu":
+        return grad_out * (out > 0.0)
+    if tag == "sigmoid":
+        return grad_out * out * (1.0 - out)
+    if tag == "softmax":
+        return out * (grad_out - (grad_out * out).sum(axis=1, keepdims=True))
+    return grad_out
+
+
+def reference_forward(net, x):
+    """Every layer's input and the output of a DenseNet, in fresh arrays: a @ w + b."""
+    acts = [x]
+    for w, b, tag in zip(net.weights, net.biases, net.activations):
+        acts.append(reference_act_forward(tag, acts[-1] @ w + b))
+    return acts
+
+
+def reference_dense_backward(net, acts, grad_out):
+    """(param grads, input grad) of a DenseNet in fresh arrays: x_in.T @ grad_z."""
+    grads = [None] * (2 * len(net.weights))
+    grad_a = grad_out
+    for i in reversed(range(len(net.weights))):
+        grad_z = reference_act_backward(net.activations[i], acts[i + 1], grad_a)
+        grads[2 * i] = acts[i].T @ grad_z
+        grads[2 * i + 1] = grad_z.sum(axis=0)
+        grad_a = grad_z @ net.weights[i].T
+    return grads, grad_a
+
+
+def reference_embedding_grad(table, idx, rows):
+    g = np.zeros_like(table.table)
+    np.add.at(g, idx, rows)
+    return g
+
+
+def reference_backward(model, inputs, upstream):
+    """(outputs, gradients aligned with params()) of model, recomputed in
+    fresh arrays; upstream holds one gradient per model output."""
+    if isinstance(model, scheduler.PolicyBundle):
+        trunk = reference_forward(model.trunk, inputs)
+        actor = reference_forward(model.actor, trunk[-1])
+        critic = reference_forward(model.critic, trunk[-1])
+        g_actor, grad_h_a = reference_dense_backward(model.actor, actor, upstream[0])
+        g_critic, grad_h_c = reference_dense_backward(model.critic, critic, upstream[1][:, None])
+        g_trunk, _ = reference_dense_backward(model.trunk, trunk, grad_h_a + grad_h_c)
+        return (actor[-1], critic[-1][:, 0]), g_trunk + g_actor + g_critic
+    stations, slots = inputs
+    d = model.embed_dim
+    x = np.concatenate([model.emb_station.table[stations], model.emb_slot.table[slots]], axis=1)
+    if isinstance(model, EmbedMlp):
+        net = reference_forward(model.net, x)
+        g_layers, grad_x = reference_dense_backward(model.net, net, upstream[0][:, None])
+        outs = (net[-1][:, 0],)
+    else:
+        trunk = reference_forward(model.trunk, x)
+        strata = reference_forward(model.head_strata, trunk[-1])
+        prop = reference_forward(model.head_propensity, trunk[-1])
+        g_strata, grad_h_a = reference_dense_backward(model.head_strata, strata, upstream[0])
+        g_prop, grad_h_b = reference_dense_backward(
+            model.head_propensity, prop, upstream[1][:, None]
+        )
+        g_trunk, grad_x = reference_dense_backward(model.trunk, trunk, grad_h_a + grad_h_b)
+        outs, g_layers = (strata[-1], prop[-1][:, 0]), g_trunk + g_strata + g_prop
+    g_emb = [
+        reference_embedding_grad(model.emb_station, stations, grad_x[:, :d]),
+        reference_embedding_grad(model.emb_slot, slots, grad_x[:, d:]),
+    ]
+    return outs, g_emb + g_layers
+
+
+class TestGradientBuffer:
+    @settings(max_examples=60, deadline=None)
+    @given(index=st.integers(0, 2), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+    def test_backward_writes_the_reference_gradients_into_the_buffer(self, index, seed, n):
+        model = small_models()[index]
+        rng = np.random.default_rng(seed)
+        for _ in range(2):  # the second backward overwrites the first
+            if isinstance(model, scheduler.PolicyBundle):
+                inputs = rng.normal(size=(n, model.state_dim))
+                probs, values, cache = model.forward(inputs)
+                outs = (probs, values)
+            else:
+                inputs = (rng.integers(0, 5, size=n), rng.integers(0, 6, size=n))
+                *outs, cache = model.forward(*inputs)
+            upstream = [rng.normal(size=o.shape) for o in outs]
+            grads = model.backward(cache, *upstream)
+            want_outs, want_grads = reference_backward(model, inputs, upstream)
+            assert [o.tobytes() for o in outs] == [o.tobytes() for o in want_outs]
+            assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
+            assert all(g is view for g, view in zip(grads, model.grads()))
+            assert all(np.shares_memory(g, model.grad) for g in grads)
+            assert model.grad.tobytes() == b"".join(g.tobytes() for g in want_grads)
+
+
 class TestFlatModules:
     @pytest.mark.parametrize("index", range(3))
     def test_params_are_views_of_one_buffer(self, tmp_path, index):
@@ -348,13 +529,18 @@ class TestFlatModules:
             assert m.flat.tobytes() == b"".join(p.tobytes() for p in params)
             # the optimizer finds the same buffer the model owns
             assert np.shares_memory(Adam(params).flat, m.flat)
+            grads = m.grads()
+            assert [g.shape for g in grads] == [p.shape for p in params]
+            assert all(np.shares_memory(g, m.grad) for g in grads)
+            assert sum(g.size for g in grads) == m.grad.size == m.flat.size
 
     @pytest.mark.parametrize("index", range(3))
     def test_forward_sees_an_adam_step(self, tmp_path, index):
         model = small_models()[index]
         before = model_output(model)
         params = model.params()
-        Adam(params, lr=0.05).step(params, [np.ones(p.shape) for p in params])
+        model.grad[:] = 1.0
+        Adam(params, lr=0.05).step(params, model.grads())
         after = model_output(model)
         assert not np.array_equal(before, after)
         path = str(tmp_path / "m.json")

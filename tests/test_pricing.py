@@ -119,6 +119,35 @@ class TestLoss:
         )
         assert parts.total == pytest.approx(total, abs=1e-9)
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_parts_and_gradients_equal_the_per_term_reference(self, n, seed):
+        rng = np.random.default_rng(seed)
+        raw = rng.random((n, 3))
+        strata = raw / raw.sum(axis=1, keepdims=True)
+        g = rng.uniform(0.0, 1.0, n)
+        treated = rng.integers(0, 2, n).astype(float)
+        charged = rng.integers(0, 2, n).astype(float)
+        p_no, p_inc, p_alw = strata[:, COL_NO], strata[:, COL_INCENTIVE], strata[:, COL_ALWAYS]
+        r1 = p_no * g - ((charged == 0) & (treated == 1))
+        r2 = p_alw * (1.0 - g) - ((charged == 1) & (treated == 0))
+        r3 = (p_inc + p_alw) * g - ((charged == 1) & (treated == 1))
+        r4 = (p_no + p_inc) * (1.0 - g) - ((charged == 0) & (treated == 0))
+        r5 = g - (treated == 1)
+        means = [float(np.mean(r * r)) for r in (r1, r2, r3, r4, r5)]
+        want = means + [means[0] + means[1] + means[2] + means[3] + means[4]]
+        want_strata = np.empty_like(strata)
+        want_strata[:, COL_NO] = (2.0 / n) * (r1 * g + r4 * (1.0 - g))
+        want_strata[:, COL_INCENTIVE] = (2.0 / n) * (r3 * g + r4 * (1.0 - g))
+        want_strata[:, COL_ALWAYS] = (2.0 / n) * (r2 * (1.0 - g) + r3 * g)
+        want_g = (2.0 / n) * (
+            r1 * p_no - r2 * p_alw + r3 * (p_inc + p_alw) - r4 * (p_no + p_inc) + r5
+        )
+        parts, grad_strata, grad_g = cfmtl_loss_parts(strata, g, treated, charged)
+        assert np.array(dataclasses.astuple(parts)).tobytes() == np.array(want).tobytes()
+        assert grad_strata.tobytes() == want_strata.tobytes()
+        assert grad_g.tobytes() == want_g.tobytes()
+
     def test_perfectly_separated_batch_scores_zero(self):
         # treated charger explained entirely by incentive+always mass,
         # untreated non-charger by no+incentive mass
