@@ -23,10 +23,11 @@ from . import hub, nn, pricing, scheduler
 from .seeding import spawn_seed
 from .traces import (
     SLOTS_PER_DAY,
-    ChargingLog,
     TraceError,
     TraceSet,
+    _column,
     _fmt,
+    _raise_first_fault,
     _read_rows,
     _write_rows,
     check_population_args,
@@ -60,6 +61,7 @@ PRICING_EVAL_HEADER = [
     "reward",
 ]
 PERIOD_HEADER = ["period", "stratum", "share"]
+DISCOUNTS_HEADER = ["method", "station_id", "slot_of_day", "discount"]
 CURVE_HEADER = ["episode", "total_reward", "mean_daily_reward"]
 DRL_EVAL_HEADER = ["hub_id", "method", "avg_daily_reward"]
 
@@ -334,8 +336,7 @@ def cmd_gen_data(cfg: RunConfig, run_dir: str, force: bool) -> None:
         logged_policy=cfg.traces.logged_policy,
         logged_discount=cfg.traces.logged_discount,
     )
-    traces = TraceSet(rtp, wind, irr, load, log)
-    paths = save_traces(traces, data_dir)
+    paths = save_traces(TraceSet(rtp, wind, irr, load), log, data_dir)
     strata_path = os.path.join(data_dir, "strata.csv")
     save_strata(strata_path, items)
     paths.append(strata_path)
@@ -432,26 +433,32 @@ def _load_pricing_models(run_dir: str, cfg: RunConfig | None = None):
     return model, mu1, mu0, prop
 
 
-def _load_population(run_dir: str, log: ChargingLog | None = None, n_stations: int | None = None):
-    """The item universe and the logged observations.
-
-    log is the run's charging log when the caller has already read it. Every
-    item's station must be below n_stations, when given, and every logged
-    (station, slot of day) must be an item.
-    """
+def _load_items(run_dir: str, n_stations: int | None = None):
+    """The item universe of strata.csv; every item's station must be below
+    n_stations, when given."""
     strata_path = os.path.join(run_dir, "data", "strata.csv")
-    charging_path = os.path.join(run_dir, "data", "charging.csv")
     items = load_strata(strata_path)
-    if log is None:
-        log = load_csv(charging_path, "charging")
-    observations = pricing.observations_from_records(log)
-    stations = np.array([it.station_id for it in items], dtype=np.int64)
-    top = int(stations.max(initial=-1))
+    top = max((it.station_id for it in items), default=-1)
     if n_stations is not None and top >= n_stations:
         raise DataError(
             f"{strata_path}: station {top} is outside the run's {n_stations} stations "
             "(traces.n_stations)"
         )
+    return items
+
+
+def _load_population(run_dir: str, n_stations: int | None = None):
+    """The item universe and the logged observations.
+
+    Every item's station must be below n_stations, when given, and every
+    logged (station, slot of day) must be an item.
+    """
+    strata_path = os.path.join(run_dir, "data", "strata.csv")
+    charging_path = os.path.join(run_dir, "data", "charging.csv")
+    items = _load_items(run_dir, n_stations)
+    observations = pricing.observations_from_records(load_csv(charging_path, "charging"))
+    stations = np.array([it.station_id for it in items], dtype=np.int64)
+    top = int(stations.max(initial=-1))
     known = np.zeros((top + 1, SLOTS_PER_DAY), dtype=bool)
     known[stations, [it.slot_of_day for it in items]] = True
     found = (observations.stations >= 0) & (observations.stations <= top)
@@ -492,13 +499,18 @@ def _method_decisions(model, mu1, mu0, prop, items, observations, c: float):
     }
 
 
+def _discounts_path(run_dir: str) -> str:
+    return os.path.join(run_dir, "results", "discounts.csv")
+
+
 def cmd_eval_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
     data = [os.path.join(run_dir, "data", name) for name in ("strata.csv", "charging.csv")]
     _write_snapshot(cfg, run_dir, force, [*_checkpoint_paths(run_dir).values(), *data])
     results_dir = os.path.join(run_dir, "results")
     eval_path = os.path.join(results_dir, "pricing_eval.csv")
     period_path = os.path.join(results_dir, "strata_by_period.csv")
-    _refuse_overwrite([eval_path, period_path], force)
+    discounts_path = _discounts_path(run_dir)
+    _refuse_overwrite([eval_path, period_path, discounts_path], force)
 
     model, mu1, mu0, prop = _load_pricing_models(run_dir, cfg)
     items, observations = _load_population(run_dir, n_stations=cfg.traces.n_stations)
@@ -534,7 +546,17 @@ def cmd_eval_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
         for stratum, share in by_stratum.items()
     ]
     _write_rows(period_path, PERIOD_HEADER, period_rows)
-    _update_manifest(run_dir, "eval-price", [eval_path, period_path])
+
+    # the deployed decision the DRL stages price the hubs' slots from
+    rate = _fmt(cfg.discount)
+    discount_rows = [
+        (method, station, sod, rate)
+        for method in METHODS
+        for (station, sod), give in zip(universe.keys, chosen[method].tolist())
+        if give
+    ]
+    _write_rows(discounts_path, DISCOUNTS_HEADER, discount_rows)
+    _update_manifest(run_dir, "eval-price", [eval_path, period_path, discounts_path])
     print(f"wrote {len(rows)} evaluation rows to {eval_path}")
 
 
@@ -575,32 +597,74 @@ def _drl_checkpoint(run_dir: str, hub_id: int, method: str) -> str:
 
 def _drl_inputs(run_dir: str) -> list[str]:
     """The files _drl_envs reads."""
-    data = [os.path.join(run_dir, "data", name) for name in DATA_FILES]
-    return data + list(_checkpoint_paths(run_dir).values())
+    data = ("rtp.csv", "weather.csv", "traffic.csv", "strata.csv")
+    return [os.path.join(run_dir, "data", name) for name in data] + [_discounts_path(run_dir)]
+
+
+def _load_decisions(cfg: RunConfig, run_dir: str, items):
+    """Per method, {(station, slot of day): rate} over the items eval-price
+    wrote to discounts.csv.
+
+    Every row must name a method and an item of items, no (method, item)
+    twice, at the run config's rate.
+    """
+    path = _discounts_path(run_dir)
+    lines, rows = _read_rows(path, DISCOUNTS_HEADER)
+    methods = [row[0] for row in rows]
+    stations, station_parsed = _column(rows, 1, "station_id", int)
+    sods, sod_parsed = _column(rows, 2, "slot_of_day", int)
+    rates, rate_parsed = _column(rows, 3, "discount", float)
+    keys = list(zip(stations.tolist(), sods.tolist()))
+    known = {(it.station_id, it.slot_of_day) for it in items}
+    first, repeat = {}, np.zeros(len(rows), dtype=bool)
+    for i, entry in enumerate(zip(methods, keys)):
+        repeat[i] = first.setdefault(entry, i) != i
+    strata_path = os.path.join(run_dir, "data", "strata.csv")
+    checks = [
+        (
+            np.array([m not in METHODS for m in methods], dtype=bool),
+            lambda i: f"unknown method {methods[i]!r}, expected one of {list(METHODS)}",
+        ),
+        station_parsed,
+        sod_parsed,
+        (
+            np.array([key not in known for key in keys], dtype=bool),
+            lambda i: f"item (station {keys[i][0]}, slot_of_day {keys[i][1]}) is not in {strata_path}",
+        ),
+        (
+            repeat,
+            lambda i: f"duplicate {methods[i]} item (station {keys[i][0]}, slot_of_day "
+            f"{keys[i][1]}), first on line {lines[first[methods[i], keys[i]]]}",
+        ),
+        rate_parsed,
+        (
+            rates != cfg.discount,
+            lambda i: f"discount {rows[i][3]} differs from the run config's pricing.discount "
+            f"{cfg.discount}; rerun eval-price with --force",
+        ),
+    ]
+    _raise_first_fault(checks, lambda i: f"{path} line {lines[i]}")
+    decisions = {method: {} for method in METHODS}
+    for method, key in zip(methods, keys):
+        decisions[method][key] = cfg.discount
+    return decisions
 
 
 def _drl_envs(cfg: RunConfig, run_dir: str):
     """Every (hub, method) run of the DRL stages and its environment, in that order.
 
-    All the environments are held at once and read only the trace series, so
-    the charging log and the pricing inputs are released before they are built.
+    Each method's decision is the one eval-price wrote; the stages read no
+    charging log and no pricing model.
     """
     traces = load_traces(os.path.join(run_dir, "data"))
-    model, mu1, mu0, prop = _load_pricing_models(run_dir, cfg)
-    items, observations = _load_population(run_dir, traces.charging, cfg.traces.n_stations)
+    items = _load_items(run_dir, cfg.traces.n_stations)
     stratum_of = {(it.station_id, it.slot_of_day): it.stratum for it in items}
-    decisions = _method_decisions(model, mu1, mu0, prop, items, observations, cfg.discount)
+    decisions = _load_decisions(cfg, run_dir, items)
     runs = _drl_runs(cfg)
-    series = [
-        _hub_series(cfg, decisions[method], stratum_of, hub_id, traces.n_slots)
-        for hub_id, method in runs
-    ]
-    del model, mu1, mu0, prop, items, observations, decisions
-    traces = dataclasses.replace(traces, charging=None)
-    envs = [
-        _build_env(cfg, traces, srtp, occupancy, hub_id, method)
-        for (hub_id, method), (srtp, occupancy) in zip(runs, series)
-    ]
+    envs = []
+    for hub_id, method in runs:
+        srtp, occupancy = _hub_series(cfg, decisions[method], stratum_of, hub_id, traces.n_slots)
+        envs.append(_build_env(cfg, traces, srtp, occupancy, hub_id, method))
     return runs, envs
 
 

@@ -104,12 +104,13 @@ class DenseNet:
             a = a_next
         return a, cache
 
-    def backward(self, cache, grad_out: np.ndarray):
+    def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
         """Returns (param gradients aligned with params(), gradient wrt input).
 
         The parameter gradients are written into this layer's gradient
         arrays (see bind) and returned as those arrays, so the next backward
-        overwrites them.
+        overwrites them. With input_grad False the input gradient is not
+        computed and None is returned in its place.
         """
         grad_a = grad_out
         for i in reversed(range(len(self.weights))):
@@ -117,7 +118,7 @@ class DenseNet:
             grad_z = act_backward(self.activations[i], a_out, grad_a)
             np.matmul(x_in.T, grad_z, out=self.grads[2 * i])
             grad_z.sum(axis=0, out=self.grads[2 * i + 1])
-            grad_a = grad_z @ self.weights[i].T
+            grad_a = grad_z @ self.weights[i].T if i or input_grad else None
         return list(self.grads), grad_a
 
     def params(self) -> list[np.ndarray]:

@@ -293,7 +293,8 @@ class PolicyBundle(nn.Module):
         g_critic, grad_h_c = self.critic.backward(
             critic_cache, np.asarray(grad_values)[:, None]
         )
-        g_trunk, _ = self.trunk.backward(trunk_cache, grad_h_a + grad_h_c)
+        # the states are inputs, not parameters: no gradient flows into them
+        g_trunk, _ = self.trunk.backward(trunk_cache, grad_h_a + grad_h_c, input_grad=False)
         return g_trunk + g_actor + g_critic
 
     def act(self, state_vec: np.ndarray, rng: np.random.Generator):

@@ -156,7 +156,7 @@ def _log_rules(charged, given, rate) -> list:
 
 @dataclass
 class TraceSet:
-    """Aligned per-slot series, slot 0 first, plus the charging log.
+    """Aligned per-slot series, slot 0 first.
 
     The values were checked where they entered: by load_csv for a trace
     file, by the run config for the generators' arguments.
@@ -166,7 +166,6 @@ class TraceSet:
     wind_mps: np.ndarray
     irradiance_wm2: np.ndarray
     load_rate: np.ndarray
-    charging: ChargingLog
 
     def __post_init__(self):
         n = len(self.rtp)
@@ -531,12 +530,12 @@ def load_csv(path: str, schema: str):
     raise ValueError(f"unknown schema {schema!r}")
 
 
-def save_traces(traces: TraceSet, dir_path: str) -> list[str]:
-    """Write rtp/weather/traffic/charging CSVs into dir_path; returns the paths."""
+def save_traces(traces: TraceSet, log: ChargingLog, dir_path: str) -> list[str]:
+    """Write the rtp/weather/traffic CSVs of traces and the charging CSV of log
+    into dir_path; returns the paths."""
     import os
 
     slots = range(traces.n_slots)
-    log = traces.charging
     tables = (
         ("rtp.csv", RTP_HEADER, (traces.rtp,)),
         ("weather.csv", WEATHER_HEADER, (traces.wind_mps, traces.irradiance_wm2)),
@@ -564,20 +563,14 @@ def save_traces(traces: TraceSet, dir_path: str) -> list[str]:
 
 
 def load_traces(dir_path: str) -> TraceSet:
-    """Assemble a TraceSet from the four CSVs in dir_path; TraceSet checks the series align."""
+    """Assemble a TraceSet from the three series CSVs in dir_path; TraceSet
+    checks they align. charging.csv is not read."""
     import os
 
     rtp = load_csv(os.path.join(dir_path, "rtp.csv"), "rtp")
     wind, irr = load_csv(os.path.join(dir_path, "weather.csv"), "weather")
     load = load_csv(os.path.join(dir_path, "traffic.csv"), "traffic")
-    log = load_csv(os.path.join(dir_path, "charging.csv"), "charging")
-    return TraceSet(
-        rtp=rtp,
-        wind_mps=wind,
-        irradiance_wm2=irr,
-        load_rate=load,
-        charging=log,
-    )
+    return TraceSet(rtp=rtp, wind_mps=wind, irradiance_wm2=irr, load_rate=load)
 
 
 def save_strata(path: str, items: Sequence[PopulationItem]) -> None:

@@ -350,7 +350,7 @@ def _alternating_tariff_env(srtp, occupancy, window=24):
     n = window + 25
     hours = np.arange(n) % 24
     rtp = np.where((hours // 3) % 2 == 0, 0.02, 0.50)
-    traces = TraceSet(rtp, np.zeros(n), np.zeros(n), np.ones(n), [])
+    traces = TraceSet(rtp, np.zeros(n), np.zeros(n), np.ones(n))
     spec = hub.BatterySpec(
         capacity_kwh=4.0,
         soc_min_kwh=0.0,

@@ -12,6 +12,7 @@ import yaml
 from hubopt import cli, hub, nn, pricing, scheduler, traces
 from hubopt.cli import (
     CURVE_HEADER,
+    DISCOUNTS_HEADER,
     DRL_EVAL_HEADER,
     PERIOD_HEADER,
     PRICING_EVAL_HEADER,
@@ -439,6 +440,37 @@ class TestPricingStage:
         assert methods == {"cfmtl", "or", "ips", "dr"}
         assert len(discounts) == 6
 
+    def test_discounts_are_each_methods_decision_in_universe_order(self, pipeline):
+        config_path, run_dir = pipeline
+        cfg = cli.load_run_config(config_path)
+        items, observations = cli._load_population(run_dir)
+        decisions = cli._method_decisions(
+            *cli._load_pricing_models(run_dir), items, observations, cfg.discount
+        )
+        keys = [(it.station_id, it.slot_of_day) for it in items]
+        want = [
+            [method, str(station), str(sod), "0.3"]
+            for method in cli.METHODS
+            for station, sod in keys
+            if (station, sod) in decisions[method]
+        ]
+        path = os.path.join(run_dir, "results", "discounts.csv")
+        assert read_csv_rows(path) == (DISCOUNTS_HEADER, want)
+        assert {row[0] for row in want} == set(cli.METHODS)
+        with open(os.path.join(run_dir, "manifest.json"), encoding="utf-8") as fh:
+            entry = json.load(fh)["stages"]["eval-price"]
+        assert entry[os.path.join("results", "discounts.csv")] == cli._sha256(path)
+
+    def test_eval_price_refuses_to_overwrite_discounts(self, pipeline, tmp_path, capsys):
+        config_path, run_dir = pipeline
+        copy = _copy_run(run_dir, tmp_path)
+        for name in ("pricing_eval.csv", "strata_by_period.csv"):
+            os.remove(copy / "results" / name)
+        rc = cli.main(["eval-price", "--config", config_path, "--out", str(copy)])
+        assert rc == cli.EXIT_CONFIG
+        path = copy / "results" / "discounts.csv"
+        assert f"refusing to overwrite {path} (and 0 more)" in capsys.readouterr().err
+
     def test_period_shares_sum_to_one(self, pipeline):
         _, run_dir = pipeline
         header, rows = read_csv_rows(
@@ -468,10 +500,11 @@ class TestPricingStage:
 
 @pytest.fixture(scope="module")
 def priced(tmp_path_factory):
-    """A run through train-price, for tests that rerun eval-price with --force."""
+    """A run through eval-price, for tests that rerun a pricing stage with --force
+    or start a DRL stage."""
     base = tmp_path_factory.mktemp("priced_run")
     config_path = write_config(base / "run.yaml", tiny_config(base / "run", seed=11))
-    for sub in ("gen-data", "train-price"):
+    for sub in ("gen-data", "train-price", "eval-price"):
         assert cli.main([sub, "--config", config_path]) == 0
     return config_path, str(base / "run")
 
@@ -504,7 +537,7 @@ class TestStrataFaults:
         shutil.copytree(run_dir, copy)
         path = copy / "data" / "strata.csv"
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-        rc = cli.main(["eval-price", "--config", config_path, "--out", str(copy)])
+        rc = cli.main(["eval-price", "--config", config_path, "--out", str(copy), "--force"])
         err = capsys.readouterr().err
         assert rc == cli.EXIT_DATA, err
         assert err.startswith("data error: ") and f"{path}" in err and message in err
@@ -548,6 +581,81 @@ class TestUnusableChargingLog:
         assert rc == cli.EXIT_DATA, err
         assert err.startswith(f"data error: {path}: 0 of its ")
         assert "training needs both discounted and undiscounted records" in err
+
+
+def _edit_discount(lines, field, value):
+    fields = lines[1].split(",")
+    fields[field] = value
+    return [lines[0], ",".join(fields)] + lines[2:]
+
+
+class TestDiscountsFaults:
+    # each edit gets the header and the first data row; the tiny config has 5 stations
+    @pytest.mark.parametrize(
+        "edit,messages",
+        [
+            (
+                lambda lines: ["method,station,slot_of_day,discount"] + lines[1:],
+                ["bad header 'method,station,slot_of_day,discount'"],
+            ),
+            (lambda lines: [lines[0], lines[1].rpartition(",")[0]], ["line 2: expected 4 fields, got 3"]),
+            (lambda lines: _edit_discount(lines, 0, "greedy"), ["line 2: unknown method 'greedy'"]),
+            (
+                lambda lines: _edit_discount(lines, 1, "x"),
+                ["line 2: station_id is not an integer: 'x'"],
+            ),
+            (
+                lambda lines: _edit_discount(lines, 2, "1.5"),
+                ["line 2: slot_of_day is not an integer: '1.5'"],
+            ),
+            (
+                lambda lines: _edit_discount(lines, 1, "99"),
+                ["line 2: item (station 99, slot_of_day ", "data/strata.csv"],
+            ),
+            (lambda lines: lines + [lines[1]], ["line 3: duplicate ", "first on line 2"]),
+            (
+                lambda lines: _edit_discount(lines, 3, "0.4"),
+                [
+                    "line 2: discount 0.4 differs from the run config's pricing.discount 0.3; "
+                    "rerun eval-price with --force"
+                ],
+            ),
+        ],
+        ids=[
+            "header",
+            "field-count",
+            "unknown-method",
+            "station-not-integer",
+            "slot-of-day-not-integer",
+            "not-in-strata",
+            "duplicate",
+            "rate",
+        ],
+    )
+    def test_train_drl_exits_3_naming_file_and_line(
+        self, priced, tmp_path, capsys, edit, messages
+    ):
+        config_path, run_dir = priced
+        path = _copy_run(run_dir, tmp_path) / "results" / "discounts.csv"
+        lines = edit(path.read_text().splitlines()[:2])
+        path.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["train-drl", "--config", config_path, "--out", str(path.parents[1])])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_DATA, err
+        assert err.startswith(f"data error: {path}"), err
+        for message in messages:
+            assert message in err, err
+
+    def test_non_utf8_discounts_exit_3_naming_file_and_byte(self, priced, tmp_path, capsys):
+        config_path, run_dir = priced
+        path = _copy_run(run_dir, tmp_path) / "results" / "discounts.csv"
+        data = path.read_bytes()
+        at = data.index(b"\n") + 3
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        rc = cli.main(["train-drl", "--config", config_path, "--out", str(path.parents[1])])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_DATA, err
+        assert err.startswith(f"data error: {path}: byte {at} is not UTF-8 text"), err
 
 
 class TestEvalPriceWork:
@@ -717,8 +825,9 @@ class TestMissingInputsPinNothing:
 
 
 class TestDrlDataPath:
-    def test_each_drl_stage_reads_each_trace_csv_once(self, priced, monkeypatch):
-        config_path, _ = priced
+    def test_each_drl_stage_reads_each_trace_csv_once(self, priced, tmp_path, monkeypatch):
+        config_path, run_dir = priced
+        out = str(_copy_run(run_dir, tmp_path))
         reads = collections.Counter()
 
         def counted(path, schema, _load=traces.load_csv):
@@ -729,10 +838,37 @@ class TestDrlDataPath:
         monkeypatch.setattr(cli, "load_csv", counted)
         for stage in ("train-drl", "eval-drl"):
             reads.clear()
-            assert cli.main([stage, "--config", config_path, "--force"]) == 0
-            assert reads == dict.fromkeys(
-                ("rtp", "weather", "traffic", "charging", "strata"), 1
-            ), stage
+            assert cli.main([stage, "--config", config_path, "--out", out]) == 0
+            assert reads == dict.fromkeys(("rtp", "weather", "traffic", "strata"), 1), stage
+
+    def test_drl_stages_load_no_pricing_checkpoint(self, priced, tmp_path, monkeypatch):
+        config_path, run_dir = priced
+        out = str(_copy_run(run_dir, tmp_path))
+        loaded = []
+
+        def recorded(path, _load=nn.load_weights):
+            loaded.append(os.path.basename(path))
+            return _load(path)
+
+        monkeypatch.setattr(nn, "load_weights", recorded)
+        for stage in ("train-drl", "eval-drl"):
+            assert cli.main([stage, "--config", config_path, "--out", out]) == 0
+        assert loaded == [f"drl_hub0_{method}.json" for method in cli.METHODS]
+
+    def test_train_drl_before_eval_price_exits_3_and_pins_nothing(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        config_path = write_config(tmp_path / "c.yaml", tiny_config(run_dir))
+        for sub in ("gen-data", "train-price"):
+            assert cli.main([sub, "--config", config_path]) == 0
+        snapshot = (run_dir / "config.yaml").read_bytes()
+        changed = tiny_config(run_dir)
+        changed["ppo"]["window"] = 6
+        changed_path = write_config(tmp_path / "changed.yaml", changed)
+        rc = cli.main(["train-drl", "--config", changed_path, "--force"])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_DATA, err
+        assert f"data error: missing {run_dir / 'results' / 'discounts.csv'}" in err
+        assert (run_dir / "config.yaml").read_bytes() == snapshot
 
     def test_hub_series_matches_the_per_slot_loop(self, tmp_path):
         raw = dict(
@@ -809,7 +945,7 @@ class TestDrlStage:
         config = tiny_config(run_dir)
         config["ppo"]["episodes_train"] = 4
         config_path = write_config(tmp_path / "c.yaml", config)
-        for sub in ("gen-data", "train-price"):
+        for sub in ("gen-data", "train-price", "eval-price"):
             assert cli.main([sub, "--config", config_path]) == 0
         real_update = scheduler.policy_update
         trained = []
@@ -832,7 +968,7 @@ class TestDrlStage:
     def test_missing_drl_checkpoint_exits_3(self, tmp_path):
         run_dir = tmp_path / "half"
         config_path = write_config(tmp_path / "c.yaml", tiny_config(run_dir))
-        for sub in ("gen-data", "train-price"):
+        for sub in ("gen-data", "train-price", "eval-price"):
             assert cli.main([sub, "--config", config_path]) == 0
         assert cli.main(["eval-drl", "--config", config_path]) == 3
 
@@ -848,21 +984,21 @@ class TestDrlStage:
 
 
 class TestStaleCheckpoints:
-    # the tiny config: 5 stations, pricing embed_dim 8 and hidden [16],
-    # ppo window 4 and hidden [16, 16]
+    # the tiny config: 5 stations, pricing embed_dim 8, hidden [16] and
+    # discount 0.3, ppo window 4 and hidden [16, 16]
     @pytest.mark.parametrize(
         "stage,section,key,value,checkpoint,rerun",
         [
-            ("eval-price", "traces", "n_stations", 7, "pricing_cfmtl.json", "train-price"),
-            ("train-drl", "traces", "n_stations", 7, "pricing_cfmtl.json", "train-price"),
-            ("eval-price", "pricing", "hidden", [8], "pricing_cfmtl.json", "train-price"),
-            ("eval-price", "pricing", "embed_dim", 4, "pricing_cfmtl.json", "train-price"),
-            ("eval-drl", "ppo", "window", 6, "drl_hub0_cfmtl.json", "train-drl"),
-            ("eval-drl", "ppo", "hidden", [8], "drl_hub0_cfmtl.json", "train-drl"),
+            ("eval-price", "traces", "n_stations", 7, "checkpoints/pricing_cfmtl.json", "train-price"),
+            ("train-drl", "pricing", "discount", 0.4, "results/discounts.csv", "eval-price"),
+            ("eval-price", "pricing", "hidden", [8], "checkpoints/pricing_cfmtl.json", "train-price"),
+            ("eval-price", "pricing", "embed_dim", 4, "checkpoints/pricing_cfmtl.json", "train-price"),
+            ("eval-drl", "ppo", "window", 6, "checkpoints/drl_hub0_cfmtl.json", "train-drl"),
+            ("eval-drl", "ppo", "hidden", [8], "checkpoints/drl_hub0_cfmtl.json", "train-drl"),
         ],
         ids=[
             "stations-eval-price",
-            "stations-train-drl",
+            "discount-train-drl",
             "pricing-hidden",
             "pricing-embed-dim",
             "ppo-window",
@@ -882,7 +1018,7 @@ class TestStaleCheckpoints:
         rc = cli.main([stage, "--config", config_path, "--force"])
         err = capsys.readouterr().err
         assert rc == cli.EXIT_DATA, err
-        assert err.startswith("data error: ") and str(copy / "checkpoints" / checkpoint) in err
+        assert err.startswith("data error: ") and str(copy / checkpoint) in err
         assert f"rerun {rerun} with --force" in err
 
 

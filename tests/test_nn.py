@@ -146,6 +146,16 @@ class TestGradients:
         numeric = central_diff_grads(f, [x])
         assert_grads_close([grad_x], numeric)
 
+    def test_skipped_input_gradient_keeps_the_parameter_gradients(self):
+        rng = np.random.default_rng(24)
+        net = DenseNet([4, 5, 3], ["relu", "softmax"], rng)
+        _, cache = net.forward(rng.normal(size=(6, 4)))
+        grad_out = rng.normal(size=(6, 3))
+        want = [g.copy() for g in net.backward(cache, grad_out)[0]]
+        grads, grad_x = net.backward(cache, grad_out, input_grad=False)
+        assert grad_x is None
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in want]
+
     def test_embed_mlp_grad(self):
         rng = np.random.default_rng(23)
         model = EmbedMlp(n_stations=5, n_slots=6, embed_dim=3, hidden=(4,), seed=3)

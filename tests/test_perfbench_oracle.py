@@ -47,7 +47,7 @@ def test_oracle_checks_pass_on_a_tiny_run(tmp_path):
     config_path = str(tmp_path / "run.yaml")
     with open(config_path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(config, fh)
-    for sub in ("gen-data", "train-price", "train-drl", "eval-drl"):
+    for sub in ("gen-data", "train-price", "eval-price", "train-drl", "eval-drl"):
         assert cli.main([sub, "--config", config_path]) == 0, sub
 
     result = load_oracle().run(config_path, str(run_dir))

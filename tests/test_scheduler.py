@@ -33,7 +33,7 @@ def make_traces(n_slots, seed=0):
     rtp = gen_rtp(seed, n_slots)
     wind, irr = gen_weather(seed + 1, n_slots)
     load = gen_traffic(seed + 2, n_slots)
-    return TraceSet(rtp, wind, irr, load, [])
+    return TraceSet(rtp, wind, irr, load)
 
 
 def make_env(

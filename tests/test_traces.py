@@ -182,34 +182,31 @@ class TestResponse:
 class TestCsvRoundTrip:
     def build_traces(self, n=72):
         wind, irr = gen_weather(8, n)
-        _, records = gen_charging_population(8, 3, n, (0.3, 0.2, 0.5))
-        return TraceSet(
+        _, log = gen_charging_population(8, 3, n, (0.3, 0.2, 0.5))
+        series = TraceSet(
             rtp=gen_rtp(8, n),
             wind_mps=wind,
             irradiance_wm2=irr,
             load_rate=gen_traffic(8, n),
-            charging=records,
         )
+        return series, log
 
     def test_round_trip_exact(self, tmp_path):
-        ts = self.build_traces()
-        save_traces(ts, str(tmp_path))
+        ts, log = self.build_traces()
+        save_traces(ts, log, str(tmp_path))
         back = load_traces(str(tmp_path))
         assert np.array_equal(back.rtp, ts.rtp)
         assert np.array_equal(back.wind_mps, ts.wind_mps)
         assert np.array_equal(back.irradiance_wm2, ts.irradiance_wm2)
         assert np.array_equal(back.load_rate, ts.load_rate)
-        assert back.charging == ts.charging
+        assert load_csv(str(tmp_path / "charging.csv"), "charging") == log
 
     def test_charging_csv_keeps_the_per_value_format(self, tmp_path):
-        ts = self.build_traces()
-        log = ts.charging
+        ts, log = self.build_traces()
         rate = log.discount_rate.copy()
         rate[:4] = [0.0, -0.0, 0.1 + 0.2, 1e-300]
-        ts.charging = ChargingLog(
-            log.station_id, log.slot, log.charged, log.discount_given, rate
-        )
-        save_traces(ts, str(tmp_path))
+        edited = ChargingLog(log.station_id, log.slot, log.charged, log.discount_given, rate)
+        save_traces(ts, edited, str(tmp_path))
         # the reference: every value through _fmt on its own
         lines = ["station_id,slot,charged,discount_given,discount_rate"] + [
             f"{s},{t},{c},{g},{traces._fmt(r)}"
@@ -318,7 +315,6 @@ class TestCsvRoundTrip:
                 wind_mps=np.zeros(4),
                 irradiance_wm2=np.zeros(5),
                 load_rate=np.zeros(5),
-                charging=[],
             )
 
 
