@@ -207,20 +207,24 @@ def gen_rtp(seed: int, n_slots: int, base: float = 0.10) -> np.ndarray:
 def gen_weather(seed: int, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
     """Wind speed (m/s, AR(1) around 7) and solar irradiance (W/m^2, diurnal bell)."""
     rng = np.random.default_rng(seed)
-    wind = np.empty(n_slots)
+    # one array draw per noise gives the values of n_slots scalar draws, in order
+    wind_noise = rng.normal(0.0, 1.6, size=n_slots).tolist()
+    cloud_noise = rng.normal(0.0, 0.1, size=n_slots).tolist()
+    wind = []
     w = 7.0
-    for t in range(n_slots):
-        w = 7.0 + 0.85 * (w - 7.0) + rng.normal(0.0, 1.6)
-        wind[t] = max(w, 0.0)
+    for e in wind_noise:
+        w = 7.0 + 0.85 * (w - 7.0) + e
+        wind.append(max(w, 0.0))
     hours = np.arange(n_slots, dtype=np.float64) % 24.0
     elevation = np.sin(np.pi * (hours - 6.0) / 12.0)
     elevation = np.where((hours >= 6.0) & (hours <= 18.0), np.maximum(elevation, 0.0), 0.0)
-    cloud = np.empty(n_slots)
+    cloud = []
     c = 0.75
-    for t in range(n_slots):
-        c = min(1.0, max(0.25, c + rng.normal(0.0, 0.1)))
-        cloud[t] = c
-    irradiance = 950.0 * elevation * cloud
+    for e in cloud_noise:
+        c = min(1.0, max(0.25, c + e))
+        cloud.append(c)
+    wind = np.array(wind, dtype=np.float64)
+    irradiance = 950.0 * elevation * np.array(cloud, dtype=np.float64)
     return wind, irradiance
 
 
@@ -445,8 +449,55 @@ def _column(rows: list[list[str]], j: int, name: str, convert):
     return values, (bad, lambda i: f"{name} {_field_fault(convert, rows[i][j])}: {rows[i][j]!r}")
 
 
+# The bytes a bulk parse reads: printable ASCII and "\n" line ends. On a file
+# of these bytes, every field np.loadtxt's C parser converts gets the bits
+# int() or float() give it. Outside them the two differ: the C parser reads
+# some non-ASCII letters as digits and takes \x1c-\x1f for whitespace.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\n"
+
+
+def _bulk_columns(path: str, header: list[str], converts) -> list[np.ndarray] | None:
+    """The columns of a plain, well-formed CSV in one np.loadtxt pass, or None.
+
+    None when the first line is not exactly the header, a byte is outside
+    _PLAIN_BYTES, there is no data row, or the C parser refuses a row or a
+    field. The checker then reads the file: it accepts what int(), float()
+    and csv accept, and it words every error.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head, _, body = data.partition(b"\n")
+    if head != ",".join(header).encode() or data.translate(None, _PLAIN_BYTES):
+        return None
+    dtype = np.dtype([(name, _DTYPE[convert]) for name, convert in zip(header, converts)])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on a file with no data row
+            table = np.loadtxt(
+                io.StringIO(body.decode("ascii")),
+                dtype=dtype,
+                delimiter=",",
+                comments=None,
+                quotechar=None,
+                ndmin=1,
+            )
+    except (ValueError, Warning):
+        return None
+    return [np.ascontiguousarray(table[name]) for name in header]
+
+
 def _read_series(path: str, header: list[str]) -> list[np.ndarray]:
     """Shared slot-indexed reader: per-column float arrays; row i holds slot i."""
+    cols = _bulk_columns(path, header, [int] + [float] * (len(header) - 1))
+    if cols is not None:
+        slots, *series = cols
+        if np.array_equal(slots, np.arange(len(slots))) and np.isfinite(series).all():
+            return series
+    return _check_series(path, header)
+
+
+def _check_series(path: str, header: list[str]) -> list[np.ndarray]:
+    """_read_series field by field: the columns, or the error of the first bad line."""
     lines, rows = _read_rows(path, header)
     if not rows:
         raise TraceError(f"{path}: no data rows")
@@ -459,6 +510,17 @@ def _read_series(path: str, header: list[str]) -> list[np.ndarray]:
 
 
 def _read_charging(path: str) -> ChargingLog:
+    cols = _bulk_columns(path, CHARGING_HEADER, [convert for _, convert in _LOG_COLUMNS])
+    if cols is not None:
+        try:
+            return ChargingLog(*cols)
+        except TraceError:
+            pass  # the checker names the line
+    return _check_charging(path)
+
+
+def _check_charging(path: str) -> ChargingLog:
+    """_read_charging field by field: the log, or the error of the first bad line."""
     lines, rows = _read_rows(path, CHARGING_HEADER)
     cols, checks = zip(*(_column(rows, j, *column) for j, column in enumerate(_LOG_COLUMNS)))
     _raise_first_fault([*checks, *_log_rules(*cols[2:])], lambda i: f"{path} line {lines[i]}")
@@ -502,10 +564,13 @@ def load_csv(path: str, schema: str):
 
     Returns the price for "rtp", (wind, irradiance) for "weather", the load
     for "traffic", a ChargingLog for "charging", or an item list for
-    "strata". Row i of a series holds slot i. Each column is
-    converted at once and every row check is a mask over the rows; an error
-    names the first bad line in file order, and in it the first failing
-    check in the order a row-by-row reader tries them.
+    "strata". Row i of a series holds slot i. A series or charging file is
+    parsed in one np.loadtxt pass and its columns checked as wholes. A file
+    that pass refuses or whose columns fail a check, and every strata file,
+    go to the checker. It converts each column at once, every row check is
+    a mask over the rows, and an error names the first bad line in file
+    order and, in it, the first failing check in the order a row-by-row
+    reader tries them.
     """
     if schema == "rtp":
         (price,) = _read_series(path, RTP_HEADER)

@@ -8,11 +8,13 @@ with its declared dependencies. Each module's source is parsed, not imported.
 
 import ast
 import os
+import re
 import sys
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "hubopt")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "hubopt")
 ALLOWED = set(sys.stdlib_module_names) | {"hubopt", "numpy", "yaml"}
 
 
@@ -39,3 +41,10 @@ def test_an_undeclared_import_is_caught(tmp_path):
     path = tmp_path / "m.py"
     path.write_text("import numpy\nfrom scipy import stats\nfrom . import hub\n")
     assert [m for _, m in imported_modules(str(path)) if m not in ALLOWED] == ["scipy"]
+
+
+def test_numpy_floor_has_the_c_loadtxt_parser():
+    """traces reads its CSVs with np.loadtxt(quotechar=...): numpy 1.23's C parser."""
+    with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as fh:
+        (floor,) = re.findall(r'"numpy>=([0-9.]+)"', fh.read())
+    assert tuple(map(int, floor.split("."))) >= (1, 23), floor

@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import warnings
 
 import numpy as np
@@ -46,6 +47,25 @@ class TestRtp:
         assert not np.array_equal(a, gen_rtp(10, 240))
 
 
+def weather_reference(seed, n_slots):
+    """gen_weather as it drew one scalar normal per slot in each loop."""
+    rng = np.random.default_rng(seed)
+    wind = np.empty(n_slots)
+    w = 7.0
+    for t in range(n_slots):
+        w = 7.0 + 0.85 * (w - 7.0) + rng.normal(0.0, 1.6)
+        wind[t] = max(w, 0.0)
+    hours = np.arange(n_slots, dtype=np.float64) % 24.0
+    elevation = np.sin(np.pi * (hours - 6.0) / 12.0)
+    elevation = np.where((hours >= 6.0) & (hours <= 18.0), np.maximum(elevation, 0.0), 0.0)
+    cloud = np.empty(n_slots)
+    c = 0.75
+    for t in range(n_slots):
+        c = min(1.0, max(0.25, c + rng.normal(0.0, 0.1)))
+        cloud[t] = c
+    return wind, 950.0 * elevation * cloud
+
+
 class TestWeatherTraffic:
     def test_weather_ranges(self):
         wind, irr = gen_weather(3, 240)
@@ -58,6 +78,15 @@ class TestWeatherTraffic:
     def test_weather_deterministic(self):
         assert np.array_equal(gen_weather(4, 100)[0], gen_weather(4, 100)[0])
         assert np.array_equal(gen_weather(4, 100)[1], gen_weather(4, 100)[1])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 17])
+    @pytest.mark.parametrize("n_slots", [0, 1, 2, 25, 8760])
+    def test_weather_matches_the_scalar_draw_loop(self, seed, n_slots):
+        wind, irr = gen_weather(seed, n_slots)
+        want_wind, want_irr = weather_reference(seed, n_slots)
+        assert wind.dtype == irr.dtype == np.float64
+        assert wind.tobytes() == want_wind.tobytes()
+        assert irr.tobytes() == want_irr.tobytes()
 
     def test_traffic_range_and_shape(self):
         load = gen_traffic(5, 240)
@@ -687,6 +716,96 @@ SCHEMA_NAMES = sorted(HEADERS)
 FIXTURE_OK = [HealthCheck.function_scoped_fixture]
 
 
+# Texts on which np.loadtxt's C parser and csv + int()/float() part ways:
+# each file must load to the reference's bits or fail with its exact error.
+# Row 1's first field is an int; FLOAT_FIELD names a float field of row 1
+# (an int one in strata, which has none).
+EDGE_ROWS = {
+    "rtp": [["0", "0.1"], ["1", "0.25"], ["2", "0.3"]],
+    "weather": [["0", "5.0", "0.0"], ["1", "6.5", "120.0"], ["2", "7.0", "300.5"]],
+    "traffic": [["0", "0.5"], ["1", "0.25"], ["2", "0.75"]],
+    "charging": [
+        ["0", "0", "1", "1", "0.3"],
+        ["1", "0", "0", "1", "0.25"],
+        ["0", "1", "1", "0", "0.0"],
+    ],
+    "strata": [["0", "0", "always"], ["1", "2", "incentive"], ["1", "18", "no_charge"]],
+}
+FLOAT_FIELD = {"rtp": 1, "weather": 2, "traffic": 1, "charging": 4, "strata": 1}
+ARABIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+def edge_lines(schema, int_field=str, float_field=str):
+    """The header and rows of EDGE_ROWS[schema] as lines, row 1's fields edited."""
+    rows = [list(r) for r in EDGE_ROWS[schema]]
+    j = FLOAT_FIELD[schema]
+    rows[1][0], rows[1][j] = int_field(rows[1][0]), float_field(rows[1][j])
+    return [",".join(HEADERS[schema])] + [",".join(r) for r in rows]
+
+
+def joined(eol="\n", **edits):
+    return lambda schema: eol.join(edge_lines(schema, **edits)) + eol
+
+
+def with_line(line, eol="\n"):
+    """The file with line inserted after row 0."""
+
+    def text(schema):
+        lines = edge_lines(schema)
+        return eol.join(lines[:2] + [line] + lines[2:]) + eol
+
+    return text
+
+
+EDGE_CASES = {
+    "quoted": lambda s: re.sub(r"[^,\n]+", r'"\g<0>"', joined()(s)),
+    "lone-cr": joined("\r"),
+    "crlf": joined("\r\n"),
+    "crlf-blank-line": with_line("", "\r\n"),
+    "space-line": with_line(" "),
+    "tab-line": with_line("\t"),
+    "nul-line": with_line("\x00"),
+    "hash-line": with_line("# note"),
+    "vt-line": with_line("\v"),
+    "ff-line": with_line("\f"),
+    "nul-field": joined(float_field=lambda t: t + "\x00"),
+    "hash-field": joined(float_field=lambda t: t + "#1"),
+    "vt-field": joined(float_field=lambda t: f"\v{t}\v"),
+    "ff-field": joined(int_field=lambda t: f"\f{t}", float_field=lambda t: f"{t}\f"),
+    "nbsp-field": joined(float_field=lambda t: "\xa0" + t),
+    # the C parser takes \x1c-\x1f for whitespace, int() and float() do not
+    "group-separator-field": joined(float_field=lambda t: "\x1c" + t),
+    "arabic-digits": joined(
+        int_field=lambda t: t.translate(ARABIC_DIGITS),
+        float_field=lambda t: t.translate(ARABIC_DIGITS),
+    ),
+    # a letter the C int parser reads as the digits 462
+    "letter-for-digit": joined(int_field=lambda t: "\u01fe"),
+    "underscore-int": joined(int_field=lambda t: "0_" + t),
+    "underscore-float": joined(float_field=lambda t: "1_0.5"),
+    "hex-float": joined(float_field=lambda t: "0x1p3"),
+    "infinity": joined(float_field=lambda t: "infinity"),
+    "bom": lambda s: "\ufeff" + joined()(s),
+    "trailing-comma": lambda s: joined()(s)[:-1] + ",\n",
+    "no-final-newline": lambda s: joined()(s)[:-1],
+    "header-only": lambda s: ",".join(HEADERS[s]) + "\n",
+    "header-only-no-newline": lambda s: ",".join(HEADERS[s]),
+}
+# the cases csv, int() and float() accept in every schema
+EDGE_ACCEPTED = {
+    "quoted",
+    "lone-cr",
+    "crlf",
+    "crlf-blank-line",
+    "vt-field",
+    "ff-field",
+    "nbsp-field",
+    "arabic-digits",
+    "underscore-int",
+    "no-final-newline",
+}
+
+
 class TestBulkParseMatchesFieldParse:
     @settings(max_examples=200, deadline=None, suppress_health_check=FIXTURE_OK)
     @given(data=st.data(), schema=st.sampled_from(SCHEMA_NAMES))
@@ -744,3 +863,43 @@ class TestBulkParseMatchesFieldParse:
         path.write_text(f"slot,price\n{2**63 - 1},0.1\n{-(2**63)},0.1\n")
         got, want = both_parses(path, "rtp")
         assert got == want == f"TraceError: {path} line 2: missing slot 0, found {2**63 - 1}"
+
+    @pytest.mark.parametrize("schema", SCHEMA_NAMES)
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_edge_text_parses_as_the_reference(self, tmp_path, case, schema):
+        path = tmp_path / f"{schema}.csv"
+        path.write_bytes(EDGE_CASES[case](schema).encode("utf-8"))
+        got, want = both_parses(path, schema)
+        if case in EDGE_ACCEPTED:
+            assert not isinstance(want, str), want
+        assert_same(got, want)
+
+
+class TestBulkParseIsTaken:
+    """A plain, valid file never reaches the field-by-field checker."""
+
+    def test_plain_files_load_without_the_checker(self, tmp_path, monkeypatch):
+        series = TraceSet(
+            rtp=gen_rtp(1, 48),
+            wind_mps=gen_weather(1, 48)[0],
+            irradiance_wm2=gen_weather(1, 48)[1],
+            load_rate=gen_traffic(1, 48),
+        )
+        _, log = gen_charging_population(1, 3, 48, [0.3, 0.3, 0.4])
+        paths = save_traces(series, log, str(tmp_path))
+        bad = tmp_path / "bad.csv"
+        bad.write_text("slot,price\n0,0.1\n1,x\n")
+
+        def refuse(path, header):
+            raise AssertionError(f"the checker read {path}")
+
+        monkeypatch.setattr(traces, "_read_rows", refuse)
+        loaded = load_traces(str(tmp_path))
+        for name in ("rtp", "wind_mps", "irradiance_wm2", "load_rate"):
+            assert getattr(loaded, name).tobytes() == getattr(series, name).tobytes()
+        assert load_csv(paths[-1], "charging") == log
+        with pytest.raises(AssertionError, match="the checker read"):
+            load_csv(str(bad), "rtp")
+        monkeypatch.undo()
+        with pytest.raises(TraceError, match=f"{bad} line 3: price is not a number: 'x'"):
+            load_csv(str(bad), "rtp")
