@@ -303,10 +303,18 @@ def gen_charging_population(
 ) -> tuple[list[PopulationItem], ChargingLog]:
     """Plant per-item strata and roll out a logged discount policy over n_slots.
 
-    Items are (station, slot-of-day) pairs; n_items truncates the full grid
-    when an exact universe size is needed. strata_priors orders as
-    (always, incentive, no_charge); the incentive prior is multiplied by
-    evening_boost inside 18:00-24:00 and the triple renormalized.
+    Item i is (station i // 24, slot of day i % 24); n_items keeps the first
+    n_items of that station-major grid when an exact universe size is
+    needed. strata_priors orders as (always, incentive, no_charge); inside
+    18:00-24:00 the incentive prior is multiplied by evening_boost and the
+    triple renormalized.
+
+    Each item's stratum is the one rng.choice(3, p=p) would draw, item by
+    item, but the draws come as one rng.random(n_items) block: choice takes
+    one rng.random() per call and returns the count of entries of
+    cdf = p.cumsum() / p.cumsum()[-1] that are <= it, with p as given, not
+    divided by its sum first. So the strata, and the treatment draws made
+    after them, have the values of the per-item loop.
 
     The logged policy offers a discount with probability 0.5 ("random") or
     with a slot-dependent probability 0.3/0.7 outside/inside the evening
@@ -323,20 +331,19 @@ def gen_charging_population(
     rng = np.random.default_rng(seed)
     boosted = priors * np.array([1.0, evening_boost, 1.0])
     boosted = boosted / boosted.sum()
-
-    items: list[PopulationItem] = []
+    # row 0 is the cdf choice builds for priors, row 1 the one for boosted
+    cdfs = np.array([priors.cumsum(), boosted.cumsum()])
+    cdfs /= cdfs[:, -1:]
+    evening = np.arange(n_items) % SLOTS_PER_DAY >= EVENING_START_HOUR
+    drawn = (cdfs[evening.astype(np.intp)] <= rng.random(n_items)[:, None]).sum(axis=1)
+    items = [
+        PopulationItem(i // SLOTS_PER_DAY, i % SLOTS_PER_DAY, _STRATUM_ORDER[k])
+        for i, k in enumerate(drawn.tolist())
+    ]
     # each item's index in _STRATUM_ORDER; -1 where truncated out of the universe
-    strata = np.full((n_stations, SLOTS_PER_DAY), -1)
-    for station in range(n_stations):
-        for sod in range(SLOTS_PER_DAY):
-            if len(items) == n_items:
-                break
-            p = boosted if sod >= EVENING_START_HOUR else priors
-            k = int(rng.choice(3, p=p))
-            items.append(PopulationItem(station, sod, _STRATUM_ORDER[k]))
-            strata[station, sod] = k
-        if len(items) == n_items:
-            break
+    strata = np.full(n_stations * SLOTS_PER_DAY, -1)
+    strata[:n_items] = drawn
+    strata = strata.reshape(n_stations, SLOTS_PER_DAY)
 
     if logged_policy == "random":
         treat_prob = np.full(SLOTS_PER_DAY, 0.5)
@@ -392,7 +399,8 @@ def _read_rows(path: str, header: list[str]) -> tuple[Sequence[int], list[list[s
     """A CSV's data rows and the line number of each, after its header.
 
     The file must be UTF-8 text. Blank lines are skipped; every other row
-    must have one field per column.
+    must have one field per column. A row csv refuses, such as one with a
+    field over csv.field_size_limit(), is an error that names its line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -402,14 +410,16 @@ def _read_rows(path: str, header: list[str]) -> tuple[Sequence[int], list[list[s
         raise TraceError(f"{path}: byte {exc.start} is not UTF-8 text ({exc.reason})") from None
     reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     try:
-        got = next(reader)
-    except StopIteration:
-        raise TraceError(f"{path}: empty file, expected header {','.join(header)}")
-    if got != header:
-        raise TraceError(
-            f"{path}: bad header {','.join(got)!r}, expected {','.join(header)!r}"
-        )
-    rows = list(reader)
+        got = next(reader, None)
+        if got is None:
+            raise TraceError(f"{path}: empty file, expected header {','.join(header)}")
+        if got != header:
+            raise TraceError(
+                f"{path}: bad header {','.join(got)!r}, expected {','.join(header)!r}"
+            )
+        rows = list(reader)
+    except csv.Error as exc:
+        raise TraceError(f"{path} line {reader.line_num}: {exc}") from None
     lines: Sequence[int] = range(2, len(rows) + 2)
     if set(map(len, rows)) - {len(header)}:
         lines = [ln for ln, row in zip(lines, rows) if row]

@@ -1,4 +1,5 @@
 import collections
+import csv
 import json
 import os
 import re
@@ -722,6 +723,22 @@ class TestUnreadableInputs:
         err = capsys.readouterr().err
         assert rc == cli.EXIT_DATA, err
         assert err.startswith(f"data error: {path}: byte {at} is not UTF-8 text"), err
+
+    def test_field_over_the_csv_limit_exits_3_naming_file_and_line(
+        self, priced, tmp_path, capsys
+    ):
+        config_path, run_dir = priced
+        path = _copy_run(run_dir, tmp_path) / "data" / "strata.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = "0,2," + "x" * 200_000
+        path.write_text("\n".join(lines) + "\n")
+        rc = cli.main(
+            ["eval-price", "--config", config_path, "--out", str(path.parents[1]), "--force"]
+        )
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_DATA, err
+        limit = csv.field_size_limit()
+        assert err == f"data error: {path} line 4: field larger than field limit ({limit})\n"
 
     def test_non_utf8_result_csv_fails_report_with_exit_3(self, pipeline, tmp_path, capsys):
         _, run_dir = pipeline

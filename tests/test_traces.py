@@ -1,11 +1,12 @@
 import csv
+import hashlib
 import math
 import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hubopt import traces
@@ -307,6 +308,24 @@ class TestCsvRoundTrip:
         assert "line 3" in str(err.value)
         assert "irradiance_wm2" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "schema, row",
+        [
+            ("rtp", '1,"' + "1" * 200_000 + '"'),  # the C pass refuses a quote
+            ("rtp", "1," + "1" * 200_000),  # the C pass reads inf
+            ("strata", "0,1," + "x" * 200_000),
+        ],
+        ids=["series-quoted", "series-bare", "strata"],
+    )
+    def test_field_over_the_csv_limit_names_file_and_line(self, tmp_path, schema, row):
+        header = HEADERS[schema]
+        first = "0," + ("0,always" if schema == "strata" else "0.1")
+        path = tmp_path / f"{schema}.csv"
+        path.write_text("\n".join([",".join(header), first, row, first]) + "\n")
+        message = f"{path} line 3: field larger than field limit ({csv.field_size_limit()})"
+        with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
+            load_csv(str(path), schema)
+
     def test_load_rate_range(self, tmp_path):
         path = tmp_path / "traffic.csv"
         path.write_text("slot,load_rate\n0,0.5\n1,1.5\n")
@@ -398,21 +417,30 @@ class TestChargingLog:
 
 
 def population_reference(
-    seed, n_stations, n_slots, priors, n_items, logged_policy, logged_discount=0.3
+    seed,
+    n_stations,
+    n_slots,
+    priors,
+    n_items,
+    logged_policy,
+    logged_discount=0.3,
+    evening_boost=2.5,
 ):
-    """gen_charging_population's log as the per-record loop built it."""
+    """gen_charging_population as it drew one rng.choice per item and built the
+    log record by record: (items, log rows)."""
     rng = np.random.default_rng(seed)
     evening_from = 18
-    boosted = np.asarray(priors) * np.array([1.0, 2.5, 1.0])
+    boosted = np.asarray(priors) * np.array([1.0, evening_boost, 1.0])
     boosted = boosted / boosted.sum()
     order = (Stratum.ALWAYS_CHARGE, Stratum.INCENTIVE_CHARGE, Stratum.NO_CHARGE)
-    stratum_of = {}
+    items = []
     for station in range(n_stations):
         for sod in range(24):
-            if len(stratum_of) == n_items:
+            if len(items) == n_items:
                 break
             p = boosted if sod >= evening_from else np.asarray(priors)
-            stratum_of[(station, sod)] = order[int(rng.choice(3, p=p))]
+            items.append(PopulationItem(station, sod, order[int(rng.choice(3, p=p))]))
+    stratum_of = {(it.station_id, it.slot_of_day): it.stratum for it in items}
     if logged_policy == "random":
         treat_prob = np.full(24, 0.5)
     else:
@@ -427,7 +455,51 @@ def population_reference(
             treated = int(draws[t, station] < treat_prob[t % 24])
             rate = logged_discount if treated else 0.0
             rows.append((station, t, stratum_response(stratum, treated), treated, rate))
-    return rows
+    return items, rows
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+PCG64_INCREMENT = 0xDA3E39CB94B95BDB  # any odd increment
+
+
+def generator_drawing(u, at):
+    """A PCG64 Generator whose random() number `at`, counted from 0, returns u.
+
+    u must be a multiple of 2**-53 in [0, 1): random() is the top 53 bits of
+    the next 64-bit output over 2**53. Each output is the xor of the 128-bit
+    state's halves rotated right by the top 6 state bits, taken after the
+    state steps by the LCG; the state is built to give u's bits at step
+    at + 1, then stepped back to the start.
+    """
+    bits = int(u * 2**53) << 11
+    high = 5 << 58 | 12345
+    rot = high >> 58
+    low = high ^ ((bits << rot | bits >> (64 - rot)) & (2**64 - 1))
+    state = high << 64 | low
+    inverse = pow(PCG64_MULTIPLIER, -1, 2**128)
+    for _ in range(at + 1):
+        state = (state - PCG64_INCREMENT) * inverse % 2**128
+    bit_gen = np.random.PCG64()
+    bit_gen.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": PCG64_INCREMENT},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bit_gen)
+
+
+def cdf_edges(p):
+    """Draws on and one float beside each cdf entry of choice's rule and of
+    the rule that first divides p by its sum, kept where random() can return
+    them (multiples of 2**-53 below 1)."""
+    p = np.asarray(p)
+    edges = []
+    for q in (p, p / p.sum()):
+        cdf = q.cumsum()
+        cdf /= cdf[-1]
+        edges += [np.nextafter(cdf, 0.0), cdf, np.nextafter(cdf, 1.0)]
+    return sorted({u for u in np.concatenate(edges).tolist() if (u * 2**53).is_integer() and u < 1})
 
 
 class TestPopulationMatchesRecordLoop:
@@ -436,17 +508,84 @@ class TestPopulationMatchesRecordLoop:
         seed=st.integers(0, 2**16),
         n_stations=st.integers(1, 6),
         n_slots=st.integers(1, 60),
-        priors=st.sampled_from([(0.3, 0.2, 0.5), (0.1, 0.8, 0.1), (0.5, 0.0, 0.5)]),
+        priors=st.sampled_from(
+            [(0.3, 0.2, 0.5), (0.1, 0.8, 0.1), (0.5, 0.0, 0.5), (0.0, 0.4, 0.6), (0.24, 0.02, 0.74)]
+        ),
+        evening_boost=st.sampled_from([2.5, 50.0]) | st.floats(0.01, 100.0),
         cut=st.integers(0, 30),
         logged_policy=st.sampled_from(["random", "confounded"]),
     )
-    def test_rows_equal_the_loop(self, seed, n_stations, n_slots, priors, cut, logged_policy):
+    # boosted by 2.5, (0.3, 0.2, 0.5) sums to 0.9999999999999999; truncated mid-station
+    @example(0, 40, 48, (0.3, 0.2, 0.5), 2.5, 7, "random")
+    @example(1, 40, 48, (0.24, 0.02, 0.74), 50.0, 0, "random")  # price workload
+    @example(2, 40, 48, (0.5, 0.0, 0.5), 2.5, 0, "confounded")
+    @example(3, 40, 48, (0.0, 0.3, 0.7), 50.0, 30, "random")
+    def test_items_and_rows_equal_the_loop(
+        self, seed, n_stations, n_slots, priors, evening_boost, cut, logged_policy
+    ):
         n_items = max(1, n_stations * 24 - cut)
-        _, log = gen_charging_population(
-            seed, n_stations, n_slots, priors, n_items=n_items, logged_policy=logged_policy
+        items, log = gen_charging_population(
+            seed,
+            n_stations,
+            n_slots,
+            priors,
+            n_items=n_items,
+            evening_boost=evening_boost,
+            logged_policy=logged_policy,
         )
-        want = population_reference(seed, n_stations, n_slots, priors, n_items, logged_policy)
-        assert log_rows(log) == want
+        want_items, want_rows = population_reference(
+            seed, n_stations, n_slots, priors, n_items, logged_policy, evening_boost=evening_boost
+        )
+        assert items == want_items
+        assert log_rows(log) == want_rows
+
+    @pytest.mark.parametrize(
+        "priors, evening_boost",
+        [((0.2, 0.7, 0.1), 2.5), ((0.1, 0.2, 0.7), 50.0), ((0.5, 0.0, 0.5), 2.5)],
+    )
+    def test_draws_on_a_cdf_edge_pick_the_stratum_choice_picks(
+        self, monkeypatch, priors, evening_boost
+    ):
+        boosted = np.asarray(priors) * np.array([1.0, evening_boost, 1.0])
+        boosted = boosted / boosted.sum()
+        for at, p in ((5, priors), (20, boosted)):  # a day item and an evening item
+            for u in cdf_edges(p):
+                monkeypatch.setattr(np.random, "default_rng", lambda seed: generator_drawing(u, at))
+                assert np.random.default_rng(0).random(at + 1)[at] == u
+                items, _ = gen_charging_population(0, 1, 24, priors, evening_boost=evening_boost)
+                want_items, _ = population_reference(
+                    0, 1, 24, priors, 24, "random", evening_boost=evening_boost
+                )
+                assert items == want_items, (at, u)
+
+    def test_edge_cases_tell_the_two_cdf_rules_apart(self):
+        # the day cdf of (0.2, 0.7, 0.1) moves by an ulp if p is divided by
+        # its sum first, so the edge test above fails under that rule
+        p = np.array([0.2, 0.7, 0.1])
+        cdfs = [q.cumsum() / q.cumsum()[-1] for q in (p, p / p.sum())]
+        assert not np.array_equal(*cdfs)
+
+
+# sha256 of the charging_bench population's files as the per-item choice loop
+# wrote them: gen_charging_population(11, 352, 24, (0.24, 0.02, 0.74),
+# n_items=8426, evening_boost=50.0) through save_strata and save_traces
+BENCH_STRATA_SHA256 = "6a328d206d8175fae827adb1b2595a5ad0b4180948abbc37a3ac29917d2b4e74"
+BENCH_CHARGING_SHA256 = "c81662d5b8ea2065e430dd42a308f7d47d0f706bd648b08091ae02ed0c3cd353"
+
+
+class TestPopulationAtFullScale:
+    def test_charging_bench_files_keep_their_bytes(self, tmp_path):
+        items, log = gen_charging_population(
+            11, 352, 24, (0.24, 0.02, 0.74), n_items=8426, evening_boost=50.0
+        )
+        save_strata(str(tmp_path / "strata.csv"), items)
+        one_slot = TraceSet(rtp=[0.1], wind_mps=[0.0], irradiance_wm2=[0.0], load_rate=[0.5])
+        save_traces(one_slot, log, str(tmp_path))
+        digest = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("strata.csv", "charging.csv")
+        }
+        assert digest == {"strata.csv": BENCH_STRATA_SHA256, "charging.csv": BENCH_CHARGING_SHA256}
 
 
 # -- bulk CSV parse against the field-by-field parse -----------------------------
