@@ -22,9 +22,12 @@ import yaml
 from . import hub, nn, pricing, scheduler
 from .seeding import spawn_seed
 from .traces import (
+    _STRATUM_ORDER,
     SLOTS_PER_DAY,
+    STRATA_HEADER,
     TraceError,
     TraceSet,
+    Universe,
     _column,
     _fmt,
     _raise_first_fault,
@@ -433,18 +436,20 @@ def _load_pricing_models(run_dir: str, cfg: RunConfig | None = None):
     return model, mu1, mu0, prop
 
 
-def _load_items(run_dir: str, n_stations: int | None = None):
+def _load_items(run_dir: str, n_stations: int | None = None) -> Universe:
     """The item universe of strata.csv; every item's station must be below
     n_stations, when given."""
     strata_path = os.path.join(run_dir, "data", "strata.csv")
-    items = load_strata(strata_path)
-    top = max((it.station_id for it in items), default=-1)
-    if n_stations is not None and top >= n_stations:
+    universe = load_strata(strata_path)
+    if n_stations is not None and universe.stations.max(initial=-1) >= n_stations:
+        i = int(np.argmax(universe.stations >= n_stations))
+        # the rows of a file load_strata accepts are its non-blank lines
+        lines, _ = _read_rows(strata_path, STRATA_HEADER)
         raise DataError(
-            f"{strata_path}: station {top} is outside the run's {n_stations} stations "
-            "(traces.n_stations)"
+            f"{strata_path} line {lines[i]}: station {universe.stations[i]} is outside the "
+            f"run's {n_stations} stations (traces.n_stations)"
         )
-    return items
+    return universe
 
 
 def _load_population(run_dir: str, n_stations: int | None = None):
@@ -455,21 +460,16 @@ def _load_population(run_dir: str, n_stations: int | None = None):
     """
     strata_path = os.path.join(run_dir, "data", "strata.csv")
     charging_path = os.path.join(run_dir, "data", "charging.csv")
-    items = _load_items(run_dir, n_stations)
+    universe = _load_items(run_dir, n_stations)
     observations = pricing.observations_from_records(load_csv(charging_path, "charging"))
-    stations = np.array([it.station_id for it in items], dtype=np.int64)
-    top = int(stations.max(initial=-1))
-    known = np.zeros((top + 1, SLOTS_PER_DAY), dtype=bool)
-    known[stations, [it.slot_of_day for it in items]] = True
-    found = (observations.stations >= 0) & (observations.stations <= top)
-    found[found] = known[observations.stations[found], observations.slots[found]]
-    if not found.all():
-        j = int(found.argmin())
+    missing = universe.rows(observations.stations, observations.slots) < 0
+    if missing.any():
+        j = int(missing.argmax())
         raise DataError(
             f"{charging_path}: record {j} (station {observations.stations[j]}, slot of day "
             f"{observations.slots[j]}) has no item in {strata_path}"
         )
-    return items, observations
+    return universe, observations
 
 
 def _method_choices(model, mu1, mu0, prop, items, observations):
@@ -490,12 +490,16 @@ def _method_choices(model, mu1, mu0, prop, items, observations):
     return universe, winners, chosen
 
 
+def _discounted(universe, give):
+    """The (station, slot of day) keys of the items give marks."""
+    return zip(universe.stations[give].tolist(), universe.slots[give].tolist())
+
+
 def _method_decisions(model, mu1, mu0, prop, items, observations, c: float):
     """Per method, {(station, slot of day): c} over the items it discounts."""
     universe, _, chosen = _method_choices(model, mu1, mu0, prop, items, observations)
     return {
-        method: {key: c for key, g in zip(universe.keys, give.tolist()) if g}
-        for method, give in chosen.items()
+        method: dict.fromkeys(_discounted(universe, give), c) for method, give in chosen.items()
     }
 
 
@@ -513,11 +517,9 @@ def cmd_eval_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
     _refuse_overwrite([eval_path, period_path, discounts_path], force)
 
     model, mu1, mu0, prop = _load_pricing_models(run_dir, cfg)
-    items, observations = _load_population(run_dir, n_stations=cfg.traces.n_stations)
-    universe, winners, chosen = _method_choices(
-        model, mu1, mu0, prop, items, observations
-    )
-    truth = pricing.strata_columns(items)
+    universe, observations = _load_population(run_dir, n_stations=cfg.traces.n_stations)
+    _, winners, chosen = _method_choices(model, mu1, mu0, prop, universe, observations)
+    truth = pricing.strata_columns(universe)
     try:
         shares = pricing.strata_by_period(winners, universe.slots)
     except ValueError as exc:
@@ -552,8 +554,7 @@ def cmd_eval_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
     discount_rows = [
         (method, station, sod, rate)
         for method in METHODS
-        for (station, sod), give in zip(universe.keys, chosen[method].tolist())
-        if give
+        for station, sod in _discounted(universe, chosen[method])
     ]
     _write_rows(discounts_path, DISCOUNTS_HEADER, discount_rows)
     _update_manifest(run_dir, "eval-price", [eval_path, period_path, discounts_path])
@@ -601,12 +602,12 @@ def _drl_inputs(run_dir: str) -> list[str]:
     return [os.path.join(run_dir, "data", name) for name in data] + [_discounts_path(run_dir)]
 
 
-def _load_decisions(cfg: RunConfig, run_dir: str, items):
+def _load_decisions(cfg: RunConfig, run_dir: str, universe: Universe):
     """Per method, {(station, slot of day): rate} over the items eval-price
     wrote to discounts.csv.
 
-    Every row must name a method and an item of items, no (method, item)
-    twice, at the run config's rate.
+    Every row must name a method and an item of the universe, no (method,
+    item) twice, at the run config's rate.
     """
     path = _discounts_path(run_dir)
     lines, rows = _read_rows(path, DISCOUNTS_HEADER)
@@ -615,7 +616,6 @@ def _load_decisions(cfg: RunConfig, run_dir: str, items):
     sods, sod_parsed = _column(rows, 2, "slot_of_day", int)
     rates, rate_parsed = _column(rows, 3, "discount", float)
     keys = list(zip(stations.tolist(), sods.tolist()))
-    known = {(it.station_id, it.slot_of_day) for it in items}
     first, repeat = {}, np.zeros(len(rows), dtype=bool)
     for i, entry in enumerate(zip(methods, keys)):
         repeat[i] = first.setdefault(entry, i) != i
@@ -628,7 +628,7 @@ def _load_decisions(cfg: RunConfig, run_dir: str, items):
         station_parsed,
         sod_parsed,
         (
-            np.array([key not in known for key in keys], dtype=bool),
+            universe.rows(stations, sods) < 0,
             lambda i: f"item (station {keys[i][0]}, slot_of_day {keys[i][1]}) is not in {strata_path}",
         ),
         (
@@ -657,9 +657,17 @@ def _drl_envs(cfg: RunConfig, run_dir: str):
     charging log and no pricing model.
     """
     traces = load_traces(os.path.join(run_dir, "data"))
-    items = _load_items(run_dir, cfg.traces.n_stations)
-    stratum_of = {(it.station_id, it.slot_of_day): it.stratum for it in items}
-    decisions = _load_decisions(cfg, run_dir, items)
+    universe = _load_items(run_dir, cfg.traces.n_stations)
+    hubs = universe.stations < cfg.n_hubs
+    stratum_of = {
+        (station, sod): _STRATUM_ORDER[code]
+        for station, sod, code in zip(
+            universe.stations[hubs].tolist(),
+            universe.slots[hubs].tolist(),
+            universe.strata[hubs].tolist(),
+        )
+    }
+    decisions = _load_decisions(cfg, run_dir, universe)
     runs = _drl_runs(cfg)
     envs = []
     for hub_id, method in runs:

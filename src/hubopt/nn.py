@@ -61,7 +61,19 @@ def act_backward(tag: str, out: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {tag!r}")
 
 
-def _init_dense(rng: np.random.Generator, fan_in: int, fan_out: int):
+def init_rng(seed: int | None):
+    """The generator a model's layers draw their initial values from.
+
+    For seed None it is None, and the layers start at zeros without a draw:
+    Module.from_checkpoint builds a model so, as the checkpoint overwrites
+    every parameter next.
+    """
+    return None if seed is None else np.random.default_rng(seed)
+
+
+def _init_dense(rng: np.random.Generator | None, fan_in: int, fan_out: int):
+    if rng is None:
+        return np.zeros((fan_in, fan_out)), np.zeros(fan_out)
     bound = 1.0 / np.sqrt(fan_in)
     w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
     b = rng.uniform(-bound, bound, size=(fan_out,))
@@ -71,7 +83,9 @@ def _init_dense(rng: np.random.Generator, fan_in: int, fan_out: int):
 class DenseNet:
     """Stack of fully connected layers with per-layer activations."""
 
-    def __init__(self, sizes: Sequence[int], activations: Sequence[str], rng: np.random.Generator):
+    def __init__(
+        self, sizes: Sequence[int], activations: Sequence[str], rng: np.random.Generator | None
+    ):
         if len(sizes) < 2:
             raise ValueError("need at least input and output sizes")
         if len(activations) != len(sizes) - 1:
@@ -138,13 +152,17 @@ class DenseNet:
 class EmbeddingTable:
     """Dense lookup table with scatter-add gradients into table_grad."""
 
-    def __init__(self, vocab: int, dim: int, rng: np.random.Generator):
+    def __init__(self, vocab: int, dim: int, rng: np.random.Generator | None):
+        """A vocab x dim table drawn from rng, or zeros for rng None (see init_rng)."""
         if vocab <= 0 or dim <= 0:
             raise ValueError(f"vocab and dim must be positive, got {vocab}, {dim}")
         self.vocab = int(vocab)
         self.dim = int(dim)
-        bound = 1.0 / np.sqrt(dim)
-        self.table = rng.uniform(-bound, bound, size=(self.vocab, self.dim))
+        if rng is None:
+            self.table = np.zeros((self.vocab, self.dim))
+        else:
+            bound = 1.0 / np.sqrt(dim)
+            self.table = rng.uniform(-bound, bound, size=(self.vocab, self.dim))
         # what grad writes into; a Module rebinds it to a view of its grad
         self.table_grad = np.zeros_like(self.table)
 
@@ -417,8 +435,9 @@ class Module:
 
     A subclass builds its layers, then passes them to Module.__init__ in
     params() order, each with its checkpoint name prefix; it names its
-    constructor arguments that a checkpoint records in META, and defines
-    forward and backward. The buffer is `flat`: an optimizer or a rollback
+    constructor arguments that a checkpoint records in META, draws its
+    initial parameters from init_rng(seed) for its seed argument, and
+    defines forward and backward. The buffer is `flat`: an optimizer or a rollback
     can treat the whole model as one array. `grad` is laid out like `flat`,
     and each layer's backward writes its gradients into views of it, so
     backward returns views of `grad` that the next backward, and the Adam
@@ -489,7 +508,7 @@ class Module:
                 )
         args = {key: meta[key] for key in cls.META}
         try:
-            model = cls(**args)
+            model = cls(**args, seed=None)
         except (TypeError, ValueError) as exc:
             raise CheckpointError(f"{path} records an unusable architecture {args}: {exc}") from exc
         model.load_state(arrays)
@@ -512,9 +531,9 @@ class EmbedMlp(Module):
         n_slots: int = 24,
         embed_dim: int = 16,
         hidden: Sequence[int] = (64, 32),
-        seed: int = 0,
+        seed: int | None = 0,
     ):
-        rng = np.random.default_rng(seed)
+        rng = init_rng(seed)
         self.n_stations = int(n_stations)
         self.n_slots = int(n_slots)
         self.embed_dim = int(embed_dim)

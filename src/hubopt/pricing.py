@@ -30,7 +30,7 @@ import numpy as np
 
 from . import nn
 from .seeding import spawn_rng, spawn_seed
-from .traces import SLOTS_PER_DAY, ChargingLog, PopulationItem, Stratum
+from .traces import _STRATUM_ORDER, SLOTS_PER_DAY, ChargingLog, Stratum, Universe
 
 # stratum-head column order
 COL_NO = 0
@@ -42,6 +42,8 @@ _COL_OF_STRATUM = {
     Stratum.INCENTIVE_CHARGE: COL_INCENTIVE,
     Stratum.ALWAYS_CHARGE: COL_ALWAYS,
 }
+# the stratum-head column of each stratum code (see traces.Universe)
+_COL_OF_CODE = np.array([_COL_OF_STRATUM[s] for s in _STRATUM_ORDER])
 
 PERIODS = ((0, 6), (6, 12), (12, 18), (18, 24))
 
@@ -105,27 +107,13 @@ def observations_from_records(log: ChargingLog) -> Observations:
     )
 
 
-class Universe(NamedTuple):
-    """Item keys in universe order, with their station and slot arrays."""
-
-    keys: list[tuple[int, int]]
-    stations: np.ndarray
-    slots: np.ndarray
-
-
 def universe_arrays(universe) -> Universe:
-    """Lay a universe of PopulationItems out as arrays.
+    """A universe as a traces.Universe, which passes through.
 
-    The items are distinct, with stations >= 0 and slots of day in
-    [0, SLOTS_PER_DAY), as load_strata checks. Every function here that
-    takes a universe also takes the returned value, which passes through.
+    Every function here that takes a universe takes a Universe or a
+    sequence of distinct PopulationItems, laid out here as one.
     """
-    if isinstance(universe, Universe):
-        return universe
-    keys = [(it.station_id, it.slot_of_day) for it in universe]
-    stations = np.array([k[0] for k in keys], dtype=np.int64)
-    slots = np.array([k[1] for k in keys], dtype=np.int64)
-    return Universe(keys, stations, slots)
+    return universe if isinstance(universe, Universe) else Universe.from_items(universe)
 
 
 class PricingModel(nn.Module):
@@ -140,11 +128,11 @@ class PricingModel(nn.Module):
         n_slots: int = 24,
         embed_dim: int = 16,
         hidden: Sequence[int] = (64, 32),
-        seed: int = 0,
+        seed: int | None = 0,
     ):
         if not hidden:
             raise ValueError("pricing model needs at least one hidden layer")
-        rng = np.random.default_rng(seed)
+        rng = nn.init_rng(seed)
         self.n_stations = int(n_stations)
         self.n_slots = int(n_slots)
         self.embed_dim = int(embed_dim)
@@ -312,8 +300,8 @@ def discount_policy(model: PricingModel, universe) -> tuple[np.ndarray, np.ndarr
 
     The learned policy discounts exactly the items predicted incentive-charge.
     """
-    _, stations, slots = universe_arrays(universe)
-    winners = predicted_strata(stratum_probs(model, stations, slots))
+    universe = universe_arrays(universe)
+    winners = predicted_strata(stratum_probs(model, universe.stations, universe.slots))
     return winners, winners == COL_INCENTIVE
 
 
@@ -358,9 +346,9 @@ def evaluate_policy(truth: np.ndarray, give: np.ndarray, c: float) -> PolicyEval
     )
 
 
-def strata_columns(items: Sequence[PopulationItem]) -> np.ndarray:
+def strata_columns(universe) -> np.ndarray:
     """Each item's true stratum as its stratum-head column."""
-    return np.array([_COL_OF_STRATUM[it.stratum] for it in items], dtype=np.int64)
+    return _COL_OF_CODE[universe_arrays(universe).strata]
 
 
 def _fit_scorer(stations, slots, targets, cfg: PricingConfig, tag: str) -> nn.EmbedMlp:
@@ -424,17 +412,6 @@ def _clipped_propensity(model: nn.EmbedMlp, stations, slots) -> np.ndarray:
     return g
 
 
-def _group_rows(observations: Observations, universe: Universe) -> np.ndarray:
-    """Each observation's row in the universe.
-
-    Every observation is an item of the universe, as the stages check where
-    they read charging.csv against strata.csv.
-    """
-    grid = np.empty((universe.stations.max(initial=-1) + 1, SLOTS_PER_DAY), dtype=np.int64)
-    grid[universe.stations, universe.slots] = np.arange(len(universe.keys))
-    return grid[observations.stations, observations.slots]
-
-
 def _item_means(n_items: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Mean of values per item row; items with no values score 0."""
     sums = np.zeros(n_items)
@@ -484,11 +461,13 @@ def uplift_scores(
 
     Each model predicts once on the universe and once on the logged records,
     and the propensities are clipped once; the three estimators share them.
+    Every record is an item of the universe, as the stages check where they
+    read charging.csv against strata.csv.
     """
     universe = universe_arrays(universe)
-    _, stations, slots = universe
-    rows = _group_rows(observations, universe)
+    stations, slots = universe.stations, universe.slots
     obs_st, obs_sl, treated, charged = observations
+    rows = universe.rows(obs_st, obs_sl)
     g = _clipped_propensity(propensity_model, obs_st, obs_sl)
     base = or_uplift(mu1.predict(stations, slots), mu0.predict(stations, slots))
     m1 = mu1.predict(obs_st, obs_sl)
@@ -506,13 +485,13 @@ def top_k_policy(universe, scores, k: int) -> np.ndarray:
     scores holds one score per item and k is at most the item count. Ties
     are broken by (station, slot), and -0.0 ties with 0.0.
     """
-    keys, stations, slots = universe_arrays(universe)
+    universe = universe_arrays(universe)
     scores = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite to rank items")
     # lexsort's last key is the primary one
-    order = np.lexsort((slots, stations, -scores))
-    give = np.zeros(len(keys), dtype=bool)
+    order = np.lexsort((universe.slots, universe.stations, -scores))
+    give = np.zeros(len(universe), dtype=bool)
     give[order[:k]] = True
     return give
 

@@ -265,10 +265,10 @@ class PolicyBundle(nn.Module):
     KIND = "drl_ppo"
     META = ("state_dim", "hidden")
 
-    def __init__(self, state_dim: int, hidden: Sequence[int] = (64, 64), seed: int = 0):
+    def __init__(self, state_dim: int, hidden: Sequence[int] = (64, 64), seed: int | None = 0):
         if not hidden:
             raise ValueError("policy needs at least one hidden layer")
-        rng = np.random.default_rng(seed)
+        rng = nn.init_rng(seed)
         self.state_dim = int(state_dim)
         self.hidden = tuple(int(h) for h in hidden)
         self.trunk = nn.DenseNet(
@@ -467,21 +467,26 @@ class _PolicyStack:
         return self._layers(self.actor, h), self._layers(self.critic, h)[:, :, 0]
 
 
-def _settle(cfg: hub.HubConfig, soc: np.ndarray, actions: np.ndarray):
+def _settler(cfg: hub.HubConfig):
     """hub.feasible_actions's idle fallback, then hub.soc_step, over arrays.
 
-    Returns (actions taken, next soc) for actions chosen at soc (kWh). The
-    expressions are the scalar ones, in the same order, so every soc has the
-    bits the scalar path gives it.
+    Returns settle(soc, actions): the actions taken and the next soc for
+    actions chosen at soc (kWh). The expressions are the scalar ones, in the
+    same order, so every soc has the bits the scalar path gives it; their
+    constants are computed here, once.
     """
     spec, dt = cfg.battery, cfg.slot_hours
-    charge = (actions == hub.CHARGE) & (
-        soc + spec.eta_charge * spec.r_charge_kw * dt <= spec.soc_max_kwh
-    )
-    discharge = (actions == hub.DISCHARGE) & (soc - spec.r_discharge_kw * dt >= spec.soc_min_kwh)
-    taken = np.where(charge, hub.CHARGE, np.where(discharge, hub.DISCHARGE, hub.IDLE))
+    up = spec.eta_charge * spec.r_charge_kw * dt
+    down = spec.r_discharge_kw * dt
     deltas = np.array([hub.battery_power(spec, action, dt)[1] for action in hub.ACTIONS])
-    return taken, soc + deltas[taken]
+
+    def settle(soc: np.ndarray, actions: np.ndarray):
+        charge = (actions == hub.CHARGE) & (soc + up <= spec.soc_max_kwh)
+        discharge = (actions == hub.DISCHARGE) & (soc - down >= spec.soc_min_kwh)
+        taken = np.where(charge, hub.CHARGE, np.where(discharge, hub.DISCHARGE, hub.IDLE))
+        return taken, soc + deltas[taken]
+
+    return settle
 
 
 def _check_population(envs, bundles, seeds) -> None:
@@ -565,6 +570,7 @@ def _lockstep(envs, bundles, draws: np.ndarray, pick):
     starts, soc = draws[..., 0].astype(np.int64), draws[..., 1]
     windows, profit = _episode_inputs(envs, starts)
     cfg = envs[0].hub_cfg
+    settle = _settler(cfg)
     states = _EpisodeStates(windows, cfg.battery.capacity_kwh)
     policy = _PolicyStack(bundles)
     episode = np.indices(starts.shape, sparse=True)
@@ -573,7 +579,7 @@ def _lockstep(envs, bundles, draws: np.ndarray, pick):
         rows = states.at(t, soc)
         probs, values = policy.forward(rows.reshape(len(envs), -1, rows.shape[-1]))
         actions = pick(t, probs.reshape(soc.shape + (-1,)), values.reshape(soc.shape))
-        taken, soc = _settle(cfg, soc, actions)
+        taken, soc = settle(soc, actions)
         rewards[..., t] = profit[(*episode, t, taken)]
     return states, rewards
 

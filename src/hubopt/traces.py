@@ -70,6 +70,86 @@ class PopulationItem:
     stratum: Stratum
 
 
+_STRATUM_CODE = {s: code for code, s in enumerate(_STRATUM_ORDER)}
+# the strata.csv name of each stratum code
+_STRATUM_NAMES = np.array([s.value for s in _STRATUM_ORDER])
+
+
+@dataclass(frozen=True, eq=False)
+class Universe:
+    """The (station, slot-of-day) items of a run, as int64 columns.
+
+    Item i is (stations[i], slots[i]), and strata[i] is its stratum code:
+    its stratum's index in _STRATUM_ORDER. The items are distinct, with
+    stations >= 0 and slots of day in [0, SLOTS_PER_DAY), as load_strata
+    checks and gen_charging_population draws them. Iterating or indexing
+    gives PopulationItems.
+    """
+
+    stations: np.ndarray
+    slots: np.ndarray
+    strata: np.ndarray
+
+    @classmethod
+    def from_items(cls, items: Sequence[PopulationItem]) -> Universe:
+        return cls(
+            np.array([it.station_id for it in items], dtype=np.int64),
+            np.array([it.slot_of_day for it in items], dtype=np.int64),
+            np.array([_STRATUM_CODE[it.stratum] for it in items], dtype=np.int64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.stations)
+
+    def __getitem__(self, i: int) -> PopulationItem:
+        return PopulationItem(
+            int(self.stations[i]), int(self.slots[i]), _STRATUM_ORDER[self.strata[i]]
+        )
+
+    def __iter__(self):
+        strata = map(_STRATUM_ORDER.__getitem__, self.strata.tolist())
+        return map(PopulationItem, self.stations.tolist(), self.slots.tolist(), strata)
+
+    def __eq__(self, other):
+        if not isinstance(other, Universe):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("stations", "slots", "strata")
+        )
+
+    @functools.cached_property
+    def grid(self) -> np.ndarray:
+        """(largest station + 1, SLOTS_PER_DAY): each item's row at its key, -1 elsewhere."""
+        grid = np.full((self.stations.max(initial=-1) + 1, SLOTS_PER_DAY), -1, dtype=np.int64)
+        grid[self.stations, self.slots] = np.arange(len(self))
+        return grid
+
+    def rows(self, stations: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """The row of the item at each (station, slot of day), or -1 where none is."""
+        grid = self.grid
+        inside = (stations >= 0) & (stations < len(grid)) & (slots >= 0) & (slots < SLOTS_PER_DAY)
+        rows = np.full(len(stations), -1, dtype=np.int64)
+        rows[inside] = grid[stations[inside], slots[inside]]
+        return rows
+
+
+def _first_repeat(stations: np.ndarray, slots: np.ndarray) -> tuple[int, int] | None:
+    """The first row, in file order, whose item an earlier row holds, and
+    the first row that holds it; None when the items are distinct.
+
+    A stable sort by item keeps equal items adjacent and in file order.
+    """
+    order = np.lexsort((slots, stations))
+    st, sl = stations[order], slots[order]
+    same = (st[1:] == st[:-1]) & (sl[1:] == sl[:-1])
+    if not same.any():
+        return None
+    row = int(order[1:][same].min())
+    first = int(np.flatnonzero((stations == stations[row]) & (slots == slots[row]))[0])
+    return row, first
+
+
 _INT64 = np.iinfo(np.int64)
 _DTYPE = {int: np.int64, float: np.float64}
 _LOG_COLUMNS = (
@@ -300,14 +380,15 @@ def gen_charging_population(
     evening_boost: float = 2.5,
     logged_policy: str = "random",
     logged_discount: float = 0.3,
-) -> tuple[list[PopulationItem], ChargingLog]:
+) -> tuple[Universe, ChargingLog]:
     """Plant per-item strata and roll out a logged discount policy over n_slots.
 
-    Item i is (station i // 24, slot of day i % 24); n_items keeps the first
-    n_items of that station-major grid when an exact universe size is
-    needed. strata_priors orders as (always, incentive, no_charge); inside
-    18:00-24:00 the incentive prior is multiplied by evening_boost and the
-    triple renormalized.
+    Returns the items' Universe and the log. Item i is (station i // 24,
+    slot of day i % 24); n_items keeps the first n_items of that
+    station-major grid when an exact universe size is needed. strata_priors
+    orders as (always, incentive, no_charge); inside 18:00-24:00 the
+    incentive prior is multiplied by evening_boost and the triple
+    renormalized.
 
     Each item's stratum is the one rng.choice(3, p=p) would draw, item by
     item, but the draws come as one rng.random(n_items) block: choice takes
@@ -336,10 +417,8 @@ def gen_charging_population(
     cdfs /= cdfs[:, -1:]
     evening = np.arange(n_items) % SLOTS_PER_DAY >= EVENING_START_HOUR
     drawn = (cdfs[evening.astype(np.intp)] <= rng.random(n_items)[:, None]).sum(axis=1)
-    items = [
-        PopulationItem(i // SLOTS_PER_DAY, i % SLOTS_PER_DAY, _STRATUM_ORDER[k])
-        for i, k in enumerate(drawn.tolist())
-    ]
+    station, slot_of_day = np.divmod(np.arange(n_items), SLOTS_PER_DAY)
+    universe = Universe(station, slot_of_day, drawn)
     # each item's index in _STRATUM_ORDER; -1 where truncated out of the universe
     strata = np.full(n_stations * SLOTS_PER_DAY, -1)
     strata[:n_items] = drawn
@@ -367,7 +446,7 @@ def gen_charging_population(
         discount_given=treated,
         discount_rate=np.where(treated, logged_discount, 0.0),
     )
-    return items, log
+    return universe, log
 
 
 # -- CSV I/O -------------------------------------------------------------------
@@ -466,8 +545,10 @@ def _column(rows: list[list[str]], j: int, name: str, convert):
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\n"
 
 
-def _bulk_columns(path: str, header: list[str], converts) -> list[np.ndarray] | None:
+def _bulk_columns(path: str, header: list[str], dtypes) -> list[np.ndarray] | None:
     """The columns of a plain, well-formed CSV in one np.loadtxt pass, or None.
+
+    Column j is read as dtypes[j]: an int64, a float64 or a text column.
 
     None when the first line is not exactly the header, a byte is outside
     _PLAIN_BYTES, there is no data row, or the C parser refuses a row or a
@@ -479,7 +560,7 @@ def _bulk_columns(path: str, header: list[str], converts) -> list[np.ndarray] | 
     head, _, body = data.partition(b"\n")
     if head != ",".join(header).encode() or data.translate(None, _PLAIN_BYTES):
         return None
-    dtype = np.dtype([(name, _DTYPE[convert]) for name, convert in zip(header, converts)])
+    dtype = np.dtype(list(zip(header, dtypes)))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt warns on a file with no data row
@@ -498,7 +579,7 @@ def _bulk_columns(path: str, header: list[str], converts) -> list[np.ndarray] | 
 
 def _read_series(path: str, header: list[str]) -> list[np.ndarray]:
     """Shared slot-indexed reader: per-column float arrays; row i holds slot i."""
-    cols = _bulk_columns(path, header, [int] + [float] * (len(header) - 1))
+    cols = _bulk_columns(path, header, [np.int64] + [np.float64] * (len(header) - 1))
     if cols is not None:
         slots, *series = cols
         if np.array_equal(slots, np.arange(len(slots))) and np.isfinite(series).all():
@@ -520,7 +601,7 @@ def _check_series(path: str, header: list[str]) -> list[np.ndarray]:
 
 
 def _read_charging(path: str) -> ChargingLog:
-    cols = _bulk_columns(path, CHARGING_HEADER, [convert for _, convert in _LOG_COLUMNS])
+    cols = _bulk_columns(path, CHARGING_HEADER, [_DTYPE[convert] for _, convert in _LOG_COLUMNS])
     if cols is not None:
         try:
             return ChargingLog(*cols)
@@ -537,7 +618,31 @@ def _check_charging(path: str) -> ChargingLog:
     return ChargingLog(*cols)
 
 
-def _read_strata(path: str) -> list[PopulationItem]:
+# the stratum column's bulk text type: one character wider than the longest
+# name, so that np.loadtxt cannot cut a longer text down to a name
+_STRATUM_TEXT = f"U{max(len(s.value) for s in Stratum) + 1}"
+
+
+def _read_strata(path: str) -> Universe:
+    cols = _bulk_columns(path, STRATA_HEADER, [np.int64, np.int64, _STRATUM_TEXT])
+    if cols is not None:
+        stations, slots, names = cols
+        strata = np.full(len(names), -1, dtype=np.int64)
+        for code, name in enumerate(_STRATUM_NAMES.tolist()):
+            strata[names == name] = code
+        if (
+            strata.min() >= 0
+            and stations.min() >= 0
+            and slots.min() >= 0
+            and slots.max() < SLOTS_PER_DAY
+            and _first_repeat(stations, slots) is None
+        ):
+            return Universe(stations, slots, strata)
+    return _check_strata(path)
+
+
+def _check_strata(path: str) -> Universe:
+    """_read_strata field by field: the universe, or the error of the first bad line."""
     lines, rows = _read_rows(path, STRATA_HEADER)
     names = [row[2] for row in rows]
     unknown = np.array([name not in _STRATUM_BY_VALUE for name in names], bool)
@@ -555,32 +660,28 @@ def _read_strata(path: str) -> list[PopulationItem]:
         ),
     ]
     _raise_first_fault(checks, lambda i: f"{path} line {lines[i]}")
-    keys = list(zip(stations.tolist(), sods.tolist()))
-    if len(set(keys)) < len(keys):
-        first = {}
-        for ln, key in zip(lines, keys):
-            if key in first:
-                raise TraceError(
-                    f"{path} line {ln}: duplicate item (station {key[0]}, slot_of_day "
-                    f"{key[1]}), first on line {first[key]}"
-                )
-            first[key] = ln
-    strata = map(_STRATUM_BY_VALUE.__getitem__, names)
-    return [PopulationItem(station, sod, stratum) for (station, sod), stratum in zip(keys, strata)]
+    repeat = _first_repeat(stations, sods)
+    if repeat is not None:
+        row, first = repeat
+        raise TraceError(
+            f"{path} line {lines[row]}: duplicate item (station {stations[row]}, slot_of_day "
+            f"{sods[row]}), first on line {lines[first]}"
+        )
+    codes = [_STRATUM_CODE[_STRATUM_BY_VALUE[name]] for name in names]
+    return Universe(stations, sods, np.array(codes, dtype=np.int64))
 
 
 def load_csv(path: str, schema: str):
     """Parse one trace CSV by schema name.
 
     Returns the price for "rtp", (wind, irradiance) for "weather", the load
-    for "traffic", a ChargingLog for "charging", or an item list for
-    "strata". Row i of a series holds slot i. A series or charging file is
-    parsed in one np.loadtxt pass and its columns checked as wholes. A file
-    that pass refuses or whose columns fail a check, and every strata file,
-    go to the checker. It converts each column at once, every row check is
-    a mask over the rows, and an error names the first bad line in file
-    order and, in it, the first failing check in the order a row-by-row
-    reader tries them.
+    for "traffic", a ChargingLog for "charging", or a Universe for "strata".
+    Row i of a series holds slot i. Every file is parsed in one np.loadtxt
+    pass and its columns checked as wholes. A file that pass refuses or
+    whose columns fail a check goes to the checker. It converts each column
+    at once, every row check is a mask over the rows, and an error names
+    the first bad line in file order and, in it, the first failing check in
+    the order a row-by-row reader tries them.
     """
     if schema == "rtp":
         (price,) = _read_series(path, RTP_HEADER)
@@ -648,13 +749,11 @@ def load_traces(dir_path: str) -> TraceSet:
     return TraceSet(rtp=rtp, wind_mps=wind, irradiance_wm2=irr, load_rate=load)
 
 
-def save_strata(path: str, items: Sequence[PopulationItem]) -> None:
-    _write_rows(
-        path,
-        STRATA_HEADER,
-        ((it.station_id, it.slot_of_day, it.stratum.value) for it in items),
-    )
+def save_strata(path: str, universe: Universe) -> None:
+    names = _STRATUM_NAMES[universe.strata].tolist()
+    rows = zip(universe.stations.tolist(), universe.slots.tolist(), names)
+    _write_rows(path, STRATA_HEADER, rows)
 
 
-def load_strata(path: str) -> list[PopulationItem]:
+def load_strata(path: str) -> Universe:
     return load_csv(path, "strata")

@@ -4,6 +4,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import typing
 
 import numpy as np
@@ -526,11 +528,23 @@ class TestStrataFaults:
             (lambda lines: _edit_first_item(lines, slot_of_day=30), "line 2: slot_of_day"),
             (lambda lines: _edit_first_item(lines, station=-1), "line 2: station_id is negative"),
             # the tiny config has 5 stations
-            (lambda lines: _edit_first_item(lines, station=5), "station 5 is outside"),
+            (lambda lines: _edit_first_item(lines, station=5), "line 2: station 5 is outside"),
+            # a blank line is a line of the file but no item
+            (
+                lambda lines: [lines[0], ""] + _edit_first_item(lines, station=7)[1:],
+                "line 3: station 7 is outside",
+            ),
             (lambda lines: lines + [lines[1]], "duplicate item"),
             (lambda lines: [lines[0]] + lines[2:], "has no item in"),
         ],
-        ids=["slot-of-day-30", "station-negative", "station-beyond", "duplicate", "deleted"],
+        ids=[
+            "slot-of-day-30",
+            "station-negative",
+            "station-beyond",
+            "station-beyond-after-blank",
+            "duplicate",
+            "deleted",
+        ],
     )
     def test_eval_price_exits_3_naming_the_file(self, priced, tmp_path, capsys, edit, message):
         config_path, run_dir = priced
@@ -542,6 +556,29 @@ class TestStrataFaults:
         err = capsys.readouterr().err
         assert rc == cli.EXIT_DATA, err
         assert err.startswith("data error: ") and f"{path}" in err and message in err
+
+
+class TestImportBudget:
+    def test_eval_price_imports_neither_numpy_random_nor_numpy_ma(self, priced, tmp_path):
+        """A fresh eval-price process draws nothing and masks nothing: both
+        modules would cost it their import time."""
+        config_path, run_dir = priced
+        copy = tmp_path / "run"
+        shutil.copytree(run_dir, copy)
+        code = (
+            "import sys\n"
+            "from hubopt import cli\n"
+            f"rc = cli.main(['eval-price', '--config', {config_path!r}, '--out', {str(copy)!r}, "
+            "'--force'])\n"
+            "print(rc, sorted({'numpy.random', 'numpy.ma'} & set(sys.modules)))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 []"
 
 
 class TestChargingStationFaults:

@@ -543,10 +543,9 @@ def reference_uplifts(obs, mu1, mu0, prop, items):
     return {"or": base, "ips": ips_out, "dr": dr_out}
 
 
-class TestGroupRows:
-    # the stages admit only what load_strata and _load_population accept:
-    # distinct items, stations >= 0, slots of day in [0, 24), and records
-    # whose (station, slot of day) is an item
+class TestUniverseRows:
+    # load_strata admits distinct items with stations >= 0 and slots of day
+    # in [0, 24); the looked-up keys may be any integers
     @settings(max_examples=200, deadline=None)
     @given(
         keys=st.lists(
@@ -556,11 +555,13 @@ class TestGroupRows:
     )
     def test_matches_the_dict_lookup(self, keys, data):
         picks = data.draw(st.lists(st.integers(0, max(len(keys) - 1, 0)), max_size=40))
+        others = st.tuples(st.integers(-3, 45), st.integers(-3, 27))
         obs_keys = [keys[i] for i in picks] if keys else []
+        obs_keys += data.draw(st.lists(others, max_size=10))
         observations = obs_batch([(s, t, 0, 0) for s, t in obs_keys])
         index = {key: i for i, key in enumerate(keys)}
-        rows = pricing._group_rows(observations, pricing.universe_arrays(items_at(keys)))
-        assert rows.tolist() == [index[key] for key in obs_keys]
+        rows = universe_arrays(items_at(keys)).rows(observations.stations, observations.slots)
+        assert rows.tolist() == [index.get(key, -1) for key in obs_keys]
 
 
 class TestTopK:

@@ -695,7 +695,7 @@ class TestLockstep:
         socs = [s for s in socs if spec.soc_min_kwh <= s <= spec.soc_max_kwh]
         grid = np.array([(s, a) for s in socs for a in hub.ACTIONS])
         soc, actions = grid[:, 0], grid[:, 1].astype(np.int64)
-        got, after = scheduler._settle(cfg, soc, actions)
+        got, after = scheduler._settler(cfg)(soc, actions)
         for s, a, action, next_soc in zip(soc.tolist(), actions.tolist(), got, after.tolist()):
             state = hub.BatteryState(s)
             taken = a if a in hub.feasible_actions(state, spec, dt) else IDLE

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import math
 import re
 import warnings
@@ -536,7 +537,7 @@ class TestPopulationMatchesRecordLoop:
         want_items, want_rows = population_reference(
             seed, n_stations, n_slots, priors, n_items, logged_policy, evening_boost=evening_boost
         )
-        assert items == want_items
+        assert list(items) == want_items
         assert log_rows(log) == want_rows
 
     @pytest.mark.parametrize(
@@ -556,7 +557,7 @@ class TestPopulationMatchesRecordLoop:
                 want_items, _ = population_reference(
                     0, 1, 24, priors, 24, "random", evening_boost=evening_boost
                 )
-                assert items == want_items, (at, u)
+                assert list(items) == want_items, (at, u)
 
     def test_edge_cases_tell_the_two_cdf_rules_apart(self):
         # the day cdf of (0.2, 0.7, 0.1) moves by an ulp if p is divided by
@@ -843,7 +844,7 @@ def assert_same(got, want):
     if isinstance(want, str) or isinstance(got, str):
         assert got == want
     elif want and isinstance(want[0], PopulationItem):
-        assert got == want
+        assert list(got) == want
     else:
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -1042,3 +1043,91 @@ class TestBulkParseIsTaken:
         monkeypatch.undo()
         with pytest.raises(TraceError, match=f"{bad} line 3: price is not a number: 'x'"):
             load_csv(str(bad), "rtp")
+
+
+# -- strata.csv: the one-pass read against the field checker --------------------
+
+STRATUM_NAMES = sorted(traces._STRATUM_BY_VALUE)
+# stations past 2**63 / 24, where station * 24 leaves int64, as well as small ones
+STRATA_STATIONS = st.one_of(st.integers(0, 400), st.integers(2**62, 2**63 - 1))
+# (field, texts) per fault kind: one text puts one row at fault
+STRATA_FAULTS = {
+    "unknown-stratum": (2, ["sometimes", "Always", "no charge", ""]),
+    # the first two are a name and a letter: a text type as wide as the
+    # longest name would cut them down to it
+    "over-long-stratum": (2, ["incentivex", "no_chargee", "alwaysalways", "incentive" + "x" * 20]),
+    "negative-station": (0, ["-1", "-9223372036854775808"]),
+    "slot-of-day-outside": (1, ["-1", "24", "99"]),
+    "non-integer": (None, ["x", "1.5", "", "0x10", "9223372036854775808"]),
+    "duplicate": (None, []),
+}
+
+
+@st.composite
+def plain_strata(draw):
+    """[station, slot of day, name] field texts of a valid, plain strata.csv."""
+    keys = draw(
+        st.lists(
+            st.tuples(STRATA_STATIONS, st.integers(0, 23)), min_size=1, max_size=30, unique=True
+        )
+    )
+    return [[str(s), str(t), draw(st.sampled_from(STRATUM_NAMES))] for s, t in keys]
+
+
+def refuse_checker(path):
+    raise AssertionError(f"the checker read {path}")
+
+
+class TestStrataOnePass:
+    @settings(max_examples=150, deadline=None, suppress_health_check=FIXTURE_OK)
+    @given(rows=plain_strata())
+    def test_plain_files_read_as_the_checker_reads_them(self, tmp_path, rows):
+        path = str(tmp_path / "strata.csv")
+        write_lines(tmp_path / "strata.csv", traces.STRATA_HEADER, rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(traces, "_check_strata", refuse_checker)
+            got = load_strata(path)
+        want = traces._check_strata(path)
+        for name in ("stations", "slots", "strata"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype == np.int64
+            assert g.tobytes() == w.tobytes(), name
+        assert list(got) == ref_load_csv(path, "strata")
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=FIXTURE_OK)
+    @given(rows=plain_strata(), data=st.data(), fault=st.sampled_from(sorted(STRATA_FAULTS)))
+    def test_a_fault_goes_to_the_checker_and_raises_its_error(self, tmp_path, rows, data, fault):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        if fault == "duplicate":
+            at = data.draw(st.integers(i + 1, len(rows)))
+            rows.insert(at, rows[i][:2] + [data.draw(st.sampled_from(STRATUM_NAMES))])
+        else:
+            field, texts = STRATA_FAULTS[fault]
+            j = field if field is not None else data.draw(st.integers(0, 1))
+            rows[i][j] = data.draw(st.sampled_from(texts))
+        path = str(tmp_path / "strata.csv")
+        write_lines(tmp_path / "strata.csv", traces.STRATA_HEADER, rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(traces, "_check_strata", refuse_checker)
+            with pytest.raises(AssertionError, match="the checker read"):
+                load_strata(path)
+        errors = []
+        for parse in (load_strata, traces._check_strata, lambda p: ref_load_csv(p, "strata")):
+            with pytest.raises(TraceError) as caught:
+                parse(path)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1] == errors[2]
+        assert errors[0].startswith(f"{path} line ")
+
+    @settings(max_examples=50, deadline=None, suppress_health_check=FIXTURE_OK)
+    @given(rows=plain_strata())
+    def test_save_strata_writes_the_row_writers_bytes(self, tmp_path, rows):
+        items = [PopulationItem(int(s), int(t), traces._STRATUM_BY_VALUE[n]) for s, t, n in rows]
+        path = tmp_path / "strata.csv"
+        save_strata(str(path), traces.Universe.from_items(items))
+        # save_strata as it wrote one item object at a time
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(traces.STRATA_HEADER)
+        writer.writerows((it.station_id, it.slot_of_day, it.stratum.value) for it in items)
+        assert path.read_bytes() == text.getvalue().encode("utf-8")
