@@ -1,4 +1,5 @@
-"""Golden digests: the sha256 of every CSV and checkpoint of one small pipeline run.
+"""Golden digests: the sha256 of every CSV and checkpoint of one small pipeline run,
+and of its manifest.json and config.yaml snapshot.
 
 The run uses the config of `test_pipeline_reruns_byte_identical`. A refactor
 must leave `golden/digests.json` unchanged; a change that means to move the
@@ -17,6 +18,7 @@ import yaml
 from hubopt import cli
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "digests.json")
+PINNED = ("manifest.json", "config.yaml")
 SUBCOMMANDS = ("gen-data", "train-price", "eval-price", "train-drl", "eval-drl", "report")
 
 
@@ -38,7 +40,8 @@ def pipeline_config(run_dir) -> dict:
 
 
 def pipeline_digests(work_dir) -> dict[str, str]:
-    """Run every stage under work_dir; sha256 per CSV and checkpoint, by relative path."""
+    """Run every stage under work_dir; sha256 per CSV, checkpoint, manifest and
+    config snapshot, by relative path."""
     run_dir = os.path.join(work_dir, "run")
     config_path = os.path.join(work_dir, "run.yaml")
     with open(config_path, "w", encoding="utf-8") as fh:
@@ -51,7 +54,7 @@ def pipeline_digests(work_dir) -> dict[str, str]:
         for name in files:
             path = os.path.join(root, name)
             rel = os.path.relpath(path, run_dir).replace(os.sep, "/")
-            if name.endswith(".csv") or rel.startswith("checkpoints/"):
+            if name.endswith(".csv") or rel.startswith("checkpoints/") or rel in PINNED:
                 with open(path, "rb") as fh:
                     digests[rel] = hashlib.sha256(fh.read()).hexdigest()
     return dict(sorted(digests.items()))
