@@ -4,7 +4,8 @@ One directory per run holds the config snapshot, generated data, model
 checkpoints, result CSVs, and a manifest. Subcommands move a run through its
 stages: gen-data, train-price, eval-price, train-drl, eval-drl, report. One
 global seed fixes every output byte-for-byte; reruns refuse to overwrite
-existing outputs unless --force is given.
+existing outputs unless --force is given. STAGES declares the files each
+stage reads and writes, and run_stage checks them around the stage.
 """
 
 from __future__ import annotations
@@ -261,21 +262,27 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _read_manifest(run_dir: str) -> dict:
+    """manifest.json, or an empty manifest before any stage has written one."""
+    path = os.path.join(run_dir, "manifest.json")
+    if not os.path.exists(path):
+        return {"stages": {}}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
+        raise DataError(f"{path} has no stages mapping")
+    return manifest
+
+
 def _update_manifest(run_dir: str, stage: str, paths: list[str]) -> None:
-    manifest_path = os.path.join(run_dir, "manifest.json")
-    manifest = {"stages": {}}
-    if os.path.exists(manifest_path):
-        try:
-            with open(manifest_path, "r", encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DataError(f"cannot read {manifest_path}: {exc}") from exc
-        if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
-            raise DataError(f"{manifest_path} has no stages mapping")
+    manifest = _read_manifest(run_dir)
     manifest["stages"][stage] = {
         os.path.relpath(p, run_dir): _sha256(p) for p in sorted(paths)
     }
-    with nn._replacing(manifest_path) as fh:
+    with nn._replacing(os.path.join(run_dir, "manifest.json")) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -315,16 +322,20 @@ def _refuse_overwrite(paths: list[str], force: bool) -> None:
         )
 
 
+def _require(path: str) -> None:
+    if not os.path.exists(path):
+        raise DataError(f"missing {path}; run the earlier stages first")
+
+
+def _paths(run_dir: str, folder: str, *names: str) -> list[str]:
+    return [os.path.join(run_dir, folder, name) for name in names]
+
+
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_gen_data(cfg: RunConfig, run_dir: str, force: bool) -> None:
+def cmd_gen_data(cfg: RunConfig, run_dir: str) -> None:
     data_dir = os.path.join(run_dir, "data")
-    targets = [os.path.join(data_dir, name) for name in DATA_FILES]
-    _refuse_overwrite(targets, force)
-    os.makedirs(data_dir, exist_ok=True)
-    _write_snapshot(cfg, run_dir, force)
-
     n_slots = cfg.traces.n_slots
     rtp = gen_rtp(spawn_seed(cfg.seed, "traces", "rtp"), n_slots, base=cfg.traces.rtp_base)
     wind, irr = gen_weather(spawn_seed(cfg.seed, "traces", "weather"), n_slots)
@@ -339,18 +350,9 @@ def cmd_gen_data(cfg: RunConfig, run_dir: str, force: bool) -> None:
         logged_policy=cfg.traces.logged_policy,
         logged_discount=cfg.traces.logged_discount,
     )
-    paths = save_traces(TraceSet(rtp, wind, irr, load), log, data_dir)
-    strata_path = os.path.join(data_dir, "strata.csv")
-    save_strata(strata_path, items)
-    paths.append(strata_path)
-    _update_manifest(run_dir, "gen-data", paths)
-    print(f"wrote {len(paths)} data files under {data_dir}")
-
-
-def _require(path: str) -> str:
-    if not os.path.exists(path):
-        raise DataError(f"missing {path}; run the earlier stages first")
-    return path
+    save_traces(TraceSet(rtp, wind, irr, load), log, data_dir)
+    save_strata(os.path.join(data_dir, "strata.csv"), items)
+    print(f"wrote {len(DATA_FILES)} data files under {data_dir}")
 
 
 def _checkpoint_paths(run_dir: str) -> dict[str, str]:
@@ -363,13 +365,9 @@ def _checkpoint_paths(run_dir: str) -> dict[str, str]:
     }
 
 
-def cmd_train_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
+def cmd_train_price(cfg: RunConfig, run_dir: str) -> None:
     charging = os.path.join(run_dir, "data", "charging.csv")
-    _write_snapshot(cfg, run_dir, force, [charging])
     paths = _checkpoint_paths(run_dir)
-    _refuse_overwrite(list(paths.values()), force)
-    os.makedirs(os.path.join(run_dir, "checkpoints"), exist_ok=True)
-
     log = load_csv(charging, "charging")
     observations = pricing.observations_from_records(log)
     n_stations = cfg.traces.n_stations
@@ -399,7 +397,6 @@ def cmd_train_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
     mu0.save(paths["mu0"])
     prop = pricing.fit_propensity_model(observations, pcfg)
     prop.save(paths["prop"])
-    _update_manifest(run_dir, "train-price", list(paths.values()))
     print(f"wrote 4 pricing checkpoints under {os.path.join(run_dir, 'checkpoints')}")
 
 
@@ -503,19 +500,13 @@ def _method_decisions(model, mu1, mu0, prop, items, observations, c: float):
     }
 
 
-def _discounts_path(run_dir: str) -> str:
-    return os.path.join(run_dir, "results", "discounts.csv")
+def _eval_price_outputs(cfg: RunConfig, run_dir: str) -> list[str]:
+    names = ("pricing_eval.csv", "strata_by_period.csv", "discounts.csv")
+    return _paths(run_dir, "results", *names)
 
 
-def cmd_eval_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
-    data = [os.path.join(run_dir, "data", name) for name in ("strata.csv", "charging.csv")]
-    _write_snapshot(cfg, run_dir, force, [*_checkpoint_paths(run_dir).values(), *data])
-    results_dir = os.path.join(run_dir, "results")
-    eval_path = os.path.join(results_dir, "pricing_eval.csv")
-    period_path = os.path.join(results_dir, "strata_by_period.csv")
-    discounts_path = _discounts_path(run_dir)
-    _refuse_overwrite([eval_path, period_path, discounts_path], force)
-
+def cmd_eval_price(cfg: RunConfig, run_dir: str) -> None:
+    eval_path, period_path, discounts_path = _eval_price_outputs(cfg, run_dir)
     model, mu1, mu0, prop = _load_pricing_models(run_dir, cfg)
     universe, observations = _load_population(run_dir, n_stations=cfg.traces.n_stations)
     _, winners, chosen = _method_choices(model, mu1, mu0, prop, universe, observations)
@@ -525,21 +516,12 @@ def cmd_eval_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
     except ValueError as exc:
         raise DataError(f"{os.path.join(run_dir, 'data', 'strata.csv')}: {exc}") from exc
 
-    os.makedirs(results_dir, exist_ok=True)
     rows = []
     for c in DISCOUNT_GRID:
         for method in METHODS:
             result = pricing.evaluate_policy(truth, chosen[method], c)
-            rows.append(
-                (
-                    method,
-                    _fmt(c),
-                    result.none_count,
-                    result.incentive_count,
-                    result.always_count,
-                    _fmt(result.reward),
-                )
-            )
+            counts = (result.none_count, result.incentive_count, result.always_count)
+            rows.append((method, _fmt(c), *counts, _fmt(result.reward)))
     _write_rows(eval_path, PRICING_EVAL_HEADER, rows)
 
     period_rows = [
@@ -557,7 +539,6 @@ def cmd_eval_price(cfg: RunConfig, run_dir: str, force: bool) -> None:
         for station, sod in _discounted(universe, chosen[method])
     ]
     _write_rows(discounts_path, DISCOUNTS_HEADER, discount_rows)
-    _update_manifest(run_dir, "eval-price", [eval_path, period_path, discounts_path])
     print(f"wrote {len(rows)} evaluation rows to {eval_path}")
 
 
@@ -592,14 +573,18 @@ def _drl_runs(cfg: RunConfig) -> list[tuple[int, str]]:
     return [(hub_id, method) for hub_id in range(cfg.n_hubs) for method in METHODS]
 
 
-def _drl_checkpoint(run_dir: str, hub_id: int, method: str) -> str:
-    return os.path.join(run_dir, "checkpoints", f"drl_hub{hub_id}_{method}.json")
+def _drl_files(run_dir: str, hub_id, method: str) -> tuple[str, str]:
+    """The checkpoint and the training curve of run (hub_id, method)."""
+    return (
+        os.path.join(run_dir, "checkpoints", f"drl_hub{hub_id}_{method}.json"),
+        os.path.join(run_dir, "results", f"curve_hub{hub_id}_{method}.csv"),
+    )
 
 
-def _drl_inputs(run_dir: str) -> list[str]:
+def _drl_inputs(cfg: RunConfig, run_dir: str) -> list[str]:
     """The files _drl_envs reads."""
-    data = ("rtp.csv", "weather.csv", "traffic.csv", "strata.csv")
-    return [os.path.join(run_dir, "data", name) for name in data] + [_discounts_path(run_dir)]
+    data = _paths(run_dir, "data", "rtp.csv", "weather.csv", "traffic.csv", "strata.csv")
+    return data + _paths(run_dir, "results", "discounts.csv")
 
 
 def _load_decisions(cfg: RunConfig, run_dir: str, universe: Universe):
@@ -609,7 +594,7 @@ def _load_decisions(cfg: RunConfig, run_dir: str, universe: Universe):
     Every row must name a method and an item of the universe, no (method,
     item) twice, at the run config's rate.
     """
-    path = _discounts_path(run_dir)
+    (path,) = _paths(run_dir, "results", "discounts.csv")
     lines, rows = _read_rows(path, DISCOUNTS_HEADER)
     methods = [row[0] for row in rows]
     stations, station_parsed = _column(rows, 1, "station_id", int)
@@ -676,19 +661,8 @@ def _drl_envs(cfg: RunConfig, run_dir: str):
     return runs, envs
 
 
-def cmd_train_drl(cfg: RunConfig, run_dir: str, force: bool) -> None:
-    _write_snapshot(cfg, run_dir, force, _drl_inputs(run_dir))
-    results_dir = os.path.join(run_dir, "results")
-    targets = []
-    for hub_id, method in _drl_runs(cfg):
-        targets.append(_drl_checkpoint(run_dir, hub_id, method))
-        targets.append(os.path.join(results_dir, f"curve_hub{hub_id}_{method}.csv"))
-    _refuse_overwrite(targets, force)
-
+def cmd_train_drl(cfg: RunConfig, run_dir: str) -> None:
     runs, envs = _drl_envs(cfg, run_dir)
-    os.makedirs(os.path.join(run_dir, "checkpoints"), exist_ok=True)
-    os.makedirs(results_dir, exist_ok=True)
-
     bundles = [
         scheduler.PolicyBundle(
             env.state_dim,
@@ -704,99 +678,149 @@ def cmd_train_drl(cfg: RunConfig, run_dir: str, force: bool) -> None:
         hub_id, method = runs[exc.run]
         raise scheduler.TrainingAbort(f"hub {hub_id} {method}: {exc}", run=exc.run) from exc
 
-    written = []
     for (hub_id, method), bundle, curve in zip(runs, bundles, curves):
-        ck_path = _drl_checkpoint(run_dir, hub_id, method)
+        ck_path, curve_path = _drl_files(run_dir, hub_id, method)
         bundle.save(ck_path)
-        curve_path = os.path.join(results_dir, f"curve_hub{hub_id}_{method}.csv")
-        _write_rows(
-            curve_path,
-            CURVE_HEADER,
-            ((e, _fmt(total), _fmt(daily)) for e, total, daily in curve),
-        )
-        written += [ck_path, curve_path]
+        rows = ((e, _fmt(total), _fmt(daily)) for e, total, daily in curve)
+        _write_rows(curve_path, CURVE_HEADER, rows)
         print(f"hub {hub_id} {method}: trained {len(curve)} episodes")
-    _update_manifest(run_dir, "train-drl", written)
 
 
-def cmd_eval_drl(cfg: RunConfig, run_dir: str, force: bool) -> None:
-    checkpoints = [_drl_checkpoint(run_dir, *run) for run in _drl_runs(cfg)]
-    _write_snapshot(cfg, run_dir, force, _drl_inputs(run_dir) + checkpoints)
-    eval_path = os.path.join(run_dir, "results", "drl_eval.csv")
-    _refuse_overwrite([eval_path], force)
+def _drl_checkpoints(cfg: RunConfig, run_dir: str) -> list[str]:
+    return [_drl_files(run_dir, *run)[0] for run in _drl_runs(cfg)]
 
+
+def cmd_eval_drl(cfg: RunConfig, run_dir: str) -> None:
+    (eval_path,) = _paths(run_dir, "results", "drl_eval.csv")
     runs, envs = _drl_envs(cfg, run_dir)
     shape = {"state_dim": envs[0].state_dim, "hidden": cfg.ppo.hidden}
     bundles = [
         _load_checkpoint(scheduler.PolicyBundle, path, "train-drl", **shape)
-        for path in checkpoints
+        for path in _drl_checkpoints(cfg, run_dir)
     ]
     # one eval seed per hub: every method replays the same episodes
     seeds = [spawn_seed(cfg.seed, "drl-eval", hub_id) for hub_id, _ in runs]
     means = scheduler.evaluate(envs, bundles, cfg.ppo.episodes_test, seeds)
 
-    os.makedirs(os.path.join(run_dir, "results"), exist_ok=True)
     rows = [(hub_id, method, _fmt(avg)) for (hub_id, method), avg in zip(runs, means)]
     _write_rows(eval_path, DRL_EVAL_HEADER, rows)
-    _update_manifest(run_dir, "eval-drl", [eval_path])
     print(f"wrote {len(rows)} evaluation rows to {eval_path}")
 
 
-def cmd_report(run_dir: str, force: bool) -> None:
-    results_dir = os.path.join(run_dir, "results")
-    report_dir = os.path.join(run_dir, "report")
-    pricing_out = os.path.join(report_dir, "pricing_report.csv")
-    drl_out = os.path.join(report_dir, "drl_report.csv")
+def _report_runs(run_dir: str):
+    """drl_eval.csv's rows, or None when there is no such file, and the curve
+    CSV of each (hub, method) run they list, as (path, run) in file-name order."""
+    (drl_path,) = _paths(run_dir, "results", "drl_eval.csv")
+    if not os.path.exists(drl_path):
+        return None, []
+    lines, table = _read_rows(drl_path, DRL_EVAL_HEADER)
+    for line, (hub_id, method, _) in zip(lines, table):
+        if not (hub_id.isascii() and hub_id.isdigit() and method in METHODS):
+            raise DataError(f"{drl_path} line {line}: no run hub {hub_id!r}, method {method!r}")
+    return table, sorted({_drl_files(run_dir, *row[:2])[1]: row[:2] for row in table}.items())
 
-    pricing_path = os.path.join(results_dir, "pricing_eval.csv")
-    drl_path = os.path.join(results_dir, "drl_eval.csv")
-    have_pricing = os.path.exists(pricing_path)
-    have_drl = os.path.exists(drl_path)
-    if not have_pricing and not have_drl:
+
+def _report_inputs(cfg: RunConfig, run_dir: str) -> list[str]:
+    """The result tables present, and the curves drl_eval.csv lists."""
+    tables = _paths(run_dir, "results", "pricing_eval.csv", "drl_eval.csv")
+    tables = [p for p in tables if os.path.exists(p)]
+    if not tables:
+        results_dir = os.path.join(run_dir, "results")
         raise DataError(f"no result CSVs under {results_dir}; nothing to report")
+    return tables + [path for path, _ in _report_runs(run_dir)[1]]
 
-    _refuse_overwrite([pricing_out, drl_out], force)
-    os.makedirs(report_dir, exist_ok=True)
+
+def _report_outputs(cfg: RunConfig, run_dir: str) -> list[str]:
+    return _paths(run_dir, "report", "pricing_report.csv", "drl_report.csv")
+
+
+def cmd_report(cfg: RunConfig, run_dir: str) -> list[str]:
+    """Write a long-format table per result table present; returns their paths."""
+    pricing_out, drl_out = _report_outputs(cfg, run_dir)
+    pricing_path = os.path.join(run_dir, "results", "pricing_eval.csv")
     written = []
 
-    if have_pricing:
+    if os.path.exists(pricing_path):
         rows = []
         _, table = _read_rows(pricing_path, PRICING_EVAL_HEADER)
-        for method, discount, none_n, inc_n, alw_n, reward in table:
-            for metric, value in (
-                ("none_count", none_n),
-                ("incentive_count", inc_n),
-                ("always_count", alw_n),
-                ("reward", reward),
-            ):
+        for method, discount, *values in table:
+            for metric, value in zip(PRICING_EVAL_HEADER[2:], values):
                 rows.append((method, discount, metric, value))
         _write_rows(pricing_out, ["method", "discount", "metric", "value"], rows)
         written.append(pricing_out)
 
-    if have_drl:
-        rows = []
-        _, table = _read_rows(drl_path, DRL_EVAL_HEADER)
-        for hub_id, method, avg in table:
-            rows.append((hub_id, method, "avg_daily_reward", "", avg))
-        for name in sorted(os.listdir(results_dir)):
-            if not (name.startswith("curve_hub") and name.endswith(".csv")):
-                continue
-            stem = name[len("curve_") : -len(".csv")]
-            hub_id, _, method = stem.partition("_")
-            hub_id = hub_id[len("hub") :]
-            _, curve = _read_rows(os.path.join(results_dir, name), CURVE_HEADER)
+    table, curves = _report_runs(run_dir)
+    if table is not None:
+        rows = [(hub_id, method, "avg_daily_reward", "", avg) for hub_id, method, avg in table]
+        for path, (hub_id, method) in curves:
+            _, curve = _read_rows(path, CURVE_HEADER)
             for episode, total, daily in curve:
                 rows.append((hub_id, method, "total_reward", episode, total))
                 rows.append((hub_id, method, "mean_daily_reward", episode, daily))
-        _write_rows(
-            drl_out, ["hub_id", "method", "metric", "episode", "value"], rows
-        )
+        _write_rows(drl_out, ["hub_id", "method", "metric", "episode", "value"], rows)
         written.append(drl_out)
     else:
         print("warning: no DRL results found; reporting pricing only", file=sys.stderr)
 
-    _update_manifest(run_dir, "report", written)
-    print(f"wrote {len(written)} report tables under {report_dir}")
+    print(f"wrote {len(written)} report tables under {os.path.join(run_dir, 'report')}")
+    return written
+
+
+# -- the stage table ------------------------------------------------------------
+
+# name -> (inputs(cfg, run_dir), outputs(cfg, run_dir), run(cfg, run_dir)), in
+# pipeline order: the files the stage reads, the files it writes, and its work
+STAGES = {
+    "gen-data": (
+        lambda cfg, run_dir: [],
+        lambda cfg, run_dir: _paths(run_dir, "data", *DATA_FILES),
+        cmd_gen_data,
+    ),
+    "train-price": (
+        lambda cfg, run_dir: _paths(run_dir, "data", "charging.csv"),
+        lambda cfg, run_dir: list(_checkpoint_paths(run_dir).values()),
+        cmd_train_price,
+    ),
+    "eval-price": (
+        lambda cfg, run_dir: [
+            *_checkpoint_paths(run_dir).values(),
+            *_paths(run_dir, "data", "strata.csv", "charging.csv"),
+        ],
+        _eval_price_outputs,
+        cmd_eval_price,
+    ),
+    "train-drl": (
+        _drl_inputs,
+        lambda cfg, run_dir: [p for run in _drl_runs(cfg) for p in _drl_files(run_dir, *run)],
+        cmd_train_drl,
+    ),
+    "eval-drl": (
+        lambda cfg, run_dir: _drl_inputs(cfg, run_dir) + _drl_checkpoints(cfg, run_dir),
+        lambda cfg, run_dir: _paths(run_dir, "results", "drl_eval.csv"),
+        cmd_eval_drl,
+    ),
+    "report": (_report_inputs, _report_outputs, cmd_report),
+}
+
+
+def run_stage(name: str, cfg: RunConfig, run_dir: str, force: bool) -> None:
+    """Check the snapshot, the inputs, the outputs and the manifest, run the
+    stage, then record its outputs; report pins no snapshot and records only
+    the tables it returns. The stage is looked up in this module by name, so
+    that a wrapper installed there, such as a tracer's, is the one that runs.
+    """
+    inputs, outputs, run = STAGES[name]
+    paths = inputs(cfg, run_dir)
+    if name == "report":
+        for path in paths:
+            _require(path)
+    else:
+        _write_snapshot(cfg, run_dir, force, paths)
+    targets = outputs(cfg, run_dir)
+    _refuse_overwrite(targets, force)
+    _read_manifest(run_dir)
+    written = globals()[run.__name__](cfg, run_dir)
+    _update_manifest(run_dir, name, targets if written is None else written)
 
 
 # -- entry point ----------------------------------------------------------------
@@ -808,21 +832,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Energy-hub simulation and learning experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (
-        ("gen-data", True),
-        ("train-price", True),
-        ("eval-price", True),
-        ("train-drl", True),
-        ("eval-drl", True),
-        ("report", False),
-    ):
+    for name in STAGES:
         p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_config, help="run config YAML")
+        p.add_argument("--config", required=name != "report", help="run config YAML")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="run directory (overrides config)")
-        p.add_argument(
-            "--force", action="store_true", help="overwrite existing outputs"
-        )
+        p.add_argument("--force", action="store_true", help="overwrite existing outputs")
     return parser
 
 
@@ -830,37 +845,18 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         try:
-            if args.command == "report":
-                if args.config:
-                    cfg = load_run_config(args.config, args.seed)
-                    run_dir = resolve_out_dir(cfg, args.out)
-                elif args.out:
-                    run_dir = resolve_out_dir(RunConfig(out_dir=args.out), None)
-                else:
-                    raise hub.ConfigError(
-                        "report needs --config or --out to find the run"
-                    )
-                cmd_report(run_dir, args.force)
-                return EXIT_OK
-            cfg = load_run_config(args.config, args.seed)
-            run_dir = resolve_out_dir(cfg, args.out)
-            os.makedirs(run_dir, exist_ok=True)
-            handler = {
-                "gen-data": cmd_gen_data,
-                "train-price": cmd_train_price,
-                "eval-price": cmd_eval_price,
-                "train-drl": cmd_train_drl,
-                "eval-drl": cmd_eval_drl,
-            }[args.command]
-            handler(cfg, run_dir, args.force)
+            if args.config or args.command != "report":
+                cfg = load_run_config(args.config, args.seed)
+            elif args.out:
+                cfg = RunConfig(out_dir=args.out)
+            else:
+                raise hub.ConfigError("report needs --config or --out to find the run")
+            run_stage(args.command, cfg, resolve_out_dir(cfg, args.out), args.force)
             return EXIT_OK
         except scheduler.TrainingAbort as exc:
             print(f"training aborted: {exc}", file=sys.stderr)
             return EXIT_TRAINING
-        except (DataError, TraceError, nn.CheckpointError) as exc:
-            print(f"data error: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        except OSError as exc:
+        except (DataError, TraceError, nn.CheckpointError, OSError) as exc:
             print(f"data error: {exc}", file=sys.stderr)
             return EXIT_DATA
     except ValueError as exc:

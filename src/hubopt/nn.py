@@ -382,7 +382,9 @@ def _replacing(path: str):
 
     A failed or killed write leaves any earlier file at path whole, and a
     failed one leaves no temp file behind. Newlines are written as given.
+    The parent directory is created if it does not exist.
     """
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:

@@ -1,3 +1,4 @@
+import builtins
 import collections
 import csv
 import json
@@ -806,11 +807,14 @@ class TestUnreadableInputs:
     def test_unreadable_manifest_exits_3_naming_it(self, priced, tmp_path, capsys, text):
         config_path, run_dir = priced
         copy = _copy_run(run_dir, tmp_path)
+        shutil.rmtree(copy / "results")
         (copy / "manifest.json").write_text(text)
         rc = cli.main(["eval-price", "--config", config_path, "--out", str(copy), "--force"])
         err = capsys.readouterr().err
         assert rc == cli.EXIT_DATA, err
         assert err.startswith("data error: ") and str(copy / "manifest.json") in err
+        # the manifest is read before the stage runs, so no result is written
+        assert not (copy / "results").exists()
 
     def test_series_not_starting_at_slot_0_fails_train_drl(self, priced, tmp_path, capsys):
         # the DRL stages read row i of a series as hour i % 24
@@ -857,16 +861,24 @@ class TestUnreadableInputs:
         assert f"data error: {strata}: no items fall in period 00-06" in err
 
 
+def first_inputs():
+    """(stage, first declared input) of every stage that declares its inputs
+    up front; report declares the results it finds, so a fresh run has none."""
+    cfg = run_config_from_dict(tiny_config("run"))
+    cases = [(name, entry[0](cfg, "")) for name, entry in cli.STAGES.items() if name != "report"]
+    return [(name, paths[0]) for name, paths in cases if paths]
+
+
 class TestMissingInputsPinNothing:
-    @pytest.mark.parametrize(
-        "stage,first",
-        [
-            ("train-price", "data/charging.csv"),
-            ("eval-price", "checkpoints/pricing_cfmtl.json"),
-            ("train-drl", "data/rtp.csv"),
-            ("eval-drl", "data/rtp.csv"),
-        ],
-    )
+    def test_cases_cover_the_pipeline_stages(self):
+        assert [stage for stage, _ in first_inputs()] == [
+            "train-price",
+            "eval-price",
+            "train-drl",
+            "eval-drl",
+        ]
+
+    @pytest.mark.parametrize("stage,first", first_inputs())
     def test_stage_on_a_fresh_run_writes_no_snapshot(self, tmp_path, capsys, stage, first):
         run_dir = tmp_path / "fresh"
         config_path = write_config(tmp_path / "c.yaml", tiny_config(run_dir))
@@ -876,6 +888,87 @@ class TestMissingInputsPinNothing:
         # nothing was pinned, so a corrected config starts the run
         fixed = write_config(tmp_path / "fixed.yaml", tiny_config(run_dir, seed=8))
         assert cli.main(["gen-data", "--config", fixed]) == cli.EXIT_OK
+
+
+def _relative(paths, run_dir):
+    return sorted(os.path.relpath(p, run_dir).replace(os.sep, "/") for p in paths)
+
+
+class TestStageTable:
+    """Each STAGES entry declares exactly the files its stage reads and writes."""
+
+    def test_subcommands_are_the_stages_in_pipeline_order(self):
+        assert list(cli.STAGES) == [
+            "gen-data",
+            "train-price",
+            "eval-price",
+            "train-drl",
+            "eval-drl",
+            "report",
+        ]
+
+    @pytest.mark.parametrize("stage", list(cli.STAGES))
+    def test_opens_and_records_exactly_the_declared_files(
+        self, pipeline, tmp_path, monkeypatch, stage
+    ):
+        config_path, run_dir = pipeline
+        copy = _copy_run(run_dir, tmp_path)
+        cfg = cli.load_run_config(config_path)
+        inputs, outputs, _ = cli.STAGES[stage]
+        declared = tuple(_relative(files(cfg, str(copy)), copy) for files in (inputs, outputs))
+        reads, writes, recording = set(), set(), [True]
+
+        def recorded(file, mode="r", *args, _open=open, **kwargs):
+            if recording[0] and str(file).startswith(str(copy) + os.sep):
+                if "w" in mode:  # every write goes to <path>.tmp, then is renamed
+                    writes.add(str(file).removesuffix(".tmp"))
+                else:
+                    reads.add(str(file))
+            return _open(file, mode, *args, **kwargs)
+
+        def manifest_last(*args, _update=cli._update_manifest):
+            recording[0] = False  # the manifest hashes the outputs it lists
+            return _update(*args)
+
+        monkeypatch.setattr(builtins, "open", recorded)
+        monkeypatch.setattr(cli, "_update_manifest", manifest_last)
+        argv = [stage, "--config", config_path, "--out", str(copy), "--force"]
+        assert cli.main(argv) == cli.EXIT_OK
+        bookkeeping = ("config.yaml", "manifest.json")
+        opened = tuple(
+            [p for p in _relative(files, copy) if p not in bookkeeping]
+            for files in (reads, writes)
+        )
+        # the pipeline holds both result tables, so report writes both tables
+        assert opened == declared
+        with open(copy / "manifest.json", encoding="utf-8") as fh:
+            assert sorted(json.load(fh)["stages"][stage]) == declared[1]
+
+    def test_report_records_only_the_tables_it_wrote(self, priced, tmp_path):
+        _, run_dir = priced
+        copy = _copy_run(run_dir, tmp_path)
+        assert cli.main(["report", "--out", str(copy)]) == cli.EXIT_OK
+        with open(copy / "manifest.json", encoding="utf-8") as fh:
+            assert sorted(json.load(fh)["stages"]["report"]) == ["report/pricing_report.csv"]
+
+    @pytest.mark.parametrize("stage", list(cli.STAGES))
+    def test_each_missing_input_exits_3_and_pins_nothing(self, pipeline, tmp_path, capsys, stage):
+        config_path, run_dir = pipeline
+        copy = _copy_run(run_dir, tmp_path)
+        (copy / "config.yaml").unlink()
+        cfg = cli.load_run_config(config_path)
+        inputs = cli.STAGES[stage][0]
+        for path in inputs(cfg, str(copy)):
+            aside = tmp_path / "aside"
+            os.replace(path, aside)
+            # report declares the result tables it finds: without one it
+            # reports the other, so only what it still declares is required
+            if path in inputs(cfg, str(copy)):
+                argv = [stage, "--config", config_path, "--out", str(copy), "--force"]
+                assert cli.main(argv) == cli.EXIT_DATA, path
+                assert f"data error: missing {path};" in capsys.readouterr().err
+                assert not (copy / "config.yaml").exists()
+            os.replace(aside, path)
 
 
 class TestDrlDataPath:
@@ -1127,6 +1220,36 @@ class TestReport:
 
     def test_empty_run_dir_exits_3(self, tmp_path):
         assert cli.main(["report", "--out", str(tmp_path / "void")]) == 3
+
+    def test_reads_only_the_curves_drl_eval_lists(self, pipeline, tmp_path):
+        _, run_dir = pipeline
+        copy = _copy_run(run_dir, tmp_path)
+        before = (copy / "report" / "drl_report.csv").read_bytes()
+        # a curve left behind by an earlier train-drl with more hubs
+        results = copy / "results"
+        shutil.copy(results / "curve_hub0_cfmtl.csv", results / "curve_hub1_cfmtl.csv")
+        assert cli.main(["report", "--out", str(copy), "--force"]) == 0
+        assert (copy / "report" / "drl_report.csv").read_bytes() == before
+
+    @pytest.mark.parametrize("hub_id,method", [("0", "../cfmtl"), ("x", "cfmtl"), ("-1", "or")])
+    def test_unknown_run_in_drl_eval_exits_3_naming_the_line(
+        self, pipeline, tmp_path, capsys, hub_id, method
+    ):
+        _, run_dir = pipeline
+        path = _copy_run(run_dir, tmp_path) / "results" / "drl_eval.csv"
+        header, first, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([header, first, f"{hub_id},{method},0.5", *rest]) + "\n")
+        assert cli.main(["report", "--out", str(path.parents[1]), "--force"]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {path} line 3: no run hub {hub_id!r}, method {method!r}" in err
+
+    def test_missing_listed_curve_exits_3_naming_it(self, pipeline, tmp_path, capsys):
+        _, run_dir = pipeline
+        copy = _copy_run(run_dir, tmp_path)
+        path = copy / "results" / "curve_hub0_or.csv"
+        path.unlink()
+        assert cli.main(["report", "--out", str(copy), "--force"]) == cli.EXIT_DATA
+        assert f"data error: missing {path}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["drl_eval.csv", "curve_hub0_cfmtl.csv"])
     def test_short_row_exits_3_naming_file_and_line(self, pipeline, tmp_path, capsys, name):

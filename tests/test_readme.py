@@ -1,9 +1,10 @@
-"""README's validation section names only code that exists.
+"""README names only code that exists, and lists the stages the CLI has.
 
 The section from "Exit codes:" to "## Notes" says where each input is checked
 and which checks stay inside. Every backticked `module.name` or
 `module.Class.name` in it must resolve to a hubopt attribute, so a deleted or
-renamed check cannot leave a stale row behind.
+renamed check cannot leave a stale row behind. The "CLI pipeline" code block
+lists one `hubopt <stage>` line per entry of `cli.STAGES`, in pipeline order.
 """
 
 import importlib
@@ -12,14 +13,20 @@ import re
 
 import pytest
 
+from hubopt import cli
+
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 MODULES = ("cli", "hub", "nn", "pricing", "scheduler", "seeding", "traces")
 DOTTED = re.compile(rf"({'|'.join(MODULES)})((?:\.[A-Za-z_]\w*)+)")
 
 
-def validation_names():
+def readme():
     with open(README, encoding="utf-8") as fh:
-        text = fh.read()
+        return fh.read()
+
+
+def validation_names():
+    text = readme()
     start = text.index("Exit codes:")
     section = text[start : text.index("## Notes", start)]
     spans = re.findall(r"`([^`]+)`", section)
@@ -37,3 +44,12 @@ def test_name_resolves(dotted):
     for name in path:
         assert hasattr(obj, name), f"README names {dotted}, but {obj!r} has no {name}"
         obj = getattr(obj, name)
+
+
+def test_cli_block_lists_the_stages_in_order():
+    text = readme()
+    section = text[text.index("## CLI pipeline") :]
+    block = section[section.index("```") + 3 :]
+    block = block[: block.index("```")]
+    commands = [line.split()[1] for line in block.splitlines() if line.startswith("hubopt ")]
+    assert commands == list(cli.STAGES)
