@@ -40,7 +40,6 @@ from .traces import (
     gen_traffic,
     gen_weather,
     load_csv,
-    load_strata,
     load_traces,
     save_strata,
     save_traces,
@@ -437,10 +436,10 @@ def _load_items(run_dir: str, n_stations: int | None = None) -> Universe:
     """The item universe of strata.csv; every item's station must be below
     n_stations, when given."""
     strata_path = os.path.join(run_dir, "data", "strata.csv")
-    universe = load_strata(strata_path)
+    universe = load_csv(strata_path, "strata")
     if n_stations is not None and universe.stations.max(initial=-1) >= n_stations:
         i = int(np.argmax(universe.stations >= n_stations))
-        # the rows of a file load_strata accepts are its non-blank lines
+        # the rows of a strata file load_csv accepts are its non-blank lines
         lines, _ = _read_rows(strata_path, STRATA_HEADER)
         raise DataError(
             f"{strata_path} line {lines[i]}: station {universe.stations[i]} is outside the "
@@ -469,22 +468,21 @@ def _load_population(run_dir: str, n_stations: int | None = None):
     return universe, observations
 
 
-def _method_choices(model, mu1, mu0, prop, items, observations):
-    """The universe, each item's predicted stratum, and each method's mask.
+def _method_choices(model, mu1, mu0, prop, universe: Universe, observations):
+    """Each item's predicted stratum, and each method's mask.
 
     Nothing here depends on the discount rate, so a stage computes it once.
     The learned policy discounts the items predicted incentive-charge;
     baselines discount their top k by uplift, where k is the number of items
     the learned policy discounts.
     """
-    universe = pricing.universe_arrays(items)
     winners, ours = pricing.discount_policy(model, universe)
     k = int(ours.sum())
     scores = pricing.uplift_scores(observations, mu1, mu0, prop, universe)
     chosen = {"cfmtl": ours}
     for name in ("or", "ips", "dr"):
         chosen[name] = pricing.top_k_policy(universe, scores[name], k)
-    return universe, winners, chosen
+    return winners, chosen
 
 
 def _discounted(universe, give):
@@ -492,9 +490,9 @@ def _discounted(universe, give):
     return zip(universe.stations[give].tolist(), universe.slots[give].tolist())
 
 
-def _method_decisions(model, mu1, mu0, prop, items, observations, c: float):
+def _method_decisions(model, mu1, mu0, prop, universe: Universe, observations, c: float):
     """Per method, {(station, slot of day): c} over the items it discounts."""
-    universe, _, chosen = _method_choices(model, mu1, mu0, prop, items, observations)
+    _, chosen = _method_choices(model, mu1, mu0, prop, universe, observations)
     return {
         method: dict.fromkeys(_discounted(universe, give), c) for method, give in chosen.items()
     }
@@ -509,7 +507,7 @@ def cmd_eval_price(cfg: RunConfig, run_dir: str) -> None:
     eval_path, period_path, discounts_path = _eval_price_outputs(cfg, run_dir)
     model, mu1, mu0, prop = _load_pricing_models(run_dir, cfg)
     universe, observations = _load_population(run_dir, n_stations=cfg.traces.n_stations)
-    _, winners, chosen = _method_choices(model, mu1, mu0, prop, universe, observations)
+    winners, chosen = _method_choices(model, mu1, mu0, prop, universe, observations)
     truth = pricing.strata_columns(universe)
     try:
         shares = pricing.strata_by_period(winners, universe.slots)

@@ -107,15 +107,6 @@ def observations_from_records(log: ChargingLog) -> Observations:
     )
 
 
-def universe_arrays(universe) -> Universe:
-    """A universe as a traces.Universe, which passes through.
-
-    Every function here that takes a universe takes a Universe or a
-    sequence of distinct PopulationItems, laid out here as one.
-    """
-    return universe if isinstance(universe, Universe) else Universe.from_items(universe)
-
-
 class PricingModel(nn.Module):
     """Shared embedding trunk with a 3-way stratum head and a propensity head."""
 
@@ -295,12 +286,11 @@ def predicted_strata(probs: np.ndarray) -> np.ndarray:
     return _PRIORITY[np.argmax(reordered, axis=1)]
 
 
-def discount_policy(model: PricingModel, universe) -> tuple[np.ndarray, np.ndarray]:
+def discount_policy(model: PricingModel, universe: Universe) -> tuple[np.ndarray, np.ndarray]:
     """Each item's predicted stratum column, and whether the policy discounts it.
 
     The learned policy discounts exactly the items predicted incentive-charge.
     """
-    universe = universe_arrays(universe)
     winners = predicted_strata(stratum_probs(model, universe.stations, universe.slots))
     return winners, winners == COL_INCENTIVE
 
@@ -346,9 +336,9 @@ def evaluate_policy(truth: np.ndarray, give: np.ndarray, c: float) -> PolicyEval
     )
 
 
-def strata_columns(universe) -> np.ndarray:
+def strata_columns(universe: Universe) -> np.ndarray:
     """Each item's true stratum as its stratum-head column."""
-    return _COL_OF_CODE[universe_arrays(universe).strata]
+    return _COL_OF_CODE[universe.strata]
 
 
 def _fit_scorer(stations, slots, targets, cfg: PricingConfig, tag: str) -> nn.EmbedMlp:
@@ -455,7 +445,7 @@ def uplift_scores(
     mu1: nn.EmbedMlp,
     mu0: nn.EmbedMlp,
     propensity_model: nn.EmbedMlp,
-    universe,
+    universe: Universe,
 ) -> dict[str, np.ndarray]:
     """The "or", "ips" and "dr" uplift of every item.
 
@@ -464,7 +454,6 @@ def uplift_scores(
     Every record is an item of the universe, as the stages check where they
     read charging.csv against strata.csv.
     """
-    universe = universe_arrays(universe)
     stations, slots = universe.stations, universe.slots
     obs_st, obs_sl, treated, charged = observations
     rows = universe.rows(obs_st, obs_sl)
@@ -479,13 +468,12 @@ def uplift_scores(
     }
 
 
-def top_k_policy(universe, scores, k: int) -> np.ndarray:
+def top_k_policy(universe: Universe, scores, k: int) -> np.ndarray:
     """Per item, whether it is among the k highest scores, and so discounted.
 
     scores holds one score per item and k is at most the item count. Ties
     are broken by (station, slot), and -0.0 ties with 0.0.
     """
-    universe = universe_arrays(universe)
     scores = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite to rank items")

@@ -34,43 +34,37 @@ class EnvConfig:
             raise ValueError(f"window must be nonnegative, got {self.window}")
 
 
+# The exogenous series the policy observes, in the state vector's order. Each
+# is a HubEnv attribute holding one value per slot.
+SERIES = ("rtp", "srtp", "p_wt", "p_pv", "load_rate")
+
+
 @dataclass(frozen=True)
 class NormStats:
     """Trace-level standardization constants for the state vector."""
 
-    mean: np.ndarray  # (5,) rtp, srtp, wind, irradiance, load
-    std: np.ndarray  # (5,) floored away from zero
+    mean: np.ndarray  # (len(SERIES),)
+    std: np.ndarray  # (len(SERIES),) floored away from zero
 
     @classmethod
-    def from_series(cls, rtp, srtp, wind, irradiance, load) -> "NormStats":
-        rows = [np.asarray(s, dtype=np.float64) for s in (rtp, srtp, wind, irradiance, load)]
-        mean = np.array([s.mean() for s in rows])
-        std = np.array([max(float(s.std()), 1e-8) for s in rows])
-        return cls(mean=mean, std=std)
+    def from_series(cls, series: np.ndarray) -> "NormStats":
+        """Each row's mean and std, for series (len(SERIES), n) in SERIES order."""
+        series = np.asarray(series, dtype=np.float64)
+        return cls(mean=series.mean(axis=1), std=np.maximum(series.std(axis=1), 1e-8))
 
 
 @dataclass(frozen=True)
 class EnvState:
     """Observation at one slot: recent-plus-current windows and the soc level."""
 
-    rtp_window: np.ndarray  # (window + 1,)
-    srtp_window: np.ndarray  # (window + 1,)
-    weather_window: np.ndarray  # (window + 1, 2): wind power, pv power inputs
-    traffic_window: np.ndarray  # (window + 1,)
+    windows: np.ndarray  # (len(SERIES), window + 1), rows in SERIES order
     soc: float  # fraction of battery capacity, in [0, 1]
 
 
 def state_vector(state: EnvState, stats: NormStats) -> np.ndarray:
-    """Standardized flat feature vector consumed by the policy network."""
-    parts = [
-        (state.rtp_window - stats.mean[0]) / stats.std[0],
-        (state.srtp_window - stats.mean[1]) / stats.std[1],
-        (state.weather_window[:, 0] - stats.mean[2]) / stats.std[2],
-        (state.weather_window[:, 1] - stats.mean[3]) / stats.std[3],
-        (state.traffic_window - stats.mean[4]) / stats.std[4],
-        [state.soc],
-    ]
-    return np.concatenate([np.asarray(p, dtype=np.float64) for p in parts])
+    """Standardized flat feature vector consumed by the policy network: the
+    standardized windows row by row, then the soc."""
+    return np.append((state.windows - stats.mean[:, None]) / stats.std[:, None], state.soc)
 
 
 class HubEnv:
@@ -92,12 +86,18 @@ class HubEnv:
     ):
         self.hub_cfg = hub_cfg
         self.env_cfg = env_cfg
-        self.rtp = np.asarray(trace_set.rtp, dtype=np.float64)
-        self.srtp = np.asarray(srtp, dtype=np.float64)
         self.occupancy = np.asarray(occupancy)
-        self.load_rate = np.asarray(trace_set.load_rate, dtype=np.float64)
-        self.p_wt = wt_power(trace_set.wind_mps, hub_cfg.wt_capacity_kw)
-        self.p_pv = pv_power(trace_set.irradiance_wm2, hub_cfg.pv_capacity_kw)
+        named = {
+            "rtp": trace_set.rtp,
+            "srtp": srtp,
+            "p_wt": wt_power(trace_set.wind_mps, hub_cfg.wt_capacity_kw),
+            "p_pv": pv_power(trace_set.irradiance_wm2, hub_cfg.pv_capacity_kw),
+            "load_rate": trace_set.load_rate,
+        }
+        self.series = np.array([named[name] for name in SERIES], dtype=np.float64)
+        # each series is also an attribute: a view of its row
+        for name, row in zip(SERIES, self.series):
+            setattr(self, name, row)
         # every slot's profit under each action
         self.profit = hub.profit_table(
             hub_cfg, self.load_rate, self.occupancy, self.p_wt, self.p_pv, self.rtp, self.srtp
@@ -113,26 +113,19 @@ class HubEnv:
                 f"{self.window + self.episode_slots + 1} (window + episode + 1)"
             )
         self.last_start = last_start
-        self.stats = NormStats.from_series(
-            self.rtp, self.srtp, self.p_wt, self.p_pv, self.load_rate
-        )
+        self.stats = NormStats.from_series(self.series)
         self._t = -1
         self._battery = hub.BatteryState(hub_cfg.battery.soc_min_kwh)
         self.episode_start = -1
 
     @property
     def state_dim(self) -> int:
-        return 5 * (self.window + 1) + 1
+        return len(SERIES) * (self.window + 1) + 1
 
     def _observe(self) -> EnvState:
         t = self._t
-        lo = t - self.window
-        weather = np.stack([self.p_wt[lo : t + 1], self.p_pv[lo : t + 1]], axis=1)
         return EnvState(
-            rtp_window=self.rtp[lo : t + 1].copy(),
-            srtp_window=self.srtp[lo : t + 1].copy(),
-            weather_window=weather,
-            traffic_window=self.load_rate[lo : t + 1].copy(),
+            windows=self.series[:, t - self.window : t + 1].copy(),
             soc=self._battery.soc_kwh / self.hub_cfg.battery.capacity_kwh,
         )
 
@@ -151,15 +144,14 @@ class HubEnv:
         return self._observe()
 
     def episode_series(self, starts: np.ndarray) -> np.ndarray:
-        """The five standardized series that episodes at starts observe.
+        """The standardized series that episodes at starts observe.
 
-        Shape (*starts.shape, 5, window + episode_slots): columns start -
-        window onward, rows in state_vector's order. Standardizing is
+        Shape (*starts.shape, len(SERIES), window + episode_slots): columns
+        start - window onward, rows in SERIES order. Standardizing is
         elementwise, so every entry has the bits state_vector gives it.
         """
         cols = np.asarray(starts)[..., None] + np.arange(-self.window, self.episode_slots)
-        series = (self.rtp, self.srtp, self.p_wt, self.p_pv, self.load_rate)
-        rows = np.stack([s[cols] for s in series], axis=-2)
+        rows = np.moveaxis(self.series[:, cols], 0, -2)
         return (rows - self.stats.mean[:, None]) / self.stats.std[:, None]
 
     def slot_inputs(self, t: int) -> hub.SlotInputs:
@@ -172,11 +164,11 @@ class HubEnv:
             srtp=float(self.srtp[t]),
         )
 
-    def episode_inputs(self, start: int) -> np.ndarray:
-        """The profit rows (episode_slots, 3) an episode starting at `start`
-        (in [window, last_start], as draw_start gives it) is rewarded from;
-        column k holds action k's profit."""
-        return self.profit[start : start + self.episode_slots]
+    def episode_inputs(self, starts) -> np.ndarray:
+        """The profit rows (*starts.shape, episode_slots, 3) that episodes at
+        starts (each in [window, last_start], as draw_start gives it) are
+        rewarded from; column k holds action k's profit."""
+        return self.profit[np.asarray(starts)[..., None] + np.arange(self.episode_slots)]
 
     def step(self, action: int) -> tuple[EnvState, float, bool]:
         if self._t < 0:
@@ -512,34 +504,30 @@ def _check_population(envs, bundles, seeds) -> None:
 
 
 def _episode_inputs(envs, starts: np.ndarray):
-    """Standardized windows (K, *E, 5, T, window + 1) and profit rows (K, *E, T, 3)
-    of the episodes of K runs, run k's starting at starts[k] (shape E)."""
-    env0 = envs[0]
-    series = np.empty(starts.shape + (5, env0.window + env0.episode_slots))
-    profit = np.empty(starts.shape + (env0.episode_slots, len(hub.ACTIONS)))
-    for k, env in enumerate(envs):
-        series[k] = env.episode_series(starts[k])
-        profit[k] = env.profit[starts[k][..., None] + np.arange(env0.episode_slots)]
-    return sliding_window_view(series, env0.window + 1, axis=-1), profit
+    """Standardized windows (K, *E, len(SERIES), T, window + 1) and profit rows
+    (K, *E, T, 3) of the episodes of K runs, run k's starting at starts[k] (shape E)."""
+    series = np.stack([env.episode_series(s) for env, s in zip(envs, starts)])
+    profit = np.stack([env.episode_inputs(s) for env, s in zip(envs, starts)])
+    return sliding_window_view(series, envs[0].window + 1, axis=-1), profit
 
 
 class _EpisodeStates:
     """The state rows of a population's episodes, stored as windows plus soc.
 
-    windows (*runs, 5, T, window + 1) is a sliding_window_view of each
-    episode's standardized series, so rows cost no memory until used: at()
-    writes every episode's row for one slot into a single buffer, and
+    windows (*runs, len(SERIES), T, window + 1) is a sliding_window_view of
+    each episode's standardized series, so rows cost no memory until used:
+    at() writes every episode's row for one slot into a single buffer, and
     indexing by run builds that run's (T, D) state matrix alone.
     """
 
     def __init__(self, windows: np.ndarray, capacity: float):
-        shape, (span, width) = windows.shape[:-3], windows.shape[-2:]
+        shape, (count, span, width) = windows.shape[:-3], windows.shape[-3:]
         self.windows = windows
         self.capacity = capacity
         self.soc = np.empty(shape + (span,))  # the soc column, as a capacity fraction
-        self._row = np.empty(shape + (5 * width + 1,))
+        self._row = np.empty(shape + (count * width + 1,))
         # a view: it splits the contiguous window columns of each row
-        self._row_windows = self._row[..., :-1].reshape(shape + (5, width))
+        self._row_windows = self._row[..., :-1].reshape(shape + (count, width))
 
     def at(self, t: int, soc_kwh: np.ndarray) -> np.ndarray:
         """Every episode's state at slot t, given its soc in kWh."""
@@ -551,9 +539,9 @@ class _EpisodeStates:
         return len(self.windows)
 
     def __getitem__(self, k: int) -> np.ndarray:
-        span, width = self.windows.shape[-2:]
-        rows = np.empty((span, 5 * width + 1))
-        rows[:, :-1].reshape(span, 5, width)[...] = self.windows[k].transpose(1, 0, 2)
+        count, span, width = self.windows.shape[-3:]
+        rows = np.empty((span, count * width + 1))
+        rows[:, :-1].reshape(span, count, width)[...] = self.windows[k].transpose(1, 0, 2)
         rows[:, -1] = self.soc[k]
         return rows
 

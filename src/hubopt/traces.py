@@ -81,9 +81,9 @@ class Universe:
 
     Item i is (stations[i], slots[i]), and strata[i] is its stratum code:
     its stratum's index in _STRATUM_ORDER. The items are distinct, with
-    stations >= 0 and slots of day in [0, SLOTS_PER_DAY), as load_strata
-    checks and gen_charging_population draws them. Iterating or indexing
-    gives PopulationItems.
+    stations >= 0 and slots of day in [0, SLOTS_PER_DAY), as load_csv checks
+    a strata file and gen_charging_population draws them. Iterating or
+    indexing gives PopulationItems.
     """
 
     stations: np.ndarray
@@ -753,7 +753,3 @@ def save_strata(path: str, universe: Universe) -> None:
     names = _STRATUM_NAMES[universe.strata].tolist()
     rows = zip(universe.stations.tolist(), universe.slots.tolist(), names)
     _write_rows(path, STRATA_HEADER, rows)
-
-
-def load_strata(path: str) -> Universe:
-    return load_csv(path, "strata")

@@ -4,10 +4,15 @@ Each test prints a single `[acceptance] <name>: PASS/FAIL (elapsed)` line
 (run with `pytest -s` to see them) and asserts both the guarantee itself
 and, where one applies, a wall-clock budget. The charging benchmark used
 by the pricing, period-structure, and end-to-end tests is built once per
-module; its build time is charged to the tests that depend on it.
+module; its build time is charged to the tests that depend on it. Its four
+model fits run in parallel processes when more than one CPU is available,
+and `test_pooled_pricing_fits_equal_the_serial_fits` (which prints no
+verdict) checks that they give the serial fits' bits.
 """
 
 import itertools
+import multiprocessing
+import os
 import time
 from types import SimpleNamespace
 
@@ -18,6 +23,7 @@ import yaml
 from fdcheck import FD_STEP, REL_TOL, central_diff_grads, max_rel_err
 from hubopt import cli, hub, nn, pricing, scheduler
 from hubopt.traces import (
+    SLOTS_PER_DAY,
     Stratum,
     TraceSet,
     gen_charging_population,
@@ -414,6 +420,59 @@ def test_scheduler_reaches_oracle_bar():
 
 # ------------------------------------------------------- charging benchmark
 
+# each pricing fit, with the model class of each model it returns
+PRICING_FITS = (
+    (pricing.train_cfmtl, (pricing.PricingModel,)),
+    (pricing.fit_outcome_models, (nn.EmbedMlp, nn.EmbedMlp)),
+    (pricing.fit_propensity_model, (nn.EmbedMlp,)),
+)
+
+
+def _fit_flats(fit, observations, cfg):
+    """The flat parameter buffers of the models fit(observations, cfg) returns."""
+    models = fit(observations, cfg)
+    return [model.flat for model in (models if isinstance(models, tuple) else (models,))]
+
+
+def fit_pricing_models(observations, cfg, processes):
+    """The cfmtl, mu1, mu0 and propensity models, their fits run in a pool of
+    processes workers, or in this process when processes is 1.
+
+    A worker returns each model's flat buffer; the model is rebuilt here from
+    cfg's architecture and the buffer copied in, since an unpickled model's
+    parameters are no longer views of its flat. The workers are spawned, not
+    forked, because this process may hold BLAS threads.
+    """
+    jobs = [(fit, observations, cfg) for fit, _ in PRICING_FITS]
+    if processes > 1:
+        with multiprocessing.get_context("spawn").Pool(processes) as pool:
+            flats = pool.starmap(_fit_flats, jobs, chunksize=1)
+    else:
+        flats = [_fit_flats(*job) for job in jobs]
+    models = []
+    for (_, classes), buffers in zip(PRICING_FITS, flats):
+        for cls, flat in zip(classes, buffers, strict=True):
+            model = cls(cfg.n_stations, SLOTS_PER_DAY, cfg.embed_dim, cfg.hidden, seed=None)
+            model.flat[...] = flat
+            models.append(model)
+    return models
+
+
+def test_pooled_pricing_fits_equal_the_serial_fits():
+    _, records = gen_charging_population(
+        3, 5, 24, (0.3, 0.2, 0.5), n_items=60, logged_policy="random"
+    )
+    observations = pricing.observations_from_records(records)
+    cfg = pricing.PricingConfig(n_stations=5, embed_dim=4, hidden=(6,), epochs=3, seed=1)
+    pooled = fit_pricing_models(observations, cfg, processes=2)
+    serial = fit_pricing_models(observations, cfg, processes=1)
+    stations, slots = observations.stations, observations.slots
+    for a, b in zip(pooled, serial, strict=True):
+        assert type(a) is type(b) and a.flat.tobytes() == b.flat.tobytes()
+        # the rebuilt parameters are views of the copied-in buffer
+        out_a, out_b = a.forward(stations, slots)[0], b.forward(stations, slots)[0]
+        assert out_a.tobytes() == out_b.tobytes()
+
 
 @pytest.fixture(scope="module")
 def charging_bench():
@@ -445,9 +504,9 @@ def charging_bench():
         epochs=1200,
         seed=0,
     )
-    model = pricing.train_cfmtl(observations, cfg)
-    mu1, mu0 = pricing.fit_outcome_models(observations, cfg)
-    prop = pricing.fit_propensity_model(observations, cfg)
+    # the fits are independent: run them in parallel, unless this process may use one CPU
+    processes = min(len(os.sched_getaffinity(0)), len(PRICING_FITS))
+    model, mu1, mu0, prop = fit_pricing_models(observations, cfg, processes)
     return SimpleNamespace(
         items=items,
         observations=observations,
@@ -464,7 +523,7 @@ def test_learned_pricing_beats_baselines(charging_bench):
     checks = [(len(charging_bench.items) == 8426, "universe size drifted from 8426")]
     always_counts = {}
     reward_rows = {}
-    _, _, chosen = cli._method_choices(
+    _, chosen = cli._method_choices(
         charging_bench.model,
         charging_bench.mu1,
         charging_bench.mu0,
@@ -511,9 +570,8 @@ def test_learned_pricing_beats_baselines(charging_bench):
 
 def test_incentive_share_peaks_in_evening(charging_bench):
     started = time.monotonic()
-    universe = pricing.universe_arrays(charging_bench.items)
-    winners, _ = pricing.discount_policy(charging_bench.model, universe)
-    shares = pricing.strata_by_period(winners, universe.slots)
+    winners, _ = pricing.discount_policy(charging_bench.model, charging_bench.items)
+    shares = pricing.strata_by_period(winners, charging_bench.items.slots)
     inc = {label: by[Stratum.INCENTIVE_CHARGE] for label, by in shares.items()}
     evening = inc["18-24"]
     others = {k: v for k, v in inc.items() if k != "18-24"}

@@ -28,10 +28,9 @@ from hubopt.pricing import (
     stratum_probs,
     top_k_policy,
     train_cfmtl,
-    universe_arrays,
     uplift_scores,
 )
-from hubopt.traces import PopulationItem, Stratum, gen_charging_population
+from hubopt.traces import PopulationItem, Stratum, Universe, gen_charging_population
 
 
 @pytest.fixture(scope="module")
@@ -287,15 +286,13 @@ class TestDiscountPolicy:
 
 
 def universe_of(strata_map):
-    return [
-        PopulationItem(station_id=s, slot_of_day=t, stratum=v)
-        for (s, t), v in sorted(strata_map.items())
-    ]
+    items = sorted(strata_map.items())
+    return Universe.from_items([PopulationItem(s, t, stratum) for (s, t), stratum in items])
 
 
 def items_at(keys):
-    """PopulationItems at (station, slot of day) keys, in order; strata unread."""
-    return [PopulationItem(s, t, Stratum.NO_CHARGE) for s, t in keys]
+    """The Universe of items at (station, slot of day) keys, in order; strata unread."""
+    return Universe.from_items([PopulationItem(s, t, Stratum.NO_CHARGE) for s, t in keys])
 
 
 def score(strata_map, discounted, c):
@@ -378,7 +375,7 @@ class TestEvaluatePolicy:
     )
     def test_matches_per_item_loop_bit_for_bit(self, items, c):
         truth = strata_columns(
-            [PopulationItem(s, t, stratum) for (s, t), stratum, _ in items]
+            Universe.from_items([PopulationItem(s, t, stratum) for (s, t), stratum, _ in items])
         )
         give = np.array([g for _, _, g in items], dtype=bool)
         want = reference_evaluation(items, c)
@@ -544,7 +541,7 @@ def reference_uplifts(obs, mu1, mu0, prop, items):
 
 
 class TestUniverseRows:
-    # load_strata admits distinct items with stations >= 0 and slots of day
+    # a strata file admits distinct items with stations >= 0 and slots of day
     # in [0, 24); the looked-up keys may be any integers
     @settings(max_examples=200, deadline=None)
     @given(
@@ -560,7 +557,7 @@ class TestUniverseRows:
         obs_keys += data.draw(st.lists(others, max_size=10))
         observations = obs_batch([(s, t, 0, 0) for s, t in obs_keys])
         index = {key: i for i, key in enumerate(keys)}
-        rows = universe_arrays(items_at(keys)).rows(observations.stations, observations.slots)
+        rows = items_at(keys).rows(observations.stations, observations.slots)
         assert rows.tolist() == [index.get(key, -1) for key in obs_keys]
 
 
@@ -607,7 +604,7 @@ class TestTopK:
 def period_table(model, items):
     """strata_by_period on the model's predicted strata over items."""
     winners, _ = discount_policy(model, items)
-    return strata_by_period(winners, universe_arrays(items).slots)
+    return strata_by_period(winners, items.slots)
 
 
 class TestStrataByPeriod:

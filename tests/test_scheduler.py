@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hubopt import hub, nn, scheduler
 from hubopt.hub import CHARGE, DISCHARGE, IDLE
 from hubopt.scheduler import (
+    SERIES,
     EnvConfig,
     HubEnv,
     NormStats,
@@ -68,41 +69,37 @@ class TestEnvConfig:
 
 class TestNormStats:
     def test_constant_series_get_floor_std(self):
-        stats = NormStats.from_series([3.0, 3.0], [1.0, 2.0], [0, 0], [5, 5], [0.4, 0.6])
-        assert stats.mean[0] == 3.0
-        assert stats.std[0] == 1e-8
-        assert stats.std[1] == pytest.approx(0.5)
+        rows = np.arange(2 * len(SERIES), dtype=np.float64).reshape(len(SERIES), 2)
+        rows[0] = 3.0
+        stats = NormStats.from_series(rows)
+        assert stats.mean[0] == 3.0 and stats.std[0] == 1e-8
+        for k in range(1, len(SERIES)):
+            assert stats.mean[k] == rows[k].mean() and stats.std[k] == 0.5
 
     def test_state_vector_standardizes(self):
-        stats = NormStats(mean=np.array([1.0, 0.0, 0.0, 0.0, 0.0]), std=np.ones(5))
-        state = scheduler.EnvState(
-            rtp_window=np.array([1.0, 3.0]),
-            srtp_window=np.zeros(2),
-            weather_window=np.zeros((2, 2)),
-            traffic_window=np.zeros(2),
-            soc=0.25,
-        )
-        vec = state_vector(state, stats)
-        assert vec.shape == (11,)
-        assert vec[0] == 0.0 and vec[1] == 2.0
+        mean, std = np.arange(len(SERIES)) - 1.0, np.arange(len(SERIES)) + 2.0
+        windows = np.arange(2 * len(SERIES), dtype=np.float64).reshape(len(SERIES), 2)
+        vec = state_vector(scheduler.EnvState(windows, soc=0.25), NormStats(mean, std))
+        assert vec.shape == (2 * len(SERIES) + 1,)
+        assert vec[:2].tolist() == [0.5, 1.0]
+        for k in range(len(SERIES)):
+            np.testing.assert_array_equal(vec[2 * k : 2 * k + 2], (windows[k] - mean[k]) / std[k])
         assert vec[-1] == 0.25
 
 
 class TestHubEnv:
     def test_state_dim(self):
         env = make_env(window=4)
-        assert env.state_dim == 5 * 5 + 1
+        assert env.state_dim == len(SERIES) * 5 + 1 == len(state_vector(env.reset(0), env.stats))
 
     def test_windows_match_traces(self):
-        env = make_env(window=6)
+        env = make_env(window=6, wt_capacity_kw=3.0, pv_capacity_kw=2.0)
         state = env.reset(seed=11)
         t = env.episode_start
-        np.testing.assert_array_equal(state.rtp_window, env.rtp[t - 6 : t + 1])
-        np.testing.assert_array_equal(state.srtp_window, env.srtp[t - 6 : t + 1])
-        np.testing.assert_array_equal(state.traffic_window, env.load_rate[t - 6 : t + 1])
-        np.testing.assert_array_equal(state.weather_window[:, 0], env.p_wt[t - 6 : t + 1])
-        np.testing.assert_array_equal(state.weather_window[:, 1], env.p_pv[t - 6 : t + 1])
-        assert state.weather_window.shape == (7, 2)
+        assert state.windows.shape == (len(SERIES), 7)
+        for row, name in zip(state.windows, SERIES):
+            assert np.shares_memory(getattr(env, name), env.series)
+            np.testing.assert_array_equal(row, getattr(env, name)[t - 6 : t + 1])
 
     def test_idle_reward_is_negative_grid_cost(self):
         env = make_env(occupancy=np.zeros(6 * 24, dtype=int))
@@ -146,7 +143,7 @@ class TestHubEnv:
         b = env.reset(seed=9)
         assert env.episode_start == start
         assert a.soc == b.soc
-        np.testing.assert_array_equal(a.rtp_window, b.rtp_window)
+        assert a.windows.tobytes() == b.windows.tobytes()
 
     def test_episode_terminates_after_episode_slots(self):
         env = make_env(episode_days=1)
@@ -200,6 +197,14 @@ class TestHubEnv:
         for k in range(24):
             _, reward, _ = env.step(IDLE)
             assert reward == rows[k, IDLE]
+
+    def test_episode_inputs_on_starts_stack_the_scalar_calls(self):
+        env = make_env(n_days=5, episode_days=2, wt_capacity_kw=3.0)
+        starts = np.array([[env.window, env.last_start, 30], [31, 29, env.window + 1]])
+        rows = env.episode_inputs(starts)
+        assert rows.shape == (2, 3, env.episode_slots, len(hub.ACTIONS))
+        want = np.stack([[env.episode_inputs(int(s)) for s in row] for row in starts])
+        assert rows.tobytes() == want.tobytes()
 
 
 class TestComputeAdvantages:

@@ -23,7 +23,6 @@ from hubopt.traces import (
     gen_traffic,
     gen_weather,
     load_csv,
-    load_strata,
     load_traces,
     pv_power,
     save_strata,
@@ -256,7 +255,7 @@ class TestCsvRoundTrip:
         items, _ = gen_charging_population(9, 4, 24, (0.3, 0.2, 0.5))
         path = str(tmp_path / "strata.csv")
         save_strata(path, items)
-        assert load_strata(path) == items
+        assert load_csv(path, "strata") == items
 
     def test_gap_detected(self, tmp_path):
         path = tmp_path / "rtp.csv"
@@ -1086,7 +1085,7 @@ class TestStrataOnePass:
         write_lines(tmp_path / "strata.csv", traces.STRATA_HEADER, rows)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(traces, "_check_strata", refuse_checker)
-            got = load_strata(path)
+            got = load_csv(path, "strata")
         want = traces._check_strata(path)
         for name in ("stations", "slots", "strata"):
             g, w = getattr(got, name), getattr(want, name)
@@ -1110,11 +1109,11 @@ class TestStrataOnePass:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(traces, "_check_strata", refuse_checker)
             with pytest.raises(AssertionError, match="the checker read"):
-                load_strata(path)
+                load_csv(path, "strata")
         errors = []
-        for parse in (load_strata, traces._check_strata, lambda p: ref_load_csv(p, "strata")):
+        for parse in (load_csv, lambda p, _: traces._check_strata(p), ref_load_csv):
             with pytest.raises(TraceError) as caught:
-                parse(path)
+                parse(path, "strata")
             errors.append(str(caught.value))
         assert errors[0] == errors[1] == errors[2]
         assert errors[0].startswith(f"{path} line ")
