@@ -29,10 +29,10 @@ from .traces import (
     TraceError,
     TraceSet,
     Universe,
-    _column,
     _fmt,
-    _raise_first_fault,
     _read_rows,
+    _read_table,
+    _repeats,
     _write_rows,
     check_population_args,
     gen_charging_population,
@@ -593,43 +593,36 @@ def _load_decisions(cfg: RunConfig, run_dir: str, universe: Universe):
     item) twice, at the run config's rate.
     """
     (path,) = _paths(run_dir, "results", "discounts.csv")
-    lines, rows = _read_rows(path, DISCOUNTS_HEADER)
-    methods = [row[0] for row in rows]
-    stations, station_parsed = _column(rows, 1, "station_id", int)
-    sods, sod_parsed = _column(rows, 2, "slot_of_day", int)
-    rates, rate_parsed = _column(rows, 3, "discount", float)
-    keys = list(zip(stations.tolist(), sods.tolist()))
-    first, repeat = {}, np.zeros(len(rows), dtype=bool)
-    for i, entry in enumerate(zip(methods, keys)):
-        repeat[i] = first.setdefault(entry, i) != i
     strata_path = os.path.join(run_dir, "data", "strata.csv")
-    checks = [
-        (
-            np.array([m not in METHODS for m in methods], dtype=bool),
-            lambda i: f"unknown method {methods[i]!r}, expected one of {list(METHODS)}",
-        ),
-        station_parsed,
-        sod_parsed,
-        (
-            universe.rows(stations, sods) < 0,
-            lambda i: f"item (station {keys[i][0]}, slot_of_day {keys[i][1]}) is not in {strata_path}",
-        ),
-        (
-            repeat,
-            lambda i: f"duplicate {methods[i]} item (station {keys[i][0]}, slot_of_day "
-            f"{keys[i][1]}), first on line {lines[first[methods[i], keys[i]]]}",
-        ),
-        rate_parsed,
-        (
-            rates != cfg.discount,
-            lambda i: f"discount {rows[i][3]} differs from the run config's pricing.discount "
-            f"{cfg.discount}; rerun eval-price with --force",
-        ),
-    ]
-    _raise_first_fault(checks, lambda i: f"{path} line {lines[i]}")
+
+    def rules(cols, parsed, rows, lines):
+        methods, stations, sods, rates = cols
+        repeat, first = _repeats(methods, stations, sods)
+        item = lambda i: f"item (station {stations[i]}, slot_of_day {sods[i]})"
+        return [
+            (
+                methods < 0,
+                lambda i: f"unknown method {rows[i][0]!r}, expected one of {list(METHODS)}",
+            ),
+            *parsed[1:3],
+            (universe.rows(stations, sods) < 0, lambda i: f"{item(i)} is not in {strata_path}"),
+            (
+                repeat,
+                lambda i: f"duplicate {rows[i][0]} {item(i)}, first on line {lines[first[i]]}",
+            ),
+            parsed[3],
+            (
+                rates != cfg.discount,
+                lambda i: f"discount {rows[i][3]} differs from the run config's pricing.discount "
+                f"{cfg.discount}; rerun eval-price with --force",
+            ),
+        ]
+
+    kinds = (METHODS, int, int, float)
+    methods, stations, sods, _ = _read_table(path, DISCOUNTS_HEADER, kinds, rules)
     decisions = {method: {} for method in METHODS}
-    for method, key in zip(methods, keys):
-        decisions[method][key] = cfg.discount
+    for code, key in zip(methods.tolist(), zip(stations.tolist(), sods.tolist())):
+        decisions[METHODS[code]][key] = cfg.discount
     return decisions
 
 

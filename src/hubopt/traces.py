@@ -72,7 +72,7 @@ class PopulationItem:
 
 _STRATUM_CODE = {s: code for code, s in enumerate(_STRATUM_ORDER)}
 # the strata.csv name of each stratum code
-_STRATUM_NAMES = np.array([s.value for s in _STRATUM_ORDER])
+_STRATUM_NAMES = tuple(s.value for s in _STRATUM_ORDER)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,20 +134,17 @@ class Universe:
         return rows
 
 
-def _first_repeat(stations: np.ndarray, slots: np.ndarray) -> tuple[int, int] | None:
-    """The first row, in file order, whose item an earlier row holds, and
-    the first row that holds it; None when the items are distinct.
-
-    A stable sort by item keeps equal items adjacent and in file order.
-    """
-    order = np.lexsort((slots, stations))
-    st, sl = stations[order], slots[order]
-    same = (st[1:] == st[:-1]) & (sl[1:] == sl[:-1])
-    if not same.any():
-        return None
-    row = int(order[1:][same].min())
-    first = int(np.flatnonzero((stations == stations[row]) & (slots == slots[row]))[0])
-    return row, first
+def _repeats(*keys) -> tuple[np.ndarray, np.ndarray]:
+    """Whether an earlier row holds each row's key, its entries of the key
+    columns, and the first row that holds it. A stable sort by key keeps
+    equal keys adjacent and in file order."""
+    order = np.lexsort(keys)
+    ordered = [key[order] for key in keys]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = functools.reduce(np.logical_or, [key[1:] != key[:-1] for key in ordered])
+    first = np.empty_like(order)
+    first[order] = order[new][np.cumsum(new) - 1]
+    return first != np.arange(len(order)), first
 
 
 _INT64 = np.iinfo(np.int64)
@@ -165,10 +162,11 @@ _LOG_COLUMNS = (
 class ChargingLog:
     """Logged charging opportunities, one row per station and absolute slot.
 
-    Five equal-length columns: whether the slot's EV charged (0/1), whether
-    a discount was offered (0/1) and at what rate, in [0, 1) and 0 without a
-    discount. The rules are checked once, over whole columns, when the log
-    is built; a failure names the first offending row.
+    Five equal-length columns: the station, the slot (nonnegative), whether
+    the slot's EV charged (0/1), whether a discount was offered (0/1) and at
+    what rate, in [0, 1) and 0 without a discount. The rules are checked
+    once, over whole columns, when the log is built; a failure names the
+    first offending row.
     """
 
     station_id: np.ndarray
@@ -189,7 +187,7 @@ class ChargingLog:
             if convert is int and col.size and col.dtype.kind not in "iub":
                 raise TraceError(f"{name} must hold integers, got {col.dtype}")
             object.__setattr__(self, name, col.astype(_DTYPE[convert], copy=False))
-        rules = _log_rules(self.charged, self.discount_given, self.discount_rate)
+        rules = _log_rules(self.slot, self.charged, self.discount_given, self.discount_rate)
         _raise_first_fault(rules, lambda i: f"row {i}")
 
     def __len__(self) -> int:
@@ -218,9 +216,10 @@ def _raise_first_fault(checks, where) -> None:
         raise TraceError(f"{where(row)}: {message(row)}")
 
 
-def _log_rules(charged, given, rate) -> list:
+def _log_rules(slot, charged, given, rate) -> list:
     """The charging-log rules as checks for _raise_first_fault, in the order tried."""
     return [
+        (slot < 0, lambda i: f"slot must be nonnegative, got {int(slot[i])}"),
         ((charged != 0) & (charged != 1), lambda i: f"charged must be 0/1, got {int(charged[i])}"),
         ((given != 0) & (given != 1), lambda i: f"discount_given must be 0/1, got {int(given[i])}"),
         (
@@ -522,20 +521,24 @@ def _field_fault(convert, text: str) -> str | None:
     return None if math.isfinite(value) else "is not finite"
 
 
-def _column(rows: list[list[str]], j: int, name: str, convert):
-    """Field j of every row through int or float, and a (row mask, message) check.
+def _column(rows: list[list[str]], j: int, name: str, kind):
+    """Field j of every row read as kind, and its (row mask, message) conversion check.
 
-    Only a column that fails the one-pass conversion is walked field by
-    field; there a bad field holds 0.
+    A names column always converts. Only a column that fails the one-pass
+    conversion is walked field by field; there a bad field holds 0.
     """
     texts = [row[j] for row in rows]
+    if isinstance(kind, tuple):
+        index = {text: i for i, text in enumerate(kind)}
+        codes = np.fromiter((index.get(text, -1) for text in texts), np.int64, count=len(texts))
+        return codes, (np.zeros(len(texts), bool), None)
     try:
-        values = np.fromiter(map(convert, texts), _DTYPE[convert], count=len(texts))
-        bad = ~np.isfinite(values) if convert is float else np.zeros(len(texts), bool)
+        values = np.fromiter(map(kind, texts), _DTYPE[kind], count=len(texts))
+        bad = ~np.isfinite(values) if kind is float else np.zeros(len(texts), bool)
     except (ValueError, OverflowError):
-        bad = np.array([_field_fault(convert, text) is not None for text in texts])
-        values = np.array([0 if b else convert(t) for b, t in zip(bad, texts)], _DTYPE[convert])
-    return values, (bad, lambda i: f"{name} {_field_fault(convert, rows[i][j])}: {rows[i][j]!r}")
+        bad = np.array([_field_fault(kind, text) is not None for text in texts])
+        values = np.array([0 if b else kind(t) for b, t in zip(bad, texts)], _DTYPE[kind])
+    return values, (bad, lambda i: f"{name} {_field_fault(kind, rows[i][j])}: {rows[i][j]!r}")
 
 
 # The bytes a bulk parse reads: printable ASCII and "\n" line ends. On a file
@@ -545,28 +548,29 @@ def _column(rows: list[list[str]], j: int, name: str, convert):
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\n"
 
 
-def _bulk_columns(path: str, header: list[str], dtypes) -> list[np.ndarray] | None:
+def _bulk_columns(path: str, header: list[str], kinds) -> list[np.ndarray] | None:
     """The columns of a plain, well-formed CSV in one np.loadtxt pass, or None.
 
-    Column j is read as dtypes[j]: an int64, a float64 or a text column.
+    Column j is read as kinds[j], as _read_table reads it; a names column as
+    text one character wider than its longest name, so that a longer text
+    cannot be cut down to a name, and then as each text's index.
 
     None when the first line is not exactly the header, a byte is outside
     _PLAIN_BYTES, there is no data row, or the C parser refuses a row or a
-    field. The checker then reads the file: it accepts what int(), float()
-    and csv accept, and it words every error.
+    field.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     head, _, body = data.partition(b"\n")
     if head != ",".join(header).encode() or data.translate(None, _PLAIN_BYTES):
         return None
-    dtype = np.dtype(list(zip(header, dtypes)))
+    dtypes = [f"U{max(map(len, k)) + 1}" if isinstance(k, tuple) else _DTYPE[k] for k in kinds]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt warns on a file with no data row
             table = np.loadtxt(
                 io.StringIO(body.decode("ascii")),
-                dtype=dtype,
+                dtype=np.dtype(list(zip(header, dtypes))),
                 delimiter=",",
                 comments=None,
                 quotechar=None,
@@ -574,101 +578,83 @@ def _bulk_columns(path: str, header: list[str], dtypes) -> list[np.ndarray] | No
             )
     except (ValueError, Warning):
         return None
-    return [np.ascontiguousarray(table[name]) for name in header]
+    cols = [np.ascontiguousarray(table[name]) for name in header]
+    for j, kind in enumerate(kinds):
+        if isinstance(kind, tuple):
+            texts, cols[j] = cols[j], np.full(len(table), -1, dtype=np.int64)
+            for code, text in enumerate(kind):
+                cols[j][texts == text] = code
+    return cols
+
+
+def _read_table(path: str, header: list[str], kinds, rules) -> Sequence[np.ndarray]:
+    """The columns of a CSV whose rows all keep rules; column j is read as kinds[j].
+
+    kinds[j] is int, float or a tuple of names; a names column holds each
+    field's index in the tuple, or -1 where the field is none of them.
+    rules(cols, parsed, rows, lines) lists the row checks, (row mask, message
+    of a row) pairs, in the order a row-by-row reader tries them; parsed[j]
+    is column j's conversion check. They run over the columns of one
+    np.loadtxt pass first, where no message is wanted and rows and lines are
+    None. If the pass refuses the file or a rule is broken, the file is read
+    again field by field, as csv, int() and float() read it, and the error
+    names the first bad line and, in it, the first rule broken.
+    """
+    cols = _bulk_columns(path, header, kinds)
+    if cols is not None:
+        parsed = [
+            (~np.isfinite(col) if kind is float else np.zeros(len(col), bool), None)
+            for col, kind in zip(cols, kinds)
+        ]
+        if not any(mask.any() for mask, _ in rules(cols, parsed, None, None)):
+            return cols
+    lines, rows = _read_rows(path, header)
+    cols, parsed = zip(*(_column(rows, j, *column) for j, column in enumerate(zip(header, kinds))))
+    _raise_first_fault(rules(cols, parsed, rows, lines), lambda i: f"{path} line {lines[i]}")
+    return cols
+
+
+def _series_rules(cols, parsed, *_) -> list:
+    gap = cols[0] != np.arange(len(cols[0]))
+    return [parsed[0], (gap, lambda i: f"missing slot {i}, found {int(cols[0][i])}"), *parsed[1:]]
 
 
 def _read_series(path: str, header: list[str]) -> list[np.ndarray]:
     """Shared slot-indexed reader: per-column float arrays; row i holds slot i."""
-    cols = _bulk_columns(path, header, [np.int64] + [np.float64] * (len(header) - 1))
-    if cols is not None:
-        slots, *series = cols
-        if np.array_equal(slots, np.arange(len(slots))) and np.isfinite(series).all():
-            return series
-    return _check_series(path, header)
-
-
-def _check_series(path: str, header: list[str]) -> list[np.ndarray]:
-    """_read_series field by field: the columns, or the error of the first bad line."""
-    lines, rows = _read_rows(path, header)
-    if not rows:
+    _, *series = _read_table(path, header, [int] + [float] * (len(header) - 1), _series_rules)
+    if not len(series[0]):
         raise TraceError(f"{path}: no data rows")
-    slots, parsed = _column(rows, 0, "slot", int)
-    gap = slots != np.arange(len(rows))
-    series = [_column(rows, j, name, float) for j, name in enumerate(header[1:], start=1)]
-    checks = [parsed, (gap, lambda i: f"missing slot {i}, found {int(slots[i])}")]
-    _raise_first_fault(checks + [check for _, check in series], lambda i: f"{path} line {lines[i]}")
-    return [values for values, _ in series]
+    return series
 
 
-def _read_charging(path: str) -> ChargingLog:
-    cols = _bulk_columns(path, CHARGING_HEADER, [_DTYPE[convert] for _, convert in _LOG_COLUMNS])
-    if cols is not None:
-        try:
-            return ChargingLog(*cols)
-        except TraceError:
-            pass  # the checker names the line
-    return _check_charging(path)
-
-
-def _check_charging(path: str) -> ChargingLog:
-    """_read_charging field by field: the log, or the error of the first bad line."""
-    lines, rows = _read_rows(path, CHARGING_HEADER)
-    cols, checks = zip(*(_column(rows, j, *column) for j, column in enumerate(_LOG_COLUMNS)))
-    _raise_first_fault([*checks, *_log_rules(*cols[2:])], lambda i: f"{path} line {lines[i]}")
-    return ChargingLog(*cols)
-
-
-# the stratum column's bulk text type: one character wider than the longest
-# name, so that np.loadtxt cannot cut a longer text down to a name
-_STRATUM_TEXT = f"U{max(len(s.value) for s in Stratum) + 1}"
-
-
-def _read_strata(path: str) -> Universe:
-    cols = _bulk_columns(path, STRATA_HEADER, [np.int64, np.int64, _STRATUM_TEXT])
-    if cols is not None:
-        stations, slots, names = cols
-        strata = np.full(len(names), -1, dtype=np.int64)
-        for code, name in enumerate(_STRATUM_NAMES.tolist()):
-            strata[names == name] = code
-        if (
-            strata.min() >= 0
-            and stations.min() >= 0
-            and slots.min() >= 0
-            and slots.max() < SLOTS_PER_DAY
-            and _first_repeat(stations, slots) is None
-        ):
-            return Universe(stations, slots, strata)
-    return _check_strata(path)
-
-
-def _check_strata(path: str) -> Universe:
-    """_read_strata field by field: the universe, or the error of the first bad line."""
-    lines, rows = _read_rows(path, STRATA_HEADER)
-    names = [row[2] for row in rows]
-    unknown = np.array([name not in _STRATUM_BY_VALUE for name in names], bool)
+def _strata_rules(cols, parsed, rows, lines) -> list:
+    stations, sods, strata = cols
     expected = sorted(_STRATUM_BY_VALUE)
-    stations, station_parsed = _column(rows, 0, "station_id", int)
-    sods, sod_parsed = _column(rows, 1, "slot_of_day", int)
-    checks = [
-        (unknown, lambda i: f"unknown stratum {names[i]!r}, expected one of {expected}"),
-        station_parsed,
+    return [
+        (strata < 0, lambda i: f"unknown stratum {rows[i][2]!r}, expected one of {expected}"),
+        parsed[0],
         (stations < 0, lambda i: f"station_id is negative: {rows[i][0]!r}"),
-        sod_parsed,
+        parsed[1],
         (
             (sods < 0) | (sods >= SLOTS_PER_DAY),
             lambda i: f"slot_of_day is outside [0, {SLOTS_PER_DAY}): {rows[i][1]!r}",
         ),
     ]
-    _raise_first_fault(checks, lambda i: f"{path} line {lines[i]}")
-    repeat = _first_repeat(stations, sods)
-    if repeat is not None:
-        row, first = repeat
+
+
+def _read_strata(path: str) -> Universe:
+    stations, sods, strata = _read_table(
+        path, STRATA_HEADER, (int, int, _STRATUM_NAMES), _strata_rules
+    )
+    repeat, first = _repeats(stations, sods)
+    if repeat.any():
+        row = int(repeat.argmax())
+        lines, _ = _read_rows(path, STRATA_HEADER)  # the line numbers, wanted only here
         raise TraceError(
             f"{path} line {lines[row]}: duplicate item (station {stations[row]}, slot_of_day "
-            f"{sods[row]}), first on line {lines[first]}"
+            f"{sods[row]}), first on line {lines[first[row]]}"
         )
-    codes = [_STRATUM_CODE[_STRATUM_BY_VALUE[name]] for name in names]
-    return Universe(stations, sods, np.array(codes, dtype=np.int64))
+    return Universe(stations, sods, strata)
 
 
 def load_csv(path: str, schema: str):
@@ -676,12 +662,11 @@ def load_csv(path: str, schema: str):
 
     Returns the price for "rtp", (wind, irradiance) for "weather", the load
     for "traffic", a ChargingLog for "charging", or a Universe for "strata".
-    Row i of a series holds slot i. Every file is parsed in one np.loadtxt
-    pass and its columns checked as wholes. A file that pass refuses or
-    whose columns fail a check goes to the checker. It converts each column
-    at once, every row check is a mask over the rows, and an error names
-    the first bad line in file order and, in it, the first failing check in
-    the order a row-by-row reader tries them.
+    Row i of a series holds slot i. Each schema's row rules are written once
+    and read by _read_table: over whole columns of one np.loadtxt pass, and,
+    when that pass refuses the file or a rule is broken, over a field-by-field
+    read whose error names the first bad line in file order and, in it, the
+    first rule broken in the order a row-by-row reader tries them.
     """
     if schema == "rtp":
         (price,) = _read_series(path, RTP_HEADER)
@@ -700,7 +685,9 @@ def load_csv(path: str, schema: str):
             raise TraceError(f"{path}: load_rate out of [0, 1] at slot {bad}: {load[bad]}")
         return load
     if schema == "charging":
-        return _read_charging(path)
+        kinds = [convert for _, convert in _LOG_COLUMNS]
+        rules = lambda cols, parsed, *_: [*parsed, *_log_rules(*cols[1:])]
+        return ChargingLog(*_read_table(path, CHARGING_HEADER, kinds, rules))
     if schema == "strata":
         return _read_strata(path)
     raise ValueError(f"unknown schema {schema!r}")
@@ -750,6 +737,6 @@ def load_traces(dir_path: str) -> TraceSet:
 
 
 def save_strata(path: str, universe: Universe) -> None:
-    names = _STRATUM_NAMES[universe.strata].tolist()
+    names = np.array(_STRATUM_NAMES)[universe.strata].tolist()
     rows = zip(universe.stations.tolist(), universe.slots.tolist(), names)
     _write_rows(path, STRATA_HEADER, rows)

@@ -598,6 +598,19 @@ class TestChargingStationFaults:
         assert err.startswith("data error: ") and f"{path}" in err
         assert f"record 0 (station {station}, slot of day 0) is outside" in err
 
+    def test_negative_slot_exits_3_naming_the_file_and_line(self, priced, tmp_path, capsys):
+        config_path, run_dir = priced
+        path = _copy_run(run_dir, tmp_path) / "data" / "charging.csv"
+        header, first, *rows = path.read_text().splitlines()
+        fields = first.split(",")
+        fields[1] = "-5"
+        path.write_text("\n".join([header, ",".join(fields), *rows]) + "\n")
+        out = str(path.parents[1])
+        rc = cli.main(["train-price", "--config", config_path, "--out", out, "--force"])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_DATA, err
+        assert err.startswith(f"data error: {path} line 2: slot must be nonnegative, got -5"), err
+
 
 class TestUnusableChargingLog:
     @pytest.mark.parametrize(

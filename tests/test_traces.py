@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hubopt import traces
+from hubopt import cli, traces
 from hubopt.traces import (
     ChargingLog,
     PopulationItem,
@@ -394,6 +394,7 @@ class TestChargingLog:
             ({"discount_rate": [0.0, 1.0, 0.3]}, r"row 1: discount_rate must be in \[0, 1\), got 1.0"),
             ({"discount_rate": [0.0, 0.3, np.nan]}, r"row 2: discount_rate must be in \[0, 1\), got nan"),
             ({"discount_rate": [0.1, 0.3, 0.3]}, "row 0: discount_rate must be 0 when no discount"),
+            ({"slot": [0, -5, 1]}, "row 1: slot must be nonnegative, got -5"),
         ],
     )
     def test_rules_name_the_first_offending_row(self, overrides, message):
@@ -652,6 +653,8 @@ def ref_read_series(path, header):
 
 
 def ref_charging_record(station, slot, charged, given, rate):
+    if slot < 0:
+        raise TraceError(f"slot must be nonnegative, got {slot}")
     if charged not in (0, 1):
         raise TraceError(f"charged must be 0/1, got {charged}")
     if given not in (0, 1):
@@ -763,6 +766,7 @@ INT64_OUT = ["9223372036854775808", "-9223372036854775809"]
 BAD_TEXT = {
     "slot": ["x", "", "1.5", "1e3", "GAP"] + INT64_OUT,
     "int": ["x", "", "1.5", "0x10"] + INT64_OUT,
+    "log_slot": ["x", "", "1.5", "0x10", "-1", "-5"] + INT64_OUT,
     "flag": ["2", "-1", "x", "0.5"] + INT64_OUT,
     "float": ["x", "", "nan", "NaN", "inf", "-inf", "1e999", "-1.0"],
     "unit": ["x", "nan", "1.5", "-0.1"],
@@ -775,7 +779,7 @@ KINDS = {
     "rtp": ("slot", "float"),
     "weather": ("slot", "float", "float"),
     "traffic": ("slot", "unit"),
-    "charging": ("int", "int", "flag", "flag", "rate"),
+    "charging": ("int", "log_slot", "flag", "flag", "rate"),
     "strata": ("station", "slot_of_day", "name"),
 }
 HEADERS = {
@@ -1073,8 +1077,16 @@ def plain_strata(draw):
     return [[str(s), str(t), draw(st.sampled_from(STRATUM_NAMES))] for s, t in keys]
 
 
-def refuse_checker(path):
+def refuse_checker(path, header):
     raise AssertionError(f"the checker read {path}")
+
+
+def by_checker(read, *args):
+    """read(*args) with the one-pass read refused, so that every file is read
+    field by field."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(traces, "_bulk_columns", lambda *_: None)
+        return read(*args)
 
 
 class TestStrataOnePass:
@@ -1084,9 +1096,9 @@ class TestStrataOnePass:
         path = str(tmp_path / "strata.csv")
         write_lines(tmp_path / "strata.csv", traces.STRATA_HEADER, rows)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(traces, "_check_strata", refuse_checker)
+            mp.setattr(traces, "_read_rows", refuse_checker)
             got = load_csv(path, "strata")
-        want = traces._check_strata(path)
+        want = by_checker(load_csv, path, "strata")
         for name in ("stations", "slots", "strata"):
             g, w = getattr(got, name), getattr(want, name)
             assert g.dtype == w.dtype == np.int64
@@ -1107,11 +1119,11 @@ class TestStrataOnePass:
         path = str(tmp_path / "strata.csv")
         write_lines(tmp_path / "strata.csv", traces.STRATA_HEADER, rows)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(traces, "_check_strata", refuse_checker)
+            mp.setattr(traces, "_read_rows", refuse_checker)
             with pytest.raises(AssertionError, match="the checker read"):
                 load_csv(path, "strata")
         errors = []
-        for parse in (load_csv, lambda p, _: traces._check_strata(p), ref_load_csv):
+        for parse in (load_csv, lambda *args: by_checker(load_csv, *args), ref_load_csv):
             with pytest.raises(TraceError) as caught:
                 parse(path, "strata")
             errors.append(str(caught.value))
@@ -1130,3 +1142,171 @@ class TestStrataOnePass:
         writer.writerow(traces.STRATA_HEADER)
         writer.writerows((it.station_id, it.slot_of_day, it.stratum.value) for it in items)
         assert path.read_bytes() == text.getvalue().encode("utf-8")
+
+
+# -- discounts.csv: the one-pass read against the field checker ------------------
+
+DISCOUNT_CONFIG = cli.RunConfig()
+# the items of strata.csv: stations 0-3 at every slot of day, bar one in five
+DISCOUNT_ITEMS = [(s, t) for s in range(4) for t in range(24) if (s + t) % 5]
+DISCOUNT_UNIVERSE = traces.Universe.from_items(
+    [PopulationItem(s, t, Stratum.ALWAYS_CHARGE) for s, t in DISCOUNT_ITEMS]
+)
+# (station, slot of day) keys that name no item
+NOT_ITEMS = [(s, t) for s in range(4) for t in range(24) if (s + t) % 5 == 0] + [
+    (4, 0),
+    (99, 3),
+    (-1, 2),
+    (0, 24),
+    (2, -1),
+    (2**62, 5),
+]
+# (field, texts) per fault kind: one text puts one row at fault
+DISCOUNT_FAULTS = {
+    "unknown-method": (0, ["greedy", "CFMTL", "", "or "]),
+    # a text type as wide as the longest method would cut these down to it
+    "over-long-method": (0, ["cfmtlx", "cfmtlxx", "cfmtl" + "x" * 20]),
+    "non-integer": (None, ["x", "1.5", "", "0x10", "9223372036854775808"]),
+    "not-in-strata": (None, []),
+    "duplicate": (None, []),
+    "bad-rate": (3, ["x", "", "nan", "inf", "-inf", "1e999"]),
+    "wrong-rate": (3, ["0.4", "0.30000000000000004", "0", "-0.3"]),
+}
+
+
+@st.composite
+def discount_rows(draw, styled=True):
+    """[method, station, slot of day, rate] field texts of a valid discounts.csv;
+    unstyled, they are the texts eval-price writes."""
+    keys = draw(
+        st.lists(
+            st.tuples(st.sampled_from(cli.METHODS), st.sampled_from(DISCOUNT_ITEMS)),
+            min_size=1,
+            max_size=30,
+            unique=True,
+        )
+    )
+    as_int = lambda v: draw(st.sampled_from(INT_STYLES))(v) if styled else str(v)
+    as_float = lambda x: draw(st.sampled_from(FLOAT_STYLES))(x) if styled else repr(x)
+    return [[m, as_int(s), as_int(t), as_float(DISCOUNT_CONFIG.discount)] for m, (s, t) in keys]
+
+
+def put_discount_fault(data, rows, fault):
+    i = data.draw(st.integers(0, len(rows) - 1))
+    if fault == "duplicate":
+        at = data.draw(st.integers(i + 1, len(rows)))
+        rows.insert(at, rows[i][:3] + [repr(DISCOUNT_CONFIG.discount)])
+    elif fault == "not-in-strata":
+        rows[i][1:3] = map(str, data.draw(st.sampled_from(NOT_ITEMS)))
+    else:
+        field, texts = DISCOUNT_FAULTS[fault]
+        j = field if field is not None else data.draw(st.integers(1, 2))
+        rows[i][j] = data.draw(st.sampled_from(texts))
+
+
+def write_discounts(run_dir, rows, blank_after=()):
+    path = run_dir / "results" / "discounts.csv"
+    path.parent.mkdir(exist_ok=True)
+    write_lines(path, cli.DISCOUNTS_HEADER, rows, blank_after)
+    return path
+
+
+def ref_load_decisions(run_dir):
+    """cli._load_decisions as it read one row at a time."""
+    path = str(run_dir / "results" / "discounts.csv")
+    strata_path = str(run_dir / "data" / "strata.csv")
+    decisions, first = {method: {} for method in cli.METHODS}, {}
+    for ln, (method, *fields) in ref_read_rows(path, cli.DISCOUNTS_HEADER):
+        if method not in cli.METHODS:
+            raise TraceError(
+                f"{path} line {ln}: unknown method {method!r}, expected one of {list(cli.METHODS)}"
+            )
+        key = (
+            ref_parse_int(path, ln, "station_id", fields[0]),
+            ref_parse_int(path, ln, "slot_of_day", fields[1]),
+        )
+        item = f"item (station {key[0]}, slot_of_day {key[1]})"
+        if key not in DISCOUNT_ITEMS:
+            raise TraceError(f"{path} line {ln}: {item} is not in {strata_path}")
+        if (method, key) in first:
+            raise TraceError(
+                f"{path} line {ln}: duplicate {method} {item}, first on line {first[method, key]}"
+            )
+        first[method, key] = ln
+        if ref_parse_float(path, ln, "discount", fields[2]) != DISCOUNT_CONFIG.discount:
+            raise TraceError(
+                f"{path} line {ln}: discount {fields[2]} differs from the run config's "
+                f"pricing.discount {DISCOUNT_CONFIG.discount}; rerun eval-price with --force"
+            )
+        decisions[method][key] = DISCOUNT_CONFIG.discount
+    return decisions
+
+
+def refuse_rows(mp):
+    """Refuse the field-by-field read, under the name cli imports too."""
+    for module in (traces, cli):
+        mp.setattr(module, "_read_rows", refuse_checker)
+
+
+def load_decisions(run_dir):
+    return cli._load_decisions(DISCOUNT_CONFIG, str(run_dir), DISCOUNT_UNIVERSE)
+
+
+def all_three_reads(run_dir):
+    """(decisions or error text) from _load_decisions, from it with the one-pass
+    read refused, and from the reference."""
+    out = []
+    for read in (load_decisions, lambda d: by_checker(load_decisions, d), ref_load_decisions):
+        try:
+            out.append(read(run_dir))
+        except TraceError as exc:
+            out.append(f"TraceError: {exc}")
+    return out
+
+
+class TestDiscountsOnePass:
+    @settings(max_examples=150, deadline=None, suppress_health_check=FIXTURE_OK)
+    @given(data=st.data())
+    def test_valid_files_give_the_checkers_decisions(self, tmp_path, data):
+        rows = data.draw(discount_rows())
+        blanks = data.draw(st.sets(st.integers(0, len(rows) - 1), max_size=2))
+        write_discounts(tmp_path, rows, blanks)
+        got, by_fields, want = all_three_reads(tmp_path)
+        assert not isinstance(want, str), want
+        assert got == by_fields == want
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=FIXTURE_OK)
+    @given(rows=discount_rows(styled=False))
+    def test_plain_files_never_reach_the_checker(self, tmp_path, rows):
+        write_discounts(tmp_path, rows)
+        with pytest.MonkeyPatch.context() as mp:
+            refuse_rows(mp)
+            got = load_decisions(tmp_path)
+        assert got == by_checker(load_decisions, tmp_path)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=FIXTURE_OK)
+    @given(
+        rows=discount_rows(styled=False),
+        data=st.data(),
+        fault=st.sampled_from(sorted(DISCOUNT_FAULTS)),
+    )
+    def test_a_fault_goes_to_the_checker_and_raises_its_error(self, tmp_path, rows, data, fault):
+        put_discount_fault(data, rows, fault)
+        path = write_discounts(tmp_path, rows)
+        with pytest.MonkeyPatch.context() as mp:
+            refuse_rows(mp)
+            with pytest.raises(AssertionError, match="the checker read"):
+                load_decisions(tmp_path)
+        got, by_fields, want = all_three_reads(tmp_path)
+        assert got == by_fields == want
+        assert got.startswith(f"TraceError: {path} line "), got
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=FIXTURE_OK)
+    @given(rows=discount_rows(), data=st.data())
+    def test_several_faults_raise_the_first_in_file_order(self, tmp_path, rows, data):
+        for _ in range(data.draw(st.integers(2, 4))):
+            put_discount_fault(data, rows, data.draw(st.sampled_from(sorted(DISCOUNT_FAULTS))))
+        path = write_discounts(tmp_path, rows)
+        got, by_fields, want = all_three_reads(tmp_path)
+        assert got == by_fields == want
+        assert got.startswith(f"TraceError: {path} line "), got
