@@ -191,13 +191,10 @@ def soc_step(
 
 
 def feasible_actions(state: BatteryState, spec: BatterySpec, slot_hours: float) -> set[int]:
-    """Actions that keep soc within [soc_min, soc_max]. Idle is always allowed."""
-    allowed = {IDLE}
-    if state.soc_kwh + spec.eta_charge * spec.r_charge_kw * slot_hours <= spec.soc_max_kwh:
-        allowed.add(CHARGE)
-    if state.soc_kwh - spec.r_discharge_kw * slot_hours >= spec.soc_min_kwh:
-        allowed.add(DISCHARGE)
-    return allowed
+    """Actions whose move, soc plus the action's battery_power delta, keeps
+    soc within [soc_min, soc_max]. From a soc in that band, idle is always allowed."""
+    soc, low, high = state.soc_kwh, spec.soc_min_kwh, spec.soc_max_kwh
+    return {a for a in ACTIONS if low <= soc + battery_power(spec, a, slot_hours)[1] <= high}
 
 
 def reserve_floor(cfg: HubConfig) -> float:

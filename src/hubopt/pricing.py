@@ -236,28 +236,21 @@ def cfmtl_loss(model: PricingModel, observations: Observations) -> LossParts:
     return parts
 
 
-def train_cfmtl(
-    observations: Observations,
-    cfg: PricingConfig,
-    model: PricingModel | None = None,
-) -> PricingModel:
+def train_cfmtl(observations: Observations, cfg: PricingConfig) -> PricingModel:
     """Train the stratum and propensity heads jointly on logged observations.
 
     The observations must hold both treatment arms and stations below the
     model's count; train-price checks both where it reads charging.csv.
     """
     stations, slots, treated, charged = observations
-    if model is None:
-        n_stations = (
-            cfg.n_stations if cfg.n_stations is not None else int(stations.max()) + 1
-        )
-        model = PricingModel(
-            n_stations=n_stations,
-            n_slots=SLOTS_PER_DAY,
-            embed_dim=cfg.embed_dim,
-            hidden=cfg.hidden,
-            seed=spawn_seed(cfg.seed, "pricing", "init"),
-        )
+    n_stations = cfg.n_stations if cfg.n_stations is not None else int(stations.max()) + 1
+    model = PricingModel(
+        n_stations=n_stations,
+        n_slots=SLOTS_PER_DAY,
+        embed_dim=cfg.embed_dim,
+        hidden=cfg.hidden,
+        seed=spawn_seed(cfg.seed, "pricing", "init"),
+    )
     opt = nn.Adam(model.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = spawn_rng(cfg.seed, "pricing", "batches")
     n = len(stations)

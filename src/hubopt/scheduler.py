@@ -343,9 +343,9 @@ def total_loss(
 
     J = mean clip term - value_coef * MSE(V, targets) + entropy_coef * entropy.
     The gradients are of J itself; descend on their negation. They are left
-    in bundle.grad, and returned as copies that a later backward does not
-    overwrite. actions are integer and the other arrays float64, one row per
-    sample.
+    in bundle.grad and returned as its views, bundle.grads(), which the next
+    backward overwrites: copy a gradient to keep it. actions are integer and
+    the other arrays float64, one row per sample.
     """
     n = len(actions)
     probs, values, cache = bundle.forward(states)
@@ -372,8 +372,8 @@ def total_loss(
         objective += cfg.entropy_coef * float(np.mean(-np.sum(safe * np.log(safe), axis=1)))
         grad_probs += cfg.entropy_coef * (-(np.log(safe) + 1.0)) / n
     grad_values = -2.0 * cfg.value_coef * verr / n
-    grads = bundle.backward(cache, grad_probs, grad_values)
-    return objective, [g.copy() for g in grads]
+    bundle.backward(cache, grad_probs, grad_values)
+    return objective, bundle.grads()
 
 
 def policy_update(
@@ -463,19 +463,17 @@ def _settler(cfg: hub.HubConfig):
     """hub.feasible_actions's idle fallback, then hub.soc_step, over arrays.
 
     Returns settle(soc, actions): the actions taken and the next soc for
-    actions chosen at soc (kWh). The expressions are the scalar ones, in the
-    same order, so every soc has the bits the scalar path gives it; their
-    constants are computed here, once.
+    actions chosen at soc (kWh). Each action's soc delta is battery_power's,
+    computed here once, and the expressions are the scalar ones, so every
+    soc has the bits the scalar path gives it.
     """
     spec, dt = cfg.battery, cfg.slot_hours
-    up = spec.eta_charge * spec.r_charge_kw * dt
-    down = spec.r_discharge_kw * dt
     deltas = np.array([hub.battery_power(spec, action, dt)[1] for action in hub.ACTIONS])
 
     def settle(soc: np.ndarray, actions: np.ndarray):
-        charge = (actions == hub.CHARGE) & (soc + up <= spec.soc_max_kwh)
-        discharge = (actions == hub.DISCHARGE) & (soc - down >= spec.soc_min_kwh)
-        taken = np.where(charge, hub.CHARGE, np.where(discharge, hub.DISCHARGE, hub.IDLE))
+        moved = soc + deltas[actions]
+        kept = (spec.soc_min_kwh <= moved) & (moved <= spec.soc_max_kwh)
+        taken = np.where(kept, actions, hub.IDLE)
         return taken, soc + deltas[taken]
 
     return settle
@@ -718,12 +716,12 @@ def dp_oracle(
     if resolution <= 0:
         raise hub.ConfigError(f"resolution must be positive, got {resolution}")
     spec = cfg.battery
-    charge_delta = spec.eta_charge * spec.r_charge_kw * cfg.slot_hours
-    discharge_delta = spec.r_discharge_kw * cfg.slot_hours
+    _, charge_delta = hub.battery_power(spec, hub.CHARGE, cfg.slot_hours)
+    _, discharge_delta = hub.battery_power(spec, hub.DISCHARGE, cfg.slot_hours)
     steps = {}
     for name, value in (
         ("charge step", charge_delta),
-        ("discharge step", discharge_delta),
+        ("discharge step", -discharge_delta),
         ("soc span", spec.soc_max_kwh - spec.soc_min_kwh),
         ("initial soc offset", initial_soc_kwh - spec.soc_min_kwh),
     ):

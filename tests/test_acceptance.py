@@ -10,7 +10,6 @@ and `test_pooled_pricing_fits_equal_the_serial_fits` (which prints no
 verdict) checks that they give the serial fits' bits.
 """
 
-import itertools
 import multiprocessing
 import os
 import time
@@ -21,6 +20,7 @@ import pytest
 import yaml
 
 from fdcheck import FD_STEP, REL_TOL, central_diff_grads, max_rel_err
+from reference import brute_force_best, profit_rows
 from hubopt import cli, hub, nn, pricing, scheduler
 from hubopt.traces import (
     SLOTS_PER_DAY,
@@ -228,9 +228,10 @@ def _check_ppo_objective(rng):
             bundle, states, actions, old_log_probs, advantages, targets, cfg
         )[0]
 
-    _, analytic = scheduler.total_loss(
+    _, grads = scheduler.total_loss(
         bundle, states, actions, old_log_probs, advantages, targets, cfg
     )
+    analytic = [g.copy() for g in grads]  # f's backward overwrites the views
     return max_rel_err(analytic, central_diff_grads(f, bundle.params()))
 
 
@@ -266,34 +267,6 @@ def test_gradient_finite_difference_suite():
 
 
 # --------------------------------------------------------- exact-plan oracle
-
-
-def _brute_force_best(cfg, inputs, initial_soc_kwh):
-    """Try all action sequences; profit accumulated back to front like the DP."""
-    hub_actions = (hub.IDLE, hub.CHARGE, hub.DISCHARGE)
-    best = None
-    for seq in itertools.product(hub_actions, repeat=len(inputs)):
-        state = hub.BatteryState(initial_soc_kwh)
-        profits = []
-        try:
-            for slot, action in zip(inputs, seq):
-                outcome = hub.step(cfg, state, slot, action)
-                profits.append(outcome.profit)
-                state = hub.BatteryState(outcome.soc_after_kwh)
-        except hub.FeasibilityError:
-            continue
-        total = 0.0
-        for p in reversed(profits):
-            total = p + total
-        if best is None or total > best:
-            best = total
-    return best
-
-
-def _profit_rows(cfg, inputs):
-    """The DP's profit rows for a list of SlotInputs, built by hub.profit_table."""
-    fields = ("load_rate", "cs_active", "p_wt_kw", "p_pv_kw", "rtp", "srtp")
-    return hub.profit_table(cfg, *([getattr(s, f) for s in inputs] for f in fields))
 
 
 def test_exact_oracle_matches_enumeration():
@@ -335,8 +308,8 @@ def test_exact_oracle_matches_enumeration():
             for _ in range(8)
         ]
         initial = 1.0 + int(rng.integers(0, span + 1)) * res
-        profit, _ = scheduler.dp_oracle(cfg, _profit_rows(cfg, inputs), initial, res)
-        brute = _brute_force_best(cfg, inputs, initial)
+        profit, _ = scheduler.dp_oracle(cfg, profit_rows(cfg, inputs), initial, res)
+        brute = brute_force_best(cfg, inputs, initial)
         if profit != brute:
             mismatches.append(f"trial {trial}: dp {profit!r} vs enumeration {brute!r}")
     _finish(
@@ -386,7 +359,7 @@ def test_scheduler_reaches_oracle_bar():
     occupancy = np.isin(hours, (21, 22, 23)).astype(int)
     env = _alternating_tariff_env(occupancy * 2.0, occupancy)
     inputs = [env.slot_inputs(t) for t in range(24, 24 + env.episode_slots)]
-    dp_profit, _ = scheduler.dp_oracle(env.hub_cfg, _profit_rows(env.hub_cfg, inputs), 0.0, 4.0)
+    dp_profit, _ = scheduler.dp_oracle(env.hub_cfg, profit_rows(env.hub_cfg, inputs), 0.0, 4.0)
     idle_state = hub.BatteryState(0.0)
     idle = sum(hub.step(env.hub_cfg, idle_state, s, hub.IDLE).profit for s in inputs)
     bar = 0.9 * dp_profit

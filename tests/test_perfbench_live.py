@@ -10,7 +10,6 @@ that `train-drl` calls `cli._hub_series` and, as it reads eval-price's
 `discounts.csv` instead, never `cli._method_decisions`.
 """
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -19,8 +18,7 @@ import sys
 import yaml
 
 from hubopt import cli
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from reference import ROOT, load_perfbench
 
 # pricing per-layer names that only training reaches
 TRAINING = {
@@ -30,15 +28,6 @@ TRAINING = {
     "pricing.cfmtl_loss_parts",
     "pricing.PricingModel.backward",
 }
-
-
-def load_tracer():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py")
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def pricing_per_layer_names():
@@ -74,7 +63,7 @@ def traced_calls(tmp_path, config_path, stage):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    functions = load_tracer().summarize(spans)["functions"]
+    functions = load_perfbench("tracer").summarize(spans)["functions"]
     return {name: stats["calls"] for name, stats in functions.items()}
 
 

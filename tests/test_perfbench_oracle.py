@@ -7,23 +7,10 @@ this test fails whenever the lockstep evaluation and the scalar environment
 disagree, without waiting for the slow smoke run.
 """
 
-import importlib.util
-import os
-
 import yaml
 
 from hubopt import cli
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def load_oracle():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_oracle", os.path.join(ROOT, "perfbench", "oracle.py")
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from reference import load_perfbench
 
 
 def test_oracle_checks_pass_on_a_tiny_run(tmp_path):
@@ -50,7 +37,7 @@ def test_oracle_checks_pass_on_a_tiny_run(tmp_path):
     for sub in ("gen-data", "train-price", "eval-price", "train-drl", "eval-drl"):
         assert cli.main([sub, "--config", config_path]) == 0, sub
 
-    result = load_oracle().run(config_path, str(run_dir))
+    result = load_perfbench("oracle").run(config_path, str(run_dir))
     checks = result["checks"]
     # one check per evaluation episode and one per (hub, method)
     assert len(checks) == 2 * 4 * (3 + 1)

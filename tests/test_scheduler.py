@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +26,7 @@ from hubopt.seeding import spawn_rng, spawn_seed
 from hubopt.traces import TraceSet, gen_rtp, gen_traffic, gen_weather
 
 from fdcheck import assert_grads_close, central_diff_grads
+from reference import brute_force_best, profit_rows
 
 
 def make_traces(n_slots, seed=0):
@@ -344,9 +343,10 @@ class TestTotalLoss:
             bundle, n=8, seed=7
         )
         params = bundle.params()
-        _, analytic = total_loss(
+        _, grads = total_loss(
             bundle, states, actions, old_log_probs, advantages, targets, cfg
         )
+        analytic = [g.copy() for g in grads]  # each total_loss below overwrites the views
         numeric = central_diff_grads(
             lambda: total_loss(
                 bundle, states, actions, old_log_probs, advantages, targets, cfg
@@ -768,12 +768,6 @@ class TestLockstep:
             assert trained[k].flat.tobytes() == bundle.flat.tobytes()
 
 
-def profit_rows(cfg, inputs):
-    """The DP's profit rows for a list of SlotInputs, built by hub.profit_table."""
-    fields = ("load_rate", "cs_active", "p_wt_kw", "p_pv_kw", "rtp", "srtp")
-    return hub.profit_table(cfg, *([getattr(s, f) for s in inputs] for f in fields))
-
-
 def flat_inputs(n, rtp, load=1.0, srtp=0.0, cs=0, wt=0.0, pv=0.0):
     return [
         hub.SlotInputs(load_rate=load, cs_active=cs, p_wt_kw=wt, p_pv_kw=pv, rtp=r, srtp=srtp)
@@ -870,28 +864,6 @@ class TestDpOracle:
             )
 
     @staticmethod
-    def brute_force(cfg, inputs, initial_soc_kwh):
-        """Try all action sequences; profit accumulated back to front like the DP."""
-        hub_actions = (IDLE, CHARGE, DISCHARGE)
-        best = None
-        for seq in itertools.product(hub_actions, repeat=len(inputs)):
-            state = hub.BatteryState(initial_soc_kwh)
-            profits = []
-            try:
-                for slot, action in zip(inputs, seq):
-                    outcome = hub.step(cfg, state, slot, action)
-                    profits.append(outcome.profit)
-                    state = hub.BatteryState(outcome.soc_after_kwh)
-            except hub.FeasibilityError:
-                continue
-            total = 0.0
-            for p in reversed(profits):
-                total = p + total
-            if best is None or total > best:
-                best = total
-        return best
-
-    @staticmethod
     def node_by_node(cfg, inputs, initial_soc_kwh, resolution):
         """Backward induction one lattice node at a time; ties go to idle, then charge."""
         spec = cfg.battery
@@ -962,7 +934,7 @@ class TestDpOracle:
             cfg, profit_rows(cfg, inputs), initial_soc_kwh=0.1, resolution=0.1
         )
         assert CHARGE not in actions
-        assert profit == self.brute_force(cfg, inputs, 0.1)
+        assert profit == brute_force_best(cfg, inputs, 0.1)
 
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(12)
@@ -1003,7 +975,7 @@ class TestDpOracle:
             i0 = int(rng.integers(0, span + 1))
             initial = 1.0 + i0 * res
             profit, actions = dp_oracle(cfg, profit_rows(cfg, inputs), initial, res)
-            assert profit == self.brute_force(cfg, inputs, initial), f"trial {trial}"
+            assert profit == brute_force_best(cfg, inputs, initial), f"trial {trial}"
             # the reported plan must achieve the reported value
             state = hub.BatteryState(initial)
             replay = []

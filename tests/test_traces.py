@@ -1,9 +1,13 @@
+import ast
 import csv
 import hashlib
 import io
 import math
+import os
 import re
 import warnings
+from dataclasses import astuple, dataclass, field
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -257,56 +261,15 @@ class TestCsvRoundTrip:
         save_strata(path, items)
         assert load_csv(path, "strata") == items
 
-    def test_gap_detected(self, tmp_path):
-        path = tmp_path / "rtp.csv"
-        path.write_text("slot,price\n0,0.1\n1,0.1\n3,0.1\n")
-        with pytest.raises(TraceError, match="missing slot 2"):
-            load_csv(str(path), "rtp")
-
     @pytest.mark.parametrize("schema", ["rtp", "weather", "traffic"])
     def test_series_must_start_at_slot_0(self, tmp_path, schema):
         # the DRL stages read row i of a series as hour i % 24
-        header = HEADERS[schema]
+        header = SCHEMAS[schema].header
         path = tmp_path / f"{schema}.csv"
         rows = [[str(slot)] + ["0.5"] * (len(header) - 1) for slot in (5, 6)]
         write_lines(path, header, rows)
         with pytest.raises(TraceError, match="line 2: missing slot 0, found 5$"):
             load_csv(str(path), schema)
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "rtp.csv"
-        path.write_text("slot,cost\n0,0.1\n")
-        with pytest.raises(TraceError, match="header"):
-            load_csv(str(path), "rtp")
-
-    def test_negative_price(self, tmp_path):
-        path = tmp_path / "rtp.csv"
-        path.write_text("slot,price\n0,0.1\n1,-0.2\n")
-        with pytest.raises(TraceError, match="negative price at slot 1"):
-            load_csv(str(path), "rtp")
-
-    @pytest.mark.parametrize("row", ["1,-0.5,0.0", "1,2.0,-10.0"], ids=["wind", "irradiance"])
-    def test_negative_weather(self, tmp_path, row):
-        path = tmp_path / "weather.csv"
-        path.write_text(f"slot,wind_mps,irradiance_wm2\n0,1.0,0.0\n{row}\n")
-        with pytest.raises(TraceError, match="weather values must be nonnegative"):
-            load_csv(str(path), "weather")
-
-    def test_parse_error_names_line(self, tmp_path):
-        path = tmp_path / "traffic.csv"
-        path.write_text("slot,load_rate\n0,0.5\n1,high\n")
-        with pytest.raises(TraceError, match="line 3"):
-            load_csv(str(path), "traffic")
-
-    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN"])
-    def test_non_finite_value_names_file_line_and_field(self, tmp_path, text):
-        path = tmp_path / "weather.csv"
-        path.write_text(f"slot,wind_mps,irradiance_wm2\n0,1.0,0.0\n1,2.0,{text}\n")
-        with pytest.raises(TraceError, match="not finite") as err:
-            load_csv(str(path), "weather")
-        assert str(path) in str(err.value)
-        assert "line 3" in str(err.value)
-        assert "irradiance_wm2" in str(err.value)
 
     @pytest.mark.parametrize(
         "schema, row",
@@ -318,39 +281,13 @@ class TestCsvRoundTrip:
         ids=["series-quoted", "series-bare", "strata"],
     )
     def test_field_over_the_csv_limit_names_file_and_line(self, tmp_path, schema, row):
-        header = HEADERS[schema]
+        header = SCHEMAS[schema].header
         first = "0," + ("0,always" if schema == "strata" else "0.1")
         path = tmp_path / f"{schema}.csv"
         path.write_text("\n".join([",".join(header), first, row, first]) + "\n")
         message = f"{path} line 3: field larger than field limit ({csv.field_size_limit()})"
         with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
             load_csv(str(path), schema)
-
-    def test_load_rate_range(self, tmp_path):
-        path = tmp_path / "traffic.csv"
-        path.write_text("slot,load_rate\n0,0.5\n1,1.5\n")
-        with pytest.raises(TraceError, match="out of"):
-            load_csv(str(path), "traffic")
-
-    def test_charging_flag_validation(self, tmp_path):
-        path = tmp_path / "charging.csv"
-        path.write_text(
-            "station_id,slot,charged,discount_given,discount_rate\n0,0,2,0,0.0\n"
-        )
-        with pytest.raises(TraceError, match="line 2"):
-            load_csv(str(path), "charging")
-
-    def test_unknown_stratum(self, tmp_path):
-        path = tmp_path / "strata.csv"
-        path.write_text("station_id,slot_of_day,stratum\n0,0,sometimes\n")
-        with pytest.raises(TraceError, match="sometimes"):
-            load_csv(str(path), "strata")
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "rtp.csv"
-        path.write_text("")
-        with pytest.raises(TraceError, match="empty"):
-            load_csv(str(path), "rtp")
 
     def test_unknown_schema(self, tmp_path):
         with pytest.raises(ValueError, match="schema"):
@@ -589,10 +526,13 @@ class TestPopulationAtFullScale:
         assert digest == {"strata.csv": BENCH_STRATA_SHA256, "charging.csv": BENCH_CHARGING_SHA256}
 
 
-# -- bulk CSV parse against the field-by-field parse -----------------------------
+# -- the one-pass read against the field checker and a row-by-row reference -----
 #
-# ref_load_csv is load_csv as it parsed one row and one field at a time; the
-# bulk parse must return the same bits and raise the same errors.
+# load_csv and cli._load_decisions read every CSV through traces._read_table:
+# one np.loadtxt pass, and the field-by-field checker when the pass refuses
+# the file or a row rule is broken. ref_load_csv reads one row and one field
+# at a time, as load_csv once did; all three reads must give the same bits and
+# raise the same errors.
 
 
 def ref_read_rows(path, header):
@@ -652,22 +592,19 @@ def ref_read_series(path, header):
     return [np.asarray(col) for col in cols]
 
 
-def ref_charging_record(station, slot, charged, given, rate):
-    if slot < 0:
-        raise TraceError(f"slot must be nonnegative, got {slot}")
-    if charged not in (0, 1):
-        raise TraceError(f"charged must be 0/1, got {charged}")
-    if given not in (0, 1):
-        raise TraceError(f"discount_given must be 0/1, got {given}")
-    if not 0.0 <= rate < 1.0:
-        raise TraceError(f"discount_rate must be in [0, 1), got {rate}")
-    if given == 0 and rate != 0.0:
-        raise TraceError("discount_rate must be 0 when no discount was given")
-    return (station, slot, charged, given, rate)
+DISCOUNT_CONFIG = cli.RunConfig()
+# the items of strata.csv for discounts.csv: stations 0-3 at every slot of
+# day, bar one in five
+DISCOUNT_ITEMS = [(s, t) for s in range(4) for t in range(24) if (s + t) % 5]
+DISCOUNT_UNIVERSE = traces.Universe.from_items(
+    [PopulationItem(s, t, Stratum.ALWAYS_CHARGE) for s, t in DISCOUNT_ITEMS]
+)
 
 
 def ref_load_csv(path, schema):
-    """Columns as arrays, in the order load_csv_columns lays them out."""
+    """The file read one row and one field at a time: its columns as arrays,
+    in the order SCHEMAS[schema].read lays them out, or for "discounts"
+    cli._load_decisions' decisions."""
     if schema == "rtp":
         (price,) = ref_read_series(path, traces.RTP_HEADER)
         if price.min() < 0:
@@ -687,20 +624,52 @@ def ref_load_csv(path, schema):
     if schema == "charging":
         records = []
         for ln, row in ref_read_rows(path, traces.CHARGING_HEADER):
-            # the field errors carry their own prefix; the record rules do not
-            fields = [
-                ref_parse_int(path, ln, "station_id", row[0]),
-                ref_parse_int(path, ln, "slot", row[1]),
-                ref_parse_int(path, ln, "charged", row[2]),
-                ref_parse_int(path, ln, "discount_given", row[3]),
-                ref_parse_float(path, ln, "discount_rate", row[4]),
-            ]
-            try:
-                records.append(ref_charging_record(*fields))
-            except TraceError as exc:
-                raise TraceError(f"{path} line {ln}: {exc}") from None
+            station, slot, charged, given = (
+                ref_parse_int(path, ln, name, text)
+                for name, text in zip(traces.CHARGING_HEADER[:4], row)
+            )
+            rate = ref_parse_float(path, ln, "discount_rate", row[4])
+            for broken, message in (
+                (slot < 0, f"slot must be nonnegative, got {slot}"),
+                (charged not in (0, 1), f"charged must be 0/1, got {charged}"),
+                (given not in (0, 1), f"discount_given must be 0/1, got {given}"),
+                (not 0.0 <= rate < 1.0, f"discount_rate must be in [0, 1), got {rate}"),
+                (given == 0 and rate != 0.0, "discount_rate must be 0 when no discount was given"),
+            ):
+                if broken:
+                    raise TraceError(f"{path} line {ln}: {message}")
+            records.append((station, slot, charged, given, rate))
         dtypes = [np.int64] * 4 + [np.float64]
         return [np.array([r[j] for r in records], dtype=d) for j, d in enumerate(dtypes)]
+    if schema == "discounts":
+        strata_path = os.path.join(os.path.dirname(os.path.dirname(path)), "data", "strata.csv")
+        decisions, first = {method: {} for method in cli.METHODS}, {}
+        for ln, (method, *fields) in ref_read_rows(path, cli.DISCOUNTS_HEADER):
+            if method not in cli.METHODS:
+                raise TraceError(
+                    f"{path} line {ln}: unknown method {method!r}, "
+                    f"expected one of {list(cli.METHODS)}"
+                )
+            key = (
+                ref_parse_int(path, ln, "station_id", fields[0]),
+                ref_parse_int(path, ln, "slot_of_day", fields[1]),
+            )
+            item = f"item (station {key[0]}, slot_of_day {key[1]})"
+            if key not in DISCOUNT_ITEMS:
+                raise TraceError(f"{path} line {ln}: {item} is not in {strata_path}")
+            if (method, key) in first:
+                raise TraceError(
+                    f"{path} line {ln}: duplicate {method} {item}, "
+                    f"first on line {first[method, key]}"
+                )
+            first[method, key] = ln
+            if ref_parse_float(path, ln, "discount", fields[2]) != DISCOUNT_CONFIG.discount:
+                raise TraceError(
+                    f"{path} line {ln}: discount {fields[2]} differs from the run config's "
+                    f"pricing.discount {DISCOUNT_CONFIG.discount}; rerun eval-price with --force"
+                )
+            decisions[method][key] = DISCOUNT_CONFIG.discount
+        return decisions
     items, first = [], {}
     rows = ref_read_rows(path, traces.STRATA_HEADER)
     for ln, row in rows:
@@ -716,27 +685,16 @@ def ref_load_csv(path, schema):
         slot_of_day = ref_parse_int(path, ln, "slot_of_day", row[1])
         if not 0 <= slot_of_day < 24:
             raise TraceError(f"{path} line {ln}: slot_of_day is outside [0, 24): {row[1]!r}")
-        items.append(PopulationItem(station, slot_of_day, traces._STRATUM_BY_VALUE[name]))
+        items.append((station, slot_of_day, traces._STRATUM_NAMES.index(name)))
     # duplicates are checked once every row is valid
-    for (ln, _), item in zip(rows, items):
-        key = (item.station_id, item.slot_of_day)
-        if key in first:
+    for (ln, _), (station, slot_of_day, _) in zip(rows, items):
+        if (station, slot_of_day) in first:
             raise TraceError(
-                f"{path} line {ln}: duplicate item (station {key[0]}, slot_of_day "
-                f"{key[1]}), first on line {first[key]}"
+                f"{path} line {ln}: duplicate item (station {station}, slot_of_day "
+                f"{slot_of_day}), first on line {first[station, slot_of_day]}"
             )
-        first[key] = ln
-    return items
-
-
-def load_csv_columns(path, schema):
-    got = load_csv(path, schema)
-    if schema == "charging":
-        return [getattr(got, name) for name in traces.CHARGING_HEADER]
-    if schema == "strata":
-        return got
-    # weather is a (wind, irradiance) pair, the other series one array
-    return list(got) if schema == "weather" else [got]
+        first[station, slot_of_day] = ln
+    return [np.array([item[j] for item in items], dtype=np.int64) for j in range(3)]
 
 
 def _underscored(digits):
@@ -761,66 +719,227 @@ FLOAT_STYLES = (
     lambda x: _underscored(str(int(x))) + repr(x - int(x))[1:] if 10 <= x < 1e15 else repr(x),
 )
 
-# bad texts per field kind; some break a rule only in some rows, or none
+
+def series_rows(values, width):
+    """Rows of a series file, row i at slot i."""
+    return st.lists(st.tuples(*[values] * (width - 1)), min_size=1, max_size=12).map(
+        lambda rows: [[slot, *row] for slot, row in enumerate(rows)]
+    )
+
+
+CHARGING_ROW = st.integers(0, 1).flatmap(
+    lambda given: st.tuples(
+        st.integers(0, 400),
+        st.integers(0, 10**5),
+        st.integers(0, 1),
+        st.just(given),
+        st.floats(0.0, 0.99) if given else st.sampled_from([0.0, -0.0]),
+    )
+)
+# stations past 2**63 / 24, where station * 24 leaves int64, as well as small ones
+STRATA_STATIONS = st.one_of(st.integers(0, 400), st.integers(2**62, 2**63 - 1))
+# (station, slot of day) keys that name no item of DISCOUNT_UNIVERSE
+NOT_ITEMS = [(s, t) for s in range(4) for t in range(24) if (s + t) % 5 == 0]
+NOT_ITEMS += [(4, 0), (99, 3), (-1, 2), (0, 24), (2, -1), (2**62, 5)]
+
+# texts that put any row at fault, by the fields they go in
 INT64_OUT = ["9223372036854775808", "-9223372036854775809"]
-BAD_TEXT = {
-    "slot": ["x", "", "1.5", "1e3", "GAP"] + INT64_OUT,
-    "int": ["x", "", "1.5", "0x10"] + INT64_OUT,
-    "log_slot": ["x", "", "1.5", "0x10", "-1", "-5"] + INT64_OUT,
-    "flag": ["2", "-1", "x", "0.5"] + INT64_OUT,
-    "float": ["x", "", "nan", "NaN", "inf", "-inf", "1e999", "-1.0"],
-    "unit": ["x", "nan", "1.5", "-0.1"],
-    "rate": ["x", "inf", "1.0", "-0.1", "0.3", "0"],
-    "name": ["sometimes", ""],
-    "station": ["x", "", "1.5", "0x10", "-1"] + INT64_OUT,
-    "slot_of_day": ["x", "", "1.5", "-1", "24", "30"] + INT64_OUT,
+INT_TEXTS = ["x", "", "1.5", "1e3", "0x10", *INT64_OUT]
+FLOAT_TEXTS = ["x", "", "nan", "NaN", "inf", "-inf", "1e999"]
+SERIES_FAULTS = {"slot": ((0,), INT_TEXTS), "gap": None, "count": None}
+# the over-long names are a name and a letter: a text type as wide as the
+# longest name would cut them down to it
+STRATUM_TEXTS = ["sometimes", "Always", "no charge", ""]
+STRATUM_TEXTS += ["incentivex", "no_chargee", "alwaysalways", "incentive" + "x" * 20]
+METHOD_TEXTS = ["greedy", "CFMTL", "", "or ", "cfmtlx", "cfmtlxx", "cfmtl" + "x" * 20]
+
+
+@dataclass(frozen=True)
+class Schema:
+    """A CSV schema that traces._read_table reads, as the parity tests drive it.
+
+    rows draws the field values (ints, floats, names) of a valid file. faults
+    maps a fault kind to (columns, texts), any text in any of the columns
+    breaking a row, or to None for a kind put_fault builds; a kind in
+    file_faults breaks a rule over the whole file, whose error names no line.
+    read returns the columns, or cli._load_decisions' decisions. EDGE_CASES
+    edit edge_rows[1] at edge_fields: an int field, then a float one (an int
+    one in strata, which has none). examples counts each property's examples.
+    """
+
+    name: str
+    header: list
+    rows: st.SearchStrategy
+    faults: dict
+    read: Callable
+    edge_rows: list
+    edge_fields: tuple
+    examples: dict = field(
+        default_factory=lambda: {"valid": 50, "plain": 25, "fault": 75, "several": 50}
+    )
+    file_faults: frozenset = frozenset()
+    file: str = ""
+
+    def path(self, directory):
+        return directory / (self.file or f"{self.name}.csv")
+
+
+SCHEMAS = {
+    "rtp": Schema(
+        "rtp",
+        traces.RTP_HEADER,
+        series_rows(st.floats(0.0, 1e6), 2),
+        {**SERIES_FAULTS, "price": ((1,), FLOAT_TEXTS), "negative": ((1,), ["-1.0", "-0.5"])},
+        lambda path: [load_csv(path, "rtp")],
+        [["0", "0.1"], ["1", "0.25"], ["2", "0.3"]],
+        (0, 1),
+        file_faults=frozenset({"negative"}),
+    ),
+    "weather": Schema(
+        "weather",
+        traces.WEATHER_HEADER,
+        series_rows(st.floats(0.0, 1e6), 3),
+        {**SERIES_FAULTS, "value": ((1, 2), FLOAT_TEXTS), "negative": ((1, 2), ["-1.0"])},
+        lambda path: list(load_csv(path, "weather")),
+        [["0", "5.0", "0.0"], ["1", "6.5", "120.0"], ["2", "7.0", "300.5"]],
+        (0, 2),
+        file_faults=frozenset({"negative"}),
+    ),
+    "traffic": Schema(
+        "traffic",
+        traces.TRAFFIC_HEADER,
+        series_rows(st.floats(0.0, 1.0), 2),
+        {
+            **SERIES_FAULTS,
+            "load_rate": ((1,), FLOAT_TEXTS),
+            "outside-unit": ((1,), ["1.5", "-0.1", "1e3"]),
+        },
+        lambda path: [load_csv(path, "traffic")],
+        [["0", "0.5"], ["1", "0.25"], ["2", "0.75"]],
+        (0, 1),
+        file_faults=frozenset({"outside-unit"}),
+    ),
+    "charging": Schema(
+        "charging",
+        traces.CHARGING_HEADER,
+        st.lists(CHARGING_ROW, min_size=1, max_size=12),
+        {
+            "station_id": ((0,), INT_TEXTS),
+            "slot": ((1,), [*INT_TEXTS, "-1", "-5"]),
+            "flag": ((2, 3), ["2", "-1", "x", "0.5", *INT64_OUT]),
+            "rate": ((4,), [*FLOAT_TEXTS, "1.0", "-0.1"]),
+            "undiscounted-rate": None,
+            "count": None,
+        },
+        lambda path: astuple(load_csv(path, "charging")),
+        [["0", "0", "1", "1", "0.3"], ["1", "0", "0", "1", "0.25"], ["0", "1", "1", "0", "0.0"]],
+        (0, 4),
+    ),
+    "strata": Schema(
+        "strata",
+        traces.STRATA_HEADER,
+        st.lists(
+            st.tuples(STRATA_STATIONS, st.integers(0, 23), st.sampled_from(traces._STRATUM_NAMES)),
+            min_size=1,
+            max_size=30,
+            unique_by=lambda row: row[:2],
+        ),
+        {
+            "station_id": ((0,), [*INT_TEXTS, "-1", "-9223372036854775808"]),
+            "slot_of_day": ((1,), [*INT_TEXTS, "-1", "24", "30", "99"]),
+            "stratum": ((2,), STRATUM_TEXTS),
+            "duplicate": None,
+            "count": None,
+        },
+        lambda path: astuple(load_csv(path, "strata")),
+        [["0", "0", "always"], ["1", "2", "incentive"], ["1", "18", "no_charge"]],
+        (0, 1),
+        examples={"valid": 50, "plain": 150, "fault": 360, "several": 50},
+    ),
+    "discounts": Schema(
+        "discounts",
+        cli.DISCOUNTS_HEADER,
+        st.lists(
+            st.tuples(st.sampled_from(cli.METHODS), st.sampled_from(DISCOUNT_ITEMS)),
+            min_size=1,
+            max_size=30,
+            unique=True,
+        ).map(lambda keys: [[m, s, t, DISCOUNT_CONFIG.discount] for m, (s, t) in keys]),
+        {
+            "method": ((0,), METHOD_TEXTS),
+            "item": ((1, 2), INT_TEXTS),
+            "not-in-strata": None,
+            "duplicate": None,
+            "discount": ((3,), [*FLOAT_TEXTS, "0.4", "0.30000000000000004", "0", "-0.3"]),
+            "count": None,
+        },
+        lambda path: cli._load_decisions(
+            DISCOUNT_CONFIG, os.path.dirname(os.path.dirname(path)), DISCOUNT_UNIVERSE
+        ),
+        [["cfmtl", "0", "1", "0.3"], ["or", "1", "2", "0.3"], ["dr", "3", "4", "0.3"]],
+        (1, 3),
+        examples={"valid": 150, "plain": 100, "fault": 300, "several": 200},
+        file=os.path.join("results", "discounts.csv"),
+    ),
 }
-KINDS = {
-    "rtp": ("slot", "float"),
-    "weather": ("slot", "float", "float"),
-    "traffic": ("slot", "unit"),
-    "charging": ("int", "log_slot", "flag", "flag", "rate"),
-    "strata": ("station", "slot_of_day", "name"),
-}
-HEADERS = {
-    "rtp": traces.RTP_HEADER,
-    "weather": traces.WEATHER_HEADER,
-    "traffic": traces.TRAFFIC_HEADER,
-    "charging": traces.CHARGING_HEADER,
-    "strata": traces.STRATA_HEADER,
-}
+SCHEMA_NAMES = sorted(SCHEMAS)
+FIXTURE_OK = [HealthCheck.function_scoped_fixture]
+
+
+def test_the_schema_table_holds_every_schema_load_csv_reads():
+    """A schema load_csv reads cannot skip the parity tests below."""
+    with open(traces.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    (load,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "load_csv"]
+    compared = {
+        node.comparators[0].value
+        for node in ast.walk(load)
+        if isinstance(node, ast.Compare) and getattr(node.left, "id", None) == "schema"
+    }
+    assert set(SCHEMAS) == compared | {"discounts"}
 
 
 @st.composite
-def valid_rows(draw, schema):
-    """Field texts of a valid file: ints and floats in varied spellings."""
-    n = draw(st.integers(1, 12))
-    as_int = lambda v: draw(st.sampled_from(INT_STYLES))(v)
-    as_float = lambda x: draw(st.sampled_from(FLOAT_STYLES))(x)
-    unit = st.floats(0.0, 1.0)
-    # a strata file names each (station, slot of day) item once
-    items = draw(
-        st.lists(
-            st.tuples(st.integers(0, 400), st.integers(0, 23)), min_size=n, max_size=n, unique=True
-        )
-    )
-    rows = []
-    for i in range(n):
-        if schema == "charging":
-            given = draw(st.integers(0, 1))
-            rate = draw(st.floats(0.0, 0.99)) if given else draw(st.sampled_from([0.0, -0.0]))
-            ints = [draw(st.integers(0, 400)), draw(st.integers(0, 10**5))]
-            ints += [draw(st.integers(0, 1)), given]
-            rows.append([as_int(v) for v in ints] + [as_float(rate)])
-        elif schema == "strata":
-            ints = list(items[i])
-            name = draw(st.sampled_from(sorted(traces._STRATUM_BY_VALUE)))
-            rows.append([as_int(v) for v in ints] + [name])
-        else:
-            values = st.floats(0.0, 1e6) if schema != "traffic" else unit
-            fields = [draw(values) for _ in KINDS[schema][1:]]
-            rows.append([as_int(i)] + [as_float(x) for x in fields])
-    return rows
+def field_texts(draw, schema, styled):
+    """The field texts of a valid file: styled, ints and floats in varied
+    spellings; plain, as the writers write them."""
+
+    def text(value):
+        if isinstance(value, str):
+            return value
+        if isinstance(value, int):
+            return draw(st.sampled_from(INT_STYLES))(value) if styled else str(value)
+        return draw(st.sampled_from(FLOAT_STYLES))(value) if styled else repr(value)
+
+    return [[text(value) for value in row] for row in draw(schema.rows)]
+
+
+def put_fault(data, schema, rows, kind):
+    """Break one row of rows (field texts) with a fault of the given kind."""
+    i = data.draw(st.integers(0, len(rows) - 1))
+    width = len(schema.header)
+    if kind == "count":
+        # never back to the header's width, and never an empty row, which is
+        # a blank line
+        if len(rows[i]) == width and data.draw(st.booleans()):
+            rows[i] = rows[i][:-1]
+        elif len(rows[i]) >= width:
+            rows[i] = rows[i] + ["1"]
+    elif kind == "gap":
+        rows[i][0] = str(i + data.draw(st.sampled_from([-1, 1, 2])))
+    elif kind == "duplicate":
+        # row i's key, every field but the last, again later in the file
+        last = data.draw(field_texts(schema, styled=False))[0][-1]
+        rows.insert(data.draw(st.integers(i + 1, len(rows))), rows[i][:-1] + [last])
+    elif kind == "not-in-strata":
+        rows[i][1:3] = map(str, data.draw(st.sampled_from(NOT_ITEMS)))
+    elif kind == "undiscounted-rate":
+        rows[i][3:] = ["0", data.draw(st.sampled_from(["0.3", "0.5", "1e-300"]))]
+    else:
+        columns, texts = schema.faults[kind]
+        j = data.draw(st.sampled_from(columns))
+        if j < len(rows[i]):  # else a count fault has cut the row short already
+            rows[i][j] = data.draw(st.sampled_from(texts))
 
 
 def write_lines(path, header, rows, blank_after=()):
@@ -832,58 +951,69 @@ def write_lines(path, header, rows, blank_after=()):
     path.write_text("\n".join(lines) + "\n")
 
 
-def both_parses(path, schema):
-    """(columns or error text) from load_csv and from the reference parse."""
-    out = []
-    for parse in (load_csv_columns, ref_load_csv):
+def write_file(data, directory, schema, rows):
+    """The schema's file in directory, with up to two blank lines among rows."""
+    path = schema.path(directory)
+    path.parent.mkdir(exist_ok=True)
+    blanks = data.draw(st.sets(st.integers(0, len(rows) - 1), max_size=2))
+    write_lines(path, schema.header, rows, blanks)
+    return str(path)
+
+
+def outcome(read, path, *patches):
+    """read(path), each column as its dtype and bytes, or its error text, with
+    each (module, name, value) of patches set while it reads."""
+    with pytest.MonkeyPatch.context() as mp:
+        for patch in patches:
+            mp.setattr(*patch)
         try:
-            out.append(parse(str(path), schema))
+            got = read(path)
         except TraceError as exc:
-            out.append(f"TraceError: {exc}")
-    return out
+            return f"TraceError: {exc}"
+    return got if isinstance(got, dict) else [(col.dtype.str, col.tobytes()) for col in got]
 
 
-def assert_same(got, want):
-    if isinstance(want, str) or isinstance(got, str):
-        assert got == want
-    elif want and isinstance(want[0], PopulationItem):
-        assert list(got) == want
-    else:
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype
-            assert g.tobytes() == w.tobytes()
+def three_reads(schema, path):
+    """The outcomes of the schema's read, of its read with the one-pass read
+    refused, so that the file is read field by field, and of the reference."""
+    return [
+        outcome(schema.read, path),
+        outcome(schema.read, path, (traces, "_bulk_columns", lambda *_: None)),
+        outcome(lambda p: ref_load_csv(p, schema.name), path),
+    ]
 
 
-SCHEMA_NAMES = sorted(HEADERS)
-FIXTURE_OK = [HealthCheck.function_scoped_fixture]
+CHECKER = "the field-by-field read was reached"
+
+
+def refuse_checker(path, header):
+    raise TraceError(CHECKER)
+
+
+def one_pass(schema, path):
+    """The outcome of the schema's read with the field-by-field read refused,
+    under the name cli imports too: an error naming CHECKER if it was reached."""
+    refused = [(module, "_read_rows", refuse_checker) for module in (traces, cli)]
+    return outcome(schema.read, path, *refused)
+
+
+def examples(schema, prop):
+    """A decorator: check(data) as a hypothesis test that runs the schema's
+    number of examples of the property."""
+    budget = settings(max_examples=schema.examples[prop], deadline=None)
+    return lambda check: budget(given(data=st.data())(check))
 
 
 # Texts on which np.loadtxt's C parser and csv + int()/float() part ways:
 # each file must load to the reference's bits or fail with its exact error.
-# Row 1's first field is an int; FLOAT_FIELD names a float field of row 1
-# (an int one in strata, which has none).
-EDGE_ROWS = {
-    "rtp": [["0", "0.1"], ["1", "0.25"], ["2", "0.3"]],
-    "weather": [["0", "5.0", "0.0"], ["1", "6.5", "120.0"], ["2", "7.0", "300.5"]],
-    "traffic": [["0", "0.5"], ["1", "0.25"], ["2", "0.75"]],
-    "charging": [
-        ["0", "0", "1", "1", "0.3"],
-        ["1", "0", "0", "1", "0.25"],
-        ["0", "1", "1", "0", "0.0"],
-    ],
-    "strata": [["0", "0", "always"], ["1", "2", "incentive"], ["1", "18", "no_charge"]],
-}
-FLOAT_FIELD = {"rtp": 1, "weather": 2, "traffic": 1, "charging": 4, "strata": 1}
-ARABIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
 
 
 def edge_lines(schema, int_field=str, float_field=str):
-    """The header and rows of EDGE_ROWS[schema] as lines, row 1's fields edited."""
-    rows = [list(r) for r in EDGE_ROWS[schema]]
-    j = FLOAT_FIELD[schema]
-    rows[1][0], rows[1][j] = int_field(rows[1][0]), float_field(rows[1][j])
-    return [",".join(HEADERS[schema])] + [",".join(r) for r in rows]
+    """The header and edge rows of a schema as lines, row 1's fields edited."""
+    rows = [list(r) for r in schema.edge_rows]
+    i, j = schema.edge_fields
+    rows[1][i], rows[1][j] = int_field(rows[1][i]), float_field(rows[1][j])
+    return [",".join(schema.header)] + [",".join(r) for r in rows]
 
 
 def joined(eol="\n", **edits):
@@ -900,6 +1030,7 @@ def with_line(line, eol="\n"):
     return text
 
 
+ARABIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
 EDGE_CASES = {
     "quoted": lambda s: re.sub(r"[^,\n]+", r'"\g<0>"', joined()(s)),
     "lone-cr": joined("\r"),
@@ -931,8 +1062,10 @@ EDGE_CASES = {
     "bom": lambda s: "\ufeff" + joined()(s),
     "trailing-comma": lambda s: joined()(s)[:-1] + ",\n",
     "no-final-newline": lambda s: joined()(s)[:-1],
-    "header-only": lambda s: ",".join(HEADERS[s]) + "\n",
-    "header-only-no-newline": lambda s: ",".join(HEADERS[s]),
+    "header-only": lambda s: ",".join(s.header) + "\n",
+    "header-only-no-newline": lambda s: ",".join(s.header),
+    "bad-header": lambda s: "x" + joined()(s),
+    "empty-file": lambda s: "",
 }
 # the cases csv, int() and float() accept in every schema
 EDGE_ACCEPTED = {
@@ -950,50 +1083,75 @@ EDGE_ACCEPTED = {
 
 
 class TestBulkParseMatchesFieldParse:
-    @settings(max_examples=200, deadline=None, suppress_health_check=FIXTURE_OK)
-    @given(data=st.data(), schema=st.sampled_from(SCHEMA_NAMES))
-    def test_valid_files_parse_to_the_same_bits(self, tmp_path, data, schema):
-        rows = data.draw(valid_rows(schema))
-        blanks = data.draw(st.sets(st.integers(0, len(rows) - 1), max_size=2))
-        path = tmp_path / f"{schema}.csv"
-        write_lines(path, HEADERS[schema], rows, blanks)
-        got, want = both_parses(path, schema)
-        assert not isinstance(want, str), want
-        assert_same(got, want)
+    """Every schema's files read alike through the one-pass read, the forced
+    field checker and the row-by-row reference."""
 
-    @settings(max_examples=300, deadline=None, suppress_health_check=FIXTURE_OK)
-    @given(data=st.data(), schema=st.sampled_from(SCHEMA_NAMES))
-    def test_one_bad_field_raises_the_same_error(self, tmp_path, data, schema):
-        rows = data.draw(valid_rows(schema))
-        i = data.draw(st.integers(0, len(rows) - 1))
-        fault = data.draw(st.sampled_from(["field", "field", "count"]))
-        if fault == "count":
-            rows[i] = rows[i][:-1] if data.draw(st.booleans()) else rows[i] + ["1"]
-        else:
-            j = data.draw(st.integers(0, len(rows[i]) - 1))
-            text = data.draw(st.sampled_from(BAD_TEXT[KINDS[schema][j]]))
-            if text == "GAP":
-                text = str(int(rows[i][j]) + data.draw(st.sampled_from([-1, 1, 2])))
-            rows[i][j] = text
-        blanks = data.draw(st.sets(st.integers(0, len(rows) - 1), max_size=2))
-        path = tmp_path / f"{schema}.csv"
-        write_lines(path, HEADERS[schema], rows, blanks)
-        got, want = both_parses(path, schema)
-        assert_same(got, want)
+    @pytest.mark.parametrize("name", SCHEMA_NAMES)
+    def test_valid_files_parse_to_the_same_bits(self, tmp_path, name):
+        schema = SCHEMAS[name]
 
-    @settings(max_examples=200, deadline=None, suppress_health_check=FIXTURE_OK)
-    @given(data=st.data(), schema=st.sampled_from(SCHEMA_NAMES))
-    def test_several_bad_fields_raise_the_first_in_file_order(self, tmp_path, data, schema):
-        rows = data.draw(valid_rows(schema))
-        for _ in range(data.draw(st.integers(2, 4))):
-            i = data.draw(st.integers(0, len(rows) - 1))
-            j = data.draw(st.integers(0, len(rows[i]) - 1))
-            text = data.draw(st.sampled_from(BAD_TEXT[KINDS[schema][j]]))
-            rows[i][j] = "7" if text == "GAP" else text
-        path = tmp_path / f"{schema}.csv"
-        write_lines(path, HEADERS[schema], rows)
-        got, want = both_parses(path, schema)
-        assert_same(got, want)
+        @examples(schema, "valid")
+        def check(data):
+            path = write_file(data, tmp_path, schema, data.draw(field_texts(schema, styled=True)))
+            got, by_fields, want = three_reads(schema, path)
+            assert not isinstance(want, str), want
+            assert got == by_fields == want
+
+        check()
+
+    @pytest.mark.parametrize("name", SCHEMA_NAMES)
+    def test_plain_files_never_reach_the_checker(self, tmp_path, name):
+        schema = SCHEMAS[name]
+
+        @examples(schema, "plain")
+        def check(data):
+            path = write_file(data, tmp_path, schema, data.draw(field_texts(schema, styled=False)))
+            got, by_fields, want = three_reads(schema, path)
+            assert not isinstance(want, str), want
+            assert one_pass(schema, path) == got == by_fields == want
+
+        check()
+
+    @pytest.mark.parametrize("name", SCHEMA_NAMES)
+    def test_one_fault_raises_the_same_error(self, tmp_path, name):
+        schema = SCHEMAS[name]
+
+        @examples(schema, "fault")
+        def check(data):
+            rows = data.draw(field_texts(schema, styled=False))
+            kind = data.draw(st.sampled_from(sorted(schema.faults)))
+            put_fault(data, schema, rows, kind)
+            path = write_file(data, tmp_path, schema, rows)
+            got, by_fields, want = three_reads(schema, path)
+            assert got == by_fields == want
+            # a row fault is found by the checker, a file fault by the one-pass read
+            if kind in schema.file_faults:
+                assert got.startswith(f"TraceError: {path}: "), got
+                assert one_pass(schema, path) == got
+            else:
+                assert got.startswith(f"TraceError: {path} line "), got
+                assert one_pass(schema, path) == f"TraceError: {CHECKER}"
+
+        check()
+
+    @pytest.mark.parametrize("name", SCHEMA_NAMES)
+    def test_several_faults_raise_the_first_in_file_order(self, tmp_path, name):
+        schema = SCHEMAS[name]
+
+        @examples(schema, "several")
+        def check(data):
+            rows = data.draw(field_texts(schema, styled=True))
+            several = st.lists(st.sampled_from(sorted(schema.faults)), min_size=2, max_size=4)
+            for kind in data.draw(several):
+                put_fault(data, schema, rows, kind)
+            path = write_file(data, tmp_path, schema, rows)
+            got, by_fields, want = three_reads(schema, path)
+            assert got == by_fields == want
+            # a later fault can overwrite a row fault with a file fault
+            where = "" if schema.file_faults else " line "
+            assert got.startswith(f"TraceError: {path}{where}"), got
+
+        check()
 
     def test_int_outside_int64_is_rejected_with_its_line(self, tmp_path):
         path = tmp_path / "rtp.csv"
@@ -1004,309 +1162,31 @@ class TestBulkParseMatchesFieldParse:
     def test_slots_that_wrap_past_int64_are_a_gap(self, tmp_path):
         path = tmp_path / "rtp.csv"
         path.write_text(f"slot,price\n{2**63 - 1},0.1\n{-(2**63)},0.1\n")
-        got, want = both_parses(path, "rtp")
-        assert got == want == f"TraceError: {path} line 2: missing slot 0, found {2**63 - 1}"
+        want = f"TraceError: {path} line 2: missing slot 0, found {2**63 - 1}"
+        assert three_reads(SCHEMAS["rtp"], str(path)) == [want] * 3
 
-    @pytest.mark.parametrize("schema", SCHEMA_NAMES)
+    @pytest.mark.parametrize("name", SCHEMA_NAMES)
     @pytest.mark.parametrize("case", sorted(EDGE_CASES))
-    def test_edge_text_parses_as_the_reference(self, tmp_path, case, schema):
-        path = tmp_path / f"{schema}.csv"
+    def test_edge_text_parses_as_the_reference(self, tmp_path, case, name):
+        schema = SCHEMAS[name]
+        path = schema.path(tmp_path)
+        path.parent.mkdir(exist_ok=True)
         path.write_bytes(EDGE_CASES[case](schema).encode("utf-8"))
-        got, want = both_parses(path, schema)
+        got, by_fields, want = three_reads(schema, str(path))
         if case in EDGE_ACCEPTED:
             assert not isinstance(want, str), want
-        assert_same(got, want)
-
-
-class TestBulkParseIsTaken:
-    """A plain, valid file never reaches the field-by-field checker."""
-
-    def test_plain_files_load_without_the_checker(self, tmp_path, monkeypatch):
-        series = TraceSet(
-            rtp=gen_rtp(1, 48),
-            wind_mps=gen_weather(1, 48)[0],
-            irradiance_wm2=gen_weather(1, 48)[1],
-            load_rate=gen_traffic(1, 48),
-        )
-        _, log = gen_charging_population(1, 3, 48, [0.3, 0.3, 0.4])
-        paths = save_traces(series, log, str(tmp_path))
-        bad = tmp_path / "bad.csv"
-        bad.write_text("slot,price\n0,0.1\n1,x\n")
-
-        def refuse(path, header):
-            raise AssertionError(f"the checker read {path}")
-
-        monkeypatch.setattr(traces, "_read_rows", refuse)
-        loaded = load_traces(str(tmp_path))
-        for name in ("rtp", "wind_mps", "irradiance_wm2", "load_rate"):
-            assert getattr(loaded, name).tobytes() == getattr(series, name).tobytes()
-        assert load_csv(paths[-1], "charging") == log
-        with pytest.raises(AssertionError, match="the checker read"):
-            load_csv(str(bad), "rtp")
-        monkeypatch.undo()
-        with pytest.raises(TraceError, match=f"{bad} line 3: price is not a number: 'x'"):
-            load_csv(str(bad), "rtp")
-
-
-# -- strata.csv: the one-pass read against the field checker --------------------
-
-STRATUM_NAMES = sorted(traces._STRATUM_BY_VALUE)
-# stations past 2**63 / 24, where station * 24 leaves int64, as well as small ones
-STRATA_STATIONS = st.one_of(st.integers(0, 400), st.integers(2**62, 2**63 - 1))
-# (field, texts) per fault kind: one text puts one row at fault
-STRATA_FAULTS = {
-    "unknown-stratum": (2, ["sometimes", "Always", "no charge", ""]),
-    # the first two are a name and a letter: a text type as wide as the
-    # longest name would cut them down to it
-    "over-long-stratum": (2, ["incentivex", "no_chargee", "alwaysalways", "incentive" + "x" * 20]),
-    "negative-station": (0, ["-1", "-9223372036854775808"]),
-    "slot-of-day-outside": (1, ["-1", "24", "99"]),
-    "non-integer": (None, ["x", "1.5", "", "0x10", "9223372036854775808"]),
-    "duplicate": (None, []),
-}
-
-
-@st.composite
-def plain_strata(draw):
-    """[station, slot of day, name] field texts of a valid, plain strata.csv."""
-    keys = draw(
-        st.lists(
-            st.tuples(STRATA_STATIONS, st.integers(0, 23)), min_size=1, max_size=30, unique=True
-        )
-    )
-    return [[str(s), str(t), draw(st.sampled_from(STRATUM_NAMES))] for s, t in keys]
-
-
-def refuse_checker(path, header):
-    raise AssertionError(f"the checker read {path}")
-
-
-def by_checker(read, *args):
-    """read(*args) with the one-pass read refused, so that every file is read
-    field by field."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(traces, "_bulk_columns", lambda *_: None)
-        return read(*args)
-
-
-class TestStrataOnePass:
-    @settings(max_examples=150, deadline=None, suppress_health_check=FIXTURE_OK)
-    @given(rows=plain_strata())
-    def test_plain_files_read_as_the_checker_reads_them(self, tmp_path, rows):
-        path = str(tmp_path / "strata.csv")
-        write_lines(tmp_path / "strata.csv", traces.STRATA_HEADER, rows)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(traces, "_read_rows", refuse_checker)
-            got = load_csv(path, "strata")
-        want = by_checker(load_csv, path, "strata")
-        for name in ("stations", "slots", "strata"):
-            g, w = getattr(got, name), getattr(want, name)
-            assert g.dtype == w.dtype == np.int64
-            assert g.tobytes() == w.tobytes(), name
-        assert list(got) == ref_load_csv(path, "strata")
-
-    @settings(max_examples=300, deadline=None, suppress_health_check=FIXTURE_OK)
-    @given(rows=plain_strata(), data=st.data(), fault=st.sampled_from(sorted(STRATA_FAULTS)))
-    def test_a_fault_goes_to_the_checker_and_raises_its_error(self, tmp_path, rows, data, fault):
-        i = data.draw(st.integers(0, len(rows) - 1))
-        if fault == "duplicate":
-            at = data.draw(st.integers(i + 1, len(rows)))
-            rows.insert(at, rows[i][:2] + [data.draw(st.sampled_from(STRATUM_NAMES))])
-        else:
-            field, texts = STRATA_FAULTS[fault]
-            j = field if field is not None else data.draw(st.integers(0, 1))
-            rows[i][j] = data.draw(st.sampled_from(texts))
-        path = str(tmp_path / "strata.csv")
-        write_lines(tmp_path / "strata.csv", traces.STRATA_HEADER, rows)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(traces, "_read_rows", refuse_checker)
-            with pytest.raises(AssertionError, match="the checker read"):
-                load_csv(path, "strata")
-        errors = []
-        for parse in (load_csv, lambda *args: by_checker(load_csv, *args), ref_load_csv):
-            with pytest.raises(TraceError) as caught:
-                parse(path, "strata")
-            errors.append(str(caught.value))
-        assert errors[0] == errors[1] == errors[2]
-        assert errors[0].startswith(f"{path} line ")
-
-    @settings(max_examples=50, deadline=None, suppress_health_check=FIXTURE_OK)
-    @given(rows=plain_strata())
-    def test_save_strata_writes_the_row_writers_bytes(self, tmp_path, rows):
-        items = [PopulationItem(int(s), int(t), traces._STRATUM_BY_VALUE[n]) for s, t, n in rows]
-        path = tmp_path / "strata.csv"
-        save_strata(str(path), traces.Universe.from_items(items))
-        # save_strata as it wrote one item object at a time
-        text = io.StringIO()
-        writer = csv.writer(text, lineterminator="\n")
-        writer.writerow(traces.STRATA_HEADER)
-        writer.writerows((it.station_id, it.slot_of_day, it.stratum.value) for it in items)
-        assert path.read_bytes() == text.getvalue().encode("utf-8")
-
-
-# -- discounts.csv: the one-pass read against the field checker ------------------
-
-DISCOUNT_CONFIG = cli.RunConfig()
-# the items of strata.csv: stations 0-3 at every slot of day, bar one in five
-DISCOUNT_ITEMS = [(s, t) for s in range(4) for t in range(24) if (s + t) % 5]
-DISCOUNT_UNIVERSE = traces.Universe.from_items(
-    [PopulationItem(s, t, Stratum.ALWAYS_CHARGE) for s, t in DISCOUNT_ITEMS]
-)
-# (station, slot of day) keys that name no item
-NOT_ITEMS = [(s, t) for s in range(4) for t in range(24) if (s + t) % 5 == 0] + [
-    (4, 0),
-    (99, 3),
-    (-1, 2),
-    (0, 24),
-    (2, -1),
-    (2**62, 5),
-]
-# (field, texts) per fault kind: one text puts one row at fault
-DISCOUNT_FAULTS = {
-    "unknown-method": (0, ["greedy", "CFMTL", "", "or "]),
-    # a text type as wide as the longest method would cut these down to it
-    "over-long-method": (0, ["cfmtlx", "cfmtlxx", "cfmtl" + "x" * 20]),
-    "non-integer": (None, ["x", "1.5", "", "0x10", "9223372036854775808"]),
-    "not-in-strata": (None, []),
-    "duplicate": (None, []),
-    "bad-rate": (3, ["x", "", "nan", "inf", "-inf", "1e999"]),
-    "wrong-rate": (3, ["0.4", "0.30000000000000004", "0", "-0.3"]),
-}
-
-
-@st.composite
-def discount_rows(draw, styled=True):
-    """[method, station, slot of day, rate] field texts of a valid discounts.csv;
-    unstyled, they are the texts eval-price writes."""
-    keys = draw(
-        st.lists(
-            st.tuples(st.sampled_from(cli.METHODS), st.sampled_from(DISCOUNT_ITEMS)),
-            min_size=1,
-            max_size=30,
-            unique=True,
-        )
-    )
-    as_int = lambda v: draw(st.sampled_from(INT_STYLES))(v) if styled else str(v)
-    as_float = lambda x: draw(st.sampled_from(FLOAT_STYLES))(x) if styled else repr(x)
-    return [[m, as_int(s), as_int(t), as_float(DISCOUNT_CONFIG.discount)] for m, (s, t) in keys]
-
-
-def put_discount_fault(data, rows, fault):
-    i = data.draw(st.integers(0, len(rows) - 1))
-    if fault == "duplicate":
-        at = data.draw(st.integers(i + 1, len(rows)))
-        rows.insert(at, rows[i][:3] + [repr(DISCOUNT_CONFIG.discount)])
-    elif fault == "not-in-strata":
-        rows[i][1:3] = map(str, data.draw(st.sampled_from(NOT_ITEMS)))
-    else:
-        field, texts = DISCOUNT_FAULTS[fault]
-        j = field if field is not None else data.draw(st.integers(1, 2))
-        rows[i][j] = data.draw(st.sampled_from(texts))
-
-
-def write_discounts(run_dir, rows, blank_after=()):
-    path = run_dir / "results" / "discounts.csv"
-    path.parent.mkdir(exist_ok=True)
-    write_lines(path, cli.DISCOUNTS_HEADER, rows, blank_after)
-    return path
-
-
-def ref_load_decisions(run_dir):
-    """cli._load_decisions as it read one row at a time."""
-    path = str(run_dir / "results" / "discounts.csv")
-    strata_path = str(run_dir / "data" / "strata.csv")
-    decisions, first = {method: {} for method in cli.METHODS}, {}
-    for ln, (method, *fields) in ref_read_rows(path, cli.DISCOUNTS_HEADER):
-        if method not in cli.METHODS:
-            raise TraceError(
-                f"{path} line {ln}: unknown method {method!r}, expected one of {list(cli.METHODS)}"
-            )
-        key = (
-            ref_parse_int(path, ln, "station_id", fields[0]),
-            ref_parse_int(path, ln, "slot_of_day", fields[1]),
-        )
-        item = f"item (station {key[0]}, slot_of_day {key[1]})"
-        if key not in DISCOUNT_ITEMS:
-            raise TraceError(f"{path} line {ln}: {item} is not in {strata_path}")
-        if (method, key) in first:
-            raise TraceError(
-                f"{path} line {ln}: duplicate {method} {item}, first on line {first[method, key]}"
-            )
-        first[method, key] = ln
-        if ref_parse_float(path, ln, "discount", fields[2]) != DISCOUNT_CONFIG.discount:
-            raise TraceError(
-                f"{path} line {ln}: discount {fields[2]} differs from the run config's "
-                f"pricing.discount {DISCOUNT_CONFIG.discount}; rerun eval-price with --force"
-            )
-        decisions[method][key] = DISCOUNT_CONFIG.discount
-    return decisions
-
-
-def refuse_rows(mp):
-    """Refuse the field-by-field read, under the name cli imports too."""
-    for module in (traces, cli):
-        mp.setattr(module, "_read_rows", refuse_checker)
-
-
-def load_decisions(run_dir):
-    return cli._load_decisions(DISCOUNT_CONFIG, str(run_dir), DISCOUNT_UNIVERSE)
-
-
-def all_three_reads(run_dir):
-    """(decisions or error text) from _load_decisions, from it with the one-pass
-    read refused, and from the reference."""
-    out = []
-    for read in (load_decisions, lambda d: by_checker(load_decisions, d), ref_load_decisions):
-        try:
-            out.append(read(run_dir))
-        except TraceError as exc:
-            out.append(f"TraceError: {exc}")
-    return out
-
-
-class TestDiscountsOnePass:
-    @settings(max_examples=150, deadline=None, suppress_health_check=FIXTURE_OK)
-    @given(data=st.data())
-    def test_valid_files_give_the_checkers_decisions(self, tmp_path, data):
-        rows = data.draw(discount_rows())
-        blanks = data.draw(st.sets(st.integers(0, len(rows) - 1), max_size=2))
-        write_discounts(tmp_path, rows, blanks)
-        got, by_fields, want = all_three_reads(tmp_path)
-        assert not isinstance(want, str), want
         assert got == by_fields == want
 
-    @settings(max_examples=100, deadline=None, suppress_health_check=FIXTURE_OK)
-    @given(rows=discount_rows(styled=False))
-    def test_plain_files_never_reach_the_checker(self, tmp_path, rows):
-        write_discounts(tmp_path, rows)
-        with pytest.MonkeyPatch.context() as mp:
-            refuse_rows(mp)
-            got = load_decisions(tmp_path)
-        assert got == by_checker(load_decisions, tmp_path)
 
-    @settings(max_examples=300, deadline=None, suppress_health_check=FIXTURE_OK)
-    @given(
-        rows=discount_rows(styled=False),
-        data=st.data(),
-        fault=st.sampled_from(sorted(DISCOUNT_FAULTS)),
-    )
-    def test_a_fault_goes_to_the_checker_and_raises_its_error(self, tmp_path, rows, data, fault):
-        put_discount_fault(data, rows, fault)
-        path = write_discounts(tmp_path, rows)
-        with pytest.MonkeyPatch.context() as mp:
-            refuse_rows(mp)
-            with pytest.raises(AssertionError, match="the checker read"):
-                load_decisions(tmp_path)
-        got, by_fields, want = all_three_reads(tmp_path)
-        assert got == by_fields == want
-        assert got.startswith(f"TraceError: {path} line "), got
-
-    @settings(max_examples=200, deadline=None, suppress_health_check=FIXTURE_OK)
-    @given(rows=discount_rows(), data=st.data())
-    def test_several_faults_raise_the_first_in_file_order(self, tmp_path, rows, data):
-        for _ in range(data.draw(st.integers(2, 4))):
-            put_discount_fault(data, rows, data.draw(st.sampled_from(sorted(DISCOUNT_FAULTS))))
-        path = write_discounts(tmp_path, rows)
-        got, by_fields, want = all_three_reads(tmp_path)
-        assert got == by_fields == want
-        assert got.startswith(f"TraceError: {path} line "), got
+@settings(max_examples=50, deadline=None, suppress_health_check=FIXTURE_OK)
+@given(rows=SCHEMAS["strata"].rows)
+def test_save_strata_writes_the_row_writers_bytes(tmp_path, rows):
+    items = [PopulationItem(s, t, traces._STRATUM_BY_VALUE[n]) for s, t, n in rows]
+    path = tmp_path / "strata.csv"
+    save_strata(str(path), traces.Universe.from_items(items))
+    # save_strata as it wrote one item object at a time
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(traces.STRATA_HEADER)
+    writer.writerows((it.station_id, it.slot_of_day, it.stratum.value) for it in items)
+    assert path.read_bytes() == text.getvalue().encode("utf-8")
