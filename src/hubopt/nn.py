@@ -22,6 +22,9 @@ ACTIVATIONS = ("identity", "relu", "sigmoid", "softmax")
 CHECKPOINT_FORMAT = "hubopt-weights"
 CHECKPOINT_VERSION = 1
 
+# Adam's moment decay rates and the term that keeps its divisor off zero
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class CheckpointError(ValueError):
     """Unreadable, corrupt, or architecturally incompatible checkpoint."""
@@ -255,24 +258,11 @@ class Adam:
     order as an array-by-array update, so the bits are the same.
     """
 
-    def __init__(
-        self,
-        params: Sequence[np.ndarray],
-        lr: float = 1e-3,
-        weight_decay: float = 0.0,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: Sequence[np.ndarray], lr: float = 1e-3, weight_decay: float = 0.0):
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError("betas must be in [0, 1)")
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.params = list(params)
         self.flat = _tiled_buffer(self.params, "parameters")
@@ -316,16 +306,16 @@ class Adam:
                 f"non-finite gradient for parameter {i} with shape {np.shape(grads[i])}"
             )
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         m, v, work = self.m, self.v, self._work
-        m *= self.beta1
-        m += np.multiply(1.0 - self.beta1, g, out=work)
-        v *= self.beta2
-        v += np.multiply(1.0 - self.beta2, np.multiply(g, g, out=g), out=g)
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=work)
+        v *= ADAM_BETA2
+        v += np.multiply(1.0 - ADAM_BETA2, np.multiply(g, g, out=g), out=g)
         # update = (m / bc1) / (sqrt(v / bc2) + eps) [+ weight_decay * p]
         work = np.sqrt(np.divide(v, bc2, out=work), out=work)
-        work += self.eps
+        work += ADAM_EPS
         # m / 1.0 is m exactly, and bc1 rounds to 1.0 after about 350 steps
         update = np.divide(np.divide(m, bc1, out=g) if bc1 != 1.0 else m, work, out=work)
         if self.weight_decay:
@@ -517,14 +507,16 @@ class Module:
         return model
 
 
-class EmbedMlp(Module):
-    """Station/slot embedding scorer: concatenated embeddings -> ReLU MLP -> sigmoid.
+class Embedded(Module):
+    """A model whose input is each row's station and slot embedding, side by side.
 
-    The shape shared by the outcome regressions and the propensity
-    classifier; one scalar output in (0, 1) per (station, slot) pair.
+    The constructor records the META fields, then draws from init_rng(seed)
+    the two tables and, after them, the layers the subclass's _layers(rng)
+    builds and returns with their checkpoint prefixes. The subclass's
+    forward feeds _embed's output to its network, and its backward hands the
+    network's input gradient to _embed_grads.
     """
 
-    KIND = "embed_mlp"
     META = ("n_stations", "n_slots", "embed_dim", "hidden")
 
     def __init__(
@@ -542,29 +534,48 @@ class EmbedMlp(Module):
         self.hidden = tuple(int(h) for h in hidden)
         self.emb_station = EmbeddingTable(self.n_stations, self.embed_dim, rng)
         self.emb_slot = EmbeddingTable(self.n_slots, self.embed_dim, rng)
+        tables = [("emb_station", self.emb_station), ("emb_slot", self.emb_slot)]
+        super().__init__(tables + self._layers(rng))
+
+    def _embed(self, stations, slots):
+        """The (n, 2 * embed_dim) network input, and the row indices for _embed_grads."""
+        rows = (np.asarray(stations), np.asarray(slots))
+        x = np.concatenate(
+            [self.emb_station.lookup(rows[0]), self.emb_slot.lookup(rows[1])], axis=1
+        )
+        return x, rows
+
+    def _embed_grads(self, rows, grad_x: np.ndarray) -> list[np.ndarray]:
+        """The two tables' gradients, given the gradient wrt _embed's output."""
+        (stations, slots), d = rows, self.embed_dim
+        g_station = self.emb_station.grad(stations, grad_x[:, :d])
+        return [g_station, self.emb_slot.grad(slots, grad_x[:, d:])]
+
+
+class EmbedMlp(Embedded):
+    """Station/slot embedding scorer: concatenated embeddings -> ReLU MLP -> sigmoid.
+
+    The shape shared by the outcome regressions and the propensity
+    classifier; one scalar output in (0, 1) per (station, slot) pair.
+    """
+
+    KIND = "embed_mlp"
+
+    def _layers(self, rng):
         sizes = [2 * self.embed_dim, *self.hidden, 1]
         acts = ["relu"] * len(self.hidden) + ["sigmoid"]
         self.net = DenseNet(sizes, acts, rng)
-        super().__init__(
-            [("emb_station", self.emb_station), ("emb_slot", self.emb_slot), ("net.", self.net)]
-        )
+        return [("net.", self.net)]
 
     def forward(self, stations: np.ndarray, slots: np.ndarray):
-        stations = np.asarray(stations)
-        slots = np.asarray(slots)
-        x = np.concatenate(
-            [self.emb_station.lookup(stations), self.emb_slot.lookup(slots)], axis=1
-        )
+        x, rows = self._embed(stations, slots)
         out, net_cache = self.net.forward(x)
-        return out[:, 0], (stations, slots, net_cache)
+        return out[:, 0], (rows, net_cache)
 
     def backward(self, cache, grad_out: np.ndarray) -> list[np.ndarray]:
-        stations, slots, net_cache = cache
+        rows, net_cache = cache
         net_grads, grad_x = self.net.backward(net_cache, np.asarray(grad_out)[:, None])
-        d = self.embed_dim
-        g_station = self.emb_station.grad(stations, grad_x[:, :d])
-        g_slot = self.emb_slot.grad(slots, grad_x[:, d:])
-        return [g_station, g_slot] + net_grads
+        return self._embed_grads(rows, grad_x) + net_grads
 
     def predict(self, stations: np.ndarray, slots: np.ndarray) -> np.ndarray:
         out, _ = self.forward(stations, slots)
@@ -572,25 +583,29 @@ class EmbedMlp(Module):
 
 
 def fit_embed_mlp(
-    model: EmbedMlp,
+    model: Embedded,
     stations: np.ndarray,
     slots: np.ndarray,
-    targets: np.ndarray,
+    loss,
     *,
-    epochs: int = 5,
-    batch_size: int = 64,
-    lr: float = 0.01,
-    weight_decay: float = 1e-4,
-    seed: int = 0,
+    epochs: int,
+    batch_size: int,
+    lr: float,
+    weight_decay: float,
+    rng: np.random.Generator,
 ) -> list[float]:
-    """Minimize MSE(model(stations, slots), targets); returns per-epoch mean loss."""
-    stations = np.asarray(stations)
-    slots = np.asarray(slots)
-    targets = np.asarray(targets, dtype=np.float64)
-    n = len(targets)
+    """Train an Embedded model by minibatch Adam; returns the per-epoch mean loss.
+
+    Each epoch visits the rows of the stations and slots arrays in the order
+    of one rng.permutation, batch_size rows at a time. For a batch of row
+    indices idx, model.forward(stations[idx], slots[idx]) gives
+    (*outputs, cache), and loss(idx, *outputs) gives the batch's mean loss
+    and then its gradient wrt each output, which model.backward takes after
+    the cache.
+    """
+    n = len(stations)
     if n == 0:
         raise ValueError("cannot fit on an empty dataset")
-    rng = np.random.default_rng(seed)
     adam = Adam(model.params(), lr=lr, weight_decay=weight_decay)
     history = []
     for _ in range(epochs):
@@ -598,10 +613,9 @@ def fit_embed_mlp(
         total = 0.0
         for lo in range(0, n, batch_size):
             idx = order[lo : lo + batch_size]
-            pred, cache = model.forward(stations[idx], slots[idx])
-            value, grad = mse_loss(pred, targets[idx])
-            grads = model.backward(cache, grad)
-            adam.step(model.params(), grads)
+            *outputs, cache = model.forward(stations[idx], slots[idx])
+            value, *grads = loss(idx, *outputs)
+            adam.step(model.params(), model.backward(cache, *grads))
             total += value * len(idx)
         history.append(total / n)
     return history

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,7 +71,7 @@ class LossParts:
     total: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class PricingConfig:
     n_stations: int | None = None  # inferred from data when None
     embed_dim: int = 16
@@ -107,68 +107,38 @@ def observations_from_records(log: ChargingLog) -> Observations:
     )
 
 
-class PricingModel(nn.Module):
+class PricingModel(nn.Embedded):
     """Shared embedding trunk with a 3-way stratum head and a propensity head."""
 
     KIND = "pricing_cfmtl"
-    META = ("n_stations", "n_slots", "embed_dim", "hidden")
 
-    def __init__(
-        self,
-        n_stations: int,
-        n_slots: int = 24,
-        embed_dim: int = 16,
-        hidden: Sequence[int] = (64, 32),
-        seed: int | None = 0,
-    ):
-        if not hidden:
+    def _layers(self, rng):
+        if not self.hidden:
             raise ValueError("pricing model needs at least one hidden layer")
-        rng = nn.init_rng(seed)
-        self.n_stations = int(n_stations)
-        self.n_slots = int(n_slots)
-        self.embed_dim = int(embed_dim)
-        self.hidden = tuple(int(h) for h in hidden)
-        self.emb_station = nn.EmbeddingTable(self.n_stations, self.embed_dim, rng)
-        self.emb_slot = nn.EmbeddingTable(self.n_slots, self.embed_dim, rng)
         self.trunk = nn.DenseNet(
             [2 * self.embed_dim, *self.hidden], ["relu"] * len(self.hidden), rng
         )
         self.head_strata = nn.DenseNet([self.hidden[-1], 3], ["softmax"], rng)
         self.head_propensity = nn.DenseNet([self.hidden[-1], 1], ["sigmoid"], rng)
-        super().__init__(
-            [
-                ("emb_station", self.emb_station),
-                ("emb_slot", self.emb_slot),
-                ("trunk.", self.trunk),
-                ("strata.", self.head_strata),
-                ("prop.", self.head_propensity),
-            ]
-        )
+        heads = [("strata.", self.head_strata), ("prop.", self.head_propensity)]
+        return [("trunk.", self.trunk)] + heads
 
     def forward(self, stations: np.ndarray, slots: np.ndarray):
         """Returns (strata probs (n, 3), propensity (n,), cache)."""
-        stations = np.asarray(stations)
-        slots = np.asarray(slots)
-        x = np.concatenate(
-            [self.emb_station.lookup(stations), self.emb_slot.lookup(slots)], axis=1
-        )
+        x, rows = self._embed(stations, slots)
         h, trunk_cache = self.trunk.forward(x)
         strata, strata_cache = self.head_strata.forward(h)
         prop, prop_cache = self.head_propensity.forward(h)
-        cache = (stations, slots, trunk_cache, strata_cache, prop_cache)
-        return strata, prop[:, 0], cache
+        return strata, prop[:, 0], (rows, trunk_cache, strata_cache, prop_cache)
 
     def backward(self, cache, grad_strata: np.ndarray, grad_prop: np.ndarray):
-        stations, slots, trunk_cache, strata_cache, prop_cache = cache
+        rows, trunk_cache, strata_cache, prop_cache = cache
         g_strata, grad_h_a = self.head_strata.backward(strata_cache, grad_strata)
         g_prop, grad_h_b = self.head_propensity.backward(
             prop_cache, np.asarray(grad_prop)[:, None]
         )
         g_trunk, grad_x = self.trunk.backward(trunk_cache, grad_h_a + grad_h_b)
-        d = self.embed_dim
-        g_emb_station = self.emb_station.grad(stations, grad_x[:, :d])
-        g_emb_slot = self.emb_slot.grad(slots, grad_x[:, d:])
-        return [g_emb_station, g_emb_slot] + g_trunk + g_strata + g_prop
+        return self._embed_grads(rows, grad_x) + g_trunk + g_strata + g_prop
 
 
 def stratum_probs(model: PricingModel, stations, slots) -> np.ndarray:
@@ -236,6 +206,30 @@ def cfmtl_loss(model: PricingModel, observations: Observations) -> LossParts:
     return parts
 
 
+def _fit(cls, stations, slots, loss, cfg: PricingConfig, tag: str, batch_tag: str):
+    """A cls model of cfg's shape, trained on the rows by nn.fit_embed_mlp.
+
+    Its initial parameters and its batch order come from the streams that
+    cfg.seed spawns under (tag, "init") and (tag, batch_tag). Without
+    cfg.n_stations, the model has one station past the largest one seen.
+    """
+    n_stations = cfg.n_stations if cfg.n_stations is not None else int(stations.max()) + 1
+    init = spawn_seed(cfg.seed, tag, "init")
+    model = cls(n_stations, SLOTS_PER_DAY, cfg.embed_dim, cfg.hidden, seed=init)
+    nn.fit_embed_mlp(
+        model,
+        stations,
+        slots,
+        loss,
+        epochs=cfg.epochs,
+        batch_size=cfg.batch_size,
+        lr=cfg.lr,
+        weight_decay=cfg.weight_decay,
+        rng=spawn_rng(cfg.seed, tag, batch_tag),
+    )
+    return model
+
+
 def train_cfmtl(observations: Observations, cfg: PricingConfig) -> PricingModel:
     """Train the stratum and propensity heads jointly on logged observations.
 
@@ -243,28 +237,12 @@ def train_cfmtl(observations: Observations, cfg: PricingConfig) -> PricingModel:
     model's count; train-price checks both where it reads charging.csv.
     """
     stations, slots, treated, charged = observations
-    n_stations = cfg.n_stations if cfg.n_stations is not None else int(stations.max()) + 1
-    model = PricingModel(
-        n_stations=n_stations,
-        n_slots=SLOTS_PER_DAY,
-        embed_dim=cfg.embed_dim,
-        hidden=cfg.hidden,
-        seed=spawn_seed(cfg.seed, "pricing", "init"),
-    )
-    opt = nn.Adam(model.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    rng = spawn_rng(cfg.seed, "pricing", "batches")
-    n = len(stations)
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for lo in range(0, n, cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            strata, g, cache = model.forward(stations[idx], slots[idx])
-            _, grad_strata, grad_g = cfmtl_loss_parts(
-                strata, g, treated[idx], charged[idx]
-            )
-            grads = model.backward(cache, grad_strata, grad_g)
-            opt.step(model.params(), grads)
-    return model
+
+    def loss(idx, strata, g):
+        parts, grad_strata, grad_g = cfmtl_loss_parts(strata, g, treated[idx], charged[idx])
+        return parts.total, grad_strata, grad_g
+
+    return _fit(PricingModel, stations, slots, loss, cfg, "pricing", "batches")
 
 
 # tie-break priority for the predicted stratum: prefer not discounting, so
@@ -335,28 +313,9 @@ def strata_columns(universe: Universe) -> np.ndarray:
 
 
 def _fit_scorer(stations, slots, targets, cfg: PricingConfig, tag: str) -> nn.EmbedMlp:
-    n_stations = (
-        cfg.n_stations if cfg.n_stations is not None else int(stations.max()) + 1
-    )
-    model = nn.EmbedMlp(
-        n_stations=n_stations,
-        n_slots=SLOTS_PER_DAY,
-        embed_dim=cfg.embed_dim,
-        hidden=cfg.hidden,
-        seed=spawn_seed(cfg.seed, tag, "init"),
-    )
-    nn.fit_embed_mlp(
-        model,
-        stations,
-        slots,
-        targets,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        lr=cfg.lr,
-        weight_decay=cfg.weight_decay,
-        seed=spawn_seed(cfg.seed, tag, "fit"),
-    )
-    return model
+    """An EmbedMlp fit to targets by mean squared error."""
+    mse = lambda idx, pred: nn.mse_loss(pred, targets[idx])
+    return _fit(nn.EmbedMlp, stations, slots, mse, cfg, tag, "fit")
 
 
 def fit_outcome_models(

@@ -44,3 +44,21 @@ def load_perfbench(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def pipeline_config(run_dir) -> dict:
+    """The small six-stage run config that the golden digests and the rerun check share."""
+    return {
+        "seed": 9,
+        "out_dir": str(run_dir),
+        "n_hubs": 2,
+        "traces": {"days": 4, "n_stations": 6},
+        "pricing": {"embed_dim": 6, "hidden": [12], "epochs": 4},
+        "ppo": {
+            "episode_days": 1,
+            "window": 6,
+            "episodes_train": 8,
+            "episodes_test": 2,
+            "hidden": [16, 16],
+        },
+    }

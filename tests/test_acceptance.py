@@ -20,7 +20,7 @@ import pytest
 import yaml
 
 from fdcheck import FD_STEP, REL_TOL, central_diff_grads, max_rel_err
-from reference import brute_force_best, profit_rows
+from reference import brute_force_best, pipeline_config, profit_rows
 from hubopt import cli, hub, nn, pricing, scheduler
 from hubopt.traces import (
     SLOTS_PER_DAY,
@@ -648,23 +648,9 @@ def test_full_stack_ordering_across_hubs(charging_bench):
 def test_pipeline_reruns_byte_identical(tmp_path):
     started = time.monotonic()
     run_dir = tmp_path / "run"
-    config = {
-        "seed": 9,
-        "out_dir": str(run_dir),
-        "n_hubs": 2,
-        "traces": {"days": 4, "n_stations": 6},
-        "pricing": {"embed_dim": 6, "hidden": [12], "epochs": 4},
-        "ppo": {
-            "episode_days": 1,
-            "window": 6,
-            "episodes_train": 8,
-            "episodes_test": 2,
-            "hidden": [16, 16],
-        },
-    }
     config_path = tmp_path / "run.yaml"
     with open(config_path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(config, fh)
+        yaml.safe_dump(pipeline_config(run_dir), fh)
 
     subcommands = ("gen-data", "train-price", "eval-price", "train-drl", "eval-drl", "report")
     for sub in subcommands:

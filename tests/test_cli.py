@@ -1,6 +1,7 @@
 import builtins
 import collections
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -130,6 +131,15 @@ class TestConfigParsing:
             {"hub": {"battery": {"soc_min_kwh": 8.0}}, "ppo": {"initial_soc_kwh": 8.0}}
         )
         assert cfg.env.initial_soc_kwh == 8.0
+
+    def test_run_config_is_frozen_to_its_leaves(self):
+        raw = {"pricing": {"hidden": [12]}, "ppo": {"hidden": [16, 16]}}
+        cfg = run_config_from_dict(raw)
+        assert hash(cfg) == hash(run_config_from_dict(raw))
+        for section in (cfg, cfg.hub, cfg.hub.battery, cfg.traces, cfg.pricing, cfg.env, cfg.ppo):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                section.seed = 99
+        assert cfg.pricing.seed == 0
 
     def test_config_snapshot_excludes_out_dir(self):
         cfg = run_config_from_dict({"out_dir": "someplace"})

@@ -1,9 +1,10 @@
 """Golden digests: the sha256 of every CSV and checkpoint of one small pipeline run,
 and of its manifest.json and config.yaml snapshot.
 
-The run uses the config of `test_pipeline_reruns_byte_identical`. A refactor
-must leave `golden/digests.json` unchanged; a change that means to move the
-numbers refreshes it and says so. To rewrite the file from the current code:
+The run uses `reference.pipeline_config`, the config that
+`test_pipeline_reruns_byte_identical` reruns. A refactor must leave
+`golden/digests.json` unchanged; a change that means to move the numbers
+refreshes it and says so. To rewrite the file from the current code:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -16,27 +17,11 @@ import sys
 import yaml
 
 from hubopt import cli
+from reference import pipeline_config
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "digests.json")
 PINNED = ("manifest.json", "config.yaml")
 SUBCOMMANDS = ("gen-data", "train-price", "eval-price", "train-drl", "eval-drl", "report")
-
-
-def pipeline_config(run_dir) -> dict:
-    return {
-        "seed": 9,
-        "out_dir": str(run_dir),
-        "n_hubs": 2,
-        "traces": {"days": 4, "n_stations": 6},
-        "pricing": {"embed_dim": 6, "hidden": [12], "epochs": 4},
-        "ppo": {
-            "episode_days": 1,
-            "window": 6,
-            "episodes_train": 8,
-            "episodes_test": 2,
-            "hidden": [16, 16],
-        },
-    }
 
 
 def pipeline_digests(work_dir) -> dict[str, str]:

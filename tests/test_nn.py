@@ -322,7 +322,7 @@ class TestFusedAdam:
             ref_grads.append([g.copy() for g in grads])
             adam.step(params, grads)
         ref_m, ref_v = reference_adam(ref_params, ref_grads, 0.01, 1e-4)
-        assert 1.0 - adam.beta1**adam.t == 1.0
+        assert 1.0 - nn.ADAM_BETA1**adam.t == 1.0
         assert flat.tobytes() == np.concatenate([p.ravel() for p in ref_params]).tobytes()
         assert adam.m.tobytes() == np.concatenate([m.ravel() for m in ref_m]).tobytes()
         assert adam.v.tobytes() == np.concatenate([v.ravel() for v in ref_v]).tobytes()
@@ -558,6 +558,14 @@ class TestFlatModules:
         np.testing.assert_array_equal(model_output(type(model).from_checkpoint(path)), after)
 
 
+FIT = {"epochs": 2, "batch_size": 64, "lr": 0.01, "weight_decay": 1e-4}
+
+
+def mse_to(targets):
+    """fit_embed_mlp's loss: the batch's mean squared error against targets."""
+    return lambda idx, pred: mse_loss(pred, targets[idx])
+
+
 class TestDeterminism:
     def test_same_seed_same_init(self):
         a = EmbedMlp(n_stations=6, n_slots=24, seed=9)
@@ -574,7 +582,7 @@ class TestDeterminism:
         for _ in range(2):
             model = EmbedMlp(n_stations=6, n_slots=24, embed_dim=4, hidden=(8,), seed=5)
             hist = fit_embed_mlp(
-                model, stations, slots, targets, epochs=2, seed=5
+                model, stations, slots, mse_to(targets), rng=np.random.default_rng(5), **FIT
             )
             runs.append((hist, [p.copy() for p in model.params()]))
         assert runs[0][0] == runs[1][0]
@@ -586,9 +594,8 @@ class TestDeterminism:
         slots = np.tile(np.arange(24), 4)
         targets = (slots >= 12).astype(float)
         model = EmbedMlp(n_stations=4, n_slots=24, embed_dim=8, hidden=(16,), seed=1)
-        hist = fit_embed_mlp(
-            model, stations, slots, targets, epochs=40, lr=0.01, seed=1
-        )
+        fit = FIT | {"epochs": 40, "rng": np.random.default_rng(1)}
+        hist = fit_embed_mlp(model, stations, slots, mse_to(targets), **fit)
         assert hist[-1] < hist[0] * 0.2
         pred = model.predict(stations, slots)
         assert np.mean((pred > 0.5) == (targets > 0.5)) > 0.95

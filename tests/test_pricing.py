@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdcheck import central_diff_grads, max_rel_err
-from hubopt import pricing
+from hubopt import nn, pricing
 from hubopt.pricing import (
     COL_ALWAYS,
     COL_INCENTIVE,
@@ -223,6 +223,32 @@ class TestTraining:
         again = train_cfmtl(obs, PricingConfig(epochs=6, seed=3))
         for a, b in zip(trained.params(), again.params()):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("fit", [train_cfmtl, fit_outcome_models, fit_propensity_model])
+    def test_empty_observations_refused(self, fit):
+        with pytest.raises(ValueError, match="^cannot fit on an empty dataset$"):
+            fit(obs_batch([]), PricingConfig(epochs=1, n_stations=4))
+
+    def test_every_fit_runs_the_one_training_loop(self, planted, monkeypatch):
+        _, obs = planted
+        # one batch of every record: the epoch's loss is the untrained model's
+        cfg = PricingConfig(epochs=1, seed=2, n_stations=30, batch_size=len(obs.stations))
+        untrained = cfmtl_loss(train_cfmtl(obs, dataclasses.replace(cfg, epochs=0)), obs)
+        fits = []
+        nn_fit = nn.fit_embed_mlp
+
+        def counted(model, *args, **kwargs):
+            history = nn_fit(model, *args, **kwargs)
+            fits.append((type(model), history))
+            return history
+
+        monkeypatch.setattr(nn, "fit_embed_mlp", counted)
+        train_cfmtl(obs, cfg)
+        fit_outcome_models(obs, cfg)
+        fit_propensity_model(obs, cfg)
+        assert [cls for cls, _ in fits] == [PricingModel] + [nn.EmbedMlp] * 3
+        # the loop's mean weights the batch mean by the batch size, then divides
+        assert fits[0][1] == [pytest.approx(untrained.total, rel=1e-12)]
 
     def test_separates_planted_strata(self, planted, trained):
         pop, _ = planted
