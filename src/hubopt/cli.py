@@ -508,7 +508,6 @@ def cmd_eval_price(cfg: RunConfig, run_dir: str) -> None:
     model, mu1, mu0, prop = _load_pricing_models(run_dir, cfg)
     universe, observations = _load_population(run_dir, n_stations=cfg.traces.n_stations)
     winners, chosen = _method_choices(model, mu1, mu0, prop, universe, observations)
-    truth = pricing.strata_columns(universe)
     try:
         shares = pricing.strata_by_period(winners, universe.slots)
     except ValueError as exc:
@@ -517,7 +516,7 @@ def cmd_eval_price(cfg: RunConfig, run_dir: str) -> None:
     rows = []
     for c in DISCOUNT_GRID:
         for method in METHODS:
-            result = pricing.evaluate_policy(truth, chosen[method], c)
+            result = pricing.evaluate_policy(universe.strata, chosen[method], c)
             counts = (result.none_count, result.incentive_count, result.always_count)
             rows.append((method, _fmt(c), *counts, _fmt(result.reward)))
     _write_rows(eval_path, PRICING_EVAL_HEADER, rows)

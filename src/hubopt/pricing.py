@@ -32,18 +32,11 @@ from . import nn
 from .seeding import spawn_rng, spawn_seed
 from .traces import _STRATUM_ORDER, SLOTS_PER_DAY, ChargingLog, Stratum, Universe
 
-# stratum-head column order
-COL_NO = 0
-COL_INCENTIVE = 1
-COL_ALWAYS = 2
-
-_COL_OF_STRATUM = {
-    Stratum.NO_CHARGE: COL_NO,
-    Stratum.INCENTIVE_CHARGE: COL_INCENTIVE,
-    Stratum.ALWAYS_CHARGE: COL_ALWAYS,
-}
-# the stratum-head column of each stratum code (see traces.Universe)
-_COL_OF_CODE = np.array([_COL_OF_STRATUM[s] for s in _STRATUM_ORDER])
+# stratum-head column order, which is also the order of a Universe's stratum codes
+_COL_OF_STRATUM = {s: col for col, s in enumerate(_STRATUM_ORDER)}
+COL_NO = _COL_OF_STRATUM[Stratum.NO_CHARGE]
+COL_INCENTIVE = _COL_OF_STRATUM[Stratum.INCENTIVE_CHARGE]
+COL_ALWAYS = _COL_OF_STRATUM[Stratum.ALWAYS_CHARGE]
 
 PERIODS = ((0, 6), (6, 12), (12, 18), (18, 24))
 
@@ -213,6 +206,8 @@ def _fit(cls, stations, slots, loss, cfg: PricingConfig, tag: str, batch_tag: st
     cfg.seed spawns under (tag, "init") and (tag, batch_tag). Without
     cfg.n_stations, the model has one station past the largest one seen.
     """
+    if not len(stations):
+        raise ValueError("cannot fit on an empty dataset")
     n_stations = cfg.n_stations if cfg.n_stations is not None else int(stations.max()) + 1
     init = spawn_seed(cfg.seed, tag, "init")
     model = cls(n_stations, SLOTS_PER_DAY, cfg.embed_dim, cfg.hidden, seed=init)
@@ -283,7 +278,7 @@ class PolicyEvaluation:
 def evaluate_policy(truth: np.ndarray, give: np.ndarray, c: float) -> PolicyEvaluation:
     """Score a discount mask against the ground-truth strata of the items.
 
-    truth holds each item's true stratum column (strata_columns), give whether
+    truth holds each item's true stratum column (a Universe's strata), give whether
     it was discounted at rate c in [0, 1); both have one entry per item of one
     universe. Reward per item: 1 for always-charge (minus c if it was
     needlessly discounted), 1-c for a discounted incentive-charge, 0
@@ -305,11 +300,6 @@ def evaluate_policy(truth: np.ndarray, give: np.ndarray, c: float) -> PolicyEval
         always_count=int(counts[COL_ALWAYS]),
         reward=float(np.cumsum(np.concatenate(([0.0], per_item)))[-1]),
     )
-
-
-def strata_columns(universe: Universe) -> np.ndarray:
-    """Each item's true stratum as its stratum-head column."""
-    return _COL_OF_CODE[universe.strata]
 
 
 def _fit_scorer(stations, slots, targets, cfg: PricingConfig, tag: str) -> nn.EmbedMlp:

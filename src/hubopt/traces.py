@@ -50,7 +50,8 @@ class Stratum(Enum):
     NO_CHARGE = "no_charge"
 
 
-_STRATUM_ORDER = (Stratum.ALWAYS_CHARGE, Stratum.INCENTIVE_CHARGE, Stratum.NO_CHARGE)
+# each stratum's code is its index here, which is also its pricing stratum-head column
+_STRATUM_ORDER = (Stratum.NO_CHARGE, Stratum.INCENTIVE_CHARGE, Stratum.ALWAYS_CHARGE)
 _STRATUM_BY_VALUE = {s.value: s for s in Stratum}
 
 
@@ -416,11 +417,12 @@ def gen_charging_population(
     cdfs /= cdfs[:, -1:]
     evening = np.arange(n_items) % SLOTS_PER_DAY >= EVENING_START_HOUR
     drawn = (cdfs[evening.astype(np.intp)] <= rng.random(n_items)[:, None]).sum(axis=1)
+    codes = 2 - drawn  # the priors' (always, incentive, no_charge) order, reversed
     station, slot_of_day = np.divmod(np.arange(n_items), SLOTS_PER_DAY)
-    universe = Universe(station, slot_of_day, drawn)
+    universe = Universe(station, slot_of_day, codes)
     # each item's index in _STRATUM_ORDER; -1 where truncated out of the universe
     strata = np.full(n_stations * SLOTS_PER_DAY, -1)
-    strata[:n_items] = drawn
+    strata[:n_items] = codes
     strata = strata.reshape(n_stations, SLOTS_PER_DAY)
 
     if logged_policy == "random":
@@ -434,7 +436,7 @@ def gen_charging_population(
     sods = np.arange(n_slots) % SLOTS_PER_DAY
     stratum = strata[:, sods].T
     treated = draws < treat_prob[sods][:, None]
-    charged = (stratum == 0) | ((stratum == 1) & treated)  # stratum_response
+    charged = (stratum == 2) | ((stratum == 1) & treated)  # stratum_response by code
     logged = stratum >= 0
     slot, station = np.nonzero(logged)
     treated = treated[logged]

@@ -19,15 +19,29 @@ import numpy as np
 import pytest
 import yaml
 
-from fdcheck import FD_STEP, REL_TOL, central_diff_grads, max_rel_err
-from reference import brute_force_best, pipeline_config, profit_rows
+from fdcheck import (
+    FD_STEP,
+    REL_TOL,
+    dense_grads,
+    embed_mlp_grads,
+    max_rel_err,
+    ppo_objective_grads,
+    pricing_loss_grads,
+)
+from reference import (
+    brute_force_best,
+    lattice_dp_case,
+    pipeline_config,
+    ppo_batch,
+    profit_rows,
+    random_walk,
+)
 from hubopt import cli, hub, nn, pricing, scheduler
 from hubopt.traces import (
     SLOTS_PER_DAY,
     Stratum,
     TraceSet,
     gen_charging_population,
-    stratum_response,
 )
 
 pytestmark = pytest.mark.slow
@@ -56,60 +70,19 @@ def _finish(name, budget_s, started, checks, detail=""):
 # ---------------------------------------------------------------- hub physics
 
 
-def _random_hub_config(rng):
-    span = float(rng.uniform(2.0, 16.0))
-    soc_min = float(rng.uniform(0.0, 3.0))
-    spec = hub.BatterySpec(
-        capacity_kwh=soc_min + span + float(rng.uniform(0.0, 2.0)),
-        soc_min_kwh=soc_min,
-        soc_max_kwh=soc_min + span,
-        r_charge_kw=float(rng.uniform(0.5, 8.0)),
-        r_discharge_kw=float(rng.uniform(0.5, 8.0)),
-        eta_charge=float(rng.uniform(0.6, 1.0)),
-        eta_discharge=float(rng.uniform(0.6, 1.0)),
-    )
-    p_bs_min = float(rng.uniform(0.5, 4.0))
-    return hub.HubConfig(
-        p_bs_min_kw=p_bs_min,
-        p_bs_max_kw=p_bs_min + float(rng.uniform(0.0, 6.0)),
-        r_cs_kw=float(rng.uniform(0.0, 10.0)),
-        battery=spec,
-        slot_hours=float(rng.choice([0.25, 0.5, 1.0])),
-        t_recovery_slots=0,
-        c_bp=float(rng.uniform(0.0, 0.05)),
-    )
-
-
 def test_energy_balance_identities():
     started = time.monotonic()
     rng = np.random.default_rng(202406)
-    steps = 0
     worst_balance = 0.0
     worst_exclusive = 0.0
-    while steps < 10_000:
-        cfg = _random_hub_config(rng)
+    for cfg, inputs, out in random_walk(rng, 250, 40):  # 10k steps
         spec = cfg.battery
-        state = hub.BatteryState(float(rng.uniform(spec.soc_min_kwh, spec.soc_max_kwh)))
-        for _ in range(40):
-            inputs = hub.SlotInputs(
-                load_rate=float(rng.uniform(0.0, 1.0)),
-                cs_active=int(rng.integers(0, 2)),
-                p_wt_kw=float(rng.uniform(0.0, 12.0)),
-                p_pv_kw=float(rng.uniform(0.0, 12.0)),
-                rtp=float(rng.uniform(0.0, 1.0)),
-                srtp=float(rng.uniform(0.0, 2.0)),
-            )
-            allowed = sorted(hub.feasible_actions(state, spec, cfg.slot_hours))
-            action = allowed[int(rng.integers(0, len(allowed)))]
-            out = hub.step(cfg, state, inputs, action)
-            net = out.p_bs_kw + out.p_cs_kw + out.p_bp_kw - inputs.p_wt_kw - inputs.p_pv_kw
-            worst_balance = max(worst_balance, abs(out.p_grid_kw - out.curtailed_kw - net))
-            worst_exclusive = max(worst_exclusive, out.p_grid_kw * out.curtailed_kw)
-            assert out.p_grid_kw >= 0.0 and out.curtailed_kw >= 0.0
-            assert spec.soc_min_kwh - 1e-9 <= out.soc_after_kwh <= spec.soc_max_kwh + 1e-9
-            assert abs(out.profit - (out.revenue - out.cost_grid - out.cost_bp)) <= 1e-9
-            state = hub.BatteryState(out.soc_after_kwh)
-            steps += 1
+        net = out.p_bs_kw + out.p_cs_kw + out.p_bp_kw - inputs.p_wt_kw - inputs.p_pv_kw
+        worst_balance = max(worst_balance, abs(out.p_grid_kw - out.curtailed_kw - net))
+        worst_exclusive = max(worst_exclusive, out.p_grid_kw * out.curtailed_kw)
+        assert out.p_grid_kw >= 0.0 and out.curtailed_kw >= 0.0
+        assert spec.soc_min_kwh - 1e-9 <= out.soc_after_kwh <= spec.soc_max_kwh + 1e-9
+        assert abs(out.profit - (out.revenue - out.cost_grid - out.cost_bp)) <= 1e-9
     _finish(
         "energy balance over 10k random steps",
         5.0,
@@ -131,15 +104,7 @@ def _check_dense_mse(rng):
     net = nn.DenseNet(dims, acts, rng)
     x = rng.normal(size=(int(rng.integers(2, 7)), dims[0]))
     target = rng.uniform(0.1, 0.9, size=(x.shape[0], dims[-1]))
-
-    def f():
-        out, _ = net.forward(x)
-        return nn.mse_loss(out, target)[0]
-
-    out, cache = net.forward(x)
-    _, grad_out = nn.mse_loss(out, target)
-    analytic, _ = net.backward(cache, grad_out)
-    return max_rel_err(analytic, central_diff_grads(f, net.params()))
+    return dense_grads(net, x, nn.mse_loss, target)
 
 
 def _check_dense_nll(rng):
@@ -147,16 +112,7 @@ def _check_dense_nll(rng):
     dims = [int(rng.integers(2, 6)), int(rng.integers(3, 7)), k]
     net = nn.DenseNet(dims, ["sigmoid", "softmax"], rng)
     x = rng.normal(size=(int(rng.integers(2, 7)), dims[0]))
-    labels = rng.integers(0, k, size=x.shape[0])
-
-    def f():
-        out, _ = net.forward(x)
-        return nn.nll_loss(out, labels)[0]
-
-    out, cache = net.forward(x)
-    _, grad_out = nn.nll_loss(out, labels)
-    analytic, _ = net.backward(cache, grad_out)
-    return max_rel_err(analytic, central_diff_grads(f, net.params()))
+    return dense_grads(net, x, nn.nll_loss, rng.integers(0, k, size=x.shape[0]))
 
 
 def _check_embed_mlp(rng):
@@ -171,16 +127,7 @@ def _check_embed_mlp(rng):
     n = int(rng.integers(4, 10))
     stations = rng.integers(0, n_st, size=n)
     slots = rng.integers(0, n_sl, size=n)
-    target = rng.uniform(0.1, 0.9, size=n)
-
-    def f():
-        pred, _ = model.forward(stations, slots)
-        return nn.mse_loss(pred, target)[0]
-
-    pred, cache = model.forward(stations, slots)
-    _, grad = nn.mse_loss(pred, target)
-    analytic = model.backward(cache, grad)
-    return max_rel_err(analytic, central_diff_grads(f, model.params()))
+    return embed_mlp_grads(model, stations, slots, rng.uniform(0.1, 0.9, size=n))
 
 
 def _check_pricing_loss(rng):
@@ -197,15 +144,7 @@ def _check_pricing_loss(rng):
     slots = rng.integers(0, n_sl, size=n)
     treated = rng.integers(0, 2, size=n).astype(float)
     charged = rng.integers(0, 2, size=n).astype(float)
-
-    def f():
-        probs, g, _ = model.forward(stations, slots)
-        return pricing.cfmtl_loss_parts(probs, g, treated, charged)[0].total
-
-    probs, g, cache = model.forward(stations, slots)
-    _, grad_strata, grad_g = pricing.cfmtl_loss_parts(probs, g, treated, charged)
-    analytic = model.backward(cache, grad_strata, grad_g)
-    return max_rel_err(analytic, central_diff_grads(f, model.params()))
+    return pricing_loss_grads(model, stations, slots, treated, charged)
 
 
 def _check_ppo_objective(rng):
@@ -214,25 +153,7 @@ def _check_ppo_objective(rng):
         state_dim, hidden=(int(rng.integers(4, 8)),), seed=int(rng.integers(0, 1000))
     )
     cfg = scheduler.PpoConfig(entropy_coef=float(rng.choice([0.0, 0.3])))
-    n = int(rng.integers(5, 10))
-    states = rng.normal(size=(n, state_dim))
-    actions = rng.integers(0, 3, size=n)
-    probs, values, _ = bundle.forward(states)
-    old_log_probs = np.log(probs[np.arange(n), actions])
-    advantages = rng.normal(size=n)
-    advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
-    targets = values + rng.normal(scale=0.5, size=n)
-
-    def f():
-        return scheduler.total_loss(
-            bundle, states, actions, old_log_probs, advantages, targets, cfg
-        )[0]
-
-    _, grads = scheduler.total_loss(
-        bundle, states, actions, old_log_probs, advantages, targets, cfg
-    )
-    analytic = [g.copy() for g in grads]  # f's backward overwrites the views
-    return max_rel_err(analytic, central_diff_grads(f, bundle.params()))
+    return ppo_objective_grads(bundle, ppo_batch(bundle, int(rng.integers(5, 10)), rng), cfg)
 
 
 def test_gradient_finite_difference_suite():
@@ -250,7 +171,7 @@ def test_gradient_finite_difference_suite():
     for name, checker, count, fam_seed in families:
         rng = np.random.default_rng(fam_seed)
         for _ in range(count):
-            err = checker(rng)
+            err = max_rel_err(*checker(rng))
             n_configs += 1
             if err > worst:
                 worst, worst_name = err, name
@@ -274,40 +195,7 @@ def test_exact_oracle_matches_enumeration():
     rng = np.random.default_rng(77)
     mismatches = []
     for trial in range(20):
-        res = float(rng.choice([0.25, 0.5]))
-        up = int(rng.integers(1, 4))
-        down = int(rng.integers(1, 4))
-        span = int(rng.integers(max(up, down), 7))
-        eta_c = float(rng.choice([0.5, 1.0]))
-        spec = hub.BatterySpec(
-            capacity_kwh=span * res + 2.0,
-            soc_min_kwh=1.0,
-            soc_max_kwh=1.0 + span * res,
-            r_charge_kw=up * res / eta_c,
-            r_discharge_kw=down * res,
-            eta_charge=eta_c,
-            eta_discharge=float(rng.choice([0.5, 0.75, 1.0])),
-        )
-        cfg = hub.HubConfig(
-            p_bs_min_kw=2.0,
-            p_bs_max_kw=6.0,
-            r_cs_kw=float(rng.integers(0, 8)),
-            battery=spec,
-            t_recovery_slots=0,
-            c_bp=float(rng.choice([0.0, 0.01])),
-        )
-        inputs = [
-            hub.SlotInputs(
-                load_rate=float(rng.choice([0.0, 0.5, 1.0])),
-                cs_active=int(rng.integers(0, 2)),
-                p_wt_kw=float(rng.integers(0, 4)),
-                p_pv_kw=0.0,
-                rtp=float(rng.integers(1, 64)) / 64.0,
-                srtp=float(rng.integers(0, 64)) / 64.0,
-            )
-            for _ in range(8)
-        ]
-        initial = 1.0 + int(rng.integers(0, span + 1)) * res
+        cfg, inputs, initial, res = lattice_dp_case(rng, 8)
         profit, _ = scheduler.dp_oracle(cfg, profit_rows(cfg, inputs), initial, res)
         brute = brute_force_best(cfg, inputs, initial)
         if profit != brute:
@@ -504,7 +392,7 @@ def test_learned_pricing_beats_baselines(charging_bench):
         charging_bench.items,
         charging_bench.observations,
     )
-    truth = pricing.strata_columns(charging_bench.items)
+    truth = charging_bench.items.strata
     for c in DISCOUNT_GRID:
         results = {m: pricing.evaluate_policy(truth, chosen[m], c) for m in chosen}
         reward_rows[c] = {m: r.reward for m, r in results.items()}
@@ -567,7 +455,6 @@ def test_incentive_share_peaks_in_evening(charging_bench):
 def test_full_stack_ordering_across_hubs(charging_bench):
     started = time.monotonic() - charging_bench.build_seconds
     c = 0.3
-    base_price = 0.80
     decisions = cli._method_decisions(
         charging_bench.model,
         charging_bench.mu1,
@@ -586,19 +473,11 @@ def test_full_stack_ordering_across_hubs(charging_bench):
     # all 2 hubs x 4 methods x 3 seeds train, then evaluate, as one lockstep
     # population; each run computes exactly what it would alone
     runs, envs = [], []
+    run_cfg = cli.RunConfig(base_sell_price=0.80, discount=c)
     for station in (0, 126):
         for method in methods:
-            srtp = np.full(n, base_price)
-            occupancy = np.zeros(n, dtype=int)
-            for t in range(n):
-                sod = t % 24
-                if (station, sod) not in stratum_of:
-                    continue
-                give = (station, sod) in decisions[method]
-                if give:
-                    srtp[t] = base_price * (1.0 - c)
-                occupancy[t] = stratum_response(stratum_of[(station, sod)], give)
-            env = _alternating_tariff_env(srtp, occupancy)
+            series = cli._hub_series(run_cfg, decisions[method], stratum_of, station, n)
+            env = _alternating_tariff_env(*series)
             for seed in seeds:
                 runs.append((station, method, seed))
                 envs.append(env)

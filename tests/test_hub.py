@@ -19,7 +19,7 @@ from hubopt.hub import (
     SlotInputs,
 )
 
-from reference import profit_rows
+from reference import profit_rows, random_walk
 
 
 def make_cfg(**kw):
@@ -324,66 +324,19 @@ class TestProfitTable:
         assert profit_rows(HubConfig(), []).shape == (0, len(ACTIONS))
 
 
-def random_hub_setup(rng):
-    slot_hours = float(rng.choice([0.5, 1.0]))
-    spec = BatterySpec(
-        capacity_kwh=60.0,
-        soc_min_kwh=8.0,
-        soc_max_kwh=float(rng.uniform(40.0, 55.0)),
-        r_charge_kw=float(rng.uniform(1.0, 6.0)),
-        r_discharge_kw=float(rng.uniform(1.0, 6.0)),
-        eta_charge=float(rng.uniform(0.5, 1.0)),
-        eta_discharge=float(rng.uniform(0.5, 1.0)),
-    )
-    cfg = HubConfig(
-        p_bs_min_kw=float(rng.uniform(0.5, 1.5)),
-        p_bs_max_kw=float(rng.uniform(2.0, 6.0)),
-        r_cs_kw=float(rng.uniform(3.0, 11.0)),
-        battery=spec,
-        slot_hours=slot_hours,
-        t_recovery_slots=1,
-        c_bp=float(rng.uniform(0.0, 0.05)),
-    )
-    return cfg
-
-
-def random_inputs(rng):
-    return SlotInputs(
-        load_rate=float(rng.uniform(0, 1)),
-        cs_active=int(rng.integers(0, 2)),
-        p_wt_kw=float(rng.uniform(0, 12)),
-        p_pv_kw=float(rng.uniform(0, 6)),
-        rtp=float(rng.uniform(0, 0.5)),
-        srtp=float(rng.uniform(0, 0.5)),
-    )
-
-
 class TestStepInvariants:
     def test_energy_balance_and_bounds(self):
-        rng = np.random.default_rng(11)
-        for _ in range(40):
-            cfg = random_hub_setup(rng)
+        for cfg, inputs, out in random_walk(np.random.default_rng(11), 40, 25):
             spec = cfg.battery
-            state = BatteryState(float(rng.uniform(spec.soc_min_kwh, spec.soc_max_kwh)))
-            for _ in range(25):
-                inputs = random_inputs(rng)
-                allowed = hub.feasible_actions(state, spec, cfg.slot_hours)
-                action = int(rng.choice(sorted(allowed)))
-                out = hub.step(cfg, state, inputs, action)
-
-                draw = max(out.p_bp_kw, 0.0)
-                delivered = max(-out.p_bp_kw, 0.0)
-                supply = out.p_grid_kw + inputs.p_wt_kw + inputs.p_pv_kw + delivered
-                demand = out.p_bs_kw + out.p_cs_kw + draw + out.curtailed_kw
-                assert abs(supply - demand) <= 1e-9
-                assert out.p_grid_kw * out.curtailed_kw == 0.0
-                assert out.p_grid_kw >= 0.0
-                assert out.curtailed_kw >= 0.0
-                assert spec.soc_min_kwh - 1e-9 <= out.soc_after_kwh <= spec.soc_max_kwh + 1e-9
-                assert out.profit == pytest.approx(
-                    out.revenue - out.cost_grid - out.cost_bp, abs=1e-12
-                )
-                state = BatteryState(out.soc_after_kwh)
+            draw = max(out.p_bp_kw, 0.0)
+            delivered = max(-out.p_bp_kw, 0.0)
+            supply = out.p_grid_kw + inputs.p_wt_kw + inputs.p_pv_kw + delivered
+            demand = out.p_bs_kw + out.p_cs_kw + draw + out.curtailed_kw
+            assert abs(supply - demand) <= 1e-9
+            assert out.p_grid_kw * out.curtailed_kw == 0.0
+            assert out.p_grid_kw >= 0.0 and out.curtailed_kw >= 0.0
+            assert spec.soc_min_kwh - 1e-9 <= out.soc_after_kwh <= spec.soc_max_kwh + 1e-9
+            assert out.profit == pytest.approx(out.revenue - out.cost_grid - out.cost_bp, abs=1e-12)
 
 
 class TestConfigValidation:

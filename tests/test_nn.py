@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdcheck import assert_grads_close, central_diff_grads
+from fdcheck import assert_grads_close, central_diff_grads, dense_grads, embed_mlp_grads
 
 from hubopt import nn, pricing, scheduler
 from hubopt.nn import (
@@ -25,33 +25,6 @@ from hubopt.nn import (
 )
 
 
-def naive_dense_forward(net, x):
-    """Straight-line pure-python recomputation of DenseNet.forward."""
-    rows = []
-    for row in x:
-        a = [float(v) for v in row]
-        for w, b, tag in zip(net.weights, net.biases, net.activations):
-            z = []
-            for j in range(w.shape[1]):
-                s = float(b[j])
-                for i in range(w.shape[0]):
-                    s += a[i] * float(w[i, j])
-                z.append(s)
-            if tag == "relu":
-                a = [max(v, 0.0) for v in z]
-            elif tag == "sigmoid":
-                a = [1.0 / (1.0 + math.exp(-v)) for v in z]
-            elif tag == "softmax":
-                m = max(z)
-                e = [math.exp(v - m) for v in z]
-                s = sum(e)
-                a = [v / s for v in e]
-            else:
-                a = z
-        rows.append(a)
-    return np.array(rows)
-
-
 class TestForward:
     def test_matches_naive_recompute(self):
         rng = np.random.default_rng(7)
@@ -60,8 +33,7 @@ class TestForward:
             net = DenseNet(sizes, acts, rng)
             x = rng.normal(size=(6, 4))
             got, _ = net.forward(x)
-            want = naive_dense_forward(net, x)
-            assert np.allclose(got, want, atol=1e-12)
+            assert got.tobytes() == reference_forward(net, x)[-1].tobytes()
 
     def test_softmax_rows_are_distributions(self):
         rng = np.random.default_rng(8)
@@ -103,32 +75,13 @@ class TestGradients:
         net = DenseNet([4, 5, out_dim], ["relu", act], rng)
         x = rng.normal(size=(7, 4))
         target = rng.uniform(0.1, 0.9, size=(7, out_dim))
-
-        def f():
-            out, _ = net.forward(x)
-            return mse_loss(out, target)[0]
-
-        out, cache = net.forward(x)
-        _, grad_out = mse_loss(out, target)
-        analytic, _ = net.backward(cache, grad_out)
-        numeric = central_diff_grads(f, net.params())
-        assert_grads_close(analytic, numeric)
+        assert_grads_close(*dense_grads(net, x, mse_loss, target))
 
     def test_softmax_nll_grad(self):
         rng = np.random.default_rng(21)
         net = DenseNet([3, 6, 4], ["sigmoid", "softmax"], rng)
         x = rng.normal(size=(5, 3))
-        labels = rng.integers(0, 4, size=5)
-
-        def f():
-            out, _ = net.forward(x)
-            return nll_loss(out, labels)[0]
-
-        out, cache = net.forward(x)
-        _, grad_out = nll_loss(out, labels)
-        analytic, _ = net.backward(cache, grad_out)
-        numeric = central_diff_grads(f, net.params())
-        assert_grads_close(analytic, numeric)
+        assert_grads_close(*dense_grads(net, x, nll_loss, rng.integers(0, 4, size=5)))
 
     def test_input_gradient(self):
         rng = np.random.default_rng(22)
@@ -162,16 +115,7 @@ class TestGradients:
         stations = rng.integers(0, 5, size=8)
         slots = rng.integers(0, 6, size=8)
         target = rng.uniform(0.1, 0.9, size=8)
-
-        def f():
-            pred, _ = model.forward(stations, slots)
-            return mse_loss(pred, target)[0]
-
-        pred, cache = model.forward(stations, slots)
-        _, grad = mse_loss(pred, target)
-        analytic = model.backward(cache, grad)
-        numeric = central_diff_grads(f, model.params())
-        assert_grads_close(analytic, numeric)
+        assert_grads_close(*embed_mlp_grads(model, stations, slots, target))
 
 
 class TestEmbeddingTable:

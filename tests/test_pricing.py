@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdcheck import central_diff_grads, max_rel_err
+from fdcheck import assert_grads_close, pricing_loss_grads
 from hubopt import nn, pricing
 from hubopt.pricing import (
     COL_ALWAYS,
@@ -24,7 +24,6 @@ from hubopt.pricing import (
     observations_from_records,
     predicted_strata,
     strata_by_period,
-    strata_columns,
     stratum_probs,
     top_k_policy,
     train_cfmtl,
@@ -84,6 +83,14 @@ class TestStratumProbs:
         assert g.min() > 0.0 and g.max() < 1.0
 
 
+def random_cells(rng, n, g_low=0.0, g_high=1.0):
+    """Stratum rows, propensities in [g_low, g_high), and 0/1 treated and charged of n items."""
+    raw = rng.random((n, 3))
+    strata = raw / raw.sum(axis=1, keepdims=True)
+    g = rng.uniform(g_low, g_high, n)
+    return strata, g, rng.integers(0, 2, n).astype(float), rng.integers(0, 2, n).astype(float)
+
+
 class TestLoss:
     def test_single_uncharged_treated_item(self):
         strata = np.array([[0.5, 0.25, 0.25]])
@@ -101,32 +108,14 @@ class TestLoss:
         assert parts.l_propensity == pytest.approx(0.25, abs=1e-12)
 
     def test_total_is_sum_of_parts(self):
-        rng = np.random.default_rng(4)
-        n = 64
-        raw = rng.random((n, 3))
-        strata = raw / raw.sum(axis=1, keepdims=True)
-        g = rng.uniform(0.05, 0.95, n)
-        treated = rng.integers(0, 2, n).astype(float)
-        charged = rng.integers(0, 2, n).astype(float)
-        parts, _, _ = cfmtl_loss_parts(strata, g, treated, charged)
-        total = (
-            parts.l_no_treated
-            + parts.l_always_control
-            + parts.l_charged_treated
-            + parts.l_uncharged_control
-            + parts.l_propensity
-        )
-        assert parts.total == pytest.approx(total, abs=1e-9)
+        parts, _, _ = cfmtl_loss_parts(*random_cells(np.random.default_rng(4), 64, 0.05, 0.95))
+        *terms, total = dataclasses.astuple(parts)
+        assert len(terms) == 5 and total == pytest.approx(sum(terms), abs=1e-9)
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
     def test_parts_and_gradients_equal_the_per_term_reference(self, n, seed):
-        rng = np.random.default_rng(seed)
-        raw = rng.random((n, 3))
-        strata = raw / raw.sum(axis=1, keepdims=True)
-        g = rng.uniform(0.0, 1.0, n)
-        treated = rng.integers(0, 2, n).astype(float)
-        charged = rng.integers(0, 2, n).astype(float)
+        strata, g, treated, charged = random_cells(np.random.default_rng(seed), n)
         p_no, p_inc, p_alw = strata[:, COL_NO], strata[:, COL_INCENTIVE], strata[:, COL_ALWAYS]
         r1 = p_no * g - ((charged == 0) & (treated == 1))
         r2 = p_alw * (1.0 - g) - ((charged == 1) & (treated == 0))
@@ -166,18 +155,7 @@ class TestLoss:
         slots = rng.integers(0, 6, size=12)
         treated = rng.integers(0, 2, size=12).astype(float)
         charged = rng.integers(0, 2, size=12).astype(float)
-
-        def loss():
-            probs, g, _ = model.forward(stations, slots)
-            parts, _, _ = cfmtl_loss_parts(probs, g, treated, charged)
-            return parts.total
-
-        probs, g, cache = model.forward(stations, slots)
-        _, grad_strata, grad_g = cfmtl_loss_parts(probs, g, treated, charged)
-        analytic = model.backward(cache, grad_strata, grad_g)
-        numeric = central_diff_grads(loss, model.params())
-        worst = max(max_rel_err(a, n) for a, n in zip(analytic, numeric))
-        assert worst <= 1e-4
+        assert_grads_close(*pricing_loss_grads(model, stations, slots, treated, charged))
 
     def test_model_batch_wrapper_matches_parts(self, planted, trained):
         _, obs = planted
@@ -224,10 +202,17 @@ class TestTraining:
         for a, b in zip(trained.params(), again.params()):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("fit", [train_cfmtl, fit_outcome_models, fit_propensity_model])
-    def test_empty_observations_refused(self, fit):
+    @pytest.mark.parametrize(
+        "fit, n_stations",
+        [  # the n_stations=4 cases keep the ids they had before the None cases
+            pytest.param(fit, n, id=fit.__name__ + ("" if n else "-n_stations_None"))
+            for n in (4, None)
+            for fit in (train_cfmtl, fit_outcome_models, fit_propensity_model)
+        ],
+    )
+    def test_empty_observations_refused(self, fit, n_stations):
         with pytest.raises(ValueError, match="^cannot fit on an empty dataset$"):
-            fit(obs_batch([]), PricingConfig(epochs=1, n_stations=4))
+            fit(obs_batch([]), PricingConfig(epochs=1, n_stations=n_stations))
 
     def test_every_fit_runs_the_one_training_loop(self, planted, monkeypatch):
         _, obs = planted
@@ -324,7 +309,7 @@ def items_at(keys):
 def score(strata_map, discounted, c):
     """evaluate_policy on a {(station, slot): stratum} map, in key order."""
     keys = sorted(strata_map)
-    truth = strata_columns(universe_of(strata_map))
+    truth = universe_of(strata_map).strata
     give = np.array([key in discounted for key in keys], dtype=bool)
     return evaluate_policy(truth, give, c)
 
@@ -380,7 +365,7 @@ class TestEvaluatePolicy:
 
     def test_accepts_population_items(self):
         strata = {(0, 0): self.A, (0, 1): self.N}
-        ev = evaluate_policy(strata_columns(universe_of(strata)), np.zeros(2, dtype=bool), 0.3)
+        ev = evaluate_policy(universe_of(strata).strata, np.zeros(2, dtype=bool), 0.3)
         assert ev.reward == pytest.approx(1.0)
 
     @settings(max_examples=200, deadline=None)
@@ -400,9 +385,9 @@ class TestEvaluatePolicy:
         ),
     )
     def test_matches_per_item_loop_bit_for_bit(self, items, c):
-        truth = strata_columns(
-            Universe.from_items([PopulationItem(s, t, stratum) for (s, t), stratum, _ in items])
-        )
+        truth = Universe.from_items(
+            [PopulationItem(s, t, stratum) for (s, t), stratum, _ in items]
+        ).strata
         give = np.array([g for _, _, g in items], dtype=bool)
         want = reference_evaluation(items, c)
         got = evaluate_policy(truth, give, c)

@@ -25,8 +25,8 @@ from hubopt.scheduler import (
 from hubopt.seeding import spawn_rng, spawn_seed
 from hubopt.traces import TraceSet, gen_rtp, gen_traffic, gen_weather
 
-from fdcheck import assert_grads_close, central_diff_grads
-from reference import brute_force_best, profit_rows
+from fdcheck import assert_grads_close, ppo_objective_grads
+from reference import brute_force_best, lattice_dp_case, plan_profit, ppo_batch, profit_rows
 
 
 def make_traces(n_slots, seed=0):
@@ -279,59 +279,32 @@ class TestPpoClipTerm:
         np.testing.assert_allclose(term, [1.2, -0.8, 2.0])
 
 
-def loss_batch(bundle, n=12, seed=0):
-    rng = np.random.default_rng(seed)
-    states = rng.normal(size=(n, bundle.state_dim))
-    actions = rng.integers(0, 3, size=n)
-    probs, values, _ = bundle.forward(states)
-    old_log_probs = np.log(probs[np.arange(n), actions])
-    advantages = rng.normal(size=n)
-    advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
-    targets = values + rng.normal(scale=0.5, size=n)
-    return states, actions, old_log_probs, advantages, targets
-
-
 class TestTotalLoss:
     def test_zero_mean_advantages_and_perfect_critic_give_zero(self):
         bundle = PolicyBundle(state_dim=6, hidden=(8,), seed=0)
-        cfg = PpoConfig()
-        states, actions, old_log_probs, advantages, _ = loss_batch(bundle, seed=1)
-        _, values, _ = bundle.forward(states)
-        objective, _ = total_loss(
-            bundle, states, actions, old_log_probs, advantages, values, cfg
-        )
+        batch = ppo_batch(bundle, 12, np.random.default_rng(1))
+        _, values, _ = bundle.forward(batch[0])
+        objective, _ = total_loss(bundle, *batch[:4], values, PpoConfig())
         # ratio is exactly 1 everywhere, so the clip term is the advantage mean
         assert objective == pytest.approx(0.0, abs=1e-12)
 
     def test_value_term_scales_with_coefficient(self):
         bundle = PolicyBundle(state_dim=5, hidden=(8,), seed=2)
-        states, actions, old_log_probs, _, _ = loss_batch(bundle, seed=3)
+        states, actions, old_log_probs, _, _ = ppo_batch(bundle, 12, np.random.default_rng(3))
         _, values, _ = bundle.forward(states)
         targets = values + 1.0
         zeros = np.zeros(len(actions))
         for coef in (0.5, 2.0):
             cfg = PpoConfig(value_coef=coef)
-            objective, _ = total_loss(
-                bundle, states, actions, old_log_probs, zeros, targets, cfg
-            )
+            objective, _ = total_loss(bundle, states, actions, old_log_probs, zeros, targets, cfg)
             assert objective == pytest.approx(-coef * 1.0)
 
     def test_entropy_bonus_added(self):
         bundle = PolicyBundle(state_dim=5, hidden=(8,), seed=4)
-        states, actions, old_log_probs, advantages, targets = loss_batch(bundle, seed=5)
-        base, _ = total_loss(
-            bundle, states, actions, old_log_probs, advantages, targets, PpoConfig()
-        )
-        with_ent, _ = total_loss(
-            bundle,
-            states,
-            actions,
-            old_log_probs,
-            advantages,
-            targets,
-            PpoConfig(entropy_coef=0.5),
-        )
-        probs, _, _ = bundle.forward(states)
+        batch = ppo_batch(bundle, 12, np.random.default_rng(5))
+        base, _ = total_loss(bundle, *batch, PpoConfig())
+        with_ent, _ = total_loss(bundle, *batch, PpoConfig(entropy_coef=0.5))
+        probs, _, _ = bundle.forward(batch[0])
         entropy = float(np.mean(-np.sum(probs * np.log(probs), axis=1)))
         assert with_ent - base == pytest.approx(0.5 * entropy)
 
@@ -339,21 +312,8 @@ class TestTotalLoss:
     def test_gradients_match_finite_differences(self, entropy_coef):
         bundle = PolicyBundle(state_dim=4, hidden=(6,), seed=6)
         cfg = PpoConfig(entropy_coef=entropy_coef)
-        states, actions, old_log_probs, advantages, targets = loss_batch(
-            bundle, n=8, seed=7
-        )
-        params = bundle.params()
-        _, grads = total_loss(
-            bundle, states, actions, old_log_probs, advantages, targets, cfg
-        )
-        analytic = [g.copy() for g in grads]  # each total_loss below overwrites the views
-        numeric = central_diff_grads(
-            lambda: total_loss(
-                bundle, states, actions, old_log_probs, advantages, targets, cfg
-            )[0],
-            params,
-        )
-        assert_grads_close(analytic, numeric)
+        batch = ppo_batch(bundle, 8, np.random.default_rng(7))
+        assert_grads_close(*ppo_objective_grads(bundle, batch, cfg))
 
 
 class TestPolicyBundle:
@@ -405,26 +365,19 @@ class TestPolicyUpdate:
     def test_successful_update_changes_params(self):
         bundle = PolicyBundle(state_dim=5, hidden=(8,), seed=0)
         optimizer = nn.Adam(bundle.params(), lr=1e-3)
-        states, actions, old_log_probs, advantages, targets = loss_batch(bundle, n=16, seed=1)
+        batch = ppo_batch(bundle, 16, np.random.default_rng(1))
         before = [p.copy() for p in bundle.params()]
-        ok = policy_update(
-            bundle,
-            optimizer,
-            states,
-            actions,
-            old_log_probs,
-            advantages,
-            targets,
-            PpoConfig(epochs=2, minibatch=8),
-            np.random.default_rng(2),
-        )
+        cfg = PpoConfig(epochs=2, minibatch=8)
+        ok = policy_update(bundle, optimizer, *batch, cfg, np.random.default_rng(2))
         assert ok
         assert any(not np.array_equal(b, p) for b, p in zip(before, bundle.params()))
 
     def test_nan_batch_restores_params_and_optimizer(self):
         bundle = PolicyBundle(state_dim=5, hidden=(8,), seed=3)
         optimizer = nn.Adam(bundle.params(), lr=1e-3)
-        states, actions, old_log_probs, advantages, targets = loss_batch(bundle, n=16, seed=4)
+        states, actions, old_log_probs, advantages, targets = ppo_batch(
+            bundle, 16, np.random.default_rng(4)
+        )
         # warm the optimizer so restoration has nontrivial state to preserve
         policy_update(
             bundle, optimizer, states, actions, old_log_probs, advantages, targets,
@@ -939,51 +892,8 @@ class TestDpOracle:
     def test_matches_brute_force_enumeration(self):
         rng = np.random.default_rng(12)
         for trial in range(5):
-            res = float(rng.choice([0.25, 0.5]))
-            up = int(rng.integers(1, 4))
-            down = int(rng.integers(1, 4))
-            span = int(rng.integers(max(up, down), 7))
-            eta_c = float(rng.choice([0.5, 1.0]))
-            spec = hub.BatterySpec(
-                capacity_kwh=span * res + 2.0,
-                soc_min_kwh=1.0,
-                soc_max_kwh=1.0 + span * res,
-                r_charge_kw=up * res / eta_c,
-                r_discharge_kw=down * res,
-                eta_charge=eta_c,
-                eta_discharge=float(rng.choice([0.5, 0.75, 1.0])),
-            )
-            cfg = hub.HubConfig(
-                p_bs_min_kw=2.0,
-                p_bs_max_kw=6.0,
-                r_cs_kw=float(rng.integers(0, 8)),
-                battery=spec,
-                t_recovery_slots=0,
-                c_bp=float(rng.choice([0.0, 0.01])),
-            )
-            inputs = [
-                hub.SlotInputs(
-                    load_rate=float(rng.choice([0.0, 0.5, 1.0])),
-                    cs_active=int(rng.integers(0, 2)),
-                    p_wt_kw=float(rng.integers(0, 4)),
-                    p_pv_kw=0.0,
-                    rtp=float(rng.integers(1, 64)) / 64.0,
-                    srtp=float(rng.integers(0, 64)) / 64.0,
-                )
-                for _ in range(6)
-            ]
-            i0 = int(rng.integers(0, span + 1))
-            initial = 1.0 + i0 * res
+            cfg, inputs, initial, res = lattice_dp_case(rng, 6)
             profit, actions = dp_oracle(cfg, profit_rows(cfg, inputs), initial, res)
             assert profit == brute_force_best(cfg, inputs, initial), f"trial {trial}"
             # the reported plan must achieve the reported value
-            state = hub.BatteryState(initial)
-            replay = []
-            for slot, act in zip(inputs, actions):
-                outcome = hub.step(cfg, state, slot, act)
-                replay.append(outcome.profit)
-                state = hub.BatteryState(outcome.soc_after_kwh)
-            total = 0.0
-            for p in reversed(replay):
-                total = p + total
-            assert total == profit, f"trial {trial}"
+            assert plan_profit(cfg, inputs, initial, actions) == profit, f"trial {trial}"
