@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import hub, nn
 from .seeding import spawn_rng, spawn_seed
-from .traces import TraceSet, pv_power, wt_power
+from .traces import TraceSet
 
 @dataclass(frozen=True)
 class EnvConfig:
@@ -73,7 +73,10 @@ class HubEnv:
     The exogenous series (prices, weather, traffic, charging occupancy) are
     fixed at construction; each episode reads a contiguous slice starting at an
     offset drawn from its reset seed, so different episodes see different
-    conditions from the same year of traces.
+    conditions from the same year of traces. rtp, load_rate, p_wt and p_pv
+    are the trace set's read-only rows, shared by every env built from it;
+    only srtp and occupancy, which the pricing decision sets, are the env's
+    own. Profit rows are computed per episode, from the rows at its slots.
     """
 
     def __init__(
@@ -86,22 +89,10 @@ class HubEnv:
     ):
         self.hub_cfg = hub_cfg
         self.env_cfg = env_cfg
+        self.rtp, self.load_rate = trace_set.rtp, trace_set.load_rate
+        self.p_wt, self.p_pv = trace_set.renewables(hub_cfg.wt_capacity_kw, hub_cfg.pv_capacity_kw)
+        self.srtp = np.asarray(srtp, dtype=np.float64)
         self.occupancy = np.asarray(occupancy)
-        named = {
-            "rtp": trace_set.rtp,
-            "srtp": srtp,
-            "p_wt": wt_power(trace_set.wind_mps, hub_cfg.wt_capacity_kw),
-            "p_pv": pv_power(trace_set.irradiance_wm2, hub_cfg.pv_capacity_kw),
-            "load_rate": trace_set.load_rate,
-        }
-        self.series = np.array([named[name] for name in SERIES], dtype=np.float64)
-        # each series is also an attribute: a view of its row
-        for name, row in zip(SERIES, self.series):
-            setattr(self, name, row)
-        # every slot's profit under each action
-        self.profit = hub.profit_table(
-            hub_cfg, self.load_rate, self.occupancy, self.p_wt, self.p_pv, self.rtp, self.srtp
-        )
         n = len(self.rtp)
         self.episode_days = env_cfg.episode_days
         self.episode_slots = env_cfg.episode_days * int(round(24.0 / hub_cfg.slot_hours))
@@ -113,19 +104,25 @@ class HubEnv:
                 f"{self.window + self.episode_slots + 1} (window + episode + 1)"
             )
         self.last_start = last_start
-        self.stats = NormStats.from_series(self.series)
+        # from_series stacks the rows into one temporary (len(SERIES), n) array
+        self.stats = NormStats.from_series(self._series())
         self._t = -1
         self._battery = hub.BatteryState(hub_cfg.battery.soc_min_kwh)
         self.episode_start = -1
+        self._profit = None  # the current episode's profit rows
 
     @property
     def state_dim(self) -> int:
         return len(SERIES) * (self.window + 1) + 1
 
+    def _series(self) -> list[np.ndarray]:
+        """The observed rows, in SERIES order."""
+        return [getattr(self, name) for name in SERIES]
+
     def _observe(self) -> EnvState:
         t = self._t
         return EnvState(
-            windows=self.series[:, t - self.window : t + 1].copy(),
+            windows=np.array([row[t - self.window : t + 1] for row in self._series()]),
             soc=self._battery.soc_kwh / self.hub_cfg.battery.capacity_kwh,
         )
 
@@ -141,6 +138,7 @@ class HubEnv:
         self.episode_start, soc = self.draw_start(np.random.default_rng(seed))
         self._t = self.episode_start
         self._battery = hub.BatteryState(soc)
+        self._profit = self.episode_inputs(self.episode_start)
         return self._observe()
 
     def episode_series(self, starts: np.ndarray) -> np.ndarray:
@@ -151,7 +149,7 @@ class HubEnv:
         elementwise, so every entry has the bits state_vector gives it.
         """
         cols = np.asarray(starts)[..., None] + np.arange(-self.window, self.episode_slots)
-        rows = np.moveaxis(self.series[:, cols], 0, -2)
+        rows = np.stack([row[cols] for row in self._series()], axis=-2)
         return (rows - self.stats.mean[:, None]) / self.stats.std[:, None]
 
     def slot_inputs(self, t: int) -> hub.SlotInputs:
@@ -167,21 +165,32 @@ class HubEnv:
     def episode_inputs(self, starts) -> np.ndarray:
         """The profit rows (*starts.shape, episode_slots, 3) that episodes at
         starts (each in [window, last_start], as draw_start gives it) are
-        rewarded from; column k holds action k's profit."""
-        return self.profit[np.asarray(starts)[..., None] + np.arange(self.episode_slots)]
+        rewarded from; column k holds action k's profit.
+
+        hub.profit_table is elementwise, so each entry has the bits of a
+        table built over the whole rows.
+        """
+        slots = np.asarray(starts)[..., None] + np.arange(self.episode_slots)
+        flat = slots.ravel()
+        rows = (self.load_rate, self.occupancy, self.p_wt, self.p_pv, self.rtp, self.srtp)
+        table = hub.profit_table(self.hub_cfg, *(row[flat] for row in rows))
+        return table.reshape(slots.shape + (len(hub.ACTIONS),))
 
     def step(self, action: int) -> tuple[EnvState, float, bool]:
         if self._t < 0:
             raise RuntimeError("call reset() before step()")
+        k = self._t - self.episode_start
+        if k >= self.episode_slots:
+            raise RuntimeError("the episode is over: call reset() before step()")
         if action not in hub.ACTIONS:
             raise ValueError(f"action must be one of {hub.ACTIONS}, got {action}")
         spec, dt = self.hub_cfg.battery, self.hub_cfg.slot_hours
         if action not in hub.feasible_actions(self._battery, spec, dt):
             action = hub.IDLE
-        reward = float(self.profit[self._t, action])
+        reward = float(self._profit[k, action])
         self._battery = hub.soc_step(self._battery, spec, action, dt)
         self._t += 1
-        done = self._t - self.episode_start >= self.episode_slots
+        done = k + 1 >= self.episode_slots
         return self._observe(), reward, done
 
 

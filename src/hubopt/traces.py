@@ -13,7 +13,7 @@ import functools
 import io
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -239,18 +239,22 @@ class TraceSet:
     """Aligned per-slot series, slot 0 first.
 
     The values were checked where they entered: by load_csv for a trace
-    file, by the run config for the generators' arguments.
+    file, by the run config for the generators' arguments. Each series is a
+    read-only view, so every reader of the set can share it.
     """
 
     rtp: np.ndarray
     wind_mps: np.ndarray
     irradiance_wm2: np.ndarray
     load_rate: np.ndarray
+    # (wt_capacity_kw, pv_capacity_kw) -> renewables' rows
+    _renewables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.rtp)
         for name in ("rtp", "wind_mps", "irradiance_wm2", "load_rate"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = np.asarray(getattr(self, name), dtype=np.float64).view()
+            arr.flags.writeable = False
             setattr(self, name, arr)
             if len(arr) != n:
                 raise TraceError(
@@ -260,6 +264,21 @@ class TraceSet:
     @property
     def n_slots(self) -> int:
         return len(self.rtp)
+
+    def renewables(self, wt_capacity_kw: float, pv_capacity_kw: float):
+        """Wind and PV output (kW) per slot at these capacities, as
+        wt_power and pv_power give them: computed once per capacity pair and
+        shared, read-only, by every caller."""
+        key = (wt_capacity_kw, pv_capacity_kw)
+        if key not in self._renewables:
+            rows = (
+                wt_power(self.wind_mps, wt_capacity_kw),
+                pv_power(self.irradiance_wm2, pv_capacity_kw),
+            )
+            for row in rows:
+                row.flags.writeable = False
+            self._renewables[key] = rows
+        return self._renewables[key]
 
 
 # -- series generators ---------------------------------------------------------

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import typing
 from pathlib import Path
 
@@ -1044,6 +1045,51 @@ class TestDrlDataPath:
                         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
                     discounted += int((got[0] != cfg.base_sell_price).sum())
         assert discounted  # the discounted price was exercised
+
+
+@pytest.fixture(scope="module")
+def priced_year(tmp_path_factory):
+    """A year-long, four-hub renewable run through eval-price: the DRL stages'
+    envs at the benchmark pipeline's trace length."""
+    base = tmp_path_factory.mktemp("priced_year")
+    raw = dict(
+        tiny_config(base / "run", seed=13),
+        n_hubs=4,
+        hub={"pv_capacity_kw": 10, "wt_capacity_kw": 5},
+        traces={"days": 365, "n_stations": 4},
+        pricing={"embed_dim": 4, "hidden": [8], "epochs": 1},
+    )
+    config_path = write_config(base / "run.yaml", raw)
+    for sub in ("gen-data", "train-price", "eval-price"):
+        assert cli.main([sub, "--config", config_path]) == 0
+    return cli.load_run_config(config_path), str(base / "run")
+
+
+class TestDrlEnvMemory:
+    def test_envs_share_one_read_only_array_per_trace_row(self, priced_year):
+        runs, envs = cli._drl_envs(*priced_year)
+        assert len({hub_id for hub_id, _ in runs}) == 4 and len(envs) == 16
+        for name in ("rtp", "load_rate", "p_wt", "p_pv"):
+            row = getattr(envs[0], name)
+            assert row.any() and not row.flags.writeable, name
+            assert all(getattr(env, name) is row for env in envs), name
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 0.0
+        # the rows a pricing decision sets are each run's own
+        for name in ("srtp", "occupancy"):
+            rows = [getattr(env, name) for env in envs]
+            assert not any(np.shares_memory(a, b) for a, b in zip(rows, rows[1:])), name
+
+    def test_envs_hold_under_4_mb(self, priced_year):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            runs, envs = cli._drl_envs(*priced_year)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert envs[0].rtp.size == 365 * 24
+        assert held < 4 << 20, f"{len(envs)} envs hold {held / 2**20:.2f} MB"
 
 
 def hub_series_reference(cfg, decisions, stratum_of, hub_id, n_slots):

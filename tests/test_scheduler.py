@@ -58,6 +58,13 @@ def make_env(
     return HubEnv(cfg, env_cfg, ts, srtp, occupancy)
 
 
+def whole_rows_table(env):
+    """hub.profit_table over every slot of env's rows."""
+    return hub.profit_table(
+        env.hub_cfg, env.load_rate, env.occupancy, env.p_wt, env.p_pv, env.rtp, env.srtp
+    )
+
+
 class TestEnvConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -97,7 +104,6 @@ class TestHubEnv:
         t = env.episode_start
         assert state.windows.shape == (len(SERIES), 7)
         for row, name in zip(state.windows, SERIES):
-            assert np.shares_memory(getattr(env, name), env.series)
             np.testing.assert_array_equal(row, getattr(env, name)[t - 6 : t + 1])
 
     def test_idle_reward_is_negative_grid_cost(self):
@@ -156,6 +162,18 @@ class TestHubEnv:
         with pytest.raises(RuntimeError, match="reset"):
             env.step(IDLE)
 
+    def test_step_after_the_episode_asks_for_reset(self):
+        env = make_env(episode_days=1)
+        env.reset(seed=2)
+        for _ in range(env.episode_slots):
+            _, _, done = env.step(IDLE)
+        assert done
+        with pytest.raises(RuntimeError, match="reset"):
+            env.step(IDLE)
+        # a new episode steps again
+        env.reset(seed=3)
+        env.step(IDLE)
+
     def test_invalid_action(self):
         env = make_env()
         env.reset(seed=0)
@@ -191,7 +209,7 @@ class TestHubEnv:
         t = env.episode_start
         rows = env.episode_inputs(t)
         assert rows.shape == (24, len(hub.ACTIONS))
-        np.testing.assert_array_equal(rows, env.profit[t : t + 24])
+        assert rows.tobytes() == whole_rows_table(env)[t : t + 24].tobytes()
         # the rows the steps are rewarded from: idling collects the idle column
         for k in range(24):
             _, reward, _ = env.step(IDLE)
@@ -204,6 +222,25 @@ class TestHubEnv:
         assert rows.shape == (2, 3, env.episode_slots, len(hub.ACTIONS))
         want = np.stack([[env.episode_inputs(int(s)) for s in row] for row in starts])
         assert rows.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        wt=st.floats(0.5, 20.0),
+        pv=st.floats(0.5, 20.0),
+        shape=st.sampled_from([(), (3,), (2, 4)]),
+    )
+    def test_episode_inputs_equal_the_whole_rows_table(self, seed, wt, pv, shape):
+        env = make_env(
+            n_days=4, episode_days=1, seed=seed, wt_capacity_kw=wt, pv_capacity_kw=pv
+        )
+        assert env.p_wt.any() and env.p_pv.any()
+        starts = np.random.default_rng(seed).integers(env.window, env.last_start + 1, size=shape)
+        slots = starts[..., None] + np.arange(env.episode_slots)
+        want = whole_rows_table(env)[slots]
+        assert env.episode_inputs(starts).tobytes() == want.tobytes()
+        if not shape:
+            assert env.episode_inputs(int(starts)).tobytes() == want.tobytes()
 
 
 class TestComputeAdvantages:
