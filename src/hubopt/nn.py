@@ -25,6 +25,9 @@ CHECKPOINT_VERSION = 1
 # Adam's moment decay rates and the term that keeps its divisor off zero
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
+# the rows an Embedded model's predict runs forward on at once; a multiple of 64
+PREDICT_ROWS = 1024
+
 
 class CheckpointError(ValueError):
     """Unreadable, corrupt, or architecturally incompatible checkpoint."""
@@ -388,7 +391,7 @@ def _replacing(path: str):
 def load_weights(path: str):
     """Read a weight container; returns (arrays dict, meta dict).
 
-    Raises CheckpointError for truncation, checksum mismatch, or version skew.
+    Raises CheckpointError for truncation, checksum mismatch, version skew or a NaN or inf.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -416,6 +419,9 @@ def load_weights(path: str):
         raise CheckpointError(f"{path} has a malformed payload: {exc}") from exc
     if _payload_digest(arrays, meta) != stored:
         raise CheckpointError(f"{path} failed its checksum; file corrupt or edited")
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: array {name!r} holds non-finite values")
     return arrays, meta
 
 
@@ -545,6 +551,26 @@ class Embedded(Module):
         )
         return x, rows
 
+    def predict(self, stations, slots):
+        """forward's outputs without its cache: an array, or a tuple for several heads.
+
+        forward runs on blocks of PREDICT_ROWS rows, so memory is bounded by the
+        block, not the row count. A row's BLAS bits depend on its place in the
+        kernel's tile and a one-row product takes another path, so blocks start
+        at multiples of PREDICT_ROWS and a one-row tail joins the block before
+        it: the outputs equal one whole-array forward's bit for bit, unless the
+        whole array is large enough for BLAS to pick another kernel.
+        """
+        n, lo, outputs = len(stations), 0, None
+        for hi in [*range(PREDICT_ROWS, n - 1, PREDICT_ROWS), n]:
+            block = self.forward(stations[lo:hi], slots[lo:hi])[:-1]  # the cache goes now
+            if outputs is None:
+                outputs = [np.empty((n, *b.shape[1:]), b.dtype) for b in block]
+            for out, b in zip(outputs, block):
+                out[lo:hi] = b
+            lo = hi
+        return outputs[0] if len(outputs) == 1 else tuple(outputs)
+
     def _embed_grads(self, rows, grad_x: np.ndarray) -> list[np.ndarray]:
         """The two tables' gradients, given the gradient wrt _embed's output."""
         (stations, slots), d = rows, self.embed_dim
@@ -576,10 +602,6 @@ class EmbedMlp(Embedded):
         rows, net_cache = cache
         net_grads, grad_x = self.net.backward(net_cache, np.asarray(grad_out)[:, None])
         return self._embed_grads(rows, grad_x) + net_grads
-
-    def predict(self, stations: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        out, _ = self.forward(stations, slots)
-        return out
 
 
 def fit_embed_mlp(

@@ -136,7 +136,7 @@ class PricingModel(nn.Embedded):
 
 def stratum_probs(model: PricingModel, stations, slots) -> np.ndarray:
     """(n, 3) stratum probabilities in column order (no, incentive, always)."""
-    probs, _, _ = model.forward(stations, slots)
+    probs, _ = model.predict(stations, slots)
     return probs
 
 
@@ -194,7 +194,7 @@ def cfmtl_loss(model: PricingModel, observations: Observations) -> LossParts:
     stations, slots, treated, charged = observations
     if not len(stations):
         raise ValueError("cannot evaluate the loss on an empty batch")
-    strata, g, _ = model.forward(stations, slots)
+    strata, g = model.predict(stations, slots)
     parts, _, _ = cfmtl_loss_parts(strata, g, treated, charged)
     return parts
 

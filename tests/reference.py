@@ -6,12 +6,25 @@ One that a single file uses stays in that file.
 import importlib.util
 import itertools
 import os
+import tracemalloc
 
 import numpy as np
 
 from hubopt import hub
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def heap_peak(fn) -> int:
+    """The bytes that fn() allocates at its peak, above the heap it starts on,
+    as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def plan_profit(cfg, inputs, initial_soc_kwh, actions):

@@ -27,6 +27,7 @@ from hubopt.cli import (
     run_config_from_dict,
 )
 from hubopt.hub import ConfigError
+from reference import heap_peak
 
 
 def tiny_config(out_dir, seed=7):
@@ -1092,6 +1093,18 @@ class TestDrlEnvMemory:
         assert held < 4 << 20, f"{len(envs)} envs hold {held / 2**20:.2f} MB"
 
 
+class TestEvalPriceMemory:
+    def test_method_choices_peak_under_3_mb(self, priced_year):
+        """The models predict in blocks of nn.PREDICT_ROWS rows, so the peak
+        does not hold a forward cache for every logged record."""
+        cfg, run_dir = priced_year
+        models = cli._load_pricing_models(run_dir, cfg)
+        items, observations = cli._load_population(run_dir, cfg.traces.n_stations)
+        assert len(observations.stations) == 4 * 365 * 24
+        peak = heap_peak(lambda: cli._method_choices(*models, items, observations))
+        assert peak < 3 << 20, f"_method_choices peaks at {peak / 2**20:.2f} MB"
+
+
 def hub_series_reference(cfg, decisions, stratum_of, hub_id, n_slots):
     """_hub_series as the per-slot loop computed it."""
     srtp = np.full(n_slots, cfg.base_sell_price)
@@ -1234,6 +1247,32 @@ class TestStaleCheckpoints:
         rc, err, _ = run_copy(priced, tmp_path, capsys, "eval-price", "--force", edit=edit_meta)
         assert rc == cli.EXIT_DATA, err
         assert err.startswith("data error: ") and path in err and key in err
+
+
+class TestNonFiniteCheckpoints:
+    @pytest.mark.parametrize(
+        "stage,checkpoint,array,index,value",
+        [
+            ("eval-price", "pricing_prop.json", "net.w0", slice(None), np.nan),
+            ("eval-price", "pricing_cfmtl.json", "trunk.w0", slice(0, 5), np.inf),
+            ("eval-drl", "drl_hub0_cfmtl.json", "actor.w0", slice(0, 1), np.nan),
+        ],
+        ids=["propensity-nan", "cfmtl-five-inf", "drl-nan"],
+    )
+    def test_exits_3_naming_the_checkpoint_and_array(
+        self, pipeline, tmp_path, capsys, stage, checkpoint, array, index, value
+    ):
+        path = str(tmp_path / "run" / "checkpoints" / checkpoint)
+
+        def poison(_):
+            arrays, meta = nn.load_weights(path)
+            arrays[array].flat[index] = value
+            nn.save_weights(path, arrays, meta)  # a valid checksum over the edited values
+
+        rc, err, _ = run_copy(pipeline, tmp_path, capsys, stage, "--force", edit=poison)
+        assert rc == cli.EXIT_DATA, err
+        assert err.startswith("data error: ") and path in err and repr(array) in err
+        assert "non-finite" in err
 
 
 class TestReport:

@@ -623,3 +623,66 @@ class TestCheckpoints:
             save_weights(path, {"a": np.arange(5.0)}, {"kind": "blob"})
         assert open(path, "rb").read() == earlier
         assert os.listdir(tmp_path) == ["m.weights.json"]
+
+
+B = nn.PREDICT_ROWS
+
+
+def price_model(cls, seed):
+    """A model of the price workload's shape (352 stations, embed 16, hidden
+    64/32) with parameters drawn wide enough that the last bits of most
+    rows' products reach the outputs."""
+    model = cls(n_stations=352, n_slots=24, embed_dim=16, hidden=(64, 32), seed=None)
+    model.flat[...] = np.random.default_rng(seed).normal(scale=0.3, size=model.flat.size)
+    return model
+
+
+PRICE_MODELS = [price_model(EmbedMlp, 1), price_model(pricing.PricingModel, 2)]
+
+
+def random_rows(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 352, size=n), rng.integers(0, 24, size=n)
+
+
+class TestBlockedPredict:
+    def check_equals_whole_forward(self, model, n):
+        stations, slots = random_rows(n, seed=n)
+        *whole, _ = model.forward(stations, slots)
+        got = model.predict(stations, slots)
+        got = got if isinstance(got, tuple) else (got,)
+        assert len(got) == len(whole)
+        for g, w in zip(got, whole):
+            assert g.shape == w.shape and g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    def test_block_size_is_a_multiple_of_64(self):
+        assert B > 0 and B % 64 == 0
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 63, B - 1, B, B + 1, B + 2, 2 * B + 1])
+    @pytest.mark.parametrize("model", PRICE_MODELS, ids=["embed_mlp", "pricing"])
+    def test_equals_one_whole_forward_bit_for_bit(self, model, n):
+        self.check_equals_whole_forward(model, n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(index=st.integers(0, 1), n=st.integers(0, 3 * B + 2))
+    def test_drawn_sizes_equal_one_whole_forward(self, index, n):
+        self.check_equals_whole_forward(PRICE_MODELS[index], n)
+
+    @pytest.mark.parametrize(
+        "n,sizes",
+        [(0, [0]), (1, [1]), (B, [B]), (B + 1, [B + 1]), (B + 2, [B, 2]), (2 * B + 1, [B, B + 1])],
+    )
+    def test_blocks_of_b_rows_fold_a_one_row_tail(self, monkeypatch, n, sizes):
+        seen = []
+
+        def recorded(self, stations, slots, _forward=EmbedMlp.forward):
+            seen.append(len(stations))
+            return _forward(self, stations, slots)
+
+        monkeypatch.setattr(EmbedMlp, "forward", recorded)
+        assert PRICE_MODELS[0].predict(*random_rows(n)).shape == (n,)
+        assert seen == sizes
+
+    def test_empty_rows_give_empty_outputs_of_each_head(self):
+        strata, prop = PRICE_MODELS[1].predict(*random_rows(0))
+        assert strata.shape == (0, 3) and prop.shape == (0,)

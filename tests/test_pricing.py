@@ -30,6 +30,7 @@ from hubopt.pricing import (
     uplift_scores,
 )
 from hubopt.traces import PopulationItem, Stratum, Universe, gen_charging_population
+from reference import heap_peak
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +295,14 @@ class TestDiscountPolicy:
         pred = predicted_strata(stratum_probs(trained, stations, slots))
         assert np.array_equal(winners, pred)
         assert np.array_equal(give, pred == COL_INCENTIVE)
+
+    def test_peak_memory_is_bounded_by_the_block_not_the_universe(self):
+        # the price workload's model over every (station, slot) item
+        model = PricingModel(n_stations=352, n_slots=24, embed_dim=16, hidden=(64, 32), seed=0)
+        stations = np.repeat(np.arange(352), 24)
+        items = Universe(stations, np.tile(np.arange(24), 352), np.zeros_like(stations))
+        peak = heap_peak(lambda: discount_policy(model, items))
+        assert peak < 2.5 * 2**20, f"discount_policy peaks at {peak / 2**20:.2f} MB"
 
 
 def universe_of(strata_map):
