@@ -540,10 +540,11 @@ def cmd_eval_price(cfg: RunConfig, run_dir: str) -> None:
 
 
 def _hub_series(cfg: RunConfig, decisions, stratum_of, hub_id: int, n_slots: int):
-    """Per-slot selling price and charging occupancy induced by one policy.
+    """One day's selling price and charging occupancy induced by one policy:
+    the hub's periodic HubEnv rows, whose value at slot t is row[t % SLOTS_PER_DAY].
 
-    decisions maps each discounted (station, slot of day) to its rate. Both
-    series repeat daily, so one day's table is built and tiled over n_slots.
+    decisions maps each discounted (station, slot of day) to its rate. n_slots
+    is not read; the DP oracle phase of the benchmark still passes it.
     """
     srtp = np.full(SLOTS_PER_DAY, cfg.base_sell_price)
     occupancy = np.zeros(SLOTS_PER_DAY, dtype=int)
@@ -555,8 +556,7 @@ def _hub_series(cfg: RunConfig, decisions, stratum_of, hub_id: int, n_slots: int
         if rate is not None:
             srtp[sod] = cfg.base_sell_price * (1.0 - rate)
         occupancy[sod] = stratum_response(stratum_of[key], rate is not None)
-    day = np.arange(n_slots) % SLOTS_PER_DAY
-    return srtp[day], occupancy[day]
+    return srtp, occupancy
 
 
 def _build_env(cfg: RunConfig, traces, srtp, occupancy, hub_id: int, method: str):

@@ -35,8 +35,11 @@ class EnvConfig:
 
 
 # The exogenous series the policy observes, in the state vector's order. Each
-# is a HubEnv attribute holding one value per slot.
+# is a HubEnv attribute: a trace row with one value per slot, or one of
+# PERIODIC, whose value at slot t is row[t % len(row)].
 SERIES = ("rtp", "srtp", "p_wt", "p_pv", "load_rate")
+# the rows a pricing decision sets, which repeat with the decision's period
+PERIODIC = ("srtp", "occupancy")
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,10 @@ class HubEnv:
     conditions from the same year of traces. rtp, load_rate, p_wt and p_pv
     are the trace set's read-only rows, shared by every env built from it;
     only srtp and occupancy, which the pricing decision sets, are the env's
-    own. Profit rows are computed per episode, from the rows at its slots.
+    own. Those two are periodic: each holds one period, of 1 to n_slots
+    values, and its value at slot t is row[t % len(row)], so a whole-trace
+    row is the case whose period is the trace. Profit rows are computed per
+    episode, from the rows at its slots.
     """
 
     def __init__(
@@ -94,6 +100,10 @@ class HubEnv:
         self.srtp = np.asarray(srtp, dtype=np.float64)
         self.occupancy = np.asarray(occupancy)
         n = len(self.rtp)
+        for name in PERIODIC:
+            period = len(getattr(self, name))
+            if not 0 < period <= n:
+                raise ValueError(f"{name} must hold one period of 1 to {n} slots, got {period}")
         self.episode_days = env_cfg.episode_days
         self.episode_slots = env_cfg.episode_days * int(round(24.0 / hub_cfg.slot_hours))
         self.window = env_cfg.window
@@ -104,8 +114,9 @@ class HubEnv:
                 f"{self.window + self.episode_slots + 1} (window + episode + 1)"
             )
         self.last_start = last_start
-        # from_series stacks the rows into one temporary (len(SERIES), n) array
-        self.stats = NormStats.from_series(self._series())
+        # fit on whole-trace rows, periodic ones tiled, stacked into one
+        # temporary (len(SERIES), n) array
+        self.stats = NormStats.from_series(self._at(SERIES, np.arange(n)))
         self._t = -1
         self._battery = hub.BatteryState(hub_cfg.battery.soc_min_kwh)
         self.episode_start = -1
@@ -115,14 +126,19 @@ class HubEnv:
     def state_dim(self) -> int:
         return len(SERIES) * (self.window + 1) + 1
 
-    def _series(self) -> list[np.ndarray]:
-        """The observed rows, in SERIES order."""
-        return [getattr(self, name) for name in SERIES]
+    def _at(self, names, slots: np.ndarray) -> list[np.ndarray]:
+        """The named rows' values at the slot array slots."""
+        return [
+            np.take(getattr(self, name), slots, mode="wrap")
+            if name in PERIODIC
+            else getattr(self, name)[slots]
+            for name in names
+        ]
 
     def _observe(self) -> EnvState:
         t = self._t
         return EnvState(
-            windows=np.array([row[t - self.window : t + 1] for row in self._series()]),
+            windows=np.array(self._at(SERIES, np.arange(t - self.window, t + 1))),
             soc=self._battery.soc_kwh / self.hub_cfg.battery.capacity_kwh,
         )
 
@@ -149,17 +165,17 @@ class HubEnv:
         elementwise, so every entry has the bits state_vector gives it.
         """
         cols = np.asarray(starts)[..., None] + np.arange(-self.window, self.episode_slots)
-        rows = np.stack([row[cols] for row in self._series()], axis=-2)
+        rows = np.stack(self._at(SERIES, cols), axis=-2)
         return (rows - self.stats.mean[:, None]) / self.stats.std[:, None]
 
     def slot_inputs(self, t: int) -> hub.SlotInputs:
         return hub.SlotInputs(
             load_rate=float(self.load_rate[t]),
-            cs_active=int(self.occupancy[t]),
+            cs_active=int(self.occupancy[t % len(self.occupancy)]),
             p_wt_kw=float(self.p_wt[t]),
             p_pv_kw=float(self.p_pv[t]),
             rtp=float(self.rtp[t]),
-            srtp=float(self.srtp[t]),
+            srtp=float(self.srtp[t % len(self.srtp)]),
         )
 
     def episode_inputs(self, starts) -> np.ndarray:
@@ -171,9 +187,8 @@ class HubEnv:
         table built over the whole rows.
         """
         slots = np.asarray(starts)[..., None] + np.arange(self.episode_slots)
-        flat = slots.ravel()
-        rows = (self.load_rate, self.occupancy, self.p_wt, self.p_pv, self.rtp, self.srtp)
-        table = hub.profit_table(self.hub_cfg, *(row[flat] for row in rows))
+        names = ("load_rate", "occupancy", "p_wt", "p_pv", "rtp", "srtp")
+        table = hub.profit_table(self.hub_cfg, *self._at(names, slots.ravel()))
         return table.reshape(slots.shape + (len(hub.ACTIONS),))
 
     def step(self, action: int) -> tuple[EnvState, float, bool]:

@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -494,6 +496,37 @@ def _write_rows(path: str, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+# rows _write_columns converts to text at a time: a year-long file is written
+# holding one chunk's Python objects, not a list per column
+WRITE_CHUNK_ROWS = 1024
+
+
+def _fields(col, rows: slice):
+    """The CSV fields of one column's rows.
+
+    A float array's are _fmt_column's text, another array's its .tolist()
+    entries, a range's its numbers, and a (names, codes) pair's the name at
+    each code.
+    """
+    if isinstance(col, range):
+        return col[rows]
+    if isinstance(col, tuple):
+        names, codes = col
+        return map(names.__getitem__, codes[rows].tolist())
+    return _fmt_column(col[rows]) if col.dtype.kind == "f" else col[rows].tolist()
+
+
+def _write_columns(path: str, header: list[str], cols) -> None:
+    """Write equal-length columns (cols[0] an array or a range) under header,
+    converting WRITE_CHUNK_ROWS rows at a time; the bytes are those of
+    _write_rows over every row at once."""
+    chunks = (
+        zip(*(_fields(col, slice(start, start + WRITE_CHUNK_ROWS)) for col in cols))
+        for start in range(0, len(cols[0]), WRITE_CHUNK_ROWS)
+    )
+    _write_rows(path, header, itertools.chain.from_iterable(chunks))
+
+
 def _read_rows(path: str, header: list[str]) -> tuple[Sequence[int], list[list[str]]]:
     """A CSV's data rows and the line number of each, after its header.
 
@@ -578,19 +611,22 @@ def _bulk_columns(path: str, header: list[str], kinds) -> list[np.ndarray] | Non
 
     None when the first line is not exactly the header, a byte is outside
     _PLAIN_BYTES, there is no data row, or the C parser refuses a row or a
-    field.
+    field. The parser reads the body as a stream over the bytes already read,
+    so no decoded copy of the file is made.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    head, _, body = data.partition(b"\n")
-    if head != ",".join(header).encode() or data.translate(None, _PLAIN_BYTES):
+    head = ",".join(header).encode()
+    if not data.startswith(head + b"\n") or data.translate(None, _PLAIN_BYTES):
         return None
+    body = io.BytesIO(data)
+    body.seek(len(head) + 1)
     dtypes = [f"U{max(map(len, k)) + 1}" if isinstance(k, tuple) else _DTYPE[k] for k in kinds]
     try:
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), io.TextIOWrapper(body, encoding="ascii") as text:
             warnings.simplefilter("error")  # loadtxt warns on a file with no data row
             table = np.loadtxt(
-                io.StringIO(body.decode("ascii")),
+                text,
                 dtype=np.dtype(list(zip(header, dtypes))),
                 delimiter=",",
                 comments=None,
@@ -717,40 +753,24 @@ def load_csv(path: str, schema: str):
 def save_traces(traces: TraceSet, log: ChargingLog, dir_path: str) -> list[str]:
     """Write the rtp/weather/traffic CSVs of traces and the charging CSV of log
     into dir_path; returns the paths."""
-    import os
-
     slots = range(traces.n_slots)
     tables = (
-        ("rtp.csv", RTP_HEADER, (traces.rtp,)),
-        ("weather.csv", WEATHER_HEADER, (traces.wind_mps, traces.irradiance_wm2)),
-        ("traffic.csv", TRAFFIC_HEADER, (traces.load_rate,)),
+        ("rtp.csv", RTP_HEADER, (slots, traces.rtp)),
+        ("weather.csv", WEATHER_HEADER, (slots, traces.wind_mps, traces.irradiance_wm2)),
+        ("traffic.csv", TRAFFIC_HEADER, (slots, traces.load_rate)),
+        ("charging.csv", CHARGING_HEADER, [getattr(log, name) for name, _ in _LOG_COLUMNS]),
     )
     paths = []
-    for name, header, series in tables:
+    for name, header, cols in tables:
         p = os.path.join(dir_path, name)
-        _write_rows(p, header, zip(slots, *(map(_fmt, col.tolist()) for col in series)))
+        _write_columns(p, header, cols)
         paths.append(p)
-    p = os.path.join(dir_path, "charging.csv")
-    _write_rows(
-        p,
-        CHARGING_HEADER,
-        zip(
-            log.station_id.tolist(),
-            log.slot.tolist(),
-            log.charged.tolist(),
-            log.discount_given.tolist(),
-            _fmt_column(log.discount_rate),
-        ),
-    )
-    paths.append(p)
     return paths
 
 
 def load_traces(dir_path: str) -> TraceSet:
     """Assemble a TraceSet from the three series CSVs in dir_path; TraceSet
     checks they align. charging.csv is not read."""
-    import os
-
     rtp = load_csv(os.path.join(dir_path, "rtp.csv"), "rtp")
     wind, irr = load_csv(os.path.join(dir_path, "weather.csv"), "weather")
     load = load_csv(os.path.join(dir_path, "traffic.csv"), "traffic")
@@ -758,6 +778,5 @@ def load_traces(dir_path: str) -> TraceSet:
 
 
 def save_strata(path: str, universe: Universe) -> None:
-    names = np.array(_STRATUM_NAMES)[universe.strata].tolist()
-    rows = zip(universe.stations.tolist(), universe.slots.tolist(), names)
-    _write_rows(path, STRATA_HEADER, rows)
+    cols = (universe.stations, universe.slots, (_STRATUM_NAMES, universe.strata))
+    _write_columns(path, STRATA_HEADER, cols)

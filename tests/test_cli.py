@@ -1042,7 +1042,9 @@ class TestDrlDataPath:
                     args = (cfg, decisions[method], stratum_of, hub_id, n_slots)
                     got = cli._hub_series(*args)
                     want = hub_series_reference(*args)
-                    for g, w in zip(got, want):
+                    for row, w in zip(got, want):
+                        # the env reads a periodic row's slot t at row[t % len(row)]
+                        g = row[np.arange(n_slots) % len(row)]
                         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
                     discounted += int((got[0] != cfg.base_sell_price).sum())
         assert discounted  # the discounted price was exercised
@@ -1081,7 +1083,8 @@ class TestDrlEnvMemory:
             rows = [getattr(env, name) for env in envs]
             assert not any(np.shares_memory(a, b) for a, b in zip(rows, rows[1:])), name
 
-    def test_envs_hold_under_4_mb(self, priced_year):
+    def test_envs_hold_under_half_a_mb(self, priced_year):
+        """Each env owns one day of srtp and occupancy, not a year of each."""
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -1090,7 +1093,29 @@ class TestDrlEnvMemory:
         finally:
             tracemalloc.stop()
         assert envs[0].rtp.size == 365 * 24
-        assert held < 4 << 20, f"{len(envs)} envs hold {held / 2**20:.2f} MB"
+        assert len(envs[0].srtp) == len(envs[0].occupancy) == cli.SLOTS_PER_DAY
+        assert held < 1 << 19, f"{len(envs)} envs hold {held / 2**20:.2f} MB"
+
+
+class TestTraceCsvMemory:
+    def test_save_traces_peaks_under_half_a_mb(self, priced_year, tmp_path):
+        """The CSVs are written WRITE_CHUNK_ROWS rows at a time, so the peak
+        holds one chunk's text, not a Python list per year-long column."""
+        data = os.path.join(priced_year[1], "data")
+        series = traces.load_traces(data)
+        log = traces.load_csv(os.path.join(data, "charging.csv"), "charging")
+        assert len(log) == 4 * 365 * 24
+        peak = heap_peak(lambda: traces.save_traces(series, log, str(tmp_path)))
+        assert peak < 1 << 19, f"save_traces peaks at {peak / 2**20:.2f} MB"
+        for name in ("rtp.csv", "weather.csv", "traffic.csv", "charging.csv"):
+            assert (tmp_path / name).read_bytes() == Path(data, name).read_bytes(), name
+
+    def test_load_charging_peaks_under_3_5_mb(self, priced_year):
+        """np.loadtxt streams the bytes read; no decoded copy of the file is made.
+        The log's five columns take 1.4 MB, the file 0.5 MB."""
+        path = os.path.join(priced_year[1], "data", "charging.csv")
+        peak = heap_peak(lambda: traces.load_csv(path, "charging"))
+        assert peak < 3.5 * 2**20, f"load_csv peaks at {peak / 2**20:.2f} MB"
 
 
 class TestEvalPriceMemory:

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -641,6 +643,69 @@ class TestEvaluate:
         got = evaluate(envs, bundles, episodes=3, seeds=seeds)
         expected = [reference_evaluate(*run, 3, seed) for *run, seed in zip(envs, bundles, seeds)]
         assert [g.hex() for g in got] == [e.hex() for e in expected]
+
+
+class TestPeriodicRows:
+    """An env built from one day of srtp and occupancy equals one built from
+    the same day tiled over the trace, bit for bit."""
+
+    def env_pair(self, n_days=5, **hub_kw):
+        n = n_days * 24 + 7  # a trace that ends inside a day
+        ts = make_traces(n, seed=2)
+        srtp = np.full(24, 0.18)
+        srtp[[3, 18, 19]] = 0.18 * 0.7
+        occupancy = (np.arange(24) % 3 != 0).astype(int)
+        tiled = np.arange(n) % 24
+        cfg = hub.HubConfig(**hub_kw)
+        env_cfg = EnvConfig(episode_days=1, window=5)
+        return (
+            HubEnv(cfg, env_cfg, ts, srtp, occupancy),
+            HubEnv(cfg, env_cfg, ts, srtp[tiled], occupancy[tiled]),
+        )
+
+    def test_stats_and_episode_rows_equal_the_tiled_env(self):
+        day, whole = self.env_pair(wt_capacity_kw=3.0, pv_capacity_kw=2.0)
+        assert len(day.srtp) == len(day.occupancy) == 24
+        for got, want in zip(astuple(day.stats), astuple(whole.stats)):
+            assert got.tobytes() == want.tobytes()
+        starts = np.arange(day.window, day.last_start + 1).reshape(-1, 1)
+        assert day.episode_inputs(starts).tobytes() == whole.episode_inputs(starts).tobytes()
+        assert day.episode_series(starts).tobytes() == whole.episode_series(starts).tobytes()
+
+    def test_slot_inputs_and_steps_equal_the_tiled_env(self):
+        day, whole = self.env_pair(wt_capacity_kw=3.0)
+        for t in range(len(day.rtp)):
+            assert repr(astuple(day.slot_inputs(t))) == repr(astuple(whole.slot_inputs(t)))
+        rng = np.random.default_rng(3)
+        for seed in range(4):
+            a, b = day.reset(seed), whole.reset(seed)
+            done = False
+            while not done:
+                assert a.windows.tobytes() == b.windows.tobytes() and a.soc == b.soc
+                action = int(rng.integers(0, 3))
+                (a, reward_a, done), (b, reward_b, _) = day.step(action), whole.step(action)
+                assert reward_a.hex() == reward_b.hex()
+
+    def test_train_and_evaluate_write_the_same_checkpoint(self, tmp_path):
+        envs = self.env_pair()
+        checkpoints, means = [], []
+        for k, env in enumerate(envs):
+            bundle = PolicyBundle(env.state_dim, hidden=(16, 16), seed=0)
+            curves = train([env], [bundle], short_cfg(), [5])
+            means.append((curves, evaluate([env], [bundle], episodes=2, seeds=[6])))
+            bundle.save(str(tmp_path / f"policy{k}.json"))
+            checkpoints.append((tmp_path / f"policy{k}.json").read_bytes())
+        assert checkpoints[0] == checkpoints[1]
+        assert means[0] == means[1]
+
+    @pytest.mark.parametrize("name", ["srtp", "occupancy"])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_refuses_an_empty_or_too_long_row(self, name, extra):
+        ts = make_traces(3 * 24)
+        rows = {"srtp": np.full(24, 0.2), "occupancy": np.ones(24, dtype=int)}
+        rows[name] = np.resize(rows[name], 0 if extra < 0 else ts.n_slots + 1)
+        with pytest.raises(ValueError, match=f"{name} must hold one period of 1 to 72 slots"):
+            HubEnv(hub.HubConfig(), EnvConfig(episode_days=1, window=4), ts, **rows)
 
 
 class TestLockstep:

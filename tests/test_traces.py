@@ -255,6 +255,50 @@ class TestCsvRoundTrip:
         with open(tmp_path / "charging.csv", "rb") as fh:
             assert fh.read() == ("\n".join(lines) + "\n").encode("utf-8")
 
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_chunked_writes_equal_a_whole_column_writer(self, tmp_path, extra):
+        n = traces.WRITE_CHUNK_ROWS + extra
+        rng = np.random.default_rng(n)
+        floats = [rng.random(n) for _ in range(4)]
+        for col in floats:
+            col[::7], col[::11], col[-1] = -0.0, 0.1 + 0.2, -0.0
+        ts = TraceSet(*floats)
+        given = np.arange(n) % 3 == 0
+        rate = np.where(given, 0.3, 0.0)
+        rate[1::6] = -0.0
+        log = ChargingLog(np.arange(n) % 5, np.arange(n) // 5, np.arange(n) % 2, given, rate)
+        universe = traces.Universe(np.arange(n) // 24, np.arange(n) % 24, np.arange(n) % 3)
+        save_traces(ts, log, str(tmp_path))
+        save_strata(str(tmp_path / "strata.csv"), universe)
+
+        def whole_columns(header, *cols):
+            """csv.writer over every row at once, floats through repr."""
+            text = io.StringIO()
+            writer = csv.writer(text, lineterminator="\n")
+            writer.writerow(header)
+            fields = [
+                list(map(repr, c.tolist())) if c.dtype.kind == "f" else c.tolist() for c in cols
+            ]
+            writer.writerows(zip(*fields))
+            return text.getvalue().encode("utf-8")
+
+        slots = np.arange(n)
+        names = np.array(traces._STRATUM_NAMES)[universe.strata]
+        want = {
+            "rtp.csv": whole_columns(traces.RTP_HEADER, slots, ts.rtp),
+            "weather.csv": whole_columns(traces.WEATHER_HEADER, slots, *floats[1:3]),
+            "traffic.csv": whole_columns(traces.TRAFFIC_HEADER, slots, ts.load_rate),
+            "charging.csv": whole_columns(
+                traces.CHARGING_HEADER, *(getattr(log, name) for name, _ in traces._LOG_COLUMNS)
+            ),
+            "strata.csv": whole_columns(
+                traces.STRATA_HEADER, universe.stations, universe.slots, names
+            ),
+        }
+        for name, data in want.items():
+            assert (tmp_path / name).read_bytes() == data, name
+        assert b"-0.0" in want["charging.csv"] and b"-0.0" in want["rtp.csv"]
+
     def test_strata_round_trip(self, tmp_path):
         items, _ = gen_charging_population(9, 4, 24, (0.3, 0.2, 0.5))
         path = str(tmp_path / "strata.csv")
