@@ -23,7 +23,7 @@ import yaml
 from . import hub, nn, pricing, scheduler
 from .seeding import spawn_seed
 from .traces import (
-    _STRATUM_ORDER,
+    _STRATUM_NAMES,
     SLOTS_PER_DAY,
     STRATA_HEADER,
     TraceError,
@@ -522,7 +522,7 @@ def cmd_eval_price(cfg: RunConfig, run_dir: str) -> None:
     _write_rows(eval_path, PRICING_EVAL_HEADER, rows)
 
     period_rows = [
-        (label, stratum.value, _fmt(share))
+        (label, _STRATUM_NAMES[stratum], _fmt(share))
         for label, by_stratum in shares.items()
         for stratum, share in by_stratum.items()
     ]
@@ -543,20 +543,23 @@ def _hub_series(cfg: RunConfig, decisions, stratum_of, hub_id: int, n_slots: int
     """One day's selling price and charging occupancy induced by one policy:
     the hub's periodic HubEnv rows, whose value at slot t is row[t % SLOTS_PER_DAY].
 
-    decisions maps each discounted (station, slot of day) to its rate. n_slots
-    is not read; the DP oracle phase of the benchmark still passes it.
+    decisions maps each discounted (station, slot of day) to its rate, and
+    stratum_of each item to its stratum code; a slot with no item has no EV
+    demand and no discount. n_slots is not read; the DP oracle phase of the
+    benchmark still passes it.
     """
     srtp = np.full(SLOTS_PER_DAY, cfg.base_sell_price)
-    occupancy = np.zeros(SLOTS_PER_DAY, dtype=int)
+    strata = np.full(SLOTS_PER_DAY, -1)  # -1: item truncated out of the universe
+    given = np.zeros(SLOTS_PER_DAY, dtype=bool)
     for sod in range(SLOTS_PER_DAY):
         key = (hub_id, sod)
-        if key not in stratum_of:
-            continue  # item truncated out of the universe: no EV demand
-        rate = decisions.get(key)
-        if rate is not None:
-            srtp[sod] = cfg.base_sell_price * (1.0 - rate)
-        occupancy[sod] = stratum_response(stratum_of[key], rate is not None)
-    return srtp, occupancy
+        if key in stratum_of:
+            strata[sod] = stratum_of[key]
+            rate = decisions.get(key)
+            if rate is not None:
+                srtp[sod] = cfg.base_sell_price * (1.0 - rate)
+                given[sod] = True
+    return srtp, stratum_response(strata, given)
 
 
 def _build_env(cfg: RunConfig, traces, srtp, occupancy, hub_id: int, method: str):
@@ -634,14 +637,8 @@ def _drl_envs(cfg: RunConfig, run_dir: str):
     traces = load_traces(os.path.join(run_dir, "data"))
     universe = _load_items(run_dir, cfg.traces.n_stations)
     hubs = universe.stations < cfg.n_hubs
-    stratum_of = {
-        (station, sod): _STRATUM_ORDER[code]
-        for station, sod, code in zip(
-            universe.stations[hubs].tolist(),
-            universe.slots[hubs].tolist(),
-            universe.strata[hubs].tolist(),
-        )
-    }
+    keys = zip(universe.stations[hubs].tolist(), universe.slots[hubs].tolist())
+    stratum_of = dict(zip(keys, universe.strata[hubs].tolist()))
     decisions = _load_decisions(cfg, run_dir, universe)
     runs = _drl_runs(cfg)
     envs = []

@@ -30,13 +30,7 @@ import numpy as np
 
 from . import nn
 from .seeding import spawn_rng, spawn_seed
-from .traces import _STRATUM_ORDER, SLOTS_PER_DAY, ChargingLog, Stratum, Universe
-
-# stratum-head column order, which is also the order of a Universe's stratum codes
-_COL_OF_STRATUM = {s: col for col, s in enumerate(_STRATUM_ORDER)}
-COL_NO = _COL_OF_STRATUM[Stratum.NO_CHARGE]
-COL_INCENTIVE = _COL_OF_STRATUM[Stratum.INCENTIVE_CHARGE]
-COL_ALWAYS = _COL_OF_STRATUM[Stratum.ALWAYS_CHARGE]
+from .traces import SLOTS_PER_DAY, ChargingLog, Stratum, Universe
 
 PERIODS = ((0, 6), (6, 12), (12, 18), (18, 24))
 
@@ -91,7 +85,7 @@ class PricingConfig:
 
 
 def observations_from_records(log: ChargingLog) -> Observations:
-    """The pricing view of a charging log; the log has checked its flags."""
+    """The pricing view of a charging log, whose flags are 0/1 (see ChargingLog)."""
     return Observations(
         stations=log.station_id,
         slots=log.slot % SLOTS_PER_DAY,
@@ -135,7 +129,7 @@ class PricingModel(nn.Embedded):
 
 
 def stratum_probs(model: PricingModel, stations, slots) -> np.ndarray:
-    """(n, 3) stratum probabilities in column order (no, incentive, always)."""
+    """(n, 3) stratum probabilities; column s holds Stratum(s)'s."""
     probs, _ = model.predict(stations, slots)
     return probs
 
@@ -159,9 +153,9 @@ def cfmtl_loss_parts(
     (LossParts, grad wrt strata probs (n, 3), grad wrt g (n,)).
     """
     n = strata.shape[0]
-    p_no = strata[:, COL_NO]
-    p_inc = strata[:, COL_INCENTIVE]
-    p_alw = strata[:, COL_ALWAYS]
+    p_no = strata[:, Stratum.NO_CHARGE]
+    p_inc = strata[:, Stratum.INCENTIVE_CHARGE]
+    p_alw = strata[:, Stratum.ALWAYS_CHARGE]
     not_g = 1.0 - g
     p_charge = p_inc + p_alw  # charges when discounted
     p_skip = p_no + p_inc  # skips when not discounted
@@ -182,9 +176,9 @@ def cfmtl_loss_parts(
     r3_g = r3 * g
     r4_not_g = r4 * not_g
     grad_strata = np.empty_like(strata)
-    grad_strata[:, COL_NO] = k * (r1 * g + r4_not_g)
-    grad_strata[:, COL_INCENTIVE] = k * (r3_g + r4_not_g)
-    grad_strata[:, COL_ALWAYS] = k * (r2 * not_g + r3_g)
+    grad_strata[:, Stratum.NO_CHARGE] = k * (r1 * g + r4_not_g)
+    grad_strata[:, Stratum.INCENTIVE_CHARGE] = k * (r3_g + r4_not_g)
+    grad_strata[:, Stratum.ALWAYS_CHARGE] = k * (r2 * not_g + r3_g)
     grad_g = k * (r1 * p_no - r2 * p_alw + r3 * p_charge - r4 * p_skip + r5)
     return parts, grad_strata, grad_g
 
@@ -242,7 +236,7 @@ def train_cfmtl(observations: Observations, cfg: PricingConfig) -> PricingModel:
 
 # tie-break priority for the predicted stratum: prefer not discounting, so
 # no-charge beats always, which beats incentive, on exact probability ties
-_PRIORITY = np.array([COL_NO, COL_ALWAYS, COL_INCENTIVE])
+_PRIORITY = np.array([Stratum.NO_CHARGE, Stratum.ALWAYS_CHARGE, Stratum.INCENTIVE_CHARGE])
 
 
 def predicted_strata(probs: np.ndarray) -> np.ndarray:
@@ -258,7 +252,7 @@ def discount_policy(model: PricingModel, universe: Universe) -> tuple[np.ndarray
     The learned policy discounts exactly the items predicted incentive-charge.
     """
     winners = predicted_strata(stratum_probs(model, universe.stations, universe.slots))
-    return winners, winners == COL_INCENTIVE
+    return winners, winners == Stratum.INCENTIVE_CHARGE
 
 
 @dataclass(frozen=True)
@@ -286,8 +280,8 @@ def evaluate_policy(truth: np.ndarray, give: np.ndarray, c: float) -> PolicyEval
     over the items would add it: np.sum's pairwise order could move the last
     bits of the reported float.
     """
-    always = truth == COL_ALWAYS
-    incentive_given = (truth == COL_INCENTIVE) & give
+    always = truth == Stratum.ALWAYS_CHARGE
+    incentive_given = (truth == Stratum.INCENTIVE_CHARGE) & give
     per_item = np.where(
         always,
         1.0 - np.where(give, c, 0.0),
@@ -295,9 +289,9 @@ def evaluate_policy(truth: np.ndarray, give: np.ndarray, c: float) -> PolicyEval
     )
     counts = np.bincount(truth[give], minlength=3)
     return PolicyEvaluation(
-        none_count=int(counts[COL_NO]),
-        incentive_count=int(counts[COL_INCENTIVE]),
-        always_count=int(counts[COL_ALWAYS]),
+        none_count=int(counts[Stratum.NO_CHARGE]),
+        incentive_count=int(counts[Stratum.INCENTIVE_CHARGE]),
+        always_count=int(counts[Stratum.ALWAYS_CHARGE]),
         reward=float(np.cumsum(np.concatenate(([0.0], per_item)))[-1]),
     )
 
@@ -440,8 +434,5 @@ def strata_by_period(winners: np.ndarray, slots: np.ndarray) -> dict[str, dict[S
         label = f"{start:02d}-{end:02d}"
         if not mask.any():
             raise ValueError(f"no items fall in period {label}")
-        out[label] = {
-            stratum: float(np.mean(winners[mask] == col))
-            for stratum, col in _COL_OF_STRATUM.items()
-        }
+        out[label] = {stratum: float(np.mean(winners[mask] == stratum)) for stratum in Stratum}
     return out

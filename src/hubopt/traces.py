@@ -16,7 +16,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import IntEnum
 from typing import Sequence
 
 import numpy as np
@@ -44,26 +44,34 @@ class TraceError(ValueError):
     """Malformed, out-of-range, or gapped trace data."""
 
 
-class Stratum(Enum):
-    """Latent response type of a (station, slot-of-day) item."""
+class Stratum(IntEnum):
+    """Latent response type of a (station, slot-of-day) item. Its value is the
+    item's stratum code in a Universe, which is also its pricing stratum-head
+    column."""
 
-    ALWAYS_CHARGE = "always"
-    INCENTIVE_CHARGE = "incentive"
-    NO_CHARGE = "no_charge"
-
-
-# each stratum's code is its index here, which is also its pricing stratum-head column
-_STRATUM_ORDER = (Stratum.NO_CHARGE, Stratum.INCENTIVE_CHARGE, Stratum.ALWAYS_CHARGE)
-_STRATUM_BY_VALUE = {s.value: s for s in Stratum}
+    NO_CHARGE = 0
+    INCENTIVE_CHARGE = 1
+    ALWAYS_CHARGE = 2
 
 
-def stratum_response(stratum: Stratum, treated: bool | int) -> int:
-    """Whether an item of this stratum charges, given a discount offer."""
-    if stratum is Stratum.ALWAYS_CHARGE:
-        return 1
-    if stratum is Stratum.NO_CHARGE:
-        return 0
-    return int(bool(treated))
+# the strata.csv name of each stratum code
+_STRATUM_NAMES = ("no_charge", "incentive", "always")
+
+
+def stratum_response(strata, treated):
+    """Whether an item of each stratum code charges, given a discount offer.
+
+    strata is one code or an array of codes, and treated a flag or an array
+    of flags that broadcasts with it; an always-charge item charges, an
+    incentive-charge item only when treated, and a no-charge item or -1 (an
+    item truncated out of the universe) never. Returns 0/1 int64, a scalar
+    for a scalar code.
+    """
+    strata, treated = np.asarray(strata), np.asarray(treated)
+    charges = (strata == Stratum.ALWAYS_CHARGE) | (
+        (strata == Stratum.INCENTIVE_CHARGE) & (treated != 0)
+    )
+    return charges.astype(np.int64)[()]
 
 
 @dataclass(frozen=True)
@@ -73,20 +81,15 @@ class PopulationItem:
     stratum: Stratum
 
 
-_STRATUM_CODE = {s: code for code, s in enumerate(_STRATUM_ORDER)}
-# the strata.csv name of each stratum code
-_STRATUM_NAMES = tuple(s.value for s in _STRATUM_ORDER)
-
-
 @dataclass(frozen=True, eq=False)
 class Universe:
     """The (station, slot-of-day) items of a run, as int64 columns.
 
-    Item i is (stations[i], slots[i]), and strata[i] is its stratum code:
-    its stratum's index in _STRATUM_ORDER. The items are distinct, with
-    stations >= 0 and slots of day in [0, SLOTS_PER_DAY), as load_csv checks
-    a strata file and gen_charging_population draws them. Iterating or
-    indexing gives PopulationItems.
+    Item i is (stations[i], slots[i]), and strata[i] is its stratum code, a
+    Stratum value. The items are distinct, with stations >= 0 and slots of
+    day in [0, SLOTS_PER_DAY), as load_csv checks a strata file and
+    gen_charging_population draws them. Iterating or indexing gives
+    PopulationItems.
     """
 
     stations: np.ndarray
@@ -98,19 +101,17 @@ class Universe:
         return cls(
             np.array([it.station_id for it in items], dtype=np.int64),
             np.array([it.slot_of_day for it in items], dtype=np.int64),
-            np.array([_STRATUM_CODE[it.stratum] for it in items], dtype=np.int64),
+            np.array([it.stratum for it in items], dtype=np.int64),
         )
 
     def __len__(self) -> int:
         return len(self.stations)
 
     def __getitem__(self, i: int) -> PopulationItem:
-        return PopulationItem(
-            int(self.stations[i]), int(self.slots[i]), _STRATUM_ORDER[self.strata[i]]
-        )
+        return PopulationItem(int(self.stations[i]), int(self.slots[i]), Stratum(self.strata[i]))
 
     def __iter__(self):
-        strata = map(_STRATUM_ORDER.__getitem__, self.strata.tolist())
+        strata = map(Stratum, self.strata.tolist())
         return map(PopulationItem, self.stations.tolist(), self.slots.tolist(), strata)
 
     def __eq__(self, other):
@@ -165,11 +166,12 @@ _LOG_COLUMNS = (
 class ChargingLog:
     """Logged charging opportunities, one row per station and absolute slot.
 
-    Five equal-length columns: the station, the slot (nonnegative), whether
-    the slot's EV charged (0/1), whether a discount was offered (0/1) and at
-    what rate, in [0, 1) and 0 without a discount. The rules are checked
-    once, over whole columns, when the log is built; a failure names the
-    first offending row.
+    Five equal-length columns: the int64 station, slot (nonnegative), whether
+    the slot's EV charged (0/1) and whether a discount was offered (0/1), and
+    the float64 rate offered, in [0, 1) and 0 without a discount. The log
+    holds its columns as given: load_csv checks a charging file's rows where
+    it enters, and gen_charging_population builds columns that keep the
+    rules.
     """
 
     station_id: np.ndarray
@@ -177,21 +179,6 @@ class ChargingLog:
     charged: np.ndarray
     discount_given: np.ndarray
     discount_rate: np.ndarray
-
-    def __post_init__(self):
-        shape = np.shape(self.station_id)
-        for name, convert in _LOG_COLUMNS:
-            col = np.asarray(getattr(self, name))
-            if col.ndim != 1 or col.shape != shape:
-                raise TraceError(
-                    f"{name} must be a column as long as station_id {shape}, "
-                    f"got shape {col.shape}"
-                )
-            if convert is int and col.size and col.dtype.kind not in "iub":
-                raise TraceError(f"{name} must hold integers, got {col.dtype}")
-            object.__setattr__(self, name, col.astype(_DTYPE[convert], copy=False))
-        rules = _log_rules(self.slot, self.charged, self.discount_given, self.discount_rate)
-        _raise_first_fault(rules, lambda i: f"row {i}")
 
     def __len__(self) -> int:
         return len(self.station_id)
@@ -438,10 +425,10 @@ def gen_charging_population(
     cdfs /= cdfs[:, -1:]
     evening = np.arange(n_items) % SLOTS_PER_DAY >= EVENING_START_HOUR
     drawn = (cdfs[evening.astype(np.intp)] <= rng.random(n_items)[:, None]).sum(axis=1)
-    codes = 2 - drawn  # the priors' (always, incentive, no_charge) order, reversed
+    codes = Stratum.ALWAYS_CHARGE - drawn  # the priors' (always, incentive, no_charge) order
     station, slot_of_day = np.divmod(np.arange(n_items), SLOTS_PER_DAY)
     universe = Universe(station, slot_of_day, codes)
-    # each item's index in _STRATUM_ORDER; -1 where truncated out of the universe
+    # each item's stratum code; -1 where truncated out of the universe
     strata = np.full(n_stations * SLOTS_PER_DAY, -1)
     strata[:n_items] = codes
     strata = strata.reshape(n_stations, SLOTS_PER_DAY)
@@ -457,7 +444,7 @@ def gen_charging_population(
     sods = np.arange(n_slots) % SLOTS_PER_DAY
     stratum = strata[:, sods].T
     treated = draws < treat_prob[sods][:, None]
-    charged = (stratum == 2) | ((stratum == 1) & treated)  # stratum_response by code
+    charged = stratum_response(stratum, treated)
     logged = stratum >= 0
     slot, station = np.nonzero(logged)
     treated = treated[logged]
@@ -465,7 +452,7 @@ def gen_charging_population(
         station_id=station,
         slot=slot,
         charged=charged[logged],
-        discount_given=treated,
+        discount_given=treated.astype(np.int64),
         discount_rate=np.where(treated, logged_discount, 0.0),
     )
     return universe, log
@@ -686,7 +673,7 @@ def _read_series(path: str, header: list[str]) -> list[np.ndarray]:
 
 def _strata_rules(cols, parsed, rows, lines) -> list:
     stations, sods, strata = cols
-    expected = sorted(_STRATUM_BY_VALUE)
+    expected = sorted(_STRATUM_NAMES)
     return [
         (strata < 0, lambda i: f"unknown stratum {rows[i][2]!r}, expected one of {expected}"),
         parsed[0],

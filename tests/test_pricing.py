@@ -9,9 +9,6 @@ from hypothesis import strategies as st
 from fdcheck import assert_grads_close, pricing_loss_grads
 from hubopt import nn, pricing
 from hubopt.pricing import (
-    COL_ALWAYS,
-    COL_INCENTIVE,
-    COL_NO,
     Observations,
     PricingConfig,
     PricingModel,
@@ -31,6 +28,9 @@ from hubopt.pricing import (
 )
 from hubopt.traces import PopulationItem, Stratum, Universe, gen_charging_population
 from reference import heap_peak
+
+# each stratum's code, which is its head column
+NO, INCENTIVE, ALWAYS = Stratum.NO_CHARGE, Stratum.INCENTIVE_CHARGE, Stratum.ALWAYS_CHARGE
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +117,7 @@ class TestLoss:
     @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
     def test_parts_and_gradients_equal_the_per_term_reference(self, n, seed):
         strata, g, treated, charged = random_cells(np.random.default_rng(seed), n)
-        p_no, p_inc, p_alw = strata[:, COL_NO], strata[:, COL_INCENTIVE], strata[:, COL_ALWAYS]
+        p_no, p_inc, p_alw = strata[:, NO], strata[:, INCENTIVE], strata[:, ALWAYS]
         r1 = p_no * g - ((charged == 0) & (treated == 1))
         r2 = p_alw * (1.0 - g) - ((charged == 1) & (treated == 0))
         r3 = (p_inc + p_alw) * g - ((charged == 1) & (treated == 1))
@@ -126,9 +126,9 @@ class TestLoss:
         means = [float(np.mean(r * r)) for r in (r1, r2, r3, r4, r5)]
         want = means + [means[0] + means[1] + means[2] + means[3] + means[4]]
         want_strata = np.empty_like(strata)
-        want_strata[:, COL_NO] = (2.0 / n) * (r1 * g + r4 * (1.0 - g))
-        want_strata[:, COL_INCENTIVE] = (2.0 / n) * (r3 * g + r4 * (1.0 - g))
-        want_strata[:, COL_ALWAYS] = (2.0 / n) * (r2 * (1.0 - g) + r3 * g)
+        want_strata[:, NO] = (2.0 / n) * (r1 * g + r4 * (1.0 - g))
+        want_strata[:, INCENTIVE] = (2.0 / n) * (r3 * g + r4 * (1.0 - g))
+        want_strata[:, ALWAYS] = (2.0 / n) * (r2 * (1.0 - g) + r3 * g)
         want_g = (2.0 / n) * (
             r1 * p_no - r2 * p_alw + r3 * (p_inc + p_alw) - r4 * (p_no + p_inc) + r5
         )
@@ -195,7 +195,7 @@ class TestTraining:
         stations = np.array([p.station_id for p in pop])
         slots = np.array([p.slot_of_day for p in pop])
         probs = stratum_probs(model, stations, slots)
-        assert probs[:, COL_ALWAYS].mean() > 0.9
+        assert probs[:, ALWAYS].mean() > 0.9
 
     def test_deterministic_given_seed(self, planted, trained):
         _, obs = planted
@@ -241,7 +241,7 @@ class TestTraining:
         stations = np.array([p.station_id for p in pop])
         slots = np.array([p.slot_of_day for p in pop])
         pred = predicted_strata(stratum_probs(trained, stations, slots))
-        truth = np.array([pricing._COL_OF_STRATUM[p.stratum] for p in pop])
+        truth = np.array([p.stratum for p in pop])
         assert np.mean(pred == truth) > 0.7
 
 
@@ -275,7 +275,7 @@ class TestDiscountPolicy:
                 [0.6, 0.3, 0.1],  # no-charge wins
             ]
         )
-        assert list(predicted_strata(probs)) == [COL_INCENTIVE, COL_ALWAYS, COL_NO]
+        assert list(predicted_strata(probs)) == [INCENTIVE, ALWAYS, NO]
 
     def test_exact_ties_prefer_not_discounting(self):
         probs = np.array(
@@ -285,7 +285,7 @@ class TestDiscountPolicy:
                 [1 / 3, 1 / 3, 1 / 3],
             ]
         )
-        assert list(predicted_strata(probs)) == [COL_ALWAYS, COL_NO, COL_NO]
+        assert list(predicted_strata(probs)) == [ALWAYS, NO, NO]
 
     def test_decisions_follow_predictions(self, planted, trained):
         pop, _ = planted
@@ -294,7 +294,7 @@ class TestDiscountPolicy:
         slots = np.array([p.slot_of_day for p in pop])
         pred = predicted_strata(stratum_probs(trained, stations, slots))
         assert np.array_equal(winners, pred)
-        assert np.array_equal(give, pred == COL_INCENTIVE)
+        assert np.array_equal(give, pred == INCENTIVE)
 
     def test_peak_memory_is_bounded_by_the_block_not_the_universe(self):
         # the price workload's model over every (station, slot) item

@@ -204,13 +204,78 @@ class TestPopulation:
             check_population_args(2, self.PRIORS, None, 2.5, "random", 0.0)
 
 
+# whether an item of each stratum code charges, untreated and treated; -1 is
+# an item truncated out of the universe
+RESPONSE = {
+    Stratum.ALWAYS_CHARGE: (1, 1),
+    Stratum.INCENTIVE_CHARGE: (0, 1),
+    Stratum.NO_CHARGE: (0, 0),
+    -1: (0, 0),
+}
+
+
 class TestResponse:
     def test_truth_table(self):
-        assert stratum_response(Stratum.ALWAYS_CHARGE, 0) == 1
-        assert stratum_response(Stratum.ALWAYS_CHARGE, 1) == 1
-        assert stratum_response(Stratum.NO_CHARGE, 1) == 0
-        assert stratum_response(Stratum.INCENTIVE_CHARGE, 0) == 0
-        assert stratum_response(Stratum.INCENTIVE_CHARGE, 1) == 1
+        for code, charges in RESPONSE.items():
+            for treated in (0, 1, False, True):
+                assert stratum_response(code, treated) == charges[treated], (code, treated)
+
+    def test_code_arrays_equal_the_per_item_rule(self):
+        codes = np.array([code for code in RESPONSE for _ in range(2)] * 2)
+        treated = np.arange(len(codes)) % 2 == 1
+        got = stratum_response(codes, treated)
+        assert got.dtype == np.int64
+        assert got.tolist() == [RESPONSE[c][t] for c, t in zip(codes.tolist(), treated.tolist())]
+        assert got.tolist() == [stratum_response(c, t) for c, t in zip(codes, treated)]
+        # a grid of codes against a row of flags broadcast over it, as the
+        # generator calls it with its (slot, station) grids
+        grid, flags = codes.reshape(4, -1), treated[: len(codes) // 4]
+        want = [[RESPONSE[c][t] for c, t in zip(row, flags.tolist())] for row in grid.tolist()]
+        assert stratum_response(grid, flags).tolist() == want
+
+
+class TestGeneratedLogKeepsTheRules:
+    """The generator builds a log whose columns keep load_csv's rules, since
+    no constructor checks them."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_stations=st.integers(1, 5),
+        n_slots=st.integers(1, 60),
+        priors=st.sampled_from(
+            [(0.3, 0.2, 0.5), (0.0, 0.4, 0.6), (0.5, 0.0, 0.5), (0.6, 0.4, 0.0), (0.0, 1.0, 0.0)]
+        ),
+        cut=st.integers(0, 30),
+        logged_policy=st.sampled_from(["random", "confounded"]),
+        logged_discount=st.sampled_from([0.3, 0.05, 0.5, 0.95])
+        | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_columns_keep_the_log_rules(
+        self, seed, n_stations, n_slots, priors, cut, logged_policy, logged_discount
+    ):
+        n_items = max(1, n_stations * 24 - cut)
+        check_population_args(n_stations, priors, n_items, 2.5, logged_policy, logged_discount)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # (0, 1, 0) is a degenerate prior
+            universe, log = gen_charging_population(
+                seed,
+                n_stations,
+                n_slots,
+                priors,
+                n_items=n_items,
+                logged_policy=logged_policy,
+                logged_discount=logged_discount,
+            )
+        dtypes = [getattr(log, name).dtype for name, _ in traces._LOG_COLUMNS]
+        assert dtypes == [np.int64] * 4 + [np.float64]
+        assert {getattr(log, name).shape for name, _ in traces._LOG_COLUMNS} == {(len(log),)}
+        cols = (log.slot, log.charged, log.discount_given, log.discount_rate)
+        traces._raise_first_fault(traces._log_rules(*cols), lambda i: f"row {i}")
+        rows = universe.rows(log.station_id, log.slot % 24)
+        assert rows.min(initial=0) >= 0
+        want = stratum_response(universe.strata[rows], log.discount_given)
+        assert np.array_equal(log.charged, want)
 
 
 class TestCsvRoundTrip:
@@ -263,7 +328,7 @@ class TestCsvRoundTrip:
         for col in floats:
             col[::7], col[::11], col[-1] = -0.0, 0.1 + 0.2, -0.0
         ts = TraceSet(*floats)
-        given = np.arange(n) % 3 == 0
+        given = (np.arange(n) % 3 == 0).astype(np.int64)
         rate = np.where(given, 0.3, 0.0)
         rate[1::6] = -0.0
         log = ChargingLog(np.arange(n) % 5, np.arange(n) // 5, np.arange(n) % 2, given, rate)
@@ -358,40 +423,6 @@ class TestChargingLog:
         }
         cols.update(overrides)
         return ChargingLog(**{name: np.array(col) for name, col in cols.items()})
-
-    def test_columns_take_their_dtypes(self):
-        log = self.log(charged=np.array([True, False, True]))
-        assert [getattr(log, n).dtype for n in ("station_id", "slot", "charged")] == [
-            np.int64
-        ] * 3
-        assert log.discount_rate.dtype == np.float64
-        assert len(log) == 3
-
-    @pytest.mark.parametrize(
-        "overrides, message",
-        [
-            ({"charged": [1, 2, 1]}, "row 1: charged must be 0/1, got 2"),
-            ({"discount_given": [0, 1, -1]}, "row 2: discount_given must be 0/1, got -1"),
-            ({"discount_rate": [0.0, 1.0, 0.3]}, r"row 1: discount_rate must be in \[0, 1\), got 1.0"),
-            ({"discount_rate": [0.0, 0.3, np.nan]}, r"row 2: discount_rate must be in \[0, 1\), got nan"),
-            ({"discount_rate": [0.1, 0.3, 0.3]}, "row 0: discount_rate must be 0 when no discount"),
-            ({"slot": [0, -5, 1]}, "row 1: slot must be nonnegative, got -5"),
-        ],
-    )
-    def test_rules_name_the_first_offending_row(self, overrides, message):
-        with pytest.raises(TraceError, match=message):
-            self.log(**overrides)
-
-    def test_rules_apply_in_order_within_a_row(self):
-        # row 1 breaks the flag rule and the rate range; the flag comes first
-        with pytest.raises(TraceError, match="row 1: discount_given"):
-            self.log(discount_given=[0, 3, 1], discount_rate=[0.0, 2.0, 0.3])
-
-    def test_columns_must_align(self):
-        with pytest.raises(TraceError, match="slot must be a column"):
-            self.log(slot=[0, 1])
-        with pytest.raises(TraceError, match="charged must hold integers"):
-            self.log(charged=[1.0, 0.0, 1.0])
 
     def test_equality_compares_columns(self):
         assert self.log() == self.log()
@@ -718,10 +749,10 @@ def ref_load_csv(path, schema):
     rows = ref_read_rows(path, traces.STRATA_HEADER)
     for ln, row in rows:
         name = row[2]
-        if name not in traces._STRATUM_BY_VALUE:
+        if name not in traces._STRATUM_NAMES:
             raise TraceError(
                 f"{path} line {ln}: unknown stratum {name!r}, "
-                f"expected one of {sorted(traces._STRATUM_BY_VALUE)}"
+                f"expected one of {sorted(traces._STRATUM_NAMES)}"
             )
         station = ref_parse_int(path, ln, "station_id", row[0])
         if station < 0:
@@ -1225,12 +1256,13 @@ class TestBulkParseMatchesFieldParse:
 @settings(max_examples=50, deadline=None, suppress_health_check=FIXTURE_OK)
 @given(rows=SCHEMAS["strata"].rows)
 def test_save_strata_writes_the_row_writers_bytes(tmp_path, rows):
-    items = [PopulationItem(s, t, traces._STRATUM_BY_VALUE[n]) for s, t, n in rows]
+    items = [PopulationItem(s, t, Stratum(traces._STRATUM_NAMES.index(n))) for s, t, n in rows]
     path = tmp_path / "strata.csv"
     save_strata(str(path), traces.Universe.from_items(items))
     # save_strata as it wrote one item object at a time
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(traces.STRATA_HEADER)
-    writer.writerows((it.station_id, it.slot_of_day, it.stratum.value) for it in items)
+    names = traces._STRATUM_NAMES
+    writer.writerows((it.station_id, it.slot_of_day, names[it.stratum]) for it in items)
     assert path.read_bytes() == text.getvalue().encode("utf-8")
