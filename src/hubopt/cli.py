@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+import typing
 
 import numpy as np
 import yaml
@@ -24,6 +25,7 @@ from . import hub, nn, pricing, scheduler
 from .seeding import spawn_seed
 from .traces import (
     _STRATUM_NAMES,
+    CHARGING_HEADER,
     SLOTS_PER_DAY,
     STRATA_HEADER,
     TraceError,
@@ -34,7 +36,6 @@ from .traces import (
     _read_table,
     _repeats,
     _write_rows,
-    check_population_args,
     gen_charging_population,
     gen_rtp,
     gen_traffic,
@@ -94,20 +95,31 @@ class TraceGenConfig:
             raise hub.ConfigError(
                 f"traces.n_stations must be positive, got {self.n_stations}"
             )
-        check_population_args(
-            self.n_stations,
-            self.strata_priors,
-            self.n_items,
-            self.evening_boost,
-            self.logged_policy,
-            self.logged_discount,
-        )
-        # station 0's slots of day fill first; eval-price tabulates every quarter
-        last = pricing.PERIODS[-1][0]
-        if self.n_items is not None and self.n_items <= last:
+        # the generators do not check their arguments again
+        priors = np.asarray(self.strata_priors, dtype=np.float64)
+        if priors.shape != (3,):
+            raise hub.ConfigError(f"strata_priors must have 3 entries, got {priors.shape}")
+        if priors.min() < 0 or abs(priors.sum() - 1.0) > 1e-9:
             raise hub.ConfigError(
-                f"n_items must be at least {last + 1}, got {self.n_items}: {last + 1} items "
-                f"reach slot {last}, the first slot of the last quarter of the day"
+                f"strata_priors must be nonnegative and sum to 1, got {priors}"
+            )
+        if self.evening_boost <= 0:
+            raise hub.ConfigError(f"evening_boost must be positive, got {self.evening_boost}")
+        if self.logged_policy not in ("random", "confounded"):
+            raise hub.ConfigError(
+                f"logged_policy must be 'random' or 'confounded', got {self.logged_policy!r}"
+            )
+        if not 0.0 < self.logged_discount < 1.0:
+            raise hub.ConfigError(
+                f"logged_discount must be in (0, 1), got {self.logged_discount}"
+            )
+        # station 0's slots of day fill first; eval-price tabulates every quarter
+        low, high = pricing.PERIODS[-1][0] + 1, self.n_stations * SLOTS_PER_DAY
+        if self.n_items is not None and not low <= self.n_items <= high:
+            raise hub.ConfigError(
+                f"n_items must be in [{low}, {high}] ({self.n_stations} stations x "
+                f"{SLOTS_PER_DAY} slots), got {self.n_items}: {low} items reach slot "
+                f"{low - 1}, the first slot of the last quarter of the day"
             )
         if self.rtp_base < 0:
             raise hub.ConfigError(f"rtp_base must be nonnegative, got {self.rtp_base}")
@@ -163,38 +175,34 @@ class RunConfig:
             )
 
 
+# The run config file follows RunConfig, but for the sections that also carry
+# other RunConfig fields: pricing carries discount and base_sell_price, and ppo
+# carries env, whose EnvConfig fields sit beside the PpoConfig ones.
+CARRIED = {"pricing": ("discount", "base_sell_price"), "ppo": ("env",)}
+
+
 def run_config_from_dict(raw: dict) -> RunConfig:
     """Build the full run configuration, rejecting unknown keys and mistyped
     values everywhere.
 
     There is one seed; the per-module seeds are derived from it, so a config
-    cannot partially pin randomness. The YAML layout follows RunConfig but for
-    two sections: pricing also carries RunConfig's discount and
-    base_sell_price, and ppo also carries the EnvConfig fields.
+    cannot partially pin randomness.
     """
     top = hub.config_mapping(raw, "run")
-    hub_cfg = hub.hub_config_from_dict(top.pop("hub", None))
-    pricing_raw = hub.config_mapping(top.pop("pricing", None), "pricing")
-    ppo_raw = hub.config_mapping(top.pop("ppo", None), "ppo")
-    sell = {k: pricing_raw.pop(k) for k in ("discount", "base_sell_price") if k in pricing_raw}
-    env_keys = [f.name for f in dataclasses.fields(scheduler.EnvConfig)]
-    env_raw = {k: ppo_raw.pop(k) for k in env_keys if k in ppo_raw}
-    return hub.config_from_dict(
-        RunConfig,
-        top,
-        "run",
-        skip=("discount", "base_sell_price"),
-        hub=hub_cfg,
-        pricing=hub.config_from_dict(
-            pricing.PricingConfig,
-            pricing_raw,
-            "pricing",
-            skip=("n_stations", "seed"),
-        ),
-        env=hub.config_from_dict(scheduler.EnvConfig, env_raw, "ppo"),
-        ppo=hub.config_from_dict(scheduler.PpoConfig, ppo_raw, "ppo"),
-        **sell,
-    )
+    hints = typing.get_type_hints(RunConfig)
+    given = {}
+    for section, carried in CARRIED.items():
+        keys = hub.config_mapping(top.pop(section, None), section)
+        for name in carried:
+            if dataclasses.is_dataclass(hints[name]):
+                own = [f.name for f in dataclasses.fields(hints[name]) if f.name in keys]
+                given[name] = hub.config_from_dict(
+                    hints[name], {k: keys.pop(k) for k in own}, section
+                )
+            else:
+                given[name] = keys.pop(name, getattr(RunConfig, name))
+        given[section] = keys
+    return hub.config_from_dict(RunConfig, top, "run", **given)
 
 
 def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
@@ -218,27 +226,16 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
 
 
 def config_snapshot_dict(cfg: RunConfig) -> dict:
-    """The semantic config as plain YAML-safe data; out_dir is excluded so a
-    relocated run directory still matches its snapshot."""
-
-    def plain(value):
-        if dataclasses.is_dataclass(value) and not isinstance(value, type):
-            return {k: plain(v) for k, v in dataclasses.asdict(value).items()}
-        if isinstance(value, tuple):
-            return [plain(v) for v in value]
-        return value
-
-    return {
-        "seed": cfg.seed,
-        "n_hubs": cfg.n_hubs,
-        "hub": plain(cfg.hub),
-        "traces": plain(cfg.traces),
-        "pricing": plain(cfg.pricing),
-        "discount": cfg.discount,
-        "base_sell_price": cfg.base_sell_price,
-        "env": plain(cfg.env),
-        "ppo": plain(cfg.ppo),
-    }
+    """The config as the YAML mapping run_config_from_dict reads, so a run's
+    config.yaml is a valid --config; out_dir is excluded so a relocated run
+    directory still matches its snapshot."""
+    snap = json.loads(json.dumps(dataclasses.asdict(cfg)))  # tuples become lists
+    del snap["out_dir"]
+    for section, carried in CARRIED.items():
+        for name in carried:
+            value = snap.pop(name)
+            snap[section].update(value if isinstance(value, dict) else {name: value})
+    return snap
 
 
 def resolve_out_dir(cfg: RunConfig, cli_out: str | None) -> str:
@@ -374,8 +371,8 @@ def cmd_train_price(cfg: RunConfig, run_dir: str) -> None:
     if outside.any():
         j = int(outside.argmax())
         raise DataError(
-            f"{charging}: record {j} (station {observations.stations[j]}, slot of day "
-            f"{observations.slots[j]}) is outside the run's {n_stations} stations "
+            f"{charging} line {_line(charging, CHARGING_HEADER, j)}: station "
+            f"{observations.stations[j]} is outside the run's {n_stations} stations "
             "(traces.n_stations)"
         )
     treated = int(log.discount_given.sum())
@@ -384,17 +381,13 @@ def cmd_train_price(cfg: RunConfig, run_dir: str) -> None:
             f"{charging}: {treated} of its {len(log)} records were discounted; "
             "training needs both discounted and undiscounted records"
         )
-    pcfg = dataclasses.replace(
-        cfg.pricing,
-        n_stations=n_stations,
-        seed=spawn_seed(cfg.seed, "pricing"),
-    )
-    model = pricing.train_cfmtl(observations, pcfg)
+    seed = spawn_seed(cfg.seed, "pricing")
+    model = pricing.train_cfmtl(observations, cfg.pricing, n_stations, seed)
     model.save(paths["cfmtl"])
-    mu1, mu0 = pricing.fit_outcome_models(observations, pcfg)
+    mu1, mu0 = pricing.fit_outcome_models(observations, cfg.pricing, n_stations, seed)
     mu1.save(paths["mu1"])
     mu0.save(paths["mu0"])
-    prop = pricing.fit_propensity_model(observations, pcfg)
+    prop = pricing.fit_propensity_model(observations, cfg.pricing, n_stations, seed)
     prop.save(paths["prop"])
     print(f"wrote 4 pricing checkpoints under {os.path.join(run_dir, 'checkpoints')}")
 
@@ -432,6 +425,13 @@ def _load_pricing_models(run_dir: str, cfg: RunConfig | None = None):
     return model, mu1, mu0, prop
 
 
+def _line(path: str, header: list[str], i: int) -> int:
+    """The file line of data row i of a CSV that load_csv accepted, whose rows
+    are the file's non-blank lines in order."""
+    lines, _ = _read_rows(path, header)
+    return lines[i]
+
+
 def _load_items(run_dir: str, n_stations: int | None = None) -> Universe:
     """The item universe of strata.csv; every item's station must be below
     n_stations, when given."""
@@ -439,11 +439,10 @@ def _load_items(run_dir: str, n_stations: int | None = None) -> Universe:
     universe = load_csv(strata_path, "strata")
     if n_stations is not None and universe.stations.max(initial=-1) >= n_stations:
         i = int(np.argmax(universe.stations >= n_stations))
-        # the rows of a strata file load_csv accepts are its non-blank lines
-        lines, _ = _read_rows(strata_path, STRATA_HEADER)
         raise DataError(
-            f"{strata_path} line {lines[i]}: station {universe.stations[i]} is outside the "
-            f"run's {n_stations} stations (traces.n_stations)"
+            f"{strata_path} line {_line(strata_path, STRATA_HEADER, i)}: station "
+            f"{universe.stations[i]} is outside the run's {n_stations} stations "
+            "(traces.n_stations)"
         )
     return universe
 
@@ -462,8 +461,9 @@ def _load_population(run_dir: str, n_stations: int | None = None):
     if missing.any():
         j = int(missing.argmax())
         raise DataError(
-            f"{charging_path}: record {j} (station {observations.stations[j]}, slot of day "
-            f"{observations.slots[j]}) has no item in {strata_path}"
+            f"{charging_path} line {_line(charging_path, CHARGING_HEADER, j)}: station "
+            f"{observations.stations[j]}, slot of day {observations.slots[j]} has no item "
+            f"in {strata_path}"
         )
     return universe, observations
 

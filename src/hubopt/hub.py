@@ -71,8 +71,9 @@ class BatteryState:
 class HubConfig:
     """Static hub parameters.
 
-    t_recovery_slots is the grid-outage ride-through requirement: the battery
-    reserve floor must cover base-station load at p_bs_max for that many slots.
+    t_recovery_slots is the grid-outage ride-through requirement: the battery's
+    soc_min must cover the reserve floor, base-station load at p_bs_max for that
+    many slots.
     """
 
     p_bs_min_kw: float = 1.0
@@ -100,6 +101,12 @@ class HubConfig:
             raise ConfigError(f"t_recovery_slots must be >= 0, got {self.t_recovery_slots}")
         if self.c_bp < 0:
             raise ConfigError(f"c_bp must be nonnegative, got {self.c_bp}")
+        floor = reserve_floor(self)
+        if self.battery.soc_min_kwh < floor:
+            raise ConfigError(
+                f"battery soc_min_kwh={self.battery.soc_min_kwh} is below the reserve "
+                f"floor {floor} kWh (p_bs_max * t_recovery_slots * slot_hours)"
+            )
 
 
 @dataclass(frozen=True)
@@ -301,20 +308,20 @@ def _typed(hint, value, key: str):
     return value
 
 
-def config_from_dict(cls, raw, section: str, skip=(), **given):
+def config_from_dict(cls, raw, section: str, **given):
     """Build the config dataclass cls from raw, one section of a run config.
 
-    raw may set any field of cls but those in skip or given; given holds the
-    fields the caller read elsewhere. Every value is checked against its
-    field's type hint: int takes an int but not a bool, float takes a finite
-    int or float (not NaN or +-inf) and stores a float, a tuple takes a list
-    of its length, X | None also takes None, and a nested config dataclass
-    takes a mapping. An error from cls's own checks becomes a ConfigError
+    raw may set any field of cls but those in given; given holds the fields
+    the caller read elsewhere. Every value, raw's and given's, is checked
+    against its field's type hint: int takes an int but not a bool, float
+    takes a finite int or float (not NaN or +-inf) and stores a float, a tuple
+    takes a list of its length, X | None also takes None, and a nested config
+    dataclass takes a mapping (or an instance). An error from cls's own checks becomes a ConfigError
     naming the section.
     """
     raw = config_mapping(raw, section)
     hints = typing.get_type_hints(cls)
-    unknown = [k for k in raw if k not in hints or k in skip or k in given]
+    unknown = [k for k in raw if k not in hints or k in given]
     if unknown:
         raise ConfigError(f"unknown {section} config keys: {sorted(unknown, key=str)}")
     values = {key: _typed(hints[key], val, key) for key, val in {**raw, **given}.items()}
@@ -322,15 +329,3 @@ def config_from_dict(cls, raw, section: str, skip=(), **given):
         return cls(**values)
     except ValueError as exc:
         raise ConfigError(f"{exc} (in the {section} section)") from exc
-
-
-def hub_config_from_dict(raw: dict) -> HubConfig:
-    """The hub section of a run config; soc_min must also cover the reserve floor."""
-    cfg = config_from_dict(HubConfig, raw, "hub")
-    floor = reserve_floor(cfg)
-    if cfg.battery.soc_min_kwh < floor:
-        raise ConfigError(
-            f"battery soc_min_kwh={cfg.battery.soc_min_kwh} is below the reserve "
-            f"floor {floor} kWh (p_bs_max * t_recovery_slots * slot_hours)"
-        )
-    return cfg

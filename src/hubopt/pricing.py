@@ -60,14 +60,12 @@ class LossParts:
 
 @dataclass(frozen=True)
 class PricingConfig:
-    n_stations: int | None = None  # inferred from data when None
     embed_dim: int = 16
     hidden: tuple[int, ...] = (64, 32)
     lr: float = 0.01
     weight_decay: float = 1e-4
     batch_size: int = 64
     epochs: int = 8
-    seed: int = 0
 
     def __post_init__(self):
         if self.embed_dim < 1:
@@ -193,17 +191,18 @@ def cfmtl_loss(model: PricingModel, observations: Observations) -> LossParts:
     return parts
 
 
-def _fit(cls, stations, slots, loss, cfg: PricingConfig, tag: str, batch_tag: str):
-    """A cls model of cfg's shape, trained on the rows by nn.fit_embed_mlp.
+def _fit(
+    cls, stations, slots, loss, cfg: PricingConfig, n_stations: int, seed: int, tag, batch_tag
+):
+    """A cls model of cfg's shape over n_stations, trained on the rows by
+    nn.fit_embed_mlp.
 
     Its initial parameters and its batch order come from the streams that
-    cfg.seed spawns under (tag, "init") and (tag, batch_tag). Without
-    cfg.n_stations, the model has one station past the largest one seen.
+    seed spawns under (tag, "init") and (tag, batch_tag).
     """
     if not len(stations):
         raise ValueError("cannot fit on an empty dataset")
-    n_stations = cfg.n_stations if cfg.n_stations is not None else int(stations.max()) + 1
-    init = spawn_seed(cfg.seed, tag, "init")
+    init = spawn_seed(seed, tag, "init")
     model = cls(n_stations, SLOTS_PER_DAY, cfg.embed_dim, cfg.hidden, seed=init)
     nn.fit_embed_mlp(
         model,
@@ -214,16 +213,19 @@ def _fit(cls, stations, slots, loss, cfg: PricingConfig, tag: str, batch_tag: st
         batch_size=cfg.batch_size,
         lr=cfg.lr,
         weight_decay=cfg.weight_decay,
-        rng=spawn_rng(cfg.seed, tag, batch_tag),
+        rng=spawn_rng(seed, tag, batch_tag),
     )
     return model
 
 
-def train_cfmtl(observations: Observations, cfg: PricingConfig) -> PricingModel:
+def train_cfmtl(
+    observations: Observations, cfg: PricingConfig, n_stations: int, seed: int
+) -> PricingModel:
     """Train the stratum and propensity heads jointly on logged observations.
 
-    The observations must hold both treatment arms and stations below the
-    model's count; train-price checks both where it reads charging.csv.
+    The model embeds n_stations stations, and seed spawns its draws. The
+    observations must hold both treatment arms and stations below
+    n_stations; train-price checks both where it reads charging.csv.
     """
     stations, slots, treated, charged = observations
 
@@ -231,7 +233,7 @@ def train_cfmtl(observations: Observations, cfg: PricingConfig) -> PricingModel:
         parts, grad_strata, grad_g = cfmtl_loss_parts(strata, g, treated[idx], charged[idx])
         return parts.total, grad_strata, grad_g
 
-    return _fit(PricingModel, stations, slots, loss, cfg, "pricing", "batches")
+    return _fit(PricingModel, stations, slots, loss, cfg, n_stations, seed, "pricing", "batches")
 
 
 # tie-break priority for the predicted stratum: prefer not discounting, so
@@ -264,10 +266,6 @@ class PolicyEvaluation:
     always_count: int
     reward: float
 
-    @property
-    def discounted_total(self) -> int:
-        return self.none_count + self.incentive_count + self.always_count
-
 
 def evaluate_policy(truth: np.ndarray, give: np.ndarray, c: float) -> PolicyEvaluation:
     """Score a discount mask against the ground-truth strata of the items.
@@ -296,30 +294,36 @@ def evaluate_policy(truth: np.ndarray, give: np.ndarray, c: float) -> PolicyEval
     )
 
 
-def _fit_scorer(stations, slots, targets, cfg: PricingConfig, tag: str) -> nn.EmbedMlp:
+def _fit_scorer(
+    stations, slots, targets, cfg: PricingConfig, n_stations: int, seed: int, tag: str
+) -> nn.EmbedMlp:
     """An EmbedMlp fit to targets by mean squared error."""
     mse = lambda idx, pred: nn.mse_loss(pred, targets[idx])
-    return _fit(nn.EmbedMlp, stations, slots, mse, cfg, tag, "fit")
+    return _fit(nn.EmbedMlp, stations, slots, mse, cfg, n_stations, seed, tag, "fit")
 
 
 def fit_outcome_models(
-    observations: Observations, cfg: PricingConfig
+    observations: Observations, cfg: PricingConfig, n_stations: int, seed: int
 ) -> tuple[nn.EmbedMlp, nn.EmbedMlp]:
     """Fit charge-probability regressions on the treated and control arms."""
     stations, slots, treated, charged = observations
     on = treated == 1
     off = ~on
-    mu1 = _fit_scorer(stations[on], slots[on], charged[on], cfg, "outcome_treated")
-    mu0 = _fit_scorer(stations[off], slots[off], charged[off], cfg, "outcome_control")
+    mu1 = _fit_scorer(
+        stations[on], slots[on], charged[on], cfg, n_stations, seed, "outcome_treated"
+    )
+    mu0 = _fit_scorer(
+        stations[off], slots[off], charged[off], cfg, n_stations, seed, "outcome_control"
+    )
     return mu1, mu0
 
 
 def fit_propensity_model(
-    observations: Observations, cfg: PricingConfig
+    observations: Observations, cfg: PricingConfig, n_stations: int, seed: int
 ) -> nn.EmbedMlp:
     """Fit a discount-probability classifier on the logged treatments."""
     stations, slots, treated, _ = observations
-    return _fit_scorer(stations, slots, treated, cfg, "propensity")
+    return _fit_scorer(stations, slots, treated, cfg, n_stations, seed, "propensity")
 
 
 PROPENSITY_CLIP = (0.01, 0.99)

@@ -345,39 +345,6 @@ def pv_power(irradiance_wm2, capacity_kw: float) -> np.ndarray:
 # -- charging population -------------------------------------------------------
 
 
-def check_population_args(
-    n_stations: int,
-    strata_priors: Sequence[float],
-    n_items: int | None,
-    evening_boost: float,
-    logged_policy: str,
-    logged_discount: float,
-) -> None:
-    """The run config's checks on gen_charging_population's arguments.
-
-    n_stations must already be positive.
-    """
-    priors = np.asarray(strata_priors, dtype=np.float64)
-    if priors.shape != (3,):
-        raise ValueError(f"strata_priors must have 3 entries, got {priors.shape}")
-    if priors.min() < 0 or abs(priors.sum() - 1.0) > 1e-9:
-        raise ValueError(f"strata_priors must be nonnegative and sum to 1, got {priors}")
-    if evening_boost <= 0:
-        raise ValueError(f"evening_boost must be positive, got {evening_boost}")
-    if logged_policy not in ("random", "confounded"):
-        raise ValueError(
-            f"logged_policy must be 'random' or 'confounded', got {logged_policy!r}"
-        )
-    if not 0.0 < logged_discount < 1.0:
-        raise ValueError(f"logged_discount must be in (0, 1), got {logged_discount}")
-    grid_size = n_stations * SLOTS_PER_DAY
-    if n_items is not None and not 0 < n_items <= grid_size:
-        raise ValueError(
-            f"n_items must be in (0, {grid_size}] for {n_stations} stations "
-            f"x {SLOTS_PER_DAY} slots, got {n_items}"
-        )
-
-
 def gen_charging_population(
     seed: int,
     n_stations: int,
@@ -408,8 +375,8 @@ def gen_charging_population(
     The logged policy offers a discount with probability 0.5 ("random") or
     with a slot-dependent probability 0.3/0.7 outside/inside the evening
     window ("confounded", for stressing propensity-based estimators). The
-    arguments are those check_population_args accepts; the run config checks
-    them where it is read.
+    arguments are not checked here: the run config's traces section
+    (cli.TraceGenConfig) checks them where it is read.
     """
     priors = np.asarray(strata_priors, dtype=np.float64)
     if np.any(priors == 1.0):

@@ -289,22 +289,23 @@ PRICING_FITS = (
 )
 
 
-def _fit_flats(fit, observations, cfg):
-    """The flat parameter buffers of the models fit(observations, cfg) returns."""
-    models = fit(observations, cfg)
+def _fit_flats(fit, *args):
+    """The flat parameter buffers of the models fit(*args) returns."""
+    models = fit(*args)
     return [model.flat for model in (models if isinstance(models, tuple) else (models,))]
 
 
-def fit_pricing_models(observations, cfg, processes):
+def fit_pricing_models(observations, cfg, n_stations, seed, processes):
     """The cfmtl, mu1, mu0 and propensity models, their fits run in a pool of
     processes workers, or in this process when processes is 1.
 
-    A worker returns each model's flat buffer; the model is rebuilt here from
-    cfg's architecture and the buffer copied in, since an unpickled model's
-    parameters are no longer views of its flat. The workers are spawned, not
-    forked, because this process may hold BLAS threads.
+    Each fit gets n_stations and seed. A worker returns each model's flat
+    buffer; the model is rebuilt here from cfg's architecture over n_stations
+    and the buffer copied in, since an unpickled model's parameters are no
+    longer views of its flat. The workers are spawned, not forked, because
+    this process may hold BLAS threads.
     """
-    jobs = [(fit, observations, cfg) for fit, _ in PRICING_FITS]
+    jobs = [(fit, observations, cfg, n_stations, seed) for fit, _ in PRICING_FITS]
     if processes > 1:
         with multiprocessing.get_context("spawn").Pool(processes) as pool:
             flats = pool.starmap(_fit_flats, jobs, chunksize=1)
@@ -313,7 +314,7 @@ def fit_pricing_models(observations, cfg, processes):
     models = []
     for (_, classes), buffers in zip(PRICING_FITS, flats):
         for cls, flat in zip(classes, buffers, strict=True):
-            model = cls(cfg.n_stations, SLOTS_PER_DAY, cfg.embed_dim, cfg.hidden, seed=None)
+            model = cls(n_stations, SLOTS_PER_DAY, cfg.embed_dim, cfg.hidden, seed=None)
             model.flat[...] = flat
             models.append(model)
     return models
@@ -324,9 +325,9 @@ def test_pooled_pricing_fits_equal_the_serial_fits():
         3, 5, 24, (0.3, 0.2, 0.5), n_items=60, logged_policy="random"
     )
     observations = pricing.observations_from_records(records)
-    cfg = pricing.PricingConfig(n_stations=5, embed_dim=4, hidden=(6,), epochs=3, seed=1)
-    pooled = fit_pricing_models(observations, cfg, processes=2)
-    serial = fit_pricing_models(observations, cfg, processes=1)
+    cfg = pricing.PricingConfig(embed_dim=4, hidden=(6,), epochs=3)
+    pooled = fit_pricing_models(observations, cfg, 5, 1, processes=2)
+    serial = fit_pricing_models(observations, cfg, 5, 1, processes=1)
     stations, slots = observations.stations, observations.slots
     for a, b in zip(pooled, serial, strict=True):
         assert type(a) is type(b) and a.flat.tobytes() == b.flat.tobytes()
@@ -356,18 +357,16 @@ def charging_bench():
     )
     observations = pricing.observations_from_records(records)
     cfg = pricing.PricingConfig(
-        n_stations=352,
         embed_dim=16,
         hidden=(64, 32),
         lr=0.003,
         weight_decay=1e-4,
         batch_size=64,
         epochs=1200,
-        seed=0,
     )
     # the fits are independent: run them in parallel, unless this process may use one CPU
     processes = min(len(os.sched_getaffinity(0)), len(PRICING_FITS))
-    model, mu1, mu0, prop = fit_pricing_models(observations, cfg, processes)
+    model, mu1, mu0, prop = fit_pricing_models(observations, cfg, 352, 0, processes)
     return SimpleNamespace(
         items=items,
         observations=observations,

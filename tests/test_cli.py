@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hubopt import cli, hub, nn, pricing, scheduler, traces
 from hubopt.cli import (
@@ -93,7 +95,8 @@ class TestConfigParsing:
     def test_items_must_reach_the_last_quarter_of_the_day(self):
         # station 0's slots fill first: 18 items stop at slot 17, and eval-price
         # would find no item in 18-24
-        with pytest.raises(ConfigError, match="at least 19, got 18: 19 items reach slot 18"):
+        message = r"n_items must be in \[19, 48\] \(2 stations x 24 slots\), got 18: 19 items reach"
+        with pytest.raises(ConfigError, match=message):
             run_config_from_dict({"traces": {"n_stations": 2, "n_items": 18}})
         run_config_from_dict({"traces": {"n_stations": 2, "n_items": 19}})
 
@@ -141,7 +144,7 @@ class TestConfigParsing:
         for section in (cfg, cfg.hub, cfg.hub.battery, cfg.traces, cfg.pricing, cfg.env, cfg.ppo):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 section.seed = 99
-        assert cfg.pricing.seed == 0
+        assert cfg.seed == 0
 
     def test_config_snapshot_excludes_out_dir(self):
         cfg = run_config_from_dict({"out_dir": "someplace"})
@@ -156,16 +159,97 @@ def yaml_fields():
     run = hints(RunConfig)
     out = [((), k, run[k]) for k in ("seed", "out_dir", "n_hubs")]
     out += [(("pricing",), k, run[k]) for k in ("discount", "base_sell_price")]
-    for path, cls, not_settable in (
-        (("hub",), hub.HubConfig, {"battery"}),
-        (("hub", "battery"), hub.BatterySpec, set()),
-        (("traces",), cli.TraceGenConfig, set()),
-        (("pricing",), pricing.PricingConfig, {"n_stations", "seed"}),
-        (("ppo",), scheduler.EnvConfig, set()),
-        (("ppo",), scheduler.PpoConfig, set()),
+    for path, cls in (
+        (("hub",), hub.HubConfig),
+        (("hub", "battery"), hub.BatterySpec),
+        (("traces",), cli.TraceGenConfig),
+        (("pricing",), pricing.PricingConfig),
+        (("ppo",), scheduler.EnvConfig),
+        (("ppo",), scheduler.PpoConfig),
     ):
-        out += [(path, k, h) for k, h in hints(cls).items() if k not in not_settable]
+        out += [(path, k, h) for k, h in hints(cls).items() if k != "battery"]
     return out
+
+
+def key_paths(mapping, path=()):
+    """(section path, key) of every leaf of a nested config mapping."""
+    for key, value in mapping.items():
+        if isinstance(value, dict):
+            yield from key_paths(value, path + (key,))
+        else:
+            yield path, key
+
+
+# keys a scaled default cannot draw: strings, the whole seed range, and the
+# fields whose rules tie them to other fields, drawn inside those rules
+COUPLED = {
+    ((), "seed"): st.integers(0, 2**32 - 1),
+    ((), "out_dir"): st.sampled_from(["run", "elsewhere"]),
+    (("hub",), "slot_hours"): st.just(1.0),
+    (("hub",), "t_recovery_slots"): st.integers(0, 2),
+    (("traces",), "strata_priors"): st.sampled_from([[0.3, 0.25, 0.45], [0.0, 0.1, 0.9]]),
+    (("traces",), "n_items"): st.none() | st.integers(19, 32 * 24),
+    (("traces",), "logged_policy"): st.sampled_from(["random", "confounded"]),
+    (("ppo",), "initial_soc_kwh"): st.none() | st.floats(10.0, 20.0),
+}
+
+
+def near_default(path, key, hint):
+    """Values of a run config key that its checks accept: the coupled keys'
+    draws, else values at 90-100% of its default (or in [0, 1] for a zero
+    default, and above it for an integer). The default is read from the
+    default config's snapshot."""
+    if (path, key) in COUPLED:
+        return COUPLED[(path, key)]
+    node = cli.config_snapshot_dict(RunConfig())
+    for name in path:
+        node = node[name]
+    default = node[key]
+    if typing.get_origin(hint) is tuple:
+        return st.lists(st.integers(1, 64), min_size=1, max_size=3)
+    if hint is int:
+        return st.integers(default, 2 * default + 1)
+    if default == 0:
+        return st.floats(0.0, 1.0)
+    return st.floats(0.9, 1.0).map(lambda f: f * default)
+
+
+# deferred, so that a key the snapshot lacks fails the round trip, not the collection
+NEAR_DEFAULT = {
+    (path, key): st.deferred(lambda args=(path, key, hint): near_default(*args))
+    for path, key, hint in yaml_fields()
+}
+
+
+class TestSnapshotLayout:
+    """config.yaml is written in the layout a --config file is read in."""
+
+    def test_snapshot_keys_are_the_settable_keys(self):
+        snap = cli.config_snapshot_dict(RunConfig())
+        settable = [(path, key) for path, key, _ in yaml_fields() if key != "out_dir"]
+        assert sorted(key_paths(snap)) == sorted(settable)
+
+    @settings(max_examples=60, deadline=None)
+    @given(picked=st.fixed_dictionaries({}, optional=NEAR_DEFAULT))
+    def test_snapshot_reads_back_as_the_config(self, picked):
+        raw = {}
+        for (path, key), value in picked.items():
+            node = raw
+            for name in path:
+                node = node.setdefault(name, {})
+            node[key] = value
+        cfg = run_config_from_dict(raw)
+        text = yaml.safe_dump(cli.config_snapshot_dict(cfg), sort_keys=True)
+        again = run_config_from_dict(yaml.safe_load(text))
+        assert again == dataclasses.replace(cfg, out_dir=RunConfig.out_dir)
+
+    def test_a_run_reruns_from_its_snapshot(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        config_path = write_config(tmp_path / "run.yaml", tiny_config(run_dir))
+        assert cli.main(["gen-data", "--config", config_path]) == cli.EXIT_OK
+        snapshot = str(run_dir / "config.yaml")
+        rc = cli.main(["train-price", "--config", snapshot, "--out", str(run_dir)])
+        assert rc == cli.EXIT_OK, capsys.readouterr().err
 
 
 def mistyped(hint) -> list:
@@ -575,7 +659,11 @@ class TestStrataFaults:
                 "line 3: station 7 is outside",
             ),
             (lambda lines: lines + [lines[1]], "duplicate item"),
-            (lambda lines: [lines[0]] + lines[2:], "has no item in"),
+            # strata line 2 is station 0's slot 0, the log's first record
+            (
+                lambda lines: [lines[0]] + lines[2:],
+                "charging.csv line 2: station 0, slot of day 0 has no item in",
+            ),
         ],
         ids=[
             "slot-of-day-30",
@@ -624,7 +712,24 @@ class TestChargingStationFaults:
         rc, err, copy = run_copy(priced, tmp_path, capsys, "train-price", "--force", edit=edit)
         assert rc == cli.EXIT_DATA, err
         assert err.startswith("data error: ") and f"{copy / 'data' / 'charging.csv'}" in err
-        assert f"record 0 (station {station}, slot of day 0) is outside" in err
+        assert f"charging.csv line 2: station {station} is outside the run's 5 stations" in err
+
+    def test_a_blank_line_counts_as_a_line_of_the_file(self, priced, tmp_path, capsys):
+        blank = lambda lines: [lines[0], ""] + first_row_field(lines, 0, 5)[1:]
+        edit = rewrite("data/charging.csv", blank)
+        rc, err, _ = run_copy(priced, tmp_path, capsys, "train-price", "--force", edit=edit)
+        assert rc == cli.EXIT_DATA, err
+        assert "charging.csv line 3: station 5 is outside the run's 5 stations" in err
+
+    def test_eval_price_names_the_line_of_a_record_with_no_item(self, priced, tmp_path, capsys):
+        # strata line 2 is station 0's slot 0, the log's first record, here on line 3
+        def edit(copy):
+            rewrite("data/strata.csv", lambda lines: [lines[0]] + lines[2:])(copy)
+            rewrite("data/charging.csv", lambda lines: [lines[0], "", *lines[1:]])(copy)
+
+        rc, err, _ = run_copy(priced, tmp_path, capsys, "eval-price", "--force", edit=edit)
+        assert rc == cli.EXIT_DATA, err
+        assert "charging.csv line 3: station 0, slot of day 0 has no item in" in err
 
     def test_negative_slot_exits_3_naming_the_file_and_line(self, priced, tmp_path, capsys):
         edit = rewrite("data/charging.csv", lambda lines: first_row_field(lines, 1, -5))

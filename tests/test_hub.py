@@ -390,13 +390,17 @@ class TestConfigFile:
             },
         }
 
+    def parse(self, payload):
+        """The hub section as the run config parses it."""
+        return hub.config_from_dict(HubConfig, payload, "hub")
+
     def test_round_trip(self):
-        cfg = hub.hub_config_from_dict(self.base_payload())
+        cfg = self.parse(self.base_payload())
         assert cfg.p_bs_max_kw == 4.0
         assert cfg.battery.eta_charge == 0.95
 
     def test_defaults_fill_missing(self):
-        cfg = hub.hub_config_from_dict({"p_bs_max_kw": 3.0})
+        cfg = self.parse({"p_bs_max_kw": 3.0})
         assert cfg.p_bs_max_kw == 3.0
         assert cfg.battery.capacity_kwh == 50.0
 
@@ -404,14 +408,35 @@ class TestConfigFile:
         payload = self.base_payload()
         payload["t_recovery_slots"] = 5  # floor 20 kWh > soc_min 10
         with pytest.raises(ConfigError, match="reserve"):
-            hub.hub_config_from_dict(payload)
+            self.parse(payload)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"t_recovery_slots": 5},  # floor 20 kWh > soc_min 10
+            {"p_bs_max_kw": 6.0},  # floor 12 kWh
+            {"battery": {"soc_min_kwh": 7.5}},  # below the default floor of 8 kWh
+            {"p_bs_min_kw": 5.0},
+            {"c_bp": -0.5},
+        ],
+        ids=["recovery", "p_bs_max", "soc_min", "p_bs_min", "c_bp"],
+    )
+    def test_built_in_code_refuses_what_the_file_refuses(self, fields):
+        with pytest.raises(ConfigError) as parsed:
+            self.parse(fields)
+        kwargs = dict(fields)
+        if "battery" in kwargs:
+            kwargs["battery"] = BatterySpec(**kwargs["battery"])
+        with pytest.raises(ConfigError) as built:
+            HubConfig(**kwargs)
+        assert str(parsed.value) == f"{built.value} (in the hub section)"
 
     def test_unknown_key_rejected(self):
         payload = self.base_payload()
         payload["p_bs_mni_kw"] = 1.0
         with pytest.raises(ConfigError, match="p_bs_mni_kw"):
-            hub.hub_config_from_dict(payload)
+            self.parse(payload)
         payload = self.base_payload()
         payload["battery"]["eta_chrage"] = 0.9
         with pytest.raises(ConfigError, match=r"unknown battery config keys: \['eta_chrage'\]"):
-            hub.hub_config_from_dict(payload)
+            self.parse(payload)

@@ -44,7 +44,7 @@ def planted():
 @pytest.fixture(scope="module")
 def trained(planted):
     _, obs = planted
-    return train_cfmtl(obs, PricingConfig(epochs=6, seed=3))
+    return train_cfmtl(obs, PricingConfig(epochs=6), 30, 3)
 
 
 def obs_batch(rows):
@@ -178,10 +178,9 @@ class TestTraining:
         cut = len(obs.stations) // 5
         held = obs_subset(obs, order[:cut])
         train = obs_subset(obs, order[cut:])
-        cfg = PricingConfig(epochs=4, seed=13, n_stations=30)
-        virgin = train_cfmtl(train, dataclasses.replace(cfg, epochs=0))
+        virgin = train_cfmtl(train, PricingConfig(epochs=0), 30, 13)
         before = cfmtl_loss(virgin, held).total
-        model = train_cfmtl(train, cfg)
+        model = train_cfmtl(train, PricingConfig(epochs=4), 30, 13)
         after = cfmtl_loss(model, held).total
         assert after < before
 
@@ -191,7 +190,7 @@ class TestTraining:
                 seed=11, n_stations=20, n_slots=10 * 24, strata_priors=(1.0, 0.0, 0.0)
             )
         obs = observations_from_records(records)
-        model = train_cfmtl(obs, PricingConfig(epochs=6, seed=5))
+        model = train_cfmtl(obs, PricingConfig(epochs=6), 20, 5)
         stations = np.array([p.station_id for p in pop])
         slots = np.array([p.slot_of_day for p in pop])
         probs = stratum_probs(model, stations, slots)
@@ -199,27 +198,24 @@ class TestTraining:
 
     def test_deterministic_given_seed(self, planted, trained):
         _, obs = planted
-        again = train_cfmtl(obs, PricingConfig(epochs=6, seed=3))
+        again = train_cfmtl(obs, PricingConfig(epochs=6), 30, 3)
         for a, b in zip(trained.params(), again.params()):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize(
-        "fit, n_stations",
-        [  # the n_stations=4 cases keep the ids they had before the None cases
-            pytest.param(fit, n, id=fit.__name__ + ("" if n else "-n_stations_None"))
-            for n in (4, None)
-            for fit in (train_cfmtl, fit_outcome_models, fit_propensity_model)
-        ],
+        "fit",
+        [train_cfmtl, fit_outcome_models, fit_propensity_model],
+        ids=lambda fit: fit.__name__,
     )
-    def test_empty_observations_refused(self, fit, n_stations):
+    def test_empty_observations_refused(self, fit):
         with pytest.raises(ValueError, match="^cannot fit on an empty dataset$"):
-            fit(obs_batch([]), PricingConfig(epochs=1, n_stations=n_stations))
+            fit(obs_batch([]), PricingConfig(epochs=1), 4, 0)
 
     def test_every_fit_runs_the_one_training_loop(self, planted, monkeypatch):
         _, obs = planted
         # one batch of every record: the epoch's loss is the untrained model's
-        cfg = PricingConfig(epochs=1, seed=2, n_stations=30, batch_size=len(obs.stations))
-        untrained = cfmtl_loss(train_cfmtl(obs, dataclasses.replace(cfg, epochs=0)), obs)
+        cfg = PricingConfig(epochs=1, batch_size=len(obs.stations))
+        untrained = cfmtl_loss(train_cfmtl(obs, dataclasses.replace(cfg, epochs=0), 30, 2), obs)
         fits = []
         nn_fit = nn.fit_embed_mlp
 
@@ -229,9 +225,9 @@ class TestTraining:
             return history
 
         monkeypatch.setattr(nn, "fit_embed_mlp", counted)
-        train_cfmtl(obs, cfg)
-        fit_outcome_models(obs, cfg)
-        fit_propensity_model(obs, cfg)
+        train_cfmtl(obs, cfg, 30, 2)
+        fit_outcome_models(obs, cfg, 30, 2)
+        fit_propensity_model(obs, cfg, 30, 2)
         assert [cls for cls, _ in fits] == [PricingModel] + [nn.EmbedMlp] * 3
         # the loop's mean weights the batch mean by the batch size, then divides
         assert fits[0][1] == [pytest.approx(untrained.total, rel=1e-12)]
@@ -354,7 +350,6 @@ class TestEvaluatePolicy:
         }
         ev = score(strata, {(0, 0), (0, 2), (0, 4)}, 0.5)
         assert (ev.none_count, ev.incentive_count, ev.always_count) == (1, 1, 1)
-        assert ev.discounted_total == 3
         # 2 always (one discounted at .5) + one discounted incentive
         assert ev.reward == pytest.approx(1.0 + 0.5 + 0.5)
 
@@ -452,8 +447,8 @@ class TestUpliftEstimators:
 
     def test_or_uplift_zero_when_models_identical(self, planted):
         pop, obs = planted
-        cfg = PricingConfig(epochs=1, seed=2, n_stations=30)
-        mu1, _ = fit_outcome_models(obs, cfg)
+        fit = (PricingConfig(epochs=1), 30, 2)
+        mu1, _ = fit_outcome_models(obs, *fit)
         assert np.all(uplift_scores(obs, mu1, mu1, Constant(0.5), pop)["or"] == 0.0)
 
     def test_or_uplift_small_for_constant_outcome(self):
@@ -464,32 +459,32 @@ class TestUpliftEstimators:
             for s, t in universe
             for _ in range(6)
         ]
-        cfg = PricingConfig(epochs=6, seed=8, n_stations=12)
+        fit = (PricingConfig(epochs=6), 12, 8)
         obs = obs_batch(rows)
-        mu1, mu0 = fit_outcome_models(obs, cfg)
+        mu1, mu0 = fit_outcome_models(obs, *fit)
         uplift = uplift_scores(obs, mu1, mu0, Constant(0.5), items_at(universe))["or"]
         assert np.abs(uplift).mean() < 0.05
 
     def test_ips_incentive_only_near_one(self, incentive_only):
         pop, obs = incentive_only
-        cfg = PricingConfig(epochs=6, seed=21, n_stations=20)
-        prop = fit_propensity_model(obs, cfg)
+        fit = (PricingConfig(epochs=6), 20, 21)
+        prop = fit_propensity_model(obs, *fit)
         uplift = uplift_scores(obs, Constant(0.5), Constant(0.5), prop, pop)["ips"]
         assert abs(uplift.mean() - 1.0) < 0.1
 
     def test_dr_equals_or_without_records(self, planted):
         pop, obs = planted
-        cfg = PricingConfig(epochs=1, seed=2, n_stations=30)
-        mu1, mu0 = fit_outcome_models(obs, cfg)
-        prop = fit_propensity_model(obs, cfg)
+        fit = (PricingConfig(epochs=1), 30, 2)
+        mu1, mu0 = fit_outcome_models(obs, *fit)
+        prop = fit_propensity_model(obs, *fit)
         scores = uplift_scores(obs_batch([]), mu1, mu0, prop, pop)
         assert np.array_equal(scores["dr"], scores["or"])
 
     def test_dr_correction_only_touches_observed_items(self, planted):
         pop, obs = planted
-        cfg = PricingConfig(epochs=1, seed=2, n_stations=30)
-        mu1, mu0 = fit_outcome_models(obs, cfg)
-        prop = fit_propensity_model(obs, cfg)
+        fit = (PricingConfig(epochs=1), 30, 2)
+        mu1, mu0 = fit_outcome_models(obs, *fit)
+        prop = fit_propensity_model(obs, *fit)
         first = (obs.stations[0], obs.slots[0])
         some = obs_subset(obs, (obs.stations == first[0]) & (obs.slots == first[1]))
         scores = uplift_scores(some, mu1, mu0, prop, pop)
@@ -512,9 +507,9 @@ class TestUpliftEstimators:
 
     def test_uplift_scores_equal_single_estimators(self, planted):
         pop, obs = planted
-        cfg = PricingConfig(epochs=1, seed=2, n_stations=30)
-        mu1, mu0 = fit_outcome_models(obs, cfg)
-        prop = fit_propensity_model(obs, cfg)
+        fit = (PricingConfig(epochs=1), 30, 2)
+        mu1, mu0 = fit_outcome_models(obs, *fit)
+        prop = fit_propensity_model(obs, *fit)
         scores = uplift_scores(obs, mu1, mu0, prop, pop)
         want = reference_uplifts(obs, mu1, mu0, prop, pop)
         for name in ("or", "ips", "dr"):
@@ -652,7 +647,7 @@ class TestStrataByPeriod:
             evening_boost=1.0,
         )
         obs = observations_from_records(records)
-        model = train_cfmtl(obs, PricingConfig(epochs=6, seed=31))
+        model = train_cfmtl(obs, PricingConfig(epochs=6), 30, 31)
         table = period_table(model, pop)
         counts = np.zeros((4, 3))
         per_period = len(pop) / 4

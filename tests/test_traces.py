@@ -15,13 +15,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hubopt import cli, traces
+from hubopt.cli import TraceGenConfig, run_config_from_dict
+from hubopt.hub import ConfigError
 from hubopt.traces import (
     ChargingLog,
     PopulationItem,
     Stratum,
     TraceError,
     TraceSet,
-    check_population_args,
     gen_charging_population,
     gen_rtp,
     gen_traffic,
@@ -129,6 +130,20 @@ def log_rows(log):
     return list(zip(*(getattr(log, name).tolist() for name in traces.CHARGING_HEADER)))
 
 
+# values of the traces section that its checks refuse, at 2 stations
+REFUSED_TRACES = [
+    ("strata_priors", [0.5, 0.5, 0.5]),
+    ("strata_priors", [-0.1, 0.6, 0.5]),
+    ("evening_boost", 0.0),
+    ("logged_policy", "greedy"),
+    ("logged_discount", 1.0),
+    ("n_items", 18),
+    ("n_items", 49),  # past 2 stations x 24 slots
+    ("days", 0),
+    ("rtp_base", -0.1),
+]
+
+
 class TestPopulation:
     PRIORS = (0.3, 0.2, 0.5)
 
@@ -184,11 +199,11 @@ class TestPopulation:
         evening = records.slot % 24 >= 18
         assert treated[evening].mean() > treated[~evening].mean() + 0.2
 
-    # the run config checks the generator's arguments once, with check_population_args
+    # the run config's traces section checks the generator's arguments once
     def test_prior_validation(self):
         for priors in ((0.5, 0.5, 0.5), (0.5, 0.5), (-0.1, 0.6, 0.5)):
-            with pytest.raises(ValueError, match="strata_priors"):
-                check_population_args(2, priors, None, 2.5, "random", 0.3)
+            with pytest.raises(ConfigError, match="strata_priors"):
+                TraceGenConfig(n_stations=2, strata_priors=priors)
 
     def test_degenerate_priors_warn_not_error(self):
         with warnings.catch_warnings(record=True) as caught:
@@ -198,10 +213,23 @@ class TestPopulation:
         assert all(it.stratum is Stratum.NO_CHARGE for it in items)
 
     def test_policy_validation(self):
-        with pytest.raises(ValueError, match="logged_policy"):
-            check_population_args(2, self.PRIORS, None, 2.5, "greedy", 0.3)
-        with pytest.raises(ValueError, match="logged_discount"):
-            check_population_args(2, self.PRIORS, None, 2.5, "random", 0.0)
+        with pytest.raises(ConfigError, match="logged_policy"):
+            TraceGenConfig(n_stations=2, logged_policy="greedy")
+        with pytest.raises(ConfigError, match="logged_discount"):
+            TraceGenConfig(n_stations=2, logged_discount=0.0)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        REFUSED_TRACES,
+        ids=[f"{key}={value}" for key, value in REFUSED_TRACES],
+    )
+    def test_built_in_code_refuses_what_the_file_refuses(self, key, value):
+        with pytest.raises(ConfigError) as parsed:
+            run_config_from_dict({"traces": {"n_stations": 2, key: value}})
+        value = tuple(value) if isinstance(value, list) else value
+        with pytest.raises(ConfigError) as built:
+            TraceGenConfig(n_stations=2, **{key: value})
+        assert str(parsed.value) == f"{built.value} (in the traces section)"
 
 
 # whether an item of each stratum code charges, untreated and treated; -1 is
@@ -255,7 +283,6 @@ class TestGeneratedLogKeepsTheRules:
         self, seed, n_stations, n_slots, priors, cut, logged_policy, logged_discount
     ):
         n_items = max(1, n_stations * 24 - cut)
-        check_population_args(n_stations, priors, n_items, 2.5, logged_policy, logged_discount)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # (0, 1, 0) is a degenerate prior
             universe, log = gen_charging_population(
